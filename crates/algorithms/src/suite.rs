@@ -160,15 +160,6 @@ impl Algorithm {
         matches!(self, Algorithm::Triangles | Algorithm::KCore { .. })
     }
 
-    /// True when this algorithm's vertex program declares a constant
-    /// serialized state size ([`cutfit_engine::VertexProgram::fixed_state_bytes`]).
-    /// One-shot runs use it to skip preparing the engine's fixed-size
-    /// setup aggregates for the one variable-state program (SSSP); pinned
-    /// against the programs' own declarations by a unit test.
-    fn pregel_program_has_fixed_state(&self) -> bool {
-        !matches!(self, Algorithm::Sssp { .. })
-    }
-
     /// True when vertex activity can die out before the iteration cap, so
     /// later supersteps touch ever fewer edges (CC, SSSP; TR's four phases
     /// likewise end by structure). False for the fixed-iteration,
@@ -325,12 +316,7 @@ impl Algorithm {
             let r = triangle_count_partitioned(&pg, cluster, true)?;
             (r.sim, 4)
         } else {
-            let mut prepared = PreparedRun::with_setup_aggregates(
-                Arc::new(pg),
-                cluster,
-                executor,
-                self.pregel_program_has_fixed_state(),
-            );
+            let mut prepared = PreparedRun::new(Arc::new(pg), cluster, executor);
             self.run_prepared(&mut prepared, executor, true)?
         };
         Ok(RunOutcome::new(self.abbrev(), sim, supersteps, metrics))
@@ -377,55 +363,6 @@ mod tests {
         let suite = Algorithm::paper_suite(1);
         let names: Vec<&str> = suite.iter().map(|a| a.abbrev()).collect();
         assert_eq!(names, vec!["PR", "CC", "TR", "SSSP"]);
-    }
-
-    #[test]
-    fn fixed_state_flags_match_the_programs() {
-        // pregel_program_has_fixed_state duplicates (for the one-shot
-        // fast path) what each program declares via fixed_state_bytes;
-        // this pins the two against each other. TR is not a Pregel
-        // program and never builds a PreparedRun.
-        use cutfit_engine::VertexProgram;
-        let declared = [
-            (
-                Algorithm::PageRank { iterations: 1 },
-                crate::pagerank::PageRank.fixed_state_bytes().is_some(),
-            ),
-            (
-                Algorithm::ConnectedComponents { max_iterations: 1 },
-                crate::cc::ConnectedComponents.fixed_state_bytes().is_some(),
-            ),
-            (
-                Algorithm::Sssp {
-                    num_landmarks: 1,
-                    seed: 1,
-                    max_iterations: 1,
-                },
-                Sssp::new(vec![0]).fixed_state_bytes().is_some(),
-            ),
-            (
-                Algorithm::Hits { iterations: 1 },
-                crate::hits::HitsProgram.fixed_state_bytes().is_some(),
-            ),
-            (
-                Algorithm::LabelPropagation { iterations: 1 },
-                crate::label_propagation::LabelPropagation
-                    .fixed_state_bytes()
-                    .is_some(),
-            ),
-            (
-                Algorithm::KCore { iterations: 1 },
-                crate::kcore::KCore.fixed_state_bytes().is_some(),
-            ),
-        ];
-        for (algo, program_says) in declared {
-            assert_eq!(
-                algo.pregel_program_has_fixed_state(),
-                program_says,
-                "{}",
-                algo.abbrev()
-            );
-        }
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! O(active) instead of O(V + E):
 //!
 //! * [`FrontierAdjacency`] — a per-vertex table of its local index in every
-//!   replica partition (built eagerly — one cheap pass over the partition
-//!   tables), plus per-partition incident-edge CSRs (separately for src and
-//!   dst endpoints) built lazily once a partition shows repeated sparse
-//!   demand, so short dense-dominated runs never pay for them;
+//!   replica partition (one cheap pass over the partition tables, made when
+//!   the engine first plans a scan from a frontier), plus per-partition
+//!   incident-edge CSRs (separately for src and dst endpoints), each built
+//!   on its partition's second sparse-eligible superstep, so short
+//!   dense-dominated runs never pay for them;
 //! * [`FrontierBuffers`] — the per-run frontier bookkeeping: the current
 //!   frontier grouped by home partition, per-partition frontier-local and
 //!   touched-slot lists, and the gather scratch, all reused across
@@ -47,8 +48,8 @@ pub(crate) struct PartAdjacency {
 
 impl PartAdjacency {
     fn build(num_locals: usize, edges: &[(u32, u32)]) -> Self {
-        let (src_offsets, src_edges) = incident_csr(num_locals, edges, |&(ls, _)| ls);
-        let (dst_offsets, dst_edges) = incident_csr(num_locals, edges, |&(_, ld)| ld);
+        let (src_offsets, src_edges) = group_indices(num_locals, edges, |&(ls, _)| ls);
+        let (dst_offsets, dst_edges) = group_indices(num_locals, edges, |&(_, ld)| ld);
         Self {
             src_offsets,
             src_edges,
@@ -72,27 +73,29 @@ impl PartAdjacency {
     }
 }
 
-/// Counting sort of edge indices by one endpoint's local id.
-fn incident_csr(
-    num_locals: usize,
-    edges: &[(u32, u32)],
-    endpoint: impl Fn(&(u32, u32)) -> u32,
+/// Counting sort of `items`' indices by `key` (each below `num_keys`):
+/// CSR offsets, one group per key, and the indices grouped by key, in
+/// ascending index order within each group.
+pub(crate) fn group_indices<T>(
+    num_keys: usize,
+    items: &[T],
+    key: impl Fn(&T) -> u32,
 ) -> (Vec<u32>, Vec<u32>) {
-    let mut offsets = vec![0u32; num_locals + 1];
-    for edge in edges {
-        offsets[endpoint(edge) as usize + 1] += 1;
+    let mut offsets = vec![0u32; num_keys + 1];
+    for item in items {
+        offsets[key(item) as usize + 1] += 1;
     }
-    for l in 0..num_locals {
-        offsets[l + 1] += offsets[l];
+    for k in 0..num_keys {
+        offsets[k + 1] += offsets[k];
     }
     let mut cursor = offsets.clone();
-    let mut list = vec![0u32; edges.len()];
-    for (e, edge) in edges.iter().enumerate() {
-        let l = endpoint(edge) as usize;
-        list[cursor[l] as usize] = e as u32;
-        cursor[l] += 1;
+    let mut grouped = vec![0u32; items.len()];
+    for (i, item) in items.iter().enumerate() {
+        let k = key(item) as usize;
+        grouped[cursor[k] as usize] = i as u32;
+        cursor[k] += 1;
     }
-    (offsets, list)
+    (offsets, grouped)
 }
 
 /// The run-scoped sparse-scan index: the replica-local table that turns
@@ -197,6 +200,9 @@ pub(crate) struct FrontierBuffers {
     pub(crate) deg_sum: Vec<u64>,
     /// Per partition: the scan kind chosen this superstep.
     pub(crate) scan_kind: Vec<ScanKind>,
+    /// Per partition: edges the scan visited this superstep (the metered
+    /// edge-scan count).
+    pub(crate) matched: Vec<u64>,
     /// Per partition: supersteps that wanted a sparse scan so far this run.
     /// The CSR build is deferred until the second one — a lone sparse-
     /// eligible superstep (a converging run's final trickle) is cheaper to
@@ -214,6 +220,7 @@ impl FrontierBuffers {
             gather: vec![Vec::new(); num_parts],
             deg_sum: vec![0; num_parts],
             scan_kind: vec![ScanKind::Full; num_parts],
+            matched: vec![0; num_parts],
             sparse_wants: vec![0; num_parts],
         }
     }
@@ -265,20 +272,23 @@ pub(crate) const SPARSE_SCAN_FACTOR: u64 = 4;
 /// everything, and a frontier whose total degree already exceeds the
 /// whole graph's dense threshold goes dense without the O(frontier ×
 /// replication) distribution pass.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_sparse_scan(
     pg: &PartitionedGraph,
     adj: &FrontierAdjacency,
     dir: ActiveDirection,
     force_sparse: bool,
     degrees: (&[u32], &[u32]),
-    frontier: &[Vec<VertexId>],
-    part_frontier: &mut [Vec<u32>],
-    deg_sum: &mut [u64],
-    scan_kind: &mut [ScanKind],
-    sparse_wants: &mut [u32],
+    fb: &mut FrontierBuffers,
 ) -> u64 {
     let (out_deg, in_deg) = degrees;
+    let FrontierBuffers {
+        frontier,
+        part_frontier,
+        deg_sum,
+        scan_kind,
+        sparse_wants,
+        ..
+    } = fb;
     let degree_of = |v: VertexId| -> u64 {
         match dir {
             ActiveDirection::Either => {
@@ -290,7 +300,7 @@ pub(crate) fn plan_sparse_scan(
     };
     let mut active = 0u64;
     let mut frontier_degree = 0u64;
-    for flist in frontier {
+    for flist in frontier.iter() {
         active += flist.len() as u64;
         for &v in flist {
             frontier_degree += degree_of(v);
@@ -307,7 +317,7 @@ pub(crate) fn plan_sparse_scan(
         list.clear();
     }
     deg_sum.fill(0);
-    for flist in frontier {
+    for flist in frontier.iter() {
         for &v in flist {
             let degree = degree_of(v);
             let replica_parts = pg.routing().parts_of(v);
@@ -513,11 +523,7 @@ mod tests {
             ActiveDirection::Either,
             false,
             (&out_deg, &in_deg),
-            &bufs.frontier,
-            &mut bufs.part_frontier,
-            &mut bufs.deg_sum,
-            &mut bufs.scan_kind,
-            &mut bufs.sparse_wants,
+            &mut bufs,
         );
         assert_eq!(active, 0);
         assert!(bufs.scan_kind.iter().all(|&k| k == ScanKind::Sparse));
@@ -535,11 +541,7 @@ mod tests {
             ActiveDirection::Either,
             false,
             (&out_deg, &in_deg),
-            &bufs.frontier,
-            &mut bufs.part_frontier,
-            &mut bufs.deg_sum,
-            &mut bufs.scan_kind,
-            &mut bufs.sparse_wants,
+            &mut bufs,
         );
         assert_eq!(active, pg.num_vertices());
         assert!(bufs.scan_kind.iter().all(|&k| k == ScanKind::Dense));
@@ -552,11 +554,7 @@ mod tests {
             ActiveDirection::Either,
             true,
             (&out_deg, &in_deg),
-            &bufs.frontier,
-            &mut bufs.part_frontier,
-            &mut bufs.deg_sum,
-            &mut bufs.scan_kind,
-            &mut bufs.sparse_wants,
+            &mut bufs,
         );
         assert!(bufs.scan_kind.iter().all(|&k| k == ScanKind::Sparse));
         assert!((0..np).all(|p| adj.part(p).is_some() == !bufs.part_frontier[p].is_empty()));

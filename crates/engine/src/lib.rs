@@ -20,9 +20,11 @@
 //! seconds.
 //!
 //! The superstep loop runs on precomputed run-scoped indexes and reusable
-//! buffers (see [`pregel`]), and all three phases — scan, shuffle, apply —
-//! execute on the worker pool under [`ExecutorMode::Parallel`] and
-//! [`ExecutorMode::Auto`]. Converging programs additionally run
+//! buffers (see [`pregel`]). Each of its three phases — scan, shuffle,
+//! apply — is one kernel that the worker pool hands a contiguous range of
+//! partitions: several ranges under [`ExecutorMode::Parallel`] and
+//! [`ExecutorMode::Auto`], the whole range under
+//! [`ExecutorMode::Sequential`]. Converging programs additionally run
 //! frontier-driven (see the `frontier` module): supersteps whose active set
 //! has shrunk scan only the frontier's incident edges and drain only touched
 //! message slots, making tail supersteps O(active) instead of O(V + E).

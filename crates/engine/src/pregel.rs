@@ -1,31 +1,50 @@
 //! The metered Pregel loop.
 //!
-//! The superstep hot path is built around two ideas:
+//! A run is a setup superstep followed by message supersteps of plan →
+//! scan → shuffle → apply/broadcast. Each of the three pooled phases is
+//! **one kernel**: a method of the private `Run` whose body is handed to
+//! `cutfit_util::exec` with a *shard* — a contiguous range of edge
+//! partitions for the scan, of home (master) partitions for the shuffle and
+//! the apply. The pool splits the range over its workers; at one thread it
+//! calls the body inline with the whole range, so
+//! [`ExecutorMode::Sequential`] is the one-shard case of the same code, not
+//! a second implementation, and the debug-build [`DisjointSlice`] owner
+//! check watches every mode.
 //!
-//! * **Run-scoped indexes** (the private `ScanIndex`): everything the loop
-//!   would otherwise resolve per message — each vertex's master ("home")
-//!   partition including the isolated-vertex hash fallback,
-//!   partition→executor mapping, and the per-partition grouping of local
-//!   vertices by home — is precomputed once from the [`PartitionedGraph`],
-//!   and endpoint resolution is a single load from the borrowed
-//!   local→global table, so supersteps do zero binary searches, routing
-//!   lookups, or hashing.
-//! * **Buffer reuse**: the inbox, per-partition partial-aggregate buffers,
-//!   and activity bitsets are allocated once per run and cleared in place
-//!   (the shuffle *takes* every partial and the apply *takes* every inbox
-//!   entry, so the buffers self-clean), eliminating the per-superstep
-//!   O(vertices + replicas) allocation churn.
+//! * **Scan** (shard: partitions) — one generic edge loop, instantiated
+//!   three ways by edge source, activity predicate and slot recording: a
+//!   full walk, a dense predicate walk, a sparse walk over gathered
+//!   frontier-incident edges (see the `frontier` module).
+//! * **Shuffle** (shard: homes) — partitions outermost in ascending order,
+//!   which fixes every vertex's merge order; per partition the shard visits
+//!   the touched slots it masters (after a sparse scan), its contiguous
+//!   slice of the home-grouped locals, or — when the shard is the whole home
+//!   range — the partial buffer itself by iterator. Which one is read off
+//!   the plan and the shard's shape, never off an option.
+//! * **Apply** (shard: homes) — exactly the vertices the shuffle wrote.
 //!
-//! All three phases — scan, shuffle, apply/broadcast — run on the worker
-//! pool. Scan parallelises over edge partitions; shuffle and apply
-//! parallelise over *home* partitions, each thread owning a disjoint set of
-//! vertices, with per-thread integral metering deltas merged afterwards.
-//! Because every ledger quantity is an integer counter and each vertex's
-//! messages merge in ascending source-partition order in every mode, the
-//! parallel executors are bit-identical to sequential execution in both
-//! vertex states and the metered [`SimReport`].
+//! What the kernels read is precomputed: the private `ScanIndex` holds each
+//! vertex's master ("home") partition with the isolated-vertex hash
+//! fallback folded in, the partition→executor map and the degree tables,
+//! so supersteps do no binary searches, routing lookups, or hashing. Three
+//! further parts are built only where something reads them: the
+//! per-partition grouping of locals by home when the handle's thread
+//! budget exceeds one (only a multi-shard shuffle reads it), the
+//! fixed-size-state setup aggregates by the first run whose program
+//! declares [`VertexProgram::fixed_state_bytes`], and the sparse-scan
+//! adjacency by the first superstep that plans a scan from a frontier.
+//! What the kernels write is allocated once per run and self-cleaning: the
+//! shuffle *takes* every partial and the apply *takes* every inbox entry,
+//! so supersteps allocate no O(vertices + replicas) buffer.
+//!
+//! Every ledger quantity is an integer counter, accumulated in per-thread
+//! deltas and merged afterwards, and each vertex's messages merge in
+//! ascending source-partition order under any sharding — so every thread
+//! count is bit-identical in both vertex states and the metered
+//! [`SimReport`].
 
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use cutfit_cluster::{ClusterConfig, ClusterSim, SimError, SimReport, SuperstepLedger};
 use cutfit_graph::types::PartId;
@@ -36,7 +55,7 @@ use cutfit_util::hash::hash64;
 use cutfit_util::num::{part_index, vid_index};
 
 use crate::frontier::{
-    gather_edges, plan_sparse_scan, FrontierAdjacency, FrontierBuffers, ScanKind,
+    gather_edges, group_indices, plan_sparse_scan, FrontierAdjacency, FrontierBuffers, ScanKind,
 };
 use crate::program::{ActiveDirection, InitCtx, Messages, Triplet, VertexProgram};
 
@@ -143,10 +162,11 @@ pub struct PregelResult<V> {
     pub sim: SimReport,
 }
 
-/// Per-partition slice of the run-scoped index. Edge and local→global
-/// tables are *not* duplicated here — the loop reads them straight from the
-/// [`PartitionedGraph`], which keeps the index self-contained (no borrows)
-/// so a [`PreparedRun`] can own both the `Arc`'d graph and its index.
+/// One partition's local vertices grouped by home partition. Edge and
+/// local→global tables are *not* duplicated here — the loop reads them
+/// straight from the [`PartitionedGraph`], which keeps the index
+/// self-contained (no borrows) so a [`PreparedRun`] can own both the
+/// `Arc`'d graph and its index.
 struct PartIndex {
     /// CSR offsets into `home_locals`, one group per home partition.
     home_offsets: Vec<u32>,
@@ -156,18 +176,32 @@ struct PartIndex {
 }
 
 impl PartIndex {
-    /// Local indices of this partition whose vertices are mastered at `q`.
+    /// Groups `part`'s local indices by home partition; local order is
+    /// preserved within each group.
+    fn build(part: &EdgePartition, home: &[PartId], np: usize) -> Self {
+        let (home_offsets, home_locals) =
+            group_indices(np, &part.vertices, |&v| home[vid_index(v)]);
+        Self {
+            home_offsets,
+            home_locals,
+        }
+    }
+
+    /// Local indices of this partition whose vertices are mastered at a
+    /// home in `homes`. Groups are adjacent, so a home *range* is one
+    /// contiguous slice: home-ascending, local-ascending within a home.
     #[inline]
-    fn locals_of_home(&self, q: usize) -> &[u32] {
-        &self.home_locals[self.home_offsets[q] as usize..self.home_offsets[q + 1] as usize]
+    fn locals_of_homes(&self, homes: &Range<usize>) -> &[u32] {
+        &self.home_locals
+            [self.home_offsets[homes.start] as usize..self.home_offsets[homes.end] as usize]
     }
 }
 
-/// Precomputed setup-superstep aggregates, used to meter the initial apply
-/// + replica broadcast of **fixed-size-state** programs in O(partitions +
-/// executor pairs) instead of O(vertices + replicas) per dispatch: the
-/// per-message bill is then a constant, so only the counts matter — and
-/// the counts are a property of the cut, not of the program.
+/// Setup-superstep aggregates, used to meter the initial apply + replica
+/// broadcast of **fixed-size-state** programs in O(partitions + executor
+/// pairs) instead of O(vertices + replicas) per dispatch: the per-message
+/// bill is then a constant, so only the counts matter — and the counts are
+/// a property of the cut, not of the program.
 struct SetupAggregates {
     /// Vertices mastered (hash fallback included) at each partition.
     home_counts: Vec<u64>,
@@ -179,8 +213,50 @@ struct SetupAggregates {
     bcast_pairs: Vec<((u32, u32), u64)>,
 }
 
+impl SetupAggregates {
+    fn build(pg: &PartitionedGraph, home: &[PartId], exec_of_part: &[u32]) -> Self {
+        let np = pg.num_parts() as usize;
+        let mut home_counts = vec![0u64; np];
+        for &h in home {
+            home_counts[part_index(h)] += 1;
+        }
+        let mut isolated_counts = vec![0u64; np];
+        for (v, &m) in pg.masters().iter().enumerate() {
+            if m == NO_PART {
+                isolated_counts[part_index(home[v])] += 1;
+            }
+        }
+        // BTreeMap: iterated below, and unordered iteration in the engine
+        // is exactly what the analyzer's D1 rule forbids.
+        let mut pairs: std::collections::BTreeMap<(u32, u32), u64> =
+            std::collections::BTreeMap::new();
+        for v in 0..pg.num_vertices() {
+            let replicas = pg.routing().parts_of(v);
+            if replicas.len() > 1 {
+                let h = home[vid_index(v)];
+                let master_exec = exec_of_part[part_index(h)];
+                for &p in replicas {
+                    if p != h {
+                        *pairs
+                            .entry((master_exec, exec_of_part[part_index(p)]))
+                            .or_default() += 1;
+                    }
+                }
+            }
+        }
+        Self {
+            home_counts,
+            isolated_counts,
+            // BTreeMap iteration is already key-ascending: no sort needed.
+            bcast_pairs: pairs.into_iter().collect(),
+        }
+    }
+}
+
 /// Immutable run-scoped index precomputed from the [`PartitionedGraph`] so
 /// the superstep loop does no routing lookups, hashing, or binary searches.
+/// The parts every run reads are built eagerly; the two that only some
+/// programs read are built by the first run that needs them.
 struct ScanIndex {
     /// Master partition per vertex, with the isolated-vertex hash fallback
     /// folded in (GraphX hash-partitions the vertex RDD; vertices without
@@ -188,35 +264,28 @@ struct ScanIndex {
     home: Vec<PartId>,
     /// Executor hosting each partition.
     exec_of_part: Vec<u32>,
-    /// Per-partition local groupings by home (empty unless sharded).
+    /// Global out/in degree per vertex, derived from the partitioned edge
+    /// tables (the engine never touches the original edge list).
+    out_deg: Vec<u32>,
+    in_deg: Vec<u32>,
+    /// Per-partition local groupings by home; empty unless built for a
+    /// multi-shard shuffle.
     parts: Vec<PartIndex>,
-    /// Setup-superstep aggregates for fixed-size-state metering; `None`
-    /// when the caller knows no fixed-size program will run (the O(V +
-    /// replicas) aggregation pass would be pure waste there).
-    setup: Option<SetupAggregates>,
-    /// Frontier-driven sparse-scan index: the eager replica-local table
-    /// plus lazily built per-partition incident-edge CSRs. `None` when the
-    /// caller knows only dense scans will run (forced [`ScanMode::Dense`]
-    /// or an always-active program).
-    adjacency: Option<FrontierAdjacency>,
+    /// Built by the first run of a fixed-size-state program (variable-size
+    /// programs take the per-vertex metering sweep and never read it).
+    setup: OnceLock<SetupAggregates>,
+    /// Sparse-scan index, built by the first superstep that plans a scan
+    /// from a frontier (forced [`ScanMode::Dense`] and always-active
+    /// programs never do).
+    adjacency: OnceLock<FrontierAdjacency>,
 }
 
 impl ScanIndex {
-    /// Builds the index. The home-sharded grouping (`home_locals`) is only
-    /// needed by the multi-threaded dense shuffle — the single-thread path
-    /// sweeps linearly — so it is built only when `shards` is set. Likewise
-    /// the setup aggregates are built only when `setup` is set: one-shot
-    /// runs of variable-size-state programs take the per-vertex metering
-    /// sweep and never read them. The sparse-scan adjacency is built only
-    /// when `adjacency` is set.
-    fn build(
-        pg: &PartitionedGraph,
-        cluster: &ClusterConfig,
-        shards: bool,
-        setup: bool,
-        adjacency: bool,
-    ) -> Self {
-        let n = pg.num_vertices() as usize;
+    /// Builds the eager parts. The home groupings are read only by a
+    /// shuffle split into several home shards — the one-shard shuffle
+    /// sweeps each partial buffer whole — so they are built only when
+    /// `shards` is set.
+    fn build(pg: &PartitionedGraph, cluster: &ClusterConfig, shards: bool) -> Self {
         let np = pg.num_parts() as usize;
         let home: Vec<PartId> = pg
             .masters()
@@ -230,87 +299,38 @@ impl ScanIndex {
                 }
             })
             .collect();
-        let exec_of_part: Vec<u32> = (0..np as u32).map(|p| cluster.executor_of(p)).collect();
-
-        let parts = pg
-            .parts()
-            .iter()
-            .map(|part| {
-                let (home_offsets, home_locals) = if shards {
-                    // Counting sort of local indices by home partition:
-                    // local order is preserved within each group, so
-                    // per-vertex merge order stays source-partition-
-                    // ascending in every mode.
-                    let mut offsets = vec![0u32; np + 1];
-                    for &v in &part.vertices {
-                        offsets[home[v as usize] as usize + 1] += 1;
-                    }
-                    for q in 0..np {
-                        offsets[q + 1] += offsets[q];
-                    }
-                    let mut cursor = offsets.clone();
-                    let mut locals = vec![0u32; part.vertices.len()];
-                    for (local, &v) in part.vertices.iter().enumerate() {
-                        let q = home[v as usize] as usize;
-                        locals[cursor[q] as usize] = local as u32;
-                        cursor[q] += 1;
-                    }
-                    (offsets, locals)
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                PartIndex {
-                    home_offsets,
-                    home_locals,
-                }
-            })
-            .collect();
-
-        let setup = setup.then(|| {
-            let mut home_counts = vec![0u64; np];
-            for &h in &home {
-                home_counts[h as usize] += 1;
+        let group = |part| PartIndex::build(part, &home, np);
+        let parts = if shards {
+            pg.parts().iter().map(group).collect()
+        } else {
+            Vec::new()
+        };
+        let mut out_deg = vec![0u32; pg.num_vertices() as usize];
+        let mut in_deg = vec![0u32; pg.num_vertices() as usize];
+        for part in pg.parts() {
+            for &(ls, ld) in &part.edges {
+                out_deg[vid_index(part.vertices[ls as usize])] += 1;
+                in_deg[vid_index(part.vertices[ld as usize])] += 1;
             }
-            let mut isolated_counts = vec![0u64; np];
-            for (v, &m) in pg.masters().iter().enumerate() {
-                if m == NO_PART {
-                    isolated_counts[home[v] as usize] += 1;
-                }
-            }
-            // BTreeMap: iterated below, and unordered iteration in the
-            // engine is exactly what the analyzer's D1 rule forbids.
-            let mut pairs: std::collections::BTreeMap<(u32, u32), u64> =
-                std::collections::BTreeMap::new();
-            for v in 0..n as u64 {
-                let replicas = pg.routing().parts_of(v);
-                if replicas.len() > 1 {
-                    let h = home[v as usize];
-                    let master_exec = exec_of_part[h as usize];
-                    for &p in replicas {
-                        if p != h {
-                            *pairs
-                                .entry((master_exec, exec_of_part[p as usize]))
-                                .or_default() += 1;
-                        }
-                    }
-                }
-            }
-            // BTreeMap iteration is already key-ascending: no sort needed.
-            let bcast_pairs: Vec<((u32, u32), u64)> = pairs.into_iter().collect();
-            SetupAggregates {
-                home_counts,
-                isolated_counts,
-                bcast_pairs,
-            }
-        });
-
+        }
         Self {
             home,
-            exec_of_part,
+            exec_of_part: (0..np as u32).map(|p| cluster.executor_of(p)).collect(),
+            out_deg,
+            in_deg,
             parts,
-            setup,
-            adjacency: adjacency.then(|| FrontierAdjacency::build(pg)),
+            setup: OnceLock::new(),
+            adjacency: OnceLock::new(),
         }
+    }
+
+    fn setup(&self, pg: &PartitionedGraph) -> &SetupAggregates {
+        self.setup
+            .get_or_init(|| SetupAggregates::build(pg, &self.home, &self.exec_of_part))
+    }
+
+    fn adjacency(&self, pg: &PartitionedGraph) -> &FrontierAdjacency {
+        self.adjacency.get_or_init(|| FrontierAdjacency::build(pg))
     }
 }
 
@@ -409,7 +429,7 @@ impl MeterDelta {
 /// and one delta per thread.
 fn run_on_pool<F>(num_parts: usize, threads: usize, deltas: &mut [MeterDelta], work: F)
 where
-    F: Fn(std::ops::Range<usize>, &mut MeterDelta) + Sync,
+    F: Fn(Range<usize>, &mut MeterDelta) + Sync,
 {
     for delta in deltas.iter_mut() {
         delta.reset();
@@ -417,41 +437,28 @@ where
     run_chunked(num_parts, threads, deltas, work);
 }
 
-/// Global out/in degree tables, derived from the partitioned edge tables
-/// (the engine never touches the original edge list).
-fn degree_tables(pg: &PartitionedGraph) -> (Vec<u32>, Vec<u32>) {
-    let n = pg.num_vertices() as usize;
-    let mut out_deg = vec![0u32; n];
-    let mut in_deg = vec![0u32; n];
-    for part in pg.parts() {
-        for &(ls, ld) in &part.edges {
-            out_deg[part.vertices[ls as usize] as usize] += 1;
-            in_deg[part.vertices[ld as usize] as usize] += 1;
-        }
-    }
-    (out_deg, in_deg)
-}
-
 /// Program-independent run scratch: the activity bitset, frontier
-/// bookkeeping, matched-edge counts, and per-thread metering deltas. A
-/// [`PreparedRun`] keeps one of these alive across jobs so back-to-back
-/// dispatches allocate nothing here (the message-typed inbox/partial
-/// buffers are per-program and stay per-run).
+/// bookkeeping, and per-thread metering deltas — one delta per worker the
+/// run may use, so their count *is* the thread budget. A [`PreparedRun`]
+/// keeps one of these alive across jobs so back-to-back dispatches allocate
+/// nothing here (the message-typed inbox/partial buffers are per-program
+/// and stay per-run).
 struct RunBuffers {
     active: Vec<bool>,
     frontier: FrontierBuffers,
-    matched: Vec<u64>,
     deltas: Vec<MeterDelta>,
 }
 
 impl RunBuffers {
-    fn new(n: usize, num_parts: usize, executors: usize, threads: usize) -> Self {
+    /// Buffers for `pg` on `cluster`, with `executor`'s thread count
+    /// clamped to the partition count.
+    fn new(pg: &PartitionedGraph, cluster: &ClusterConfig, executor: ExecutorMode) -> Self {
+        let np = pg.num_parts() as usize;
         Self {
-            active: vec![false; n],
-            frontier: FrontierBuffers::new(num_parts),
-            matched: vec![0; num_parts],
-            deltas: (0..threads)
-                .map(|_| MeterDelta::new(executors, num_parts))
+            active: vec![false; pg.num_vertices() as usize],
+            frontier: FrontierBuffers::new(np),
+            deltas: (0..executor.threads().min(np.max(1)))
+                .map(|_| MeterDelta::new(cluster.executors as usize, np))
                 .collect(),
         }
     }
@@ -472,34 +479,11 @@ pub fn run_pregel<P: VertexProgram>(
     cluster: &ClusterConfig,
     opts: &PregelConfig,
 ) -> Result<PregelResult<P::State>, SimError> {
-    let np = pg.num_parts() as usize;
-    let threads = opts.executor.threads().min(np.max(1));
-    let index = ScanIndex::build(
-        pg,
-        cluster,
-        threads > 1,
-        program.fixed_state_bytes().is_some(),
-        opts.scan_mode != ScanMode::Dense && !program.always_active(),
-    );
-    let (out_deg, in_deg) = degree_tables(pg);
+    let mut buffers = RunBuffers::new(pg, cluster, opts.executor);
+    let index = ScanIndex::build(pg, cluster, buffers.deltas.len() > 1);
     let mut sim = ClusterSim::new(cluster.clone(), pg.num_parts());
-    let mut buffers = RunBuffers::new(
-        pg.num_vertices() as usize,
-        np,
-        cluster.executors as usize,
-        threads,
-    );
-    let (states, supersteps, converged) = execute(
-        program,
-        pg,
-        &index,
-        &out_deg,
-        &in_deg,
-        &mut sim,
-        &mut buffers,
-        threads,
-        opts,
-    )?;
+    let (states, supersteps, converged) =
+        execute(program, pg, &index, &mut sim, &mut buffers, opts)?;
     Ok(PregelResult {
         states,
         supersteps,
@@ -514,7 +498,9 @@ pub fn run_pregel<P: VertexProgram>(
 /// [`PartitionedGraph`]. Back-to-back jobs on one cut skip all routing
 /// setup — the serving layer's cache-hit path is
 /// [`PreparedRun::run`], which only allocates the message-typed buffers of
-/// the program it executes.
+/// the program it executes, plus — once per handle — the index parts its
+/// program is the first to need (the fixed-size-state setup aggregates,
+/// the sparse-scan adjacency).
 ///
 /// The handle is prepared for a maximum parallelism at construction
 /// ([`ExecutorMode::threads`] of the mode passed to [`PreparedRun::new`]);
@@ -524,54 +510,20 @@ pub fn run_pregel<P: VertexProgram>(
 pub struct PreparedRun {
     pg: Arc<PartitionedGraph>,
     index: ScanIndex,
-    out_deg: Vec<u32>,
-    in_deg: Vec<u32>,
     sim: ClusterSim,
     buffers: RunBuffers,
-    threads: usize,
 }
 
 impl PreparedRun {
     /// Builds the routing index, degree tables, and reusable buffers for
-    /// `pg` on `cluster`, sized for `executor`'s thread budget. Keeps the
-    /// fixed-size-state setup aggregates — the right default for session
-    /// handles that serve arbitrary programs.
+    /// `pg` on `cluster`, sized for `executor`'s thread budget.
     pub fn new(pg: Arc<PartitionedGraph>, cluster: &ClusterConfig, executor: ExecutorMode) -> Self {
-        Self::with_setup_aggregates(pg, cluster, executor, true)
-    }
-
-    /// [`PreparedRun::new`] with control over the setup aggregates: pass
-    /// `false` when every program dispatched through this handle has
-    /// variable-size state ([`VertexProgram::fixed_state_bytes`] is
-    /// `None`), so the O(vertices + replicas) aggregation pass — which
-    /// such programs never read — is skipped.
-    pub fn with_setup_aggregates(
-        pg: Arc<PartitionedGraph>,
-        cluster: &ClusterConfig,
-        executor: ExecutorMode,
-        setup: bool,
-    ) -> Self {
-        let np = pg.num_parts() as usize;
-        let threads = executor.threads().min(np.max(1));
-        // Session handles serve arbitrary programs, so the sparse-scan
-        // adjacency is always worth caching alongside the routing index.
-        let index = ScanIndex::build(&pg, cluster, threads > 1, setup, true);
-        let (out_deg, in_deg) = degree_tables(&pg);
-        let sim = ClusterSim::new(cluster.clone(), pg.num_parts());
-        let buffers = RunBuffers::new(
-            pg.num_vertices() as usize,
-            np,
-            cluster.executors as usize,
-            threads,
-        );
+        let buffers = RunBuffers::new(&pg, cluster, executor);
         Self {
-            pg,
-            index,
-            out_deg,
-            in_deg,
-            sim,
+            index: ScanIndex::build(&pg, cluster, buffers.deltas.len() > 1),
+            sim: ClusterSim::new(cluster.clone(), pg.num_parts()),
             buffers,
-            threads,
+            pg,
         }
     }
 
@@ -587,7 +539,7 @@ impl PreparedRun {
 
     /// The thread budget the handle was prepared for.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.buffers.deltas.len()
     }
 
     /// Runs `program` on the prepared cut. Bit-identical — vertex states
@@ -600,18 +552,13 @@ impl PreparedRun {
         program: &P,
         opts: &PregelConfig,
     ) -> Result<PregelResult<P::State>, SimError> {
-        let np = self.pg.num_parts() as usize;
-        let threads = opts.executor.threads().min(self.threads).min(np.max(1));
         self.sim.reset();
         let (states, supersteps, converged) = execute(
             program,
             &self.pg,
             &self.index,
-            &self.out_deg,
-            &self.in_deg,
             &mut self.sim,
             &mut self.buffers,
-            threads,
             opts,
         )?;
         Ok(PregelResult {
@@ -624,171 +571,49 @@ impl PreparedRun {
 }
 
 /// The superstep loop shared by [`run_pregel`] (transient index/buffers)
-/// and [`PreparedRun::run`] (cached index, reused buffers). `threads` is
-/// the already-clamped worker count; `opts` supplies the iteration cap and
-/// load-charging policy.
-#[allow(clippy::too_many_arguments)]
+/// and [`PreparedRun::run`] (cached index, reused buffers): setup, then
+/// plan → scan → shuffle → apply until no message flows or `opts` caps the
+/// iterations. The worker count is `opts.executor`'s, clamped to the
+/// buffers' thread budget.
 fn execute<P: VertexProgram>(
     program: &P,
     pg: &PartitionedGraph,
     index: &ScanIndex,
-    out_deg: &[u32],
-    in_deg: &[u32],
     sim: &mut ClusterSim,
     buffers: &mut RunBuffers,
-    threads: usize,
     opts: &PregelConfig,
 ) -> Result<(Vec<P::State>, u64, bool), SimError> {
-    let n = pg.num_vertices() as usize;
-    let np = pg.num_parts() as usize;
-    let num_edges = pg.num_edges();
-    let msg_overhead = sim.config().cost.message_overhead_bytes;
-    let executors = sim.config().executors as usize;
-    debug_assert_eq!(executors, buffers.deltas[0].executors);
-    let all_active = program.always_active();
-    let dir = program.active_direction();
-    // Sparse scans need the incident-edge adjacency. Without one — forced
-    // dense mode, an always-active program (its frontier never shrinks), or
-    // an index built without it — every superstep takes the dense path.
-    let adjacency = if all_active || opts.scan_mode == ScanMode::Dense {
-        None
-    } else {
-        index.adjacency.as_ref()
+    let n = pg.num_vertices();
+    debug_assert_eq!(sim.config().executors as usize, buffers.deltas[0].executors);
+    let cx = Ctx {
+        program,
+        pg,
+        index,
+        msg_overhead: sim.config().cost.message_overhead_bytes,
+        threads: opts.executor.threads().min(buffers.deltas.len()),
     };
-    let force_sparse = opts.scan_mode == ScanMode::Sparse;
+    let all_active = program.always_active();
+    // Only a converging program under a non-dense scan mode plans scans
+    // from its frontier; everything else takes the dense paths throughout.
+    let plans_frontier = !all_active && opts.scan_mode != ScanMode::Dense;
 
     if let Some(every) = opts.checkpoint_interval {
         sim.set_checkpoint_interval(every);
     }
     if opts.charge_initial_load {
-        sim.charge_load(cutfit_cluster::load_bytes(
-            pg.num_vertices(),
-            pg.num_edges(),
-        ));
+        sim.charge_load(cutfit_cluster::load_bytes(n, pg.num_edges()));
     }
+    let states = cx.setup(sim)?;
 
-    // --- Setup: initial apply on every vertex + replica broadcast. ---
-    let ctx = InitCtx {
-        out_degrees: out_deg,
-        in_degrees: in_deg,
-        num_vertices: pg.num_vertices(),
-    };
-    let init_msg = program.initial_msg();
-    let mut states: Vec<P::State> = (0..n as u64)
-        .map(|v| {
-            let s = program.initial_state(v, &ctx);
-            program.apply(v, &s, &init_msg)
-        })
-        .collect();
-    let fixed_state = program.fixed_state_bytes();
-    let batched_setup = match (fixed_state, &index.setup) {
-        (Some(size), Some(setup)) => Some((size, setup)),
-        _ => None,
-    };
-    if let Some((size, setup)) = batched_setup {
-        // Every state bills the same constant, so the setup superstep is a
-        // pure function of the cut's precomputed counts: one vertex op per
-        // mastered vertex, one broadcast message per (vertex, mirror)
-        // pair — batched per executor pair. Ledger accumulation is
-        // commutative integer addition, so this is bit-identical to the
-        // per-vertex sweep below.
-        for (q, &count) in setup.home_counts.iter().enumerate() {
-            if count > 0 {
-                sim.ledger().vertex_ops(q as PartId, count);
-            }
-        }
-        let bytes = size + msg_overhead;
-        for &((from, to), msgs) in &setup.bcast_pairs {
-            sim.ledger().send_exec(from, to, msgs, msgs * bytes);
-        }
-    } else {
-        for v in 0..n as u64 {
-            let home = index.home[v as usize];
-            sim.ledger().vertex_ops(home, 1);
-            let replicas = pg.routing().parts_of(v);
-            if replicas.len() > 1 {
-                let bytes = program.state_bytes(&states[vid_index(v)]) + msg_overhead;
-                let master_exec = index.exec_of_part[part_index(home)];
-                for &p in replicas {
-                    if p != home {
-                        sim.ledger().send_exec(
-                            master_exec,
-                            index.exec_of_part[p as usize],
-                            1,
-                            bytes,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // --- Residency: structure + replica states, declared once and updated
-    //     incrementally; re-summing every replica per superstep is gone. ---
-    let mut resident: Vec<u64> = pg.parts().iter().map(|p| p.structure_bytes()).collect();
-    for (p, part) in pg.parts().iter().enumerate() {
-        resident[p] += match fixed_state {
-            Some(size) => part.num_vertices() * size,
-            None => part
-                .vertices
-                .iter()
-                .map(|&v| program.state_bytes(&states[v as usize]))
-                .sum(),
-        };
-    }
-    // Isolated vertices have no replica, but their state still occupies the
-    // hash-fallback home (the vertex RDD is hash-partitioned regardless of
-    // edges) — and since messages only travel along edges, those states
-    // never change after setup: charge them once.
-    if let Some((size, setup)) = batched_setup {
-        for (q, &count) in setup.isolated_counts.iter().enumerate() {
-            resident[q] += count * size;
-        }
-    } else {
-        for (v, &master) in pg.masters().iter().enumerate() {
-            if master == NO_PART {
-                resident[index.home[v] as usize] += program.state_bytes(&states[v]);
-            }
-        }
-    }
-    for (p, &bytes) in resident.iter().enumerate() {
-        sim.set_resident(p as PartId, bytes);
-    }
-    drop(resident);
-    sim.end_superstep()?;
-
-    // --- Run-scoped buffers: message-typed inbox/partials are allocated
-    //     per run (the message type changes with the program); everything
-    //     program-independent comes from the reusable `RunBuffers` and is
-    //     re-initialized in place. ---
-    let mut partials: Vec<Vec<Option<P::Msg>>> = pg
-        .parts()
-        .iter()
-        .map(|part| {
-            std::iter::repeat_with(|| None)
-                .take(part.vertices.len())
-                .collect()
-        })
-        .collect();
-    let mut inbox: Vec<Option<P::Msg>> = std::iter::repeat_with(|| None).take(n).collect();
+    // Message-typed inbox/partials are allocated per run (the message type
+    // changes with the program); everything program-independent comes from
+    // the reusable `RunBuffers` and is re-initialized in place.
     let RunBuffers {
         active,
         frontier: fb,
-        matched,
         deltas,
     } = buffers;
-    let deltas = &mut deltas[..threads];
     fb.reset();
-    let FrontierBuffers {
-        frontier,
-        touched_inbox,
-        part_frontier,
-        touched_partials,
-        gather,
-        deg_sum,
-        scan_kind,
-        sparse_wants,
-    } = fb;
     if !all_active {
         // The frontier protocol keeps `active` equal to the current
         // frontier set from the second message superstep on. The first
@@ -797,9 +622,21 @@ fn execute<P: VertexProgram>(
         // always-active programs never touch it at all.
         active.fill(false);
     }
+    let mut run = Run {
+        states,
+        partials: pg
+            .parts()
+            .iter()
+            .map(|part| vec![None; part.vertices.len()])
+            .collect(),
+        inbox: vec![None; vid_index(n)],
+        active,
+        fb,
+        deltas: &mut deltas[..cx.threads],
+        cx,
+    };
     let mut frontier_all = true;
 
-    // --- Superstep loop. ---
     let mut supersteps = 0u64;
     let mut converged = false;
     while supersteps < opts.max_iterations {
@@ -808,158 +645,40 @@ fn execute<P: VertexProgram>(
         //    (superstep one, always-active programs) all partitions take
         //    the predicate-free full scan.
         let active_count = if frontier_all {
-            scan_kind.fill(ScanKind::Full);
-            n as u64
-        } else if let Some(adj) = adjacency {
+            run.fb.scan_kind.fill(ScanKind::Full);
+            n
+        } else if plans_frontier {
             plan_sparse_scan(
                 pg,
-                adj,
-                dir,
-                force_sparse,
-                (out_deg, in_deg),
-                frontier,
-                part_frontier,
-                deg_sum,
-                scan_kind,
-                sparse_wants,
+                index.adjacency(pg),
+                program.active_direction(),
+                opts.scan_mode == ScanMode::Sparse,
+                (&index.out_deg, &index.in_deg),
+                run.fb,
             )
         } else {
-            scan_kind.fill(ScanKind::Dense);
-            frontier.iter().map(|f| f.len() as u64).sum()
+            run.fb.scan_kind.fill(ScanKind::Dense);
+            run.fb.frontier.iter().map(|f| f.len() as u64).sum()
         };
 
-        // 1. Scan: per-partition pre-aggregated messages, in parallel over
-        //    edge partitions. Sparse partitions visit only the frontier's
-        //    incident edges (ascending edge index, so per-slot merge order
-        //    matches the dense walk) and record first-written partial
-        //    slots for the shuffle.
-        scan_all(
-            program,
-            pg,
-            adjacency,
-            &*states,
-            active,
-            out_deg,
-            in_deg,
-            &mut partials,
-            part_frontier,
-            touched_partials,
-            gather,
-            scan_kind,
-            matched,
-            threads,
-        );
-        for (p, &m) in matched.iter().enumerate() {
+        // 1. Scan, then bill it. Frontier telemetry — active vertices at
+        //    scan time and edges the scan visited — is mode-invariant:
+        //    `matched` is pinned equal across modes, and the frontier is
+        //    exactly the set of vertices that received messages last
+        //    superstep.
+        run.scan();
+        for (p, &m) in run.fb.matched.iter().enumerate() {
             sim.ledger().edge_scans(p as PartId, m);
         }
-        // Frontier telemetry: active vertices at scan time and edges the
-        // scan visited. Both are mode-invariant integers — `matched` is
-        // pinned equal across modes, and the frontier is exactly the set
-        // of vertices that received messages last superstep.
-        let scanned: u64 = matched.iter().sum();
+        let scanned: u64 = run.fb.matched.iter().sum();
         sim.ledger()
-            .record_frontier(active_count, n as u64, scanned, num_edges);
+            .record_frontier(active_count, n, scanned, pg.num_edges());
 
-        // 2. Shuffle partials to masters. Dense/full partitions: one linear
-        //    sweep over the partial buffer (single-threaded) or the
-        //    home-grouped locals (pool). Sparse partitions: drain exactly
-        //    the touched slots. Every path visits each vertex's messages in
-        //    ascending source-partition order — at most one slot exists per
-        //    (vertex, partition) — so the merged inbox is bit-identical.
-        //    First-written inbox slots are recorded per home partition:
-        //    they are the next frontier.
-        if threads <= 1 {
-            let delta = &mut deltas[0];
-            delta.reset();
-            for p in 0..np {
-                let globals = &pg.parts()[p].vertices;
-                let from_exec = index.exec_of_part[p];
-                let partial = &mut partials[p];
-                let mut drain = |local: usize, slot: &mut Option<P::Msg>| {
-                    let Some(msg) = slot.take() else { return };
-                    let v = vid_index(globals[local]);
-                    let q = part_index(index.home[v]);
-                    let bytes = program.msg_bytes(&msg) + msg_overhead;
-                    delta.send_exec(from_exec, index.exec_of_part[q], 1, bytes);
-                    delta.local_bytes[q] += bytes;
-                    delta.msgs += 1;
-                    let entry = &mut inbox[v];
-                    *entry = Some(match entry.take() {
-                        Some(acc) => program.merge(acc, msg),
-                        None => {
-                            touched_inbox[q].push(v as VertexId);
-                            msg
-                        }
-                    });
-                };
-                if scan_kind[p] == ScanKind::Sparse {
-                    for &local in touched_partials[p].iter() {
-                        drain(local as usize, &mut partial[local as usize]);
-                    }
-                } else {
-                    for (local, slot) in partial.iter_mut().enumerate() {
-                        drain(local, slot);
-                    }
-                }
-            }
-        } else {
-            let inbox_cells = DisjointSlice::new(&mut inbox);
-            let touched_cells = DisjointSlice::new(touched_inbox.as_mut_slice());
-            let partial_cells: Vec<DisjointSlice<'_, Option<P::Msg>>> =
-                partials.iter_mut().map(|p| DisjointSlice::new(p)).collect();
-            run_on_pool(np, threads, deltas, |homes, delta| {
-                for q in homes {
-                    let to_exec = index.exec_of_part[q];
-                    // SAFETY: home q belongs to this thread only.
-                    let touched_q = unsafe { touched_cells.get_mut(q) };
-                    for (p, pindex) in index.parts.iter().enumerate() {
-                        let from_exec = index.exec_of_part[p];
-                        let globals = &pg.parts()[p].vertices;
-                        let mut drain = |local: usize| {
-                            // SAFETY: (p, local) resolves to a vertex whose
-                            // home is q, and q belongs to this thread only
-                            // — one writer per slot even when two threads
-                            // walk the same touched list.
-                            let slot = unsafe { partial_cells[p].get_mut(local) };
-                            let Some(msg) = slot.take() else { return };
-                            let v = vid_index(globals[local]);
-                            let bytes = program.msg_bytes(&msg) + msg_overhead;
-                            delta.send_exec(from_exec, to_exec, 1, bytes);
-                            delta.local_bytes[q] += bytes;
-                            delta.msgs += 1;
-                            // SAFETY: v's home is q — disjoint across threads.
-                            let entry = unsafe { inbox_cells.get_mut(v) };
-                            *entry = Some(match entry.take() {
-                                Some(acc) => program.merge(acc, msg),
-                                None => {
-                                    touched_q.push(v as VertexId);
-                                    msg
-                                }
-                            });
-                        };
-                        if scan_kind[p] == ScanKind::Sparse {
-                            for &local in touched_partials[p].iter() {
-                                if part_index(index.home[vid_index(globals[local as usize])]) == q {
-                                    drain(local as usize);
-                                }
-                            }
-                        } else {
-                            for &local in pindex.locals_of_home(q) {
-                                drain(local as usize);
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        for list in touched_partials.iter_mut() {
-            list.clear();
-        }
-        let msg_count: u64 = deltas.iter().map(|d| d.msgs).sum();
-        for delta in deltas.iter() {
+        // 2. Shuffle partials to masters.
+        let msg_count = run.shuffle();
+        for delta in run.deltas.iter() {
             delta.flush_ledger(sim.ledger());
         }
-
         if msg_count == 0 {
             converged = true;
             sim.end_superstep()?;
@@ -967,122 +686,8 @@ fn execute<P: VertexProgram>(
         }
 
         // 3. Apply at masters; 4. broadcast updated states to mirrors.
-        //    Drains exactly the touched inbox slots, grouped by home
-        //    partition (single-threaded: homes in ascending order;
-        //    multi-threaded: disjoint home shards) — no O(V) inbox sweep
-        //    and no O(V) bitset reset: the old frontier's bits are cleared
-        //    list-wise, then the touched vertices become the new frontier.
-        //    Applies are independent per vertex and all metering is
-        //    commutative-integral, so visit order never shows in states or
-        //    bills. Residency is tracked as signed per-partition deltas
-        //    (exactly zero for fixed-size states).
-        if threads <= 1 {
-            let delta = &mut deltas[0];
-            delta.reset();
-            if !all_active && !frontier_all {
-                for flist in frontier.iter() {
-                    for &fv in flist {
-                        active[vid_index(fv)] = false;
-                    }
-                }
-            }
-            for (q, touched_q) in touched_inbox.iter().enumerate() {
-                let master_exec = index.exec_of_part[q];
-                for &tv in touched_q {
-                    let v = vid_index(tv);
-                    let Some(msg) = inbox[v].take() else { continue };
-                    let state = &mut states[v];
-                    let old_bytes = if fixed_state.is_none() {
-                        program.state_bytes(state)
-                    } else {
-                        0
-                    };
-                    *state = program.apply(tv, state, &msg);
-                    if !all_active {
-                        active[v] = true;
-                    }
-                    let state_size = program.state_bytes(state);
-                    delta.vertex_ops[q] += 1;
-                    delta.local_bytes[q] += state_size;
-                    let bytes = state_size + msg_overhead;
-                    for &p in pg.routing().parts_of(tv) {
-                        if part_index(p) != q {
-                            delta.send_exec(
-                                master_exec,
-                                index.exec_of_part[part_index(p)],
-                                1,
-                                bytes,
-                            );
-                        }
-                    }
-                    if fixed_state.is_none() {
-                        let diff = state_size as i64 - old_bytes as i64;
-                        if diff != 0 {
-                            for &p in pg.routing().parts_of(tv) {
-                                delta.resident[part_index(p)] += diff;
-                            }
-                        }
-                    }
-                }
-            }
-        } else {
-            let inbox_cells = DisjointSlice::new(&mut inbox);
-            let state_cells = DisjointSlice::new(&mut states);
-            let active_cells = DisjointSlice::new(active.as_mut_slice());
-            run_on_pool(np, threads, deltas, |homes, delta| {
-                for q in homes {
-                    let master_exec = index.exec_of_part[q];
-                    if !all_active && !frontier_all {
-                        for &fv in frontier[q].iter() {
-                            // SAFETY: frontier[q] holds only vertices homed
-                            // at q, owned by this thread only.
-                            unsafe { *active_cells.get_mut(vid_index(fv)) = false };
-                        }
-                    }
-                    for &tv in touched_inbox[q].iter() {
-                        let v = vid_index(tv);
-                        // SAFETY: tv's home is q, owned by this thread
-                        // only; the same argument covers states and the
-                        // activity bitset.
-                        let slot = unsafe { inbox_cells.get_mut(v) };
-                        let Some(msg) = slot.take() else { continue };
-                        let state = unsafe { state_cells.get_mut(v) };
-                        let old_bytes = if fixed_state.is_none() {
-                            program.state_bytes(state)
-                        } else {
-                            0
-                        };
-                        *state = program.apply(tv, state, &msg);
-                        if !all_active {
-                            unsafe { *active_cells.get_mut(v) = true };
-                        }
-                        let state_size = program.state_bytes(state);
-                        delta.vertex_ops[q] += 1;
-                        delta.local_bytes[q] += state_size;
-                        let bytes = state_size + msg_overhead;
-                        for &p in pg.routing().parts_of(tv) {
-                            if part_index(p) != q {
-                                delta.send_exec(
-                                    master_exec,
-                                    index.exec_of_part[part_index(p)],
-                                    1,
-                                    bytes,
-                                );
-                            }
-                        }
-                        if fixed_state.is_none() {
-                            let diff = state_size as i64 - old_bytes as i64;
-                            if diff != 0 {
-                                for &p in pg.routing().parts_of(tv) {
-                                    delta.resident[part_index(p)] += diff;
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        for delta in deltas.iter() {
+        run.apply(!all_active && !frontier_all);
+        for delta in run.deltas.iter() {
             delta.flush_ledger(sim.ledger());
             delta.flush_resident(sim);
         }
@@ -1090,305 +695,448 @@ fn execute<P: VertexProgram>(
         // frontier: swap the touched lists in and recycle the old frontier
         // lists as next superstep's touched scratch. Always-active programs
         // stay in `frontier_all` forever and just recycle the scratch.
-        if all_active {
-            for list in touched_inbox.iter_mut() {
-                list.clear();
-            }
-        } else {
-            std::mem::swap(frontier, touched_inbox);
-            for list in touched_inbox.iter_mut() {
-                list.clear();
-            }
+        if !all_active {
+            std::mem::swap(&mut run.fb.frontier, &mut run.fb.touched_inbox);
             frontier_all = false;
+        }
+        for list in run.fb.touched_inbox.iter_mut() {
+            list.clear();
         }
         supersteps += 1;
         sim.end_superstep()?;
     }
 
-    Ok((states, supersteps, converged))
+    Ok((run.states, supersteps, converged))
 }
 
-/// Scans all partitions, sequentially or on the pool, writing per-partition
-/// pre-aggregated messages into the reusable `partials` buffers and the
-/// matched-edge counts (for metering) into `matched`. Each partition is
-/// scanned according to its planned [`ScanKind`]: `Full` skips the activity
-/// predicate entirely, `Dense` walks all edges testing the bitset, `Sparse`
-/// gathers the frontier's incident edges from the partition's adjacency
-/// lists and visits only those — in ascending edge index, so the per-slot
-/// merge order (and hence every float bit pattern) matches the dense walk.
-#[allow(clippy::too_many_arguments)]
-fn scan_all<P: VertexProgram>(
-    program: &P,
-    pg: &PartitionedGraph,
-    adjacency: Option<&FrontierAdjacency>,
-    states: &[P::State],
-    active: &[bool],
-    out_deg: &[u32],
-    in_deg: &[u32],
-    partials: &mut [Vec<Option<P::Msg>>],
-    part_frontier: &[Vec<u32>],
-    touched_partials: &mut [Vec<u32>],
-    gather: &mut [Vec<u32>],
-    scan_kind: &[ScanKind],
-    matched: &mut [u64],
+/// What every phase of one run reads and none writes.
+struct Ctx<'a, P: VertexProgram> {
+    program: &'a P,
+    pg: &'a PartitionedGraph,
+    index: &'a ScanIndex,
+    /// Framing bytes billed per message on top of its payload.
+    msg_overhead: u64,
+    /// Worker count, within the buffers' thread budget.
     threads: usize,
-) {
-    if threads <= 1 {
-        for (p, part) in pg.parts().iter().enumerate() {
-            matched[p] = scan_part_dispatch(
-                program,
-                part,
-                p,
-                adjacency,
-                states,
-                active,
-                out_deg,
-                in_deg,
-                &mut partials[p],
-                &part_frontier[p],
-                &mut touched_partials[p],
-                &mut gather[p],
-                scan_kind[p],
-            );
-        }
-        return;
-    }
-    let partial_cells = DisjointSlice::new(partials);
-    let touched_cells = DisjointSlice::new(touched_partials);
-    let gather_cells = DisjointSlice::new(gather);
-    let matched_cells = DisjointSlice::new(matched);
-    run_ranges(pg.parts().len(), threads, |parts| {
-        for p in parts {
-            // SAFETY: partition ranges are disjoint across threads, so each
-            // partition's partial buffer, touched list, gather scratch, and
-            // matched slot has exactly one writer.
-            let partial = unsafe { partial_cells.get_mut(p) };
-            let touched = unsafe { touched_cells.get_mut(p) };
-            let gat = unsafe { gather_cells.get_mut(p) };
-            let m = scan_part_dispatch(
-                program,
-                &pg.parts()[p],
-                p,
-                adjacency,
-                states,
-                active,
-                out_deg,
-                in_deg,
-                partial,
-                &part_frontier[p],
-                touched,
-                gat,
-                scan_kind[p],
-            );
-            unsafe { *matched_cells.get_mut(p) = m };
-        }
+}
+
+/// One run's superstep state: the shared context plus everything the
+/// phases write. Each phase is one method — one body, driven through the
+/// pool at any thread count; at one thread the pool runs the body inline
+/// as a single shard covering the whole range.
+struct Run<'a, P: VertexProgram> {
+    cx: Ctx<'a, P>,
+    states: Vec<P::State>,
+    /// Per partition, per local vertex: the scan's pre-aggregated message.
+    /// The shuffle *takes* every partial and the apply *takes* every inbox
+    /// entry, so both buffers are all-`None` again when a superstep ends.
+    partials: Vec<Vec<Option<P::Msg>>>,
+    inbox: Vec<Option<P::Msg>>,
+    active: &'a mut [bool],
+    fb: &'a mut FrontierBuffers,
+    deltas: &'a mut [MeterDelta],
+}
+
+/// Folds `msg` into `slot` with the program's combiner; true when the slot
+/// was empty, i.e. this is its first message of the superstep.
+#[inline]
+fn deposit<P: VertexProgram>(program: &P, slot: &mut Option<P::Msg>, msg: P::Msg) -> bool {
+    let first = slot.is_none();
+    *slot = Some(match slot.take() {
+        Some(acc) => program.merge(acc, msg),
+        None => msg,
     });
+    first
 }
 
-/// Routes one partition's scan to the implementation its planned
-/// [`ScanKind`] calls for. A `Sparse` plan with no adjacency built (which
-/// the planner never produces) degrades safely to the dense predicate walk.
-#[allow(clippy::too_many_arguments)]
-fn scan_part_dispatch<P: VertexProgram>(
-    program: &P,
-    part: &EdgePartition,
-    p: usize,
-    adjacency: Option<&FrontierAdjacency>,
-    states: &[P::State],
-    active: &[bool],
-    out_deg: &[u32],
-    in_deg: &[u32],
-    out: &mut [Option<P::Msg>],
-    flist: &[u32],
-    touched: &mut Vec<u32>,
-    gather: &mut Vec<u32>,
-    kind: ScanKind,
-) -> u64 {
-    match kind {
-        ScanKind::Full => scan_partition_full(program, part, states, out_deg, in_deg, out),
-        ScanKind::Sparse => {
-            if flist.is_empty() {
-                // No frontier replica lives here: nothing to gather, no
-                // edge the dense predicate would match, no CSR needed.
-                return 0;
+impl<P: VertexProgram> Ctx<'_, P> {
+    /// The setup superstep: initial apply on every vertex, the state
+    /// broadcast to mirrors, and the residency declaration (structure +
+    /// replica states, declared once here and updated incrementally by the
+    /// apply phase). Returns the initial states.
+    fn setup(&self, sim: &mut ClusterSim) -> Result<Vec<P::State>, SimError> {
+        let Ctx {
+            program, pg, index, ..
+        } = *self;
+        let ctx = InitCtx {
+            out_degrees: &index.out_deg,
+            in_degrees: &index.in_deg,
+            num_vertices: pg.num_vertices(),
+        };
+        let init_msg = program.initial_msg();
+        let states: Vec<P::State> = (0..pg.num_vertices())
+            .map(|v| {
+                let s = program.initial_state(v, &ctx);
+                program.apply(v, &s, &init_msg)
+            })
+            .collect();
+        // Fixed-size states all bill the same constant, so their setup
+        // superstep is a pure function of the cut's aggregate counts.
+        let fixed_state = program.fixed_state_bytes();
+        let batched = fixed_state.map(|size| (size, index.setup(pg)));
+        if let Some((size, setup)) = batched {
+            // One vertex op per mastered vertex, one broadcast message per
+            // (vertex, mirror) pair — batched per executor pair. Ledger
+            // accumulation is commutative integer addition, so this is
+            // bit-identical to the per-vertex sweep below.
+            for (q, &count) in setup.home_counts.iter().enumerate() {
+                if count > 0 {
+                    sim.ledger().vertex_ops(q as PartId, count);
+                }
             }
-            let Some(pa) = adjacency.and_then(|adj| adj.part(p)) else {
-                return scan_partition(program, part, states, active, out_deg, in_deg, out);
-            };
-            gather_edges(pa, flist, program.active_direction(), gather);
-            scan_partition_sparse(
-                program, part, states, active, out_deg, in_deg, out, gather, touched,
-            )
+            let bytes = size + self.msg_overhead;
+            for &((from, to), msgs) in &setup.bcast_pairs {
+                sim.ledger().send_exec(from, to, msgs, msgs * bytes);
+            }
+        } else {
+            for v in 0..pg.num_vertices() {
+                let home = index.home[vid_index(v)];
+                sim.ledger().vertex_ops(home, 1);
+                let replicas = pg.routing().parts_of(v);
+                if replicas.len() > 1 {
+                    let bytes = program.state_bytes(&states[vid_index(v)]) + self.msg_overhead;
+                    let master_exec = index.exec_of_part[part_index(home)];
+                    for &p in replicas {
+                        if p != home {
+                            let to_exec = index.exec_of_part[part_index(p)];
+                            sim.ledger().send_exec(master_exec, to_exec, 1, bytes);
+                        }
+                    }
+                }
+            }
         }
-        ScanKind::Dense => scan_partition(program, part, states, active, out_deg, in_deg, out),
+
+        let mut resident: Vec<u64> = pg.parts().iter().map(|p| p.structure_bytes()).collect();
+        for (p, part) in pg.parts().iter().enumerate() {
+            resident[p] += match fixed_state {
+                Some(size) => part.num_vertices() * size,
+                None => part
+                    .vertices
+                    .iter()
+                    .map(|&v| program.state_bytes(&states[vid_index(v)]))
+                    .sum(),
+            };
+        }
+        // Isolated vertices have no replica, but their state still occupies
+        // the hash-fallback home (the vertex RDD is hash-partitioned
+        // regardless of edges) — and since messages only travel along
+        // edges, those states never change after setup: charge them once.
+        if let Some((size, setup)) = batched {
+            for (q, &count) in setup.isolated_counts.iter().enumerate() {
+                resident[q] += count * size;
+            }
+        } else {
+            for (v, &master) in pg.masters().iter().enumerate() {
+                if master == NO_PART {
+                    resident[part_index(index.home[v])] += program.state_bytes(&states[v]);
+                }
+            }
+        }
+        for (p, &bytes) in resident.iter().enumerate() {
+            sim.set_resident(p as PartId, bytes);
+        }
+        sim.end_superstep()?;
+        Ok(states)
+    }
+
+    /// The scan's one edge loop, monomorphised per scan kind by its three
+    /// generic parts: where the `(src, dst)` local pairs come from (the
+    /// partition's edge table or a gathered index list), the activity
+    /// predicate over the endpoints' global indices, and what `record`
+    /// does with a local whose slot of `out` goes `None → Some`. Returns
+    /// the edges that passed the predicate — the metered edge-scan count.
+    ///
+    /// `out` is a parameter of its own and the tables are sliced once up
+    /// front so the compiler can see that the loop's stores never move
+    /// them: reaching either through the context per edge measured ≈ 9 %
+    /// on the full scan.
+    #[inline]
+    fn scan_edges(
+        &self,
+        part: &EdgePartition,
+        states: &[P::State],
+        edges: impl Iterator<Item = (u32, u32)>,
+        wanted: impl Fn(usize, usize) -> bool,
+        out: &mut [Option<P::Msg>],
+        mut record: impl FnMut(u32),
+    ) -> u64 {
+        let program = self.program;
+        let (out_deg, in_deg) = (self.index.out_deg.as_slice(), self.index.in_deg.as_slice());
+        let mut emit = |local: u32, msg| {
+            if deposit(program, &mut out[local as usize], msg) {
+                record(local);
+            }
+        };
+        let mut matched = 0u64;
+        for (ls, ld) in edges {
+            let src = part.vertices[ls as usize];
+            let dst = part.vertices[ld as usize];
+            let (s, d) = (vid_index(src), vid_index(dst));
+            if !wanted(s, d) {
+                continue;
+            }
+            matched += 1;
+            let triplet = Triplet {
+                src,
+                dst,
+                src_state: &states[s],
+                dst_state: &states[d],
+                src_out_degree: out_deg[s],
+                dst_in_degree: in_deg[d],
+            };
+            match program.send(&triplet) {
+                Messages::None => {}
+                Messages::ToSrc(m) => emit(ls, m),
+                Messages::ToDst(m) => emit(ld, m),
+                Messages::Both(ms, md) => {
+                    emit(ls, ms);
+                    emit(ld, md);
+                }
+            }
+        }
+        matched
     }
 }
 
-/// Scans one partition: map-side combine into the partition's reusable
-/// local-vertex-indexed buffer (left all-`None` by the previous shuffle).
-fn scan_partition<P: VertexProgram>(
-    program: &P,
-    part: &EdgePartition,
-    states: &[P::State],
-    active: &[bool],
-    out_deg: &[u32],
-    in_deg: &[u32],
-    out: &mut [Option<P::Msg>],
-) -> u64 {
-    let mut matched = 0u64;
-    let dir = program.active_direction();
-    for &(ls, ld) in &part.edges {
-        let src = part.vertices[ls as usize];
-        let dst = part.vertices[ld as usize];
-        let s = vid_index(src);
-        let d = vid_index(dst);
-        let scan = match dir {
+impl<P: VertexProgram> Run<'_, P> {
+    /// Phase 1 — scan: every partition in the shard pre-aggregates its
+    /// edges' messages into its partial buffer (map-side combine), as its
+    /// planned [`ScanKind`] says. `Full` walks the edge table with no
+    /// predicate, `Dense` walks it testing the activity bitset, `Sparse`
+    /// gathers the frontier's incident edges from the partition's CSR and
+    /// walks only those — in ascending edge index, so every slot merges its
+    /// messages in the order of the dense walk — recording first-written
+    /// slots for the shuffle. The gather is exact except under `Both`,
+    /// where it covers active-src edges and the walk tests the destination.
+    fn scan(&mut self) {
+        let Self {
+            cx,
+            states,
+            active,
+            partials,
+            fb,
+            ..
+        } = self;
+        let (cx, states, active) = (&*cx, states.as_slice(), &**active);
+        let dir = cx.program.active_direction();
+        let wanted = move |s: usize, d: usize| match dir {
             ActiveDirection::Either => active[s] || active[d],
             ActiveDirection::Out => active[s],
             ActiveDirection::In => active[d],
             ActiveDirection::Both => active[s] && active[d],
         };
-        if !scan {
-            continue;
-        }
-        matched += 1;
-        let triplet = Triplet {
-            src,
-            dst,
-            src_state: &states[s],
-            dst_state: &states[d],
-            src_out_degree: out_deg[s],
-            dst_in_degree: in_deg[d],
-        };
-        match program.send(&triplet) {
-            Messages::None => {}
-            Messages::ToSrc(m) => emit(program, &mut out[ls as usize], m),
-            Messages::ToDst(m) => emit(program, &mut out[ld as usize], m),
-            Messages::Both(ms, md) => {
-                emit(program, &mut out[ls as usize], ms);
-                emit(program, &mut out[ld as usize], md);
+        let part_frontier = &fb.part_frontier;
+        let scan_kind = &fb.scan_kind;
+        let num_parts = partials.len();
+        let partial_cells = DisjointSlice::new(partials.as_mut_slice());
+        let touched_cells = DisjointSlice::new(fb.touched_partials.as_mut_slice());
+        let gather_cells = DisjointSlice::new(fb.gather.as_mut_slice());
+        let matched_cells = DisjointSlice::new(fb.matched.as_mut_slice());
+        run_ranges(num_parts, cx.threads, |parts| {
+            for p in parts {
+                let part = &cx.pg.parts()[p];
+                // SAFETY: partition ranges are disjoint across shards, so
+                // partition p's partial buffer, touched list, gather
+                // scratch and matched count are this shard's alone.
+                let (out, touched, gathered, matched) = unsafe {
+                    (
+                        partial_cells.get_mut(p),
+                        touched_cells.get_mut(p),
+                        gather_cells.get_mut(p),
+                        matched_cells.get_mut(p),
+                    )
+                };
+                let table = part.edges.iter().copied();
+                *matched = match scan_kind[p] {
+                    ScanKind::Full => cx.scan_edges(part, states, table, |_, _| true, out, |_| {}),
+                    ScanKind::Dense => cx.scan_edges(part, states, table, wanted, out, |_| {}),
+                    // No frontier replica lives here: nothing to gather, no
+                    // edge the predicate would match, no CSR needed.
+                    ScanKind::Sparse if part_frontier[p].is_empty() => 0,
+                    ScanKind::Sparse => {
+                        // The planner is the only producer of `Sparse`, and
+                        // only for a partition whose CSR it has built.
+                        let Some(csr) = cx.index.adjacency.get().and_then(|adj| adj.part(p)) else {
+                            unreachable!("sparse scan of partition {p} planned without its CSR")
+                        };
+                        gather_edges(csr, &part_frontier[p], dir, gathered);
+                        let edges = gathered.iter().map(|&e| part.edges[e as usize]);
+                        // Reading the bitset per gathered edge is a random
+                        // load the exact gathers do not need.
+                        let both = dir == ActiveDirection::Both;
+                        let wanted = move |s: usize, d: usize| !both || (active[s] && active[d]);
+                        cx.scan_edges(part, states, edges, wanted, out, |l| touched.push(l))
+                    }
+                };
             }
-        }
+        });
     }
-    matched
-}
 
-/// Scans one partition with every vertex active: the activity predicate is
-/// statically true (superstep one, always-active programs), so the bitset
-/// is never read and `matched` is exactly the partition's edge count.
-fn scan_partition_full<P: VertexProgram>(
-    program: &P,
-    part: &EdgePartition,
-    states: &[P::State],
-    out_deg: &[u32],
-    in_deg: &[u32],
-    out: &mut [Option<P::Msg>],
-) -> u64 {
-    for &(ls, ld) in &part.edges {
-        let src = part.vertices[ls as usize];
-        let dst = part.vertices[ld as usize];
-        let s = vid_index(src);
-        let d = vid_index(dst);
-        let triplet = Triplet {
-            src,
-            dst,
-            src_state: &states[s],
-            dst_state: &states[d],
-            src_out_degree: out_deg[s],
-            dst_in_degree: in_deg[d],
-        };
-        match program.send(&triplet) {
-            Messages::None => {}
-            Messages::ToSrc(m) => emit(program, &mut out[ls as usize], m),
-            Messages::ToDst(m) => emit(program, &mut out[ld as usize], m),
-            Messages::Both(ms, md) => {
-                emit(program, &mut out[ls as usize], ms);
-                emit(program, &mut out[ld as usize], md);
+    /// Phase 2 — shuffle: every partial whose vertex is mastered in the
+    /// shard's home range moves to that vertex's inbox entry, merged with
+    /// what earlier partitions sent, and is billed. Partitions are visited
+    /// outermost in ascending order and hold at most one slot per vertex,
+    /// so every vertex merges its messages in ascending source-partition
+    /// order whatever the sharding: the inbox is bit-identical at any
+    /// thread count. Vertices whose inbox entry goes `None → Some` are
+    /// recorded per home partition — they are the next frontier. Returns
+    /// the number of messages moved.
+    ///
+    /// Per partition the shard visits: after a sparse scan, the touched
+    /// slots, skipping those homed outside the shard — O(touched) per
+    /// shard, so O(threads × touched) in all, with no scan-time bucketing;
+    /// after a dense or full scan, the shard's contiguous slice of the
+    /// home-grouped locals — or, when the shard is the whole home range
+    /// (always so at one thread), the partial buffer itself by iterator,
+    /// which needs no grouping and no per-slot indexing.
+    fn shuffle(&mut self) -> u64 {
+        let Self {
+            cx,
+            partials,
+            inbox,
+            fb,
+            deltas,
+            ..
+        } = self;
+        let cx = &*cx;
+        let (touched_partials, scan_kind) = (&fb.touched_partials, &fb.scan_kind);
+        let num_parts = partials.len();
+        let partial_cells: Vec<DisjointSlice<'_, Option<P::Msg>>> =
+            partials.iter_mut().map(|p| DisjointSlice::new(p)).collect();
+        let inbox_cells = DisjointSlice::new(inbox.as_mut_slice());
+        let touched_cells = DisjointSlice::new(fb.touched_inbox.as_mut_slice());
+        run_on_pool(num_parts, cx.threads, deltas, |homes, delta| {
+            // Sliced once per shard, not reached through `cx` per message.
+            let (program, msg_overhead) = (cx.program, cx.msg_overhead);
+            let home = cx.index.home.as_slice();
+            let exec_of_part = cx.index.exec_of_part.as_slice();
+            for (p, slots) in partial_cells.iter().enumerate() {
+                let globals = cx.pg.parts()[p].vertices.as_slice();
+                let from_exec = exec_of_part[p];
+                let home_of = |local: usize| part_index(home[vid_index(globals[local])]);
+                // SAFETY: home ranges are disjoint across shards, so a
+                // vertex mastered in `homes` is this shard's alone — and
+                // with it the vertex's slot in every partial buffer.
+                // `slot_of` is called only for locals mastered in `homes`.
+                let slot_of = |local: usize| unsafe { slots.get_mut(local) };
+                let mut deliver = |local: usize, slot: &mut Option<P::Msg>| {
+                    let Some(msg) = slot.take() else { return };
+                    let v = vid_index(globals[local]);
+                    let q = home_of(local);
+                    let bytes = program.msg_bytes(&msg) + msg_overhead;
+                    delta.send_exec(from_exec, exec_of_part[q], 1, bytes);
+                    delta.local_bytes[q] += bytes;
+                    delta.msgs += 1;
+                    // SAFETY: every slot handed to `deliver` belongs to a
+                    // vertex mastered in `homes`; by the same argument v's
+                    // inbox entry and q's touched list are this shard's.
+                    let (entry, touched_q) =
+                        unsafe { (inbox_cells.get_mut(v), touched_cells.get_mut(q)) };
+                    if deposit(program, entry, msg) {
+                        touched_q.push(v as VertexId);
+                    }
+                };
+                if scan_kind[p] == ScanKind::Sparse {
+                    for &local in &touched_partials[p] {
+                        if homes.contains(&home_of(local as usize)) {
+                            deliver(local as usize, slot_of(local as usize));
+                        }
+                    }
+                } else if homes.len() == num_parts {
+                    // SAFETY: the shard is the whole home range, so no
+                    // other shard exists to touch any slot.
+                    let all = unsafe { slots.as_mut_slice() };
+                    for (local, slot) in all.iter_mut().enumerate() {
+                        deliver(local, slot);
+                    }
+                } else {
+                    for &local in cx.index.parts[p].locals_of_homes(&homes) {
+                        deliver(local as usize, slot_of(local as usize));
+                    }
+                }
             }
+        });
+        for list in fb.touched_partials.iter_mut() {
+            list.clear();
         }
+        deltas.iter().map(|d| d.msgs).sum()
     }
-    part.edges.len() as u64
-}
 
-/// Scans one partition through a gathered edge-index list instead of the
-/// full edge array. The gather upholds two invariants (see
-/// [`crate::frontier::gather_edges`]): it contains exactly the edges the
-/// dense predicate would match — except under `Both`, where it
-/// over-approximates with src-incident edges and the `active[dst]` check
-/// here restores exactness — and it is sorted ascending, so slots merge
-/// their messages in the same order as the dense walk. Locals whose slot
-/// goes `None → Some` are pushed onto `touched` for the sparse shuffle.
-#[allow(clippy::too_many_arguments)]
-fn scan_partition_sparse<P: VertexProgram>(
-    program: &P,
-    part: &EdgePartition,
-    states: &[P::State],
-    active: &[bool],
-    out_deg: &[u32],
-    in_deg: &[u32],
-    out: &mut [Option<P::Msg>],
-    gathered: &[u32],
-    touched: &mut Vec<u32>,
-) -> u64 {
-    let mut matched = 0u64;
-    let both = program.active_direction() == ActiveDirection::Both;
-    for &e in gathered {
-        let (ls, ld) = part.edges[e as usize];
-        let src = part.vertices[ls as usize];
-        let dst = part.vertices[ld as usize];
-        let s = vid_index(src);
-        let d = vid_index(dst);
-        if both && !(active[s] && active[d]) {
-            continue;
-        }
-        matched += 1;
-        let triplet = Triplet {
-            src,
-            dst,
-            src_state: &states[s],
-            dst_state: &states[d],
-            src_out_degree: out_deg[s],
-            dst_in_degree: in_deg[d],
-        };
-        match program.send(&triplet) {
-            Messages::None => {}
-            Messages::ToSrc(m) => emit_touched(program, out, ls, touched, m),
-            Messages::ToDst(m) => emit_touched(program, out, ld, touched, m),
-            Messages::Both(ms, md) => {
-                emit_touched(program, out, ls, touched, ms);
-                emit_touched(program, out, ld, touched, md);
+    /// Phase 3 — apply at masters, and 4 — broadcast to mirrors: for every
+    /// home partition in the shard, runs the vertex program on exactly the
+    /// vertices whose inbox entry the shuffle wrote, and bills each new
+    /// state's trip to the vertex's mirrors — no O(V) inbox sweep. With
+    /// `clear_frontier` the old frontier's activity bits are cleared
+    /// list-wise first (no O(V) bitset reset), then every applied vertex's
+    /// bit is set: the touched lists are the next frontier. Applies are
+    /// independent per vertex and all metering is commutative-integral, so
+    /// visit order never shows in states or bills. Residency is tracked as
+    /// signed per-partition deltas of [`VertexProgram::state_bytes`] —
+    /// exactly zero for fixed-size states, whose `state_bytes` is constant.
+    fn apply(&mut self, clear_frontier: bool) {
+        let Self {
+            cx,
+            states,
+            inbox,
+            active,
+            fb,
+            deltas,
+            ..
+        } = self;
+        let (cx, fb) = (&*cx, &**fb);
+        let all_active = cx.program.always_active();
+        let inbox_cells = DisjointSlice::new(inbox.as_mut_slice());
+        let state_cells = DisjointSlice::new(states.as_mut_slice());
+        let active_cells = DisjointSlice::new(active);
+        run_on_pool(fb.frontier.len(), cx.threads, deltas, |homes, delta| {
+            // Sliced once per shard, not reached through `cx` per vertex.
+            let (program, msg_overhead) = (cx.program, cx.msg_overhead);
+            let (routing, exec_of_part) = (cx.pg.routing(), cx.index.exec_of_part.as_slice());
+            // SAFETY: `frontier[q]` and `touched_inbox[q]` hold only
+            // vertices mastered at q, and every q in `homes` is this
+            // shard's alone — so are those vertices' inbox entry, state and
+            // activity bit.
+            let own = |v: VertexId| unsafe {
+                let v = vid_index(v);
+                (
+                    inbox_cells.get_mut(v),
+                    state_cells.get_mut(v),
+                    active_cells.get_mut(v),
+                )
+            };
+            for q in homes {
+                let master_exec = exec_of_part[q];
+                if clear_frontier {
+                    for &fv in &fb.frontier[q] {
+                        *own(fv).2 = false;
+                    }
+                }
+                for &tv in &fb.touched_inbox[q] {
+                    let (slot, state, is_active) = own(tv);
+                    let Some(msg) = slot.take() else { continue };
+                    let old_bytes = program.state_bytes(state);
+                    *state = program.apply(tv, state, &msg);
+                    if !all_active {
+                        *is_active = true;
+                    }
+                    let state_size = program.state_bytes(state);
+                    delta.vertex_ops[q] += 1;
+                    delta.local_bytes[q] += state_size;
+                    let grew = state_size as i64 - old_bytes as i64;
+                    for &p in routing.parts_of(tv) {
+                        let p = part_index(p);
+                        if p != q {
+                            let to_exec = exec_of_part[p];
+                            delta.send_exec(master_exec, to_exec, 1, state_size + msg_overhead);
+                        }
+                        if grew != 0 {
+                            delta.resident[p] += grew;
+                        }
+                    }
+                }
             }
-        }
+        });
     }
-    matched
-}
-
-#[inline]
-fn emit<P: VertexProgram>(program: &P, slot: &mut Option<P::Msg>, msg: P::Msg) {
-    *slot = Some(match slot.take() {
-        Some(acc) => program.merge(acc, msg),
-        None => msg,
-    });
-}
-
-/// [`emit`] that also records first-written locals, so the sparse shuffle
-/// can drain exactly the populated slots instead of sweeping the partition.
-#[inline]
-fn emit_touched<P: VertexProgram>(
-    program: &P,
-    out: &mut [Option<P::Msg>],
-    local: u32,
-    touched: &mut Vec<u32>,
-    msg: P::Msg,
-) {
-    let slot = &mut out[local as usize];
-    *slot = Some(match slot.take() {
-        Some(acc) => program.merge(acc, msg),
-        None => {
-            touched.push(local);
-            msg
-        }
-    });
 }
 
 #[cfg(test)]
@@ -1744,47 +1492,73 @@ mod tests {
 
     #[test]
     fn prepared_run_is_bit_identical_to_run_pregel_and_reusable() {
-        // One PreparedRun dispatching many jobs — same program repeatedly,
-        // then a different program with a different message type — must
-        // reproduce run_pregel bit for bit (states and SimReport) on every
-        // dispatch, in every executor mode.
+        // One PreparedRun dispatching a sequence of jobs must reproduce
+        // run_pregel bit for bit (states and SimReport) on every dispatch,
+        // in every executor mode. `true` is the fixed-size-state MaxLabel,
+        // `false` the variable-size-state GrowingTrail (a different message
+        // flow through the same reused buffers). The first sequence opens
+        // with the fixed-size program; the second — SSSP → PageRank → SSSP
+        // in shape — opens with the variable-size one, so the handle's
+        // lazily built setup aggregates first appear mid-sequence.
         let g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 9);
+        let pg = Arc::new(GraphXStrategy::EdgePartition2D.partition(&g, 16));
         for mode in [
             ExecutorMode::Sequential,
             ExecutorMode::Parallel { threads: 4 },
             ExecutorMode::Auto,
         ] {
-            let pg = Arc::new(GraphXStrategy::EdgePartition2D.partition(&g, 16));
             let opts = PregelConfig {
                 executor: mode,
                 ..Default::default()
             };
             let fresh = run_pregel(&MaxLabel, &pg, &cfg(), &opts).unwrap();
-            let mut prepared = PreparedRun::new(pg.clone(), &cfg(), mode);
-            for round in 0..3 {
-                let r = prepared.run(&MaxLabel, &opts).unwrap();
-                assert_eq!(r.states, fresh.states, "round {round}");
-                assert_eq!(r.sim, fresh.sim, "round {round}: metering drifted");
-                assert_eq!(r.supersteps, fresh.supersteps);
-                assert_eq!(r.converged, fresh.converged);
-            }
-            // A variable-size-state program through the same handle
-            // (exercises buffer re-initialization across message types).
             let fresh_trail = run_pregel(&GrowingTrail, &pg, &cfg(), &opts).unwrap();
-            let trail = prepared.run(&GrowingTrail, &opts).unwrap();
-            assert_eq!(trail.states, fresh_trail.states);
-            assert_eq!(trail.sim, fresh_trail.sim);
-            // And back to the first program: nothing leaked.
-            let again = prepared.run(&MaxLabel, &opts).unwrap();
-            assert_eq!(again.sim, fresh.sim);
+            for sequence in [&[true, true, true, false, true][..], &[false, true, false]] {
+                let mut prepared = PreparedRun::new(pg.clone(), &cfg(), mode);
+                for (round, &fixed) in sequence.iter().enumerate() {
+                    if fixed {
+                        let r = prepared.run(&MaxLabel, &opts).unwrap();
+                        assert_eq!(r.states, fresh.states, "round {round}");
+                        assert_eq!(r.sim, fresh.sim, "round {round}: metering drifted");
+                        assert_eq!(r.supersteps, fresh.supersteps);
+                        assert_eq!(r.converged, fresh.converged);
+                    } else {
+                        let r = prepared.run(&GrowingTrail, &opts).unwrap();
+                        assert_eq!(r.states, fresh_trail.states, "round {round}");
+                        assert_eq!(r.sim, fresh_trail.sim, "round {round}: metering drifted");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn home_range_slice_equals_filter_by_home() {
+        // The multi-shard shuffle takes one contiguous slice of
+        // `home_locals` per (partition, home range). It must hold exactly
+        // the locals mastered in the range, each home's in ascending local
+        // order — the order the one-shard sweep meets them in.
+        let g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 8);
+        let pg = GraphXStrategy::RandomVertexCut.partition(&g, 8);
+        let index = ScanIndex::build(&pg, &cfg(), true);
+        for (part, grouped) in pg.parts().iter().zip(&index.parts) {
+            let home_of = |local: u32| index.home[vid_index(part.vertices[local as usize])];
+            for homes in [0..8, 0..3, 3..6, 6..8, 5..5] {
+                let mut by_filter = Vec::new();
+                for q in homes.clone() {
+                    let locals = 0..part.vertices.len() as u32;
+                    by_filter.extend(locals.filter(|&local| part_index(home_of(local)) == q));
+                }
+                assert_eq!(grouped.locals_of_homes(&homes), by_filter, "{homes:?}");
+            }
         }
     }
 
     #[test]
     fn prepared_run_clamps_threads_to_its_budget() {
-        // A handle prepared sequentially has no home shards; a parallel
-        // request degrades to the sequential sweep — with identical
-        // results, not a panic.
+        // A handle prepared for one thread has no home groupings; a
+        // parallel request runs as one shard — with identical results, not
+        // a panic.
         let g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 8);
         let pg = Arc::new(GraphXStrategy::RandomVertexCut.partition(&g, 8));
         let seq = run_pregel(&MaxLabel, &pg, &cfg(), &PregelConfig::default()).unwrap();

@@ -636,25 +636,47 @@ impl<'a, T> DisjointSlice<'a, T> {
         }
     }
 
+    /// Records the calling thread as index `i`'s owner for this phase,
+    /// panicking if another thread already is.
+    #[cfg(debug_assertions)]
+    fn claim(&self, i: usize) {
+        use std::sync::atomic::Ordering;
+        let token = thread_token();
+        if let Err(prev) =
+            self.owners[i].compare_exchange(0, token, Ordering::Relaxed, Ordering::Relaxed)
+        {
+            assert_eq!(
+                prev, token,
+                "DisjointSlice overlap: index {i} handed to two threads in one phase"
+            );
+        }
+    }
+
     /// # Safety
     /// No two threads may access the same index during one phase.
     #[allow(clippy::mut_from_ref)]
     #[inline]
     pub unsafe fn get_mut(&self, i: usize) -> &mut T {
         #[cfg(debug_assertions)]
-        {
-            use std::sync::atomic::Ordering;
-            let token = thread_token();
-            if let Err(prev) =
-                self.owners[i].compare_exchange(0, token, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                assert_eq!(
-                    prev, token,
-                    "DisjointSlice overlap: index {i} handed to two threads in one phase"
-                );
-            }
-        }
+        self.claim(i);
         &mut *self.cells[i].as_ptr()
+    }
+
+    /// The whole slice at once, for a phase that runs as a single shard: its
+    /// one thread may then sweep by iterator instead of index by index.
+    ///
+    /// # Safety
+    /// No other thread may access any index during this phase.
+    #[allow(clippy::mut_from_ref)]
+    #[inline]
+    pub unsafe fn as_mut_slice(&self) -> &mut [T] {
+        #[cfg(debug_assertions)]
+        (0..self.cells.len()).for_each(|i| self.claim(i));
+        // SAFETY: `Cell<T>` has the layout of `T` and the cells were made
+        // from a `&mut [T]` borrowed for the wrapper's lifetime, so pointer
+        // and length describe that slice; the caller vouches that no other
+        // thread touches it during the phase.
+        std::slice::from_raw_parts_mut(self.cells.as_ptr() as *mut T, self.cells.len())
     }
 }
 
@@ -871,8 +893,10 @@ mod tests {
             // SAFETY: single thread, single phase.
             unsafe { *cells.get_mut(1) += 1 };
         }
+        // SAFETY: same single thread taking the whole slice.
+        unsafe { cells.as_mut_slice()[0] = 7 };
         drop(cells);
-        assert_eq!(data, vec![0, 10]);
+        assert_eq!(data, vec![7, 10]);
     }
 
     /// Drives [`run_pipeline`] over `0..n` with a pure transform and

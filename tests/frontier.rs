@@ -15,10 +15,15 @@ fn scan_modes() -> [ScanMode; 3] {
     [ScanMode::Dense, ScanMode::Sparse, ScanMode::Auto]
 }
 
-fn executors() -> [ExecutorMode; 4] {
+fn executors() -> [ExecutorMode; 6] {
     [
         ExecutorMode::Sequential,
+        // Pool entry with one shard covering every partition.
+        ExecutorMode::Parallel { threads: 1 },
         ExecutorMode::Parallel { threads: 2 },
+        // Uneven shards (16 partitions → 6/6/4): sparse touched lists
+        // straddle shard boundaries.
+        ExecutorMode::Parallel { threads: 3 },
         ExecutorMode::Parallel { threads: 4 },
         ExecutorMode::Auto,
     ]

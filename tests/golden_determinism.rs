@@ -81,6 +81,12 @@ fn executors_are_bit_identical_across_modes_on_all_strategies() {
     let modes = [
         (ExecutorMode::Sequential, ScanMode::Dense),
         (ExecutorMode::Sequential, ScanMode::Auto),
+        // Pool entry with one shard covering every partition.
+        (ExecutorMode::Parallel { threads: 1 }, ScanMode::Auto),
+        // Uneven shards (16 partitions → 6/6/4): sparse touched lists
+        // straddle shard boundaries.
+        (ExecutorMode::Parallel { threads: 3 }, ScanMode::Sparse),
+        (ExecutorMode::Parallel { threads: 3 }, ScanMode::Auto),
         (ExecutorMode::Parallel { threads: 4 }, ScanMode::Dense),
         (ExecutorMode::Parallel { threads: 4 }, ScanMode::Auto),
         (ExecutorMode::Auto, ScanMode::Sparse),
