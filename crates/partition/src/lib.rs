@@ -23,6 +23,7 @@ pub mod graphx;
 pub mod metrics;
 pub mod multilevel;
 pub mod partitioned;
+mod replicas;
 pub mod strategy;
 pub mod streaming;
 pub mod sweep;

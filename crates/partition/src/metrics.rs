@@ -19,10 +19,11 @@
 //! identity is enforced by tests.
 
 use cutfit_graph::types::PartId;
-use cutfit_graph::{Edge, Graph, VertexId};
+use cutfit_graph::{Edge, Graph};
 use cutfit_stats::Summary;
 
 use crate::partitioned::PartitionedGraph;
+use crate::replicas::ReplicaBitmap;
 
 /// Which metric to read from a [`PartitionMetrics`] — used by the experiment
 /// harness to correlate each metric against execution time (Figures 3–6).
@@ -121,13 +122,14 @@ impl PartitionMetrics {
     /// by [`crate::Partitioner::assign_edges`]) in one streaming pass —
     /// no [`PartitionedGraph`] is built.
     ///
-    /// Per-vertex replica locations are tracked with a `u64` bitmask when
-    /// `num_parts <= 64` and small sorted sets otherwise, so the pass costs
-    /// O(edges · replication) with no per-partition sorting, dedup, or
-    /// routing-table construction. The result is identical to
-    /// [`PartitionMetrics::of`] on the built graph (both funnel through the
-    /// same finishing arithmetic; parity is pinned by tests across every
-    /// strategy).
+    /// Per-vertex replica locations are bits in one packed bitmap of
+    /// ⌈`num_parts` / 64⌉ words per vertex, so the pass costs two ORs per
+    /// edge plus one popcount sweep — O(edges + vertices · ⌈parts / 64⌉)
+    /// time and O(vertices · ⌈parts / 64⌉ + parts) memory — with no
+    /// per-partition sorting, dedup, or routing-table construction. The
+    /// result is identical to [`PartitionMetrics::of`] on the built graph
+    /// (both funnel through the same finishing arithmetic; parity is pinned
+    /// by tests across every strategy).
     ///
     /// # Panics
     /// Panics if `assignment.len() != graph.num_edges()` or any partition id
@@ -221,27 +223,28 @@ impl PartitionMetrics {
 /// Incremental builder behind [`PartitionMetrics::of_assignment`], exposed
 /// so chunked [`GraphSource`](cutfit_graph::GraphSource) sweeps can fold
 /// (edge, partition) observations in as chunks stream past and discard the
-/// assignments immediately — working state is O(vertices + parts), never
-/// O(edges). Feeding the same observations in any chunking yields the same
-/// [`PartitionMetrics`], because everything funnels through the identical
-/// finishing arithmetic.
+/// assignments immediately — working state is one replica bitmap,
+/// O(vertices · ⌈parts / 64⌉ + parts) (8 B per vertex up to 64 parts, 32 B
+/// at 256), never O(edges). Feeding the same observations in any chunking
+/// yields the same [`PartitionMetrics`], because everything funnels through
+/// the identical finishing arithmetic.
 pub struct MetricsAccumulator {
     num_parts: PartId,
     counts: Vec<u64>,
-    replicas: ReplicaSets,
+    replicas: ReplicaBitmap,
 }
 
 impl MetricsAccumulator {
     /// Starts an empty accumulation over `num_vertices` vertices.
     ///
     /// # Panics
-    /// Panics if `num_parts == 0`.
+    /// Panics if `num_parts == 0`, or if `num_vertices` (possibly a file
+    /// header's claim) is too large for the bitmap's size to be computed.
     pub fn new(num_vertices: u64, num_parts: PartId) -> Self {
-        assert!(num_parts > 0, "need at least one partition");
         MetricsAccumulator {
             num_parts,
             counts: vec![0u64; num_parts as usize],
-            replicas: ReplicaSets::new(num_vertices as usize, num_parts),
+            replicas: ReplicaBitmap::new(num_vertices, num_parts),
         }
     }
 
@@ -272,48 +275,6 @@ impl MetricsAccumulator {
     /// report for the same assignment.
     pub fn finish(self) -> PartitionMetrics {
         PartitionMetrics::finish(self.num_parts, &self.counts, self.replicas.replication())
-    }
-}
-
-/// Per-vertex replica-partition sets for the streaming metrics pass: one
-/// `u64` bitmask per vertex while partitions fit in 64 bits (the common
-/// case — the paper sweeps 16..256 partitions but most vertices touch only
-/// a handful), small sorted vecs beyond that.
-enum ReplicaSets {
-    /// `num_parts <= 64`: bit `p` set means vertex has a replica in `p`.
-    Bits(Vec<u64>),
-    /// General case: sorted, deduplicated partition lists.
-    Sets(Vec<Vec<PartId>>),
-}
-
-impl ReplicaSets {
-    fn new(num_vertices: usize, num_parts: PartId) -> Self {
-        if num_parts <= 64 {
-            Self::Bits(vec![0; num_vertices])
-        } else {
-            Self::Sets(vec![Vec::new(); num_vertices])
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, v: VertexId, p: PartId) {
-        match self {
-            Self::Bits(masks) => masks[v as usize] |= 1u64 << p,
-            Self::Sets(sets) => {
-                let set = &mut sets[v as usize];
-                if let Err(pos) = set.binary_search(&p) {
-                    set.insert(pos, p);
-                }
-            }
-        }
-    }
-
-    /// Per-vertex replica counts, in vertex order (0 for isolated vertices).
-    fn replication(&self) -> Box<dyn Iterator<Item = u32> + '_> {
-        match self {
-            Self::Bits(masks) => Box::new(masks.iter().map(|m| m.count_ones())),
-            Self::Sets(sets) => Box::new(sets.iter().map(|s| s.len() as u32)),
-        }
     }
 }
 
@@ -407,7 +368,8 @@ mod tests {
     fn of_assignment_equals_of_for_every_strategy() {
         let g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 5);
         for strat in GraphXStrategy::all() {
-            for n in [1u32, 4, 64, 100] {
+            // One-word and multi-word replica sets, both sides of each edge.
+            for n in [1u32, 4, 63, 64, 65, 100, 128, 129, 256, 257] {
                 let assignment = strat.assign_edges(&g, n);
                 let streamed = PartitionMetrics::of_assignment(&g, &assignment, n);
                 let built = PartitionMetrics::of(&strat.partition(&g, n));

@@ -10,7 +10,9 @@ use cutfit_graph::io::ParseError;
 use cutfit_graph::types::PartId;
 use cutfit_graph::{Edge, Graph, GraphSource, StreamStats, VertexId};
 use cutfit_util::hash::hash64;
+use cutfit_util::num::vid_index;
 
+use crate::replicas::{set_bits, ReplicaBitmap};
 use crate::strategy::{assign_pure, assign_source_with, Partitioner};
 
 /// One O(V)-memory counting pass over a source: per-vertex out- and
@@ -117,9 +119,10 @@ struct GreedyState {
     num_parts: PartId,
     balance_slack: f64,
     loads: Vec<u64>,
-    // Replica sets as small sorted vecs: replication factors are tiny
-    // compared to N, so linear ops beat hashing here.
-    replicas: Vec<Vec<PartId>>,
+    // A(v) as packed bits: `A(u) ∩ A(v)` and `A(u) ∪ A(v)` are a word-wise
+    // AND / OR, and walking their set bits visits candidates in ascending
+    // partition order.
+    replicas: ReplicaBitmap,
     seen: u64,
 }
 
@@ -129,13 +132,12 @@ impl GreedyState {
             num_parts,
             balance_slack,
             loads: vec![0u64; num_parts as usize],
-            replicas: vec![Vec::new(); num_vertices as usize],
+            replicas: ReplicaBitmap::new(num_vertices, num_parts),
             seen: 0,
         }
     }
 
     fn push(&mut self, e: &Edge) -> PartId {
-        let (s, d) = (e.src as usize, e.dst as usize);
         let np = self.num_parts as usize;
         // Load cap: affinity candidates above it are skipped, letting
         // the decision fall through to less loaded rules.
@@ -143,31 +145,18 @@ impl GreedyState {
         self.seen += 1;
         let loads = &self.loads;
         let pick = {
-            let a = &self.replicas[s];
-            let b = &self.replicas[d];
+            let a = self.replicas.words(e.src);
+            let b = self.replicas.words(e.dst);
             let ok = |p: &PartId| loads[*p as usize] < cap;
-            let common = least_loaded(
-                a.iter()
-                    .filter(|p| b.contains(p))
-                    .filter(|p| ok(p))
-                    .copied(),
-                loads,
-            );
-            match common {
-                Some(p) => p,
-                None => {
-                    let union =
-                        least_loaded(a.iter().chain(b.iter()).filter(|p| ok(p)).copied(), loads);
-                    match union {
-                        Some(p) => p,
-                        None => least_loaded(0..self.num_parts, loads).expect("parts exist"),
-                    }
-                }
-            }
+            let common = set_bits(a.iter().zip(b).map(|(x, y)| x & y)).filter(ok);
+            let union = set_bits(a.iter().zip(b).map(|(x, y)| x | y)).filter(ok);
+            least_loaded(common, loads)
+                .or_else(|| least_loaded(union, loads))
+                .unwrap_or_else(|| least_loaded(0..self.num_parts, loads).expect("parts exist"))
         };
         self.loads[pick as usize] += 1;
-        insert_sorted(&mut self.replicas[s], pick);
-        insert_sorted(&mut self.replicas[d], pick);
+        self.replicas.insert(e.src, pick);
+        self.replicas.insert(e.dst, pick);
         pick
     }
 }
@@ -189,7 +178,8 @@ impl Partitioner for GreedyVertexCut {
         chunk_edges: usize,
         sink: &mut dyn FnMut(&[Edge], &[PartId]),
     ) -> Result<StreamStats, ParseError> {
-        // Carry the streaming state across chunks: O(V + parts) memory.
+        // Carry the streaming state across chunks: O(V · ⌈parts / 64⌉ + parts)
+        // memory.
         let mut state = GreedyState::new(source.num_vertices(), num_parts, self.balance_slack);
         assign_source_with(source, chunk_edges, sink, |e| state.push(e))
     }
@@ -221,7 +211,14 @@ struct HdrfState {
     num_parts: PartId,
     lambda: f64,
     loads: Vec<u64>,
-    replicas: Vec<Vec<PartId>>,
+    // The extrema of `loads`, kept as edges land instead of rescanned per
+    // edge: a load only ever grows by one, so the maximum is monotone and
+    // the minimum moves up by exactly one when the last partition sitting
+    // at it (`at_min_load` counts them) takes an edge.
+    max_load: u64,
+    min_load: u64,
+    at_min_load: usize,
+    replicas: ReplicaBitmap,
     // Partial degrees, updated as edges stream in (the streaming-setting
     // approximation the HDRF paper uses).
     partial_degree: Vec<u64>,
@@ -233,31 +230,34 @@ impl HdrfState {
             num_parts,
             lambda,
             loads: vec![0u64; num_parts as usize],
-            replicas: vec![Vec::new(); num_vertices as usize],
+            max_load: 0,
+            min_load: 0,
+            at_min_load: num_parts as usize,
+            replicas: ReplicaBitmap::new(num_vertices, num_parts),
             partial_degree: vec![0u64; num_vertices as usize],
         }
     }
 
     fn push(&mut self, e: &Edge) -> PartId {
         let eps = 1.0;
-        let (s, d) = (e.src as usize, e.dst as usize);
+        let (s, d) = (vid_index(e.src), vid_index(e.dst));
         self.partial_degree[s] += 1;
         self.partial_degree[d] += 1;
         let (ds, dd) = (self.partial_degree[s] as f64, self.partial_degree[d] as f64);
         let theta_s = ds / (ds + dd);
         let theta_d = 1.0 - theta_s;
-        let max_load = self.loads.iter().copied().max().unwrap_or(0) as f64;
-        let min_load = self.loads.iter().copied().min().unwrap_or(0) as f64;
+        let max_load = self.max_load as f64;
+        let min_load = self.min_load as f64;
 
         let mut best = 0 as PartId;
         let mut best_score = f64::NEG_INFINITY;
         for p in 0..self.num_parts {
-            let g_s = if self.replicas[s].contains(&p) {
+            let g_s = if self.replicas.contains(e.src, p) {
                 1.0 + (1.0 - theta_s)
             } else {
                 0.0
             };
-            let g_d = if self.replicas[d].contains(&p) {
+            let g_d = if self.replicas.contains(e.dst, p) {
                 1.0 + (1.0 - theta_d)
             } else {
                 0.0
@@ -270,10 +270,24 @@ impl HdrfState {
                 best = p;
             }
         }
-        self.loads[best as usize] += 1;
-        insert_sorted(&mut self.replicas[s], best);
-        insert_sorted(&mut self.replicas[d], best);
+        self.place(best);
+        self.replicas.insert(e.src, best);
+        self.replicas.insert(e.dst, best);
         best
+    }
+
+    /// Adds one edge to partition `p`'s load and updates the extrema.
+    fn place(&mut self, p: PartId) {
+        let load = &mut self.loads[p as usize];
+        *load += 1;
+        self.max_load = self.max_load.max(*load);
+        if *load == self.min_load + 1 {
+            self.at_min_load -= 1;
+            if self.at_min_load == 0 {
+                self.min_load += 1;
+                self.at_min_load = self.loads.iter().filter(|&&l| l == self.min_load).count();
+            }
+        }
     }
 }
 
@@ -412,12 +426,6 @@ fn least_loaded<I: IntoIterator<Item = PartId>>(parts: I, loads: &[u64]) -> Opti
     parts.into_iter().min_by_key(|&p| (loads[p as usize], p))
 }
 
-fn insert_sorted(v: &mut Vec<PartId>, p: PartId) {
-    if let Err(pos) = v.binary_search(&p) {
-        v.insert(pos, p);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,6 +443,180 @@ mod tests {
             },
             42,
         )
+    }
+
+    fn insert_sorted(v: &mut Vec<PartId>, p: PartId) {
+        if let Err(pos) = v.binary_search(&p) {
+            v.insert(pos, p);
+        }
+    }
+
+    /// Oracle for [`GreedyVertexCut`]: the four rules spelled out over
+    /// sorted-`Vec` replica sets, intersection by `contains`.
+    fn reference_greedy(graph: &Graph, num_parts: PartId, balance_slack: f64) -> Vec<PartId> {
+        let np = num_parts as usize;
+        let mut loads = vec![0u64; np];
+        let mut replicas: Vec<Vec<PartId>> = vec![Vec::new(); graph.num_vertices() as usize];
+        let mut out = Vec::new();
+        for (seen, e) in graph.edges().iter().enumerate() {
+            let (s, d) = (e.src as usize, e.dst as usize);
+            let cap = ((seen as f64 / np as f64) * balance_slack).ceil() as u64 + 1;
+            let (a, b) = (&replicas[s], &replicas[d]);
+            let ok = |p: &PartId| loads[*p as usize] < cap;
+            let common = a
+                .iter()
+                .filter(|p| b.contains(p))
+                .filter(|p| ok(p))
+                .copied();
+            let union = a.iter().chain(b.iter()).filter(|p| ok(p)).copied();
+            let pick = least_loaded(common, &loads)
+                .or_else(|| least_loaded(union, &loads))
+                .unwrap_or_else(|| least_loaded(0..num_parts, &loads).unwrap());
+            loads[pick as usize] += 1;
+            insert_sorted(&mut replicas[s], pick);
+            insert_sorted(&mut replicas[d], pick);
+            out.push(pick);
+        }
+        out
+    }
+
+    /// Oracle for [`Hdrf`]: sorted-`Vec` replica sets, and both load extrema
+    /// rescanned for every edge.
+    fn reference_hdrf(graph: &Graph, num_parts: PartId, lambda: f64) -> Vec<PartId> {
+        let eps = 1.0;
+        let n = graph.num_vertices() as usize;
+        let mut loads = vec![0u64; num_parts as usize];
+        let mut replicas: Vec<Vec<PartId>> = vec![Vec::new(); n];
+        let mut partial_degree = vec![0u64; n];
+        let mut out = Vec::new();
+        for e in graph.edges() {
+            let (s, d) = (e.src as usize, e.dst as usize);
+            partial_degree[s] += 1;
+            partial_degree[d] += 1;
+            let (ds, dd) = (partial_degree[s] as f64, partial_degree[d] as f64);
+            let theta_s = ds / (ds + dd);
+            let theta_d = 1.0 - theta_s;
+            let max_load = loads.iter().copied().max().unwrap_or(0) as f64;
+            let min_load = loads.iter().copied().min().unwrap_or(0) as f64;
+
+            let mut best = 0 as PartId;
+            let mut best_score = f64::NEG_INFINITY;
+            for p in 0..num_parts {
+                let g_s = if replicas[s].contains(&p) {
+                    1.0 + (1.0 - theta_s)
+                } else {
+                    0.0
+                };
+                let g_d = if replicas[d].contains(&p) {
+                    1.0 + (1.0 - theta_d)
+                } else {
+                    0.0
+                };
+                let bal =
+                    lambda * (max_load - loads[p as usize] as f64) / (eps + max_load - min_load);
+                let score = g_s + g_d + bal;
+                if score > best_score {
+                    best_score = score;
+                    best = p;
+                }
+            }
+            loads[best as usize] += 1;
+            insert_sorted(&mut replicas[s], best);
+            insert_sorted(&mut replicas[d], best);
+            out.push(best);
+        }
+        out
+    }
+
+    /// Hub-heavy RMAT (hub–hub edges with large replica sets on both ends),
+    /// a star (one set grows to every partition), a clique in both
+    /// directions (every intersection non-empty), and self-loops.
+    fn oracle_graphs() -> Vec<(&'static str, Graph)> {
+        let clique = (0..24u64)
+            .flat_map(|u| {
+                (0..24)
+                    .filter(move |&v| v != u)
+                    .map(move |v| Edge::new(u, v))
+            })
+            .collect();
+        let loops = (0..40u64).map(|v| Edge::new(v % 5, v % 5)).collect();
+        let rmat_config = RmatConfig {
+            scale: 8,
+            edges: 2048,
+            ..Default::default()
+        };
+        vec![
+            ("rmat", rmat(&rmat_config, 7)),
+            (
+                "star",
+                Graph::new(400, (1..400).map(|v| Edge::new(0, v)).collect()),
+            ),
+            ("clique", Graph::new(24, clique)),
+            ("loops", Graph::new(5, loops)),
+        ]
+    }
+
+    /// Part counts on both sides of every replica-word edge up to five words.
+    const ORACLE_PARTS: [PartId; 12] = [1, 2, 7, 63, 64, 65, 127, 128, 129, 200, 256, 300];
+
+    /// `assign_edges` and `assign_source` at every chunking against `want`.
+    fn assert_matches_oracle(
+        p: &dyn Partitioner,
+        g: &Graph,
+        n: PartId,
+        want: &[PartId],
+        ctx: &str,
+    ) {
+        assert_eq!(p.assign_edges(g, n), want, "{} {ctx} n={n}", p.name());
+        for chunk in [1usize, 97, 1 << 20] {
+            let mut got = Vec::new();
+            p.assign_source(g, n, chunk, &mut |_, a| got.extend_from_slice(a))
+                .expect("resident sources cannot fail");
+            assert_eq!(got, want, "{} {ctx} n={n} chunk={chunk}", p.name());
+        }
+    }
+
+    #[test]
+    fn greedy_equals_the_sorted_set_oracle() {
+        for (name, g) in oracle_graphs() {
+            for n in ORACLE_PARTS {
+                // Slack 1.0 keeps the cap tight, so rules fall through.
+                for balance_slack in [1.5, 1.0] {
+                    let want = reference_greedy(&g, n, balance_slack);
+                    let ctx = format!("{name} slack={balance_slack}");
+                    assert_matches_oracle(&GreedyVertexCut { balance_slack }, &g, n, &want, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hdrf_equals_the_sorted_set_oracle() {
+        for (name, g) in oracle_graphs() {
+            for n in ORACLE_PARTS {
+                for lambda in [4.0, 1.0] {
+                    let want = reference_hdrf(&g, n, lambda);
+                    let ctx = format!("{name} lambda={lambda}");
+                    assert_matches_oracle(&Hdrf { lambda }, &g, n, &want, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hdrf_extrema_track_the_loads() {
+        let g = skewed();
+        for n in [1u32, 3, 64, 65] {
+            let mut state = HdrfState::new(g.num_vertices(), n, 1.0);
+            for e in g.edges() {
+                state.push(e);
+                let min = state.loads.iter().copied().min().unwrap();
+                assert_eq!(state.max_load, state.loads.iter().copied().max().unwrap());
+                assert_eq!(state.min_load, min);
+                let at_min = state.loads.iter().filter(|&&l| l == min).count();
+                assert_eq!(state.at_min_load, at_min);
+            }
+        }
     }
 
     #[test]

@@ -127,24 +127,36 @@ pub fn assign_all_source(
 ) -> Result<StreamStats, ParseError> {
     let mut buf: Vec<PartId> = Vec::new();
     source.for_each_chunk(chunk_edges, &mut |chunk| {
-        for (k, strategy) in strategies.iter().enumerate() {
-            buf.clear();
-            buf.extend(
-                chunk
-                    .iter()
-                    .map(|e| strategy.partition_edge(e.src, e.dst, num_parts)),
-            );
+        for (k, &strategy) in strategies.iter().enumerate() {
+            assign_chunk(strategy, chunk, num_parts, &mut buf);
             sink(k, chunk, &buf);
         }
     })
+}
+
+/// Refills `buf` with `strategy`'s verdict on every edge of `chunk`.
+fn assign_chunk(
+    strategy: GraphXStrategy,
+    chunk: &[Edge],
+    num_parts: PartId,
+    buf: &mut Vec<PartId>,
+) {
+    buf.clear();
+    buf.extend(
+        chunk
+            .iter()
+            .map(|e| strategy.partition_edge(e.src, e.dst, num_parts)),
+    );
 }
 
 /// [`sweep_metrics`] without a resident edge list: chunks stream off the
 /// source once, each strategy's [`MetricsAccumulator`] folds its per-chunk
 /// assignments in (fanned out over the pool across strategies), and the
 /// assignments are dropped on the spot. Working memory is
-/// O(V + strategies · parts + chunk); the returned metrics are exactly what
-/// [`sweep_metrics`] computes on the materialized graph (pinned by tests).
+/// O(strategies · (V · ⌈parts / 64⌉ + parts + chunk)) — one replica bitmap
+/// and one chunk of assignments per strategy; the returned metrics are
+/// exactly what [`sweep_metrics`] computes on the materialized graph
+/// (pinned by tests).
 ///
 /// Also returns the pass's [`StreamStats`] so callers can bill or assert
 /// the bounded-memory claim.
@@ -157,23 +169,25 @@ pub fn sweep_metrics_source(
 ) -> Result<(Vec<PartitionMetrics>, StreamStats), ParseError> {
     let threads = resolve_threads(threads);
     let n = source.num_vertices();
-    let mut accs: Vec<MetricsAccumulator> = strategies
+    // Each strategy owns an accumulator and a chunk-sized assignment buffer:
+    // assigning the whole chunk before folding it in keeps the bitmap's
+    // read-modify-writes off the hash's dependency chain.
+    let mut accs: Vec<(MetricsAccumulator, Vec<PartId>)> = strategies
         .iter()
-        .map(|_| MetricsAccumulator::new(n, num_parts))
+        .map(|_| (MetricsAccumulator::new(n, num_parts), Vec::new()))
         .collect();
     let stats = source.for_each_chunk(chunk_edges, &mut |chunk| {
         let cells = DisjointSlice::new(&mut accs);
         run_ranges(strategies.len(), threads, |range| {
             for k in range {
                 // SAFETY: strategy indices are disjoint across threads.
-                let acc = unsafe { &mut *cells.get_mut(k) };
-                for e in chunk {
-                    acc.observe(e, strategies[k].partition_edge(e.src, e.dst, num_parts));
-                }
+                let (acc, buf) = unsafe { &mut *cells.get_mut(k) };
+                assign_chunk(strategies[k], chunk, num_parts, buf);
+                acc.observe_chunk(chunk, buf);
             }
         });
     })?;
-    Ok((accs.into_iter().map(|a| a.finish()).collect(), stats))
+    Ok((accs.into_iter().map(|(a, _)| a.finish()).collect(), stats))
 }
 
 #[cfg(test)]

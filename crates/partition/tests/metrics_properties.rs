@@ -50,12 +50,12 @@ proptest! {
     fn of_assignment_equals_of_across_the_bitmask_boundary(
         graph in arb_graph(),
         strategy in arb_strategy(),
-        num_parts in 1u32..300, // spans the 64-part replica-bitmask boundary
+        num_parts in 1u32..300, // one-word and multi-word replica sets
     ) {
-        // Same strategy, same graph: the streaming pass (bitmask replicas
-        // at <= 64 parts, sorted sets above) must reproduce the built-graph
-        // metrics exactly — including the f64 fields, which funnel through
-        // the same arithmetic.
+        // Same strategy, same graph: the streaming pass (one replica word
+        // per vertex at <= 64 parts, up to five here) must reproduce the
+        // built-graph metrics exactly — including the f64 fields, which
+        // funnel through the same arithmetic.
         let assignment = strategy.assign_edges(&graph, num_parts);
         let streamed = PartitionMetrics::of_assignment(&graph, &assignment, num_parts);
         let built = PartitionMetrics::of(&PartitionedGraph::build(&graph, &assignment, num_parts));

@@ -51,7 +51,7 @@ fn parallel_assignment_is_bit_identical_on_real_workloads() {
 #[test]
 fn streaming_metrics_match_built_metrics_on_real_workloads() {
     // All six GraphX strategies plus the streaming baselines, at partition
-    // counts on both sides of the 64-bit replica-bitmask boundary.
+    // counts with one-word and multi-word replica sets.
     for (name, graph) in workloads() {
         for partitioner in all_partitioners() {
             for num_parts in [2u32, 16, 64, 129] {

@@ -144,9 +144,8 @@ proptest! {
         num_parts in 1u32..200,
     ) {
         // Build-free streaming metrics must equal the built-graph metrics
-        // field for field, for every partitioner family — including counts
-        // above 64 (the sorted-set replica path) and below (the bitmask
-        // path).
+        // field for field, for every partitioner family — with one-word
+        // (up to 64 parts) and multi-word replica sets.
         for partitioner in all_partitioners() {
             let assignment = partitioner.assign_edges(&graph, num_parts);
             let streamed = PartitionMetrics::of_assignment(&graph, &assignment, num_parts);
