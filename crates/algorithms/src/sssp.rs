@@ -48,10 +48,6 @@ impl Sssp {
         }
         out
     }
-
-    fn improved(&self, candidate: &[u32], current: &[u32]) -> bool {
-        candidate.iter().zip(current).any(|(&c, &s)| c < s)
-    }
 }
 
 impl VertexProgram for Sssp {
@@ -78,17 +74,23 @@ impl VertexProgram for Sssp {
     }
 
     fn send(&self, t: &Triplet<'_, Vec<u32>>) -> Messages<Vec<u32>> {
-        // dst's distances, one hop further, offered to src.
-        let candidate: Vec<u32> = t.dst_state.iter().map(|&d| d.saturating_add(1)).collect();
-        if self.improved(&candidate, t.src_state) {
-            Messages::ToSrc(candidate)
+        // dst's distances, one hop further, offered to src — built only
+        // when some landmark improves: the scan calls this once per edge
+        // and most offers improve nothing.
+        let one_further = |&d: &u32| d.saturating_add(1);
+        let (src, dst) = (t.src_state, t.dst_state);
+        if dst.iter().map(one_further).zip(src).any(|(c, &s)| c < s) {
+            Messages::ToSrc(dst.iter().map(one_further).collect())
         } else {
             Messages::None
         }
     }
 
-    fn merge(&self, a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
-        a.iter().zip(&b).map(|(&x, &y)| x.min(y)).collect()
+    fn merge(&self, mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
+        for (x, &y) in a.iter_mut().zip(&b) {
+            *x = (*x).min(y);
+        }
+        a
     }
 
     fn state_bytes(&self, state: &Vec<u32>) -> u64 {

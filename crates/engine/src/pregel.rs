@@ -27,21 +27,28 @@
 //! vertex's master ("home") partition with the isolated-vertex hash
 //! fallback folded in, the partition→executor map and the degree tables,
 //! so supersteps do no binary searches, routing lookups, or hashing. Three
-//! further parts are built only where something reads them: the
+//! further parts are built when something first reads them: the
 //! per-partition grouping of locals by home when the handle's thread
 //! budget exceeds one (only a multi-shard shuffle reads it), the
-//! fixed-size-state setup aggregates by the first run whose program
-//! declares [`VertexProgram::fixed_state_bytes`], and the sparse-scan
-//! adjacency by the first superstep that plans a scan from a frontier.
+//! broadcast-class table by the first run, and the sparse-scan adjacency
+//! by the first superstep that plans a scan from a frontier.
 //! What the kernels write is allocated once per run and self-cleaning: the
 //! shuffle *takes* every partial and the apply *takes* every inbox entry,
 //! so supersteps allocate no O(vertices + replicas) buffer.
 //!
-//! Every ledger quantity is an integer counter, accumulated in per-thread
-//! deltas and merged afterwards, and each vertex's messages merge in
-//! ascending source-partition order under any sharding — so every thread
-//! count is bit-identical in both vertex states and the metered
-//! [`SimReport`].
+//! A superstep is billed by table, not by replica. The shuffle counts each
+//! message on its home's cell of a scratch row and bills the row once per
+//! source partition (the sending executor is the partition's). The apply
+//! counts each new state on its vertex's *broadcast class* — vertices
+//! whose master executor and mirror-executor multiset agree cost the same
+//! to broadcast — and each touched class is billed once after the phase,
+//! multiplied by its mirror counts. Every ledger quantity is an integer
+//! counter, accumulated in per-thread deltas and merged afterwards, so
+//! this is bit for bit the bill of one ledger call per message and per
+//! (vertex, mirror) pair — the tests keep that walk as a reference — and
+//! each vertex's messages merge in ascending source-partition order under
+//! any sharding: every thread count is bit-identical in both vertex states
+//! and the metered [`SimReport`].
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -197,66 +204,127 @@ impl PartIndex {
     }
 }
 
-/// Setup-superstep aggregates, used to meter the initial apply + replica
-/// broadcast of **fixed-size-state** programs in O(partitions + executor
-/// pairs) instead of O(vertices + replicas) per dispatch: the per-message
-/// bill is then a constant, so only the counts matter — and the counts are
-/// a property of the cut, not of the program.
-struct SetupAggregates {
+/// The broadcast-class table: the one way a state broadcast is billed.
+///
+/// A vertex's new state travels from its master to every mirror, and the
+/// ledger only sees executor pairs — so two vertices whose master sits on
+/// the same executor and whose mirrors spread over the executors in the same
+/// multiset cost the same per broadcast. Such vertices share a *class*; a
+/// phase counts states and bytes per class and the flush multiplies by each
+/// mirror count: `Σ_v count·bytes_v = count·Σ_v bytes_v`, and ledger
+/// accumulation is commutative integer addition, so the bill is bit for bit
+/// the one a walk over every (vertex, mirror) pair would produce. The classes
+/// are a property of the cut and the partition→executor map, not of the
+/// program, and are kept as sparse `(executor, count)` lists: nothing here
+/// is sized by `executors²`.
+struct BroadcastClasses {
+    /// Class of each vertex (isolated and unreplicated vertices share the
+    /// mirrorless class).
+    class_of: Vec<u32>,
+    /// Vertices in each class.
+    population: Vec<u64>,
+    /// Executor of the class's master partition.
+    master_exec: Vec<u32>,
+    /// CSR offsets into `mirrors`, one group per class.
+    offsets: Vec<u32>,
+    /// `(mirror_exec, mirrors there)`, ascending by executor within a class.
+    mirrors: Vec<(u32, u64)>,
     /// Vertices mastered (hash fallback included) at each partition.
     home_counts: Vec<u64>,
     /// Isolated (`NO_PART`) vertices per hash-fallback home.
     isolated_counts: Vec<u64>,
-    /// `((master_exec, mirror_exec), messages)` of the initial state
-    /// broadcast, sparse and sorted (an executor-pair matrix would cost
-    /// `executors²` memory on huge clusters).
-    bcast_pairs: Vec<((u32, u32), u64)>,
 }
 
-impl SetupAggregates {
+impl BroadcastClasses {
+    /// Interns every vertex's `(master_exec, mirror-executor multiset)` key
+    /// in one pass over the routing table; class ids are handed out in
+    /// first-seen (ascending vertex) order.
     fn build(pg: &PartitionedGraph, home: &[PartId], exec_of_part: &[u32]) -> Self {
         let np = pg.num_parts() as usize;
-        let mut home_counts = vec![0u64; np];
-        for &h in home {
-            home_counts[part_index(h)] += 1;
-        }
-        let mut isolated_counts = vec![0u64; np];
-        for (v, &m) in pg.masters().iter().enumerate() {
-            if m == NO_PART {
-                isolated_counts[part_index(home[v])] += 1;
+        let mut classes = Self {
+            class_of: Vec::with_capacity(home.len()),
+            population: Vec::new(),
+            master_exec: Vec::new(),
+            offsets: vec![0],
+            mirrors: Vec::new(),
+            home_counts: vec![0; np],
+            isolated_counts: vec![0; np],
+        };
+        // BTreeMap, not a hash map: lookups only, but unordered containers
+        // in the engine are what the analyzer's D1 rule keeps out. The key
+        // is `[master_exec, exec, count, exec, count, …]`, empty for a
+        // vertex without mirrors.
+        let mut ids: std::collections::BTreeMap<Vec<u32>, u32> = std::collections::BTreeMap::new();
+        let (mut execs, mut key) = (Vec::new(), Vec::new());
+        for (v, (&h, &master)) in home.iter().zip(pg.masters()).enumerate() {
+            classes.home_counts[part_index(h)] += 1;
+            if master == NO_PART {
+                classes.isolated_counts[part_index(h)] += 1;
             }
-        }
-        // BTreeMap: iterated below, and unordered iteration in the engine
-        // is exactly what the analyzer's D1 rule forbids.
-        let mut pairs: std::collections::BTreeMap<(u32, u32), u64> =
-            std::collections::BTreeMap::new();
-        for v in 0..pg.num_vertices() {
-            let replicas = pg.routing().parts_of(v);
-            if replicas.len() > 1 {
-                let h = home[vid_index(v)];
-                let master_exec = exec_of_part[part_index(h)];
-                for &p in replicas {
-                    if p != h {
-                        *pairs
-                            .entry((master_exec, exec_of_part[part_index(p)]))
-                            .or_default() += 1;
-                    }
+            execs.clear();
+            let replicas = pg.routing().parts_of(v as VertexId);
+            execs.extend(
+                replicas
+                    .iter()
+                    .filter(|&&p| p != h)
+                    .map(|&p| exec_of_part[part_index(p)]),
+            );
+            execs.sort_unstable();
+            key.clear();
+            if !execs.is_empty() {
+                key.push(exec_of_part[part_index(h)]);
+            }
+            for &exec in &execs {
+                match key.len() {
+                    n if n > 1 && key[n - 2] == exec => key[n - 1] += 1,
+                    _ => key.extend([exec, 1]),
                 }
             }
+            let class = match ids.get(key.as_slice()) {
+                Some(&class) => class,
+                None => {
+                    let class = classes.population.len() as u32;
+                    classes.population.push(0);
+                    classes.master_exec.push(key.first().copied().unwrap_or(0));
+                    let pairs = key.get(1..).unwrap_or(&[]).chunks_exact(2);
+                    classes
+                        .mirrors
+                        .extend(pairs.map(|pair| (pair[0], u64::from(pair[1]))));
+                    classes.offsets.push(classes.mirrors.len() as u32);
+                    ids.insert(key.clone(), class);
+                    class
+                }
+            };
+            classes.population[class as usize] += 1;
+            classes.class_of.push(class);
         }
-        Self {
-            home_counts,
-            isolated_counts,
-            // BTreeMap iteration is already key-ascending: no sort needed.
-            bcast_pairs: pairs.into_iter().collect(),
+        classes
+    }
+
+    fn len(&self) -> usize {
+        self.population.len()
+    }
+
+    /// The class's `(mirror_exec, mirrors there)` list.
+    fn mirrors_of(&self, class: usize) -> &[(u32, u64)] {
+        &self.mirrors[self.offsets[class] as usize..self.offsets[class + 1] as usize]
+    }
+
+    /// Bills `states` broadcasts of `bytes` in total, summed over the
+    /// class's vertices that sent one: each mirror receives every state.
+    fn bill(&self, class: usize, states: u64, bytes: u64, ledger: &mut SuperstepLedger) {
+        let master = self.master_exec[class];
+        for &(to, count) in self.mirrors_of(class) {
+            ledger.send_exec(master, to, states * count, bytes * count);
         }
     }
 }
 
 /// Immutable run-scoped index precomputed from the [`PartitionedGraph`] so
 /// the superstep loop does no routing lookups, hashing, or binary searches.
-/// The parts every run reads are built eagerly; the two that only some
-/// programs read are built by the first run that needs them.
+/// The parts every superstep reads are built eagerly; the broadcast classes
+/// are built by the first run on the index, the sparse-scan adjacency by the
+/// first run that needs it.
 struct ScanIndex {
     /// Master partition per vertex, with the isolated-vertex hash fallback
     /// folded in (GraphX hash-partitions the vertex RDD; vertices without
@@ -271,9 +339,9 @@ struct ScanIndex {
     /// Per-partition local groupings by home; empty unless built for a
     /// multi-shard shuffle.
     parts: Vec<PartIndex>,
-    /// Built by the first run of a fixed-size-state program (variable-size
-    /// programs take the per-vertex metering sweep and never read it).
-    setup: OnceLock<SetupAggregates>,
+    /// Built by the first run (a handle that never runs never pays for it);
+    /// every setup superstep and every apply phase bills through it.
+    classes: OnceLock<BroadcastClasses>,
     /// Sparse-scan index, built by the first superstep that plans a scan
     /// from a frontier (forced [`ScanMode::Dense`] and always-active
     /// programs never do).
@@ -319,14 +387,14 @@ impl ScanIndex {
             out_deg,
             in_deg,
             parts,
-            setup: OnceLock::new(),
+            classes: OnceLock::new(),
             adjacency: OnceLock::new(),
         }
     }
 
-    fn setup(&self, pg: &PartitionedGraph) -> &SetupAggregates {
-        self.setup
-            .get_or_init(|| SetupAggregates::build(pg, &self.home, &self.exec_of_part))
+    fn classes(&self, pg: &PartitionedGraph) -> &BroadcastClasses {
+        self.classes
+            .get_or_init(|| BroadcastClasses::build(pg, &self.home, &self.exec_of_part))
     }
 
     fn adjacency(&self, pg: &PartitionedGraph) -> &FrontierAdjacency {
@@ -336,7 +404,12 @@ impl ScanIndex {
 
 /// Per-thread metering accumulator. Every field is an exact integer
 /// counter, so merging thread deltas in any order reproduces the sequential
-/// ledger bit for bit.
+/// ledger bit for bit. The two hot loops never touch the executor matrices:
+/// the apply counts each broadcast state on its vertex's class
+/// ([`MeterDelta::broadcast`]) and the shuffle counts each message on its
+/// home's cell of a scratch row, flushed once per source partition
+/// ([`MeterDelta::flush_row`]). [`MeterDelta::reset`] clears all of it, so a
+/// run abandoned mid-phase leaves nothing behind for the next one.
 struct MeterDelta {
     executors: usize,
     /// Row-major `executors × executors` byte/message matrices, allocated
@@ -352,6 +425,16 @@ struct MeterDelta {
     resident: Vec<i64>,
     /// Messages shuffled by this thread.
     msgs: u64,
+    /// `(states, bytes)` broadcast per class this phase; sized to the
+    /// index's class table when a run starts.
+    class_sent: Vec<(u64, u64)>,
+    /// Classes with a non-zero `class_sent` cell, in first-hit order: the
+    /// flush and the reset visit these only, so a sparse superstep costs
+    /// O(applied), never O(classes).
+    touched_classes: Vec<u32>,
+    /// `(messages, bytes)` per home partition from the source partition
+    /// being delivered; all zero between source partitions.
+    row: Vec<(u64, u64)>,
 }
 
 impl MeterDelta {
@@ -364,6 +447,9 @@ impl MeterDelta {
             local_bytes: vec![0; num_parts],
             resident: vec![0; num_parts],
             msgs: 0,
+            class_sent: Vec::new(),
+            touched_classes: Vec::new(),
+            row: vec![(0, 0); num_parts],
         }
     }
 
@@ -374,6 +460,35 @@ impl MeterDelta {
         self.local_bytes.fill(0);
         self.resident.fill(0);
         self.msgs = 0;
+        for class in self.touched_classes.drain(..) {
+            self.class_sent[class as usize] = (0, 0);
+        }
+        self.row.fill((0, 0));
+    }
+
+    /// Counts one state of `bytes` (framing included) broadcast by a vertex
+    /// of `class` to all its mirrors.
+    #[inline]
+    fn broadcast(&mut self, class: u32, bytes: u64) {
+        let sent = &mut self.class_sent[class as usize];
+        if sent.0 == 0 {
+            self.touched_classes.push(class);
+        }
+        sent.0 += 1;
+        sent.1 += bytes;
+    }
+
+    /// Bills the scratch row — what source partition `from_exec` hosts
+    /// delivered to the homes in `homes` — and zeroes it.
+    fn flush_row(&mut self, from_exec: u32, exec_of_part: &[u32], homes: Range<usize>) {
+        for q in homes {
+            let (msgs, bytes) = std::mem::take(&mut self.row[q]);
+            if msgs > 0 {
+                self.send_exec(from_exec, exec_of_part[q], msgs, bytes);
+                self.local_bytes[q] += bytes;
+                self.msgs += msgs;
+            }
+        }
     }
 
     #[inline]
@@ -388,7 +503,11 @@ impl MeterDelta {
         self.exec_msgs[idx] += msgs;
     }
 
-    fn flush_ledger(&self, ledger: &mut SuperstepLedger) {
+    fn flush_ledger(&self, classes: &BroadcastClasses, ledger: &mut SuperstepLedger) {
+        for &class in &self.touched_classes {
+            let (states, bytes) = self.class_sent[class as usize];
+            classes.bill(class as usize, states, bytes, ledger);
+        }
         for (p, &ops) in self.vertex_ops.iter().enumerate() {
             if ops > 0 {
                 ledger.vertex_ops(p as u32, ops);
@@ -498,9 +617,12 @@ pub fn run_pregel<P: VertexProgram>(
 /// [`PartitionedGraph`]. Back-to-back jobs on one cut skip all routing
 /// setup — the serving layer's cache-hit path is
 /// [`PreparedRun::run`], which only allocates the message-typed buffers of
-/// the program it executes, plus — once per handle — the index parts its
-/// program is the first to need (the fixed-size-state setup aggregates,
-/// the sparse-scan adjacency).
+/// the program it executes, plus — once per handle — the index parts built
+/// on first need: the broadcast-class table every run bills its state
+/// broadcasts through (paid by the handle's first job) and the sparse-scan
+/// adjacency (by the first converging program). A job that fails or
+/// panics mid-phase leaves no meter state behind: every accumulator is
+/// cleared before the next phase that uses it.
 ///
 /// The handle is prepared for a maximum parallelism at construction
 /// ([`ExecutorMode::threads`] of the mode passed to [`PreparedRun::new`]);
@@ -585,10 +707,15 @@ fn execute<P: VertexProgram>(
 ) -> Result<(Vec<P::State>, u64, bool), SimError> {
     let n = pg.num_vertices();
     debug_assert_eq!(sim.config().executors as usize, buffers.deltas[0].executors);
+    let classes = index.classes(pg);
+    for delta in buffers.deltas.iter_mut() {
+        delta.class_sent.resize(classes.len(), (0, 0));
+    }
     let cx = Ctx {
         program,
         pg,
         index,
+        classes,
         msg_overhead: sim.config().cost.message_overhead_bytes,
         threads: opts.executor.threads().min(buffers.deltas.len()),
     };
@@ -677,7 +804,7 @@ fn execute<P: VertexProgram>(
         // 2. Shuffle partials to masters.
         let msg_count = run.shuffle();
         for delta in run.deltas.iter() {
-            delta.flush_ledger(sim.ledger());
+            delta.flush_ledger(classes, sim.ledger());
         }
         if msg_count == 0 {
             converged = true;
@@ -688,7 +815,7 @@ fn execute<P: VertexProgram>(
         // 3. Apply at masters; 4. broadcast updated states to mirrors.
         run.apply(!all_active && !frontier_all);
         for delta in run.deltas.iter() {
-            delta.flush_ledger(sim.ledger());
+            delta.flush_ledger(classes, sim.ledger());
             delta.flush_resident(sim);
         }
         // The vertices that received messages are exactly next superstep's
@@ -714,6 +841,8 @@ struct Ctx<'a, P: VertexProgram> {
     program: &'a P,
     pg: &'a PartitionedGraph,
     index: &'a ScanIndex,
+    /// `index`'s broadcast-class table, fetched once per run.
+    classes: &'a BroadcastClasses,
     /// Framing bytes billed per message on top of its payload.
     msg_overhead: u64,
     /// Worker count, within the buffers' thread budget.
@@ -756,7 +885,11 @@ impl<P: VertexProgram> Ctx<'_, P> {
     /// apply phase). Returns the initial states.
     fn setup(&self, sim: &mut ClusterSim) -> Result<Vec<P::State>, SimError> {
         let Ctx {
-            program, pg, index, ..
+            program,
+            pg,
+            index,
+            classes,
+            ..
         } = *self;
         let ctx = InitCtx {
             out_degrees: &index.out_deg,
@@ -770,40 +903,33 @@ impl<P: VertexProgram> Ctx<'_, P> {
                 program.apply(v, &s, &init_msg)
             })
             .collect();
-        // Fixed-size states all bill the same constant, so their setup
-        // superstep is a pure function of the cut's aggregate counts.
+        // One vertex op per mastered vertex, one broadcast message per
+        // (vertex, mirror) pair — billed per class. Fixed-size states all
+        // bill the same constant, so their classes' totals are populations
+        // times that constant; variable-size ones are summed per vertex.
+        for (q, &count) in classes.home_counts.iter().enumerate() {
+            if count > 0 {
+                sim.ledger().vertex_ops(q as PartId, count);
+            }
+        }
         let fixed_state = program.fixed_state_bytes();
-        let batched = fixed_state.map(|size| (size, index.setup(pg)));
-        if let Some((size, setup)) = batched {
-            // One vertex op per mastered vertex, one broadcast message per
-            // (vertex, mirror) pair — batched per executor pair. Ledger
-            // accumulation is commutative integer addition, so this is
-            // bit-identical to the per-vertex sweep below.
-            for (q, &count) in setup.home_counts.iter().enumerate() {
-                if count > 0 {
-                    sim.ledger().vertex_ops(q as PartId, count);
+        let sent: Vec<(u64, u64)> = match fixed_state {
+            Some(size) => {
+                let bytes = size + self.msg_overhead;
+                classes.population.iter().map(|&n| (n, n * bytes)).collect()
+            }
+            None => {
+                let mut sent = vec![(0, 0); classes.len()];
+                for (state, &class) in states.iter().zip(&classes.class_of) {
+                    let cell = &mut sent[class as usize];
+                    cell.0 += 1;
+                    cell.1 += program.state_bytes(state) + self.msg_overhead;
                 }
+                sent
             }
-            let bytes = size + self.msg_overhead;
-            for &((from, to), msgs) in &setup.bcast_pairs {
-                sim.ledger().send_exec(from, to, msgs, msgs * bytes);
-            }
-        } else {
-            for v in 0..pg.num_vertices() {
-                let home = index.home[vid_index(v)];
-                sim.ledger().vertex_ops(home, 1);
-                let replicas = pg.routing().parts_of(v);
-                if replicas.len() > 1 {
-                    let bytes = program.state_bytes(&states[vid_index(v)]) + self.msg_overhead;
-                    let master_exec = index.exec_of_part[part_index(home)];
-                    for &p in replicas {
-                        if p != home {
-                            let to_exec = index.exec_of_part[part_index(p)];
-                            sim.ledger().send_exec(master_exec, to_exec, 1, bytes);
-                        }
-                    }
-                }
-            }
+        };
+        for (class, &(n, bytes)) in sent.iter().enumerate() {
+            classes.bill(class, n, bytes, sim.ledger());
         }
 
         let mut resident: Vec<u64> = pg.parts().iter().map(|p| p.structure_bytes()).collect();
@@ -821,8 +947,8 @@ impl<P: VertexProgram> Ctx<'_, P> {
         // the hash-fallback home (the vertex RDD is hash-partitioned
         // regardless of edges) — and since messages only travel along
         // edges, those states never change after setup: charge them once.
-        if let Some((size, setup)) = batched {
-            for (q, &count) in setup.isolated_counts.iter().enumerate() {
+        if let Some(size) = fixed_state {
+            for (q, &count) in classes.isolated_counts.iter().enumerate() {
                 resident[q] += count * size;
             }
         } else {
@@ -988,7 +1114,9 @@ impl<P: VertexProgram> Run<'_, P> {
     /// after a dense or full scan, the shard's contiguous slice of the
     /// home-grouped locals — or, when the shard is the whole home range
     /// (always so at one thread), the partial buffer itself by iterator,
-    /// which needs no grouping and no per-slot indexing.
+    /// which needs no grouping and no per-slot indexing. Whichever it is,
+    /// a delivered message is counted on its home's cell of the delta's
+    /// scratch row, and the row is billed once per source partition.
     fn shuffle(&mut self) -> u64 {
         let Self {
             cx,
@@ -1012,21 +1140,24 @@ impl<P: VertexProgram> Run<'_, P> {
             let exec_of_part = cx.index.exec_of_part.as_slice();
             for (p, slots) in partial_cells.iter().enumerate() {
                 let globals = cx.pg.parts()[p].vertices.as_slice();
-                let from_exec = exec_of_part[p];
                 let home_of = |local: usize| part_index(home[vid_index(globals[local])]);
                 // SAFETY: home ranges are disjoint across shards, so a
                 // vertex mastered in `homes` is this shard's alone — and
                 // with it the vertex's slot in every partial buffer.
                 // `slot_of` is called only for locals mastered in `homes`.
                 let slot_of = |local: usize| unsafe { slots.get_mut(local) };
+                let row = delta.row.as_mut_slice();
+                let mut delivered = false;
                 let mut deliver = |local: usize, slot: &mut Option<P::Msg>| {
                     let Some(msg) = slot.take() else { return };
                     let v = vid_index(globals[local]);
                     let q = home_of(local);
-                    let bytes = program.msg_bytes(&msg) + msg_overhead;
-                    delta.send_exec(from_exec, exec_of_part[q], 1, bytes);
-                    delta.local_bytes[q] += bytes;
-                    delta.msgs += 1;
+                    // `from_exec` is fixed per source partition: count the
+                    // message on q's cell, bill the row after the partition.
+                    let cell = &mut row[q];
+                    cell.0 += 1;
+                    cell.1 += program.msg_bytes(&msg) + msg_overhead;
+                    delivered = true;
                     // SAFETY: every slot handed to `deliver` belongs to a
                     // vertex mastered in `homes`; by the same argument v's
                     // inbox entry and q's touched list are this shard's.
@@ -1054,6 +1185,9 @@ impl<P: VertexProgram> Run<'_, P> {
                         deliver(local as usize, slot_of(local as usize));
                     }
                 }
+                if delivered {
+                    delta.flush_row(exec_of_part[p], exec_of_part, homes.clone());
+                }
             }
         });
         for list in fb.touched_partials.iter_mut() {
@@ -1064,15 +1198,17 @@ impl<P: VertexProgram> Run<'_, P> {
 
     /// Phase 3 — apply at masters, and 4 — broadcast to mirrors: for every
     /// home partition in the shard, runs the vertex program on exactly the
-    /// vertices whose inbox entry the shuffle wrote, and bills each new
-    /// state's trip to the vertex's mirrors — no O(V) inbox sweep. With
+    /// vertices whose inbox entry the shuffle wrote, and counts each new
+    /// state's trip to the vertex's mirrors on the vertex's broadcast class
+    /// — no O(V) inbox sweep, no walk over the vertex's replicas. With
     /// `clear_frontier` the old frontier's activity bits are cleared
     /// list-wise first (no O(V) bitset reset), then every applied vertex's
     /// bit is set: the touched lists are the next frontier. Applies are
     /// independent per vertex and all metering is commutative-integral, so
     /// visit order never shows in states or bills. Residency is tracked as
-    /// signed per-partition deltas of [`VertexProgram::state_bytes`] —
-    /// exactly zero for fixed-size states, whose `state_bytes` is constant.
+    /// signed per-partition deltas of [`VertexProgram::state_bytes`], and
+    /// is the one thing that reads the routing table: only for a vertex
+    /// whose state changed size, so never for fixed-size states.
     fn apply(&mut self, clear_frontier: bool) {
         let Self {
             cx,
@@ -1091,7 +1227,7 @@ impl<P: VertexProgram> Run<'_, P> {
         run_on_pool(fb.frontier.len(), cx.threads, deltas, |homes, delta| {
             // Sliced once per shard, not reached through `cx` per vertex.
             let (program, msg_overhead) = (cx.program, cx.msg_overhead);
-            let (routing, exec_of_part) = (cx.pg.routing(), cx.index.exec_of_part.as_slice());
+            let (routing, class_of) = (cx.pg.routing(), cx.classes.class_of.as_slice());
             // SAFETY: `frontier[q]` and `touched_inbox[q]` hold only
             // vertices mastered at q, and every q in `homes` is this
             // shard's alone — so are those vertices' inbox entry, state and
@@ -1105,7 +1241,6 @@ impl<P: VertexProgram> Run<'_, P> {
                 )
             };
             for q in homes {
-                let master_exec = exec_of_part[q];
                 if clear_frontier {
                     for &fv in &fb.frontier[q] {
                         *own(fv).2 = false;
@@ -1122,15 +1257,13 @@ impl<P: VertexProgram> Run<'_, P> {
                     let state_size = program.state_bytes(state);
                     delta.vertex_ops[q] += 1;
                     delta.local_bytes[q] += state_size;
+                    delta.broadcast(class_of[vid_index(tv)], state_size + msg_overhead);
+                    // Residency moves on every replica, but only when the
+                    // state's size did: never for a fixed-size state.
                     let grew = state_size as i64 - old_bytes as i64;
-                    for &p in routing.parts_of(tv) {
-                        let p = part_index(p);
-                        if p != q {
-                            let to_exec = exec_of_part[p];
-                            delta.send_exec(master_exec, to_exec, 1, state_size + msg_overhead);
-                        }
-                        if grew != 0 {
-                            delta.resident[p] += grew;
+                    if grew != 0 {
+                        for &p in routing.parts_of(tv) {
+                            delta.resident[part_index(p)] += grew;
                         }
                     }
                 }
@@ -1437,8 +1570,8 @@ mod tests {
         assert!(matches!(err, SimError::OutOfMemory { .. }));
     }
 
-    /// MaxLabel without the fixed-size declaration: takes the per-vertex
-    /// setup-metering sweep instead of the batched path.
+    /// MaxLabel without the fixed-size declaration: its setup sums each
+    /// class's bytes per vertex instead of multiplying by the population.
     struct MaxLabelUndeclared;
     impl VertexProgram for MaxLabelUndeclared {
         type State = u64;
@@ -1467,26 +1600,415 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_setup_metering_equals_the_per_vertex_sweep() {
-        // The same computation with and without the fixed-size-state
-        // declaration must bill identically: the batched setup path is
-        // an aggregation of the sweep, not a different model. Includes
-        // isolated vertices (hash-fallback residency goes through the
-        // precomputed isolated counts in the batched path).
-        let mut g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 9);
-        g = Graph::new(g.num_vertices() + 7, g.edges().to_vec());
-        for strategy in [
-            GraphXStrategy::RandomVertexCut,
-            GraphXStrategy::EdgePartition2D,
-            GraphXStrategy::SourceCut,
+    /// The billing oracle: a plain sequential Pregel loop that bills the way
+    /// the engine did before the broadcast-class table — one ledger call per
+    /// (vertex, mirror) pair for every state broadcast, setup included, and
+    /// one per shuffled message — straight into the sim's ledger. Dense
+    /// scans only; messages merge in ascending source-partition order, so
+    /// states are comparable too.
+    fn reference_run<P: VertexProgram>(
+        program: &P,
+        pg: &PartitionedGraph,
+        cluster: &ClusterConfig,
+        opts: &PregelConfig,
+    ) -> Result<PregelResult<P::State>, SimError> {
+        let n = pg.num_vertices();
+        let index = ScanIndex::build(pg, cluster, false);
+        let (home, exec_of_part) = (&index.home, &index.exec_of_part);
+        let overhead = cluster.cost.message_overhead_bytes;
+        let mut sim = ClusterSim::new(cluster.clone(), pg.num_parts());
+        if let Some(every) = opts.checkpoint_interval {
+            sim.set_checkpoint_interval(every);
+        }
+        if opts.charge_initial_load {
+            sim.charge_load(cutfit_cluster::load_bytes(n, pg.num_edges()));
+        }
+        let broadcast = |sim: &mut ClusterSim, v: VertexId, bytes: u64| {
+            let h = home[vid_index(v)];
+            for &p in pg.routing().parts_of(v) {
+                if p != h {
+                    let (from, to) = (exec_of_part[part_index(h)], exec_of_part[part_index(p)]);
+                    sim.ledger().send_exec(from, to, 1, bytes);
+                }
+            }
+        };
+
+        let ctx = InitCtx {
+            out_degrees: &index.out_deg,
+            in_degrees: &index.in_deg,
+            num_vertices: n,
+        };
+        let init_msg = program.initial_msg();
+        let mut states: Vec<P::State> = (0..n)
+            .map(|v| program.apply(v, &program.initial_state(v, &ctx), &init_msg))
+            .collect();
+        let mut resident: Vec<u64> = pg.parts().iter().map(|p| p.structure_bytes()).collect();
+        for v in 0..n {
+            let size = program.state_bytes(&states[vid_index(v)]);
+            sim.ledger().vertex_ops(home[vid_index(v)], 1);
+            broadcast(&mut sim, v, size + overhead);
+            for &p in pg.routing().parts_of(v) {
+                resident[part_index(p)] += size;
+            }
+            if pg.masters()[vid_index(v)] == NO_PART {
+                resident[part_index(home[vid_index(v)])] += size;
+            }
+        }
+        for (p, &bytes) in resident.iter().enumerate() {
+            sim.set_resident(p as PartId, bytes);
+        }
+        sim.end_superstep()?;
+
+        let dir = program.active_direction();
+        let mut active = vec![true; vid_index(n)];
+        let mut active_count = n;
+        let (mut supersteps, mut converged) = (0u64, false);
+        while supersteps < opts.max_iterations {
+            let mut partials: Vec<Vec<Option<P::Msg>>> = Vec::new();
+            let mut scanned = 0u64;
+            for (p, part) in pg.parts().iter().enumerate() {
+                let mut out = vec![None; part.vertices.len()];
+                let mut matched = 0u64;
+                for &(ls, ld) in &part.edges {
+                    let (src, dst) = (part.vertices[ls as usize], part.vertices[ld as usize]);
+                    let (s, d) = (vid_index(src), vid_index(dst));
+                    let wanted = match dir {
+                        ActiveDirection::Either => active[s] || active[d],
+                        ActiveDirection::Out => active[s],
+                        ActiveDirection::In => active[d],
+                        ActiveDirection::Both => active[s] && active[d],
+                    };
+                    if !wanted {
+                        continue;
+                    }
+                    matched += 1;
+                    let triplet = Triplet {
+                        src,
+                        dst,
+                        src_state: &states[s],
+                        dst_state: &states[d],
+                        src_out_degree: index.out_deg[s],
+                        dst_in_degree: index.in_deg[d],
+                    };
+                    match program.send(&triplet) {
+                        Messages::None => {}
+                        Messages::ToSrc(m) => drop(deposit(program, &mut out[ls as usize], m)),
+                        Messages::ToDst(m) => drop(deposit(program, &mut out[ld as usize], m)),
+                        Messages::Both(ms, md) => {
+                            deposit(program, &mut out[ls as usize], ms);
+                            deposit(program, &mut out[ld as usize], md);
+                        }
+                    }
+                }
+                sim.ledger().edge_scans(p as PartId, matched);
+                scanned += matched;
+                partials.push(out);
+            }
+            sim.ledger()
+                .record_frontier(active_count, n, scanned, pg.num_edges());
+
+            let mut inbox: Vec<Option<P::Msg>> = vec![None; vid_index(n)];
+            let mut msg_count = 0u64;
+            for (p, out) in partials.into_iter().enumerate() {
+                for (local, slot) in out.into_iter().enumerate() {
+                    let Some(msg) = slot else { continue };
+                    let v = vid_index(pg.parts()[p].vertices[local]);
+                    let bytes = program.msg_bytes(&msg) + overhead;
+                    let to = exec_of_part[part_index(home[v])];
+                    sim.ledger().send_exec(exec_of_part[p], to, 1, bytes);
+                    sim.ledger().local_bytes(home[v], bytes);
+                    msg_count += 1;
+                    deposit(program, &mut inbox[v], msg);
+                }
+            }
+            if msg_count == 0 {
+                converged = true;
+                sim.end_superstep()?;
+                break;
+            }
+
+            let mut grown = vec![0i64; pg.num_parts() as usize];
+            active_count = 0;
+            for v in 0..n {
+                let got = inbox[vid_index(v)].take();
+                if !program.always_active() {
+                    active[vid_index(v)] = got.is_some();
+                }
+                let Some(msg) = got else { continue };
+                active_count += 1;
+                let state = &mut states[vid_index(v)];
+                let old_bytes = program.state_bytes(state);
+                *state = program.apply(v, state, &msg);
+                let size = program.state_bytes(state);
+                sim.ledger().vertex_ops(home[vid_index(v)], 1);
+                sim.ledger().local_bytes(home[vid_index(v)], size);
+                broadcast(&mut sim, v, size + overhead);
+                for &p in pg.routing().parts_of(v) {
+                    grown[part_index(p)] += size as i64 - old_bytes as i64;
+                }
+            }
+            if program.always_active() {
+                active_count = n;
+            }
+            for (p, &delta) in grown.iter().enumerate() {
+                sim.adjust_resident(p as PartId, delta);
+            }
+            supersteps += 1;
+            sim.end_superstep()?;
+        }
+        Ok(PregelResult {
+            states,
+            supersteps,
+            converged,
+            sim: sim.into_report(),
+        })
+    }
+
+    /// SSSP's shape (the algorithms crate sits above this one): hop
+    /// distances to a few landmarks, offered against edge direction; the
+    /// serialized state is a map of the reached landmarks, so it grows at
+    /// most once per landmark.
+    struct Hops(Vec<VertexId>);
+    impl Hops {
+        fn map_bytes(dist: &[u32]) -> u64 {
+            8 + 12 * dist.iter().filter(|&&d| d != u32::MAX).count() as u64
+        }
+    }
+    impl VertexProgram for Hops {
+        type State = Vec<u32>;
+        type Msg = Vec<u32>;
+        fn name(&self) -> &'static str {
+            "hops"
+        }
+        fn initial_state(&self, v: VertexId, _ctx: &InitCtx<'_>) -> Vec<u32> {
+            let dist = |&l: &VertexId| if l == v { 0 } else { u32::MAX };
+            self.0.iter().map(dist).collect()
+        }
+        fn initial_msg(&self) -> Vec<u32> {
+            vec![u32::MAX; self.0.len()]
+        }
+        fn apply(&self, _v: VertexId, state: &Vec<u32>, msg: &Vec<u32>) -> Vec<u32> {
+            state.iter().zip(msg).map(|(&s, &m)| s.min(m)).collect()
+        }
+        fn send(&self, t: &Triplet<'_, Vec<u32>>) -> Messages<Vec<u32>> {
+            let offer: Vec<u32> = t.dst_state.iter().map(|d| d.saturating_add(1)).collect();
+            if offer.iter().zip(t.src_state).any(|(c, s)| c < s) {
+                Messages::ToSrc(offer)
+            } else {
+                Messages::None
+            }
+        }
+        fn merge(&self, a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
+            a.iter().zip(&b).map(|(&x, &y)| x.min(y)).collect()
+        }
+        fn state_bytes(&self, state: &Vec<u32>) -> u64 {
+            Self::map_bytes(state)
+        }
+        fn msg_bytes(&self, msg: &Vec<u32>) -> u64 {
+            Self::map_bytes(msg)
+        }
+    }
+
+    /// RMAT with isolated vertices appended, cut seven ways: the six GraphX
+    /// strategies and one stateful vertex-cut streamer.
+    fn oracle_cuts(scale: u32, num_parts: PartId) -> Vec<(String, PartitionedGraph)> {
+        let config = cutfit_datagen::RmatConfig {
+            scale,
+            edges: 8 << scale,
+            ..Default::default()
+        };
+        let g = cutfit_datagen::rmat(&config, 7);
+        let g = Graph::new(g.num_vertices() + 7, g.edges().to_vec());
+        let mut cuts: Vec<(String, PartitionedGraph)> = GraphXStrategy::all()
+            .iter()
+            .map(|s| (s.to_string(), s.partition(&g, num_parts)))
+            .collect();
+        let hdrf = cutfit_partition::Hdrf::default();
+        cuts.push((hdrf.name().to_string(), hdrf.partition(&g, num_parts)));
+        cuts
+    }
+
+    fn on_executors(executors: u32) -> ClusterConfig {
+        ClusterConfig {
+            executors,
+            ..ClusterConfig::paper_cluster()
+        }
+    }
+
+    /// Every executor × scan mode of `program` on `pg` must equal the
+    /// oracle in states and in the whole `SimReport`.
+    fn assert_bills_like_the_reference<P: VertexProgram>(
+        program: &P,
+        pg: &PartitionedGraph,
+        cluster: &ClusterConfig,
+        what: &str,
+    ) where
+        P::State: PartialEq + std::fmt::Debug,
+    {
+        let oracle = reference_run(program, pg, cluster, &PregelConfig::default()).unwrap();
+        for executor in [
+            ExecutorMode::Sequential,
+            ExecutorMode::Parallel { threads: 2 },
+            ExecutorMode::Parallel { threads: 3 },
         ] {
-            let pg = strategy.partition(&g, 16);
-            let declared = run_pregel(&MaxLabel, &pg, &cfg(), &PregelConfig::default()).unwrap();
-            let swept =
-                run_pregel(&MaxLabelUndeclared, &pg, &cfg(), &PregelConfig::default()).unwrap();
-            assert_eq!(declared.states, swept.states);
-            assert_eq!(declared.sim, swept.sim, "{strategy}: setup billing drifted");
+            for scan_mode in [ScanMode::Auto, ScanMode::Dense, ScanMode::Sparse] {
+                let opts = PregelConfig {
+                    executor,
+                    scan_mode,
+                    ..Default::default()
+                };
+                let r = run_pregel(program, pg, cluster, &opts).unwrap();
+                let what = format!("{what} {} {executor:?} {scan_mode:?}", program.name());
+                assert_eq!(r.states, oracle.states, "{what}");
+                assert_eq!(r.supersteps, oracle.supersteps, "{what}");
+                assert_eq!(r.converged, oracle.converged, "{what}");
+                assert_eq!(r.sim, oracle.sim, "{what}: the bill drifted");
+            }
+        }
+    }
+
+    #[test]
+    fn class_billing_equals_the_per_replica_walk() {
+        // 10 partitions are a multiple of none of 3, 4, 7 and 64, so the
+        // round-robin partition→executor map leaves executors unevenly
+        // loaded (and 54 of 64 idle); one executor makes every pair local.
+        let cuts = oracle_cuts(7, 10);
+        for executors in [1, 3, 4, 7, 64] {
+            let cluster = on_executors(executors);
+            for (cut, pg) in &cuts {
+                let what = format!("{cut} on {executors} executors:");
+                assert_bills_like_the_reference(&MaxLabel, pg, &cluster, &what);
+                assert_bills_like_the_reference(&GrowingTrail, pg, &cluster, &what);
+                assert_bills_like_the_reference(&Hops(vec![0, 5, 17]), pg, &cluster, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn class_table_setup_bills_like_the_per_replica_walk() {
+        // With no message superstep the report is the load plus the setup
+        // superstep alone. The fixed-size arm (class populations × a
+        // constant), the variable-size arm (summed per vertex — the same
+        // program without its declaration, then one whose sizes differ)
+        // and the oracle's walk over every (vertex, mirror) pair must agree,
+        // isolated vertices and their hash-fallback residency included.
+        let setup_only = PregelConfig {
+            max_iterations: 0,
+            ..Default::default()
+        };
+        for (cut, pg) in &oracle_cuts(9, 16) {
+            let oracle = reference_run(&MaxLabel, pg, &cfg(), &setup_only).unwrap();
+            let declared = run_pregel(&MaxLabel, pg, &cfg(), &setup_only).unwrap();
+            let swept = run_pregel(&MaxLabelUndeclared, pg, &cfg(), &setup_only).unwrap();
+            assert_eq!(declared.supersteps, 0);
+            assert_eq!(declared.sim, oracle.sim, "{cut}: fixed-size setup drifted");
+            assert_eq!(swept.sim, oracle.sim, "{cut}: variable-size setup drifted");
+            let hops = Hops(vec![3, 11]);
+            let oracle = reference_run(&hops, pg, &cfg(), &setup_only).unwrap();
+            let r = run_pregel(&hops, pg, &cfg(), &setup_only).unwrap();
+            assert_eq!(r.sim, oracle.sim, "{cut}: mixed-size setup drifted");
+        }
+    }
+
+    #[test]
+    fn classes_expand_to_each_vertexs_mirror_executors() {
+        for executors in [1, 3, 7, 64] {
+            let cluster = on_executors(executors);
+            for (cut, pg) in &oracle_cuts(8, 10) {
+                let index = ScanIndex::build(pg, &cluster, false);
+                let classes = index.classes(pg);
+                assert_eq!(classes.class_of.len(), index.home.len());
+                let mut population = vec![0u64; classes.len()];
+                for (v, &h) in index.home.iter().enumerate() {
+                    let class = classes.class_of[v] as usize;
+                    population[class] += 1;
+                    let mut walked: Vec<u32> = pg
+                        .routing()
+                        .parts_of(v as VertexId)
+                        .iter()
+                        .filter(|&&p| p != h)
+                        .map(|&p| cluster.executor_of(p))
+                        .collect();
+                    walked.sort_unstable();
+                    let expanded: Vec<u32> = classes
+                        .mirrors_of(class)
+                        .iter()
+                        .flat_map(|&(exec, count)| (0..count).map(move |_| exec))
+                        .collect();
+                    assert_eq!(expanded, walked, "{cut}, {executors} executors, vertex {v}");
+                    if !walked.is_empty() {
+                        assert_eq!(classes.master_exec[class], cluster.executor_of(h));
+                    }
+                }
+                assert_eq!(population, classes.population, "{cut}");
+                assert_eq!(classes.home_counts.iter().sum::<u64>(), pg.num_vertices());
+                let isolated = pg.masters().iter().filter(|&&m| m == NO_PART).count();
+                assert!(isolated >= 7, "{cut}: the appended vertices have no edge");
+                assert_eq!(classes.isolated_counts.iter().sum::<u64>(), isolated as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn meter_delta_reset_clears_every_accumulator() {
+        // What a phase abandoned halfway leaves behind: classes hit but not
+        // flushed, a row counted but not billed.
+        let mut delta = MeterDelta::new(4, 8);
+        delta.class_sent.resize(5, (0, 0));
+        delta.broadcast(3, 40);
+        delta.broadcast(3, 24);
+        delta.broadcast(1, 8);
+        assert_eq!(delta.class_sent[3], (2, 64));
+        assert_eq!(delta.touched_classes, [3, 1]);
+        delta.row[6] = (2, 100);
+        delta.flush_row(1, &[0, 1, 2, 3, 0, 1, 2, 3], 4..8);
+        assert_eq!((delta.msgs, delta.local_bytes[6]), (2, 100));
+        assert_eq!(
+            delta.exec_msgs[4 + 2],
+            2,
+            "executor 1 → partition 6's executor 2"
+        );
+        delta.row[2] = (1, 9);
+        delta.vertex_ops[0] = 7;
+        delta.resident[5] = -3;
+        delta.reset();
+        let fresh = MeterDelta::new(4, 8);
+        assert!(delta.class_sent.iter().all(|&cell| cell == (0, 0)));
+        assert!(delta.touched_classes.is_empty());
+        assert_eq!(delta.row, fresh.row);
+        assert_eq!(delta.vertex_ops, fresh.vertex_ops);
+        assert_eq!(delta.local_bytes, fresh.local_bytes);
+        assert_eq!(delta.resident, fresh.resident);
+        assert_eq!(delta.msgs, 0);
+        assert!(delta
+            .exec_msgs
+            .iter()
+            .chain(&delta.exec_bytes)
+            .all(|&c| c == 0));
+    }
+
+    #[test]
+    fn hundred_thousand_executors_size_nothing_by_their_square() {
+        // The engine-side twin of the ledger's
+        // `large_executor_count_constructs_correctly`: 100 000² matrix cells
+        // would be 80 GB per table. Index, class table and per-thread
+        // deltas must construct — and count broadcasts — without one; the
+        // matrices appear with the first recorded transfer, not before.
+        let g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 8);
+        let pg = GraphXStrategy::EdgePartition2D.partition(&g, 16);
+        let cluster = on_executors(100_000);
+        let mut buffers = RunBuffers::new(&pg, &cluster, ExecutorMode::Parallel { threads: 2 });
+        let index = ScanIndex::build(&pg, &cluster, true);
+        let classes = index.classes(&pg);
+        let mirrors = pg.routing().total_replicas() - pg.num_vertices();
+        assert!(classes.mirrors.len() as u64 <= mirrors);
+        assert!(classes.len() as u64 <= pg.num_vertices());
+        for delta in buffers.deltas.iter_mut() {
+            delta.class_sent.resize(classes.len(), (0, 0));
+            delta.broadcast(classes.class_of[0], 16);
+            assert!(delta.exec_bytes.is_empty() && delta.exec_msgs.is_empty());
+            delta.reset();
+            assert!(delta.exec_bytes.is_empty());
         }
     }
 
@@ -1498,8 +2020,8 @@ mod tests {
         // `false` the variable-size-state GrowingTrail (a different message
         // flow through the same reused buffers). The first sequence opens
         // with the fixed-size program; the second — SSSP → PageRank → SSSP
-        // in shape — opens with the variable-size one, so the handle's
-        // lazily built setup aggregates first appear mid-sequence.
+        // in shape — opens with the variable-size one, so whichever arm of
+        // the setup bills first, the handle's class table serves the other.
         let g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 9);
         let pg = Arc::new(GraphXStrategy::EdgePartition2D.partition(&g, 16));
         for mode in [
@@ -1601,6 +2123,79 @@ mod tests {
             .unwrap_err();
         let b = run_pregel(&MaxLabel, &pg, &tiny, &PregelConfig::default()).unwrap_err();
         assert_eq!(a, b, "failure must be reproducible through a reused handle");
+
+        // A budget the 1 MB/vertex FatLabel exceeds and MaxLabel fits: the
+        // job after the OOM bills exactly what a fresh run bills.
+        let roomy = ClusterConfig {
+            executor_memory_gb: 0.1,
+            ..ClusterConfig::paper_cluster()
+        };
+        let mut prepared = PreparedRun::new(pg.clone(), &roomy, ExecutorMode::Sequential);
+        assert!(matches!(
+            prepared.run(&FatLabel, &PregelConfig::default()),
+            Err(SimError::OutOfMemory { .. })
+        ));
+        let after = prepared.run(&MaxLabel, &PregelConfig::default()).unwrap();
+        let fresh = run_pregel(&MaxLabel, &pg, &roomy, &PregelConfig::default()).unwrap();
+        assert_eq!(after.states, fresh.states);
+        assert_eq!(after.sim, fresh.sim, "the aborted job leaked into the bill");
+    }
+
+    /// MaxLabel whose `apply` panics at one vertex once messages flow — the
+    /// apply phase dies with broadcasts counted and not yet flushed.
+    struct PanicsAt(VertexId);
+    impl VertexProgram for PanicsAt {
+        type State = u64;
+        type Msg = u64;
+        fn name(&self) -> &'static str {
+            "panics-at"
+        }
+        fn initial_state(&self, v: VertexId, _ctx: &InitCtx<'_>) -> u64 {
+            v
+        }
+        fn initial_msg(&self) -> u64 {
+            0
+        }
+        fn apply(&self, v: VertexId, state: &u64, msg: &u64) -> u64 {
+            assert!(v != self.0 || *msg == 0, "vertex program bug");
+            *state.max(msg)
+        }
+        fn send(&self, t: &Triplet<'_, u64>) -> Messages<u64> {
+            MaxLabel.send(t)
+        }
+        fn merge(&self, a: u64, b: u64) -> u64 {
+            a.max(b)
+        }
+        fn fixed_state_bytes(&self) -> Option<u64> {
+            Some(8)
+        }
+    }
+
+    #[test]
+    fn prepared_run_recovers_after_a_panicking_program() {
+        let g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 10);
+        let pg = Arc::new(GraphXStrategy::EdgePartition2D.partition(&g, 8));
+        for mode in [
+            ExecutorMode::Sequential,
+            ExecutorMode::Parallel { threads: 3 },
+        ] {
+            let opts = PregelConfig {
+                executor: mode,
+                ..Default::default()
+            };
+            let fresh = run_pregel(&MaxLabel, &pg, &cfg(), &opts).unwrap();
+            let mut prepared = PreparedRun::new(pg.clone(), &cfg(), mode);
+            // The last vertex a home's apply visits, so the counts of all
+            // the others are stranded in the delta.
+            let last = *pg.parts()[0].vertices.last().unwrap();
+            let doomed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                prepared.run(&PanicsAt(last), &opts).map(|r| r.supersteps)
+            }));
+            assert!(doomed.is_err(), "{mode:?}: the program must have panicked");
+            let after = prepared.run(&MaxLabel, &opts).unwrap();
+            assert_eq!(after.states, fresh.states, "{mode:?}");
+            assert_eq!(after.sim, fresh.sim, "{mode:?}: stale meter state billed");
+        }
     }
 
     #[test]
