@@ -36,8 +36,8 @@ impl VertexProgram for ConnectedComponents {
         u64::MAX
     }
 
-    fn apply(&self, _v: VertexId, state: &u64, msg: &u64) -> u64 {
-        *state.min(msg)
+    fn apply(&self, _v: VertexId, state: &mut u64, msg: &u64) {
+        *state = (*state).min(*msg);
     }
 
     fn send(&self, t: &Triplet<'_, u64>) -> Messages<u64> {

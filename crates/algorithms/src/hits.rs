@@ -46,13 +46,12 @@ impl VertexProgram for HitsProgram {
         (f64::NAN, f64::NAN)
     }
 
-    fn apply(&self, _v: VertexId, state: &HitsScore, msg: &(f64, f64)) -> HitsScore {
-        if msg.0.is_nan() {
-            return *state;
-        }
-        HitsScore {
-            authority: msg.0,
-            hub: msg.1,
+    fn apply(&self, _v: VertexId, state: &mut HitsScore, msg: &(f64, f64)) {
+        if !msg.0.is_nan() {
+            *state = HitsScore {
+                authority: msg.0,
+                hub: msg.1,
+            };
         }
     }
 

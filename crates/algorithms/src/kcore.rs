@@ -64,13 +64,11 @@ impl VertexProgram for KCore {
         Vec::new()
     }
 
-    fn apply(&self, _v: VertexId, state: &u32, msg: &Vec<u32>) -> u32 {
-        if msg.is_empty() {
-            *state
-        } else {
+    fn apply(&self, _v: VertexId, state: &mut u32, msg: &Vec<u32>) {
+        if !msg.is_empty() {
             // The h-index of neighbour estimates never needs to raise the
             // estimate; clamping keeps the sequence monotone.
-            (*state).min(h_index(msg))
+            *state = (*state).min(h_index(msg));
         }
     }
 

@@ -71,8 +71,10 @@ impl VertexProgram for LabelPropagation {
         Vec::new()
     }
 
-    fn apply(&self, _v: VertexId, state: &u64, msg: &LabelVotes) -> u64 {
-        winning_label(msg).unwrap_or(*state)
+    fn apply(&self, _v: VertexId, state: &mut u64, msg: &LabelVotes) {
+        if let Some(label) = winning_label(msg) {
+            *state = label;
+        }
     }
 
     fn send(&self, t: &Triplet<'_, u64>) -> Messages<LabelVotes> {

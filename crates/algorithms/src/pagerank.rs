@@ -39,11 +39,9 @@ impl VertexProgram for PageRank {
         f64::NAN
     }
 
-    fn apply(&self, _v: VertexId, state: &f64, msg: &f64) -> f64 {
-        if msg.is_nan() {
-            *state
-        } else {
-            RESET_PROB + (1.0 - RESET_PROB) * msg
+    fn apply(&self, _v: VertexId, state: &mut f64, msg: &f64) {
+        if !msg.is_nan() {
+            *state = RESET_PROB + (1.0 - RESET_PROB) * msg;
         }
     }
 

@@ -51,7 +51,9 @@ impl Sssp {
 }
 
 impl VertexProgram for Sssp {
-    type State = Vec<u32>;
+    /// One hop distance per landmark: a fixed-length row of the engine's
+    /// flat state column.
+    type State = [u32];
     type Msg = Vec<u32>;
 
     fn name(&self) -> &'static str {
@@ -69,11 +71,13 @@ impl VertexProgram for Sssp {
         vec![INF; self.landmarks.len()]
     }
 
-    fn apply(&self, _v: VertexId, state: &Vec<u32>, msg: &Vec<u32>) -> Vec<u32> {
-        state.iter().zip(msg).map(|(&s, &m)| s.min(m)).collect()
+    fn apply(&self, _v: VertexId, state: &mut [u32], msg: &Vec<u32>) {
+        for (s, &m) in state.iter_mut().zip(msg) {
+            *s = (*s).min(m);
+        }
     }
 
-    fn send(&self, t: &Triplet<'_, Vec<u32>>) -> Messages<Vec<u32>> {
+    fn send(&self, t: &Triplet<'_, [u32]>) -> Messages<Vec<u32>> {
         // dst's distances, one hop further, offered to src — built only
         // when some landmark improves: the scan calls this once per edge
         // and most offers improve nothing.
@@ -93,7 +97,7 @@ impl VertexProgram for Sssp {
         a
     }
 
-    fn state_bytes(&self, state: &Vec<u32>) -> u64 {
+    fn state_bytes(&self, state: &[u32]) -> u64 {
         // Serialized as a map of (landmark id, distance) pairs, as GraphX
         // ships `Map[VertexId, Int]`.
         8 + 12 * state.iter().filter(|&&d| d != INF).count() as u64
@@ -184,6 +188,15 @@ mod tests {
         let r = sssp(&pg, &cluster(), vec![2], 100, &Default::default()).unwrap();
         assert_eq!(r.states[0], vec![INF], "no path 0 -> 2");
         assert_eq!(r.states[2], vec![0]);
+    }
+
+    #[test]
+    fn no_landmarks_leave_one_empty_row_per_vertex() {
+        let g = Graph::new(3, vec![Edge::new(0, 1)]);
+        let pg = GraphXStrategy::SourceCut.partition(&g, 2);
+        let r = sssp(&pg, &cluster(), Vec::new(), 100, &Default::default()).unwrap();
+        assert!(r.converged);
+        assert_eq!(r.states, vec![Vec::<u32>::new(); 3]);
     }
 
     #[test]

@@ -1,182 +1,112 @@
-//! Frontier-driven sparse execution support.
+//! Frontier-driven sparse supersteps.
 //!
 //! Converging programs (SSSP, CC, max-label, …) spend their tail supersteps
 //! with a handful of active vertices, yet a dense scan still walks every
 //! edge of every partition checking the activity predicate. This module
-//! holds everything the engine needs to execute those supersteps in
-//! O(active) instead of O(V + E):
+//! holds what the engine needs to run such a superstep in O(frontier degree)
+//! instead of O(V + E):
 //!
-//! * [`FrontierAdjacency`] — a per-vertex table of its local index in every
-//!   replica partition (one cheap pass over the partition tables, made when
-//!   the engine first plans a scan from a frontier), plus per-partition
-//!   incident-edge CSRs (separately for src and dst endpoints), each built
-//!   on its partition's second sparse-eligible superstep, so short
-//!   dense-dominated runs never pay for them;
+//! * [`Incidence`] — per vertex, every appearance as an endpoint of a
+//!   partition-local edge, with the other endpoint's global id beside it:
+//!   a frontier vertex's row is everything a scan needs to form its
+//!   triplets from the global state, degree and activity tables, without
+//!   reading a partition's edge or vertex table. One index for the whole
+//!   cut, built when a run first keeps asking for sparse supersteps;
 //! * [`FrontierBuffers`] — the per-run frontier bookkeeping: the current
-//!   frontier grouped by home partition, per-partition frontier-local and
-//!   touched-slot lists, and the gather scratch, all reused across
-//!   supersteps and jobs;
-//! * [`plan_sparse_scan`] / [`gather_edges`] — the per-superstep frontier
-//!   distribution, the dense/sparse switch, and the incident-edge gather.
+//!   frontier grouped by home partition, the touched-slot lists and the
+//!   per-partition scan counts, all reused across supersteps and jobs;
+//! * [`plan_scan`] — the per-superstep choice between the dense walk and
+//!   the frontier walk.
 //!
-//! **Bit-identity.** A sparse scan must reproduce the dense scan exactly —
-//! vertex states *and* the metered bill. Two facts make that hold: the
-//! gathered edge set equals the set the dense predicate would match (so the
-//! `matched` edge-scan count, and thus compute billing, is identical), and
-//! gathered edge indices are visited in ascending order per partition (so
-//! every partial slot receives its messages in the same order as the dense
-//! walk, and float merges produce the same bit patterns).
+//! **Bit-identity.** A frontier walk must reproduce the dense scan exactly
+//! — vertex states *and* the metered bill. Two facts make that hold: it
+//! takes each edge the dense predicate would match exactly once (so the
+//! per-partition `matched` counts, and thus compute billing, are
+//! identical), and the messages it produces are sorted by (partition, edge,
+//! receiving endpoint) before they are folded into the partial buffers (so
+//! every slot merges its messages in the order of the dense walk, and float
+//! merges produce the same bit patterns).
 
 use std::sync::OnceLock;
 
+use cutfit_graph::types::PartId;
 use cutfit_graph::VertexId;
 use cutfit_partition::PartitionedGraph;
-use cutfit_util::num::{part_index, vid_index};
+use cutfit_util::num::vid_index;
 
 use crate::program::ActiveDirection;
 
-/// Incident-edge CSR of one partition: for every local vertex, the indices
-/// into the partition's edge table where it appears as src / as dst.
-/// Counting-sort construction scatters edges in table order, so each
-/// local's group is automatically ascending.
-pub(crate) struct PartAdjacency {
-    src_offsets: Vec<u32>,
-    src_edges: Vec<u32>,
-    dst_offsets: Vec<u32>,
-    dst_edges: Vec<u32>,
+/// One appearance of a vertex as an endpoint of a partition-local edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Occurrence {
+    /// The edge partition holding the edge.
+    pub(crate) part: PartId,
+    /// The edge's index in that partition's edge table.
+    pub(crate) edge: u32,
+    /// Global id of the edge's other endpoint.
+    pub(crate) other: VertexId,
 }
 
-impl PartAdjacency {
-    fn build(num_locals: usize, edges: &[(u32, u32)]) -> Self {
-        let (src_offsets, src_edges) = group_indices(num_locals, edges, |&(ls, _)| ls);
-        let (dst_offsets, dst_edges) = group_indices(num_locals, edges, |&(_, ld)| ld);
-        Self {
-            src_offsets,
-            src_edges,
-            dst_offsets,
-            dst_edges,
-        }
-    }
-
-    /// Edge indices where `local` is the source, ascending.
-    #[inline]
-    pub(crate) fn src_edges_of(&self, local: u32) -> &[u32] {
-        let l = local as usize;
-        &self.src_edges[self.src_offsets[l] as usize..self.src_offsets[l + 1] as usize]
-    }
-
-    /// Edge indices where `local` is the destination, ascending.
-    #[inline]
-    pub(crate) fn dst_edges_of(&self, local: u32) -> &[u32] {
-        let l = local as usize;
-        &self.dst_edges[self.dst_offsets[l] as usize..self.dst_offsets[l + 1] as usize]
-    }
+/// The cut-wide incidence index: every vertex's [`Occurrence`]s, those
+/// where it is the source before those where it is the destination, each
+/// group in ascending (partition, edge) order — close to the order the
+/// walk's messages are sorted into.
+pub(crate) struct Incidence {
+    /// `2·V + 1` offsets into `occurrences`: vertex `v`'s source group
+    /// starts at `[2v]`, its destination group at `[2v + 1]`.
+    offsets: Vec<u64>,
+    occurrences: Vec<Occurrence>,
 }
 
-/// Counting sort of `items`' indices by `key` (each below `num_keys`):
-/// CSR offsets, one group per key, and the indices grouped by key, in
-/// ascending index order within each group.
-pub(crate) fn group_indices<T>(
-    num_keys: usize,
-    items: &[T],
-    key: impl Fn(&T) -> u32,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut offsets = vec![0u32; num_keys + 1];
-    for item in items {
-        offsets[key(item) as usize + 1] += 1;
-    }
-    for k in 0..num_keys {
-        offsets[k + 1] += offsets[k];
-    }
-    let mut cursor = offsets.clone();
-    let mut grouped = vec![0u32; items.len()];
-    for (i, item) in items.iter().enumerate() {
-        let k = key(item) as usize;
-        grouped[cursor[k] as usize] = i as u32;
-        cursor[k] += 1;
-    }
-    (offsets, grouped)
-}
-
-/// The run-scoped sparse-scan index: the replica-local table that turns
-/// "vertex v is active" into "local l of partition p is active" without
-/// binary searches, plus lazily built per-partition incident-edge CSRs.
-/// Each CSR is built at most once — during sequential scan planning, when
-/// its partition shows repeated sparse demand (see `plan_sparse_scan`) —
-/// so a run (or a whole prepared-run session) whose frontiers never
-/// settle into a partition never pays that partition's O(E_p) build.
-pub(crate) struct FrontierAdjacency {
-    parts: Vec<OnceLock<PartAdjacency>>,
-    /// CSR offsets into `replica_locals`, one group per vertex.
-    replica_offsets: Vec<u64>,
-    /// For each vertex, its local index in each replica partition, aligned
-    /// with `RoutingTable::parts_of` (ascending partition order).
-    replica_locals: Vec<u32>,
-}
-
-impl FrontierAdjacency {
+impl Incidence {
+    /// Counting sort of both endpoints of every partition-local edge by
+    /// (vertex, role); partitions and edges are visited ascending, so each
+    /// group fills in ascending (partition, edge) order.
     pub(crate) fn build(pg: &PartitionedGraph) -> Self {
-        let n = pg.num_vertices() as usize;
-        let parts = (0..pg.parts().len()).map(|_| OnceLock::new()).collect();
-        let mut replica_offsets = vec![0u64; n + 1];
-        for v in 0..n as u64 {
-            replica_offsets[vid_index(v) + 1] =
-                replica_offsets[vid_index(v)] + pg.routing().parts_of(v).len() as u64;
-        }
-        let mut cursor: Vec<u64> = replica_offsets[..n].to_vec();
-        let mut replica_locals = vec![0u32; replica_offsets[n] as usize];
-        // Partitions are visited ascending and `parts_of` lists partitions
-        // ascending, so each vertex's cursor fills its group in exactly
-        // `parts_of` order — the two stay index-aligned by construction.
+        let n = vid_index(pg.num_vertices());
+        let mut offsets = vec![0u64; 2 * n + 1];
         for part in pg.parts() {
-            for (local, &v) in part.vertices.iter().enumerate() {
-                let slot = &mut cursor[vid_index(v)];
-                replica_locals[*slot as usize] = local as u32;
-                *slot += 1;
+            for &(ls, ld) in &part.edges {
+                offsets[2 * vid_index(part.vertices[ls as usize]) + 1] += 1;
+                offsets[2 * vid_index(part.vertices[ld as usize]) + 2] += 1;
+            }
+        }
+        for group in 0..2 * n {
+            offsets[group + 1] += offsets[group];
+        }
+        let mut cursor = offsets[..2 * n].to_vec();
+        let nowhere = Occurrence {
+            part: 0,
+            edge: 0,
+            other: 0,
+        };
+        let mut occurrences = vec![nowhere; offsets[2 * n] as usize];
+        for (part, table) in (0..).zip(pg.parts()) {
+            for (edge, &(ls, ld)) in (0..).zip(&table.edges) {
+                let (src, dst) = (table.vertices[ls as usize], table.vertices[ld as usize]);
+                for (group, other) in [(2 * vid_index(src), dst), (2 * vid_index(dst) + 1, src)] {
+                    occurrences[cursor[group] as usize] = Occurrence { part, edge, other };
+                    cursor[group] += 1;
+                }
             }
         }
         Self {
-            parts,
-            replica_offsets,
-            replica_locals,
+            offsets,
+            occurrences,
         }
     }
 
-    /// Local index of `v` in each of its replica partitions, aligned with
-    /// `RoutingTable::parts_of(v)`.
+    /// `v`'s occurrences as `(where it is the source, where it is the
+    /// destination)`; a self-loop appears once in each.
     #[inline]
-    pub(crate) fn locals_of(&self, v: VertexId) -> &[u32] {
-        &self.replica_locals[self.replica_offsets[vid_index(v)] as usize
-            ..self.replica_offsets[vid_index(v) + 1] as usize]
+    pub(crate) fn of(&self, v: VertexId) -> (&[Occurrence], &[Occurrence]) {
+        let group = 2 * vid_index(v);
+        let at = |i: usize| self.offsets[i] as usize;
+        (
+            &self.occurrences[at(group)..at(group + 1)],
+            &self.occurrences[at(group + 1)..at(group + 2)],
+        )
     }
-
-    /// Partition `p`'s incident-edge CSR, built on first use.
-    pub(crate) fn ensure_part(&self, p: usize, pg: &PartitionedGraph) -> &PartAdjacency {
-        self.parts[p].get_or_init(|| {
-            let part = &pg.parts()[p];
-            PartAdjacency::build(part.vertices.len(), &part.edges)
-        })
-    }
-
-    /// Partition `p`'s incident-edge CSR, if already built.
-    #[inline]
-    pub(crate) fn part(&self, p: usize) -> Option<&PartAdjacency> {
-        self.parts[p].get()
-    }
-}
-
-/// How one partition is scanned this superstep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ScanKind {
-    /// Every edge, no activity predicate — the first message superstep
-    /// (everything starts active) and every superstep of `always_active`
-    /// programs. Provably equal to a dense scan over an all-true bitset.
-    Full,
-    /// Every edge, filtered by the activity bitset.
-    Dense,
-    /// Only the frontier's incident edges, gathered and visited in
-    /// ascending edge-index order.
-    Sparse,
 }
 
 /// Program-independent frontier bookkeeping, allocated once and reused
@@ -189,25 +119,15 @@ pub(crate) struct FrontierBuffers {
     /// Vertices whose inbox slot was first written this superstep, grouped
     /// by home — swapped in as the next frontier after the apply.
     pub(crate) touched_inbox: Vec<Vec<VertexId>>,
-    /// Per partition: local indices of frontier vertices replicated there.
-    pub(crate) part_frontier: Vec<Vec<u32>>,
-    /// Per partition: partial slots first written by a sparse scan — the
+    /// Per partition: partial slots first written by a frontier walk — the
     /// shuffle drains exactly these instead of sweeping all locals.
     pub(crate) touched_partials: Vec<Vec<u32>>,
-    /// Per partition: gathered incident-edge index scratch.
-    pub(crate) gather: Vec<Vec<u32>>,
-    /// Per partition: frontier-incident degree sum (the sparse cost bound).
-    pub(crate) deg_sum: Vec<u64>,
-    /// Per partition: the scan kind chosen this superstep.
-    pub(crate) scan_kind: Vec<ScanKind>,
     /// Per partition: edges the scan visited this superstep (the metered
-    /// edge-scan count).
+    /// edge-scan count); every scan writes every cell.
     pub(crate) matched: Vec<u64>,
-    /// Per partition: supersteps that wanted a sparse scan so far this run.
-    /// The CSR build is deferred until the second one — a lone sparse-
-    /// eligible superstep (a converging run's final trickle) is cheaper to
-    /// scan densely once than to build an O(E_p) index for.
-    pub(crate) sparse_wants: Vec<u32>,
+    /// Supersteps of this run that met the sparse threshold while the
+    /// incidence index was unbuilt (see [`INCIDENCE_BUILD_AFTER`]).
+    pub(crate) sparse_wanted: u32,
 }
 
 impl FrontierBuffers {
@@ -215,18 +135,14 @@ impl FrontierBuffers {
         Self {
             frontier: vec![Vec::new(); num_parts],
             touched_inbox: vec![Vec::new(); num_parts],
-            part_frontier: vec![Vec::new(); num_parts],
             touched_partials: vec![Vec::new(); num_parts],
-            gather: vec![Vec::new(); num_parts],
-            deg_sum: vec![0; num_parts],
-            scan_kind: vec![ScanKind::Full; num_parts],
             matched: vec![0; num_parts],
-            sparse_wants: vec![0; num_parts],
+            sparse_wanted: 0,
         }
     }
 
-    /// Clears every list — a previous run may have aborted (out of memory)
-    /// mid-superstep with lists half-populated.
+    /// Clears every list — a previous run may have aborted (out of memory,
+    /// a panicking program) mid-superstep with lists half-populated.
     pub(crate) fn reset(&mut self) {
         for list in self
             .frontier
@@ -235,60 +151,45 @@ impl FrontierBuffers {
         {
             list.clear();
         }
-        for list in self
-            .part_frontier
-            .iter_mut()
-            .chain(self.touched_partials.iter_mut())
-            .chain(self.gather.iter_mut())
-        {
+        for list in self.touched_partials.iter_mut() {
             list.clear();
         }
-        self.deg_sum.fill(0);
-        self.sparse_wants.fill(0);
+        self.sparse_wanted = 0;
     }
 }
 
-/// A partition goes sparse when its frontier-incident degree sum is at most
-/// `1/SPARSE_SCAN_FACTOR` of its edge count — the direction-optimizing-BFS
-/// style switch, biased toward dense because the sparse path pays a gather
-/// and a sort on top of each visited edge.
+/// A superstep walks its frontier when the frontier's degree sum is at most
+/// `1/SPARSE_SCAN_FACTOR` of the graph's edge count — the
+/// direction-optimizing-BFS switch, taken once per superstep. Per edge it
+/// takes, the walk reads a 16-byte [`Occurrence`] and two random state rows
+/// and sorts the messages it produces, where the dense walk streams 8-byte
+/// edges and tests two activity bits on all of them; after it the shuffle
+/// drains touched slots instead of sweeping every partial buffer. Scan plus
+/// shuffle, one thread, 64 partitions, the two walks cost the same at a
+/// degree sum of E/5…E/4 for CC on `road-sssp`'s graph, between E/4 and
+/// E/2 for CC and at E/2…3E/4 for SSSP on `tailored-session`'s YouTube cut:
+/// a quarter is about the largest share that loses on none of them.
 pub(crate) const SPARSE_SCAN_FACTOR: u64 = 4;
 
-/// Distributes the frontier to its replica partitions (filling
-/// `part_frontier` and `deg_sum`) and picks each partition's scan kind,
-/// lazily building the incident-edge CSR of partitions that keep asking
-/// for sparse scans (`sparse_wants` defers the build past a partition's
-/// first eligible superstep, which runs dense instead — either choice is
-/// exact, so this is purely a cost call). Returns the frontier size, for
-/// telemetry.
-///
-/// `deg_sum` holds each partition's *upper bound* on frontier-incident
-/// edges: the sum of the frontier replicas' whole-graph degrees, which
-/// dominates their in-partition degrees. Bounding with global degrees keeps
-/// planning free of the CSRs (only the per-vertex degree tables the engine
-/// already carries), so partitions that always choose dense never build
-/// one; the bias is toward dense, where being wrong costs least. Two fast
-/// paths bound the planning cost itself: an empty frontier skips
-/// everything, and a frontier whose total degree already exceeds the
-/// whole graph's dense threshold goes dense without the O(frontier ×
-/// replication) distribution pass.
-pub(crate) fn plan_sparse_scan(
+/// The incidence index is built on a run's fourth superstep that meets the
+/// sparse threshold (the first three scan densely — either choice is exact,
+/// so this is purely a cost call): a converging tail that long amortizes
+/// the O(E) build, and a three-superstep advisor probe never pays it.
+pub(crate) const INCIDENCE_BUILD_AFTER: u32 = 4;
+
+/// Sums the frontier — its size, for telemetry, and its degree under `dir`
+/// — and decides this superstep's scan: `Some(index)` for a frontier walk,
+/// `None` for the dense walk. `degrees` are the whole-graph (out, in)
+/// tables; `force_sparse` is [`ScanMode::Sparse`](crate::ScanMode::Sparse).
+pub(crate) fn plan_scan<'a>(
     pg: &PartitionedGraph,
-    adj: &FrontierAdjacency,
+    incidence: &'a OnceLock<Incidence>,
     dir: ActiveDirection,
     force_sparse: bool,
     degrees: (&[u32], &[u32]),
     fb: &mut FrontierBuffers,
-) -> u64 {
+) -> (u64, Option<&'a Incidence>) {
     let (out_deg, in_deg) = degrees;
-    let FrontierBuffers {
-        frontier,
-        part_frontier,
-        deg_sum,
-        scan_kind,
-        sparse_wants,
-        ..
-    } = fb;
     let degree_of = |v: VertexId| -> u64 {
         match dir {
             ActiveDirection::Either => {
@@ -300,95 +201,24 @@ pub(crate) fn plan_sparse_scan(
     };
     let mut active = 0u64;
     let mut frontier_degree = 0u64;
-    for flist in frontier.iter() {
+    for flist in fb.frontier.iter() {
         active += flist.len() as u64;
         for &v in flist {
             frontier_degree += degree_of(v);
         }
     }
-    if !force_sparse && frontier_degree.saturating_mul(SPARSE_SCAN_FACTOR) > pg.num_edges() {
-        // Dense-everywhere superstep: no partition's bound can beat the
-        // aggregate, so skip the distribution pass entirely.
-        scan_kind.fill(ScanKind::Dense);
-        return active;
-    }
-
-    for list in part_frontier.iter_mut() {
-        list.clear();
-    }
-    deg_sum.fill(0);
-    for flist in frontier.iter() {
-        for &v in flist {
-            let degree = degree_of(v);
-            let replica_parts = pg.routing().parts_of(v);
-            for (&p, &local) in replica_parts.iter().zip(adj.locals_of(v)) {
-                let pi = part_index(p);
-                deg_sum[pi] += degree;
-                part_frontier[pi].push(local);
+    if !force_sparse {
+        if frontier_degree.saturating_mul(SPARSE_SCAN_FACTOR) > pg.num_edges() {
+            return (active, None);
+        }
+        if incidence.get().is_none() {
+            fb.sparse_wanted += 1;
+            if fb.sparse_wanted < INCIDENCE_BUILD_AFTER {
+                return (active, None);
             }
         }
     }
-    for (p, kind) in scan_kind.iter_mut().enumerate() {
-        let edges = pg.parts()[p].edges.len() as u64;
-        let eligible = force_sparse || deg_sum[p].saturating_mul(SPARSE_SCAN_FACTOR) <= edges;
-        *kind = if !eligible {
-            ScanKind::Dense
-        } else if part_frontier[p].is_empty() || adj.part(p).is_some() {
-            // Nothing to gather, or the CSR already exists: sparse is free.
-            ScanKind::Sparse
-        } else if force_sparse || sparse_wants[p] > 0 {
-            // Second sparse-eligible superstep (or a forced mode): the
-            // tail is persistent, so the build will amortize. Scans may
-            // run on the pool; build here, sequentially.
-            adj.ensure_part(p, pg);
-            ScanKind::Sparse
-        } else {
-            sparse_wants[p] = 1;
-            ScanKind::Dense
-        };
-    }
-    active
-}
-
-/// Gathers into `out` the edge indices a sparse scan of this partition must
-/// visit, ascending: exactly the edges the dense activity predicate would
-/// match — except for `Both`, where the gather covers active-src edges and
-/// the scan filters on the destination bit.
-///
-/// `flist` holds the partition-local indices of frontier vertices. Each
-/// vertex appears at most once (the frontier records first inbox writes),
-/// so per-local incident lists are disjoint for a single endpoint role;
-/// only the `Either` union (and self-loops within it) can produce
-/// duplicates, removed by the dedup after the sort.
-pub(crate) fn gather_edges(
-    pa: &PartAdjacency,
-    flist: &[u32],
-    dir: ActiveDirection,
-    out: &mut Vec<u32>,
-) {
-    out.clear();
-    match dir {
-        ActiveDirection::Either => {
-            for &local in flist {
-                out.extend_from_slice(pa.src_edges_of(local));
-                out.extend_from_slice(pa.dst_edges_of(local));
-            }
-            out.sort_unstable();
-            out.dedup();
-        }
-        ActiveDirection::Out | ActiveDirection::Both => {
-            for &local in flist {
-                out.extend_from_slice(pa.src_edges_of(local));
-            }
-            out.sort_unstable();
-        }
-        ActiveDirection::In => {
-            for &local in flist {
-                out.extend_from_slice(pa.dst_edges_of(local));
-            }
-            out.sort_unstable();
-        }
-    }
+    (active, Some(incidence.get_or_init(|| Incidence::build(pg))))
 }
 
 #[cfg(test)]
@@ -396,6 +226,7 @@ mod tests {
     use super::*;
     use cutfit_datagen::{rmat, RmatConfig};
     use cutfit_partition::{GraphXStrategy, Partitioner};
+    use cutfit_util::num::part_index;
 
     fn sample() -> PartitionedGraph {
         let g = rmat(&RmatConfig::default(), 8);
@@ -403,99 +234,30 @@ mod tests {
     }
 
     #[test]
-    fn incident_csr_lists_every_edge_once_ascending() {
+    fn incidence_lists_every_edge_once_per_endpoint_ascending() {
         let pg = sample();
-        let adj = FrontierAdjacency::build(&pg);
-        for (p, part) in pg.parts().iter().enumerate() {
-            assert!(adj.part(p).is_none(), "CSRs start unbuilt");
-            let pa = adj.ensure_part(p, &pg);
-            let mut seen_src = 0usize;
-            let mut seen_dst = 0usize;
-            for local in 0..part.vertices.len() as u32 {
-                for list in [pa.src_edges_of(local), pa.dst_edges_of(local)] {
-                    assert!(list.windows(2).all(|w| w[0] < w[1]), "ascending, unique");
-                }
-                for &e in pa.src_edges_of(local) {
-                    assert_eq!(part.edges[e as usize].0, local);
-                    seen_src += 1;
-                }
-                for &e in pa.dst_edges_of(local) {
-                    assert_eq!(part.edges[e as usize].1, local);
-                    seen_dst += 1;
-                }
-            }
-            assert_eq!(seen_src, part.edges.len());
-            assert_eq!(seen_dst, part.edges.len());
-            assert!(adj.part(p).is_some(), "first use builds the CSR");
-        }
-    }
-
-    #[test]
-    fn replica_locals_align_with_routing() {
-        let pg = sample();
-        let adj = FrontierAdjacency::build(&pg);
+        let incidence = Incidence::build(&pg);
+        let mut seen = 0u64;
         for v in 0..pg.num_vertices() {
-            let replica_parts = pg.routing().parts_of(v);
-            let locals = adj.locals_of(v);
-            assert_eq!(replica_parts.len(), locals.len());
-            for (&p, &local) in replica_parts.iter().zip(locals) {
-                assert_eq!(
-                    pg.parts()[part_index(p)].vertices[local as usize],
-                    v,
-                    "local {local} of partition {p} must resolve back to {v}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gather_matches_the_dense_predicate_for_every_direction() {
-        let pg = sample();
-        let adj = FrontierAdjacency::build(&pg);
-        let n = pg.num_vertices() as usize;
-        // A deterministic, scattered frontier: every 7th vertex.
-        let active: Vec<bool> = (0..n).map(|v| v % 7 == 0).collect();
-        for dir in [
-            ActiveDirection::Either,
-            ActiveDirection::Out,
-            ActiveDirection::In,
-            ActiveDirection::Both,
-        ] {
-            for (p, part) in pg.parts().iter().enumerate() {
-                let flist: Vec<u32> = (0..part.vertices.len() as u32)
-                    .filter(|&local| active[vid_index(part.vertices[local as usize])])
-                    .collect();
-                let mut gathered = Vec::new();
-                gather_edges(adj.ensure_part(p, &pg), &flist, dir, &mut gathered);
-                if dir == ActiveDirection::Both {
-                    gathered.retain(|&e| {
-                        let (_, ld) = part.edges[e as usize];
-                        active[vid_index(part.vertices[ld as usize])]
-                    });
+            let (as_src, as_dst) = incidence.of(v);
+            for (group, is_src) in [(as_src, true), (as_dst, false)] {
+                let keys: Vec<_> = group.iter().map(|at| (at.part, at.edge)).collect();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "ascending, unique");
+                for at in group {
+                    let part = &pg.parts()[part_index(at.part)];
+                    let (ls, ld) = part.edges[at.edge as usize];
+                    let (src, dst) = (part.vertices[ls as usize], part.vertices[ld as usize]);
+                    let expected = if is_src { (v, at.other) } else { (at.other, v) };
+                    assert_eq!((src, dst), expected, "vertex {v}, {at:?}");
+                    seen += 1;
                 }
-                let dense: Vec<u32> = part
-                    .edges
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &(ls, ld))| {
-                        let s = active[vid_index(part.vertices[ls as usize])];
-                        let d = active[vid_index(part.vertices[ld as usize])];
-                        match dir {
-                            ActiveDirection::Either => s || d,
-                            ActiveDirection::Out => s,
-                            ActiveDirection::In => d,
-                            ActiveDirection::Both => s && d,
-                        }
-                    })
-                    .map(|(e, _)| e as u32)
-                    .collect();
-                assert_eq!(gathered, dense, "direction {dir:?}, partition {p}");
             }
         }
+        assert_eq!(seen, 2 * pg.num_edges());
     }
 
     /// Whole-graph degree tables, derived from the partition tables the
-    /// same way the engine's `degree_tables` does.
+    /// same way the engine's index does.
     fn degrees(pg: &PartitionedGraph) -> (Vec<u32>, Vec<u32>) {
         let mut out_deg = vec![0u32; pg.num_vertices() as usize];
         let mut in_deg = vec![0u32; pg.num_vertices() as usize];
@@ -509,54 +271,48 @@ mod tests {
     }
 
     #[test]
-    fn plan_goes_sparse_on_small_frontiers_and_dense_on_full_ones() {
+    fn plan_walks_small_frontiers_once_they_persist_and_never_full_ones() {
         let pg = sample();
-        let adj = FrontierAdjacency::build(&pg);
         let (out_deg, in_deg) = degrees(&pg);
-        let np = pg.num_parts() as usize;
-        let mut bufs = FrontierBuffers::new(np);
-        // Empty frontier: all partitions sparse (nothing to scan at all),
-        // and no partition builds its CSR for it.
-        let active = plan_sparse_scan(
-            &pg,
-            &adj,
-            ActiveDirection::Either,
-            false,
-            (&out_deg, &in_deg),
-            &mut bufs,
-        );
-        assert_eq!(active, 0);
-        assert!(bufs.scan_kind.iter().all(|&k| k == ScanKind::Sparse));
-        assert!((0..np).all(|p| adj.part(p).is_none()));
-        // Full frontier: the frontier degree sum counts each edge at least
-        // twice under Either, so the dense short-circuit fires and no
-        // partition builds its CSR.
+        let incidence = OnceLock::new();
+        let mut bufs = FrontierBuffers::new(pg.num_parts() as usize);
+        let plan = |bufs: &mut FrontierBuffers, force: bool| {
+            let dir = ActiveDirection::Either;
+            let (active, walk) = plan_scan(&pg, &incidence, dir, force, (&out_deg, &in_deg), bufs);
+            (active, walk.is_some())
+        };
+        // An empty frontier meets the threshold, but the index is built
+        // only by the fourth superstep that does.
+        for wanted in 1..INCIDENCE_BUILD_AFTER {
+            assert_eq!(plan(&mut bufs, false), (0, false));
+            assert_eq!(bufs.sparse_wanted, wanted);
+            assert!(incidence.get().is_none());
+        }
+        assert_eq!(plan(&mut bufs, false), (0, true));
+        assert!(incidence.get().is_some());
+        // Built once, it serves every later eligible superstep — also of a
+        // later run on the same handle, whose count starts over.
+        bufs.reset();
+        assert_eq!(plan(&mut bufs, false), (0, true));
+        assert_eq!(bufs.sparse_wanted, 0);
+        // Full frontier: its degree sum counts each edge twice under
+        // Either, so the superstep is dense unless sparse is forced.
         for v in 0..pg.num_vertices() {
             let q = pg.routing().parts_of(v).first().copied().unwrap_or(0);
             bufs.frontier[part_index(q)].push(v);
         }
-        let active = plan_sparse_scan(
-            &pg,
-            &adj,
-            ActiveDirection::Either,
-            false,
-            (&out_deg, &in_deg),
-            &mut bufs,
-        );
-        assert_eq!(active, pg.num_vertices());
-        assert!(bufs.scan_kind.iter().all(|&k| k == ScanKind::Dense));
-        assert!((0..np).all(|p| adj.part(p).is_none()));
-        // Forcing sparse overrides the threshold and builds every CSR a
-        // frontier replica lands in.
-        plan_sparse_scan(
-            &pg,
-            &adj,
-            ActiveDirection::Either,
-            true,
-            (&out_deg, &in_deg),
-            &mut bufs,
-        );
-        assert!(bufs.scan_kind.iter().all(|&k| k == ScanKind::Sparse));
-        assert!((0..np).all(|p| adj.part(p).is_some() == !bufs.part_frontier[p].is_empty()));
+        assert_eq!(plan(&mut bufs, false), (pg.num_vertices(), false));
+        assert_eq!(plan(&mut bufs, true), (pg.num_vertices(), true));
+    }
+
+    #[test]
+    fn forcing_sparse_builds_the_index_at_once() {
+        let pg = sample();
+        let (out_deg, in_deg) = degrees(&pg);
+        let incidence = OnceLock::new();
+        let mut bufs = FrontierBuffers::new(pg.num_parts() as usize);
+        let dir = ActiveDirection::Out;
+        let (_, walk) = plan_scan(&pg, &incidence, dir, true, (&out_deg, &in_deg), &mut bufs);
+        assert!(walk.is_some() && bufs.sparse_wanted == 0);
     }
 }

@@ -25,15 +25,16 @@
 //! partitions: several ranges under [`ExecutorMode::Parallel`] and
 //! [`ExecutorMode::Auto`], the whole range under
 //! [`ExecutorMode::Sequential`]. Converging programs additionally run
-//! frontier-driven (see the `frontier` module): supersteps whose active set
-//! has shrunk scan only the frontier's incident edges and drain only touched
-//! message slots, making tail supersteps O(active) instead of O(V + E).
-//! Every executor mode *and* every [`ScanMode`] produces bit-identical
-//! results, vertex states and metered [`cutfit_cluster::SimReport`] alike:
-//! threads own disjoint partition/vertex sets, per-vertex merges happen in
-//! deterministic source-partition order (sparse scans visit gathered edges
-//! in ascending edge index, reproducing the dense merge order), and all
-//! metering is integral.
+//! frontier-driven (see the `frontier` module): a superstep whose active set
+//! has shrunk walks only the frontier's incidence rows and drains only
+//! touched message slots, making tail supersteps O(frontier degree) instead
+//! of O(V + E). Every executor mode *and* every [`ScanMode`] produces
+//! bit-identical results, vertex states and metered
+//! [`cutfit_cluster::SimReport`] alike: threads own disjoint
+//! partition/vertex sets, per-vertex merges happen in deterministic
+//! source-partition order (a frontier walk sorts its messages into the
+//! dense walk's deposit order before folding them), and all metering is
+//! integral.
 
 mod frontier;
 pub mod pregel;
@@ -43,4 +44,6 @@ pub mod program;
 mod tests_direction;
 
 pub use pregel::{run_pregel, ExecutorMode, PregelConfig, PregelResult, PreparedRun, ScanMode};
-pub use program::{ActiveDirection, InitCtx, Messages, Triplet, VertexProgram};
+pub use program::{
+    ActiveDirection, InitCtx, Messages, OwnedState, Triplet, VertexProgram, VertexState,
+};

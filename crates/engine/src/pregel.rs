@@ -11,17 +11,22 @@
 //! a second implementation, and the debug-build [`DisjointSlice`] owner
 //! check watches every mode.
 //!
-//! * **Scan** (shard: partitions) — one generic edge loop, instantiated
-//!   three ways by edge source, activity predicate and slot recording: a
-//!   full walk, a dense predicate walk, a sparse walk over gathered
-//!   frontier-incident edges (see the `frontier` module).
+//! * **Scan** — one of two walks per superstep, chosen by the plan. The
+//!   *dense* walk (shard: partitions) is one edge loop over every
+//!   partition's edge table, with or without the activity predicate. The
+//!   *frontier* walk (see the `frontier` module) emits from the frontier's
+//!   incidence rows (shard: homes) into message records, sorts them by
+//!   (partition, edge, receiving endpoint) and folds them into the partial
+//!   buffers in that order (shard: partitions) — the order of the dense
+//!   walk.
 //! * **Shuffle** (shard: homes) — partitions outermost in ascending order,
 //!   which fixes every vertex's merge order; per partition the shard visits
-//!   the touched slots it masters (after a sparse scan), its contiguous
+//!   the touched slots it masters (after a frontier walk), its contiguous
 //!   slice of the home-grouped locals, or — when the shard is the whole home
 //!   range — the partial buffer itself by iterator. Which one is read off
 //!   the plan and the shard's shape, never off an option.
-//! * **Apply** (shard: homes) — exactly the vertices the shuffle wrote.
+//! * **Apply** (shard: homes) — exactly the vertices the shuffle wrote,
+//!   each state updated in place in the run's state column.
 //!
 //! What the kernels read is precomputed: the private `ScanIndex` holds each
 //! vertex's master ("home") partition with the isolated-vertex hash
@@ -30,8 +35,8 @@
 //! further parts are built when something first reads them: the
 //! per-partition grouping of locals by home when the handle's thread
 //! budget exceeds one (only a multi-shard shuffle reads it), the
-//! broadcast-class table by the first run, and the sparse-scan adjacency
-//! by the first superstep that plans a scan from a frontier.
+//! broadcast-class table by the first run, and the incidence index by the
+//! first run whose frontier stays small for four supersteps.
 //! What the kernels write is allocated once per run and self-cleaning: the
 //! shuffle *takes* every partial and the apply *takes* every inbox entry,
 //! so supersteps allocate no O(vertices + replicas) buffer.
@@ -50,6 +55,7 @@
 //! any sharding: every thread count is bit-identical in both vertex states
 //! and the metered [`SimReport`].
 
+use std::borrow::Borrow;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -57,14 +63,14 @@ use cutfit_cluster::{ClusterConfig, ClusterSim, SimError, SimReport, SuperstepLe
 use cutfit_graph::types::PartId;
 use cutfit_graph::VertexId;
 use cutfit_partition::{EdgePartition, PartitionedGraph, NO_PART};
-use cutfit_util::exec::{run_chunked, run_ranges, DisjointSlice};
+use cutfit_util::exec::{run_chunked, run_cut_slices, run_ranges, DisjointSlice};
 use cutfit_util::hash::hash64;
 use cutfit_util::num::{part_index, vid_index};
 
-use crate::frontier::{
-    gather_edges, group_indices, plan_sparse_scan, FrontierAdjacency, FrontierBuffers, ScanKind,
+use crate::frontier::{plan_scan, FrontierBuffers, Incidence, Occurrence};
+use crate::program::{
+    ActiveDirection, InitCtx, Messages, OwnedState, Triplet, VertexProgram, VertexState,
 };
-use crate::program::{ActiveDirection, InitCtx, Messages, Triplet, VertexProgram};
 
 /// How partitions are scanned within a superstep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,12 +108,16 @@ pub enum ScanMode {
     /// the activity bitset — GraphX's behaviour, O(V + E) per superstep
     /// regardless of how few vertices are still active.
     Dense,
-    /// Always gather from the frontier's incident-edge lists — O(active)
-    /// per superstep, but slower than dense when most vertices are active
-    /// (the gather pays a sort). For testing and benchmarking.
+    /// Always walk the frontier's incidence rows — O(frontier degree) per
+    /// superstep, but slower than dense when most vertices are active: it
+    /// reads 16 bytes and two random state rows per edge where the dense
+    /// walk streams 8, and sorts the messages it produces. For testing and
+    /// benchmarking.
     Sparse,
-    /// Each partition picks dense or sparse per superstep by comparing its
-    /// frontier-incident degree sum against its edge count. The default.
+    /// Each superstep walks its frontier when the frontier's degree sum is
+    /// at most a quarter of the graph's edge count (and the run has done so
+    /// often enough to have built the incidence index), and every edge
+    /// table otherwise — one decision per superstep. The default.
     Auto,
 }
 
@@ -136,9 +146,9 @@ pub struct PregelConfig {
     /// storage-write cost per checkpoint.
     pub checkpoint_interval: Option<u64>,
     /// How converging programs scan edges once activity drops; every mode
-    /// is bit-identical in states and [`SimReport`] (the sparse path visits
-    /// the same edges in the same per-slot order and meters the same
-    /// quantities), so this knob only moves wall-clock time.
+    /// is bit-identical in states and [`SimReport`] (the frontier walk takes
+    /// the same edges, merges in the same per-slot order and meters the
+    /// same quantities), so this knob only moves wall-clock time.
     pub scan_mode: ScanMode,
 }
 
@@ -180,6 +190,27 @@ struct PartIndex {
     /// Local vertex indices grouped by the home partition of their global
     /// vertex, ascending within each group.
     home_locals: Vec<u32>,
+}
+
+/// Counting sort of `items`' indices by `key` (each below `num_keys`):
+/// CSR offsets, one group per key, and the indices grouped by key, in
+/// ascending index order within each group.
+fn group_indices<T>(num_keys: usize, items: &[T], key: impl Fn(&T) -> u32) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = vec![0u32; num_keys + 1];
+    for item in items {
+        offsets[key(item) as usize + 1] += 1;
+    }
+    for k in 0..num_keys {
+        offsets[k + 1] += offsets[k];
+    }
+    let mut cursor = offsets.clone();
+    let mut grouped = vec![0u32; items.len()];
+    for (i, item) in items.iter().enumerate() {
+        let k = key(item) as usize;
+        grouped[cursor[k] as usize] = i as u32;
+        cursor[k] += 1;
+    }
+    (offsets, grouped)
 }
 
 impl PartIndex {
@@ -323,7 +354,7 @@ impl BroadcastClasses {
 /// Immutable run-scoped index precomputed from the [`PartitionedGraph`] so
 /// the superstep loop does no routing lookups, hashing, or binary searches.
 /// The parts every superstep reads are built eagerly; the broadcast classes
-/// are built by the first run on the index, the sparse-scan adjacency by the
+/// are built by the first run on the index, the incidence index by the
 /// first run that needs it.
 struct ScanIndex {
     /// Master partition per vertex, with the isolated-vertex hash fallback
@@ -342,10 +373,10 @@ struct ScanIndex {
     /// Built by the first run (a handle that never runs never pays for it);
     /// every setup superstep and every apply phase bills through it.
     classes: OnceLock<BroadcastClasses>,
-    /// Sparse-scan index, built by the first superstep that plans a scan
-    /// from a frontier (forced [`ScanMode::Dense`] and always-active
-    /// programs never do).
-    adjacency: OnceLock<FrontierAdjacency>,
+    /// What a frontier walk reads, built by the first run whose frontier
+    /// stays small (forced [`ScanMode::Dense`], always-active programs and
+    /// three-superstep probes never do; see `frontier::plan_scan`).
+    incidence: OnceLock<Incidence>,
 }
 
 impl ScanIndex {
@@ -388,17 +419,13 @@ impl ScanIndex {
             in_deg,
             parts,
             classes: OnceLock::new(),
-            adjacency: OnceLock::new(),
+            incidence: OnceLock::new(),
         }
     }
 
     fn classes(&self, pg: &PartitionedGraph) -> &BroadcastClasses {
         self.classes
             .get_or_init(|| BroadcastClasses::build(pg, &self.home, &self.exec_of_part))
-    }
-
-    fn adjacency(&self, pg: &PartitionedGraph) -> &FrontierAdjacency {
-        self.adjacency.get_or_init(|| FrontierAdjacency::build(pg))
     }
 }
 
@@ -597,7 +624,7 @@ pub fn run_pregel<P: VertexProgram>(
     pg: &PartitionedGraph,
     cluster: &ClusterConfig,
     opts: &PregelConfig,
-) -> Result<PregelResult<P::State>, SimError> {
+) -> Result<PregelResult<OwnedState<P>>, SimError> {
     let mut buffers = RunBuffers::new(pg, cluster, opts.executor);
     let index = ScanIndex::build(pg, cluster, buffers.deltas.len() > 1);
     let mut sim = ClusterSim::new(cluster.clone(), pg.num_parts());
@@ -619,8 +646,8 @@ pub fn run_pregel<P: VertexProgram>(
 /// [`PreparedRun::run`], which only allocates the message-typed buffers of
 /// the program it executes, plus — once per handle — the index parts built
 /// on first need: the broadcast-class table every run bills its state
-/// broadcasts through (paid by the handle's first job) and the sparse-scan
-/// adjacency (by the first converging program). A job that fails or
+/// broadcasts through (paid by the handle's first job) and the incidence
+/// index (by the first job with a lasting small frontier). A job that fails or
 /// panics mid-phase leaves no meter state behind: every accumulator is
 /// cleared before the next phase that uses it.
 ///
@@ -673,7 +700,7 @@ impl PreparedRun {
         &mut self,
         program: &P,
         opts: &PregelConfig,
-    ) -> Result<PregelResult<P::State>, SimError> {
+    ) -> Result<PregelResult<OwnedState<P>>, SimError> {
         self.sim.reset();
         let (states, supersteps, converged) = execute(
             program,
@@ -692,6 +719,15 @@ impl PreparedRun {
     }
 }
 
+#[cfg(test)]
+impl PreparedRun {
+    /// Whether a job on this handle has walked a frontier (and so built the
+    /// incidence index).
+    pub(crate) fn has_walked(&self) -> bool {
+        self.index.incidence.get().is_some()
+    }
+}
+
 /// The superstep loop shared by [`run_pregel`] (transient index/buffers)
 /// and [`PreparedRun::run`] (cached index, reused buffers): setup, then
 /// plan → scan → shuffle → apply until no message flows or `opts` caps the
@@ -704,7 +740,7 @@ fn execute<P: VertexProgram>(
     sim: &mut ClusterSim,
     buffers: &mut RunBuffers,
     opts: &PregelConfig,
-) -> Result<(Vec<P::State>, u64, bool), SimError> {
+) -> Result<(Vec<OwnedState<P>>, u64, bool), SimError> {
     let n = pg.num_vertices();
     debug_assert_eq!(sim.config().executors as usize, buffers.deltas[0].executors);
     let classes = index.classes(pg);
@@ -757,6 +793,7 @@ fn execute<P: VertexProgram>(
             .map(|part| vec![None; part.vertices.len()])
             .collect(),
         inbox: vec![None; vid_index(n)],
+        walk_shards: Vec::new(),
         active,
         fb,
         deltas: &mut deltas[..cx.threads],
@@ -767,25 +804,22 @@ fn execute<P: VertexProgram>(
     let mut supersteps = 0u64;
     let mut converged = false;
     while supersteps < opts.max_iterations {
-        // 0. Plan: distribute the frontier to its replica partitions and
-        //    pick each partition's scan kind. While every vertex is active
-        //    (superstep one, always-active programs) all partitions take
-        //    the predicate-free full scan.
-        let active_count = if frontier_all {
-            run.fb.scan_kind.fill(ScanKind::Full);
-            n
+        // 0. Plan: size the frontier and pick the superstep's scan. While
+        //    every vertex is active (superstep one, always-active programs)
+        //    it is the dense walk without the activity predicate.
+        let (active_count, walk) = if frontier_all {
+            (n, None)
         } else if plans_frontier {
-            plan_sparse_scan(
+            plan_scan(
                 pg,
-                index.adjacency(pg),
+                &index.incidence,
                 program.active_direction(),
                 opts.scan_mode == ScanMode::Sparse,
                 (&index.out_deg, &index.in_deg),
                 run.fb,
             )
         } else {
-            run.fb.scan_kind.fill(ScanKind::Dense);
-            run.fb.frontier.iter().map(|f| f.len() as u64).sum()
+            (run.fb.frontier.iter().map(|f| f.len() as u64).sum(), None)
         };
 
         // 1. Scan, then bill it. Frontier telemetry — active vertices at
@@ -793,7 +827,10 @@ fn execute<P: VertexProgram>(
         //    `matched` is pinned equal across modes, and the frontier is
         //    exactly the set of vertices that received messages last
         //    superstep.
-        run.scan();
+        match walk {
+            Some(incidence) => run.scan_frontier(incidence),
+            None => run.scan_tables(!frontier_all),
+        }
         for (p, &m) in run.fb.matched.iter().enumerate() {
             sim.ledger().edge_scans(p as PartId, m);
         }
@@ -802,7 +839,7 @@ fn execute<P: VertexProgram>(
             .record_frontier(active_count, n, scanned, pg.num_edges());
 
         // 2. Shuffle partials to masters.
-        let msg_count = run.shuffle();
+        let msg_count = run.shuffle(walk.is_some());
         for delta in run.deltas.iter() {
             delta.flush_ledger(classes, sim.ledger());
         }
@@ -833,7 +870,16 @@ fn execute<P: VertexProgram>(
         sim.end_superstep()?;
     }
 
-    Ok((run.states, supersteps, converged))
+    // The message buffers go before the owned rows come: a `[T]` column's
+    // rows are as many allocations again as it has vertices.
+    let Run {
+        states,
+        partials,
+        inbox,
+        ..
+    } = run;
+    drop((partials, inbox));
+    Ok((states.into_rows(vid_index(n)), supersteps, converged))
 }
 
 /// What every phase of one run reads and none writes.
@@ -855,15 +901,102 @@ struct Ctx<'a, P: VertexProgram> {
 /// as a single shard covering the whole range.
 struct Run<'a, P: VertexProgram> {
     cx: Ctx<'a, P>,
-    states: Vec<P::State>,
+    states: Column<P::State>,
     /// Per partition, per local vertex: the scan's pre-aggregated message.
     /// The shuffle *takes* every partial and the apply *takes* every inbox
     /// entry, so both buffers are all-`None` again when a superstep ends.
     partials: Vec<Vec<Option<P::Msg>>>,
     inbox: Vec<Option<P::Msg>>,
+    /// One per worker, from the run's first frontier walk on: what a walk's
+    /// emission shards produce. A run that never walks allocates none.
+    walk_shards: Vec<WalkShard<P::Msg>>,
     active: &'a mut [bool],
     fb: &'a mut FrontierBuffers,
     deltas: &'a mut [MeterDelta],
+}
+
+/// One state per vertex: a `Vec` of the states themselves for a sized state
+/// type, one flat `Vec` of equally long rows for a `[T]` one.
+struct Column<S: VertexState + ?Sized> {
+    cells: Vec<S::Cell>,
+    /// Cells per row, taken from vertex 0's initial state.
+    stride: usize,
+}
+
+impl<S: VertexState + ?Sized> Column<S> {
+    /// Every vertex's initial state with the initial message applied.
+    fn build<P: VertexProgram<State = S>>(program: &P, ctx: &InitCtx<'_>) -> Self {
+        let init_msg = program.initial_msg();
+        let mut column = Self {
+            cells: Vec::new(),
+            stride: 0,
+        };
+        for v in 0..ctx.num_vertices {
+            let row = program.initial_state(v, ctx);
+            let took = S::cells_of(row.borrow());
+            if v == 0 {
+                column.stride = took;
+                // One exact allocation, as collecting the states would make.
+                column.cells = Vec::with_capacity(took * vid_index(ctx.num_vertices));
+            }
+            assert_eq!(
+                took,
+                column.stride,
+                "{}: the initial state of vertex {v} has {took} cells, vertex 0's has {}",
+                program.name(),
+                column.stride
+            );
+            S::push_row(&mut column.cells, row);
+            program.apply(v, column.row_mut(vid_index(v)), &init_msg);
+        }
+        column
+    }
+
+    #[inline]
+    fn row(&self, v: usize) -> &S {
+        S::row(&self.cells, self.stride, v)
+    }
+
+    fn row_mut(&mut self, v: usize) -> &mut S {
+        S::row_mut(&mut self.cells[v * self.stride..(v + 1) * self.stride])
+    }
+
+    /// The column's `rows` rows, owned (the count is not derivable from a
+    /// column of zero-length rows).
+    fn into_rows(self, rows: usize) -> Vec<S::Owned> {
+        S::into_rows(self.cells, self.stride, rows)
+    }
+}
+
+/// One message a frontier walk produced: where the dense walk would have
+/// deposited it. Sorting by `(part, edge, to_dst)` — unique per record, so
+/// a total order however the emission was sharded — is the dense walk's
+/// deposit order.
+struct Record<M> {
+    part: PartId,
+    /// Index into the partition's edge table.
+    edge: u32,
+    /// The receiving endpoint: the edge's destination, else its source.
+    to_dst: bool,
+    /// Taken by the deposit.
+    msg: Option<M>,
+}
+
+/// What one emission shard of a frontier walk writes: its messages and its
+/// share of each partition's edge-scan count. Owned by the run, so a job
+/// abandoned mid-walk leaves neither to the next one.
+struct WalkShard<M> {
+    records: Vec<Record<M>>,
+    matched: Vec<u64>,
+}
+
+impl<M> WalkShard<M> {
+    fn new(num_parts: usize) -> Self {
+        Self {
+            records: Vec::new(),
+            matched: vec![0; num_parts],
+        }
+    }
 }
 
 /// Folds `msg` into `slot` with the program's combiner; true when the slot
@@ -883,7 +1016,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
     /// broadcast to mirrors, and the residency declaration (structure +
     /// replica states, declared once here and updated incrementally by the
     /// apply phase). Returns the initial states.
-    fn setup(&self, sim: &mut ClusterSim) -> Result<Vec<P::State>, SimError> {
+    fn setup(&self, sim: &mut ClusterSim) -> Result<Column<P::State>, SimError> {
         let Ctx {
             program,
             pg,
@@ -896,13 +1029,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
             in_degrees: &index.in_deg,
             num_vertices: pg.num_vertices(),
         };
-        let init_msg = program.initial_msg();
-        let states: Vec<P::State> = (0..pg.num_vertices())
-            .map(|v| {
-                let s = program.initial_state(v, &ctx);
-                program.apply(v, &s, &init_msg)
-            })
-            .collect();
+        let states = Column::build(program, &ctx);
         // One vertex op per mastered vertex, one broadcast message per
         // (vertex, mirror) pair — billed per class. Fixed-size states all
         // bill the same constant, so their classes' totals are populations
@@ -920,10 +1047,10 @@ impl<P: VertexProgram> Ctx<'_, P> {
             }
             None => {
                 let mut sent = vec![(0, 0); classes.len()];
-                for (state, &class) in states.iter().zip(&classes.class_of) {
+                for (v, &class) in classes.class_of.iter().enumerate() {
                     let cell = &mut sent[class as usize];
                     cell.0 += 1;
-                    cell.1 += program.state_bytes(state) + self.msg_overhead;
+                    cell.1 += program.state_bytes(states.row(v)) + self.msg_overhead;
                 }
                 sent
             }
@@ -939,7 +1066,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
                 None => part
                     .vertices
                     .iter()
-                    .map(|&v| program.state_bytes(&states[vid_index(v)]))
+                    .map(|&v| program.state_bytes(states.row(vid_index(v))))
                     .sum(),
             };
         }
@@ -954,7 +1081,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
         } else {
             for (v, &master) in pg.masters().iter().enumerate() {
                 if master == NO_PART {
-                    resident[part_index(index.home[v])] += program.state_bytes(&states[v]);
+                    resident[part_index(index.home[v])] += program.state_bytes(states.row(v));
                 }
             }
         }
@@ -965,12 +1092,10 @@ impl<P: VertexProgram> Ctx<'_, P> {
         Ok(states)
     }
 
-    /// The scan's one edge loop, monomorphised per scan kind by its three
-    /// generic parts: where the `(src, dst)` local pairs come from (the
-    /// partition's edge table or a gathered index list), the activity
-    /// predicate over the endpoints' global indices, and what `record`
-    /// does with a local whose slot of `out` goes `None → Some`. Returns
-    /// the edges that passed the predicate — the metered edge-scan count.
+    /// The dense walk's edge loop over one partition's edge table,
+    /// monomorphised by its activity predicate over the endpoints' global
+    /// indices. Returns the edges that passed the predicate — the metered
+    /// edge-scan count.
     ///
     /// `out` is a parameter of its own and the tables are sliced once up
     /// front so the compiler can see that the loop's stores never move
@@ -980,21 +1105,17 @@ impl<P: VertexProgram> Ctx<'_, P> {
     fn scan_edges(
         &self,
         part: &EdgePartition,
-        states: &[P::State],
-        edges: impl Iterator<Item = (u32, u32)>,
+        states: &Column<P::State>,
         wanted: impl Fn(usize, usize) -> bool,
         out: &mut [Option<P::Msg>],
-        mut record: impl FnMut(u32),
     ) -> u64 {
         let program = self.program;
         let (out_deg, in_deg) = (self.index.out_deg.as_slice(), self.index.in_deg.as_slice());
         let mut emit = |local: u32, msg| {
-            if deposit(program, &mut out[local as usize], msg) {
-                record(local);
-            }
+            deposit(program, &mut out[local as usize], msg);
         };
         let mut matched = 0u64;
-        for (ls, ld) in edges {
+        for &(ls, ld) in &part.edges {
             let src = part.vertices[ls as usize];
             let dst = part.vertices[ld as usize];
             let (s, d) = (vid_index(src), vid_index(dst));
@@ -1005,8 +1126,8 @@ impl<P: VertexProgram> Ctx<'_, P> {
             let triplet = Triplet {
                 src,
                 dst,
-                src_state: &states[s],
-                dst_state: &states[d],
+                src_state: states.row(s),
+                dst_state: states.row(d),
                 src_out_degree: out_deg[s],
                 dst_in_degree: in_deg[d],
             };
@@ -1025,16 +1146,13 @@ impl<P: VertexProgram> Ctx<'_, P> {
 }
 
 impl<P: VertexProgram> Run<'_, P> {
-    /// Phase 1 — scan: every partition in the shard pre-aggregates its
-    /// edges' messages into its partial buffer (map-side combine), as its
-    /// planned [`ScanKind`] says. `Full` walks the edge table with no
-    /// predicate, `Dense` walks it testing the activity bitset, `Sparse`
-    /// gathers the frontier's incident edges from the partition's CSR and
-    /// walks only those — in ascending edge index, so every slot merges its
-    /// messages in the order of the dense walk — recording first-written
-    /// slots for the shuffle. The gather is exact except under `Both`,
-    /// where it covers active-src edges and the walk tests the destination.
-    fn scan(&mut self) {
+    /// Phase 1, dense — every partition in the shard walks its edge table
+    /// and pre-aggregates the messages into its partial buffer (map-side
+    /// combine), testing the activity bitset per edge when `filtered` and
+    /// taking every edge otherwise (the first message superstep and every
+    /// superstep of an always-active program: provably a dense walk over an
+    /// all-true bitset).
+    fn scan_tables(&mut self, filtered: bool) {
         let Self {
             cx,
             states,
@@ -1043,7 +1161,7 @@ impl<P: VertexProgram> Run<'_, P> {
             fb,
             ..
         } = self;
-        let (cx, states, active) = (&*cx, states.as_slice(), &**active);
+        let (cx, states, active) = (&*cx, &*states, &**active);
         let dir = cx.program.active_direction();
         let wanted = move |s: usize, d: usize| match dir {
             ActiveDirection::Either => active[s] || active[d],
@@ -1051,51 +1169,151 @@ impl<P: VertexProgram> Run<'_, P> {
             ActiveDirection::In => active[d],
             ActiveDirection::Both => active[s] && active[d],
         };
-        let part_frontier = &fb.part_frontier;
-        let scan_kind = &fb.scan_kind;
         let num_parts = partials.len();
         let partial_cells = DisjointSlice::new(partials.as_mut_slice());
-        let touched_cells = DisjointSlice::new(fb.touched_partials.as_mut_slice());
-        let gather_cells = DisjointSlice::new(fb.gather.as_mut_slice());
         let matched_cells = DisjointSlice::new(fb.matched.as_mut_slice());
         run_ranges(num_parts, cx.threads, |parts| {
             for p in parts {
                 let part = &cx.pg.parts()[p];
                 // SAFETY: partition ranges are disjoint across shards, so
-                // partition p's partial buffer, touched list, gather
-                // scratch and matched count are this shard's alone.
-                let (out, touched, gathered, matched) = unsafe {
-                    (
-                        partial_cells.get_mut(p),
-                        touched_cells.get_mut(p),
-                        gather_cells.get_mut(p),
-                        matched_cells.get_mut(p),
-                    )
-                };
-                let table = part.edges.iter().copied();
-                *matched = match scan_kind[p] {
-                    ScanKind::Full => cx.scan_edges(part, states, table, |_, _| true, out, |_| {}),
-                    ScanKind::Dense => cx.scan_edges(part, states, table, wanted, out, |_| {}),
-                    // No frontier replica lives here: nothing to gather, no
-                    // edge the predicate would match, no CSR needed.
-                    ScanKind::Sparse if part_frontier[p].is_empty() => 0,
-                    ScanKind::Sparse => {
-                        // The planner is the only producer of `Sparse`, and
-                        // only for a partition whose CSR it has built.
-                        let Some(csr) = cx.index.adjacency.get().and_then(|adj| adj.part(p)) else {
-                            unreachable!("sparse scan of partition {p} planned without its CSR")
-                        };
-                        gather_edges(csr, &part_frontier[p], dir, gathered);
-                        let edges = gathered.iter().map(|&e| part.edges[e as usize]);
-                        // Reading the bitset per gathered edge is a random
-                        // load the exact gathers do not need.
-                        let both = dir == ActiveDirection::Both;
-                        let wanted = move |s: usize, d: usize| !both || (active[s] && active[d]);
-                        cx.scan_edges(part, states, edges, wanted, out, |l| touched.push(l))
-                    }
+                // partition p's partial buffer and matched count are this
+                // shard's alone.
+                let (out, matched) =
+                    unsafe { (partial_cells.get_mut(p), matched_cells.get_mut(p)) };
+                *matched = if filtered {
+                    cx.scan_edges(part, states, wanted, out)
+                } else {
+                    cx.scan_edges(part, states, |_, _| true, out)
                 };
             }
         });
+    }
+
+    /// Phase 1, sparse — the frontier walk, bit-identical to
+    /// [`Run::scan_tables`] with the predicate in partials, touched-slot
+    /// order and per-partition `matched`.
+    ///
+    /// *Emit* (shard: homes): every frontier vertex's incidence row is read
+    /// under the program's [`ActiveDirection`]; an edge both of whose
+    /// endpoints could claim it (`Either` with both active — a self-loop
+    /// included) is taken from its source's side only, so each matching
+    /// edge is taken once. A taken edge counts on its partition's cell of
+    /// the shard's `matched` row, and what `send` returns becomes records.
+    /// *Sort*: all shards' records, by (partition, edge, receiving
+    /// endpoint). *Deposit* (shard: partitions): each partition folds its
+    /// run of the sorted records into its partial buffer, noting first
+    /// writes for the shuffle.
+    fn scan_frontier(&mut self, incidence: &Incidence) {
+        let Self {
+            cx,
+            states,
+            active,
+            partials,
+            fb,
+            walk_shards,
+            ..
+        } = self;
+        let (cx, states, active) = (&*cx, &*states, &**active);
+        let frontier = &fb.frontier;
+        let num_parts = partials.len();
+        if walk_shards.is_empty() {
+            walk_shards.resize_with(cx.threads, || WalkShard::new(num_parts));
+        }
+        run_chunked(num_parts, cx.threads, walk_shards, |homes, shard| {
+            let program = cx.program;
+            let (out_deg, in_deg) = (cx.index.out_deg.as_slice(), cx.index.in_deg.as_slice());
+            let WalkShard { records, matched } = shard;
+            let mut take = |src: VertexId, dst: VertexId, at: &Occurrence| {
+                let (s, d) = (vid_index(src), vid_index(dst));
+                matched[part_index(at.part)] += 1;
+                let triplet = Triplet {
+                    src,
+                    dst,
+                    src_state: states.row(s),
+                    dst_state: states.row(d),
+                    src_out_degree: out_deg[s],
+                    dst_in_degree: in_deg[d],
+                };
+                let mut emit = |to_dst, msg| {
+                    records.push(Record {
+                        part: at.part,
+                        edge: at.edge,
+                        to_dst,
+                        msg: Some(msg),
+                    })
+                };
+                match program.send(&triplet) {
+                    Messages::None => {}
+                    Messages::ToSrc(m) => emit(false, m),
+                    Messages::ToDst(m) => emit(true, m),
+                    Messages::Both(ms, md) => {
+                        emit(false, ms);
+                        emit(true, md);
+                    }
+                }
+            };
+            let is_active = |v: VertexId| active[vid_index(v)];
+            let dir = program.active_direction();
+            for &v in homes.flat_map(|q| &frontier[q]) {
+                let (as_src, as_dst) = incidence.of(v);
+                match dir {
+                    ActiveDirection::Either => {
+                        as_src.iter().for_each(|at| take(v, at.other, at));
+                        for at in as_dst.iter().filter(|at| !is_active(at.other)) {
+                            take(at.other, v, at);
+                        }
+                    }
+                    ActiveDirection::Out => as_src.iter().for_each(|at| take(v, at.other, at)),
+                    ActiveDirection::In => as_dst.iter().for_each(|at| take(at.other, v, at)),
+                    ActiveDirection::Both => {
+                        for at in as_src.iter().filter(|at| is_active(at.other)) {
+                            take(v, at.other, at);
+                        }
+                    }
+                }
+            }
+        });
+
+        // Shard 0's buffer collects every shard's records (and keeps its
+        // capacity for the next walk).
+        let mut records = std::mem::take(&mut walk_shards[0].records);
+        fb.matched.fill(0);
+        for shard in walk_shards.iter_mut() {
+            records.append(&mut shard.records);
+            for (total, cell) in fb.matched.iter_mut().zip(&mut shard.matched) {
+                *total += std::mem::take(cell);
+            }
+        }
+        records.sort_unstable_by_key(|r| (r.part, r.edge, r.to_dst));
+
+        // Partition p's records are one run of the sorted buffer; a deposit
+        // shard is the runs of a contiguous partition range.
+        let shard_parts = num_parts.div_ceil(cx.threads).max(1);
+        let cuts: Vec<usize> = (0..=num_parts.div_ceil(shard_parts))
+            .map(|k| records.partition_point(|r| part_index(r.part) < k * shard_parts))
+            .collect();
+        let partial_cells = DisjointSlice::new(partials.as_mut_slice());
+        let touched_cells = DisjointSlice::new(fb.touched_partials.as_mut_slice());
+        run_cut_slices(&mut records, &cuts, |_, shard| {
+            for record in shard {
+                let p = part_index(record.part);
+                // SAFETY: the cuts fall on partition boundaries, so
+                // partition p's records — and with them its partial buffer
+                // and touched list — are this shard's alone.
+                let (out, touched) =
+                    unsafe { (partial_cells.get_mut(p), touched_cells.get_mut(p)) };
+                let Some(msg) = record.msg.take() else {
+                    continue;
+                };
+                let (ls, ld) = cx.pg.parts()[p].edges[record.edge as usize];
+                let local = if record.to_dst { ld } else { ls };
+                if deposit(cx.program, &mut out[local as usize], msg) {
+                    touched.push(local);
+                }
+            }
+        });
+        records.clear();
+        walk_shards[0].records = records;
     }
 
     /// Phase 2 — shuffle: every partial whose vertex is mastered in the
@@ -1108,16 +1326,17 @@ impl<P: VertexProgram> Run<'_, P> {
     /// recorded per home partition — they are the next frontier. Returns
     /// the number of messages moved.
     ///
-    /// Per partition the shard visits: after a sparse scan, the touched
-    /// slots, skipping those homed outside the shard — O(touched) per
-    /// shard, so O(threads × touched) in all, with no scan-time bucketing;
-    /// after a dense or full scan, the shard's contiguous slice of the
-    /// home-grouped locals — or, when the shard is the whole home range
-    /// (always so at one thread), the partial buffer itself by iterator,
-    /// which needs no grouping and no per-slot indexing. Whichever it is,
-    /// a delivered message is counted on its home's cell of the delta's
-    /// scratch row, and the row is billed once per source partition.
-    fn shuffle(&mut self) -> u64 {
+    /// Per partition the shard visits: after a frontier walk (`walked`),
+    /// the touched slots, skipping those homed outside the shard —
+    /// O(touched) per shard, so O(threads × touched) in all, with no
+    /// scan-time bucketing; after a dense walk, the shard's contiguous
+    /// slice of the home-grouped locals — or, when the shard is the whole
+    /// home range (always so at one thread), the partial buffer itself by
+    /// iterator, which needs no grouping and no per-slot indexing.
+    /// Whichever it is, a delivered message is counted on its home's cell
+    /// of the delta's scratch row, and the row is billed once per source
+    /// partition.
+    fn shuffle(&mut self, walked: bool) -> u64 {
         let Self {
             cx,
             partials,
@@ -1127,7 +1346,7 @@ impl<P: VertexProgram> Run<'_, P> {
             ..
         } = self;
         let cx = &*cx;
-        let (touched_partials, scan_kind) = (&fb.touched_partials, &fb.scan_kind);
+        let touched_partials = &fb.touched_partials;
         let num_parts = partials.len();
         let partial_cells: Vec<DisjointSlice<'_, Option<P::Msg>>> =
             partials.iter_mut().map(|p| DisjointSlice::new(p)).collect();
@@ -1167,7 +1386,7 @@ impl<P: VertexProgram> Run<'_, P> {
                         touched_q.push(v as VertexId);
                     }
                 };
-                if scan_kind[p] == ScanKind::Sparse {
+                if walked {
                     for &local in &touched_partials[p] {
                         if homes.contains(&home_of(local as usize)) {
                             deliver(local as usize, slot_of(local as usize));
@@ -1222,7 +1441,8 @@ impl<P: VertexProgram> Run<'_, P> {
         let (cx, fb) = (&*cx, &**fb);
         let all_active = cx.program.always_active();
         let inbox_cells = DisjointSlice::new(inbox.as_mut_slice());
-        let state_cells = DisjointSlice::new(states.as_mut_slice());
+        let stride = states.stride;
+        let state_cells = DisjointSlice::new(states.cells.as_mut_slice());
         let active_cells = DisjointSlice::new(active);
         run_on_pool(fb.frontier.len(), cx.threads, deltas, |homes, delta| {
             // Sliced once per shard, not reached through `cx` per vertex.
@@ -1236,7 +1456,7 @@ impl<P: VertexProgram> Run<'_, P> {
                 let v = vid_index(v);
                 (
                     inbox_cells.get_mut(v),
-                    state_cells.get_mut(v),
+                    P::State::row_mut(state_cells.row_mut(v, stride)),
                     active_cells.get_mut(v),
                 )
             };
@@ -1250,7 +1470,7 @@ impl<P: VertexProgram> Run<'_, P> {
                     let (slot, state, is_active) = own(tv);
                     let Some(msg) = slot.take() else { continue };
                     let old_bytes = program.state_bytes(state);
-                    *state = program.apply(tv, state, &msg);
+                    program.apply(tv, state, &msg);
                     if !all_active {
                         *is_active = true;
                     }
@@ -1277,6 +1497,7 @@ mod tests {
     use super::*;
     use cutfit_graph::{Edge, Graph};
     use cutfit_partition::{GraphXStrategy, Partitioner};
+    use std::borrow::BorrowMut;
 
     /// Max-id label propagation: converges to the component-wise max.
     struct MaxLabel;
@@ -1292,8 +1513,8 @@ mod tests {
         fn initial_msg(&self) -> u64 {
             0
         }
-        fn apply(&self, _v: VertexId, state: &u64, msg: &u64) -> u64 {
-            *state.max(msg)
+        fn apply(&self, _v: VertexId, state: &mut u64, msg: &u64) {
+            *state = (*state).max(*msg);
         }
         fn send(&self, t: &Triplet<'_, u64>) -> Messages<u64> {
             match (t.src_state > t.dst_state, t.dst_state > t.src_state) {
@@ -1411,8 +1632,8 @@ mod tests {
         fn initial_msg(&self) -> u64 {
             0
         }
-        fn apply(&self, _v: VertexId, state: &u64, msg: &u64) -> u64 {
-            *state.max(msg)
+        fn apply(&self, _v: VertexId, state: &mut u64, msg: &u64) {
+            *state = (*state).max(*msg);
         }
         fn send(&self, t: &Triplet<'_, u64>) -> Messages<u64> {
             if t.src_state > t.dst_state {
@@ -1468,12 +1689,10 @@ mod tests {
         fn initial_msg(&self) -> u64 {
             0
         }
-        fn apply(&self, _v: VertexId, state: &Vec<u64>, msg: &u64) -> Vec<u64> {
-            let mut next = state.clone();
-            if next.last() != Some(msg) {
-                next.push(*msg);
+        fn apply(&self, _v: VertexId, state: &mut Vec<u64>, msg: &u64) {
+            if state.last() != Some(msg) {
+                state.push(*msg);
             }
-            next
         }
         fn send(&self, t: &Triplet<'_, Vec<u64>>) -> Messages<u64> {
             let (s, d) = (t.src_state.last().unwrap(), t.dst_state.last().unwrap());
@@ -1585,8 +1804,8 @@ mod tests {
         fn initial_msg(&self) -> u64 {
             0
         }
-        fn apply(&self, _v: VertexId, state: &u64, msg: &u64) -> u64 {
-            *state.max(msg)
+        fn apply(&self, _v: VertexId, state: &mut u64, msg: &u64) {
+            *state = (*state).max(*msg);
         }
         fn send(&self, t: &Triplet<'_, u64>) -> Messages<u64> {
             match (t.src_state > t.dst_state, t.dst_state > t.src_state) {
@@ -1605,13 +1824,17 @@ mod tests {
     /// (vertex, mirror) pair for every state broadcast, setup included, and
     /// one per shuffled message — straight into the sim's ledger. Dense
     /// scans only; messages merge in ascending source-partition order, so
-    /// states are comparable too.
+    /// states are comparable too. It keeps one owned state per vertex,
+    /// whatever column the engine stores them in.
     fn reference_run<P: VertexProgram>(
         program: &P,
         pg: &PartitionedGraph,
         cluster: &ClusterConfig,
         opts: &PregelConfig,
-    ) -> Result<PregelResult<P::State>, SimError> {
+    ) -> Result<PregelResult<OwnedState<P>>, SimError>
+    where
+        OwnedState<P>: BorrowMut<P::State>,
+    {
         let n = pg.num_vertices();
         let index = ScanIndex::build(pg, cluster, false);
         let (home, exec_of_part) = (&index.home, &index.exec_of_part);
@@ -1639,12 +1862,16 @@ mod tests {
             num_vertices: n,
         };
         let init_msg = program.initial_msg();
-        let mut states: Vec<P::State> = (0..n)
-            .map(|v| program.apply(v, &program.initial_state(v, &ctx), &init_msg))
+        let mut states: Vec<OwnedState<P>> = (0..n)
+            .map(|v| {
+                let mut state = program.initial_state(v, &ctx);
+                program.apply(v, state.borrow_mut(), &init_msg);
+                state
+            })
             .collect();
         let mut resident: Vec<u64> = pg.parts().iter().map(|p| p.structure_bytes()).collect();
         for v in 0..n {
-            let size = program.state_bytes(&states[vid_index(v)]);
+            let size = program.state_bytes(states[vid_index(v)].borrow());
             sim.ledger().vertex_ops(home[vid_index(v)], 1);
             broadcast(&mut sim, v, size + overhead);
             for &p in pg.routing().parts_of(v) {
@@ -1685,8 +1912,8 @@ mod tests {
                     let triplet = Triplet {
                         src,
                         dst,
-                        src_state: &states[s],
-                        dst_state: &states[d],
+                        src_state: states[s].borrow(),
+                        dst_state: states[d].borrow(),
                         src_out_degree: index.out_deg[s],
                         dst_in_degree: index.in_deg[d],
                     };
@@ -1736,9 +1963,9 @@ mod tests {
                 }
                 let Some(msg) = got else { continue };
                 active_count += 1;
-                let state = &mut states[vid_index(v)];
+                let state: &mut P::State = states[vid_index(v)].borrow_mut();
                 let old_bytes = program.state_bytes(state);
-                *state = program.apply(v, state, &msg);
+                program.apply(v, state, &msg);
                 let size = program.state_bytes(state);
                 sim.ledger().vertex_ops(home[vid_index(v)], 1);
                 sim.ledger().local_bytes(home[vid_index(v)], size);
@@ -1775,7 +2002,7 @@ mod tests {
         }
     }
     impl VertexProgram for Hops {
-        type State = Vec<u32>;
+        type State = [u32];
         type Msg = Vec<u32>;
         fn name(&self) -> &'static str {
             "hops"
@@ -1787,10 +2014,12 @@ mod tests {
         fn initial_msg(&self) -> Vec<u32> {
             vec![u32::MAX; self.0.len()]
         }
-        fn apply(&self, _v: VertexId, state: &Vec<u32>, msg: &Vec<u32>) -> Vec<u32> {
-            state.iter().zip(msg).map(|(&s, &m)| s.min(m)).collect()
+        fn apply(&self, _v: VertexId, state: &mut [u32], msg: &Vec<u32>) {
+            for (s, &m) in state.iter_mut().zip(msg) {
+                *s = (*s).min(m);
+            }
         }
-        fn send(&self, t: &Triplet<'_, Vec<u32>>) -> Messages<Vec<u32>> {
+        fn send(&self, t: &Triplet<'_, [u32]>) -> Messages<Vec<u32>> {
             let offer: Vec<u32> = t.dst_state.iter().map(|d| d.saturating_add(1)).collect();
             if offer.iter().zip(t.src_state).any(|(c, s)| c < s) {
                 Messages::ToSrc(offer)
@@ -1801,7 +2030,7 @@ mod tests {
         fn merge(&self, a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
             a.iter().zip(&b).map(|(&x, &y)| x.min(y)).collect()
         }
-        fn state_bytes(&self, state: &Vec<u32>) -> u64 {
+        fn state_bytes(&self, state: &[u32]) -> u64 {
             Self::map_bytes(state)
         }
         fn msg_bytes(&self, msg: &Vec<u32>) -> u64 {
@@ -1843,7 +2072,7 @@ mod tests {
         cluster: &ClusterConfig,
         what: &str,
     ) where
-        P::State: PartialEq + std::fmt::Debug,
+        OwnedState<P>: BorrowMut<P::State> + PartialEq + std::fmt::Debug,
     {
         let oracle = reference_run(program, pg, cluster, &PregelConfig::default()).unwrap();
         for executor in [
@@ -2156,9 +2385,9 @@ mod tests {
         fn initial_msg(&self) -> u64 {
             0
         }
-        fn apply(&self, v: VertexId, state: &u64, msg: &u64) -> u64 {
+        fn apply(&self, v: VertexId, state: &mut u64, msg: &u64) {
             assert!(v != self.0 || *msg == 0, "vertex program bug");
-            *state.max(msg)
+            *state = (*state).max(*msg);
         }
         fn send(&self, t: &Triplet<'_, u64>) -> Messages<u64> {
             MaxLabel.send(t)

@@ -20,6 +20,7 @@
 //! blocks (until num_edges are consumed):
 //!   edge_count       u32       edges in this block (> 0)
 //!   payload_len      u32       encoded byte length of the payload
+//!                              (≤ 20 · edge_count, checked before allocating)
 //!   payload          [u8; payload_len]
 //!   block_checksum   u64       FNV-1a-64 of the payload
 //! ```
@@ -68,6 +69,9 @@ pub const MAGIC: [u8; 8] = *b"CUTFITB1";
 pub const VERSION: u32 = 1;
 /// Header length in bytes: magic + version + block_edges + V + E + checksum.
 pub const HEADER_LEN: u64 = 40;
+/// Most payload bytes one edge can encode to: two `u64` varints of at most
+/// ten bytes each.
+const MAX_EDGE_BYTES: u64 = 20;
 /// Default edges per block: 64 Ki edges ≈ 1 MiB resident decoded, far less
 /// encoded.
 pub const DEFAULT_BLOCK_EDGES: u32 = 65_536;
@@ -374,6 +378,17 @@ impl<R: Read> RawBlockReader<R> {
                 ),
             });
         }
+        // Bounded before allocating: a frame header is eight unverified
+        // bytes, and an edge is two varints of at most ten bytes each.
+        if u64::from(payload_len) > MAX_EDGE_BYTES * u64::from(edge_count) {
+            return Err(ParseError::Corrupt {
+                offset: block_offset,
+                what: format!(
+                    "block declares {payload_len} payload bytes for {edge_count} edges \
+                     (at most {MAX_EDGE_BYTES} each)"
+                ),
+            });
+        }
         let mut payload = vec![0u8; payload_len as usize];
         read_exact_at(&mut self.r, &mut payload, self.offset)?;
         self.offset += payload_len as u64;
@@ -634,6 +649,31 @@ mod tests {
         match read_binary(&bytes[..]).unwrap_err() {
             ParseError::Corrupt { offset, .. } => assert_eq!(offset, HEADER_LEN),
             e => panic!("unexpected: {e}"),
+        }
+    }
+
+    #[test]
+    fn oversized_payload_declaration_is_corrupt_before_any_allocation() {
+        // One edge cannot take 4 GiB: the lie is caught from the eight
+        // header bytes alone, at the frame's offset. (Unchecked, this asks
+        // the allocator for `u32::MAX` bytes and then reports truncation.)
+        let mut bytes = encode(&sample());
+        let frame = HEADER_LEN as usize;
+        bytes[frame..frame + 4].copy_from_slice(&1u32.to_le_bytes());
+        bytes[frame + 4..frame + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        match read_binary(&bytes[..]).unwrap_err() {
+            ParseError::Corrupt { offset, what } => {
+                assert_eq!(offset, HEADER_LEN);
+                assert!(what.contains("payload bytes"), "{what}");
+            }
+            e => panic!("unexpected: {e}"),
+        }
+        // The bound itself is inclusive: 20 bytes for one edge is read (and
+        // then fails as the truncated frame it is), 21 is refused.
+        for (declared, corrupt) in [(20u32, false), (21, true)] {
+            bytes[frame + 4..frame + 8].copy_from_slice(&declared.to_le_bytes());
+            let err = read_binary(&bytes[..frame + 8]).unwrap_err();
+            assert_eq!(matches!(err, ParseError::Corrupt { .. }), corrupt, "{err}");
         }
     }
 

@@ -662,6 +662,23 @@ impl<'a, T> DisjointSlice<'a, T> {
         &mut *self.cells[i].as_ptr()
     }
 
+    /// Row `row` of the slice read as consecutive rows of `stride` cells —
+    /// the accessor for a flat column sharded by row.
+    ///
+    /// # Safety
+    /// No two threads may access the same row during one phase.
+    #[allow(clippy::mut_from_ref)]
+    #[inline]
+    pub unsafe fn row_mut(&self, row: usize, stride: usize) -> &mut [T] {
+        let cells = &self.cells[row * stride..(row + 1) * stride];
+        #[cfg(debug_assertions)]
+        (row * stride..(row + 1) * stride).for_each(|i| self.claim(i));
+        // SAFETY: as in `as_mut_slice`, pointer and length describe a
+        // sub-slice of the wrapped `&mut [T]` (the index above bounds-checked
+        // it); the caller vouches that no other thread touches this row.
+        std::slice::from_raw_parts_mut(cells.as_ptr() as *mut T, stride)
+    }
+
     /// The whole slice at once, for a phase that runs as a single shard: its
     /// one thread may then sweep by iterator instead of index by index.
     ///
@@ -897,6 +914,42 @@ mod tests {
         unsafe { cells.as_mut_slice()[0] = 7 };
         drop(cells);
         assert_eq!(data, vec![7, 10]);
+    }
+
+    #[test]
+    fn disjoint_rows_are_written_by_their_owning_shard() {
+        // Seven rows of three cells, sharded by row over three threads.
+        let mut data = vec![0usize; 21];
+        let cells = DisjointSlice::new(&mut data);
+        run_ranges(7, 3, |rows| {
+            for row in rows {
+                // SAFETY: row ranges are disjoint across shards.
+                let cells = unsafe { cells.row_mut(row, 3) };
+                assert_eq!(cells.len(), 3);
+                cells.fill(row);
+            }
+        });
+        drop(cells);
+        assert!((0..21).all(|i| data[i] == i / 3), "{data:?}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn disjoint_row_overlap_is_caught_in_debug() {
+        // Row 1 at stride 2 covers index 2, which another thread already
+        // owns through the element accessor.
+        let mut data = vec![0u32; 6];
+        let cells = DisjointSlice::new(&mut data);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // SAFETY: deliberately violated — that's the test.
+            std::thread::scope(|scope| {
+                scope.spawn(|| unsafe { *cells.get_mut(2) += 1 });
+            });
+            std::thread::scope(|scope| {
+                scope.spawn(|| unsafe { cells.row_mut(1, 2)[0] += 1 });
+            });
+        }));
+        assert!(caught.is_err(), "overlap went undetected");
     }
 
     /// Drives [`run_pipeline`] over `0..n` with a pure transform and

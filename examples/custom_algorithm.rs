@@ -38,15 +38,13 @@ impl VertexProgram for TwoHopProgram {
         0
     }
 
-    fn apply(&self, _v: VertexId, state: &TwoHop, msg: &u64) -> TwoHop {
-        let mut next = state.clone();
+    fn apply(&self, _v: VertexId, state: &mut TwoHop, msg: &u64) {
         match state.round {
             0 => {}
-            1 => next.neighbors = *msg,
-            _ => next.two_hop_upper_bound = state.neighbors + *msg,
+            1 => state.neighbors = *msg,
+            _ => state.two_hop_upper_bound = state.neighbors + *msg,
         }
-        next.round = state.round.saturating_add(1);
-        next
+        state.round = state.round.saturating_add(1);
     }
 
     fn send(&self, t: &cutfit::engine::Triplet<'_, TwoHop>) -> Messages<u64> {

@@ -1,0 +1,216 @@
+//! The allocation referee: how often a run asks the allocator for memory,
+//! counted by a `#[global_allocator]` that wraps the system one.
+//!
+//! Two floors are pinned. A converging program with a fixed-length `[T]`
+//! state (SSSP) allocates once per message it sends — the message's own
+//! `Vec` — plus a constant per superstep and per partition: nothing per
+//! applied vertex, because `apply` updates a row of the flat state column in
+//! place. An always-active program on a warm [`PreparedRun`] (PageRank)
+//! allocates O(partitions) per superstep, never O(vertices).
+//!
+//! Counts are per thread, so the two tests cannot disturb each other, and
+//! the jobs run under [`ExecutorMode::Sequential`], inline on the test's
+//! thread.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use cutfit::algorithms::{PageRank, Sssp};
+use cutfit::engine::InitCtx;
+use cutfit::prelude::*;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are being
+    // torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the only addition is
+// a thread-local counter bump, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `job` and returns how many times this thread allocated (or grew an
+/// allocation) meanwhile, with the job's result.
+fn allocations_of<R>(job: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = job();
+    (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+/// Allowed allocations per superstep and per partition, on top of what the
+/// program itself allocates: pool bookkeeping, the debug-build owner tables
+/// of the disjoint-slice wrappers, buffers that are still growing.
+const SLACK: u64 = 32;
+
+/// [`Sssp`], counting the messages its `send` builds.
+struct CountedSssp {
+    inner: Sssp,
+    sent: AtomicU64,
+}
+
+impl VertexProgram for CountedSssp {
+    type State = [u32];
+    type Msg = Vec<u32>;
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn initial_state(&self, v: VertexId, ctx: &InitCtx<'_>) -> Vec<u32> {
+        self.inner.initial_state(v, ctx)
+    }
+
+    fn initial_msg(&self) -> Vec<u32> {
+        self.inner.initial_msg()
+    }
+
+    fn apply(&self, v: VertexId, state: &mut [u32], msg: &Vec<u32>) {
+        self.inner.apply(v, state, msg)
+    }
+
+    fn send(&self, t: &Triplet<'_, [u32]>) -> Messages<Vec<u32>> {
+        let messages = self.inner.send(t);
+        if messages != Messages::None {
+            self.sent.fetch_add(1, Ordering::Relaxed);
+        }
+        messages
+    }
+
+    fn merge(&self, a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
+        self.inner.merge(a, b)
+    }
+
+    fn state_bytes(&self, state: &[u32]) -> u64 {
+        self.inner.state_bytes(state)
+    }
+
+    fn msg_bytes(&self, msg: &Vec<u32>) -> u64 {
+        self.inner.msg_bytes(msg)
+    }
+}
+
+/// A `side × side` grid with every lattice edge in both directions.
+fn grid(side: u64) -> Graph {
+    let at = |x: u64, y: u64| y * side + x;
+    let mut edges = Vec::new();
+    for y in 0..side {
+        for x in 0..side {
+            for (nx, ny) in [(x + 1, y), (x, y + 1)] {
+                if nx < side && ny < side {
+                    edges.extend([
+                        Edge::new(at(x, y), at(nx, ny)),
+                        Edge::new(at(nx, ny), at(x, y)),
+                    ]);
+                }
+            }
+        }
+    }
+    Graph::new(side * side, edges)
+}
+
+#[test]
+fn sssp_allocates_per_message_never_per_applied_vertex() {
+    const SIDE: u64 = 80;
+    const PARTS: u32 = 4;
+    let pg = Arc::new(GraphXStrategy::EdgePartition2D.partition(&grid(SIDE), PARTS));
+    let cluster = ClusterConfig::paper_cluster();
+    // Four corners and the centre: five wavefronts cross every vertex.
+    let last = SIDE * SIDE - 1;
+    let landmarks = vec![0, SIDE - 1, last - (SIDE - 1), last, last / 2 + SIDE / 2];
+    let program = CountedSssp {
+        inner: Sssp::new(landmarks),
+        sent: AtomicU64::new(0),
+    };
+    let opts = |max_iterations| PregelConfig {
+        max_iterations,
+        executor: ExecutorMode::Sequential,
+        checkpoint_interval: Some(25),
+        ..Default::default()
+    };
+    let mut prepared = PreparedRun::new(pg, &cluster, ExecutorMode::Sequential);
+    // Warm the handle (class table, incidence index, buffer capacities),
+    // then measure: a run to the fixpoint, and the same run stopped after
+    // setup — the difference is what the supersteps allocate, with the
+    // initial states and the owned result rows on both sides of it.
+    prepared.run(&program, &opts(10_000)).expect("fits");
+    program.sent.store(0, Ordering::Relaxed);
+    let (whole, result) = allocations_of(|| prepared.run(&program, &opts(10_000)).expect("fits"));
+    let sent = program.sent.load(Ordering::Relaxed);
+    let (setup, _) = allocations_of(|| prepared.run(&program, &opts(0)).expect("fits"));
+    let supersteps = whole - setup;
+
+    assert!(result.converged);
+    let floor = SLACK * (result.supersteps + u64::from(PARTS));
+    assert!(
+        supersteps >= sent && supersteps <= sent + floor,
+        "{supersteps} allocations over {} supersteps for {sent} messages (floor {floor})",
+        result.supersteps
+    );
+    // The bound can tell: every frontier vertex was applied the superstep
+    // before, and one allocation per apply would be many floors deep.
+    let applied: u64 = result.sim.frontier_trace[1..]
+        .iter()
+        .map(|sample| sample.active_vertices)
+        .sum();
+    assert!(applied > 4 * floor, "{applied} applies against {floor}");
+}
+
+#[test]
+fn warm_pagerank_allocates_by_partition_not_by_vertex() {
+    const PARTS: u32 = 8;
+    let g = cutfit::datagen::rmat(&cutfit::datagen::RmatConfig::default(), 12);
+    let vertices = g.num_vertices();
+    let pg = Arc::new(GraphXStrategy::EdgePartition2D.partition(&g, PARTS));
+    let cluster = ClusterConfig::paper_cluster();
+    let opts = |max_iterations| PregelConfig {
+        max_iterations,
+        executor: ExecutorMode::Sequential,
+        ..Default::default()
+    };
+    let mut prepared = PreparedRun::new(pg, &cluster, ExecutorMode::Sequential);
+    prepared.run(&PageRank, &opts(10)).expect("fits");
+    let (long, _) = allocations_of(|| prepared.run(&PageRank, &opts(10)).expect("fits"));
+    let (short, _) = allocations_of(|| prepared.run(&PageRank, &opts(2)).expect("fits"));
+    let per_superstep = (long - short) / 8;
+    let floor = SLACK * u64::from(PARTS);
+    assert!(
+        per_superstep <= floor,
+        "{per_superstep} allocations per superstep on {PARTS} partitions"
+    );
+    assert!(vertices > 8 * floor, "{vertices} vertices against {floor}");
+    // A whole warm job: message and state buffers, one per partition.
+    assert!(
+        short <= 10 * floor,
+        "{short} allocations in a two-superstep job"
+    );
+}

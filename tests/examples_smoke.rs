@@ -66,8 +66,8 @@ fn custom_algorithm_flow() {
             0
         }
 
-        fn apply(&self, _v: VertexId, state: &u64, msg: &u64) -> u64 {
-            state + msg
+        fn apply(&self, _v: VertexId, state: &mut u64, msg: &u64) {
+            *state += msg;
         }
 
         fn send(&self, t: &Triplet<'_, u64>) -> Messages<u64> {

@@ -258,3 +258,50 @@ fn truncated_and_trailing_containers_fail_typed_through_the_pipeline() {
     assert_eq!(materialize(&source).unwrap(), graph);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A frame header declaring 1 edge and `u32::MAX` payload bytes is refused
+/// from its eight bytes — `Corrupt` at the frame's offset, before the
+/// payload buffer is allocated — by the sequential reader and by the
+/// pipelined source alike.
+#[test]
+fn oversized_payload_declaration_fails_typed_on_both_paths() {
+    let graph = Graph::new_unchecked(
+        20,
+        (0..60u64)
+            .map(|i| Edge::new(i % 20, (i * 3) % 20))
+            .collect::<Vec<_>>(),
+    );
+    let mut bytes = Vec::new();
+    binfmt::write_binary_with(&graph, &mut bytes, 8).unwrap();
+    let frames = block_frames(&bytes);
+    let victim = frames[frames.len() / 2].offset;
+    let at = victim as usize;
+    bytes[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+    bytes[at + 4..at + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+    let refused = |err: ParseError| match err {
+        ParseError::Corrupt { offset, what } => {
+            assert_eq!(offset, victim, "{what}");
+            assert!(what.contains("payload bytes"), "{what}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    };
+
+    refused(binfmt::read_binary(&bytes[..]).unwrap_err());
+
+    let dir = scratch_dir("oversized");
+    let path = dir.join("lie.cfb");
+    std::fs::write(&path, &bytes).unwrap();
+    for (threads, read_ahead) in [(1, 1), (4, 4)] {
+        let source = BinaryFileSource::open(&path)
+            .unwrap()
+            .with_decode_threads(threads)
+            .with_read_ahead(read_ahead);
+        let mut delivered: Vec<Edge> = Vec::new();
+        let err = source
+            .for_each_chunk(7, &mut |c| delivered.extend_from_slice(c))
+            .expect_err("the lying frame must fail the pass");
+        refused(err);
+        assert_eq!(delivered.as_slice(), &graph.edges()[..delivered.len()]);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
