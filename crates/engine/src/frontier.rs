@@ -8,26 +8,23 @@
 //!
 //! * [`Incidence`] — per vertex, every appearance as an endpoint of a
 //!   partition-local edge, with the other endpoint's global id beside it:
-//!   a frontier vertex's row is everything a scan needs to form its
+//!   a frontier vertex's row is everything a walk needs to form its
 //!   triplets from the global state, degree and activity tables, without
 //!   reading a partition's edge or vertex table. One index for the whole
 //!   cut, built when a run first keeps asking for sparse supersteps;
 //! * [`FrontierBuffers`] — the per-run frontier bookkeeping: the current
-//!   frontier grouped by home partition, the touched-slot lists and the
-//!   per-partition scan counts, all reused across supersteps and jobs;
+//!   and the next frontier grouped by home partition and the per-partition
+//!   scan counts, all reused across supersteps and jobs;
 //! * [`plan_scan`] — the per-superstep choice between the dense walk and
 //!   the frontier walk.
 //!
-//! **Bit-identity.** A frontier walk must reproduce the dense scan exactly
-//! — vertex states *and* the metered bill. Two facts make that hold: it
-//! takes each edge the dense predicate would match exactly once (so the
-//! per-partition `matched` counts, and thus compute billing, are
-//! identical), and the messages it produces are sorted by (partition, edge,
-//! receiving endpoint) before they are folded into the partial buffers (so
-//! every slot merges its messages in the order of the dense walk, and float
-//! merges produce the same bit patterns).
-
-use std::sync::OnceLock;
+//! **Bit-identity.** A sparse superstep reproduces the dense one exactly —
+//! vertex states *and* the metered bill — because the walk takes each edge
+//! the dense predicate matches exactly once (so the per-partition `matched`
+//! counts, and thus compute billing, agree), and its messages are sorted by
+//! (receiver, partition, edge, receiving endpoint) before they merge: one
+//! partial per source partition in edge order, then the partials in
+//! partition order — the dense superstep's two levels, bit for bit.
 
 use cutfit_graph::types::PartId;
 use cutfit_graph::VertexId;
@@ -116,12 +113,9 @@ pub(crate) struct FrontierBuffers {
     /// Current frontier, grouped by home partition. Lock-free under the
     /// pool: each home partition belongs to exactly one thread.
     pub(crate) frontier: Vec<Vec<VertexId>>,
-    /// Vertices whose inbox slot was first written this superstep, grouped
-    /// by home — swapped in as the next frontier after the apply.
+    /// Vertices that received a message this superstep, grouped by home —
+    /// swapped in as the next frontier when the superstep ends.
     pub(crate) touched_inbox: Vec<Vec<VertexId>>,
-    /// Per partition: partial slots first written by a frontier walk — the
-    /// shuffle drains exactly these instead of sweeping all locals.
-    pub(crate) touched_partials: Vec<Vec<u32>>,
     /// Per partition: edges the scan visited this superstep (the metered
     /// edge-scan count); every scan writes every cell.
     pub(crate) matched: Vec<u64>,
@@ -135,7 +129,6 @@ impl FrontierBuffers {
         Self {
             frontier: vec![Vec::new(); num_parts],
             touched_inbox: vec![Vec::new(); num_parts],
-            touched_partials: vec![Vec::new(); num_parts],
             matched: vec![0; num_parts],
             sparse_wanted: 0,
         }
@@ -151,9 +144,6 @@ impl FrontierBuffers {
         {
             list.clear();
         }
-        for list in self.touched_partials.iter_mut() {
-            list.clear();
-        }
         self.sparse_wanted = 0;
     }
 }
@@ -163,12 +153,13 @@ impl FrontierBuffers {
 /// direction-optimizing-BFS switch, taken once per superstep. Per edge it
 /// takes, the walk reads a 16-byte [`Occurrence`] and two random state rows
 /// and sorts the messages it produces, where the dense walk streams 8-byte
-/// edges and tests two activity bits on all of them; after it the shuffle
-/// drains touched slots instead of sweeping every partial buffer. Scan plus
-/// shuffle, one thread, 64 partitions, the two walks cost the same at a
-/// degree sum of E/5…E/4 for CC on `road-sssp`'s graph, between E/4 and
-/// E/2 for CC and at E/2…3E/4 for SSSP on `tailored-session`'s YouTube cut:
-/// a quarter is about the largest share that loses on none of them.
+/// edges and tests two activity bits on all of them; after it the fold
+/// visits only the receivers, where the shuffle sweeps every partial buffer.
+/// Whole supersteps from `RunTrace` spans (one thread, 64 partitions): with
+/// every vertex active the sparse shape costs 4–5 × the dense one (CC on
+/// `road-sssp`'s graph: 100–120 ms against 23 ms); SSSP on
+/// `tailored-session`'s YouTube cut ties where the walk takes E/6 edges and
+/// is a third slower where it takes 0.44 E. A quarter sits between.
 pub(crate) const SPARSE_SCAN_FACTOR: u64 = 4;
 
 /// The incidence index is built on a run's fourth superstep that meets the
@@ -178,17 +169,18 @@ pub(crate) const SPARSE_SCAN_FACTOR: u64 = 4;
 pub(crate) const INCIDENCE_BUILD_AFTER: u32 = 4;
 
 /// Sums the frontier — its size, for telemetry, and its degree under `dir`
-/// — and decides this superstep's scan: `Some(index)` for a frontier walk,
-/// `None` for the dense walk. `degrees` are the whole-graph (out, in)
-/// tables; `force_sparse` is [`ScanMode::Sparse`](crate::ScanMode::Sparse).
-pub(crate) fn plan_scan<'a>(
-    pg: &PartitionedGraph,
-    incidence: &'a OnceLock<Incidence>,
+/// — and decides this superstep's scan: true for a frontier walk. `degrees`
+/// are the whole-graph (out, in) tables, `built` says whether the incidence
+/// index exists, and `force_sparse` is
+/// [`ScanMode::Sparse`](crate::ScanMode::Sparse).
+pub(crate) fn plan_scan(
+    num_edges: u64,
+    built: bool,
     dir: ActiveDirection,
     force_sparse: bool,
     degrees: (&[u32], &[u32]),
     fb: &mut FrontierBuffers,
-) -> (u64, Option<&'a Incidence>) {
+) -> (u64, bool) {
     let (out_deg, in_deg) = degrees;
     let degree_of = |v: VertexId| -> u64 {
         match dir {
@@ -208,17 +200,17 @@ pub(crate) fn plan_scan<'a>(
         }
     }
     if !force_sparse {
-        if frontier_degree.saturating_mul(SPARSE_SCAN_FACTOR) > pg.num_edges() {
-            return (active, None);
+        if frontier_degree.saturating_mul(SPARSE_SCAN_FACTOR) > num_edges {
+            return (active, false);
         }
-        if incidence.get().is_none() {
+        if !built {
             fb.sparse_wanted += 1;
             if fb.sparse_wanted < INCIDENCE_BUILD_AFTER {
-                return (active, None);
+                return (active, false);
             }
         }
     }
-    (active, Some(incidence.get_or_init(|| Incidence::build(pg))))
+    (active, true)
 }
 
 #[cfg(test)]
@@ -274,26 +266,22 @@ mod tests {
     fn plan_walks_small_frontiers_once_they_persist_and_never_full_ones() {
         let pg = sample();
         let (out_deg, in_deg) = degrees(&pg);
-        let incidence = OnceLock::new();
         let mut bufs = FrontierBuffers::new(pg.num_parts() as usize);
-        let plan = |bufs: &mut FrontierBuffers, force: bool| {
+        let plan = |bufs: &mut FrontierBuffers, built: bool, force: bool| {
             let dir = ActiveDirection::Either;
-            let (active, walk) = plan_scan(&pg, &incidence, dir, force, (&out_deg, &in_deg), bufs);
-            (active, walk.is_some())
+            plan_scan(pg.num_edges(), built, dir, force, (&out_deg, &in_deg), bufs)
         };
-        // An empty frontier meets the threshold, but the index is built
-        // only by the fourth superstep that does.
+        // An empty frontier meets the threshold, but the walk — and with it
+        // the index — is asked for only by the fourth superstep that does.
         for wanted in 1..INCIDENCE_BUILD_AFTER {
-            assert_eq!(plan(&mut bufs, false), (0, false));
+            assert_eq!(plan(&mut bufs, false, false), (0, false));
             assert_eq!(bufs.sparse_wanted, wanted);
-            assert!(incidence.get().is_none());
         }
-        assert_eq!(plan(&mut bufs, false), (0, true));
-        assert!(incidence.get().is_some());
-        // Built once, it serves every later eligible superstep — also of a
-        // later run on the same handle, whose count starts over.
+        assert_eq!(plan(&mut bufs, false, false), (0, true));
+        // Built once, the index serves every later eligible superstep — also
+        // of a later run on the same handle, whose count starts over.
         bufs.reset();
-        assert_eq!(plan(&mut bufs, false), (0, true));
+        assert_eq!(plan(&mut bufs, true, false), (0, true));
         assert_eq!(bufs.sparse_wanted, 0);
         // Full frontier: its degree sum counts each edge twice under
         // Either, so the superstep is dense unless sparse is forced.
@@ -301,18 +289,24 @@ mod tests {
             let q = pg.routing().parts_of(v).first().copied().unwrap_or(0);
             bufs.frontier[part_index(q)].push(v);
         }
-        assert_eq!(plan(&mut bufs, false), (pg.num_vertices(), false));
-        assert_eq!(plan(&mut bufs, true), (pg.num_vertices(), true));
+        assert_eq!(plan(&mut bufs, true, false), (pg.num_vertices(), false));
+        assert_eq!(plan(&mut bufs, true, true), (pg.num_vertices(), true));
     }
 
     #[test]
-    fn forcing_sparse_builds_the_index_at_once() {
+    fn forcing_sparse_walks_at_once() {
         let pg = sample();
         let (out_deg, in_deg) = degrees(&pg);
-        let incidence = OnceLock::new();
         let mut bufs = FrontierBuffers::new(pg.num_parts() as usize);
         let dir = ActiveDirection::Out;
-        let (_, walk) = plan_scan(&pg, &incidence, dir, true, (&out_deg, &in_deg), &mut bufs);
-        assert!(walk.is_some() && bufs.sparse_wanted == 0);
+        let (_, walk) = plan_scan(
+            pg.num_edges(),
+            false,
+            dir,
+            true,
+            (&out_deg, &in_deg),
+            &mut bufs,
+        );
+        assert!(walk && bufs.sparse_wanted == 0);
     }
 }

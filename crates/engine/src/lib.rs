@@ -20,25 +20,26 @@
 //! seconds.
 //!
 //! The superstep loop runs on precomputed run-scoped indexes and reusable
-//! buffers (see [`pregel`]). Each of its three phases — scan, shuffle,
-//! apply — is one kernel that the worker pool hands a contiguous range of
-//! partitions: several ranges under [`ExecutorMode::Parallel`] and
-//! [`ExecutorMode::Auto`], the whole range under
-//! [`ExecutorMode::Sequential`]. Converging programs additionally run
+//! buffers (see [`pregel`]). Each of its phases is one kernel that the
+//! worker pool hands a contiguous range of partitions: several ranges under
+//! [`ExecutorMode::Parallel`] and [`ExecutorMode::Auto`], the whole range
+//! under [`ExecutorMode::Sequential`]. Converging programs additionally run
 //! frontier-driven (see the `frontier` module): a superstep whose active set
-//! has shrunk walks only the frontier's incidence rows and drains only
-//! touched message slots, making tail supersteps O(frontier degree) instead
-//! of O(V + E). Every executor mode *and* every [`ScanMode`] produces
-//! bit-identical results, vertex states and metered
-//! [`cutfit_cluster::SimReport`] alike: threads own disjoint
-//! partition/vertex sets, per-vertex merges happen in deterministic
-//! source-partition order (a frontier walk sorts its messages into the
-//! dense walk's deposit order before folding them), and all metering is
-//! integral.
+//! has shrunk walks only the frontier's incidence rows, sorts the messages
+//! by receiver and folds each receiver's run straight into its state,
+//! making tail supersteps O(frontier degree) instead of O(V + E). Every
+//! executor mode *and* every [`ScanMode`] produces bit-identical results,
+//! vertex states and metered [`cutfit_cluster::SimReport`] alike: threads
+//! own disjoint partition/vertex sets, per-vertex merges happen in
+//! deterministic source-partition order (the sort reproduces the dense
+//! superstep's merge order), and all metering is integral. Where the wall
+//! time goes is reported beside the result, never inside it (see
+//! [`trace`]).
 
 mod frontier;
 pub mod pregel;
 pub mod program;
+pub mod trace;
 
 #[cfg(test)]
 mod tests_direction;
@@ -47,3 +48,4 @@ pub use pregel::{run_pregel, ExecutorMode, PregelConfig, PregelResult, PreparedR
 pub use program::{
     ActiveDirection, InitCtx, Messages, OwnedState, Triplet, VertexProgram, VertexState,
 };
+pub use trace::{Phase, RunTrace, Span};

@@ -1,59 +1,57 @@
 //! The metered Pregel loop.
 //!
-//! A run is a setup superstep followed by message supersteps of plan →
-//! scan → shuffle → apply/broadcast. Each of the three pooled phases is
-//! **one kernel**: a method of the private `Run` whose body is handed to
-//! `cutfit_util::exec` with a *shard* — a contiguous range of edge
-//! partitions for the scan, of home (master) partitions for the shuffle and
-//! the apply. The pool splits the range over its workers; at one thread it
-//! calls the body inline with the whole range, so
-//! [`ExecutorMode::Sequential`] is the one-shard case of the same code, not
-//! a second implementation, and the debug-build [`DisjointSlice`] owner
-//! check watches every mode.
+//! A run is a setup superstep followed by message supersteps, each planned
+//! as *dense* — scan → shuffle → apply — or *sparse* — emit → sort → fold.
+//! Every pooled phase is **one kernel**: a method of the private `Run` whose
+//! body `cutfit_util::exec` hands a *shard* — a contiguous range of edge
+//! partitions for the dense scan, of home (master) partitions for the rest.
+//! At one thread the pool calls the body inline with the whole range, so
+//! [`ExecutorMode::Sequential`] is the one-shard case of the same code and
+//! the debug-build [`DisjointSlice`] owner check watches every mode.
 //!
-//! * **Scan** — one of two walks per superstep, chosen by the plan. The
-//!   *dense* walk (shard: partitions) is one edge loop over every
-//!   partition's edge table, with or without the activity predicate. The
-//!   *frontier* walk (see the `frontier` module) emits from the frontier's
-//!   incidence rows (shard: homes) into message records, sorts them by
-//!   (partition, edge, receiving endpoint) and folds them into the partial
-//!   buffers in that order (shard: partitions) — the order of the dense
-//!   walk.
+//! * **Scan** (shard: partitions) — one edge loop over every partition's
+//!   edge table, with or without the activity predicate, pre-aggregating
+//!   into the partition's partial buffer.
 //! * **Shuffle** (shard: homes) — partitions outermost in ascending order,
 //!   which fixes every vertex's merge order; per partition the shard visits
-//!   the touched slots it masters (after a frontier walk), its contiguous
-//!   slice of the home-grouped locals, or — when the shard is the whole home
-//!   range — the partial buffer itself by iterator. Which one is read off
-//!   the plan and the shard's shape, never off an option.
+//!   its contiguous slice of the home-grouped locals, or — when it is the
+//!   whole home range — the partial buffer itself by iterator.
 //! * **Apply** (shard: homes) — exactly the vertices the shuffle wrote,
 //!   each state updated in place in the run's state column.
+//! * **Emit** (shard: homes; see the `frontier` module) — the frontier's
+//!   incidence rows become message records stamped with their receiver and
+//!   its home. **Sort** — all records by (home, receiver, partition, edge,
+//!   endpoint): one run per receiver, in the dense merge order.
+//! * **Fold** (shard: home ranges of the sorted records) — each run is
+//!   merged, billed and applied to its receiver's state row in one pass; a
+//!   sparse superstep touches no partial buffer, inbox, edge or vertex
+//!   table.
 //!
 //! What the kernels read is precomputed: the private `ScanIndex` holds each
-//! vertex's master ("home") partition with the isolated-vertex hash
-//! fallback folded in, the partition→executor map and the degree tables,
-//! so supersteps do no binary searches, routing lookups, or hashing. Three
-//! further parts are built when something first reads them: the
-//! per-partition grouping of locals by home when the handle's thread
-//! budget exceeds one (only a multi-shard shuffle reads it), the
-//! broadcast-class table by the first run, and the incidence index by the
-//! first run whose frontier stays small for four supersteps.
-//! What the kernels write is allocated once per run and self-cleaning: the
-//! shuffle *takes* every partial and the apply *takes* every inbox entry,
-//! so supersteps allocate no O(vertices + replicas) buffer.
+//! vertex's home partition (isolated-vertex hash fallback folded in), the
+//! partition→executor map and the degree tables, so supersteps do no
+//! searches, routing lookups or hashing. Three parts are built on first
+//! need: the grouping of locals by home (a multi-shard shuffle reads it),
+//! the broadcast-class table (the first run) and the incidence index (the
+//! first run whose frontier stays small for four supersteps). What the
+//! kernels write is allocated once per run and self-cleaning — partials and
+//! inbox entries are *taken*, records *drained* — so supersteps allocate no
+//! O(vertices + replicas) buffer.
 //!
-//! A superstep is billed by table, not by replica. The shuffle counts each
-//! message on its home's cell of a scratch row and bills the row once per
-//! source partition (the sending executor is the partition's). The apply
-//! counts each new state on its vertex's *broadcast class* — vertices
-//! whose master executor and mirror-executor multiset agree cost the same
-//! to broadcast — and each touched class is billed once after the phase,
-//! multiplied by its mirror counts. Every ledger quantity is an integer
-//! counter, accumulated in per-thread deltas and merged afterwards, so
-//! this is bit for bit the bill of one ledger call per message and per
-//! (vertex, mirror) pair — the tests keep that walk as a reference — and
-//! each vertex's messages merge in ascending source-partition order under
-//! any sharding: every thread count is bit-identical in both vertex states
-//! and the metered [`SimReport`].
+//! A superstep is billed by table, not by replica. A delivered partial is
+//! counted on the (source partition's executor → home's executor) cell —
+//! the shuffle through a scratch row billed once per source partition, the
+//! fold directly. An applied vertex counts its new state on its *broadcast
+//! class* — vertices whose master executor and mirror-executor multiset
+//! agree cost the same to broadcast — and each touched class is billed once
+//! per superstep, multiplied by its mirror counts. Every ledger quantity is
+//! an integer counter accumulated in per-thread deltas, so this is bit for
+//! bit the bill of one ledger call per message and per (vertex, mirror)
+//! pair — the tests keep that walk as a reference — and every vertex merges
+//! its messages in ascending source-partition order under any sharding:
+//! every thread count and scan mode is bit-identical in vertex states and
+//! the metered [`SimReport`]. Where the wall time went is summed per phase
+//! into a [`RunTrace`] beside the result (see the `trace` module).
 
 use std::borrow::Borrow;
 use std::ops::Range;
@@ -63,7 +61,8 @@ use cutfit_cluster::{ClusterConfig, ClusterSim, SimError, SimReport, SuperstepLe
 use cutfit_graph::types::PartId;
 use cutfit_graph::VertexId;
 use cutfit_partition::{EdgePartition, PartitionedGraph, NO_PART};
-use cutfit_util::exec::{run_chunked, run_cut_slices, run_ranges, DisjointSlice};
+use cutfit_util::clock::Clock;
+use cutfit_util::exec::{drain_cut_slices, run_chunked, run_ranges, DisjointSlice};
 use cutfit_util::hash::hash64;
 use cutfit_util::num::{part_index, vid_index};
 
@@ -71,6 +70,7 @@ use crate::frontier::{plan_scan, FrontierBuffers, Incidence, Occurrence};
 use crate::program::{
     ActiveDirection, InitCtx, Messages, OwnedState, Triplet, VertexProgram, VertexState,
 };
+use crate::trace::{Phase, Probe, RunTrace};
 
 /// How partitions are scanned within a superstep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,11 +108,11 @@ pub enum ScanMode {
     /// the activity bitset — GraphX's behaviour, O(V + E) per superstep
     /// regardless of how few vertices are still active.
     Dense,
-    /// Always walk the frontier's incidence rows — O(frontier degree) per
-    /// superstep, but slower than dense when most vertices are active: it
-    /// reads 16 bytes and two random state rows per edge where the dense
-    /// walk streams 8, and sorts the messages it produces. For testing and
-    /// benchmarking.
+    /// Always walk the frontier's incidence rows and fold the messages by
+    /// receiver — O(frontier degree) per superstep, but slower than dense
+    /// when most vertices are active: it reads 16 bytes and two random
+    /// state rows per edge where the dense walk streams 8, and sorts the
+    /// messages it produces. For testing and benchmarking.
     Sparse,
     /// Each superstep walks its frontier when the frontier's degree sum is
     /// at most a quarter of the graph's edge count (and the run has done so
@@ -570,26 +570,14 @@ impl MeterDelta {
     }
 }
 
-/// Resets every [`MeterDelta`] and runs `work` over `0..num_parts` on the
-/// shared worker-pool abstraction ([`run_chunked`]), one contiguous range
-/// and one delta per thread.
-fn run_on_pool<F>(num_parts: usize, threads: usize, deltas: &mut [MeterDelta], work: F)
-where
-    F: Fn(Range<usize>, &mut MeterDelta) + Sync,
-{
-    for delta in deltas.iter_mut() {
-        delta.reset();
-    }
-    run_chunked(num_parts, threads, deltas, work);
-}
-
-/// Program-independent run scratch: the activity bitset, frontier
-/// bookkeeping, and per-thread metering deltas — one delta per worker the
-/// run may use, so their count *is* the thread budget. A [`PreparedRun`]
-/// keeps one of these alive across jobs so back-to-back dispatches allocate
-/// nothing here (the message-typed inbox/partial buffers are per-program
-/// and stay per-run).
+/// Program-independent run scratch: the metering sim, the activity bitset,
+/// frontier bookkeeping, and per-thread metering deltas — one delta per
+/// worker the run may use, so their count *is* the thread budget. A
+/// [`PreparedRun`] keeps one of these alive across jobs so back-to-back
+/// dispatches allocate nothing here (the message-typed inbox/partial
+/// buffers are per-program and stay per-run).
 struct RunBuffers {
+    sim: ClusterSim,
     active: Vec<bool>,
     frontier: FrontierBuffers,
     deltas: Vec<MeterDelta>,
@@ -601,6 +589,7 @@ impl RunBuffers {
     fn new(pg: &PartitionedGraph, cluster: &ClusterConfig, executor: ExecutorMode) -> Self {
         let np = pg.num_parts() as usize;
         Self {
+            sim: ClusterSim::new(cluster.clone(), pg.num_parts()),
             active: vec![false; pg.num_vertices() as usize],
             frontier: FrontierBuffers::new(np),
             deltas: (0..executor.threads().min(np.max(1)))
@@ -627,29 +616,28 @@ pub fn run_pregel<P: VertexProgram>(
 ) -> Result<PregelResult<OwnedState<P>>, SimError> {
     let mut buffers = RunBuffers::new(pg, cluster, opts.executor);
     let index = ScanIndex::build(pg, cluster, buffers.deltas.len() > 1);
-    let mut sim = ClusterSim::new(cluster.clone(), pg.num_parts());
+    let mut probe = Probe::new(&Clock::Null);
     let (states, supersteps, converged) =
-        execute(program, pg, &index, &mut sim, &mut buffers, opts)?;
+        execute(program, pg, &index, &mut buffers, opts, &mut probe)?;
     Ok(PregelResult {
         states,
         supersteps,
         converged,
-        sim: sim.into_report(),
+        sim: buffers.sim.into_report(),
     })
 }
 
 /// A run-scoped handle over one materialized cut: the routing index, degree
-/// tables, reusable metering sim, and program-independent buffers, built
+/// tables, and program-independent buffers (metering sim included), built
 /// once and shared by every job dispatched against the same
 /// [`PartitionedGraph`]. Back-to-back jobs on one cut skip all routing
-/// setup — the serving layer's cache-hit path is
-/// [`PreparedRun::run`], which only allocates the message-typed buffers of
-/// the program it executes, plus — once per handle — the index parts built
-/// on first need: the broadcast-class table every run bills its state
-/// broadcasts through (paid by the handle's first job) and the incidence
-/// index (by the first job with a lasting small frontier). A job that fails or
-/// panics mid-phase leaves no meter state behind: every accumulator is
-/// cleared before the next phase that uses it.
+/// setup — the serving layer's cache-hit path is [`PreparedRun::run`],
+/// which only allocates the message-typed buffers of the program it
+/// executes, plus — once per handle — the index parts built on first need:
+/// the broadcast-class table (paid by the handle's first job) and the
+/// incidence index (by the first job with a lasting small frontier). A job
+/// that fails or panics mid-phase leaves no meter state behind: every
+/// accumulator is cleared before the next superstep uses it.
 ///
 /// The handle is prepared for a maximum parallelism at construction
 /// ([`ExecutorMode::threads`] of the mode passed to [`PreparedRun::new`]);
@@ -659,7 +647,6 @@ pub fn run_pregel<P: VertexProgram>(
 pub struct PreparedRun {
     pg: Arc<PartitionedGraph>,
     index: ScanIndex,
-    sim: ClusterSim,
     buffers: RunBuffers,
 }
 
@@ -670,7 +657,6 @@ impl PreparedRun {
         let buffers = RunBuffers::new(&pg, cluster, executor);
         Self {
             index: ScanIndex::build(&pg, cluster, buffers.deltas.len() > 1),
-            sim: ClusterSim::new(cluster.clone(), pg.num_parts()),
             buffers,
             pg,
         }
@@ -683,7 +669,7 @@ impl PreparedRun {
 
     /// The cluster the metering sim bills against.
     pub fn cluster(&self) -> &ClusterConfig {
-        self.sim.config()
+        self.buffers.sim.config()
     }
 
     /// The thread budget the handle was prepared for.
@@ -701,59 +687,68 @@ impl PreparedRun {
         program: &P,
         opts: &PregelConfig,
     ) -> Result<PregelResult<OwnedState<P>>, SimError> {
-        self.sim.reset();
-        let (states, supersteps, converged) = execute(
-            program,
-            &self.pg,
-            &self.index,
-            &mut self.sim,
-            &mut self.buffers,
-            opts,
-        )?;
-        Ok(PregelResult {
+        self.run_traced(program, opts, &Clock::Null)
+            .map(|(result, _)| result)
+    }
+
+    /// [`PreparedRun::run`], timing the loop's phases on `clock`: the same
+    /// result, with where the wall time went beside it.
+    pub fn run_traced<P: VertexProgram>(
+        &mut self,
+        program: &P,
+        opts: &PregelConfig,
+        clock: &Clock,
+    ) -> Result<(PregelResult<OwnedState<P>>, RunTrace), SimError> {
+        let Self { pg, index, buffers } = self;
+        buffers.sim.reset();
+        let mut probe = Probe::new(clock);
+        let (states, supersteps, converged) =
+            execute(program, pg, index, buffers, opts, &mut probe)?;
+        let result = PregelResult {
             states,
             supersteps,
             converged,
-            sim: self.sim.report().clone(),
-        })
-    }
-}
-
-#[cfg(test)]
-impl PreparedRun {
-    /// Whether a job on this handle has walked a frontier (and so built the
-    /// incidence index).
-    pub(crate) fn has_walked(&self) -> bool {
-        self.index.incidence.get().is_some()
+            sim: buffers.sim.report().clone(),
+        };
+        Ok((result, probe.into_trace()))
     }
 }
 
 /// The superstep loop shared by [`run_pregel`] (transient index/buffers)
 /// and [`PreparedRun::run`] (cached index, reused buffers): setup, then
-/// plan → scan → shuffle → apply until no message flows or `opts` caps the
-/// iterations. The worker count is `opts.executor`'s, clamped to the
-/// buffers' thread budget.
+/// plan → (scan → shuffle → apply | emit → sort → fold) until no message
+/// flows or `opts` caps the iterations. The worker count is
+/// `opts.executor`'s, clamped to the buffers' thread budget.
 fn execute<P: VertexProgram>(
     program: &P,
     pg: &PartitionedGraph,
     index: &ScanIndex,
-    sim: &mut ClusterSim,
     buffers: &mut RunBuffers,
     opts: &PregelConfig,
+    probe: &mut Probe<'_>,
 ) -> Result<(Vec<OwnedState<P>>, u64, bool), SimError> {
+    // Message-typed inbox/partials are allocated per run (the message type
+    // changes with the program); everything program-independent comes from
+    // the reusable `RunBuffers` and is re-initialized in place.
+    let RunBuffers {
+        sim,
+        active,
+        frontier: fb,
+        deltas,
+    } = buffers;
     let n = pg.num_vertices();
-    debug_assert_eq!(sim.config().executors as usize, buffers.deltas[0].executors);
-    let classes = index.classes(pg);
-    for delta in buffers.deltas.iter_mut() {
+    let unbuilt = index.classes.get().is_none();
+    let classes = probe.time_if(unbuilt, Phase::BuildClasses, || index.classes(pg));
+    for delta in deltas.iter_mut() {
         delta.class_sent.resize(classes.len(), (0, 0));
     }
     let cx = Ctx {
         program,
         pg,
         index,
-        classes,
+        class_of: &classes.class_of,
         msg_overhead: sim.config().cost.message_overhead_bytes,
-        threads: opts.executor.threads().min(buffers.deltas.len()),
+        threads: opts.executor.threads().min(deltas.len()),
     };
     let all_active = program.always_active();
     // Only a converging program under a non-dense scan mode plans scans
@@ -766,16 +761,8 @@ fn execute<P: VertexProgram>(
     if opts.charge_initial_load {
         sim.charge_load(cutfit_cluster::load_bytes(n, pg.num_edges()));
     }
-    let states = cx.setup(sim)?;
+    let states = cx.setup(classes, sim)?;
 
-    // Message-typed inbox/partials are allocated per run (the message type
-    // changes with the program); everything program-independent comes from
-    // the reusable `RunBuffers` and is re-initialized in place.
-    let RunBuffers {
-        active,
-        frontier: fb,
-        deltas,
-    } = buffers;
     fb.reset();
     if !all_active {
         // The frontier protocol keeps `active` equal to the current
@@ -804,56 +791,64 @@ fn execute<P: VertexProgram>(
     let mut supersteps = 0u64;
     let mut converged = false;
     while supersteps < opts.max_iterations {
-        // 0. Plan: size the frontier and pick the superstep's scan. While
-        //    every vertex is active (superstep one, always-active programs)
-        //    it is the dense walk without the activity predicate.
-        let (active_count, walk) = if frontier_all {
-            (n, None)
-        } else if plans_frontier {
-            plan_scan(
-                pg,
-                &index.incidence,
-                program.active_direction(),
-                opts.scan_mode == ScanMode::Sparse,
-                (&index.out_deg, &index.in_deg),
-                run.fb,
-            )
+        // Plan: size the frontier and pick the superstep's shape. While
+        // every vertex is active (superstep one, always-active programs)
+        // it is the dense one without the activity predicate.
+        let (active_count, sparse) = probe.time(Phase::Plan, || {
+            if frontier_all {
+                (n, false)
+            } else if plans_frontier {
+                plan_scan(
+                    pg.num_edges(),
+                    index.incidence.get().is_some(),
+                    program.active_direction(),
+                    opts.scan_mode == ScanMode::Sparse,
+                    (&index.out_deg, &index.in_deg),
+                    run.fb,
+                )
+            } else {
+                (run.fb.frontier.iter().map(|f| f.len() as u64).sum(), false)
+            }
+        });
+
+        // Either shape leaves the edges it visited in `matched`, the
+        // receivers in `touched_inbox` and its bill in the deltas.
+        let msg_count = if sparse {
+            let unbuilt = index.incidence.get().is_none();
+            let build = || index.incidence.get_or_init(|| Incidence::build(pg));
+            let incidence = probe.time_if(unbuilt, Phase::BuildIncidence, build);
+            probe.time(Phase::Emit, || run.emit(incidence));
+            probe.time(Phase::Sort, || run.sort());
+            probe.time(Phase::Fold, || run.fold())
         } else {
-            (run.fb.frontier.iter().map(|f| f.len() as u64).sum(), None)
+            probe.time(Phase::DenseScan, || run.scan_tables(!frontier_all));
+            let msg_count = probe.time(Phase::Shuffle, || run.shuffle());
+            if msg_count > 0 {
+                probe.time(Phase::Apply, || run.apply(!all_active && !frontier_all));
+            }
+            msg_count
         };
 
-        // 1. Scan, then bill it. Frontier telemetry — active vertices at
-        //    scan time and edges the scan visited — is mode-invariant:
-        //    `matched` is pinned equal across modes, and the frontier is
-        //    exactly the set of vertices that received messages last
-        //    superstep.
-        match walk {
-            Some(incidence) => run.scan_frontier(incidence),
-            None => run.scan_tables(!frontier_all),
-        }
-        for (p, &m) in run.fb.matched.iter().enumerate() {
-            sim.ledger().edge_scans(p as PartId, m);
-        }
-        let scanned: u64 = run.fb.matched.iter().sum();
-        sim.ledger()
-            .record_frontier(active_count, n, scanned, pg.num_edges());
-
-        // 2. Shuffle partials to masters.
-        let msg_count = run.shuffle(walk.is_some());
-        for delta in run.deltas.iter() {
-            delta.flush_ledger(classes, sim.ledger());
-        }
+        // Bill it. Frontier telemetry — active vertices at scan time and
+        // edges the scan visited — is mode-invariant: `matched` is pinned
+        // equal across modes, and the frontier is exactly the set of
+        // vertices that received messages last superstep.
+        probe.time(Phase::Sim, || {
+            for (p, &m) in run.fb.matched.iter().enumerate() {
+                sim.ledger().edge_scans(p as PartId, m);
+            }
+            let scanned: u64 = run.fb.matched.iter().sum();
+            sim.ledger()
+                .record_frontier(active_count, n, scanned, pg.num_edges());
+            for delta in run.deltas.iter() {
+                delta.flush_ledger(classes, sim.ledger());
+                delta.flush_resident(sim);
+            }
+            sim.end_superstep()
+        })?;
         if msg_count == 0 {
             converged = true;
-            sim.end_superstep()?;
             break;
-        }
-
-        // 3. Apply at masters; 4. broadcast updated states to mirrors.
-        run.apply(!all_active && !frontier_all);
-        for delta in run.deltas.iter() {
-            delta.flush_ledger(classes, sim.ledger());
-            delta.flush_resident(sim);
         }
         // The vertices that received messages are exactly next superstep's
         // frontier: swap the touched lists in and recycle the old frontier
@@ -867,19 +862,12 @@ fn execute<P: VertexProgram>(
             list.clear();
         }
         supersteps += 1;
-        sim.end_superstep()?;
     }
 
     // The message buffers go before the owned rows come: a `[T]` column's
     // rows are as many allocations again as it has vertices.
-    let Run {
-        states,
-        partials,
-        inbox,
-        ..
-    } = run;
-    drop((partials, inbox));
-    Ok((states.into_rows(vid_index(n)), supersteps, converged))
+    drop((run.partials, run.inbox, run.walk_shards));
+    Ok((run.states.into_rows(vid_index(n)), supersteps, converged))
 }
 
 /// What every phase of one run reads and none writes.
@@ -887,8 +875,8 @@ struct Ctx<'a, P: VertexProgram> {
     program: &'a P,
     pg: &'a PartitionedGraph,
     index: &'a ScanIndex,
-    /// `index`'s broadcast-class table, fetched once per run.
-    classes: &'a BroadcastClasses,
+    /// Each vertex's broadcast class, from `index`'s class table.
+    class_of: &'a [u32],
     /// Framing bytes billed per message on top of its payload.
     msg_overhead: u64,
     /// Worker count, within the buffers' thread budget.
@@ -902,13 +890,15 @@ struct Ctx<'a, P: VertexProgram> {
 struct Run<'a, P: VertexProgram> {
     cx: Ctx<'a, P>,
     states: Column<P::State>,
-    /// Per partition, per local vertex: the scan's pre-aggregated message.
-    /// The shuffle *takes* every partial and the apply *takes* every inbox
-    /// entry, so both buffers are all-`None` again when a superstep ends.
+    /// Per partition, per local vertex: the dense scan's pre-aggregated
+    /// message. The shuffle *takes* every partial and the apply *takes*
+    /// every inbox entry, so both are all-`None` again when a superstep
+    /// ends; a sparse superstep touches neither.
     partials: Vec<Vec<Option<P::Msg>>>,
     inbox: Vec<Option<P::Msg>>,
-    /// One per worker, from the run's first frontier walk on: what a walk's
-    /// emission shards produce. A run that never walks allocates none.
+    /// One per worker, from the run's first sparse superstep on: what its
+    /// emission shards produce, collected in shard 0's buffer for the sort
+    /// and the fold. A run that never walks allocates none.
     walk_shards: Vec<WalkShard<P::Msg>>,
     active: &'a mut [bool],
     fb: &'a mut FrontierBuffers,
@@ -968,35 +958,30 @@ impl<S: VertexState + ?Sized> Column<S> {
     }
 }
 
-/// One message a frontier walk produced: where the dense walk would have
-/// deposited it. Sorting by `(part, edge, to_dst)` — unique per record, so
-/// a total order however the emission was sharded — is the dense walk's
-/// deposit order.
+/// One message a frontier walk produced. Sorting by `(home, to, part, edge,
+/// to_dst)` — unique per record, so a total order however the emission was
+/// sharded — puts each receiver's messages in one run, by source partition
+/// and in edge order inside one (a self-loop's source-side message first):
+/// the dense merge order, slot merge by edge, then inbox merge by partition.
 struct Record<M> {
+    /// The receiver's home partition.
+    home: PartId,
+    /// The receiving vertex.
+    to: VertexId,
+    /// The edge partition holding the edge.
     part: PartId,
     /// Index into the partition's edge table.
     edge: u32,
     /// The receiving endpoint: the edge's destination, else its source.
     to_dst: bool,
-    /// Taken by the deposit.
-    msg: Option<M>,
+    msg: M,
 }
 
-/// What one emission shard of a frontier walk writes: its messages and its
-/// share of each partition's edge-scan count. Owned by the run, so a job
-/// abandoned mid-walk leaves neither to the next one.
+/// What one emission shard writes: its messages and its share of each
+/// partition's edge-scan count. Owned by the run, not the reusable buffers.
 struct WalkShard<M> {
     records: Vec<Record<M>>,
     matched: Vec<u64>,
-}
-
-impl<M> WalkShard<M> {
-    fn new(num_parts: usize) -> Self {
-        Self {
-            records: Vec::new(),
-            matched: vec![0; num_parts],
-        }
-    }
 }
 
 /// Folds `msg` into `slot` with the program's combiner; true when the slot
@@ -1016,14 +1001,12 @@ impl<P: VertexProgram> Ctx<'_, P> {
     /// broadcast to mirrors, and the residency declaration (structure +
     /// replica states, declared once here and updated incrementally by the
     /// apply phase). Returns the initial states.
-    fn setup(&self, sim: &mut ClusterSim) -> Result<Column<P::State>, SimError> {
-        let Ctx {
-            program,
-            pg,
-            index,
-            classes,
-            ..
-        } = *self;
+    fn setup(
+        &self,
+        classes: &BroadcastClasses,
+        sim: &mut ClusterSim,
+    ) -> Result<Column<P::State>, SimError> {
+        let (program, pg, index) = (self.program, self.pg, self.index);
         let ctx = InitCtx {
             out_degrees: &index.out_deg,
             in_degrees: &index.in_deg,
@@ -1090,6 +1073,35 @@ impl<P: VertexProgram> Ctx<'_, P> {
         }
         sim.end_superstep()?;
         Ok(states)
+    }
+
+    /// Phases 3 and 4 for one vertex, written once for the dense apply and
+    /// the sparse fold: runs the program on `v`, mastered at `q`, and meters
+    /// one vertex op, the new state's bytes, and its trip to `v`'s mirrors
+    /// on `v`'s broadcast class — no walk over the replicas. Residency moves
+    /// as signed per-partition deltas of [`VertexProgram::state_bytes`] and
+    /// alone reads the routing table: only for a vertex whose state changed
+    /// size, so never for fixed-size states.
+    #[inline]
+    fn apply_vertex(
+        &self,
+        (v, q): (VertexId, usize),
+        state: &mut P::State,
+        msg: &P::Msg,
+        delta: &mut MeterDelta,
+    ) {
+        let old_bytes = self.program.state_bytes(state);
+        self.program.apply(v, state, msg);
+        let state_size = self.program.state_bytes(state);
+        delta.vertex_ops[q] += 1;
+        delta.local_bytes[q] += state_size;
+        delta.broadcast(self.class_of[vid_index(v)], state_size + self.msg_overhead);
+        let grew = state_size as i64 - old_bytes as i64;
+        if grew != 0 {
+            for &p in self.pg.routing().parts_of(v) {
+                delta.resident[part_index(p)] += grew;
+            }
+        }
     }
 
     /// The dense walk's edge loop over one partition's edge table,
@@ -1189,38 +1201,34 @@ impl<P: VertexProgram> Run<'_, P> {
         });
     }
 
-    /// Phase 1, sparse — the frontier walk, bit-identical to
-    /// [`Run::scan_tables`] with the predicate in partials, touched-slot
-    /// order and per-partition `matched`.
-    ///
-    /// *Emit* (shard: homes): every frontier vertex's incidence row is read
-    /// under the program's [`ActiveDirection`]; an edge both of whose
-    /// endpoints could claim it (`Either` with both active — a self-loop
-    /// included) is taken from its source's side only, so each matching
-    /// edge is taken once. A taken edge counts on its partition's cell of
-    /// the shard's `matched` row, and what `send` returns becomes records.
-    /// *Sort*: all shards' records, by (partition, edge, receiving
-    /// endpoint). *Deposit* (shard: partitions): each partition folds its
-    /// run of the sorted records into its partial buffer, noting first
-    /// writes for the shuffle.
-    fn scan_frontier(&mut self, incidence: &Incidence) {
+    /// Sparse phase 1 — emit (shard: homes): every frontier vertex's
+    /// incidence row is read under the program's [`ActiveDirection`]; an
+    /// edge both of whose endpoints could claim it (`Either` with both
+    /// active — a self-loop included) is taken from its source's side only,
+    /// so each edge the dense predicate matches is taken exactly once. A
+    /// taken edge counts on its partition's cell of `matched`; what `send`
+    /// returns becomes records, all collected in shard 0's buffer.
+    fn emit(&mut self, incidence: &Incidence) {
         let Self {
             cx,
             states,
             active,
-            partials,
             fb,
             walk_shards,
             ..
         } = self;
         let (cx, states, active) = (&*cx, &*states, &**active);
         let frontier = &fb.frontier;
-        let num_parts = partials.len();
+        let num_parts = frontier.len();
         if walk_shards.is_empty() {
-            walk_shards.resize_with(cx.threads, || WalkShard::new(num_parts));
+            walk_shards.resize_with(cx.threads, || WalkShard {
+                records: Vec::new(),
+                matched: vec![0; num_parts],
+            });
         }
         run_chunked(num_parts, cx.threads, walk_shards, |homes, shard| {
             let program = cx.program;
+            let home = cx.index.home.as_slice();
             let (out_deg, in_deg) = (cx.index.out_deg.as_slice(), cx.index.in_deg.as_slice());
             let WalkShard { records, matched } = shard;
             let mut take = |src: VertexId, dst: VertexId, at: &Occurrence| {
@@ -1235,11 +1243,14 @@ impl<P: VertexProgram> Run<'_, P> {
                     dst_in_degree: in_deg[d],
                 };
                 let mut emit = |to_dst, msg| {
+                    let to = if to_dst { dst } else { src };
                     records.push(Record {
+                        home: home[vid_index(to)],
+                        to,
                         part: at.part,
                         edge: at.edge,
                         to_dst,
-                        msg: Some(msg),
+                        msg,
                     })
                 };
                 match program.send(&triplet) {
@@ -1274,69 +1285,117 @@ impl<P: VertexProgram> Run<'_, P> {
             }
         });
 
-        // Shard 0's buffer collects every shard's records (and keeps its
-        // capacity for the next walk).
-        let mut records = std::mem::take(&mut walk_shards[0].records);
         fb.matched.fill(0);
+        let mut all = std::mem::take(&mut walk_shards[0].records);
         for shard in walk_shards.iter_mut() {
-            records.append(&mut shard.records);
+            all.append(&mut shard.records);
             for (total, cell) in fb.matched.iter_mut().zip(&mut shard.matched) {
                 *total += std::mem::take(cell);
             }
         }
-        records.sort_unstable_by_key(|r| (r.part, r.edge, r.to_dst));
-
-        // Partition p's records are one run of the sorted buffer; a deposit
-        // shard is the runs of a contiguous partition range.
-        let shard_parts = num_parts.div_ceil(cx.threads).max(1);
-        let cuts: Vec<usize> = (0..=num_parts.div_ceil(shard_parts))
-            .map(|k| records.partition_point(|r| part_index(r.part) < k * shard_parts))
-            .collect();
-        let partial_cells = DisjointSlice::new(partials.as_mut_slice());
-        let touched_cells = DisjointSlice::new(fb.touched_partials.as_mut_slice());
-        run_cut_slices(&mut records, &cuts, |_, shard| {
-            for record in shard {
-                let p = part_index(record.part);
-                // SAFETY: the cuts fall on partition boundaries, so
-                // partition p's records — and with them its partial buffer
-                // and touched list — are this shard's alone.
-                let (out, touched) =
-                    unsafe { (partial_cells.get_mut(p), touched_cells.get_mut(p)) };
-                let Some(msg) = record.msg.take() else {
-                    continue;
-                };
-                let (ls, ld) = cx.pg.parts()[p].edges[record.edge as usize];
-                let local = if record.to_dst { ld } else { ls };
-                if deposit(cx.program, &mut out[local as usize], msg) {
-                    touched.push(local);
-                }
-            }
-        });
-        records.clear();
-        walk_shards[0].records = records;
+        walk_shards[0].records = all;
     }
 
-    /// Phase 2 — shuffle: every partial whose vertex is mastered in the
-    /// shard's home range moves to that vertex's inbox entry, merged with
-    /// what earlier partitions sent, and is billed. Partitions are visited
-    /// outermost in ascending order and hold at most one slot per vertex,
-    /// so every vertex merges its messages in ascending source-partition
-    /// order whatever the sharding: the inbox is bit-identical at any
-    /// thread count. Vertices whose inbox entry goes `None → Some` are
-    /// recorded per home partition — they are the next frontier. Returns
-    /// the number of messages moved.
+    /// Sparse phase 2 — sort the records into receiver runs (see [`Record`]).
+    fn sort(&mut self) {
+        let key = |r: &Record<_>| (r.home, r.to, r.part, r.edge, r.to_dst);
+        self.walk_shards[0].records.sort_unstable_by_key(key);
+    }
+
+    /// Sparse phase 3 — fold (shard: home ranges of the sorted records, cut
+    /// at home boundaries): clears the old frontier's activity bits
+    /// list-wise, then takes the records by value. Each (receiver,
+    /// partition) sub-run merges in edge order into the partial the dense
+    /// scan would have left in the receiver's slot, billed as the shuffle
+    /// bills that slot; a receiver's partials merge in partition order; the
+    /// receiver is applied, its activity bit set, and itself pushed on its
+    /// home's touched list — the next frontier, ascending by id under any
+    /// sharding. Returns the partials: what a shuffle would have moved.
+    fn fold(&mut self) -> u64 {
+        let Self {
+            cx,
+            states,
+            active,
+            fb,
+            deltas,
+            walk_shards,
+            ..
+        } = self;
+        let (cx, fb) = (&*cx, &mut **fb);
+        let records = &mut walk_shards[0].records;
+        let (frontier, num_parts) = (&fb.frontier, fb.frontier.len());
+        let shard_homes = num_parts.div_ceil(cx.threads).max(1);
+        let cuts: Vec<usize> = (0..=num_parts.div_ceil(shard_homes))
+            .map(|k| records.partition_point(|r| part_index(r.home) < k * shard_homes))
+            .collect();
+        let stride = states.stride;
+        let state_cells = DisjointSlice::new(states.cells.as_mut_slice());
+        let active_cells = DisjointSlice::new(active);
+        let touched_cells = DisjointSlice::new(fb.touched_inbox.as_mut_slice());
+        deltas.iter_mut().for_each(MeterDelta::reset);
+        drain_cut_slices(records, &cuts, deltas, |k, shard, delta| {
+            let (program, msg_overhead) = (cx.program, cx.msg_overhead);
+            let exec_of_part = cx.index.exec_of_part.as_slice();
+            // SAFETY: the cuts fall on home boundaries, so every receiver in
+            // this shard's records is mastered in the shard's home range,
+            // as is every vertex of `frontier[q]` for a home q in it; home
+            // ranges are disjoint across shards, so those vertices' state,
+            // activity bit and home's touched list are this shard's alone.
+            let own = |v: VertexId, q: usize| unsafe {
+                (
+                    P::State::row_mut(state_cells.row_mut(vid_index(v), stride)),
+                    active_cells.get_mut(vid_index(v)),
+                    touched_cells.get_mut(q),
+                )
+            };
+            let homes = k * shard_homes..((k + 1) * shard_homes).min(num_parts);
+            for (q, old) in homes.clone().zip(&frontier[homes]) {
+                for &fv in old {
+                    *own(fv, q).1 = false;
+                }
+            }
+            let mut shard = shard.peekable();
+            let mut inbox = None;
+            while let Some(first) = shard.next() {
+                let (v, q, part) = (first.to, part_index(first.home), first.part);
+                let mut partial = first.msg;
+                while let Some(next) = shard.next_if(|r| r.to == v && r.part == part) {
+                    partial = program.merge(partial, next.msg);
+                }
+                let bytes = program.msg_bytes(&partial) + msg_overhead;
+                delta.send_exec(exec_of_part[part_index(part)], exec_of_part[q], 1, bytes);
+                delta.local_bytes[q] += bytes;
+                delta.msgs += 1;
+                deposit(program, &mut inbox, partial);
+                if shard.peek().is_some_and(|r| r.to == v) {
+                    continue;
+                }
+                let Some(msg) = inbox.take() else { continue };
+                let (state, is_active, touched) = own(v, q);
+                cx.apply_vertex((v, q), state, &msg, delta);
+                *is_active = true;
+                touched.push(v);
+            }
+        });
+        deltas.iter().map(|d| d.msgs).sum()
+    }
+
+    /// Dense phase 2 — shuffle: every partial whose vertex is mastered in
+    /// the shard's home range moves to that vertex's inbox entry, merged
+    /// with what earlier partitions sent, and is billed. Partitions are
+    /// visited outermost in ascending order and hold at most one slot per
+    /// vertex, so every vertex merges its messages in ascending
+    /// source-partition order whatever the sharding. Vertices whose inbox
+    /// entry goes `None → Some` are recorded per home partition — the next
+    /// frontier. Returns the number of messages moved.
     ///
-    /// Per partition the shard visits: after a frontier walk (`walked`),
-    /// the touched slots, skipping those homed outside the shard —
-    /// O(touched) per shard, so O(threads × touched) in all, with no
-    /// scan-time bucketing; after a dense walk, the shard's contiguous
-    /// slice of the home-grouped locals — or, when the shard is the whole
-    /// home range (always so at one thread), the partial buffer itself by
-    /// iterator, which needs no grouping and no per-slot indexing.
-    /// Whichever it is, a delivered message is counted on its home's cell
-    /// of the delta's scratch row, and the row is billed once per source
-    /// partition.
-    fn shuffle(&mut self, walked: bool) -> u64 {
+    /// Per partition the shard visits its contiguous slice of the
+    /// home-grouped locals — or, when it is the whole home range (always so
+    /// at one thread), the partial buffer itself by iterator, which needs
+    /// no grouping and no per-slot indexing. A delivered message is counted
+    /// on its home's cell of the delta's scratch row, billed once per
+    /// source partition.
+    fn shuffle(&mut self) -> u64 {
         let Self {
             cx,
             partials,
@@ -1346,20 +1405,19 @@ impl<P: VertexProgram> Run<'_, P> {
             ..
         } = self;
         let cx = &*cx;
-        let touched_partials = &fb.touched_partials;
         let num_parts = partials.len();
         let partial_cells: Vec<DisjointSlice<'_, Option<P::Msg>>> =
             partials.iter_mut().map(|p| DisjointSlice::new(p)).collect();
         let inbox_cells = DisjointSlice::new(inbox.as_mut_slice());
         let touched_cells = DisjointSlice::new(fb.touched_inbox.as_mut_slice());
-        run_on_pool(num_parts, cx.threads, deltas, |homes, delta| {
+        deltas.iter_mut().for_each(MeterDelta::reset);
+        run_chunked(num_parts, cx.threads, deltas, |homes, delta| {
             // Sliced once per shard, not reached through `cx` per message.
             let (program, msg_overhead) = (cx.program, cx.msg_overhead);
             let home = cx.index.home.as_slice();
             let exec_of_part = cx.index.exec_of_part.as_slice();
             for (p, slots) in partial_cells.iter().enumerate() {
                 let globals = cx.pg.parts()[p].vertices.as_slice();
-                let home_of = |local: usize| part_index(home[vid_index(globals[local])]);
                 // SAFETY: home ranges are disjoint across shards, so a
                 // vertex mastered in `homes` is this shard's alone — and
                 // with it the vertex's slot in every partial buffer.
@@ -1370,7 +1428,7 @@ impl<P: VertexProgram> Run<'_, P> {
                 let mut deliver = |local: usize, slot: &mut Option<P::Msg>| {
                     let Some(msg) = slot.take() else { return };
                     let v = vid_index(globals[local]);
-                    let q = home_of(local);
+                    let q = part_index(home[v]);
                     // `from_exec` is fixed per source partition: count the
                     // message on q's cell, bill the row after the partition.
                     let cell = &mut row[q];
@@ -1386,13 +1444,7 @@ impl<P: VertexProgram> Run<'_, P> {
                         touched_q.push(v as VertexId);
                     }
                 };
-                if walked {
-                    for &local in &touched_partials[p] {
-                        if homes.contains(&home_of(local as usize)) {
-                            deliver(local as usize, slot_of(local as usize));
-                        }
-                    }
-                } else if homes.len() == num_parts {
+                if homes.len() == num_parts {
                     // SAFETY: the shard is the whole home range, so no
                     // other shard exists to touch any slot.
                     let all = unsafe { slots.as_mut_slice() };
@@ -1409,25 +1461,18 @@ impl<P: VertexProgram> Run<'_, P> {
                 }
             }
         });
-        for list in fb.touched_partials.iter_mut() {
-            list.clear();
-        }
         deltas.iter().map(|d| d.msgs).sum()
     }
 
-    /// Phase 3 — apply at masters, and 4 — broadcast to mirrors: for every
-    /// home partition in the shard, runs the vertex program on exactly the
-    /// vertices whose inbox entry the shuffle wrote, and counts each new
-    /// state's trip to the vertex's mirrors on the vertex's broadcast class
-    /// — no O(V) inbox sweep, no walk over the vertex's replicas. With
+    /// Dense phases 3 and 4 — apply at masters, broadcast to mirrors: for
+    /// every home partition in the shard, [`Ctx::apply_vertex`] on exactly
+    /// the vertices whose inbox entry the shuffle wrote — no O(V) inbox
+    /// sweep — metered on top of what the shuffle left in the deltas. With
     /// `clear_frontier` the old frontier's activity bits are cleared
     /// list-wise first (no O(V) bitset reset), then every applied vertex's
     /// bit is set: the touched lists are the next frontier. Applies are
     /// independent per vertex and all metering is commutative-integral, so
-    /// visit order never shows in states or bills. Residency is tracked as
-    /// signed per-partition deltas of [`VertexProgram::state_bytes`], and
-    /// is the one thing that reads the routing table: only for a vertex
-    /// whose state changed size, so never for fixed-size states.
+    /// visit order never shows in states or bills.
     fn apply(&mut self, clear_frontier: bool) {
         let Self {
             cx,
@@ -1444,10 +1489,7 @@ impl<P: VertexProgram> Run<'_, P> {
         let stride = states.stride;
         let state_cells = DisjointSlice::new(states.cells.as_mut_slice());
         let active_cells = DisjointSlice::new(active);
-        run_on_pool(fb.frontier.len(), cx.threads, deltas, |homes, delta| {
-            // Sliced once per shard, not reached through `cx` per vertex.
-            let (program, msg_overhead) = (cx.program, cx.msg_overhead);
-            let (routing, class_of) = (cx.pg.routing(), cx.classes.class_of.as_slice());
+        run_chunked(fb.frontier.len(), cx.threads, deltas, |homes, delta| {
             // SAFETY: `frontier[q]` and `touched_inbox[q]` hold only
             // vertices mastered at q, and every q in `homes` is this
             // shard's alone — so are those vertices' inbox entry, state and
@@ -1469,22 +1511,9 @@ impl<P: VertexProgram> Run<'_, P> {
                 for &tv in &fb.touched_inbox[q] {
                     let (slot, state, is_active) = own(tv);
                     let Some(msg) = slot.take() else { continue };
-                    let old_bytes = program.state_bytes(state);
-                    program.apply(tv, state, &msg);
+                    cx.apply_vertex((tv, q), state, &msg, delta);
                     if !all_active {
                         *is_active = true;
-                    }
-                    let state_size = program.state_bytes(state);
-                    delta.vertex_ops[q] += 1;
-                    delta.local_bytes[q] += state_size;
-                    delta.broadcast(class_of[vid_index(tv)], state_size + msg_overhead);
-                    // Residency moves on every replica, but only when the
-                    // state's size did: never for a fixed-size state.
-                    let grew = state_size as i64 - old_bytes as i64;
-                    if grew != 0 {
-                        for &p in routing.parts_of(tv) {
-                            delta.resident[part_index(p)] += grew;
-                        }
                     }
                 }
             }

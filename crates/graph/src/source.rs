@@ -265,6 +265,20 @@ impl BinaryFileSource {
         let file = File::open(&path).map_err(ParseError::Io)?;
         let file_bytes = file.metadata().map_err(ParseError::Io)?.len();
         let header = binfmt::read_header(&mut BufReader::new(file))?;
+        // The header's checksum vouches for its bytes, not for its claims,
+        // and `num_edges` sizes allocations downstream: an edge is at least
+        // two payload bytes, so the file bounds it. (Frame bytes are left
+        // out of the bound: a file cut inside its last frame fails where it
+        // is cut, as `Truncated`.)
+        if header.num_edges > file_bytes.saturating_sub(binfmt::HEADER_LEN) / 2 {
+            return Err(ParseError::Corrupt {
+                offset: 24,
+                what: format!(
+                    "header declares {} edges, more than a file of {file_bytes} bytes can hold",
+                    header.num_edges
+                ),
+            });
+        }
         Ok(BinaryFileSource {
             path,
             header,
@@ -378,7 +392,17 @@ impl GraphSource for BinaryFileSource {
 /// multiplicity preserved) — the bridge back from streaming to the
 /// whole-graph APIs (CSR builds, multilevel partitioning).
 pub fn materialize(source: &dyn GraphSource) -> Result<Graph, ParseError> {
-    let mut edges = Vec::with_capacity(source.num_edges() as usize);
+    // A source's edge count is a claim until the stream has delivered it
+    // ([`BinaryFileSource::open`] bounds it by the file's size): a
+    // reservation the allocator refuses is a typed error, not an abort.
+    let mut edges = Vec::new();
+    let claimed = source.num_edges();
+    if usize::try_from(claimed).map_or(true, |n| edges.try_reserve_exact(n).is_err()) {
+        return Err(ParseError::Corrupt {
+            offset: 0,
+            what: format!("source declares {claimed} edges, more than memory can hold"),
+        });
+    }
     source.for_each_chunk(usize::MAX, &mut |chunk| edges.extend_from_slice(chunk))?;
     Ok(Graph::new_unchecked(source.num_vertices(), edges))
 }
@@ -472,6 +496,57 @@ mod tests {
         let resident = materialize(&g).unwrap();
         assert_eq!(resident.edges(), g.edges());
         std::fs::remove_file(&bin).unwrap();
+    }
+
+    #[test]
+    fn open_refuses_an_edge_count_the_file_cannot_hold() {
+        let g = sample();
+        let dir = std::env::temp_dir().join("cutfit-source-header-lie");
+        std::fs::create_dir_all(&dir).unwrap();
+        let bin = dir.join("g.bin");
+        let mut bytes = Vec::new();
+        binfmt::write_binary_with(&g, &mut bytes, 3).unwrap();
+        let honest = bytes.len() as u64;
+        // One edge more than the file has room for, checksum recomputed: the
+        // header is internally consistent and still a lie.
+        let room = (honest - binfmt::HEADER_LEN) / 2;
+        bytes[24..32].copy_from_slice(&(room + 1).to_le_bytes());
+        let check = binfmt::fnv1a64(&bytes[..32]);
+        bytes[32..40].copy_from_slice(&check.to_le_bytes());
+        std::fs::write(&bin, &bytes).unwrap();
+        match BinaryFileSource::open(&bin).unwrap_err() {
+            ParseError::Corrupt { offset, what } => {
+                assert_eq!(offset, 24);
+                assert!(what.contains(&format!("{honest} bytes")), "{what}");
+            }
+            e => panic!("unexpected: {e}"),
+        }
+        std::fs::remove_file(&bin).unwrap();
+    }
+
+    #[test]
+    fn materialize_refuses_a_reservation_no_memory_can_hold() {
+        struct Boastful;
+        impl GraphSource for Boastful {
+            fn num_vertices(&self) -> u64 {
+                2
+            }
+            fn num_edges(&self) -> u64 {
+                u64::MAX / 2
+            }
+            fn for_each_chunk(
+                &self,
+                _chunk_edges: usize,
+                sink: &mut dyn FnMut(&[Edge]),
+            ) -> Result<StreamStats, ParseError> {
+                sink(&[Edge::new(0, 1)]);
+                Ok(StreamStats::default())
+            }
+        }
+        match materialize(&Boastful).unwrap_err() {
+            ParseError::Corrupt { what, .. } => assert!(what.contains("edges"), "{what}"),
+            e => panic!("unexpected: {e}"),
+        }
     }
 
     #[test]

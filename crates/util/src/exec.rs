@@ -55,13 +55,14 @@ thread_local! {
 
 /// Runs `f` in **permutation mode**: every pool primitive called from this
 /// thread inside `f` ([`run_ranges`], [`run_chunked`], [`fill_chunks`],
-/// [`run_cut_slices`]) executes its shards *sequentially on the calling
-/// thread* in an adversarial order derived from `seed`, instead of spawning
-/// workers. Shard boundaries and the shard↔scratch-state pairing are
-/// exactly those of the parallel run — only completion order moves — so a
-/// caller whose results are independent of worker completion order must
-/// produce bit-identical output under every seed. This is the loom-style
-/// replay harness behind `tests/exec_interleaving.rs`.
+/// [`run_cut_slices`], [`drain_cut_slices`]) executes its shards
+/// *sequentially on the calling thread* in an adversarial order derived from
+/// `seed`, instead of spawning workers. Shard boundaries and the
+/// shard↔scratch-state pairing are exactly those of the parallel run — only
+/// completion order moves — so a caller whose results are independent of
+/// worker completion order must produce bit-identical output under every
+/// seed. This is the loom-style replay harness behind
+/// `tests/exec_interleaving.rs`.
 ///
 /// Nested pool calls each draw a fresh permutation; the mode is restored
 /// (including on panic) when `f` returns.
@@ -284,6 +285,77 @@ where
             scope.spawn(move || work(k, piece));
         }
     });
+}
+
+/// [`run_cut_slices`] for pieces that are consumed: `items` is emptied
+/// (its capacity stays) and `work` receives `(k, piece k's items by value,
+/// in order, states[k])` — for a sorted buffer whose runs are folded away
+/// by owner, each shard with its own scratch state.
+///
+/// An item a worker does not take is dropped when its [`CutDrain`] is; if a
+/// worker panics, items of pieces not yet started are leaked, never dropped
+/// twice.
+///
+/// # Panics
+/// Panics if `cuts` is not a monotone cover of `items`, or if there are
+/// fewer `states` than pieces.
+pub fn drain_cut_slices<T, S, F>(items: &mut Vec<T>, cuts: &[usize], states: &mut [S], work: F)
+where
+    T: Send,
+    S: Send,
+    F: Fn(usize, CutDrain<'_, T>, &mut S) + Sync,
+{
+    assert!(
+        cuts.len() <= states.len() + 1,
+        "every piece pairs with one state"
+    );
+    let len = items.len();
+    // SAFETY: zero is within capacity and leaves no uninitialized element
+    // inside the vector. From here on the vector no longer owns the `len`
+    // items at the head of its spare capacity; the drains below do.
+    unsafe { items.set_len(0) };
+    let slots = &mut items.spare_capacity_mut()[..len];
+    let states = DisjointSlice::new(states);
+    run_cut_slices(slots, cuts, |k, piece| {
+        let drain = CutDrain {
+            slots: piece.iter_mut(),
+        };
+        // SAFETY: piece k goes to exactly one worker, and with it state k.
+        work(k, drain, unsafe { states.get_mut(k) });
+    });
+}
+
+/// One piece of a [`drain_cut_slices`] buffer, yielded by value.
+pub struct CutDrain<'a, T> {
+    /// Initialized items this drain owns and has not yielded.
+    slots: std::slice::IterMut<'a, std::mem::MaybeUninit<T>>,
+}
+
+impl<T> Iterator for CutDrain<'_, T> {
+    type Item = T;
+
+    #[inline]
+    fn next(&mut self) -> Option<T> {
+        // SAFETY: every slot was an element of the drained vector, and the
+        // slice iterator hands each out once: this read is the item's only
+        // move out.
+        self.slots
+            .next()
+            .map(|slot| unsafe { slot.assume_init_read() })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.slots.size_hint()
+    }
+}
+
+impl<T> Drop for CutDrain<'_, T> {
+    fn drop(&mut self) {
+        for slot in &mut self.slots {
+            // SAFETY: as in `next` — initialized, and not yielded.
+            unsafe { slot.assume_init_drop() };
+        }
+    }
 }
 
 /// Locks a pipeline mutex, recovering the inner state if a sibling thread
@@ -795,6 +867,53 @@ mod tests {
             ran.store(true, std::sync::atomic::Ordering::Relaxed);
         });
         assert!(ran.load(std::sync::atomic::Ordering::Relaxed));
+    }
+
+    #[test]
+    fn drain_cut_slices_hands_each_piece_over_by_value_with_its_state() {
+        use std::sync::Arc;
+        let token = Arc::new(());
+        for cuts in [vec![0usize, 9], vec![0, 2, 2, 9], vec![0, 0, 5, 9]] {
+            for seed in [None, Some(1u64), Some(2)] {
+                let mut items: Vec<(usize, Arc<()>)> = (0..9).map(|i| (i, token.clone())).collect();
+                let mut taken = vec![Vec::new(); cuts.len() - 1];
+                let mut drain = || {
+                    drain_cut_slices(&mut items, &cuts, &mut taken, |k, piece, taken| {
+                        assert_eq!(piece.size_hint().0, cuts[k + 1] - cuts[k]);
+                        // Every piece leaves its last item untaken.
+                        let keep = (cuts[k + 1] - cuts[k]).saturating_sub(1);
+                        taken.extend(piece.take(keep).map(|(i, _)| i));
+                    });
+                };
+                match seed {
+                    Some(seed) => with_shard_permutation(seed, &mut drain),
+                    None => drain(),
+                }
+                assert!(items.is_empty() && items.capacity() >= 9);
+                for (k, taken) in taken.iter().enumerate() {
+                    let kept = (cuts[k]..cuts[k + 1].max(cuts[k] + 1) - 1).collect::<Vec<_>>();
+                    assert_eq!(taken, &kept, "cuts={cuts:?} piece {k}");
+                }
+                // Taken or not, every item was dropped exactly once.
+                assert_eq!(Arc::strong_count(&token), 1, "cuts={cuts:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn drain_cut_slices_drops_nothing_twice_when_a_worker_panics() {
+        use std::sync::Arc;
+        let token = Arc::new(());
+        let mut items: Vec<Arc<()>> = (0..8).map(|_| token.clone()).collect();
+        let mut states = [(), ()];
+        let doomed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            drain_cut_slices(&mut items, &[0, 4, 8], &mut states, |k, mut piece, _| {
+                let _first = piece.next();
+                assert_ne!(k, 1, "worker bug");
+            });
+        }));
+        assert!(doomed.is_err() && items.is_empty());
+        assert_eq!(Arc::strong_count(&token), 1);
     }
 
     #[test]

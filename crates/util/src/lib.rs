@@ -15,8 +15,10 @@
 //! (ceiling square root), the checked id-narrowing helpers, and the NaN-last
 //! total float order — the conventions `cutfit-analyzer` enforces statically
 //! for the places where an `f64` round-trip or a bare `as` cast would be
-//! lossy.
+//! lossy. [`clock`] is the injected time source through which those crates
+//! may time themselves without reading the wall clock.
 
+pub mod clock;
 pub mod exec;
 pub mod fmt;
 pub mod hash;

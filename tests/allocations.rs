@@ -1,16 +1,20 @@
 //! The allocation referee: how often a run asks the allocator for memory,
 //! counted by a `#[global_allocator]` that wraps the system one.
 //!
-//! Two floors are pinned. A converging program with a fixed-length `[T]`
+//! Two floors are pinned for the engine. A converging program with a fixed-length `[T]`
 //! state (SSSP) allocates once per message it sends — the message's own
 //! `Vec` — plus a constant per superstep and per partition: nothing per
 //! applied vertex, because `apply` updates a row of the flat state column in
 //! place. An always-active program on a warm [`PreparedRun`] (PageRank)
 //! allocates O(partitions) per superstep, never O(vertices).
 //!
-//! Counts are per thread, so the two tests cannot disturb each other, and
-//! the jobs run under [`ExecutorMode::Sequential`], inline on the test's
-//! thread.
+//! The allocator also notes the largest single request, which referees
+//! untrusted input: opening a container whose header lies about its edge
+//! count must fail as a typed error without ever asking for more than
+//! O(file size) bytes.
+//!
+//! Counts are per thread, so the tests cannot disturb each other, and the
+//! jobs run under [`ExecutorMode::Sequential`], inline on the test's thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,35 +23,40 @@ use std::sync::Arc;
 
 use cutfit::algorithms::{PageRank, Sssp};
 use cutfit::engine::InitCtx;
+use cutfit::graph::io::ParseError;
+use cutfit::graph::{binfmt, source::materialize, BinaryFileSource};
+use cutfit::partition::MultilevelEdgeCut;
 use cutfit::prelude::*;
 
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are being
     // torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(bytes)));
 }
 
 // SAFETY: every method forwards to `System` unchanged; the only addition is
-// a thread-local counter bump, which neither allocates nor unwinds.
+// two thread-local counter updates, which neither allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -65,6 +74,14 @@ fn allocations_of<R>(job: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let result = job();
     (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+/// Runs `job` and returns the largest single request (in bytes) this thread
+/// made of the allocator meanwhile, with the job's result.
+fn largest_allocation_of<R>(job: impl FnOnce() -> R) -> (usize, R) {
+    LARGEST.with(|n| n.set(0));
+    let result = job();
+    (LARGEST.with(Cell::get), result)
 }
 
 /// Allowed allocations per superstep and per partition, on top of what the
@@ -213,4 +230,92 @@ fn warm_pagerank_allocates_by_partition_not_by_vertex() {
         short <= 10 * floor,
         "{short} allocations in a two-superstep job"
     );
+}
+
+/// A container header declaring `num_edges`, with a valid checksum, followed
+/// by `tail` — what `binfmt::write_binary` would have written, had the graph
+/// had that many edges.
+fn container_claiming(num_edges: u64, tail: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    binfmt::write_binary(&Graph::new(4, Vec::new()), &mut bytes).expect("in-memory write");
+    bytes[24..32].copy_from_slice(&num_edges.to_le_bytes());
+    let fnv1a64 = bytes[..32].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    bytes[32..40].copy_from_slice(&fnv1a64.to_le_bytes());
+    bytes.extend_from_slice(tail);
+    bytes
+}
+
+#[test]
+fn a_header_that_lies_about_its_edge_count_is_refused_without_a_large_allocation() {
+    let dir = std::env::temp_dir().join("cutfit-allocations-header-lie");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("lie.cfb");
+    // Sixty bytes claiming 2^44 edges: unchecked, `materialize` reserves
+    // 2^48 bytes for them and the process aborts.
+    std::fs::write(&path, container_claiming(1 << 44, &[0; 20])).expect("temp file");
+    let cluster = ClusterConfig::paper_cluster;
+    let pipelined = |s: BinaryFileSource| s.with_decode_threads(2).with_read_ahead(4);
+    let assign = |s: BinaryFileSource| {
+        MultilevelEdgeCut::default()
+            .assign_source(&s, 4, 1024, &mut |_, _| {})
+            .map(|_| ())
+    };
+    type Path<'a> = (&'a str, Box<dyn Fn() -> Result<(), ParseError> + 'a>);
+    let paths: Vec<Path<'_>> = vec![
+        (
+            "open",
+            Box::new(|| BinaryFileSource::open(&path).map(|_| ())),
+        ),
+        (
+            "Workspace::from_binary_file",
+            Box::new(|| {
+                Workspace::from_binary_file(&path, cluster(), ExecutorMode::Sequential).map(|_| ())
+            }),
+        ),
+        (
+            "Workspace::from_binary_source, pipelined",
+            Box::new(|| {
+                let source = pipelined(BinaryFileSource::open(&path)?);
+                Workspace::from_binary_source(source, cluster(), ExecutorMode::Sequential)
+                    .map(|_| ())
+            }),
+        ),
+        (
+            "assign_source",
+            Box::new(|| assign(BinaryFileSource::open(&path)?)),
+        ),
+        (
+            "assign_source, pipelined",
+            Box::new(|| assign(pipelined(BinaryFileSource::open(&path)?))),
+        ),
+    ];
+    for (name, run) in &paths {
+        let (largest, outcome) = largest_allocation_of(run);
+        match outcome {
+            Err(ParseError::Corrupt { offset: 24, .. }) => {}
+            Err(e) => panic!("{name}: {e}"),
+            Ok(()) => panic!("{name}: accepted the lie"),
+        }
+        // A read buffer and a path, not a byte per claimed edge.
+        assert!(largest <= 64 << 10, "{name}: asked for {largest} bytes");
+    }
+
+    // The control: an honest container passes the same door, and what
+    // materializing it asks for is bounded by its size on disk (sixteen
+    // resident bytes per edge, at least two stored).
+    let g = cutfit::datagen::rmat(&cutfit::datagen::RmatConfig::default(), 10);
+    let file_bytes = binfmt::write_binary_file(&g, &path).expect("temp file") as usize;
+    for configure in [|s| s, pipelined] {
+        let (largest, back) = largest_allocation_of(|| {
+            materialize(&configure(BinaryFileSource::open(&path).expect("honest")))
+        });
+        assert_eq!(back.expect("honest").edges(), g.edges());
+        assert!(
+            largest <= 8 * file_bytes + (64 << 10),
+            "{largest} bytes for a {file_bytes}-byte file"
+        );
+    }
+    std::fs::remove_file(&path).expect("temp file");
 }

@@ -1,7 +1,8 @@
-//! Smoke tests mirroring each of the seven `examples/*.rs` flows on tiny
+//! Smoke tests mirroring each of the eight `examples/*.rs` flows on tiny
 //! graphs, so `cargo test` exercises every documented entry point without
 //! paying the examples' full default scales. CI additionally builds the
-//! example binaries themselves and runs `quickstart` end to end.
+//! example binaries themselves and runs `quickstart` and `phase_split` end
+//! to end.
 
 use cutfit::prelude::*;
 
@@ -265,4 +266,41 @@ fn oom_postmortem_flow() {
     let pr = pagerank(&pg, &cluster, 10, &Default::default())
         .expect("bounded iteration count stays within budget");
     assert_eq!(pr.supersteps, 10);
+}
+
+/// `examples/phase_split.rs`: SSSP and capped CC on a 2D road cut through
+/// `run_traced` with the host's clock; the spans explain the superstep loop.
+#[test]
+fn phase_split_flow() {
+    use cutfit::algorithms::{ConnectedComponents, Sssp};
+    use cutfit::engine::Phase;
+    use cutfit::util::clock::Clock;
+
+    let graph = DatasetProfile::road_net_pa().generate(0.002, 42);
+    let landmarks = Sssp::pick_landmarks(graph.num_vertices(), 5, 42);
+    let pg = std::sync::Arc::new(GraphXStrategy::EdgePartition2D.partition(&graph, 16));
+    let mut cluster = ClusterConfig::paper_cluster();
+    cluster.scenario.checkpoint_interval = 25;
+    let mut prepared = PreparedRun::new(pg, &cluster, ExecutorMode::Sequential);
+    let opts = |max_iterations| PregelConfig {
+        max_iterations,
+        ..PregelConfig::default()
+    };
+    let clock = Clock::system();
+    let (r, trace) = prepared
+        .run_traced(&Sssp::new(landmarks), &opts(10_000), &clock)
+        .expect("fits");
+    assert!(r.converged);
+    assert_eq!(trace.span(Phase::Plan).calls, r.supersteps + 1);
+    assert!(trace.span(Phase::Fold).calls > 0, "a road tail folds");
+    assert!(trace.total_nanos() > 0);
+    let (r, trace) = prepared
+        .run_traced(&ConnectedComponents, &opts(10), &clock)
+        .expect("fits");
+    assert_eq!(trace.span(Phase::Plan).calls, r.supersteps);
+    assert_eq!(
+        trace.span(Phase::BuildClasses).calls,
+        0,
+        "built by the first job"
+    );
 }
