@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use cutfit_cluster::{ClusterConfig, SimError, SimReport};
-use cutfit_engine::{ExecutorMode, PregelConfig, PreparedRun};
+use cutfit_engine::{ExecutorMode, PregelConfig, PreparedRun, VertexProgram};
 use cutfit_graph::types::PartId;
 use cutfit_graph::Graph;
 use cutfit_partition::{PartitionMetrics, Partitioner};
@@ -200,25 +200,14 @@ impl Algorithm {
         };
         match self {
             Algorithm::PageRank { iterations } => {
-                let r = prepared.run(
-                    &crate::pagerank::PageRank,
-                    &PregelConfig {
-                        max_iterations: *iterations,
-                        ..opts
-                    },
-                )?;
-                Ok((r.sim, r.supersteps))
+                run_pregel(prepared, &crate::pagerank::PageRank, *iterations, opts)
             }
-            Algorithm::ConnectedComponents { max_iterations } => {
-                let r = prepared.run(
-                    &crate::cc::ConnectedComponents,
-                    &PregelConfig {
-                        max_iterations: *max_iterations,
-                        ..opts
-                    },
-                )?;
-                Ok((r.sim, r.supersteps))
-            }
+            Algorithm::ConnectedComponents { max_iterations } => run_pregel(
+                prepared,
+                &crate::cc::ConnectedComponents,
+                *max_iterations,
+                opts,
+            ),
             Algorithm::Triangles => {
                 // TR is not a Pregel program: it runs its four-phase
                 // dataflow directly over the prepared cut.
@@ -233,46 +222,21 @@ impl Algorithm {
             } => {
                 let landmarks =
                     Sssp::pick_landmarks(prepared.graph().num_vertices(), *num_landmarks, *seed);
-                let r = prepared.run(
-                    &Sssp::new(landmarks),
-                    &PregelConfig {
-                        max_iterations: *max_iterations,
-                        ..opts
-                    },
-                )?;
-                Ok((r.sim, r.supersteps))
+                run_pregel(prepared, &Sssp::new(landmarks), *max_iterations, opts)
             }
+            // Score normalisation only post-processes states; the bill and
+            // superstep count are those of the Pregel run.
             Algorithm::Hits { iterations } => {
-                // Score normalisation only post-processes states; the bill
-                // and superstep count are those of the Pregel run.
-                let r = prepared.run(
-                    &crate::hits::HitsProgram,
-                    &PregelConfig {
-                        max_iterations: *iterations,
-                        ..opts
-                    },
-                )?;
-                Ok((r.sim, r.supersteps))
+                run_pregel(prepared, &crate::hits::HitsProgram, *iterations, opts)
             }
-            Algorithm::LabelPropagation { iterations } => {
-                let r = prepared.run(
-                    &crate::label_propagation::LabelPropagation,
-                    &PregelConfig {
-                        max_iterations: *iterations,
-                        ..opts
-                    },
-                )?;
-                Ok((r.sim, r.supersteps))
-            }
+            Algorithm::LabelPropagation { iterations } => run_pregel(
+                prepared,
+                &crate::label_propagation::LabelPropagation,
+                *iterations,
+                opts,
+            ),
             Algorithm::KCore { iterations } => {
-                let r = prepared.run(
-                    &crate::kcore::KCore,
-                    &PregelConfig {
-                        max_iterations: *iterations,
-                        ..opts
-                    },
-                )?;
-                Ok((r.sim, r.supersteps))
+                run_pregel(prepared, &crate::kcore::KCore, *iterations, opts)
             }
         }
     }
@@ -321,6 +285,24 @@ impl Algorithm {
         };
         Ok(RunOutcome::new(self.abbrev(), sim, supersteps, metrics))
     }
+}
+
+/// Runs `program` on `prepared` for at most `cap` iterations, keeping the
+/// bill and the superstep count.
+fn run_pregel<P: VertexProgram>(
+    prepared: &mut PreparedRun,
+    program: &P,
+    cap: u64,
+    opts: PregelConfig,
+) -> Result<(SimReport, u64), SimError> {
+    let r = prepared.run(
+        program,
+        &PregelConfig {
+            max_iterations: cap,
+            ..opts
+        },
+    )?;
+    Ok((r.sim, r.supersteps))
 }
 
 /// Result of one (algorithm, dataset, partitioner, N) run.

@@ -14,13 +14,10 @@
 //!
 //! Scenarios are deterministic: every fault schedule, speed grade, and
 //! drift rate is a pure function of the `--seed` flag, so two runs with
-//! the same arguments produce bit-identical tables. When the
-//! `CUTFIT_BENCH_JSON` environment variable names a file, every cell's
-//! simulated total is recorded there under the same JSON conventions as
-//! the micro-benchmarks (`BENCH_*.json`).
+//! the same arguments produce bit-identical tables; `--csv` prints them
+//! machine-readably.
 
 use cutfit_bench::runner::{emit, BenchArgs};
-use cutfit_bench::summary::record_simulated;
 use cutfit_core::prelude::*;
 use cutfit_core::util::fmt::human_seconds;
 use cutfit_core::util::table::{Align, AsciiTable};
@@ -85,10 +82,6 @@ fn main() {
             let mut best_fixed: Option<(&'static str, f64)> = None;
             let mut row = |policy: String, report: &WorkloadReport, ws: &Workspace| {
                 let session = ws.session_report();
-                record_simulated(
-                    &format!("scenario/{}/{scenario_name}/{policy}", profile.name),
-                    report.total_seconds(),
-                );
                 t.row([
                     policy,
                     human_seconds(report.job_seconds()),

@@ -5,13 +5,11 @@
 //! figure rendering ([`figure`]), and metrics-table formatting
 //! ([`metrics_table`]). Run any binary with `--help` for its options; all
 //! accept `--scale`, `--seed`, `--parts`, `--datasets`, `--threads`, and
-//! `--csv`. Micro-benchmarks live under `benches/` and run with
-//! `cargo bench` (through the offline criterion shim in
-//! `crates/shims/criterion`).
+//! `--csv`. The binaries report *simulated* seconds; wall time is measured
+//! in one place, the `benchmark/` package (`bash benchmark/run.sh`).
 
 pub mod figure;
 pub mod metrics_table;
 pub mod runner;
-pub mod summary;
 
 pub use runner::BenchArgs;

@@ -29,9 +29,9 @@
 //! switches the active cut, so a [`WorkloadReport`] answers the end-to-end
 //! question — is tailoring the cut per job worth the re-partitioning it
 //! causes? (Per the paper's evaluation: yes, and the `workload_mixed`
-//! bench reproduces it.)
+//! binary reproduces it.)
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 use cutfit_algorithms::triangles::{canonicalize, triangle_count_partitioned};
@@ -377,9 +377,7 @@ impl CutEntry {
 /// assert!(report.total_seconds() > 0.0);
 /// ```
 pub struct Workspace {
-    graph: Arc<Graph>,
-    /// Canonical orientation, computed on first demand (TR/k-core jobs).
-    canon: Option<Arc<Graph>>,
+    cache: CutCache,
     cluster: ClusterConfig,
     executor: ExecutorMode,
     advisor: Advisor,
@@ -390,10 +388,6 @@ pub struct Workspace {
     advice_seconds: f64,
     /// Granularity base: coarse advice = this many partitions, fine = 2×.
     base_parts: PartId,
-    /// `BTreeMap`, not `HashMap`: lookups are keyed today, but the serving
-    /// layer is a deterministic crate — if iteration over cached cuts ever
-    /// lands (eviction, reporting), its order must already be fixed.
-    cuts: BTreeMap<CutKey, CutEntry>,
     /// Memoized advisor strategy choices per (algorithm, parts).
     advice: BTreeMap<(&'static str, PartId), GraphXStrategy>,
     /// Session-level sim: bills the initial load and repartition shuffles,
@@ -407,7 +401,70 @@ pub struct Workspace {
     load_source_bytes: u64,
     active: Option<CutKey>,
     loaded: bool,
-    stats: CacheStats,
+    /// Jobs that changed the active cut ([`CacheStats::cut_switches`]).
+    cut_switches: u64,
+}
+
+/// The session's graph in both orientations and every cut materialized
+/// from them. A field of its own so that an ensured entry borrows the
+/// cache alone, leaving the session's sim and cluster usable beside it.
+struct CutCache {
+    graph: Arc<Graph>,
+    /// Canonical orientation, computed on first demand (TR/k-core jobs).
+    canon: Option<Arc<Graph>>,
+    /// Worker threads of a materialization.
+    threads: usize,
+    /// `BTreeMap`, not `HashMap`: lookups are keyed today, but the serving
+    /// layer is a deterministic crate — if iteration over cached cuts ever
+    /// lands (eviction, reporting), its order must already be fixed.
+    cuts: BTreeMap<CutKey, CutEntry>,
+    hits: u64,
+    misses: u64,
+}
+
+impl CutCache {
+    /// The entry for `key`, materialized if absent, and whether it was a
+    /// cache hit.
+    fn ensure_cut(&mut self, key: CutKey) -> (&mut CutEntry, bool) {
+        match self.cuts.entry(key) {
+            Entry::Occupied(e) => {
+                self.hits += 1;
+                (e.into_mut(), true)
+            }
+            Entry::Vacant(v) => {
+                self.misses += 1;
+                let graph = if key.canonical {
+                    canonical_of(&mut self.canon, &self.graph)
+                } else {
+                    &self.graph
+                };
+                let pg = Arc::new(key.strategy.partition_threaded(
+                    graph,
+                    key.num_parts,
+                    self.threads,
+                ));
+                let metrics = PartitionMetrics::of(&pg);
+                let entry = CutEntry {
+                    pg,
+                    metrics,
+                    prepared: None,
+                };
+                (v.insert(entry), false)
+            }
+        }
+    }
+
+    /// The canonical orientation, computed once per session.
+    fn canonical_graph(&mut self) -> Arc<Graph> {
+        canonical_of(&mut self.canon, &self.graph).clone()
+    }
+}
+
+/// `canon`, filled with the canonical orientation of `graph` on first use.
+/// Over the two fields, not `&mut CutCache`, so that it can run while a
+/// vacant `cuts` entry is held.
+fn canonical_of<'a>(canon: &'a mut Option<Arc<Graph>>, graph: &Graph) -> &'a Arc<Graph> {
+    canon.get_or_insert_with(|| Arc::new(canonicalize(graph)))
 }
 
 impl Workspace {
@@ -421,21 +478,26 @@ impl Workspace {
         let session = ClusterSim::new(cluster.clone(), cluster.executors);
         let load_source_bytes = cutfit_cluster::load_bytes(graph.num_vertices(), graph.num_edges());
         Self {
-            graph: Arc::new(graph),
-            canon: None,
+            cache: CutCache {
+                graph: Arc::new(graph),
+                canon: None,
+                threads: executor.threads(),
+                cuts: BTreeMap::new(),
+                hits: 0,
+                misses: 0,
+            },
             cluster,
             executor,
             advisor: Advisor::default(),
             advice_mode: AdviceMode::default(),
             advice_seconds: 0.0,
             base_parts,
-            cuts: BTreeMap::new(),
             advice: BTreeMap::new(),
             session,
             load_source_bytes,
             active: None,
             loaded: false,
-            stats: CacheStats::default(),
+            cut_switches: 0,
         }
     }
 
@@ -509,7 +571,7 @@ impl Workspace {
     /// billing under the old scenario).
     pub fn with_scenario(mut self, scenario: cutfit_cluster::ScenarioConfig) -> Self {
         assert!(
-            !self.loaded && self.cuts.is_empty(),
+            !self.loaded && self.cache.cuts.is_empty(),
             "with_scenario must be applied before any job is served"
         );
         self.cluster.scenario = scenario;
@@ -525,7 +587,7 @@ impl Workspace {
 
     /// The loaded graph.
     pub fn graph(&self) -> &Arc<Graph> {
-        &self.graph
+        &self.cache.graph
     }
 
     /// The cluster jobs are billed against.
@@ -540,12 +602,16 @@ impl Workspace {
 
     /// Session cache counters.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        CacheStats {
+            cache_hits: self.cache.hits,
+            cache_misses: self.cache.misses,
+            cut_switches: self.cut_switches,
+        }
     }
 
     /// Number of cuts currently materialized (the session never evicts).
     pub fn cached_cuts(&self) -> usize {
-        self.cuts.len()
+        self.cache.cuts.len()
     }
 
     /// The session-level bill so far: initial load plus every repartition
@@ -601,8 +667,7 @@ impl Workspace {
             num_parts,
             canonical: false,
         };
-        self.ensure_cut(key);
-        self.cuts[&key].pg.clone()
+        self.cache.ensure_cut(key).0.pg.clone()
     }
 
     /// The memoized metrics of a raw-orientation cut.
@@ -612,8 +677,7 @@ impl Workspace {
             num_parts,
             canonical: false,
         };
-        self.ensure_cut(key);
-        self.cuts[&key].metrics.clone()
+        self.cache.ensure_cut(key).0.metrics.clone()
     }
 
     /// Dispatches one advisor-tailored job (serving semantics: the graph is
@@ -636,25 +700,24 @@ impl Workspace {
             self.session.charge_load(self.load_source_bytes);
             self.loaded = true;
         }
-        let cache_hit = self.ensure_cut(key);
-        let switched_cut = self.active != Some(key);
-        let mut provisioning_failure: Option<SimError> = None;
+        let (entry, cache_hit) = self.cache.ensure_cut(key);
+        // A repartition that fails leaves the active cut where it was, so
+        // it is neither counted nor reported as a switch.
+        let repartition = if self.active == Some(key) {
+            Ok(false)
+        } else {
+            self.session
+                .charge_repartition(entry.pg.num_edges())
+                .map(|_| true)
+        };
+        let switched_cut = matches!(repartition, Ok(true));
         if switched_cut {
-            self.stats.cut_switches += 1;
-            match self
-                .session
-                .charge_repartition(self.cuts[&key].pg.num_edges())
-            {
-                Ok(_) => self.active = Some(key),
-                Err(e) => provisioning_failure = Some(e),
-            }
+            self.active = Some(key);
+            self.cut_switches += 1;
         }
         let provisioning_seconds = self.session.report().total_seconds - session_before;
-        let entry = self.cuts.get_mut(&key).expect("ensured above");
-        let outcome = match provisioning_failure {
-            Some(e) => Err(e),
-            None => entry.dispatch(algorithm, &self.cluster, self.executor, executor, false),
-        };
+        let outcome = repartition
+            .and_then(|_| entry.dispatch(algorithm, &self.cluster, self.executor, executor, false));
         let (supersteps, result) = match outcome {
             Ok((sim, supersteps)) => (supersteps, Ok(sim)),
             Err(e) => (0, Err(e)),
@@ -691,8 +754,7 @@ impl Workspace {
             num_parts,
             canonical: algorithm.needs_canonical(),
         };
-        let cache_hit = self.ensure_cut(key);
-        let entry = self.cuts.get_mut(&key).expect("ensured above");
+        let (entry, cache_hit) = self.cache.ensure_cut(key);
         let (supersteps, result) =
             match entry.dispatch(algorithm, &self.cluster, self.executor, self.executor, true) {
                 Ok((sim, supersteps)) => (supersteps, Ok(sim)),
@@ -741,43 +803,6 @@ impl Workspace {
         }
     }
 
-    /// Materializes `key` if absent; returns true on a cache hit.
-    fn ensure_cut(&mut self, key: CutKey) -> bool {
-        if self.cuts.contains_key(&key) {
-            self.stats.cache_hits += 1;
-            return true;
-        }
-        self.stats.cache_misses += 1;
-        let graph = if key.canonical {
-            self.canonical_graph()
-        } else {
-            self.graph.clone()
-        };
-        let threads = self.executor.threads();
-        let pg = Arc::new(
-            key.strategy
-                .partition_threaded(&graph, key.num_parts, threads),
-        );
-        let metrics = PartitionMetrics::of(&pg);
-        self.cuts.insert(
-            key,
-            CutEntry {
-                pg,
-                metrics,
-                prepared: None,
-            },
-        );
-        false
-    }
-
-    /// The canonical orientation, computed once per session.
-    fn canonical_graph(&mut self) -> Arc<Graph> {
-        if self.canon.is_none() {
-            self.canon = Some(Arc::new(canonicalize(&self.graph)));
-        }
-        self.canon.clone().expect("just set")
-    }
-
     /// Advisor choice, memoized per (algorithm, granularity): one fused
     /// edge scan ([`AdviceMode::Measured`], scoring the algorithm's class
     /// metric) or one round of probes through the cut cache
@@ -789,9 +814,9 @@ impl Workspace {
         let strategy = match self.advice_mode {
             AdviceMode::Measured => {
                 let graph = if algorithm.needs_canonical() {
-                    self.canonical_graph()
+                    self.cache.canonical_graph()
                 } else {
-                    self.graph.clone()
+                    self.cache.graph.clone()
                 };
                 self.advisor
                     .recommend_measured_threaded(
@@ -818,30 +843,30 @@ impl Workspace {
     fn probed_strategy(&mut self, algorithm: &Algorithm, num_parts: PartId) -> GraphXStrategy {
         let probe = algorithm.probe();
         let canonical = algorithm.needs_canonical();
-        let mut best: Option<(GraphXStrategy, f64)> = None;
-        for strategy in GraphXStrategy::all() {
+        let mut time_of = |strategy| {
             let key = CutKey {
                 strategy,
                 num_parts,
                 canonical,
             };
-            self.ensure_cut(key);
-            let entry = self.cuts.get_mut(&key).expect("ensured above");
-            let time =
-                match entry.dispatch(&probe, &self.cluster, self.executor, self.executor, false) {
-                    Ok((sim, _)) => {
-                        self.advice_seconds += sim.total_seconds;
-                        sim.total_seconds
-                    }
-                    Err(_) => f64::MAX, // OOM probes rank last
-                };
-            // Strict `<` with NaN never winning: stable candidate-order
-            // tie-break, a broken probe cannot be crowned.
-            if best.is_none_or(|(_, t)| time < t) {
-                best = Some((strategy, time));
+            let (entry, _) = self.cache.ensure_cut(key);
+            match entry.dispatch(&probe, &self.cluster, self.executor, self.executor, false) {
+                Ok((sim, _)) => {
+                    self.advice_seconds += sim.total_seconds;
+                    sim.total_seconds
+                }
+                Err(_) => f64::MAX, // OOM probes rank last
             }
-        }
-        best.expect("at least one candidate").0
+        };
+        // Strict `<` with NaN never winning: stable candidate-order
+        // tie-break, a broken probe cannot be crowned.
+        let [first, rest @ ..] = GraphXStrategy::all().map(|s| (s, time_of(s)));
+        rest.into_iter()
+            .fold(
+                first,
+                |best, probed| if probed.1 < best.1 { probed } else { best },
+            )
+            .0
     }
 }
 
@@ -1033,6 +1058,55 @@ mod tests {
         ]);
         assert_eq!(report.jobs.len(), 2, "failures are recorded, not fatal");
         assert!(report.failures() >= 1);
+    }
+
+    /// The session sim keeps lineage across repartitions while job sims
+    /// start fresh, so a per-superstep lineage share of 0.3 lets every
+    /// two-superstep job and three repartitions fit and fails the fourth.
+    #[test]
+    fn a_failed_repartition_is_not_a_switch() {
+        let mut cluster = ClusterConfig::paper_cluster();
+        cluster.usable_memory_fraction = 1.0;
+        cluster.cost.lineage_heap_fraction_per_superstep = 0.3;
+        let mut ws = Workspace::new(small_graph(), cluster, ExecutorMode::Sequential);
+        let pr = Algorithm::PageRank { iterations: 1 };
+        let run = |ws: &mut Workspace, strategy| {
+            let cut = CutChoice::Fixed {
+                strategy,
+                num_parts: 8,
+            };
+            ws.run_job_with(&pr, &cut, ExecutorMode::Sequential)
+        };
+        let [a, b, c, d, ..] = GraphXStrategy::all();
+        for strategy in [a, b, c] {
+            let ok = run(&mut ws, strategy);
+            assert!(ok.switched_cut && ok.result.is_ok(), "{:?}", ok.result);
+        }
+        let bill = ws.session_report().total_seconds;
+
+        // The fourth repartition dies: the job fails, `c` stays active.
+        let failed = run(&mut ws, d);
+        assert!(matches!(failed.result, Err(SimError::OutOfMemory { .. })));
+        assert!(!failed.switched_cut, "the active cut did not change");
+        assert_eq!(failed.supersteps, 0);
+        assert!(failed.provisioning_seconds > 0.0, "the attempt is billed");
+        assert_eq!(ws.stats().cut_switches, 3);
+
+        // The identical job attempts the same switch again and is not
+        // counted either.
+        assert!(!run(&mut ws, d).switched_cut);
+        assert_eq!(ws.stats().cut_switches, 3);
+
+        // The session keeps serving: `c` is still active, so its jobs need
+        // no repartition and succeed without provisioning anything.
+        let bill_after_failures = ws.session_report().total_seconds;
+        assert!(bill_after_failures > bill);
+        let served = run(&mut ws, c);
+        assert!(served.result.is_ok(), "{:?}", served.result);
+        assert!(served.cache_hit && !served.switched_cut);
+        assert_eq!(served.provisioning_seconds, 0.0);
+        assert_eq!(ws.session_report().total_seconds, bill_after_failures);
+        assert_eq!(ws.stats().cut_switches, 3);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! [`degree_relabel`] in descending-degree order (hubs first — the classic
 //! cache-locality ordering for power-law graphs), and [`shuffle_ids`]
 //! randomly (no locality). The ablation benchmark compares partitioner
-//! behaviour across them, and `superstep_throughput` measures the
-//! cache-locality win of the ordered variants directly.
+//! behaviour across them.
 
 use cutfit_graph::csr::Neighbors;
 use cutfit_graph::{Edge, Graph, VertexId};

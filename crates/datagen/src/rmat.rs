@@ -1,9 +1,9 @@
 //! R-MAT recursive-matrix generator (Chakrabarti, Zhan & Faloutsos).
 //!
 //! Not one of the paper's datasets, but the standard skewed-graph workload
-//! for partitioning micro-benchmarks and property tests; kept here so tests
-//! and Criterion benches can exercise partitioners on graphs with tunable
-//! skew that are *not* produced by the profile generators.
+//! for partitioning benchmarks and property tests; kept here so tests and
+//! `benchmark/` can exercise partitioners on graphs with tunable skew that
+//! are *not* produced by the profile generators.
 
 use cutfit_graph::{Graph, GraphBuilder};
 use cutfit_util::Xoshiro256pp;

@@ -19,8 +19,8 @@
 //! `peak_resident_edge_bytes`: the high-water mark of decoded edge bytes
 //! held in memory at once. For the in-memory source that is the whole
 //! edge list; for the file-backed sources it is O(chunk + block), which is
-//! the measurable claim behind the out-of-core layer (see the
-//! `ingest_throughput` bench).
+//! the measurable claim behind the out-of-core layer (`benchmark/` pins it
+//! as `graph.source.peak_resident_bytes`).
 
 use std::fs::File;
 use std::io::BufReader;

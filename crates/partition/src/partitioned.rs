@@ -12,8 +12,8 @@
 //! [`PartitionedGraph::build_threaded`]): no hashing, no comparison sorts,
 //! no per-edge binary searches — every table is scattered into exactly
 //! pre-counted flat storage. The pre-rewrite implementation is retained as
-//! [`PartitionedGraph::build_reference`] so tests and benches can pin the
-//! fast path field-for-field against it.
+//! [`PartitionedGraph::build_reference`] so tests can pin the fast path
+//! field-for-field against it.
 
 use cutfit_graph::types::PartId;
 use cutfit_graph::{Graph, VertexId};
@@ -283,8 +283,7 @@ impl PartitionedGraph {
     /// endpoint sort + dedup, and per-edge `binary_search` re-indexing.
     ///
     /// Property tests pin [`PartitionedGraph::build`] and
-    /// [`PartitionedGraph::build_threaded`] equal to this field-for-field,
-    /// and the `build_throughput` bench measures the speedup against it.
+    /// [`PartitionedGraph::build_threaded`] equal to this field-for-field.
     /// Not intended for production callers.
     pub fn build_reference(graph: &Graph, assignment: &[PartId], num_parts: PartId) -> Self {
         assert_eq!(

@@ -144,7 +144,7 @@ fn binary_backed_sweep_is_identical_and_bounded() {
     let dir = std::env::temp_dir().join(format!("cutfit-ooc-sweep-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("g.cfb");
-    let chunk = 1 << 10;
+    let chunk = 1 << 9;
     // Block size bounds the decode buffer; match it to the chunk so peak
     // residency is O(chunk) even on this test-sized graph.
     let w = std::fs::File::create(&path).unwrap();
@@ -161,6 +161,15 @@ fn binary_backed_sweep_is_identical_and_bounded() {
     assert!(
         stats.peak_resident_edge_bytes < resident_bytes,
         "streamed peak {} must undercut resident {}",
+        stats.peak_resident_edge_bytes,
+        resident_bytes
+    );
+    // The bounded-memory bar: once the graph holds eight chunks, the chunk
+    // and the one decoded block beside it are a quarter of it at most.
+    assert!(graph.num_edges() >= 8 * chunk as u64);
+    assert!(
+        stats.peak_resident_edge_bytes * 4 <= resident_bytes,
+        "streamed sweep must keep >= 4x fewer edge bytes resident: peak {} vs resident {}",
         stats.peak_resident_edge_bytes,
         resident_bytes
     );
