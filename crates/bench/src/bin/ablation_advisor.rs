@@ -9,7 +9,6 @@
 
 use cutfit_bench::runner::{emit, BenchArgs};
 use cutfit_core::prelude::*;
-use cutfit_core::util::fmt::human_seconds;
 use cutfit_core::util::table::{Align, AsciiTable};
 
 fn main() {
@@ -166,9 +165,12 @@ fn main() {
     // --- Part 3: granularity advice sanity check. ---
     if !args.csv {
         println!("granularity advice (paper: PR coarse, CC/TR fine):");
-        for a in ["PR", "CC", "TR", "SSSP"] {
-            println!("  {a}: {:?}", Advisor::granularity_for(a));
+        let suites = Algorithm::paper_suite(args.seed)
+            .into_iter()
+            .chain(Algorithm::extension_suite());
+        for a in suites {
+            let hint = Advisor::granularity_typed(a.class(), a.converges());
+            println!("  {}: {hint:?}", a.abbrev());
         }
-        let _ = human_seconds(0.0);
     }
 }

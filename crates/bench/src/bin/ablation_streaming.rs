@@ -1,7 +1,7 @@
 //! Experiment E11b — streaming-partitioner ablation (our extension):
-//! compare the paper's six hash strategies against three streaming
-//! vertex-cut baselines from the literature (DBH, PowerGraph-Greedy, HDRF)
-//! on the same metrics and on PageRank runtime.
+//! compare the paper's six hash strategies against four vertex-cut
+//! baselines from the literature (DBH, PowerGraph-Greedy, HDRF, Hybrid) on
+//! the same metrics and on PageRank runtime.
 //!
 //! Question answered: do the paper's conclusions (optimise CommCost for
 //! edge-bound work) still select the right partitioner when smarter,
@@ -78,11 +78,7 @@ fn main() {
         println!(
             "expected shape:\n\
              - DBH/Greedy/HDRF/Hybrid cut replication well below the six hash\n\
-             \x20 strategies at balance <= 1.6 and win PageRank outright;\n\
-             - ML-EdgeCut (the multilevel edge-cut baseline the paper's intro\n\
-             \x20 argues against) reaches the *minimum* CommCost of all, but its\n\
-             \x20 edge imbalance on power-law graphs makes it the slowest by far\n\
-             \x20 (Abou-Rjeili & Karypis's observation, measured at runtime)."
+             \x20 strategies at balance <= 1.6 and win PageRank outright."
         );
     }
 }

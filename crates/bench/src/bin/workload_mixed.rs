@@ -152,8 +152,8 @@ fn main() {
         row("advised (metric)".to_string(), &metric_advised);
 
         // The serving layer's headline mode: candidates ranked by short
-        // class-proxy probes through the session cache (the session
-        // analogue of `recommend_simulated`), memoized per class.
+        // class-proxy probes through the session cache, memoized per
+        // class.
         let ws = Workspace::new(graph.clone(), cluster.clone(), args.executor())
             .with_base_parts(np)
             .with_advice_mode(AdviceMode::Probed);

@@ -19,9 +19,7 @@
 //! ([`cutfit_partition::sweep_metrics`]); no candidate's full
 //! `PartitionedGraph` is ever built.
 
-use cutfit_algorithms::{Algorithm, AlgorithmClass};
-use cutfit_cluster::ClusterConfig;
-use cutfit_engine::ExecutorMode;
+use cutfit_algorithms::AlgorithmClass;
 use cutfit_graph::types::PartId;
 use cutfit_graph::Graph;
 use cutfit_partition::{GraphXStrategy, MetricKind};
@@ -213,54 +211,10 @@ impl Advisor {
         }
     }
 
-    /// The strongest (and most expensive) mode: run a short simulated probe
-    /// of the actual algorithm under every candidate partitioner and rank
-    /// by predicted execution time. This captures effects no single metric
-    /// does — e.g. on the crawl datasets 1D minimises CommCost yet loses at
-    /// runtime (the paper's own Figure 3 vs Table 2 show the same tension),
-    /// which metric-based selection cannot see.
-    pub fn recommend_simulated(
-        &self,
-        algorithm: &Algorithm,
-        graph: &Graph,
-        num_parts: PartId,
-        cluster: &ClusterConfig,
-        candidates: &[GraphXStrategy],
-    ) -> MeasuredChoice {
-        let all = GraphXStrategy::all();
-        let candidates: &[GraphXStrategy] = if candidates.is_empty() {
-            &all
-        } else {
-            candidates
-        };
-        let probe = algorithm.probe();
-        let mut ranking: Vec<(GraphXStrategy, f64)> = candidates
-            .iter()
-            .map(|&s| {
-                let time = probe
-                    .run(graph, &s, num_parts, cluster, ExecutorMode::Sequential)
-                    .map(|out| out.sim.total_seconds)
-                    .unwrap_or(f64::MAX); // OOM probes rank last
-                (s, time)
-            })
-            .collect();
-        // An OOM probe reports f64::MAX, and a hypothetically non-finite
-        // time must rank last instead of panicking the sort or winning it.
-        ranking.sort_by(|a, b| rank_order(a.1, b.1));
-        MeasuredChoice {
-            strategy: ranking[0].0,
-            metric: match algorithm.class() {
-                AlgorithmClass::EdgeBound => MetricKind::CommCost,
-                AlgorithmClass::VertexStateBound => MetricKind::Cut,
-            },
-            ranking,
-        }
-    }
-
     /// The paper's granularity advice, typed on the two axes its table
     /// actually varies over: the algorithm's complexity class and whether
     /// its iteration converges (vertex activity dies out —
-    /// [`Algorithm::converges`]). Non-convergent edge-bound iteration (PR)
+    /// [`cutfit_algorithms::Algorithm::converges`]). Non-convergent edge-bound iteration (PR)
     /// pays full communication every superstep and prefers **coarse** cuts;
     /// convergent (CC, up to 22 % faster fine-grained) or per-vertex-state-
     /// heavy (TR, up to 40 % at 256 partitions) work prefers **fine**.
@@ -270,23 +224,12 @@ impl Advisor {
             _ => GranularityHint::Fine,
         }
     }
-
-    /// Stringly-typed shim over [`Advisor::granularity_typed`], kept for
-    /// callers holding only a paper abbreviation ("PR", "CC", "TR", …).
-    /// Unknown names get the safe default (fine).
-    pub fn granularity_for(algorithm: &str) -> GranularityHint {
-        match algorithm {
-            "PR" => Self::granularity_typed(AlgorithmClass::EdgeBound, false),
-            "CC" | "SSSP" => Self::granularity_typed(AlgorithmClass::EdgeBound, true),
-            "TR" => Self::granularity_typed(AlgorithmClass::VertexStateBound, true),
-            _ => GranularityHint::Fine,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cutfit_algorithms::Algorithm;
     use cutfit_datagen::{rmat, RmatConfig};
     use cutfit_partition::{PartitionMetrics, Partitioner};
 
@@ -402,50 +345,29 @@ mod tests {
     }
 
     #[test]
-    fn granularity_follows_paper() {
-        assert_eq!(Advisor::granularity_for("PR"), GranularityHint::Coarse);
-        assert_eq!(Advisor::granularity_for("CC"), GranularityHint::Fine);
-        assert_eq!(Advisor::granularity_for("TR"), GranularityHint::Fine);
-        assert_eq!(Advisor::granularity_for("unknown"), GranularityHint::Fine);
-    }
-
-    #[test]
     fn granularity_typed_agrees_with_the_algorithms() {
-        // The typed path fed from the Algorithm enum must reproduce the
-        // paper table the string shim encodes.
+        // The paper's table (PR coarse; CC, SSSP and TR fine) and the
+        // extensions: HITS is PR-shaped — always-active, edge-bound — and
+        // LPA and k-core are vertex-state-bound like TR.
         let cases = [
-            (
-                Algorithm::PageRank { iterations: 10 },
-                GranularityHint::Coarse,
-            ),
-            (
-                Algorithm::ConnectedComponents { max_iterations: 10 },
-                GranularityHint::Fine,
-            ),
-            (Algorithm::Triangles, GranularityHint::Fine),
-            (
-                Algorithm::Sssp {
-                    num_landmarks: 5,
-                    seed: 1,
-                    max_iterations: 10,
-                },
-                GranularityHint::Fine,
-            ),
+            ("PR", GranularityHint::Coarse),
+            ("CC", GranularityHint::Fine),
+            ("TR", GranularityHint::Fine),
+            ("SSSP", GranularityHint::Fine),
+            ("HITS", GranularityHint::Coarse),
+            ("LPA", GranularityHint::Fine),
+            ("KCORE", GranularityHint::Fine),
         ];
-        for (algo, expected) in cases {
+        let mut suites = Algorithm::paper_suite(1);
+        suites.extend(Algorithm::extension_suite());
+        assert_eq!(suites.len(), cases.len());
+        for (algo, (abbrev, expected)) in suites.iter().zip(cases) {
+            assert_eq!(algo.abbrev(), abbrev, "suite order");
             assert_eq!(
                 Advisor::granularity_typed(algo.class(), algo.converges()),
                 expected,
-                "{}",
-                algo.abbrev()
+                "{abbrev}"
             );
-            assert_eq!(Advisor::granularity_for(algo.abbrev()), expected);
         }
-        // HITS is PR-shaped: always-active, edge-bound → coarse.
-        let hits = Algorithm::Hits { iterations: 10 };
-        assert_eq!(
-            Advisor::granularity_typed(hits.class(), hits.converges()),
-            GranularityHint::Coarse
-        );
     }
 }

@@ -71,9 +71,10 @@ pub enum AdviceMode {
     #[default]
     Measured,
     /// Short probes of the algorithm itself ([`Algorithm::probe`]) under
-    /// every candidate, ranked by **simulated time** — the session form of
-    /// [`Advisor::recommend_simulated`], which captures effects no single
-    /// metric does. Probing is what a session makes affordable: the
+    /// every candidate, ranked by **simulated time**, which captures
+    /// effects no single metric does (on the crawl datasets 1D minimises
+    /// CommCost yet loses at runtime). Probing is what a session makes
+    /// affordable: the
     /// dispatch runs through the workspace's own cut cache (every
     /// materialization a probe forces is one the advised jobs reuse), the
     /// ranking is memoized per (algorithm, granularity), and the probes'

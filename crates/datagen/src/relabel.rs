@@ -10,8 +10,7 @@
 //! randomly (no locality). The ablation benchmark compares partitioner
 //! behaviour across them.
 
-use cutfit_graph::csr::Neighbors;
-use cutfit_graph::{Edge, Graph, VertexId};
+use cutfit_graph::{Csr, Edge, Graph, VertexId};
 use cutfit_util::Xoshiro256pp;
 
 /// Result of [`first_touch_relabel`]: the compacted edges plus the
@@ -80,10 +79,9 @@ fn apply_order(graph: &Graph, order: &[VertexId]) -> Graph {
     Graph::new_unchecked(graph.num_vertices(), edges)
 }
 
-/// BFS visit order over any adjacency (`order[old_id] = new_id`), starting
-/// new traversals from the smallest unvisited ID. Generic over
-/// [`Neighbors`], so it walks a flat or compressed CSR identically.
-pub fn bfs_order<N: Neighbors>(und: &N) -> Vec<VertexId> {
+/// BFS visit order over an adjacency (`order[old_id] = new_id`), starting
+/// new traversals from the smallest unvisited ID.
+pub fn bfs_order(und: &Csr) -> Vec<VertexId> {
     let n = und.num_vertices();
     let mut order = vec![VertexId::MAX; n as usize];
     let mut next: VertexId = 0;
@@ -96,7 +94,7 @@ pub fn bfs_order<N: Neighbors>(und: &N) -> Vec<VertexId> {
         next += 1;
         queue.push_back(start);
         while let Some(v) = queue.pop_front() {
-            for w in und.neighbors_iter(v) {
+            for &w in und.neighbors(v) {
                 if order[w as usize] == VertexId::MAX {
                     order[w as usize] = next;
                     next += 1;
@@ -112,8 +110,7 @@ pub fn bfs_order<N: Neighbors>(und: &N) -> Vec<VertexId> {
 /// starting new traversals from the smallest unvisited ID. Maximises
 /// ID-adjacency locality.
 pub fn bfs_relabel(graph: &Graph) -> Graph {
-    let und = cutfit_graph::Csr::undirected_simple_of(graph);
-    apply_order(graph, &bfs_order(&und))
+    apply_order(graph, &bfs_order(&Csr::undirected_simple_of(graph)))
 }
 
 /// Relabels vertices in descending total-degree order (ties by original
@@ -138,7 +135,6 @@ pub fn degree_relabel(graph: &Graph) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cutfit_graph::{CompressedCsr, Csr};
 
     #[test]
     fn first_touch_assigns_in_order() {
@@ -224,21 +220,6 @@ mod tests {
             max_gap <= 2,
             "BFS order keeps path IDs close, gap {max_gap}"
         );
-    }
-
-    #[test]
-    fn bfs_order_agrees_across_representations() {
-        let g = crate::rmat(
-            &crate::RmatConfig {
-                scale: 6,
-                edges: 256,
-                ..Default::default()
-            },
-            3,
-        );
-        let flat = Csr::undirected_simple_of(&g);
-        let zip = CompressedCsr::undirected_simple_of(&g);
-        assert_eq!(bfs_order(&flat), bfs_order(&zip));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! small-world graphs.
 
 use crate::analysis::components::weakly_connected_components;
-use crate::csr::{Csr, Neighbors};
+use crate::csr::Csr;
 use crate::graph::Graph;
 use crate::types::VertexId;
 
@@ -30,10 +30,9 @@ impl std::fmt::Display for Diameter {
     }
 }
 
-/// BFS hop distances from `source` over the given adjacency (generic over
-/// [`Neighbors`]: flat or compressed CSR); `u32::MAX` marks unreachable
-/// vertices.
-pub fn bfs_distances<N: Neighbors>(csr: &N, source: VertexId) -> Vec<u32> {
+/// BFS hop distances from `source` over the given adjacency; `u32::MAX`
+/// marks unreachable vertices.
+pub fn bfs_distances(csr: &Csr, source: VertexId) -> Vec<u32> {
     let n = csr.num_vertices() as usize;
     let mut dist = vec![u32::MAX; n];
     let mut queue = std::collections::VecDeque::new();
@@ -41,7 +40,7 @@ pub fn bfs_distances<N: Neighbors>(csr: &N, source: VertexId) -> Vec<u32> {
     queue.push_back(source);
     while let Some(v) = queue.pop_front() {
         let dv = dist[v as usize];
-        for w in csr.neighbors_iter(v) {
+        for &w in csr.neighbors(v) {
             if dist[w as usize] == u32::MAX {
                 dist[w as usize] = dv + 1;
                 queue.push_back(w);
@@ -52,7 +51,7 @@ pub fn bfs_distances<N: Neighbors>(csr: &N, source: VertexId) -> Vec<u32> {
 }
 
 /// Farthest reachable vertex and its distance.
-fn eccentricity<N: Neighbors>(csr: &N, source: VertexId) -> (VertexId, u64) {
+fn eccentricity(csr: &Csr, source: VertexId) -> (VertexId, u64) {
     let dist = bfs_distances(csr, source);
     let mut best = (source, 0u64);
     for (v, &d) in dist.iter().enumerate() {
@@ -77,11 +76,11 @@ pub fn estimate_diameter(graph: &Graph, sweeps: u32) -> Diameter {
     estimate_diameter_csr(&Csr::undirected_simple_of(graph), sweeps)
 }
 
-/// The double-sweep estimate on a prebuilt undirected simple adjacency
-/// (flat or compressed), which the caller has already checked to be
-/// non-empty and weakly connected (the Table 1 characterization reuses one
-/// CSR across several analyses).
-pub fn estimate_diameter_csr<N: Neighbors>(und: &N, sweeps: u32) -> Diameter {
+/// The double-sweep estimate on a prebuilt undirected simple adjacency,
+/// which the caller has already checked to be non-empty and weakly
+/// connected (the Table 1 characterization reuses one CSR across several
+/// analyses).
+pub fn estimate_diameter_csr(und: &Csr, sweeps: u32) -> Diameter {
     let mut frontier: VertexId = 0;
     let mut best = 0u64;
     for _ in 0..sweeps.max(1) {

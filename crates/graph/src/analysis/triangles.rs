@@ -7,7 +7,7 @@
 //! out-neighbours of `u` and `v`. Each triangle is counted exactly once and
 //! the running time is O(E^1.5) on arbitrary graphs.
 
-use crate::csr::{sorted_intersection_count, Csr, Neighbors};
+use crate::csr::{sorted_intersection_count, Csr};
 use crate::graph::Graph;
 use crate::types::VertexId;
 
@@ -18,11 +18,8 @@ pub fn count_triangles(graph: &Graph) -> u64 {
 
 /// [`count_triangles`] on a prebuilt undirected simple adjacency, for
 /// callers (the Table 1 characterization) that reuse one CSR across
-/// several analyses. Generic over [`Neighbors`], so it runs unchanged on
-/// flat or compressed CSR — the forward adjacency it builds is plain flat
-/// arrays either way, so the merge intersection never touches the
-/// underlying representation.
-pub fn count_triangles_csr<N: Neighbors>(und: &N) -> u64 {
+/// several analyses.
+pub fn count_triangles_csr(und: &Csr) -> u64 {
     let n = und.num_vertices();
 
     // Orientation rank: (degree, id) lexicographic.
@@ -31,13 +28,17 @@ pub fn count_triangles_csr<N: Neighbors>(und: &N) -> u64 {
     // Build the forward adjacency: for each v, neighbours with higher rank.
     let mut fwd_offsets = vec![0u64; n as usize + 1];
     for v in 0..n {
-        let higher = und.neighbors_iter(v).filter(|&w| rank(w) > rank(v)).count() as u64;
+        let higher = und
+            .neighbors(v)
+            .iter()
+            .filter(|&&w| rank(w) > rank(v))
+            .count() as u64;
         fwd_offsets[v as usize + 1] = fwd_offsets[v as usize] + higher;
     }
     let mut fwd = vec![0 as VertexId; fwd_offsets[n as usize] as usize];
     for v in 0..n {
         let mut pos = fwd_offsets[v as usize] as usize;
-        for w in und.neighbors_iter(v) {
+        for &w in und.neighbors(v) {
             if rank(w) > rank(v) {
                 fwd[pos] = w;
                 pos += 1;

@@ -244,212 +244,6 @@ impl Csr {
     }
 }
 
-/// Adjacency access shared by [`Csr`] and [`CompressedCsr`]: algorithms
-/// that walk neighbourhoods (BFS, triangles, k-core, relabeling) are
-/// generic over this trait and run unchanged on either representation.
-///
-/// The iterator yields each vertex's neighbours in the same sorted order
-/// the flat CSR stores them, with multiplicity — so two implementations
-/// over the same graph are neighbour-for-neighbour identical.
-pub trait Neighbors {
-    /// Iterator over one vertex's sorted neighbours.
-    type Iter<'a>: Iterator<Item = VertexId> + 'a
-    where
-        Self: 'a;
-
-    /// Number of vertices.
-    fn num_vertices(&self) -> u64;
-
-    /// Degree of `v` in this adjacency.
-    fn degree(&self, v: VertexId) -> u64;
-
-    /// Sorted neighbours of `v`, ascending, duplicates preserved.
-    fn neighbors_iter(&self, v: VertexId) -> Self::Iter<'_>;
-}
-
-impl Neighbors for Csr {
-    type Iter<'a> = std::iter::Copied<std::slice::Iter<'a, VertexId>>;
-
-    #[inline]
-    fn num_vertices(&self) -> u64 {
-        Csr::num_vertices(self)
-    }
-
-    #[inline]
-    fn degree(&self, v: VertexId) -> u64 {
-        Csr::degree(self, v)
-    }
-
-    #[inline]
-    fn neighbors_iter(&self, v: VertexId) -> Self::Iter<'_> {
-        self.neighbors(v).iter().copied()
-    }
-}
-
-/// Delta/varint-compressed sparse row adjacency.
-///
-/// Each vertex's sorted neighbour block is stored as
-/// `varint(degree) · varint(first) · varint(gap)…` in one contiguous byte
-/// buffer, with a per-vertex byte offset array. Gaps are plain (unsigned)
-/// varints because blocks are sorted ascending — duplicates encode as gap
-/// 0, so multigraph adjacency survives. On power-law graphs this lands
-/// around 1–2 bytes per entry versus the flat CSR's 8, at the cost of
-/// sequential-only access within a block (no slicing, no binary search).
-/// Build it from a [`Csr`] when the working set must shrink; keep the flat
-/// form when intersection-heavy analyses dominate.
-#[derive(Debug, Clone)]
-pub struct CompressedCsr {
-    /// Byte offset of each vertex's block in `data` (`n + 1` entries).
-    offsets: Vec<u64>,
-    /// Concatenated varint blocks.
-    data: Vec<u8>,
-    /// Total adjacency entries, for parity with [`Csr::num_entries`].
-    entries: u64,
-}
-
-impl CompressedCsr {
-    /// Compresses an existing flat CSR (neighbour order preserved).
-    pub fn from_csr(csr: &Csr) -> Self {
-        let n = Csr::num_vertices(csr);
-        let mut offsets = Vec::with_capacity(n as usize + 1);
-        let mut data = Vec::new();
-        offsets.push(0);
-        for v in 0..n {
-            let block = csr.neighbors(v);
-            crate::binfmt::push_uvarint(&mut data, block.len() as u64);
-            let mut prev = 0;
-            for (i, &t) in block.iter().enumerate() {
-                let gap = if i == 0 { t } else { t - prev };
-                crate::binfmt::push_uvarint(&mut data, gap);
-                prev = t;
-            }
-            offsets.push(data.len() as u64);
-        }
-        data.shrink_to_fit();
-        CompressedCsr {
-            offsets,
-            data,
-            entries: csr.num_entries(),
-        }
-    }
-
-    /// [`Csr::out_of`] then compress.
-    pub fn out_of(graph: &Graph) -> Self {
-        Self::from_csr(&Csr::out_of(graph))
-    }
-
-    /// [`Csr::in_of`] then compress.
-    pub fn in_of(graph: &Graph) -> Self {
-        Self::from_csr(&Csr::in_of(graph))
-    }
-
-    /// [`Csr::undirected_simple_of`] then compress.
-    pub fn undirected_simple_of(graph: &Graph) -> Self {
-        Self::from_csr(&Csr::undirected_simple_of(graph))
-    }
-
-    /// Number of vertices.
-    #[inline]
-    pub fn num_vertices(&self) -> u64 {
-        (self.offsets.len() - 1) as u64
-    }
-
-    /// Total adjacency entries (with multiplicity), as in
-    /// [`Csr::num_entries`].
-    #[inline]
-    pub fn num_entries(&self) -> u64 {
-        self.entries
-    }
-
-    #[inline]
-    fn block(&self, v: VertexId) -> &[u8] {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        &self.data[lo..hi]
-    }
-
-    /// Degree of `v`: one varint decode. Blocks are validated at build
-    /// time; a malformed block reads as degree 0 rather than panicking.
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> u64 {
-        let block = self.block(v);
-        let mut pos = 0;
-        crate::binfmt::read_uvarint(block, &mut pos).unwrap_or(0)
-    }
-
-    /// Heap bytes held by this representation (offset array + varint
-    /// payload) — the number the README footprint table compares against
-    /// the flat CSR's `(n + 1 + entries) * 8`.
-    pub fn heap_bytes(&self) -> u64 {
-        (self.offsets.capacity() * std::mem::size_of::<u64>() + self.data.capacity()) as u64
-    }
-}
-
-/// Sequential decoder over one compressed neighbour block.
-pub struct CompressedNeighbors<'a> {
-    block: &'a [u8],
-    pos: usize,
-    remaining: u64,
-    prev: VertexId,
-    first: bool,
-}
-
-impl Iterator for CompressedNeighbors<'_> {
-    type Item = VertexId;
-
-    #[inline]
-    fn next(&mut self) -> Option<VertexId> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        // Block length was validated at build time; on a malformed block
-        // the iterator ends early instead of panicking.
-        let Some(gap) = crate::binfmt::read_uvarint(self.block, &mut self.pos) else {
-            self.remaining = 0;
-            return None;
-        };
-        self.prev = if self.first { gap } else { self.prev + gap };
-        self.first = false;
-        Some(self.prev)
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining as usize, Some(self.remaining as usize))
-    }
-}
-
-impl ExactSizeIterator for CompressedNeighbors<'_> {}
-
-impl Neighbors for CompressedCsr {
-    type Iter<'a> = CompressedNeighbors<'a>;
-
-    #[inline]
-    fn num_vertices(&self) -> u64 {
-        CompressedCsr::num_vertices(self)
-    }
-
-    #[inline]
-    fn degree(&self, v: VertexId) -> u64 {
-        CompressedCsr::degree(self, v)
-    }
-
-    #[inline]
-    fn neighbors_iter(&self, v: VertexId) -> Self::Iter<'_> {
-        let block = self.block(v);
-        let mut pos = 0;
-        let remaining = crate::binfmt::read_uvarint(block, &mut pos).unwrap_or(0);
-        CompressedNeighbors {
-            block,
-            pos,
-            remaining,
-            prev: 0,
-            first: true,
-        }
-    }
-}
-
 /// Vertex ranges of roughly equal count plus the positions in a CSR value
 /// buffer where each range's blocks begin and end — the shard boundaries
 /// (one per worker, at most `threads`) for the range-parallel passes over
@@ -586,76 +380,6 @@ mod tests {
         assert_eq!(csr.targets.capacity(), csr.targets.len());
         let und = Csr::undirected_simple_of(&g);
         assert_eq!(und.targets.capacity(), und.targets.len());
-    }
-
-    fn assert_neighbor_identical(csr: &Csr, zip: &CompressedCsr) {
-        assert_eq!(zip.num_vertices(), csr.num_vertices());
-        assert_eq!(zip.num_entries(), csr.num_entries());
-        for v in 0..csr.num_vertices() {
-            assert_eq!(zip.degree(v), csr.degree(v), "degree of {v}");
-            let decoded: Vec<VertexId> = Neighbors::neighbors_iter(zip, v).collect();
-            assert_eq!(decoded, csr.neighbors(v), "neighbors of {v}");
-        }
-    }
-
-    #[test]
-    fn compressed_csr_is_neighbor_identical() {
-        // Duplicates, loops, isolated vertex 4, skewed degrees.
-        let g = Graph::new(
-            6,
-            vec![
-                Edge::new(0, 1),
-                Edge::new(0, 1),
-                Edge::new(0, 5),
-                Edge::new(1, 0),
-                Edge::new(2, 2),
-                Edge::new(5, 0),
-                Edge::new(5, 1),
-                Edge::new(5, 2),
-                Edge::new(5, 3),
-            ],
-        );
-        assert_neighbor_identical(&Csr::out_of(&g), &CompressedCsr::out_of(&g));
-        assert_neighbor_identical(&Csr::in_of(&g), &CompressedCsr::in_of(&g));
-        assert_neighbor_identical(
-            &Csr::undirected_simple_of(&g),
-            &CompressedCsr::undirected_simple_of(&g),
-        );
-    }
-
-    #[test]
-    fn compressed_csr_handles_empty_and_large_ids() {
-        let empty = Graph::new(4, vec![]);
-        let zip = CompressedCsr::out_of(&empty);
-        assert_eq!(zip.num_entries(), 0);
-        for v in 0..4 {
-            assert_eq!(zip.degree(v), 0);
-            assert_eq!(Neighbors::neighbors_iter(&zip, v).count(), 0);
-        }
-        // IDs that need multi-byte varints.
-        let big = Graph::new(
-            1 << 20,
-            vec![Edge::new(0, (1 << 20) - 1), Edge::new(5, 1_000_000)],
-        );
-        assert_neighbor_identical(&Csr::out_of(&big), &CompressedCsr::out_of(&big));
-    }
-
-    #[test]
-    fn compressed_csr_is_smaller_on_sorted_adjacency() {
-        let mut edges = Vec::new();
-        for i in 0..2_000u64 {
-            edges.push(Edge::new(i % 97, (i * 7) % 500));
-        }
-        let g = Graph::new(500, edges);
-        let csr = Csr::out_of(&g);
-        let zip = CompressedCsr::from_csr(&csr);
-        let flat_bytes = (csr.offsets.len() as u64 + csr.targets.len() as u64) * 8;
-        assert!(
-            zip.heap_bytes() < flat_bytes / 2,
-            "compressed {} vs flat {flat_bytes}",
-            zip.heap_bytes()
-        );
-        assert_neighbor_identical(&csr, &zip);
     }
 
     #[test]

@@ -10,14 +10,11 @@
 //! The [`analysis`] module computes every column of the paper's Table 1
 //! (degrees, reciprocity, triangles, connected components, diameter) plus
 //! the degree-distribution series behind Figures 1 and 2.
-
 //!
-//! The out-of-core layer lives in three sibling modules: [`binfmt`] (the
-//! versioned, checksummed binary container), [`source`] (the
+//! The out-of-core layer lives in two sibling modules: [`binfmt`] (the
+//! versioned, checksummed binary container) and [`source`] (the
 //! [`source::GraphSource`] chunked-streaming abstraction over memory,
-//! text, and binary storage), and [`csr`]'s [`csr::CompressedCsr`]
-//! (delta/varint neighbor blocks behind the same [`csr::Neighbors`]
-//! accessor as the flat [`Csr`]).
+//! text, and binary storage).
 
 pub mod analysis;
 pub mod binfmt;
@@ -29,7 +26,7 @@ pub mod source;
 pub mod types;
 
 pub use builder::GraphBuilder;
-pub use csr::{CompressedCsr, Csr, Neighbors};
+pub use csr::Csr;
 pub use graph::Graph;
 pub use source::{BinaryFileSource, GraphSource, StreamStats, TextFileSource};
 pub use types::{Edge, VertexId};

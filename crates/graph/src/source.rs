@@ -390,7 +390,7 @@ impl GraphSource for BinaryFileSource {
 
 /// Materializes any source into a resident [`Graph`] (edge order and
 /// multiplicity preserved) — the bridge back from streaming to the
-/// whole-graph APIs (CSR builds, multilevel partitioning).
+/// whole-graph APIs (CSR builds, `PartitionedGraph` materialization).
 pub fn materialize(source: &dyn GraphSource) -> Result<Graph, ParseError> {
     // A source's edge count is a claim until the stream has delivered it
     // ([`BinaryFileSource::open`] bounds it by the file's size): a

@@ -9,11 +9,11 @@
 
 use cutfit_graph::io::ParseError;
 use cutfit_graph::types::PartId;
-use cutfit_graph::{Edge, Graph, GraphSource, StreamStats, VertexId};
+use cutfit_graph::{GraphSource, VertexId};
 use cutfit_util::hash::{graphx_mix, hash_pair};
 use cutfit_util::num::ceil_sqrt;
 
-use crate::strategy::{assign_pure, assign_source_with, Partitioner};
+use crate::strategy::{Partitioner, Rule};
 
 /// The paper's six edge-partitioning strategies.
 ///
@@ -121,41 +121,18 @@ impl Partitioner for GraphXStrategy {
         self.abbrev()
     }
 
-    fn assign_edges(&self, graph: &Graph, num_parts: PartId) -> Vec<PartId> {
-        self.assign_edges_threaded(graph, num_parts, 1)
-    }
-
-    fn assign_edges_threaded(
-        &self,
-        graph: &Graph,
-        num_parts: PartId,
-        threads: usize,
-    ) -> Vec<PartId> {
-        // Each edge's partition is a pure function of its endpoints, so the
-        // chunked parallel fill is trivially bit-identical to sequential.
-        assign_pure(graph, threads, |e| {
-            self.partition_edge(e.src, e.dst, num_parts)
-        })
-    }
-
-    fn assign_source(
-        &self,
-        source: &dyn GraphSource,
-        num_parts: PartId,
-        chunk_edges: usize,
-        sink: &mut dyn FnMut(&[Edge], &[PartId]),
-    ) -> Result<StreamStats, ParseError> {
-        // Pure per-edge hash: stream directly, no graph state at all.
-        assign_source_with(source, chunk_edges, sink, |e| {
-            self.partition_edge(e.src, e.dst, num_parts)
-        })
+    fn rule(&self, _: &dyn GraphSource, num_parts: PartId) -> Result<Rule<'_>, ParseError> {
+        let strategy = *self;
+        Ok(Rule::pure(move |e| {
+            strategy.partition_edge(e.src, e.dst, num_parts)
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cutfit_graph::Edge;
+    use cutfit_graph::{Edge, Graph};
 
     #[test]
     fn all_assignments_in_range() {

@@ -5,8 +5,11 @@
 //! partitions and replicating every vertex into each partition that holds
 //! one of its edges (a *vertex cut*). Which edges land together is decided
 //! by a [`Partitioner`]; the paper studies four partitioners that ship with
-//! GraphX plus two it proposes ([`GraphXStrategy`]), and we add three
-//! streaming baselines from the literature ([`streaming`]) for ablations.
+//! GraphX plus two it proposes ([`GraphXStrategy`]), and we add four
+//! vertex-cut baselines from the literature ([`streaming`]) for ablations.
+//! Each strategy is one [`Rule`]; the [`Partitioner`] trait's provided
+//! methods apply it to a resident graph, on several threads, or to a
+//! chunked source.
 //!
 //! The quality of a partitioning is summarised by the five metrics of §3.1
 //! ([`PartitionMetrics`]): Balance, Non-Cut vertices, Cut vertices,
@@ -21,7 +24,6 @@
 
 pub mod graphx;
 pub mod metrics;
-pub mod multilevel;
 pub mod partitioned;
 mod replicas;
 pub mod strategy;
@@ -30,8 +32,7 @@ pub mod sweep;
 
 pub use graphx::GraphXStrategy;
 pub use metrics::{MetricKind, MetricsAccumulator, PartitionMetrics};
-pub use multilevel::MultilevelEdgeCut;
 pub use partitioned::{EdgePartition, PartitionedGraph, RoutingTable, NO_PART};
-pub use strategy::{all_partitioners, Partitioner};
-pub use streaming::{Dbh, GreedyVertexCut, Hdrf, HybridCut, SourceRangeCut};
+pub use strategy::{all_partitioners, Partitioner, Rule};
+pub use streaming::{Dbh, GreedyVertexCut, Hdrf, HybridCut};
 pub use sweep::{assign_all, assign_all_source, sweep_metrics, sweep_metrics_source};

@@ -24,7 +24,7 @@ use cutfit_util::hash::hash64;
 pub const NO_PART: PartId = PartId::MAX;
 
 /// One edge partition: edges re-indexed into a local vertex table.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgePartition {
     /// Edges as (local src, local dst) indices into `vertices`.
     pub edges: Vec<(u32, u32)>,
@@ -240,7 +240,7 @@ impl PartitionedGraph {
         // re-indexing per endpoint — replacing the per-edge binary search.
         // Stale remap entries from a worker's previous partition are never
         // read: every endpoint of this block was just written.
-        let mut parts: Vec<Option<EdgePartition>> = vec![None; np];
+        let mut parts = vec![EdgePartition::default(); np];
         {
             let part_cells = DisjointSlice::new(&mut parts);
             let table_cells = DisjointSlice::new(&mut vertex_tables);
@@ -260,14 +260,10 @@ impl PartitionedGraph {
                         .map(|&(s, d)| (local[s as usize], local[d as usize]))
                         .collect();
                     // SAFETY: as above.
-                    unsafe { *part_cells.get_mut(p) = Some(EdgePartition { edges, vertices }) };
+                    unsafe { *part_cells.get_mut(p) = EdgePartition { edges, vertices } };
                 }
             });
         }
-        let parts = parts
-            .into_iter()
-            .map(|p| p.expect("every partition filled"))
-            .collect();
 
         Self {
             num_parts,
@@ -278,9 +274,9 @@ impl PartitionedGraph {
         }
     }
 
-    /// The pre-counting-sort build, retained verbatim as the pinned
-    /// reference implementation: Vec-of-Vec bucketing, per-partition
-    /// endpoint sort + dedup, and per-edge `binary_search` re-indexing.
+    /// The pre-counting-sort build, retained as the pinned reference
+    /// implementation: Vec-of-Vec bucketing, per-partition endpoint sort +
+    /// dedup, and per-edge binary-search re-indexing.
     ///
     /// Property tests pin [`PartitionedGraph::build`] and
     /// [`PartitionedGraph::build_threaded`] equal to this field-for-field.
@@ -319,9 +315,9 @@ impl PartitionedGraph {
             }
             vertices.sort_unstable();
             vertices.dedup();
-            let local = |v: VertexId| -> u32 {
-                vertices.binary_search(&v).expect("endpoint present") as u32
-            };
+            // `vertices` holds every endpoint once, sorted: the number of
+            // smaller ones is the endpoint's index.
+            let local = |v: VertexId| vertices.partition_point(|&x| x < v) as u32;
             let edges = bucket.iter().map(|&(s, d)| (local(s), local(d))).collect();
             parts.push(EdgePartition { edges, vertices });
         }

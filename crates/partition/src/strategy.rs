@@ -1,60 +1,62 @@
-//! The [`Partitioner`] abstraction.
+//! The [`Partitioner`] abstraction: one [`Rule`] per strategy, three
+//! drivers that apply it.
 
 use cutfit_graph::io::ParseError;
 use cutfit_graph::types::PartId;
 use cutfit_graph::{Edge, Graph, GraphSource, StreamStats};
-use cutfit_util::exec::fill_chunks;
+use cutfit_util::exec::{fill_chunks, resolve_threads};
 
 use crate::partitioned::PartitionedGraph;
 
-/// Chunked parallel assignment for strategies whose per-edge decision is a
-/// pure function of the edge (given precomputed tables such as degrees):
-/// bit-identical to the sequential map for any thread count.
-pub(crate) fn assign_pure<F>(graph: &Graph, threads: usize, per_edge: F) -> Vec<PartId>
-where
-    F: Fn(&Edge) -> PartId + Sync,
-{
-    let edges = graph.edges();
-    let threads = crate::sweep::resolve_threads(threads);
-    let mut out = vec![0 as PartId; edges.len()];
-    fill_chunks(&mut out, threads, |offset, chunk| {
-        for (slot, e) in chunk.iter_mut().zip(&edges[offset..]) {
-            *slot = per_edge(e);
-        }
-    });
-    out
+/// A partitioner's decision, specialised to one source and one part count:
+/// fills `out[i]` with the partition of `edges[i]` (the slices are aligned).
+///
+/// Dispatch is per chunk; the per-edge closure handed to [`Rule::pure`] or
+/// [`Rule::ordered`] is monomorphized inside the box.
+#[allow(clippy::type_complexity)] // the two signatures are what the type says
+pub enum Rule<'a> {
+    /// A function of the edge and of tables fixed before the first edge
+    /// (endpoint hashes, degree tables): any range of the edge list, in any
+    /// order, on any thread, gives the same verdicts.
+    Pure(Box<dyn Fn(&[Edge], &mut [PartId]) + Sync + 'a>),
+    /// Carries state from edge to edge (replica sets, loads): must see the
+    /// whole edge list once, in source order, on one thread.
+    Ordered(Box<dyn FnMut(&[Edge], &mut [PartId]) + 'a>),
 }
 
-/// Chunked streaming assignment through one reusable buffer: peak resident
-/// edge memory is O(chunk). `per_edge` sees edges in exact source order, so
-/// both pure hashes and order-dependent streaming state produce assignments
-/// bit-identical to the resident path.
-pub(crate) fn assign_source_with<F>(
-    source: &dyn GraphSource,
-    chunk_edges: usize,
-    sink: &mut dyn FnMut(&[Edge], &[PartId]),
-    mut per_edge: F,
-) -> Result<StreamStats, ParseError>
-where
-    F: FnMut(&Edge) -> PartId,
-{
-    let mut buf: Vec<PartId> = Vec::new();
-    source.for_each_chunk(chunk_edges, &mut |chunk| {
-        buf.clear();
-        buf.extend(chunk.iter().map(&mut per_edge));
-        sink(chunk, &buf);
-    })
+impl<'a> Rule<'a> {
+    /// A [`Rule::Pure`] from a per-edge function.
+    pub fn pure(per_edge: impl Fn(&Edge) -> PartId + Sync + 'a) -> Self {
+        Rule::Pure(Box::new(move |edges, out| fill(edges, out, &per_edge)))
+    }
+
+    /// A [`Rule::Ordered`] from a per-edge state machine.
+    pub fn ordered(mut per_edge: impl FnMut(&Edge) -> PartId + 'a) -> Self {
+        Rule::Ordered(Box::new(move |edges, out| fill(edges, out, &mut per_edge)))
+    }
+
+    /// Judges the next chunk of the edge list.
+    fn apply(&mut self, edges: &[Edge], out: &mut [PartId]) {
+        match self {
+            Rule::Pure(f) => f(edges, out),
+            Rule::Ordered(f) => f(edges, out),
+        }
+    }
+}
+
+fn fill(edges: &[Edge], out: &mut [PartId], mut per_edge: impl FnMut(&Edge) -> PartId) {
+    for (slot, e) in out.iter_mut().zip(edges) {
+        *slot = per_edge(e);
+    }
 }
 
 /// Assigns every edge of a graph to one of `num_parts` partitions.
 ///
-/// Implementations fall in two families:
-///
-/// * **hash strategies** (GraphX's, and the paper's SC/DC): the partition of
-///   an edge is a pure function of its endpoint IDs — embarrassingly
-///   parallel and oblivious to the rest of the graph;
-/// * **streaming strategies** (DBH, Greedy, HDRF): the partition may depend
-///   on degrees or on previously assigned edges.
+/// A strategy defines its [`Rule`] once; the resident, threaded and
+/// streamed drivers below are the only code that applies it, so their
+/// assignments are bit-identical for every thread count, chunk size and
+/// kind of source. Every strategy decides edge by edge, so every one of
+/// them streams in O(chunk) edge memory.
 ///
 /// The trait is object-safe so experiment grids can iterate over
 /// heterogeneous strategy sets.
@@ -63,43 +65,44 @@ pub trait Partitioner {
     /// tables.
     fn name(&self) -> &'static str;
 
-    /// Returns the partition of every edge, aligned with `graph.edges()`.
-    ///
-    /// Every returned value must be `< num_parts`.
-    fn assign_edges(&self, graph: &Graph, num_parts: PartId) -> Vec<PartId>;
+    /// The strategy's decision for `source` cut into `num_parts`. Tables a
+    /// rule needs (DBH's and Hybrid's degrees) are built here, from passes
+    /// over `source` in bounded chunks; every value the rule writes must be
+    /// `< num_parts`.
+    fn rule(&self, source: &dyn GraphSource, num_parts: PartId) -> Result<Rule<'_>, ParseError>;
 
-    /// Like [`Partitioner::assign_edges`], but may fan the scan out over up
-    /// to `threads` workers on chunked edge ranges (`0` means auto-size from
-    /// the host).
-    ///
-    /// The result must be **bit-identical** to the sequential path for every
-    /// thread count — pure per-edge strategies (the hash family, plus the
-    /// degree-table lookups of DBH/Hybrid) override this; order-dependent
-    /// streaming strategies keep the sequential default.
+    /// Returns the partition of every edge, aligned with `graph.edges()`.
+    fn assign_edges(&self, graph: &Graph, num_parts: PartId) -> Vec<PartId> {
+        self.assign_edges_threaded(graph, num_parts, 1)
+    }
+
+    /// Like [`Partitioner::assign_edges`], but a [`Rule::Pure`] fills up to
+    /// `threads` disjoint ranges of the edge list at once (`0` means
+    /// auto-size from the host); a [`Rule::Ordered`] runs on the caller's
+    /// thread whatever `threads` says.
     fn assign_edges_threaded(
         &self,
         graph: &Graph,
         num_parts: PartId,
         threads: usize,
     ) -> Vec<PartId> {
-        let _ = threads;
-        self.assign_edges(graph, num_parts)
+        let edges = graph.edges();
+        let mut out = vec![0 as PartId; edges.len()];
+        // analyzer: allow(D5): a resident graph is a source whose passes cannot fail
+        match self.rule(graph, num_parts).expect("resident source") {
+            Rule::Pure(f) => fill_chunks(&mut out, resolve_threads(threads), |offset, chunk| {
+                f(&edges[offset..offset + chunk.len()], chunk)
+            }),
+            Rule::Ordered(mut f) => f(edges, &mut out),
+        }
+        out
     }
 
     /// Streams a [`GraphSource`] through the partitioner in bounded-size
     /// chunks: `sink` receives each chunk of edges alongside their
     /// assignments (aligned, same length), in source order, and may discard
-    /// them immediately — so the caller's peak edge memory is O(chunk).
-    ///
-    /// The concatenated assignments are **bit-identical** to
-    /// [`Partitioner::assign_edges`] on the materialized graph for every
-    /// chunk size (pinned by proptests). Per-edge families override this
-    /// with truly chunked paths (pure hashes stream directly; degree-table
-    /// strategies take one O(V) counting pass first; stateful streamers
-    /// carry their decision state across chunks). This default materializes
-    /// the whole source — correct for whole-graph partitioners (multilevel)
-    /// that cannot decide edge-by-edge, and honest about it in the returned
-    /// [`StreamStats::peak_resident_edge_bytes`].
+    /// them immediately — so the caller's peak edge memory is O(chunk),
+    /// beside the rule's own O(V) tables.
     fn assign_source(
         &self,
         source: &dyn GraphSource,
@@ -107,23 +110,13 @@ pub trait Partitioner {
         chunk_edges: usize,
         sink: &mut dyn FnMut(&[Edge], &[PartId]),
     ) -> Result<StreamStats, ParseError> {
-        let graph = cutfit_graph::source::materialize(source)?;
-        let assignment = self.assign_edges(&graph, num_parts);
-        let chunk_edges = chunk_edges.max(1);
-        let mut stats = StreamStats {
-            peak_resident_edge_bytes: graph.num_edges() * std::mem::size_of::<Edge>() as u64,
-            ..StreamStats::default()
-        };
-        for (es, ps) in graph
-            .edges()
-            .chunks(chunk_edges)
-            .zip(assignment.chunks(chunk_edges))
-        {
-            stats.edges += es.len() as u64;
-            stats.chunks += 1;
-            sink(es, ps);
-        }
-        Ok(stats)
+        let mut rule = self.rule(source, num_parts)?;
+        let mut buf: Vec<PartId> = Vec::new();
+        source.for_each_chunk(chunk_edges, &mut |chunk| {
+            buf.resize(chunk.len(), 0);
+            rule.apply(chunk, &mut buf);
+            sink(chunk, &buf);
+        })
     }
 
     /// Convenience: assign edges and build the full vertex-cut
@@ -149,67 +142,9 @@ pub trait Partitioner {
     }
 }
 
-impl<P: Partitioner + ?Sized> Partitioner for &P {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn assign_edges(&self, graph: &Graph, num_parts: PartId) -> Vec<PartId> {
-        (**self).assign_edges(graph, num_parts)
-    }
-
-    fn assign_edges_threaded(
-        &self,
-        graph: &Graph,
-        num_parts: PartId,
-        threads: usize,
-    ) -> Vec<PartId> {
-        (**self).assign_edges_threaded(graph, num_parts, threads)
-    }
-
-    fn assign_source(
-        &self,
-        source: &dyn GraphSource,
-        num_parts: PartId,
-        chunk_edges: usize,
-        sink: &mut dyn FnMut(&[Edge], &[PartId]),
-    ) -> Result<StreamStats, ParseError> {
-        (**self).assign_source(source, num_parts, chunk_edges, sink)
-    }
-}
-
-impl Partitioner for Box<dyn Partitioner> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn assign_edges(&self, graph: &Graph, num_parts: PartId) -> Vec<PartId> {
-        (**self).assign_edges(graph, num_parts)
-    }
-
-    fn assign_edges_threaded(
-        &self,
-        graph: &Graph,
-        num_parts: PartId,
-        threads: usize,
-    ) -> Vec<PartId> {
-        (**self).assign_edges_threaded(graph, num_parts, threads)
-    }
-
-    fn assign_source(
-        &self,
-        source: &dyn GraphSource,
-        num_parts: PartId,
-        chunk_edges: usize,
-        sink: &mut dyn FnMut(&[Edge], &[PartId]),
-    ) -> Result<StreamStats, ParseError> {
-        (**self).assign_source(source, num_parts, chunk_edges, sink)
-    }
-}
-
 /// The paper's six strategies plus the four baselines from the related
 /// literature, boxed for grid experiments. Order: the six as in Tables 2–3,
-/// then DBH, Greedy, HDRF, Hybrid, and the multilevel edge-cut baseline.
+/// then DBH, Greedy, HDRF, Hybrid.
 pub fn all_partitioners() -> Vec<Box<dyn Partitioner>> {
     let mut v: Vec<Box<dyn Partitioner>> = crate::graphx::GraphXStrategy::all()
         .into_iter()
@@ -219,7 +154,6 @@ pub fn all_partitioners() -> Vec<Box<dyn Partitioner>> {
     v.push(Box::new(crate::streaming::GreedyVertexCut::default()));
     v.push(Box::new(crate::streaming::Hdrf::default()));
     v.push(Box::new(crate::streaming::HybridCut::default()));
-    v.push(Box::new(crate::multilevel::MultilevelEdgeCut::default()));
     v
 }
 
@@ -228,13 +162,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_partitioners_has_eleven_unique_names() {
+    fn all_partitioners_has_ten_unique_names() {
         let names: Vec<&str> = all_partitioners().iter().map(|p| p.name()).collect();
-        assert_eq!(names.len(), 11);
+        assert_eq!(names.len(), 10);
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();
-        assert_eq!(dedup.len(), 11, "duplicate names in {names:?}");
+        assert_eq!(dedup.len(), 10, "duplicate names in {names:?}");
     }
 
     #[test]

@@ -8,15 +8,15 @@
 
 use cutfit_graph::io::ParseError;
 use cutfit_graph::types::PartId;
-use cutfit_graph::{Edge, Graph, GraphSource, StreamStats, VertexId};
+use cutfit_graph::{Edge, GraphSource, VertexId};
 use cutfit_util::hash::hash64;
 use cutfit_util::num::vid_index;
 
 use crate::replicas::{set_bits, ReplicaBitmap};
-use crate::strategy::{assign_pure, assign_source_with, Partitioner};
+use crate::strategy::{Partitioner, Rule};
 
 /// One O(V)-memory counting pass over a source: per-vertex out- and
-/// in-degrees, for the degree-table strategies' chunked paths.
+/// in-degrees, the tables DBH's and Hybrid's rules are functions of.
 fn degree_tables(source: &dyn GraphSource) -> Result<(Vec<u32>, Vec<u32>), ParseError> {
     let n = source.num_vertices() as usize;
     let mut out = vec![0u32; n];
@@ -24,8 +24,8 @@ fn degree_tables(source: &dyn GraphSource) -> Result<(Vec<u32>, Vec<u32>), Parse
     // Bounded chunks: the counting pass must not re-materialize the edges.
     source.for_each_chunk(1 << 16, &mut |chunk| {
         for e in chunk {
-            out[e.src as usize] += 1;
-            inn[e.dst as usize] += 1;
+            out[vid_index(e.src)] += 1;
+            inn[vid_index(e.dst)] += 1;
         }
     })?;
     Ok((out, inn))
@@ -42,47 +42,17 @@ impl Partitioner for Dbh {
         "DBH"
     }
 
-    fn assign_edges(&self, graph: &Graph, num_parts: PartId) -> Vec<PartId> {
-        self.assign_edges_threaded(graph, num_parts, 1)
-    }
-
-    fn assign_edges_threaded(
-        &self,
-        graph: &Graph,
-        num_parts: PartId,
-        threads: usize,
-    ) -> Vec<PartId> {
-        let out = graph.out_degrees();
-        let inn = graph.in_degrees();
-        let degree = |v: VertexId| out[v as usize] as u64 + inn[v as usize] as u64;
-        assign_pure(graph, threads, |e| {
-            let key = if degree(e.src) <= degree(e.dst) {
-                e.src
-            } else {
-                e.dst
-            };
-            (hash64(key) % num_parts as u64) as PartId
-        })
-    }
-
-    fn assign_source(
-        &self,
-        source: &dyn GraphSource,
-        num_parts: PartId,
-        chunk_edges: usize,
-        sink: &mut dyn FnMut(&[Edge], &[PartId]),
-    ) -> Result<StreamStats, ParseError> {
-        // Degree tables first (O(V) memory), then a pure chunked pass.
+    fn rule(&self, source: &dyn GraphSource, num_parts: PartId) -> Result<Rule<'_>, ParseError> {
         let (out, inn) = degree_tables(source)?;
-        let degree = |v: VertexId| out[v as usize] as u64 + inn[v as usize] as u64;
-        assign_source_with(source, chunk_edges, sink, |e| {
+        let degree = move |v: VertexId| u64::from(out[vid_index(v)]) + u64::from(inn[vid_index(v)]);
+        Ok(Rule::pure(move |e| {
             let key = if degree(e.src) <= degree(e.dst) {
                 e.src
             } else {
                 e.dst
             };
             (hash64(key) % num_parts as u64) as PartId
-        })
+        }))
     }
 }
 
@@ -112,9 +82,8 @@ impl Default for GreedyVertexCut {
     }
 }
 
-/// The sequential decision state of [`GreedyVertexCut`], factored out so
-/// the resident and chunked-source paths run the *same* per-edge code —
-/// bit-identical assignments by construction, not by parallel maintenance.
+/// The sequential decision state of [`GreedyVertexCut`]:
+/// O(V · ⌈parts / 64⌉ + parts) memory.
 struct GreedyState {
     num_parts: PartId,
     balance_slack: f64,
@@ -152,7 +121,8 @@ impl GreedyState {
             let union = set_bits(a.iter().zip(b).map(|(x, y)| x | y)).filter(ok);
             least_loaded(common, loads)
                 .or_else(|| least_loaded(union, loads))
-                .unwrap_or_else(|| least_loaded(0..self.num_parts, loads).expect("parts exist"))
+                .or_else(|| least_loaded(0..self.num_parts, loads))
+                .unwrap_or(0) // `None` only if there are no partitions at all
         };
         self.loads[pick as usize] += 1;
         self.replicas.insert(e.src, pick);
@@ -166,22 +136,9 @@ impl Partitioner for GreedyVertexCut {
         "Greedy"
     }
 
-    fn assign_edges(&self, graph: &Graph, num_parts: PartId) -> Vec<PartId> {
-        let mut state = GreedyState::new(graph.num_vertices(), num_parts, self.balance_slack);
-        graph.edges().iter().map(|e| state.push(e)).collect()
-    }
-
-    fn assign_source(
-        &self,
-        source: &dyn GraphSource,
-        num_parts: PartId,
-        chunk_edges: usize,
-        sink: &mut dyn FnMut(&[Edge], &[PartId]),
-    ) -> Result<StreamStats, ParseError> {
-        // Carry the streaming state across chunks: O(V · ⌈parts / 64⌉ + parts)
-        // memory.
+    fn rule(&self, source: &dyn GraphSource, num_parts: PartId) -> Result<Rule<'_>, ParseError> {
         let mut state = GreedyState::new(source.num_vertices(), num_parts, self.balance_slack);
-        assign_source_with(source, chunk_edges, sink, |e| state.push(e))
+        Ok(Rule::ordered(move |e| state.push(e)))
     }
 }
 
@@ -205,8 +162,7 @@ impl Default for Hdrf {
     }
 }
 
-/// The sequential decision state of [`Hdrf`], shared by the resident and
-/// chunked-source paths (same per-edge code, bit-identical results).
+/// The sequential decision state of [`Hdrf`].
 struct HdrfState {
     num_parts: PartId,
     lambda: f64,
@@ -296,20 +252,9 @@ impl Partitioner for Hdrf {
         "HDRF"
     }
 
-    fn assign_edges(&self, graph: &Graph, num_parts: PartId) -> Vec<PartId> {
-        let mut state = HdrfState::new(graph.num_vertices(), num_parts, self.lambda);
-        graph.edges().iter().map(|e| state.push(e)).collect()
-    }
-
-    fn assign_source(
-        &self,
-        source: &dyn GraphSource,
-        num_parts: PartId,
-        chunk_edges: usize,
-        sink: &mut dyn FnMut(&[Edge], &[PartId]),
-    ) -> Result<StreamStats, ParseError> {
+    fn rule(&self, source: &dyn GraphSource, num_parts: PartId) -> Result<Rule<'_>, ParseError> {
         let mut state = HdrfState::new(source.num_vertices(), num_parts, self.lambda);
-        assign_source_with(source, chunk_edges, sink, |e| state.push(e))
+        Ok(Rule::ordered(move |e| state.push(e)))
     }
 }
 
@@ -337,88 +282,17 @@ impl Partitioner for HybridCut {
         "Hybrid"
     }
 
-    fn assign_edges(&self, graph: &Graph, num_parts: PartId) -> Vec<PartId> {
-        self.assign_edges_threaded(graph, num_parts, 1)
-    }
-
-    fn assign_edges_threaded(
-        &self,
-        graph: &Graph,
-        num_parts: PartId,
-        threads: usize,
-    ) -> Vec<PartId> {
-        let in_deg = graph.in_degrees();
-        assign_pure(graph, threads, |e| {
-            let key = if in_deg[e.dst as usize] > self.threshold {
+    fn rule(&self, source: &dyn GraphSource, num_parts: PartId) -> Result<Rule<'_>, ParseError> {
+        let (_, in_deg) = degree_tables(source)?;
+        let threshold = self.threshold;
+        Ok(Rule::pure(move |e| {
+            let key = if in_deg[vid_index(e.dst)] > threshold {
                 e.src // high-degree destination: spread by source
             } else {
                 e.dst // low-degree destination: collocate its in-edges
             };
             (hash64(key) % num_parts as u64) as PartId
-        })
-    }
-
-    fn assign_source(
-        &self,
-        source: &dyn GraphSource,
-        num_parts: PartId,
-        chunk_edges: usize,
-        sink: &mut dyn FnMut(&[Edge], &[PartId]),
-    ) -> Result<StreamStats, ParseError> {
-        let (_, in_deg) = degree_tables(source)?;
-        assign_source_with(source, chunk_edges, sink, |e| {
-            let key = if in_deg[e.dst as usize] > self.threshold {
-                e.src
-            } else {
-                e.dst
-            };
-            (hash64(key) % num_parts as u64) as PartId
-        })
-    }
-}
-
-/// Range (block) cut: contiguous source-ID blocks map to the same
-/// partition. This is the partitioner that *actually* exploits ID locality
-/// — the property the paper's SC/DC were designed to capture but, being
-/// modulo-based, cannot: `u % N` sends *adjacent* IDs to *different*
-/// partitions, while `u / block` keeps whole neighbourhoods (spatially
-/// ordered road junctions, crawl-order communities) together. The locality
-/// ablation (`ablation_advisor`) quantifies the difference.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SourceRangeCut;
-
-impl Partitioner for SourceRangeCut {
-    fn name(&self) -> &'static str {
-        "RangeSC"
-    }
-
-    fn assign_edges(&self, graph: &Graph, num_parts: PartId) -> Vec<PartId> {
-        self.assign_edges_threaded(graph, num_parts, 1)
-    }
-
-    fn assign_edges_threaded(
-        &self,
-        graph: &Graph,
-        num_parts: PartId,
-        threads: usize,
-    ) -> Vec<PartId> {
-        let block = graph.num_vertices().div_ceil(num_parts as u64).max(1);
-        assign_pure(graph, threads, |e| {
-            ((e.src / block) as PartId).min(num_parts - 1)
-        })
-    }
-
-    fn assign_source(
-        &self,
-        source: &dyn GraphSource,
-        num_parts: PartId,
-        chunk_edges: usize,
-        sink: &mut dyn FnMut(&[Edge], &[PartId]),
-    ) -> Result<StreamStats, ParseError> {
-        let block = source.num_vertices().div_ceil(num_parts as u64).max(1);
-        assign_source_with(source, chunk_edges, sink, |e| {
-            ((e.src / block) as PartId).min(num_parts - 1)
-        })
+        }))
     }
 }
 
@@ -432,7 +306,7 @@ mod tests {
     use crate::metrics::PartitionMetrics;
     use crate::GraphXStrategy;
     use cutfit_datagen::{rmat, RmatConfig};
-    use cutfit_graph::Edge;
+    use cutfit_graph::Graph;
 
     fn skewed() -> Graph {
         rmat(
@@ -705,34 +579,6 @@ mod tests {
             m.non_cut,
             rvc.non_cut
         );
-    }
-
-    #[test]
-    fn range_cut_exploits_spatial_locality_where_modulo_cannot() {
-        // A long path with sequential IDs: RangeSC keeps neighbourhoods
-        // together (CommCost ≈ one cut per block boundary), SC scatters
-        // every consecutive pair.
-        let n = 1024u64;
-        let g = Graph::new(n, (0..n - 1).map(|v| Edge::new(v, v + 1)).collect());
-        let range = PartitionMetrics::of(&SourceRangeCut.partition(&g, 16));
-        let sc = PartitionMetrics::of(&GraphXStrategy::SourceCut.partition(&g, 16));
-        assert!(
-            range.comm_cost * 10 < sc.comm_cost,
-            "range {} vs modulo {}",
-            range.comm_cost,
-            sc.comm_cost
-        );
-        // Block boundaries: 15 internal cuts, two replicas each.
-        assert_eq!(range.cut, 15);
-    }
-
-    #[test]
-    fn range_cut_ids_stay_in_bounds() {
-        let g = skewed();
-        for np in [1u32, 7, 16] {
-            let a = SourceRangeCut.assign_edges(&g, np);
-            assert!(a.iter().all(|&p| p < np));
-        }
     }
 
     #[test]

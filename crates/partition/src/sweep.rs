@@ -21,11 +21,23 @@
 //! edges one at a time; score those with
 //! [`Partitioner::assign_edges`](crate::Partitioner::assign_edges) followed
 //! by [`PartitionMetrics::of_assignment`] instead.
+//!
+//! [`sweep_metrics`] and [`sweep_metrics_source`] stay two bodies, and
+//! neither is user-selected: a resident graph takes the first, a file the
+//! second. The resident body judges an edge under all six strategies while
+//! it is hot and folds whole assignments; the streamed body works chunk by
+//! chunk so that nothing O(E) is ever held. Routing the resident sweep
+//! through the streamed body was measured on `benchmark/`'s `select-stream`
+//! (same answers): `partition.sweep_resident_s` rose 5–20 % at 16 Ki-edge
+//! chunks over four alternating traced pairs (0.61→0.65, 0.52→0.60,
+//! 0.55→0.58, 0.50→0.60 s) and 32–79 % with the graph as one chunk. That
+//! workload times one body in `cold_s` and the other in `warm_s`, and pins
+//! their metrics equal field for field.
 
 use cutfit_graph::io::ParseError;
 use cutfit_graph::types::PartId;
 use cutfit_graph::{Edge, Graph, GraphSource, StreamStats};
-use cutfit_util::exec::{run_ranges, DisjointSlice};
+use cutfit_util::exec::{run_chunked, run_ranges, DisjointSlice};
 
 use crate::graphx::GraphXStrategy;
 use crate::metrics::{MetricsAccumulator, PartitionMetrics};
@@ -88,25 +100,15 @@ pub fn sweep_metrics(
 ) -> Vec<PartitionMetrics> {
     let threads = resolve_threads(threads);
     let assignments = assign_all(graph, strategies, num_parts, threads);
-    let mut out: Vec<Option<PartitionMetrics>> = vec![None; strategies.len()];
-    {
-        let cells = DisjointSlice::new(&mut out);
-        run_ranges(strategies.len(), threads, |range| {
-            for k in range {
-                // SAFETY: strategy ranges are disjoint across threads.
-                unsafe {
-                    *cells.get_mut(k) = Some(PartitionMetrics::of_assignment(
-                        graph,
-                        &assignments[k],
-                        num_parts,
-                    ));
-                }
-            }
-        });
-    }
-    out.into_iter()
-        .map(|m| m.expect("every slot filled"))
-        .collect()
+    // One result shard per worker: shard `t` holds the metrics of the
+    // `t`-th contiguous run of strategies, so concatenation is in order.
+    let mut shards: Vec<Vec<PartitionMetrics>> = vec![Vec::new(); threads];
+    run_chunked(strategies.len(), threads, &mut shards, |range, shard| {
+        shard.extend(
+            range.map(|k| PartitionMetrics::of_assignment(graph, &assignments[k], num_parts)),
+        );
+    });
+    shards.into_iter().flatten().collect()
 }
 
 /// [`assign_all`] over a chunked [`GraphSource`]: every candidate strategy

@@ -1,13 +1,13 @@
 //! Property tests pinning the counting-sort materialization
 //! ([`PartitionedGraph::build`] / [`PartitionedGraph::build_threaded`])
 //! field-for-field against the retained reference implementation
-//! ([`PartitionedGraph::build_reference`]) across all 11 partitioners —
+//! ([`PartitionedGraph::build_reference`]) across all ten partitioners —
 //! including graphs with isolated vertices (which must keep `NO_PART`
 //! masters and empty routing slices) and every thread count the engine
 //! uses.
 
 use cutfit_graph::{Edge, Graph};
-use cutfit_partition::{all_partitioners, PartitionedGraph, Partitioner};
+use cutfit_partition::{all_partitioners, PartitionedGraph};
 use proptest::prelude::*;
 
 /// Graphs with up to 80 vertices and up to 300 edges; vertex count is
@@ -37,7 +37,7 @@ proptest! {
     #[test]
     fn counting_sort_build_matches_reference_for_all_partitioners(
         graph in arb_graph(),
-        partitioner_index in 0usize..11,
+        partitioner_index in 0usize..10,
         num_parts in 1u32..48,
     ) {
         let partitioner = &all_partitioners()[partitioner_index];
@@ -59,7 +59,7 @@ proptest! {
     #[test]
     fn build_threaded_is_bit_identical_at_every_thread_count(
         graph in arb_graph(),
-        partitioner_index in 0usize..11,
+        partitioner_index in 0usize..10,
         num_parts in 1u32..48,
     ) {
         let partitioner = &all_partitioners()[partitioner_index];

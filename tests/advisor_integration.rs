@@ -5,6 +5,17 @@ use cutfit::prelude::*;
 
 const SCALE: f64 = 0.002;
 
+/// The strategy a [`AdviceMode::Probed`] workspace advises for `algorithm`
+/// at 32 parts: every candidate ranked by the simulated time of the
+/// algorithm's own short probe.
+fn probed_pick(graph: &Graph, algorithm: &Algorithm) -> GraphXStrategy {
+    let cluster = ClusterConfig::paper_cluster();
+    Workspace::new(graph.clone(), cluster, ExecutorMode::Sequential)
+        .with_advice_mode(AdviceMode::Probed)
+        .resolve(algorithm, &CutChoice::AdvisedAt { num_parts: 32 })
+        .strategy
+}
+
 #[test]
 fn measured_choice_minimises_the_class_metric() {
     let advisor = Advisor::scaled(SCALE);
@@ -68,7 +79,7 @@ fn the_1d_trap_on_crawl_graphs_is_real() {
     // Figure 3: on the follow crawls, 1D/SC minimise CommCost (superstar
     // sources collocate their whole out-edge lists) yet lose at runtime to
     // 2D/DC because of the load imbalance they create. Metric-only
-    // selection falls into this trap; the simulated probe does not.
+    // selection falls into this trap; the probed workspace does not.
     let advisor = Advisor::scaled(SCALE);
     let cluster = ClusterConfig::paper_cluster();
     let graph = DatasetProfile::follow_jul().generate(SCALE, 42);
@@ -95,15 +106,9 @@ fn the_1d_trap_on_crawl_graphs_is_real() {
         "the trap: min-CommCost is not the fastest on a crawl graph"
     );
 
-    let probe_pick = advisor.recommend_simulated(
-        &Algorithm::PageRank { iterations: 10 },
-        &graph,
-        32,
-        &cluster,
-        &[],
-    );
+    let probe_pick = probed_pick(&graph, &Algorithm::PageRank { iterations: 10 });
     assert!(
-        times[probe_pick.strategy.abbrev()] < times[metric_pick.strategy.abbrev()],
+        times[probe_pick.abbrev()] < times[metric_pick.strategy.abbrev()],
         "the probe mode escapes the trap"
     );
 }
@@ -112,12 +117,11 @@ fn the_1d_trap_on_crawl_graphs_is_real() {
 fn simulated_pick_lands_near_the_oracle_for_pagerank() {
     // The probe-based mode optimises predicted time directly and should
     // recover most of the best-vs-worst spread everywhere.
-    let advisor = Advisor::scaled(SCALE);
     let cluster = ClusterConfig::paper_cluster();
     let algorithm = Algorithm::PageRank { iterations: 10 };
     for profile in [DatasetProfile::pocek(), DatasetProfile::follow_jul()] {
         let graph = profile.generate(SCALE, 42);
-        let choice = advisor.recommend_simulated(&algorithm, &graph, 32, &cluster, &[]);
+        let choice = probed_pick(&graph, &algorithm);
         let mut times = std::collections::HashMap::new();
         for strategy in GraphXStrategy::all() {
             let pg = strategy.partition(&graph, 32);
@@ -125,14 +129,13 @@ fn simulated_pick_lands_near_the_oracle_for_pagerank() {
                 cutfit::algorithms::pagerank(&pg, &cluster, 10, &Default::default()).expect("fits");
             times.insert(strategy.abbrev(), r.sim.total_seconds);
         }
-        let picked = times[choice.strategy.abbrev()];
+        let picked = times[choice.abbrev()];
         let worst = times.values().copied().fold(0.0f64, f64::max);
         let best = times.values().copied().fold(f64::INFINITY, f64::min);
         assert!(
             picked <= best + 0.35 * (worst - best),
-            "{}: probe picked {} ({picked}) vs oracle range [{best}, {worst}]",
+            "{}: probe picked {choice} ({picked}) vs oracle range [{best}, {worst}]",
             profile.name,
-            choice.strategy
         );
     }
 }

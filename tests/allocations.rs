@@ -25,7 +25,7 @@ use cutfit::algorithms::{PageRank, Sssp};
 use cutfit::engine::InitCtx;
 use cutfit::graph::io::ParseError;
 use cutfit::graph::{binfmt, source::materialize, BinaryFileSource};
-use cutfit::partition::MultilevelEdgeCut;
+use cutfit::partition::Dbh;
 use cutfit::prelude::*;
 
 struct Counting;
@@ -257,11 +257,7 @@ fn a_header_that_lies_about_its_edge_count_is_refused_without_a_large_allocation
     std::fs::write(&path, container_claiming(1 << 44, &[0; 20])).expect("temp file");
     let cluster = ClusterConfig::paper_cluster;
     let pipelined = |s: BinaryFileSource| s.with_decode_threads(2).with_read_ahead(4);
-    let assign = |s: BinaryFileSource| {
-        MultilevelEdgeCut::default()
-            .assign_source(&s, 4, 1024, &mut |_, _| {})
-            .map(|_| ())
-    };
+    let assign = |s: BinaryFileSource| Dbh.assign_source(&s, 4, 1024, &mut |_, _| {}).map(|_| ());
     type Path<'a> = (&'a str, Box<dyn Fn() -> Result<(), ParseError> + 'a>);
     let paths: Vec<Path<'_>> = vec![
         (

@@ -1,15 +1,14 @@
 //! Property and integration tests for the out-of-core graph layer: the
 //! text and binary container formats must roundtrip graphs bit-identically
-//! (edges, multiplicity, isolated vertices), chunked [`GraphSource`]
+//! (edges, multiplicity, isolated vertices), and chunked [`GraphSource`]
 //! partitioning must match the resident path for **every** partitioner at
-//! every chunk size, and [`CompressedCsr`] must be neighbor-identical to
-//! the flat [`Csr`] on every orientation.
+//! every chunk size.
 
 use std::io::BufReader;
 
 use cutfit::graph::io::{read_edge_list, write_edge_list};
 use cutfit::graph::types::PartId;
-use cutfit::graph::{binfmt, source, CompressedCsr, Csr, Neighbors};
+use cutfit::graph::{binfmt, source};
 use cutfit::partition::all_partitioners;
 use cutfit::prelude::*;
 use proptest::prelude::*;
@@ -72,29 +71,6 @@ proptest! {
             prop_assert_eq!(&streamed, &resident, "{} chunk={}", partitioner.name(), chunk);
             prop_assert_eq!(stats.edges, graph.num_edges());
             prop_assert_eq!(edges_seen, graph.num_edges());
-        }
-    }
-
-    #[test]
-    fn compressed_csr_is_neighbor_identical_on_every_orientation(
-        graph in arb_graph(),
-    ) {
-        for (csr, ccsr) in [
-            (Csr::out_of(&graph), CompressedCsr::out_of(&graph)),
-            (Csr::in_of(&graph), CompressedCsr::in_of(&graph)),
-            (
-                Csr::undirected_simple_of(&graph),
-                CompressedCsr::undirected_simple_of(&graph),
-            ),
-        ] {
-            prop_assert_eq!(csr.num_vertices(), ccsr.num_vertices());
-            prop_assert_eq!(csr.num_entries(), ccsr.num_entries());
-            for v in 0..graph.num_vertices() {
-                prop_assert_eq!(csr.degree(v), ccsr.degree(v));
-                let flat: Vec<VertexId> = csr.neighbors_iter(v).collect();
-                let packed: Vec<VertexId> = ccsr.neighbors_iter(v).collect();
-                prop_assert_eq!(flat, packed, "vertex {}", v);
-            }
         }
     }
 }

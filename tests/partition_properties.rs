@@ -1,7 +1,8 @@
 //! Property-based tests on partitioning invariants (proptest).
 
-use cutfit::partition::all_partitioners;
+use cutfit::partition::{all_partitioners, Rule};
 use cutfit::prelude::*;
+use cutfit::util::Xoshiro256pp;
 use proptest::prelude::*;
 
 /// Strategy for small random multigraphs.
@@ -198,4 +199,61 @@ proptest! {
             prop_assert_eq!(m.part_stdev, 0.0);
         }
     }
+}
+
+/// The `Pure` label is checked, not trusted: a rule that claims to be a
+/// function of the edge alone must give every edge the same verdict
+/// wherever it stands in the list, so assigning a permutation of the edge
+/// list yields the same permutation of the original assignment. A rule
+/// with edge-to-edge state fails this, and must say `Ordered`.
+#[test]
+fn a_pure_rule_commutes_with_any_permutation_of_the_edge_list() {
+    let rmat = cutfit::datagen::rmat(
+        &cutfit::datagen::RmatConfig {
+            scale: 9,
+            edges: 4096,
+            ..Default::default()
+        },
+        11,
+    );
+    // Self-loops, duplicate edges, and isolated vertices 6 and 7.
+    let pairs = [
+        (0, 0),
+        (0, 1),
+        (0, 1),
+        (1, 0),
+        (2, 5),
+        (5, 5),
+        (3, 4),
+        (4, 3),
+        (0, 1),
+        (5, 2),
+    ];
+    let small = Graph::new(8, pairs.iter().map(|&(s, d)| Edge::new(s, d)).collect());
+    let mut ordered = Vec::new();
+    for (label, graph) in [("rmat", &rmat), ("small", &small)] {
+        let mut order: Vec<usize> = (0..graph.edges().len()).collect();
+        Xoshiro256pp::seed_from_u64(0x5eed).shuffle(&mut order);
+        let permuted = Graph::new(
+            graph.num_vertices(),
+            order.iter().map(|&i| graph.edges()[i]).collect(),
+        );
+        for num_parts in [1u32, 7, 64] {
+            for partitioner in all_partitioners() {
+                let name = partitioner.name();
+                match partitioner.rule(graph, num_parts).expect("resident") {
+                    Rule::Ordered(_) => ordered.push(name),
+                    Rule::Pure(_) => {
+                        let original = partitioner.assign_edges(graph, num_parts);
+                        let want: Vec<u32> = order.iter().map(|&i| original[i]).collect();
+                        let got = partitioner.assign_edges(&permuted, num_parts);
+                        assert_eq!(got, want, "{name} on {label} at {num_parts} parts");
+                    }
+                }
+            }
+        }
+    }
+    ordered.sort_unstable();
+    ordered.dedup();
+    assert_eq!(ordered, ["Greedy", "HDRF"], "the rules that carry state");
 }
