@@ -135,11 +135,7 @@ pub fn reference_kcore_adj(und: &Csr) -> Vec<u32> {
     let mut coreness = vec![0u32; n];
     let mut removed = vec![false; n];
     let mut core_so_far = 0u32;
-    for _ in 0..n {
-        let v = (0..n)
-            .filter(|&v| !removed[v])
-            .min_by_key(|&v| degree[v])
-            .expect("vertices remain");
+    while let Some(v) = (0..n).filter(|&v| !removed[v]).min_by_key(|&v| degree[v]) {
         core_so_far = core_so_far.max(degree[v]);
         coreness[v] = core_so_far;
         removed[v] = true;

@@ -84,6 +84,8 @@ pub fn triangle_count_partitioned(
     sim.end_superstep()?;
 
     // --- Phase 2: reduce partial sets to each vertex's master (union). ---
+    // Every vertex looked up below has an edge, hence a master.
+    let masters = pg.masters();
     let mut full: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     for (p, part) in pg.parts().iter().enumerate() {
         for (local, set) in partials[p].iter().enumerate() {
@@ -91,7 +93,7 @@ pub fn triangle_count_partitioned(
                 continue;
             }
             let v = part.global(local as u32);
-            let master = pg.master_of(v).expect("vertex with edges has a master");
+            let master = masters[v as usize];
             let bytes = set.len() as u64 * 8 + overhead;
             if p as PartId != master {
                 sim.ledger().send_exec(
@@ -119,7 +121,7 @@ pub fn triangle_count_partitioned(
         if replicas.len() < 2 {
             continue;
         }
-        let master = pg.master_of(v).expect("replicated vertex has master");
+        let master = masters[v as usize];
         let bytes = full[v as usize].len() as u64 * 8 + overhead;
         let master_exec = cluster.executor_of(master);
         for &p in replicas {
@@ -156,7 +158,7 @@ pub fn triangle_count_partitioned(
                 continue;
             }
             let v = part.global(local as u32);
-            let master = pg.master_of(v).expect("has master");
+            let master = masters[v as usize];
             if p as PartId != master {
                 sim.ledger().send_exec(
                     cluster.executor_of(p as PartId),

@@ -16,8 +16,6 @@
 //! It is *not* a full Rust lexer: numeric literals are tokenized loosely
 //! (e.g. `1e-3` splits into three tokens) because no rule inspects numbers.
 
-use std::collections::BTreeMap;
-
 /// Token classes the rules care about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
@@ -144,11 +142,11 @@ pub fn lex(src: &str) -> Lexed {
                 // Lifetime or char literal. `'` + one char + `'` is a char;
                 // `'\…'` is an escaped char; otherwise it is a lifetime.
                 if i + 1 < n && chars[i + 1] == '\\' {
-                    i += 2; // consume '\ and the escape introducer
+                    // Opening quote, backslash and the escaped character
+                    // (itself a quote in `'\''` or a backslash in `'\\'`),
+                    // then the rest of a longer escape like `\u{…}`.
+                    i += 3;
                     while i < n && chars[i] != '\'' {
-                        if chars[i] == '\\' {
-                            i += 1;
-                        }
                         i += 1;
                     }
                     i += 1; // closing quote
@@ -329,9 +327,10 @@ fn raw_or_byte_string(chars: &[char], i: usize, line: &mut u32) -> Option<usize>
     }
 }
 
-/// Parses suppression comments. Any comment containing `analyzer:` must be a
-/// well-formed `// analyzer: allow(<RULE>): <reason>`; anything else is
-/// recorded as malformed so typos fail the build instead of silently passing.
+/// Parses suppression comments. Any comment containing the analyzer marker
+/// (the crate's short name and a colon) must continue as a well-formed
+/// `allow(<RULE>): <reason>`; anything else is recorded as malformed so
+/// typos fail the build instead of silently passing.
 fn scan_allow_comment(text: &str, line: u32, out: &mut Lexed) {
     let Some(pos) = text.find("analyzer:") else {
         return;
@@ -448,12 +447,4 @@ fn consume_item(toks: &[Tok], mut i: usize) -> usize {
         i += 1;
     }
     i
-}
-
-/// Groups tokens by line for snippet extraction in reports.
-pub fn line_index(src: &str) -> BTreeMap<u32, String> {
-    src.lines()
-        .enumerate()
-        .map(|(i, l)| (i as u32 + 1, l.to_string()))
-        .collect()
 }

@@ -9,127 +9,21 @@
 //! ([`lexer`]) — no `syn`, no dependencies, builds first in a cold offline
 //! checkout.
 //!
-//! Pre-existing debt is frozen in `analyzer-baseline.toml` ([`baseline`]): CI
-//! fails on any *new* finding and on any *stale* baseline entry, so the debt
-//! can only shrink. Intentional exceptions are written in the source as
-//! `// analyzer: allow(Dx): reason` and are themselves validated — a typo in
-//! a suppression is a hard error, not a silent pass.
+//! There is no frozen debt: `check` fails on any finding. Intentional
+//! exceptions are written in the source as `// analyzer: allow(Dx): reason`
+//! and are themselves validated — a typo in a suppression is a hard error,
+//! not a silent pass.
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 
 use std::path::{Path, PathBuf};
 
-use baseline::{Baseline, Drift};
 use rules::Finding;
-
-/// Everything `check` produces, ready for rendering and for the JSON report.
-#[derive(Debug, Clone)]
-pub struct CheckOutcome {
-    /// Every finding in the tree, sorted by (file, line, rule).
-    pub findings: Vec<Finding>,
-    /// Differences against the baseline. Empty means the check passes.
-    pub drift: Vec<Drift>,
-    /// Number of files scanned.
-    pub files_scanned: usize,
-}
-
-impl CheckOutcome {
-    /// True when the tree matches the baseline exactly.
-    pub fn passed(&self) -> bool {
-        self.drift.is_empty()
-    }
-
-    /// Findings in `(file, rule)` groups that drifted **new** — the ones a
-    /// developer must fix (or allow, or re-freeze) to get CI green again.
-    pub fn offending(&self) -> Vec<&Finding> {
-        self.findings
-            .iter()
-            .filter(|f| {
-                self.drift.iter().any(|d| match d {
-                    Drift::New { file, rule, .. } => *file == f.file && *rule == f.rule.id(),
-                    Drift::Stale { .. } => false,
-                })
-            })
-            .collect()
-    }
-
-    /// The machine-readable report (JSON), written as a CI artifact.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        s.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        s.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            let comma = if i + 1 == self.findings.len() {
-                ""
-            } else {
-                ","
-            };
-            s.push_str(&format!(
-                "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"snippet\": {}}}{}\n",
-                json_str(&f.file),
-                f.line,
-                json_str(f.rule.id()),
-                json_str(&f.message),
-                json_str(&f.snippet),
-                comma
-            ));
-        }
-        s.push_str("  ],\n  \"drift\": [\n");
-        for (i, d) in self.drift.iter().enumerate() {
-            let comma = if i + 1 == self.drift.len() { "" } else { "," };
-            let (kind, file, rule, frozen, actual) = match d {
-                Drift::New {
-                    file,
-                    rule,
-                    frozen,
-                    actual,
-                } => ("new", file, rule, frozen, actual),
-                Drift::Stale {
-                    file,
-                    rule,
-                    frozen,
-                    actual,
-                } => ("stale", file, rule, frozen, actual),
-            };
-            s.push_str(&format!(
-                "    {{\"kind\": {}, \"file\": {}, \"rule\": {}, \"frozen\": {}, \"actual\": {}}}{}\n",
-                json_str(kind),
-                json_str(file),
-                json_str(rule),
-                frozen,
-                actual,
-                comma
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Lists the repo-relative paths of every Rust source file the analyzer
 /// scans: `crates/*/src/**.rs` plus the umbrella crate's `src/`, in sorted
-/// order so reports and baselines are deterministic.
+/// order so reports are deterministic.
 pub fn source_files(root: &Path) -> std::io::Result<Vec<String>> {
     let mut out: Vec<String> = Vec::new();
     let mut crate_dirs: Vec<PathBuf> = Vec::new();
@@ -205,44 +99,17 @@ pub fn scan_tree(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
     Ok((findings, count))
 }
 
-/// Runs the full check: scan, compare against the baseline, report.
-pub fn check(root: &Path, baseline: &Baseline) -> std::io::Result<CheckOutcome> {
-    let (findings, files_scanned) = scan_tree(root)?;
-    let drift = baseline.drift(&findings);
-    Ok(CheckOutcome {
-        findings,
-        drift,
-        files_scanned,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn scan_tree_on_this_repo_is_clean_against_shipped_baseline() {
-        // The analyzer's own acceptance test: the checked-in baseline matches
-        // the tree. (Kept here in addition to CI so `cargo test` alone
-        // catches drift.)
+    fn scan_tree_on_this_repo_finds_nothing() {
+        // The analyzer's own acceptance test, kept here in addition to CI so
+        // `cargo test` alone catches a new finding.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let text = std::fs::read_to_string(root.join("analyzer-baseline.toml"))
-            .expect("analyzer-baseline.toml is checked in");
-        let baseline = Baseline::parse(&text).expect("baseline parses");
-        let outcome = check(&root, &baseline).expect("scan succeeds");
-        let mut msg = String::new();
-        for d in &outcome.drift {
-            msg.push_str(&format!("{d:?}\n"));
-        }
-        for f in outcome.offending() {
-            msg.push_str(&f.render());
-            msg.push('\n');
-        }
-        assert!(outcome.passed(), "baseline drift:\n{msg}");
+        let (findings, _) = scan_tree(&root).expect("scan succeeds");
+        let rendered: Vec<String> = findings.iter().map(Finding::render).collect();
+        assert!(findings.is_empty(), "{}", rendered.join("\n"));
     }
 }

@@ -1,116 +1,38 @@
 //! Command-line entry point.
 //!
 //! ```text
-//! cutfit-analyzer check    [--root DIR] [--baseline FILE] [--report FILE]
-//! cutfit-analyzer baseline [--root DIR] [--baseline FILE]
+//! cutfit-analyzer check [--root DIR]
 //! cutfit-analyzer rules
 //! ```
 //!
-//! `check` exits 0 when the tree matches the baseline, 1 when there are new
-//! findings or stale baseline entries, 2 on usage or I/O errors.
+//! `check` prints each finding as `file:line: rule: message` and exits 0
+//! when there are none, 1 when there are any, 2 on usage or I/O errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cutfit_analyzer::baseline::{Baseline, Drift};
 use cutfit_analyzer::rules::Rule;
 
-struct Opts {
-    root: PathBuf,
-    baseline: PathBuf,
-    report: Option<PathBuf>,
-}
-
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut root = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
-    let mut report = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--root" => root = PathBuf::from(value("--root")?),
-            "--baseline" => baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--report" => report = Some(PathBuf::from(value("--report")?)),
-            other => return Err(format!("unknown flag: {other}")),
-        }
-    }
-    let baseline = baseline.unwrap_or_else(|| root.join("analyzer-baseline.toml"));
-    Ok(Opts {
-        root,
-        baseline,
-        report,
-    })
-}
-
-fn load_baseline(opts: &Opts) -> Result<Baseline, String> {
-    match std::fs::read_to_string(&opts.baseline) {
-        Ok(text) => Baseline::parse(&text).map_err(|e| format!("{}: {e}", opts.baseline.display())),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            // No baseline file means "no frozen debt": every finding is new.
-            Ok(Baseline::default())
-        }
-        Err(e) => Err(format!("{}: {e}", opts.baseline.display())),
+fn parse_root(args: &[String]) -> Result<PathBuf, String> {
+    match args {
+        [] => Ok(PathBuf::from(".")),
+        [flag, dir] if flag == "--root" => Ok(PathBuf::from(dir)),
+        [flag] if flag == "--root" => Err("--root needs a value".to_string()),
+        [other, ..] => Err(format!("unknown flag: {other}")),
     }
 }
 
-fn cmd_check(opts: &Opts) -> Result<bool, String> {
-    let baseline = load_baseline(opts)?;
-    let outcome =
-        cutfit_analyzer::check(&opts.root, &baseline).map_err(|e| format!("scan failed: {e}"))?;
-    if let Some(report) = &opts.report {
-        std::fs::write(report, outcome.to_json())
-            .map_err(|e| format!("{}: {e}", report.display()))?;
-    }
-    let offending = outcome.offending();
-    for f in &offending {
+fn cmd_check(root: &std::path::Path) -> Result<bool, String> {
+    let (findings, files) =
+        cutfit_analyzer::scan_tree(root).map_err(|e| format!("scan failed: {e}"))?;
+    for f in &findings {
         println!("{}", f.render());
     }
-    let mut stale = 0usize;
-    for d in &outcome.drift {
-        if let Drift::Stale {
-            file,
-            rule,
-            frozen,
-            actual,
-        } = d
-        {
-            stale += 1;
-            println!(
-                "stale baseline entry: {file} / {rule}: frozen {frozen}, found {actual} — \
-                 run `cargo run -p cutfit-analyzer -- baseline` to lock in the progress"
-            );
-        }
-    }
     println!(
-        "cutfit-analyzer: {} findings in {} files; {} frozen by baseline, {} new, {} stale",
-        outcome.findings.len(),
-        outcome.files_scanned,
-        outcome.findings.len() - offending.len(),
-        offending.len(),
-        stale
+        "cutfit-analyzer: {} findings in {files} files",
+        findings.len()
     );
-    Ok(outcome.passed())
-}
-
-fn cmd_baseline(opts: &Opts) -> Result<(), String> {
-    let (findings, files) =
-        cutfit_analyzer::scan_tree(&opts.root).map_err(|e| format!("scan failed: {e}"))?;
-    let baseline = Baseline::from_findings(&findings);
-    std::fs::write(&opts.baseline, baseline.render())
-        .map_err(|e| format!("{}: {e}", opts.baseline.display()))?;
-    println!(
-        "wrote {} ({} entries freezing {} findings across {} files)",
-        opts.baseline.display(),
-        baseline.entries.len(),
-        findings.len(),
-        files
-    );
-    Ok(())
+    Ok(findings.is_empty())
 }
 
 fn cmd_rules() {
@@ -128,15 +50,13 @@ fn cmd_rules() {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: cutfit-analyzer <check|baseline|rules> [--root DIR] [--baseline FILE] [--report FILE]";
+    let usage = "usage: cutfit-analyzer <check|rules> [--root DIR]";
     let Some(cmd) = args.first() else {
         eprintln!("{usage}");
         return ExitCode::from(2);
     };
-    let rest = &args[1..];
     let result: Result<bool, String> = match cmd.as_str() {
-        "check" => parse_opts(rest).and_then(|o| cmd_check(&o)),
-        "baseline" => parse_opts(rest).and_then(|o| cmd_baseline(&o).map(|()| true)),
+        "check" => parse_root(&args[1..]).and_then(|root| cmd_check(&root)),
         "rules" => {
             cmd_rules();
             Ok(true)

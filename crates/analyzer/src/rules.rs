@@ -8,7 +8,7 @@
 //! force any intentional exception through an auditable
 //! `// analyzer: allow(Dx): reason` comment.
 
-use crate::lexer::{lex, line_index, Lexed, Tok, TokKind};
+use crate::lexer::{lex, Lexed, Tok, TokKind};
 
 /// The rule identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -26,7 +26,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Stable string id used in reports, baselines, and suppressions.
+    /// Stable string id used in reports and suppressions.
     pub fn id(self) -> &'static str {
         match self {
             Rule::D1 => "D1",
@@ -66,7 +66,7 @@ impl Rule {
     }
 }
 
-/// One finding: file, line, rule, message, and the offending source line.
+/// One finding: file, line, rule and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Path relative to the repository root, `/`-separated.
@@ -75,21 +75,13 @@ pub struct Finding {
     pub line: u32,
     pub rule: Rule,
     pub message: String,
-    /// The trimmed source line, for the report.
-    pub snippet: String,
 }
 
 impl Finding {
-    /// `file:line: RULE message` — the canonical single-line rendering.
+    /// `file:line: rule: message` — the canonical single-line rendering.
     pub fn render(&self) -> String {
-        format!(
-            "{}:{}: {} {}\n    {}",
-            self.file,
-            self.line,
-            self.rule.id(),
-            self.message,
-            self.snippet
-        )
+        let (file, line, rule) = (&self.file, self.line, self.rule.id());
+        format!("{file}:{line}: {rule}: {}", self.message)
     }
 }
 
@@ -143,13 +135,6 @@ pub fn scan_file(relpath: &str, src: &str) -> Vec<Finding> {
         return Vec::new();
     }
     let lexed = lex(src);
-    let lines = line_index(src);
-    let snippet = |line: u32| -> String {
-        lines
-            .get(&line)
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default()
-    };
 
     let mut findings: Vec<Finding> = Vec::new();
     for &rule in rules {
@@ -174,7 +159,6 @@ pub fn scan_file(relpath: &str, src: &str) -> Vec<Finding> {
                 line,
                 rule,
                 message,
-                snippet: snippet(line),
             });
         }
     }
@@ -184,7 +168,6 @@ pub fn scan_file(relpath: &str, src: &str) -> Vec<Finding> {
             line: *line,
             rule: Rule::D5,
             message: msg.clone(),
-            snippet: snippet(*line),
         });
     }
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));

@@ -108,7 +108,7 @@ fn findings_render_as_file_line_rule() {
     )[0];
     let rendered = f.render();
     assert!(
-        rendered.starts_with("crates/engine/src/fixture_d3.rs:3: D3 "),
+        rendered.starts_with("crates/engine/src/fixture_d3.rs:3: D3: "),
         "{rendered}"
     );
     assert!(rendered.contains("Instant::now"), "{rendered}");

@@ -31,6 +31,9 @@ fn fragments() -> Vec<(&'static str, &'static [&'static str])> {
         ("b'u'", &[][..]),
         ("'u'", &[][..]),
         ("'\\n'", &[][..]),
+        ("'\\\\'", &[][..]),
+        ("'\\''", &[][..]),
+        ("'\\u{1F600}'", &[][..]),
         ("'a", &[][..]), // lifetime: a Lifetime token, not an Ident
         ("1e9 0x1f 10u64", &[][..]),
         ("0..n", &["n"][..]),

@@ -1,12 +1,11 @@
-//! End-to-end ratchet tests over a synthetic repository tree: baseline
-//! generation, the add (new finding) path, the remove (stale entry) path,
-//! and the JSON report.
+//! End-to-end tests over a synthetic repository tree: the source walker, and
+//! `check`'s exit code on a tree with and without a finding.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
-use cutfit_analyzer::baseline::{Baseline, Drift};
-use cutfit_analyzer::{check, scan_tree, source_files};
+use cutfit_analyzer::source_files;
 
 /// Builds `<tmp>/<name>/crates/demo/src/lib.rs` with the given source and
 /// returns the tree root.
@@ -24,8 +23,6 @@ fn demo_tree(name: &str, lib_src: &str) -> PathBuf {
 }
 
 const ONE_UNWRAP: &str = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-const TWO_UNWRAPS: &str =
-    "pub fn f(x: Option<u32>, y: Option<u32>) -> u32 {\n    x.unwrap() + y.unwrap()\n}\n";
 const CLEAN: &str = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap_or(0)\n}\n";
 
 #[test]
@@ -43,75 +40,30 @@ fn walker_finds_sources_in_sorted_order() {
     );
 }
 
-#[test]
-fn baseline_freezes_and_check_passes() {
-    let root = demo_tree("freeze", ONE_UNWRAP);
-    let (findings, _) = scan_tree(&root).expect("scan");
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].file, "crates/demo/src/lib.rs");
-    assert_eq!(findings[0].line, 2);
-
-    let baseline = Baseline::from_findings(&findings);
-    let outcome = check(&root, &baseline).expect("check");
-    assert!(outcome.passed());
-    assert!(outcome.offending().is_empty());
+/// Runs the `check` subcommand on `root`; returns its exit code and stdout.
+fn check(root: &Path) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_cutfit-analyzer"))
+        .arg("check")
+        .arg("--root")
+        .arg(root)
+        .output()
+        .expect("analyzer binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
 }
 
 #[test]
-fn added_violation_fails_as_new() {
-    let root = demo_tree("added", ONE_UNWRAP);
-    let (findings, _) = scan_tree(&root).expect("scan");
-    let baseline = Baseline::from_findings(&findings);
+fn one_unwrap_fails_check_and_the_clean_tree_passes() {
+    let (code, stdout) = check(&demo_tree("dirty", ONE_UNWRAP));
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(
+        stdout.starts_with("crates/demo/src/lib.rs:2: D5: "),
+        "{stdout}"
+    );
 
-    fs::write(root.join("crates/demo/src/lib.rs"), TWO_UNWRAPS).expect("test tmpdir");
-    let outcome = check(&root, &baseline).expect("check");
-    assert!(!outcome.passed());
-    assert_eq!(outcome.drift.len(), 1);
-    assert!(matches!(
-        outcome.drift[0],
-        Drift::New {
-            frozen: 1,
-            actual: 2,
-            ..
-        }
-    ));
-    // Both findings in the drifted (file, rule) group are surfaced so the
-    // developer sees candidates for the one that is new.
-    assert_eq!(outcome.offending().len(), 2);
-}
-
-#[test]
-fn removed_violation_fails_as_stale_until_refrozen() {
-    let root = demo_tree("stale", ONE_UNWRAP);
-    let (findings, _) = scan_tree(&root).expect("scan");
-    let baseline = Baseline::from_findings(&findings);
-
-    fs::write(root.join("crates/demo/src/lib.rs"), CLEAN).expect("test tmpdir");
-    let outcome = check(&root, &baseline).expect("check");
-    assert!(!outcome.passed());
-    assert!(matches!(
-        outcome.drift[0],
-        Drift::Stale {
-            frozen: 1,
-            actual: 0,
-            ..
-        }
-    ));
-
-    // Regenerating the baseline from the current tree locks in the progress.
-    let (now, _) = scan_tree(&root).expect("scan");
-    let refrozen = Baseline::parse(&Baseline::from_findings(&now).render()).expect("roundtrip");
-    assert!(check(&root, &refrozen).expect("check").passed());
-    assert!(refrozen.entries.is_empty(), "debt fully paid");
-}
-
-#[test]
-fn report_json_carries_findings_and_drift() {
-    let root = demo_tree("report", ONE_UNWRAP);
-    let outcome = check(&root, &Baseline::default()).expect("check");
-    let json = outcome.to_json();
-    assert!(json.contains("\"passed\": false"));
-    assert!(json.contains("\"file\": \"crates/demo/src/lib.rs\""));
-    assert!(json.contains("\"rule\": \"D5\""));
-    assert!(json.contains("\"kind\": \"new\""));
+    let (code, stdout) = check(&demo_tree("clean", CLEAN));
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("0 findings in 1 files"), "{stdout}");
 }

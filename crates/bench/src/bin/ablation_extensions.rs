@@ -9,9 +9,9 @@
 //! Triangle Count) should follow vertex-oriented metrics instead. This
 //! binary tests that prediction out of sample.
 
+use cutfit_bench::figure::within_dataset_spearman;
 use cutfit_bench::runner::{emit, pct, BenchArgs};
 use cutfit_core::prelude::*;
-use cutfit_core::stats::spearman;
 use cutfit_core::util::table::{Align, AsciiTable};
 
 fn main() {
@@ -68,28 +68,7 @@ fn main() {
             format!("{:?}", algorithm.class()),
         ];
         for metric in MetricKind::all() {
-            let mut rs = Vec::new();
-            let mut datasets: Vec<&str> = Vec::new();
-            for o in result.at(np) {
-                if !datasets.contains(&o.dataset) {
-                    datasets.push(o.dataset);
-                }
-            }
-            for d in datasets {
-                let (xs, ys): (Vec<f64>, Vec<f64>) = result
-                    .at(np)
-                    .filter(|o| o.dataset == d)
-                    .map(|o| (o.metrics.get(metric), o.time_s.expect("filtered")))
-                    .unzip();
-                if let Some(r) = spearman(&xs, &ys) {
-                    rs.push(r);
-                }
-            }
-            let mean = if rs.is_empty() {
-                None
-            } else {
-                Some(rs.iter().sum::<f64>() / rs.len() as f64)
-            };
+            let mean = within_dataset_spearman(&result, metric, np);
             if let Some(m) = mean {
                 if best.map_or(true, |(_, b)| m > b) {
                     best = Some((metric, m));

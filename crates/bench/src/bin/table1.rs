@@ -46,8 +46,7 @@ fn main() {
 
     for profile in args.profiles() {
         let graph = profile.generate(args.scale, args.seed);
-        let c =
-            cutfit_core::graph::analysis::characterize_threaded(&graph, 4, args.worker_threads());
+        let c = cutfit_core::graph::analysis::characterize(&graph, 4);
         t.row([
             profile.name.to_string(),
             human_count(c.vertices),

@@ -13,13 +13,13 @@ use crate::runner::{emit, pct, BenchArgs};
 
 /// Mean Spearman correlation of (metric, time) computed separately per
 /// dataset — the size-independent ranking quality of a metric.
-fn within_dataset_spearman(
+pub fn within_dataset_spearman(
     result: &ExperimentResult,
     metric: MetricKind,
     num_parts: u32,
 ) -> Option<f64> {
     let mut datasets: Vec<&str> = Vec::new();
-    for o in result.at(num_parts) {
+    for (o, _) in result.at(num_parts) {
         if !datasets.contains(&o.dataset) {
             datasets.push(o.dataset);
         }
@@ -28,8 +28,8 @@ fn within_dataset_spearman(
     for d in datasets {
         let (xs, ys): (Vec<f64>, Vec<f64>) = result
             .at(num_parts)
-            .filter(|o| o.dataset == d)
-            .map(|o| (o.metrics.get(metric), o.time_s.expect("filtered")))
+            .filter(|(o, _)| o.dataset == d)
+            .map(|(o, time)| (o.metrics.get(metric), time))
             .unzip();
         if let Some(r) = spearman(&xs, &ys) {
             rs.push(r);
@@ -67,39 +67,32 @@ pub fn run_figure(spec: &FigureSpec) {
     let args = BenchArgs::parse(spec.bin, spec.title, spec.default_scale, &[128, 256]);
     args.banner(spec.title);
 
-    // Collect (possibly repeated) experiment results and average times.
-    let mut merged: Option<ExperimentResult> = None;
-    for r in 0..spec.repeats {
-        let algorithm = (spec.algorithm)(args.seed + r);
-        let config = ExperimentConfig {
-            scale: args.scale,
-            seed: args.seed,
-            num_parts: args.parts.clone(),
-            datasets: args.profiles(),
-            partitioners: GraphXStrategy::all().to_vec(),
-            cluster: ClusterConfig::paper_cluster(),
-            executor: args.executor(),
-            scale_memory: spec.scale_memory,
-        };
-        let result = run_experiment(&algorithm, &config);
-        merged = Some(match merged {
-            None => result,
-            Some(mut acc) => {
-                for (a, b) in acc.observations.iter_mut().zip(result.observations) {
-                    debug_assert_eq!(a.dataset, b.dataset);
-                    debug_assert_eq!(a.partitioner, b.partitioner);
-                    a.time_s = match (a.time_s, b.time_s) {
-                        (Some(x), Some(y)) => Some(x + y),
-                        // A cell that failed in any repeat is reported failed.
-                        _ => None,
-                    };
-                    a.failure = a.failure.take().or(b.failure);
-                }
-                acc
-            }
-        });
+    // The first run, then the remaining repeats folded into it; times are
+    // averaged below.
+    let config = ExperimentConfig {
+        scale: args.scale,
+        seed: args.seed,
+        num_parts: args.parts.clone(),
+        datasets: args.profiles(),
+        partitioners: GraphXStrategy::all().to_vec(),
+        cluster: ClusterConfig::paper_cluster(),
+        executor: args.executor(),
+        scale_memory: spec.scale_memory,
+    };
+    let run = |r: u64| run_experiment(&(spec.algorithm)(args.seed + r), &config);
+    let mut result = run(0);
+    for r in 1..spec.repeats {
+        for (a, b) in result.observations.iter_mut().zip(run(r).observations) {
+            debug_assert_eq!(a.dataset, b.dataset);
+            debug_assert_eq!(a.partitioner, b.partitioner);
+            a.time_s = match (a.time_s, b.time_s) {
+                (Some(x), Some(y)) => Some(x + y),
+                // A cell that failed in any repeat is reported failed.
+                _ => None,
+            };
+            a.failure = a.failure.take().or(b.failure);
+        }
     }
-    let mut result = merged.expect("at least one repeat");
     if spec.repeats > 1 {
         for o in &mut result.observations {
             if let Some(t) = &mut o.time_s {
@@ -196,13 +189,13 @@ pub fn run_figure(spec: &FigureSpec) {
             Align::Right,
         ]);
     for &np in &args.parts {
-        for o in result.at(np) {
+        for (o, time) in result.at(np) {
             scatter.row([
                 np.to_string(),
                 o.dataset.to_string(),
                 o.partitioner.to_string(),
                 format!("{:.0}", o.metrics.get(spec.headline_metric)),
-                human_seconds(o.time_s.expect("filtered")),
+                human_seconds(time),
             ]);
         }
     }

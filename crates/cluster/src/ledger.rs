@@ -127,14 +127,6 @@ impl SuperstepLedger {
         &self.parts
     }
 
-    /// Bytes sent from `from` to `to` (executor indices).
-    pub fn bytes_between(&self, from: u32, to: u32) -> u64 {
-        if self.exec_bytes.is_empty() {
-            return 0;
-        }
-        self.exec_bytes[self.pair_index(from, to)]
-    }
-
     /// Total message records this superstep.
     pub fn total_messages(&self) -> u64 {
         self.exec_msgs.iter().sum()
@@ -250,7 +242,7 @@ mod tests {
         assert_eq!(l.remote_bytes(), 250);
         assert_eq!(l.local_shuffle_bytes(), 100);
         assert_eq!(l.total_messages(), 4);
-        assert_eq!(l.bytes_between(0, 1), 200);
+        assert_eq!(l.out_bytes_per_exec(), [200, 50]);
     }
 
     #[test]
@@ -265,7 +257,6 @@ mod tests {
         assert!(l.is_empty());
         assert_eq!(l.remote_bytes(), 0);
         assert_eq!(l.local_shuffle_bytes(), 0);
-        assert_eq!(l.bytes_between(999_999, 0), 0);
         assert_eq!(l.out_bytes_per_exec().len(), 1_000_000);
         assert_eq!(l.in_bytes_per_exec().len(), 1_000_000);
         l.edge_scans(3, 17);
@@ -277,13 +268,13 @@ mod tests {
     #[test]
     fn lazy_matrices_record_after_first_send() {
         let mut l = SuperstepLedger::new(2, 300); // 90 000 cells, alloc on use
-        assert_eq!(l.bytes_between(299, 299), 0);
+        assert!(l.exec_bytes.is_empty(), "nothing allocated before a send");
         l.send_exec(299, 0, 2, 64);
         l.send_exec(0, 0, 1, 8);
         assert_eq!(l.remote_bytes(), 64);
         assert_eq!(l.local_shuffle_bytes(), 8);
         assert_eq!(l.total_messages(), 3);
-        assert_eq!(l.bytes_between(299, 0), 64);
+        assert_eq!(l.out_bytes_per_exec()[299], 64);
     }
 
     #[test]

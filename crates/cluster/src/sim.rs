@@ -357,11 +357,6 @@ impl ClusterSim {
         };
     }
 
-    /// Raw resident bytes currently declared for `part`.
-    pub fn resident_of(&self, part: u32) -> u64 {
-        self.part_resident[part_index(part)]
-    }
-
     /// Clears all residency (e.g. before re-declaring updated state sizes).
     pub fn clear_resident(&mut self) {
         self.part_resident.fill(0);
@@ -739,7 +734,7 @@ mod tests {
         for _ in 0..50 {
             sim.set_resident(0, 200_000_000);
         }
-        assert_eq!(sim.resident_of(0), 200_000_000);
+        assert_eq!(sim.part_resident[0], 200_000_000);
         sim.end_superstep()
             .expect("no OOM: repeated declarations replace, not accumulate");
         assert!(sim.report().peak_executor_memory_gb < 0.3);
@@ -750,7 +745,7 @@ mod tests {
         let mut sim = ClusterSim::new(small_cluster(), 8);
         sim.set_resident(2, 5_000);
         sim.set_resident(2, 1_000);
-        assert_eq!(sim.resident_of(2), 1_000);
+        assert_eq!(sim.part_resident[2], 1_000);
     }
 
     #[test]
@@ -759,7 +754,7 @@ mod tests {
         sim.set_resident(1, 1_000);
         sim.adjust_resident(1, 500);
         sim.adjust_resident(1, -200);
-        assert_eq!(sim.resident_of(1), 1_300);
+        assert_eq!(sim.part_resident[1], 1_300);
         // Executor totals follow: partitions 1, 3, 5, 7 live on executor 1.
         sim.set_resident(3, 700);
         let mut incremental = ClusterSim::new(small_cluster(), 8);
@@ -855,7 +850,7 @@ mod tests {
         let mut reused = ClusterSim::new(small_cluster(), 8);
         let first = charge(&mut reused);
         reused.reset();
-        assert_eq!(reused.resident_of(1), 0, "reset clears residency");
+        assert_eq!(reused.part_resident[1], 0, "reset clears residency");
         let second = charge(&mut reused);
         let fresh = charge(&mut ClusterSim::new(small_cluster(), 8));
         assert_eq!(first, fresh);

@@ -85,29 +85,24 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// Successful observations at a given granularity.
-    pub fn at(&self, num_parts: PartId) -> impl Iterator<Item = &Observation> {
+    /// Successful observations at a given granularity, each with its time.
+    pub fn at(&self, num_parts: PartId) -> impl Iterator<Item = (&Observation, f64)> {
         self.observations
             .iter()
-            .filter(move |o| o.num_parts == num_parts && o.time_s.is_some())
+            .filter(move |o| o.num_parts == num_parts)
+            .filter_map(|o| Some((o, o.time_s?)))
     }
 
     /// Pearson correlation between execution time and a metric across all
     /// successful observations at `num_parts` — the figure annotation.
     pub fn correlation(&self, metric: MetricKind, num_parts: PartId) -> Option<f64> {
-        let (xs, ys): (Vec<f64>, Vec<f64>) = self
-            .at(num_parts)
-            .map(|o| (o.metrics.get(metric), o.time_s.expect("filtered")))
-            .unzip();
+        let (xs, ys): (Vec<f64>, Vec<f64>) = self.series(metric, num_parts).into_iter().unzip();
         pearson(&xs, &ys)
     }
 
     /// Spearman (rank) correlation, as a robustness companion.
     pub fn rank_correlation(&self, metric: MetricKind, num_parts: PartId) -> Option<f64> {
-        let (xs, ys): (Vec<f64>, Vec<f64>) = self
-            .at(num_parts)
-            .map(|o| (o.metrics.get(metric), o.time_s.expect("filtered")))
-            .unzip();
+        let (xs, ys): (Vec<f64>, Vec<f64>) = self.series(metric, num_parts).into_iter().unzip();
         spearman(&xs, &ys)
     }
 
@@ -127,14 +122,9 @@ impl ExperimentResult {
             .into_iter()
             .filter_map(|d| {
                 self.at(num_parts)
-                    .filter(|o| o.dataset == d)
-                    .min_by(|a, b| {
-                        cutfit_util::num::nan_last_cmp(
-                            a.time_s.expect("filtered"),
-                            b.time_s.expect("filtered"),
-                        )
-                    })
-                    .map(|o| (d, o.partitioner, o.time_s.expect("filtered")))
+                    .filter(|(o, _)| o.dataset == d)
+                    .min_by(|(_, a), (_, b)| cutfit_util::num::nan_last_cmp(*a, *b))
+                    .map(|(o, time)| (d, o.partitioner, time))
             })
             .collect()
     }
@@ -142,7 +132,7 @@ impl ExperimentResult {
     /// Scatter series (metric value, time) for plotting one configuration.
     pub fn series(&self, metric: MetricKind, num_parts: PartId) -> Vec<(f64, f64)> {
         self.at(num_parts)
-            .map(|o| (o.metrics.get(metric), o.time_s.expect("filtered")))
+            .map(|(o, time)| (o.metrics.get(metric), time))
             .collect()
     }
 

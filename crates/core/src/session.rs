@@ -14,8 +14,8 @@
 //! * its [`PartitionMetrics`] (computed once, never per job),
 //! * a [`PreparedRun`] handle — the engine's run-scoped routing index,
 //!   degree tables, metering sim, and program-independent buffers — so a
-//!   cache-hit dispatch ([`Workspace::run_job`]) skips *all* setup and goes
-//!   straight into the superstep loop.
+//!   cache-hit dispatch ([`Workspace::run_job_with`]) skips *all* setup and
+//!   goes straight into the superstep loop.
 //!
 //! The lifetime model is deliberately eviction-free: a session pins every
 //! cut it has served until the workspace is dropped. Sessions are scoped —
@@ -148,8 +148,8 @@ impl Job {
 /// Session cache counters. Hits and misses count **cut-cache lookups**
 /// (one per `ensure`d materialization), not jobs: job dispatch, advisory
 /// probes ([`AdviceMode::Probed`] touches every candidate), and the
-/// [`Workspace::materialized`]/[`Workspace::metrics_of`] accessors all
-/// contribute. Per-job cache outcomes live in [`JobOutcome::cache_hit`].
+/// [`Workspace::materialized`] accessor all contribute. Per-job cache
+/// outcomes live in [`JobOutcome::cache_hit`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from an already-materialized cut.
@@ -381,7 +381,6 @@ pub struct Workspace {
     cache: CutCache,
     cluster: ClusterConfig,
     executor: ExecutorMode,
-    advisor: Advisor,
     advice_mode: AdviceMode,
     /// Simulated cost of advisory probes ([`AdviceMode::Probed`]), kept
     /// separate from job/provisioning totals: like the paper's advisor
@@ -489,7 +488,6 @@ impl Workspace {
             },
             cluster,
             executor,
-            advisor: Advisor::default(),
             advice_mode: AdviceMode::default(),
             advice_seconds: 0.0,
             base_parts,
@@ -512,12 +510,15 @@ impl Workspace {
         cluster: ClusterConfig,
         executor: ExecutorMode,
     ) -> Result<Self, cutfit_graph::io::ParseError> {
-        // Auto-sized decode workers with a modest read-ahead window: the
-        // chunk stream is bit-identical to sequential decode, so the only
-        // effect is overlapping container I/O with checksum+varint work.
+        // The executor sizes the decode pool like every other pool of the
+        // session: one thread keeps the sequential read-decode loop, more
+        // get a modest read-ahead window. The chunk stream is bit-identical
+        // either way, so the only effect is overlapping container I/O with
+        // checksum+varint work.
+        let threads = executor.threads();
         let source = cutfit_graph::BinaryFileSource::open(path)?
-            .with_decode_threads(0)
-            .with_read_ahead(8);
+            .with_decode_threads(threads)
+            .with_read_ahead(if threads > 1 { 8 } else { 0 });
         Self::from_binary_source(source, cluster, executor)
     }
 
@@ -541,12 +542,6 @@ impl Workspace {
     /// disk for [`Workspace::from_binary_file`] sessions).
     pub fn load_source_bytes(&self) -> u64 {
         self.load_source_bytes
-    }
-
-    /// Replaces the advisor (e.g. [`Advisor::scaled`] for generated data).
-    pub fn with_advisor(mut self, advisor: Advisor) -> Self {
-        self.advisor = advisor;
-        self
     }
 
     /// Overrides the granularity base (coarse = base, fine = 2 × base).
@@ -589,16 +584,6 @@ impl Workspace {
     /// The loaded graph.
     pub fn graph(&self) -> &Arc<Graph> {
         &self.cache.graph
-    }
-
-    /// The cluster jobs are billed against.
-    pub fn cluster(&self) -> &ClusterConfig {
-        &self.cluster
-    }
-
-    /// The session's executor mode.
-    pub fn executor(&self) -> ExecutorMode {
-        self.executor
     }
 
     /// Session cache counters.
@@ -671,24 +656,10 @@ impl Workspace {
         self.cache.ensure_cut(key).0.pg.clone()
     }
 
-    /// The memoized metrics of a raw-orientation cut.
-    pub fn metrics_of(&mut self, strategy: GraphXStrategy, num_parts: PartId) -> PartitionMetrics {
-        let key = CutKey {
-            strategy,
-            num_parts,
-            canonical: false,
-        };
-        self.cache.ensure_cut(key).0.metrics.clone()
-    }
-
-    /// Dispatches one advisor-tailored job (serving semantics: the graph is
-    /// session-resident, so the job itself is not billed the initial load —
-    /// the session bills it once, plus a repartition on cut switches).
-    pub fn run_job(&mut self, algorithm: &Algorithm, executor: ExecutorMode) -> JobOutcome {
-        self.run_job_with(algorithm, &CutChoice::Advised, executor)
-    }
-
-    /// Dispatches one job under an explicit cut policy (serving semantics).
+    /// Dispatches one job under a cut policy (serving semantics: the graph
+    /// is session-resident, so the job itself is not billed the initial
+    /// load — the session bills it once, plus a repartition on cut
+    /// switches).
     pub fn run_job_with(
         &mut self,
         algorithm: &Algorithm,
@@ -819,7 +790,7 @@ impl Workspace {
                 } else {
                     self.cache.graph.clone()
                 };
-                self.advisor
+                Advisor::default()
                     .recommend_measured_threaded(
                         algorithm.class(),
                         &graph,
@@ -1239,7 +1210,16 @@ mod tests {
             ExecutorMode::Sequential,
         )
         .unwrap();
+        // The executor sizes the decode pool; the load does not depend on it.
+        let pooled = Workspace::from_binary_file(
+            &path,
+            ClusterConfig::paper_cluster(),
+            ExecutorMode::Parallel { threads: 3 },
+        )
+        .unwrap();
         std::fs::remove_file(&path).ok();
+        assert_eq!(pooled.graph(), binary.graph());
+        assert_eq!(pooled.load_source_bytes(), binary.load_source_bytes());
 
         assert_eq!(binary.graph().as_ref(), &g, "lossless materialization");
         assert_eq!(binary.load_source_bytes(), file_bytes);
@@ -1266,7 +1246,5 @@ mod tests {
         let a = ws.materialized(GraphXStrategy::EdgePartition2D, 8);
         let b = ws.materialized(GraphXStrategy::EdgePartition2D, 8);
         assert!(Arc::ptr_eq(&a, &b), "same Arc, not a rebuild");
-        let m = ws.metrics_of(GraphXStrategy::EdgePartition2D, 8);
-        assert_eq!(m, PartitionMetrics::of(&a));
     }
 }

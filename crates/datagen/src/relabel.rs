@@ -4,13 +4,11 @@
 //! locality ("assuming that vertex IDs may capture a metric of locality",
 //! §3). These helpers create or destroy that correlation on purpose:
 //! [`first_touch_relabel`] assigns IDs in discovery order (what a crawler
-//! produces), [`bfs_relabel`] in breadth-first order (strong locality),
-//! [`degree_relabel`] in descending-degree order (hubs first — the classic
-//! cache-locality ordering for power-law graphs), and [`shuffle_ids`]
-//! randomly (no locality). The ablation benchmark compares partitioner
-//! behaviour across them.
+//! produces) and [`shuffle_ids`] randomly (no locality); the advisor
+//! ablation compares partitioner behaviour across the two.
 
-use cutfit_graph::{Csr, Edge, Graph, VertexId};
+use cutfit_graph::{Edge, Graph, VertexId};
+use cutfit_util::num::vid_index;
 use cutfit_util::Xoshiro256pp;
 
 /// Result of [`first_touch_relabel`]: the compacted edges plus the
@@ -74,62 +72,9 @@ fn apply_order(graph: &Graph, order: &[VertexId]) -> Graph {
     let edges = graph
         .edges()
         .iter()
-        .map(|e| Edge::new(order[e.src as usize], order[e.dst as usize]))
+        .map(|e| Edge::new(order[vid_index(e.src)], order[vid_index(e.dst)]))
         .collect();
     Graph::new_unchecked(graph.num_vertices(), edges)
-}
-
-/// BFS visit order over an adjacency (`order[old_id] = new_id`), starting
-/// new traversals from the smallest unvisited ID.
-pub fn bfs_order(und: &Csr) -> Vec<VertexId> {
-    let n = und.num_vertices();
-    let mut order = vec![VertexId::MAX; n as usize];
-    let mut next: VertexId = 0;
-    let mut queue = std::collections::VecDeque::new();
-    for start in 0..n {
-        if order[start as usize] != VertexId::MAX {
-            continue;
-        }
-        order[start as usize] = next;
-        next += 1;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            for &w in und.neighbors(v) {
-                if order[w as usize] == VertexId::MAX {
-                    order[w as usize] = next;
-                    next += 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
-    order
-}
-
-/// Relabels vertices in BFS order over the undirected version of the graph,
-/// starting new traversals from the smallest unvisited ID. Maximises
-/// ID-adjacency locality.
-pub fn bfs_relabel(graph: &Graph) -> Graph {
-    apply_order(graph, &bfs_order(&Csr::undirected_simple_of(graph)))
-}
-
-/// Relabels vertices in descending total-degree order (ties by original
-/// ID): hubs get the smallest IDs, so the vertex-state words that power-law
-/// supersteps touch most land in the same few cache lines.
-pub fn degree_relabel(graph: &Graph) -> Graph {
-    let n = graph.num_vertices() as usize;
-    let mut degree = vec![0u64; n];
-    for e in graph.edges() {
-        degree[e.src as usize] += 1;
-        degree[e.dst as usize] += 1;
-    }
-    let mut by_degree: Vec<VertexId> = (0..n as u64).collect();
-    by_degree.sort_by_key(|&v| (std::cmp::Reverse(degree[v as usize]), v));
-    let mut order = vec![0 as VertexId; n];
-    for (new_id, &old_id) in by_degree.iter().enumerate() {
-        order[old_id as usize] = new_id as VertexId;
-    }
-    apply_order(graph, &order)
 }
 
 #[cfg(test)]
@@ -185,82 +130,5 @@ mod tests {
         d1.sort_unstable();
         d2.sort_unstable();
         assert_eq!(d1, d2);
-    }
-
-    #[test]
-    fn bfs_relabel_is_permutation() {
-        let g = Graph::new(6, vec![Edge::new(5, 3), Edge::new(3, 1), Edge::new(0, 2)]);
-        let b = bfs_relabel(&g);
-        assert_eq!(b.num_vertices(), 6);
-        assert_eq!(b.num_edges(), 3);
-        let mut ids: Vec<u64> = Vec::new();
-        for e in b.edges() {
-            ids.push(e.src);
-            ids.push(e.dst);
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        assert!(ids.iter().all(|&v| v < 6));
-    }
-
-    #[test]
-    fn bfs_relabel_gives_adjacent_ids_to_neighbors() {
-        // Path 0-1-2-3-4 shuffled, then BFS-relabelled: neighbouring IDs
-        // should end up numerically close again.
-        let path = Graph::new(5, (0..4).map(|v| Edge::new(v, v + 1)).collect()).symmetrized();
-        let shuffled = shuffle_ids(&path, 9);
-        let relabeled = bfs_relabel(&shuffled);
-        let max_gap = relabeled
-            .edges()
-            .iter()
-            .map(|e| e.src.abs_diff(e.dst))
-            .max()
-            .unwrap();
-        assert!(
-            max_gap <= 2,
-            "BFS order keeps path IDs close, gap {max_gap}"
-        );
-    }
-
-    #[test]
-    fn degree_relabel_puts_hubs_first() {
-        // Star: vertex 4 is the hub and must become vertex 0.
-        let mut edges = Vec::new();
-        for leaf in 0..4u64 {
-            edges.push(Edge::new(4, leaf));
-        }
-        let g = Graph::new(5, edges);
-        let d = degree_relabel(&g);
-        assert_eq!(d.num_vertices(), 5);
-        for e in d.edges() {
-            assert_eq!(e.src, 0, "hub relabelled to 0");
-        }
-        // Structure is preserved.
-        let mut d1 = g.out_degrees();
-        let mut d2 = d.out_degrees();
-        d1.sort_unstable();
-        d2.sort_unstable();
-        assert_eq!(d1, d2);
-    }
-
-    #[test]
-    fn degree_relabel_is_deterministic_permutation() {
-        let g = crate::rmat(
-            &crate::RmatConfig {
-                scale: 6,
-                edges: 200,
-                ..Default::default()
-            },
-            7,
-        );
-        let a = degree_relabel(&g);
-        let b = degree_relabel(&g);
-        assert_eq!(a.edges(), b.edges());
-        let mut seen = vec![false; g.num_vertices() as usize];
-        let und = Csr::undirected_simple_of(&a);
-        for v in 0..und.num_vertices() {
-            assert!(!seen[v as usize]);
-            seen[v as usize] = true;
-        }
     }
 }

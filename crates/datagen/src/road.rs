@@ -14,6 +14,7 @@
 //! triangles real road networks contain (ramps, frontage roads).
 
 use cutfit_graph::{Graph, GraphBuilder};
+use cutfit_util::num::vid_index;
 use cutfit_util::Xoshiro256pp;
 
 /// Parameters for [`road_network`].
@@ -91,8 +92,8 @@ pub fn road_network(config: &RoadNetworkConfig, seed: u64) -> Graph {
     // Drop isolated junctions, preserving row-major (spatial) ID order.
     let mut touched = vec![false; n as usize];
     for e in grid.edges() {
-        touched[e.src as usize] = true;
-        touched[e.dst as usize] = true;
+        touched[vid_index(e.src)] = true;
+        touched[vid_index(e.dst)] = true;
     }
     let mut remap = vec![0u64; n as usize];
     let mut next = 0u64;
@@ -105,7 +106,7 @@ pub fn road_network(config: &RoadNetworkConfig, seed: u64) -> Graph {
     let edges = grid
         .edges()
         .iter()
-        .map(|e| cutfit_graph::Edge::new(remap[e.src as usize], remap[e.dst as usize]))
+        .map(|e| cutfit_graph::Edge::new(remap[vid_index(e.src)], remap[vid_index(e.dst)]))
         .collect();
     Graph::new_unchecked(next, edges)
 }

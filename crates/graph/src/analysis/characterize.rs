@@ -50,18 +50,6 @@ impl Characterization {
 /// Computes the full characterization. `diameter_sweeps` controls the
 /// double-sweep BFS budget (4 is plenty in practice).
 pub fn characterize(graph: &Graph, diameter_sweeps: u32) -> Characterization {
-    characterize_threaded(graph, diameter_sweeps, 1)
-}
-
-/// [`characterize`] with the undirected simple CSR — the dominant build,
-/// shared by the triangle count and the diameter estimate instead of being
-/// constructed twice — built on up to `threads` workers (`0` = auto).
-/// Bit-identical to the sequential characterization at any thread count.
-pub fn characterize_threaded(
-    graph: &Graph,
-    diameter_sweeps: u32,
-    threads: usize,
-) -> Characterization {
     let degrees = DegreeStats::of(graph);
     let symmetry = reciprocity(graph);
     let weak = weakly_connected_components(graph).count;
@@ -70,7 +58,8 @@ pub fn characterize_threaded(
     } else {
         Some(strongly_connected_components(graph).count)
     };
-    let und = Csr::undirected_simple_of_threaded(graph, threads);
+    // One undirected simple CSR serves the diameter and the triangle count.
+    let und = Csr::undirected_simple_of(graph);
     let diameter = if graph.num_vertices() == 0 {
         Diameter::Finite(0)
     } else if weak > 1 {
@@ -122,24 +111,6 @@ mod tests {
         assert_eq!(c.weak_components, 1);
         assert_eq!(c.components, 1);
         assert_eq!(c.strong_components, Some(3));
-    }
-
-    #[test]
-    fn threaded_characterization_is_identical() {
-        let g = Graph::new(
-            30,
-            (0..29)
-                .map(|v| Edge::new(v, (v * 7 + 1) % 30))
-                .collect::<Vec<_>>(),
-        );
-        let seq = characterize(&g, 4);
-        for threads in [2usize, 4, 0] {
-            let par = characterize_threaded(&g, 4, threads);
-            assert_eq!(par.triangles, seq.triangles, "threads={threads}");
-            assert_eq!(par.diameter, seq.diameter, "threads={threads}");
-            assert_eq!(par.components, seq.components, "threads={threads}");
-            assert_eq!(par.symmetry, seq.symmetry, "threads={threads}");
-        }
     }
 
     #[test]

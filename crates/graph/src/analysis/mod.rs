@@ -9,7 +9,7 @@ pub mod reciprocity;
 pub mod triangles;
 
 pub use bfs::{bfs_distances, estimate_diameter, Diameter};
-pub use characterize::{characterize, characterize_threaded, Characterization};
+pub use characterize::{characterize, Characterization};
 pub use components::{strongly_connected_components, weakly_connected_components, ComponentLabels};
 pub use degrees::{degree_ratio_series, DegreeStats};
 pub use reciprocity::reciprocity;

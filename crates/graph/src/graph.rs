@@ -1,6 +1,7 @@
 //! The [`Graph`] type: a directed multigraph stored as an edge list.
 
 use crate::types::Edge;
+use cutfit_util::num::vid_index;
 
 /// A directed multigraph over vertices `0..num_vertices`.
 ///
@@ -68,16 +69,11 @@ impl Graph {
         &self.edges
     }
 
-    /// Consumes the graph, returning its edge list.
-    pub fn into_edges(self) -> Vec<Edge> {
-        self.edges
-    }
-
     /// Out-degree of every vertex.
     pub fn out_degrees(&self) -> Vec<u32> {
         let mut deg = vec![0u32; self.num_vertices as usize];
         for e in &self.edges {
-            deg[e.src as usize] += 1;
+            deg[vid_index(e.src)] += 1;
         }
         deg
     }
@@ -86,7 +82,7 @@ impl Graph {
     pub fn in_degrees(&self) -> Vec<u32> {
         let mut deg = vec![0u32; self.num_vertices as usize];
         for e in &self.edges {
-            deg[e.dst as usize] += 1;
+            deg[vid_index(e.dst)] += 1;
         }
         deg
     }

@@ -72,13 +72,6 @@ impl GraphXStrategy {
         }
     }
 
-    /// Looks up a strategy by abbreviation (case-insensitive).
-    pub fn by_abbrev(s: &str) -> Option<Self> {
-        Self::all()
-            .into_iter()
-            .find(|p| p.abbrev().eq_ignore_ascii_case(s))
-    }
-
     /// Partition of a single edge — a pure function of the endpoints, as in
     /// GraphX's `PartitionStrategy.getPartition`.
     #[inline]
@@ -226,18 +219,6 @@ mod tests {
         for strat in GraphXStrategy::all() {
             assert_eq!(strat.partition_edge(123, 456, 1), 0);
         }
-    }
-
-    #[test]
-    fn abbrev_roundtrip() {
-        for strat in GraphXStrategy::all() {
-            assert_eq!(GraphXStrategy::by_abbrev(strat.abbrev()), Some(strat));
-        }
-        assert_eq!(
-            GraphXStrategy::by_abbrev("2d"),
-            Some(GraphXStrategy::EdgePartition2D)
-        );
-        assert_eq!(GraphXStrategy::by_abbrev("nope"), None);
     }
 
     #[test]

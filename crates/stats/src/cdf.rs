@@ -51,14 +51,9 @@ impl Cdf {
     /// Emits `(x, P(X ≤ x))` pairs at `points` evenly spaced probabilities —
     /// the data series behind a CDF plot.
     pub fn series(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
         (1..=points)
-            .map(|i| {
-                let p = i as f64 / points as f64;
-                (self.inverse(p).expect("non-empty"), p)
-            })
+            .map(|i| i as f64 / points as f64)
+            .filter_map(|p| Some((self.inverse(p)?, p)))
             .collect()
     }
 }

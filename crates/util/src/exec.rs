@@ -1,30 +1,34 @@
 //! Shared worker-pool and sharding primitives.
 //!
 //! The engine's superstep loop and the partitioners' edge-assignment scans
-//! parallelise the same way: split an index space into contiguous chunks,
+//! parallelise the same way: split an index space into contiguous shards,
 //! one per worker thread, with every output index owned by exactly one
-//! chunk so the threads never contend. This module is that abstraction,
-//! extracted from the engine so both layers share one implementation:
+//! shard so the threads never contend. *How* shards execute is decided in
+//! one private function, `run_shards` (one shard: inline; permutation mode:
+//! replayed in a seeded order; else one scoped thread per shard). The
+//! public drivers only construct *what* a shard is:
 //!
-//! * [`run_ranges`] / [`run_chunked`] — run a closure over disjoint index
-//!   ranges, optionally pairing each range with per-thread scratch state
+//! * [`run_ranges`] — equal contiguous index ranges;
+//! * [`run_chunked`] — those ranges, each zipped with its own scratch state
 //!   (the engine's metering deltas);
-//! * [`fill_chunks`] — fill an output slice by handing each worker its own
-//!   contiguous sub-slice (the partitioners' per-edge assignments);
-//! * [`DisjointSlice`] — a shared-slice cell wrapper for phases whose write
-//!   indices are provably disjoint but not contiguous (the engine's
-//!   home-partition shards, the fused multi-strategy sweep);
-//! * [`run_pipeline`] — a bounded, in-order producer/workers/consumer
-//!   pipeline over a condvar ring buffer: frames fan out to N transform
-//!   threads and re-serialize through a fixed reorder window, so the
-//!   consumer sees the exact sequential sequence at any worker count (the
-//!   out-of-core container's block-parallel decode rides this).
+//! * [`fill_chunks`] — the ranges' sub-slices of an output slice, carved
+//!   off by `split_at_mut` (the partitioners' per-edge assignments);
+//! * [`run_cut_slices`] / [`drain_cut_slices`] — pieces carved at caller-
+//!   chosen cuts, checked once up front to be a monotone cover of the
+//!   slice; the draining form hands each piece's items over by value.
 //!
-//! Everything here is deterministic by construction: chunk boundaries
-//! depend only on `(len, threads)`, and each output index is written by
-//! exactly one thread, so results are bit-identical to a sequential run.
+//! Beside them: [`DisjointSlice`], a shared-slice cell wrapper for phases
+//! whose write indices are provably disjoint but not contiguous (the
+//! engine's home-partition shards, the fused multi-strategy sweep), and
+//! [`run_pipeline`], a bounded, in-order producer/workers/consumer pipeline
+//! over a condvar ring buffer: frames fan out to N transform threads and
+//! re-serialize through a fixed reorder window, so the consumer sees the
+//! exact sequential sequence at any worker count (the out-of-core
+//! container's block-parallel decode rides this).
 //!
-//! Two checking layers turn that design claim into an enforced one:
+//! Shard boundaries depend only on the lengths, cuts and thread count
+//! passed in, and each output index is written by exactly one thread, so
+//! results are bit-identical to a sequential run. Two layers enforce that:
 //!
 //! * **Debug overlap assertions** — in debug builds [`DisjointSlice`]
 //!   records which thread first touched each index and panics the moment a
@@ -78,9 +82,8 @@ pub fn with_shard_permutation<R>(seed: u64, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// If permutation mode is active on this thread, returns the adversarial
-/// execution order for a pool call with `pieces` shards (a permutation of
-/// `0..pieces`) and advances the per-call stream; otherwise `None`.
+/// In permutation mode, the adversarial order for a pool call with `pieces`
+/// shards (a permutation of `0..pieces`), advancing the per-call stream.
 fn permuted_order(pieces: usize) -> Option<Vec<usize>> {
     PERMUTE.with(|p| {
         let mut state = p.take()?;
@@ -118,6 +121,52 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
+/// Runs `work(k, shard)` once per shard, and alone decides how: a single
+/// shard inline on the calling thread, allocating nothing; in permutation
+/// mode ([`with_shard_permutation`]) all of them on the calling thread in the
+/// seeded order; otherwise one scoped worker each.
+fn run_shards<S, F>(shards: impl ExactSizeIterator<Item = S>, work: F)
+where
+    S: Send,
+    F: Fn(usize, S) + Sync,
+{
+    if shards.len() <= 1 {
+        shards.enumerate().for_each(|(k, shard)| work(k, shard));
+    } else if let Some(order) = permuted_order(shards.len()) {
+        // Shard k keeps its index and its payload: only the order moves.
+        let mut by_index: Vec<Option<S>> = shards.map(Some).collect();
+        for k in order {
+            if let Some(shard) = by_index[k].take() {
+                work(k, shard);
+            }
+        }
+    } else {
+        std::thread::scope(|scope| {
+            let work = &work;
+            for (k, shard) in shards.enumerate() {
+                scope.spawn(move || work(k, shard));
+            }
+        });
+    }
+}
+
+/// `0..len` as at least one and at most `threads` ranges of equal size (the
+/// last may be short): range `k` is `[k·chunk, min((k+1)·chunk, len))`, so
+/// they are disjoint, cover every index once and depend on the arguments alone.
+fn equal_ranges(len: usize, threads: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    let chunk = len.div_ceil(threads.clamp(1, len.max(1))).max(1);
+    let pieces = len.div_ceil(chunk).max(1);
+    (0..pieces).map(move |k| (k * chunk).min(len)..((k + 1) * chunk).min(len))
+}
+
+/// Carves the first `len` elements off `rest`: every piece leaves the
+/// remaining tail, so an overlapping handout is unrepresentable.
+fn carve<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (piece, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    piece
+}
+
 /// Splits `0..len` into at most `threads` contiguous chunks of equal size
 /// (the last may be short) and runs `work` on each, in parallel when
 /// `threads > 1`, inline on the calling thread otherwise.
@@ -125,31 +174,7 @@ pub fn run_ranges<F>(len: usize, threads: usize, work: F)
 where
     F: Fn(Range<usize>) + Sync,
 {
-    let threads = threads.clamp(1, len.max(1));
-    if threads <= 1 {
-        work(0..len);
-        return;
-    }
-    let chunk = len.div_ceil(threads).max(1);
-    let pieces = len.div_ceil(chunk);
-    // Equal-size chunks of a contiguous range: piece k owns exactly
-    // [k·chunk, min((k+1)·chunk, len)), so the handout is disjoint and
-    // covers every index once by construction.
-    debug_assert!(pieces >= 1 && (pieces - 1) * chunk < len && pieces * chunk >= len);
-    if let Some(order) = permuted_order(pieces) {
-        for t in order {
-            work(t * chunk..((t + 1) * chunk).min(len));
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        for t in 0..pieces {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(len);
-            let work = &work;
-            scope.spawn(move || work(start..end));
-        }
-    });
+    run_shards(equal_ranges(len, threads), |_, range| work(range));
 }
 
 /// Like [`run_ranges`], but pairs the `t`-th chunk with `states[t]`, giving
@@ -159,35 +184,15 @@ where
 /// The worker count is capped at `states.len()`, so every index is always
 /// processed (fewer states than requested threads just means bigger
 /// chunks); with one chunk (or `threads <= 1`) the whole range runs inline
-/// against `states[0]`.
+/// against `states[0]`. Panics if `states` is empty.
 pub fn run_chunked<S, F>(len: usize, threads: usize, states: &mut [S], work: F)
 where
     S: Send,
     F: Fn(Range<usize>, &mut S) + Sync,
 {
-    let threads = threads.min(states.len()).clamp(1, len.max(1));
-    if threads <= 1 {
-        work(0..len, &mut states[0]);
-        return;
-    }
-    let chunk = len.div_ceil(threads).max(1);
-    let pieces = len.div_ceil(chunk);
-    debug_assert!(pieces <= states.len(), "every piece pairs with one state");
-    if let Some(order) = permuted_order(pieces) {
-        // Pairing stays by piece index — only execution order is permuted.
-        for t in order {
-            work(t * chunk..((t + 1) * chunk).min(len), &mut states[t]);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        for (t, state) in states.iter_mut().enumerate().take(pieces) {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(len);
-            let work = &work;
-            scope.spawn(move || work(start..end, state));
-        }
-    });
+    assert!(!states.is_empty(), "every chunk pairs with one state");
+    let ranges = equal_ranges(len, threads.min(states.len()));
+    run_shards(ranges.zip(states), |_, (range, state)| work(range, state));
 }
 
 /// Fills `out` by splitting it into contiguous chunks, one per worker;
@@ -201,34 +206,17 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let len = out.len();
-    let threads = threads.clamp(1, len.max(1));
-    if threads <= 1 {
-        fill(0, out);
-        return;
-    }
-    let chunk = len.div_ceil(threads).max(1);
-    if let Some(order) = permuted_order(len.div_ceil(chunk)) {
-        let mut slices: Vec<&mut [T]> = out.chunks_mut(chunk).collect();
-        for t in order {
-            fill(t * chunk, std::mem::take(&mut slices[t]));
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        for (t, slice) in out.chunks_mut(chunk).enumerate() {
-            let fill = &fill;
-            scope.spawn(move || fill(t * chunk, slice));
-        }
-    });
+    let mut rest = out;
+    let chunks = equal_ranges(rest.len(), threads).map(|r| (r.start, carve(&mut rest, r.len())));
+    run_shards(chunks, |_, (start, chunk)| fill(start, chunk));
 }
 
 /// Splits `slice` at the caller-chosen ascending `cuts` and runs `work`
 /// once per piece, one scoped worker per piece when there is more than
 /// one — for shards that are contiguous but *uneven*, where
 /// [`fill_chunks`]' equal-size split would tear a shard across two
-/// workers (CSR neighbour blocks cut at vertex offsets, partition edge
-/// blocks cut at bucket offsets).
+/// workers (partition edge blocks cut at bucket offsets, a sorted record
+/// buffer cut at owner boundaries).
 ///
 /// `cuts` must start at `0`, end at `slice.len()`, and be non-decreasing;
 /// piece `k` is `slice[cuts[k]..cuts[k + 1]]` and `work` receives
@@ -247,44 +235,13 @@ where
         cuts.first() == Some(&0) && cuts.last() == Some(&slice.len()),
         "cuts must cover the slice"
     );
-    let pieces = cuts.len() - 1;
-    if pieces <= 1 {
-        if pieces == 1 {
-            work(0, slice);
-        }
-        return;
-    }
-    // `split_at_mut` makes an overlapping handout unrepresentable: each
-    // piece is carved off the remaining tail, and the `checked_sub` rejects
-    // any cut vector that would double-cover an index.
-    if let Some(order) = permuted_order(pieces) {
-        let mut by_index: Vec<&mut [T]> = Vec::with_capacity(pieces);
-        let mut rest = slice;
-        for k in 0..pieces {
-            let len = cuts[k + 1]
-                .checked_sub(cuts[k])
-                .expect("cuts must be non-decreasing");
-            let (piece, tail) = rest.split_at_mut(len);
-            rest = tail;
-            by_index.push(piece);
-        }
-        for k in order {
-            work(k, std::mem::take(&mut by_index[k]));
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        let mut rest = slice;
-        for k in 0..pieces {
-            let len = cuts[k + 1]
-                .checked_sub(cuts[k])
-                .expect("cuts must be non-decreasing");
-            let (piece, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let work = &work;
-            scope.spawn(move || work(k, piece));
-        }
-    });
+    assert!(
+        cuts.windows(2).all(|w| w[0] <= w[1]),
+        "cuts must be non-decreasing"
+    );
+    let mut rest = slice;
+    let pieces = cuts.windows(2).map(|w| carve(&mut rest, w[1] - w[0]));
+    run_shards(pieces, work);
 }
 
 /// [`run_cut_slices`] for pieces that are consumed: `items` is emptied

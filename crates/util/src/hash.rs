@@ -33,13 +33,6 @@ pub fn graphx_mix(id: u64) -> u64 {
     id.wrapping_mul(GRAPHX_MIXING_PRIME)
 }
 
-/// A Fibonacci/multiplicative 32-bit fold of a 64-bit hash, handy for
-/// bucketing into small tables.
-#[inline]
-pub fn fold32(x: u64) -> u32 {
-    (mix64(x) >> 32) as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,10 +69,5 @@ mod tests {
     #[test]
     fn graphx_mix_matches_definition() {
         assert_eq!(graphx_mix(3), 3u64.wrapping_mul(GRAPHX_MIXING_PRIME));
-    }
-
-    #[test]
-    fn fold32_differs_for_adjacent_inputs() {
-        assert_ne!(fold32(1), fold32(2));
     }
 }

@@ -152,6 +152,8 @@ impl Xoshiro256pp {
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     cumulative: Vec<f64>,
+    /// The last cumulative weight: the sum of all of them.
+    total: f64,
 }
 
 impl ZipfSampler {
@@ -167,7 +169,7 @@ impl ZipfSampler {
             total += (k as f64).powf(-alpha);
             cumulative.push(total);
         }
-        Self { cumulative }
+        Self { cumulative, total }
     }
 
     /// Number of ranks.
@@ -182,8 +184,7 @@ impl ZipfSampler {
 
     /// Draws a rank in `[0, n)`; rank 0 is the most popular.
     pub fn sample(&self, rng: &mut Xoshiro256pp) -> usize {
-        let total = *self.cumulative.last().expect("non-empty");
-        let u = rng.next_f64() * total;
+        let u = rng.next_f64() * self.total;
         // Cumulative weights are sums of positive terms: never NaN, never
         // -0.0, so the NaN-last total order agrees with the numeric order
         // while keeping the search panic-free (analyzer rule D2).

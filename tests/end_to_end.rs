@@ -135,3 +135,85 @@ fn experiment_harness_full_grid_smoke() {
         }
     }
 }
+
+/// One cell of the grid below: `run` under `Parallel { threads: 3 }` must
+/// equal its `Sequential` run in states and whole `SimReport`, and `agrees`
+/// holds the answer against the oracle. With `faulty`, the same run under
+/// the faulty scenario must change the bill and not the answer.
+fn check_pooled_cell<S: PartialEq + std::fmt::Debug>(
+    cell: &str,
+    faulty: bool,
+    run: impl Fn(&ClusterConfig, &PregelConfig) -> cutfit::engine::PregelResult<S>,
+    agrees: impl Fn(&[S]) -> bool,
+) {
+    let pooled = PregelConfig {
+        executor: ExecutorMode::Parallel { threads: 3 },
+        ..Default::default()
+    };
+    let seq = run(&cluster(), &PregelConfig::default());
+    let par = run(&cluster(), &pooled);
+    assert!(
+        agrees(&par.states),
+        "{cell}: answer differs from the oracle"
+    );
+    assert_eq!(par.states, seq.states, "{cell}: states across executors");
+    assert_eq!(par.sim, seq.sim, "{cell}: bill across executors");
+    if faulty {
+        let mut degraded = cluster();
+        degraded.scenario = ScenarioConfig::faulty(41);
+        let hurt = run(&degraded, &pooled);
+        assert_eq!(hurt.states, seq.states, "{cell}: faults changed the answer");
+        assert_ne!(hurt.sim, seq.sim, "{cell}: faults must show in the bill");
+    }
+}
+
+#[test]
+fn extension_algorithms_match_their_oracles_on_streaming_cuts_in_a_pool() {
+    use cutfit::partition::{Dbh, GreedyVertexCut, Hdrf, HybridCut};
+    use cutfit_algorithms::hits::{hits, reference_hits};
+    use cutfit_algorithms::label_propagation::{label_propagation, reference_label_propagation};
+    use cutfit_algorithms::{kcore, reference_kcore};
+
+    let graph = DatasetProfile::youtube().generate(0.001, 37);
+    let hits_oracle = reference_hits(&graph, 4);
+    let lpa_oracle = reference_label_propagation(&graph, 4);
+    let kcore_oracle = reference_kcore(&graph);
+    let close = |a: f64, b: f64| (a - b).abs() < 1e-9 * b.abs().max(1.0);
+
+    let partitioners: Vec<Box<dyn Partitioner>> = vec![
+        Box::new(Hdrf::default()),
+        Box::new(GreedyVertexCut::default()),
+        Box::new(Dbh),
+        Box::new(HybridCut::default()),
+    ];
+    for (row, p) in partitioners.iter().enumerate() {
+        let pg = p.partition(&graph, 7);
+        // The first row repeats every algorithm under the faulty scenario.
+        let faulty = row == 0;
+        check_pooled_cell(
+            &format!("HITS on {}", p.name()),
+            faulty,
+            |cluster, opts| hits(&pg, cluster, 4, opts).expect("fits"),
+            |states| {
+                states.len() == hits_oracle.len()
+                    && states
+                        .iter()
+                        .zip(&hits_oracle)
+                        .all(|(a, b)| close(a.authority, b.authority) && close(a.hub, b.hub))
+            },
+        );
+        check_pooled_cell(
+            &format!("LPA on {}", p.name()),
+            faulty,
+            |cluster, opts| label_propagation(&pg, cluster, 4, opts).expect("fits"),
+            |states| states == lpa_oracle,
+        );
+        check_pooled_cell(
+            &format!("k-core on {}", p.name()),
+            faulty,
+            // Always active: 60 rounds reach the fixpoint on this graph.
+            |cluster, opts| kcore(&graph, p.as_ref(), 7, cluster, 60, opts).expect("fits"),
+            |states| states == kcore_oracle,
+        );
+    }
+}
