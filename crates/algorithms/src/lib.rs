@@ -29,5 +29,5 @@ pub use kcore::{kcore, reference_kcore, KCore};
 pub use label_propagation::{label_propagation, LabelPropagation};
 pub use pagerank::{pagerank, reference_pagerank, PageRank};
 pub use sssp::{reference_sssp, sssp, Sssp};
-pub use suite::{Algorithm, AlgorithmClass, RunOutcome};
+pub use suite::{Algorithm, AlgorithmClass};
 pub use triangles::{triangle_count, TriangleCount};

@@ -5,12 +5,10 @@ use std::sync::Arc;
 
 use cutfit_cluster::{ClusterConfig, SimError, SimReport};
 use cutfit_engine::{ExecutorMode, PregelConfig, PreparedRun, VertexProgram};
-use cutfit_graph::types::PartId;
-use cutfit_graph::Graph;
-use cutfit_partition::{PartitionMetrics, Partitioner};
+use cutfit_partition::PartitionedGraph;
 
 use crate::sssp::Sssp;
-use crate::triangles::{canonicalize, triangle_count_partitioned};
+use crate::triangles::triangle_count_partitioned;
 
 /// The paper's two-way algorithm taxonomy (§4, final paragraph): complexity
 /// dominated by edges/messages vs by per-vertex state. It drives the
@@ -176,114 +174,78 @@ impl Algorithm {
         )
     }
 
-    /// Executes this algorithm on an already-materialized cut through a
-    /// [`PreparedRun`] handle: no partitioning, no metrics pass, no
-    /// routing-index construction — the serving layer's cache-hit dispatch
-    /// path. The prepared graph must be in canonical orientation when
-    /// [`Algorithm::needs_canonical`] says so.
+    /// Runs this algorithm on the materialized cut `pg` and returns the
+    /// simulated bill and the superstep count.
+    ///
+    /// This is the one place Triangle Count's bypass of the engine is
+    /// decided. TR is not a Pregel program: it runs its four-phase dataflow
+    /// straight over the cut. Every other algorithm runs through `prepared`,
+    /// the cut's [`PreparedRun`] handle, built here on the first such run
+    /// with `prepared_executor`'s thread budget — so a cut only TR runs on
+    /// never pays for a routing index. The cut must be in canonical
+    /// orientation when [`Algorithm::needs_canonical`] says so.
     ///
     /// `charge_load` controls whether the initial dataset load from storage
     /// is billed: one-shot runs bill it, session runs load the graph once
-    /// per workspace instead. Returns the simulated bill and the superstep
-    /// count; vertex states are exact internally but not returned here
-    /// (use the per-algorithm entry points when you need them).
-    pub fn run_prepared(
+    /// per workspace instead. Vertex states are exact internally but not
+    /// returned here (use the per-algorithm entry points when you need them).
+    pub fn run_on_cut(
         &self,
-        prepared: &mut PreparedRun,
+        pg: &Arc<PartitionedGraph>,
+        prepared: &mut Option<PreparedRun>,
+        cluster: &ClusterConfig,
+        prepared_executor: ExecutorMode,
         executor: ExecutorMode,
         charge_load: bool,
     ) -> Result<(SimReport, u64), SimError> {
+        // Called by the Pregel arms only. Moving the slot out makes this a
+        // one-shot closure, so the handle it returns outlives the call.
+        let handle = move || {
+            let slot = prepared;
+            slot.get_or_insert_with(|| PreparedRun::new(pg.clone(), cluster, prepared_executor))
+        };
         let opts = PregelConfig {
             executor,
             charge_initial_load: charge_load,
             ..Default::default()
         };
         match self {
+            Algorithm::Triangles => {
+                let r = triangle_count_partitioned(pg, cluster, charge_load)?;
+                Ok((r.sim, 4))
+            }
             Algorithm::PageRank { iterations } => {
-                run_pregel(prepared, &crate::pagerank::PageRank, *iterations, opts)
+                run_pregel(handle(), &crate::pagerank::PageRank, *iterations, opts)
             }
             Algorithm::ConnectedComponents { max_iterations } => run_pregel(
-                prepared,
+                handle(),
                 &crate::cc::ConnectedComponents,
                 *max_iterations,
                 opts,
             ),
-            Algorithm::Triangles => {
-                // TR is not a Pregel program: it runs its four-phase
-                // dataflow directly over the prepared cut.
-                let r =
-                    triangle_count_partitioned(prepared.graph(), prepared.cluster(), charge_load)?;
-                Ok((r.sim, 4))
-            }
             Algorithm::Sssp {
                 num_landmarks,
                 seed,
                 max_iterations,
             } => {
-                let landmarks =
-                    Sssp::pick_landmarks(prepared.graph().num_vertices(), *num_landmarks, *seed);
-                run_pregel(prepared, &Sssp::new(landmarks), *max_iterations, opts)
+                let landmarks = Sssp::pick_landmarks(pg.num_vertices(), *num_landmarks, *seed);
+                run_pregel(handle(), &Sssp::new(landmarks), *max_iterations, opts)
             }
             // Score normalisation only post-processes states; the bill and
             // superstep count are those of the Pregel run.
             Algorithm::Hits { iterations } => {
-                run_pregel(prepared, &crate::hits::HitsProgram, *iterations, opts)
+                run_pregel(handle(), &crate::hits::HitsProgram, *iterations, opts)
             }
             Algorithm::LabelPropagation { iterations } => run_pregel(
-                prepared,
+                handle(),
                 &crate::label_propagation::LabelPropagation,
                 *iterations,
                 opts,
             ),
             Algorithm::KCore { iterations } => {
-                run_pregel(prepared, &crate::kcore::KCore, *iterations, opts)
+                run_pregel(handle(), &crate::kcore::KCore, *iterations, opts)
             }
         }
-    }
-
-    /// Partitions `graph` with `partitioner` into `num_parts` and runs the
-    /// algorithm on the simulated `cluster`.
-    ///
-    /// Returns both the simulated timing and the partitioning metrics of
-    /// the *partitioning actually executed* (for TR that is the canonical
-    /// graph's partitioning) so callers can correlate time against metrics
-    /// exactly as the paper does.
-    ///
-    /// This is the one-shot path: materialize, run once, discard. It routes
-    /// through the same [`Algorithm::run_prepared`] dispatch the serving
-    /// layer uses, so a cached dispatch is bit-identical to a one-shot run
-    /// minus the setup it skips.
-    pub fn run(
-        &self,
-        graph: &Graph,
-        partitioner: &dyn Partitioner,
-        num_parts: PartId,
-        cluster: &ClusterConfig,
-        executor: ExecutorMode,
-    ) -> Result<RunOutcome, SimError> {
-        // The executor's worker pool also drives partition materialization
-        // (assignment + counting-sort build) — bit-identical to the
-        // sequential path at every thread count, so observations never
-        // depend on the executor mode.
-        let threads = executor.threads();
-        let canon;
-        let target = if self.needs_canonical() {
-            canon = canonicalize(graph);
-            &canon
-        } else {
-            graph
-        };
-        let pg = partitioner.partition_threaded(target, num_parts, threads);
-        let metrics = PartitionMetrics::of(&pg);
-        let (sim, supersteps) = if let Algorithm::Triangles = self {
-            // TR never touches the Pregel routing index; skip building one.
-            let r = triangle_count_partitioned(&pg, cluster, true)?;
-            (r.sim, 4)
-        } else {
-            let mut prepared = PreparedRun::new(Arc::new(pg), cluster, executor);
-            self.run_prepared(&mut prepared, executor, true)?
-        };
-        Ok(RunOutcome::new(self.abbrev(), sim, supersteps, metrics))
     }
 }
 
@@ -305,40 +267,11 @@ fn run_pregel<P: VertexProgram>(
     Ok((r.sim, r.supersteps))
 }
 
-/// Result of one (algorithm, dataset, partitioner, N) run.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Algorithm abbreviation.
-    pub algorithm: &'static str,
-    /// Simulated-cluster accounting; `sim.total_seconds` is the paper's
-    /// "execution time".
-    pub sim: SimReport,
-    /// Supersteps executed.
-    pub supersteps: u64,
-    /// Metrics of the executed partitioning.
-    pub metrics: PartitionMetrics,
-}
-
-impl RunOutcome {
-    fn new(
-        algorithm: &'static str,
-        sim: SimReport,
-        supersteps: u64,
-        metrics: PartitionMetrics,
-    ) -> Self {
-        Self {
-            algorithm,
-            sim,
-            supersteps,
-            metrics,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cutfit_partition::GraphXStrategy;
+    use crate::triangles::canonicalize;
+    use cutfit_partition::{GraphXStrategy, Partitioner};
 
     #[test]
     fn paper_suite_has_four() {
@@ -360,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn run_returns_time_and_metrics_for_all_four() {
+    fn run_on_cut_bills_all_four_and_builds_no_handle_for_tr() {
         let g = cutfit_datagen::rmat(
             &cutfit_datagen::RmatConfig {
                 scale: 8,
@@ -369,44 +302,26 @@ mod tests {
             },
             3,
         );
+        let raw = Arc::new(GraphXStrategy::EdgePartition2D.partition(&g, 8));
+        let canon = Arc::new(GraphXStrategy::EdgePartition2D.partition(&canonicalize(&g), 8));
+        let mode = ExecutorMode::Sequential;
         for algo in Algorithm::paper_suite(7) {
-            let out = algo
-                .run(
-                    &g,
-                    &GraphXStrategy::EdgePartition2D,
-                    8,
+            let pg = if algo.needs_canonical() { &canon } else { &raw };
+            let mut prepared = None;
+            let (sim, supersteps) = algo
+                .run_on_cut(
+                    pg,
+                    &mut prepared,
                     &ClusterConfig::paper_cluster(),
-                    ExecutorMode::Sequential,
+                    mode,
+                    mode,
+                    true,
                 )
                 .unwrap();
-            assert!(out.sim.total_seconds > 0.0, "{}", out.algorithm);
-            assert!(out.metrics.edges > 0, "{}", out.algorithm);
-            assert!(out.supersteps > 0, "{}", out.algorithm);
+            assert!(sim.total_seconds > 0.0, "{}", algo.abbrev());
+            assert!(supersteps > 0, "{}", algo.abbrev());
+            let is_tr = matches!(algo, Algorithm::Triangles);
+            assert_eq!(prepared.is_none(), is_tr, "{}", algo.abbrev());
         }
-    }
-
-    #[test]
-    fn triangles_metrics_are_canonical() {
-        // On a symmetric graph, canonicalization halves the edge count.
-        let g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 4).symmetrized();
-        let pr = Algorithm::PageRank { iterations: 2 }
-            .run(
-                &g,
-                &GraphXStrategy::RandomVertexCut,
-                4,
-                &ClusterConfig::paper_cluster(),
-                ExecutorMode::Sequential,
-            )
-            .unwrap();
-        let tr = Algorithm::Triangles
-            .run(
-                &g,
-                &GraphXStrategy::RandomVertexCut,
-                4,
-                &ClusterConfig::paper_cluster(),
-                ExecutorMode::Sequential,
-            )
-            .unwrap();
-        assert!(tr.metrics.edges < pr.metrics.edges);
     }
 }

@@ -50,34 +50,32 @@ fn main() {
     let mut heuristic_regrets = Vec::new();
     let mut measured_regrets = Vec::new();
     for profile in args.profiles() {
+        // One workspace per dataset: PR and CC share the raw cuts, and the
+        // canonical orientation TR runs on is built once.
         let graph = profile.generate(args.scale, args.seed);
+        let mut ws = Workspace::new(graph, cluster.clone(), args.executor());
+        let graph = ws.graph().clone();
         for algorithm in &algorithms {
             let mut times: Vec<(GraphXStrategy, f64)> = Vec::new();
             for strategy in GraphXStrategy::all() {
-                match algorithm.run(&graph, &strategy, np, &cluster, args.executor()) {
+                match ws.run_job_isolated(algorithm, strategy, np).time_s() {
                     // A non-finite time is a broken run; log and skip it
                     // rather than letting a NaN abort the oracle ranking.
-                    Ok(out) if !out.sim.total_seconds.is_finite() => {
+                    Some(time) if !time.is_finite() => {
                         eprintln!(
-                            "skipping {} on {} ({}): non-finite simulated time {}",
+                            "skipping {} on {} ({}): non-finite simulated time {time}",
                             strategy.abbrev(),
                             profile.name,
                             algorithm.abbrev(),
-                            out.sim.total_seconds
                         );
                     }
-                    Ok(out) => times.push((strategy, out.sim.total_seconds)),
-                    Err(_) => continue,
+                    Some(time) => times.push((strategy, time)),
+                    None => continue,
                 }
             }
-            if times.is_empty() {
+            let Some(oracle) = times.iter().min_by(|a, b| a.1.total_cmp(&b.1)).copied() else {
                 continue;
-            }
-            let oracle = times
-                .iter()
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .copied()
-                .expect("non-empty");
+            };
             let heuristic = advisor.recommend(algorithm.class(), &graph, np).strategy;
             let measured = advisor
                 .recommend_measured_threaded(
@@ -88,24 +86,24 @@ fn main() {
                     args.worker_threads(),
                 )
                 .strategy;
-            let time_of = |s: GraphXStrategy| {
-                times
-                    .iter()
-                    .find(|(x, _)| *x == s)
-                    .map(|(_, t)| *t)
-                    .unwrap_or(f64::NAN)
+            // A pick whose run failed has no regret: it prints `fail` and
+            // stays out of the averages.
+            let regret = |s: GraphXStrategy, regrets: &mut Vec<f64>| {
+                let Some(&(_, time)) = times.iter().find(|(x, _)| *x == s) else {
+                    return "fail".to_string();
+                };
+                let regret = (time - oracle.1) / oracle.1 * 100.0;
+                regrets.push(regret);
+                format!("{regret:+.1}%")
             };
-            let regret = |s: GraphXStrategy| (time_of(s) - oracle.1) / oracle.1 * 100.0;
-            heuristic_regrets.push(regret(heuristic));
-            measured_regrets.push(regret(measured));
             t.row([
                 algorithm.abbrev().to_string(),
                 profile.name.to_string(),
                 oracle.0.abbrev().to_string(),
                 heuristic.abbrev().to_string(),
                 measured.abbrev().to_string(),
-                format!("{:+.1}%", regret(heuristic)),
-                format!("{:+.1}%", regret(measured)),
+                regret(heuristic, &mut heuristic_regrets),
+                regret(measured, &mut measured_regrets),
             ]);
         }
     }

@@ -62,49 +62,65 @@ fn main() {
         Align::Right,
     ]);
 
-    let mut baseline: Option<f64> = None;
-    for cluster in &configs {
-        let mut times: Vec<(&'static str, SimReport)> = Vec::new();
-        for strategy in GraphXStrategy::all() {
-            let out = algorithm
-                .run(&graph, &strategy, np, cluster, args.executor())
-                .expect("PageRank does not exhaust memory here");
-            // A non-finite simulated time means a broken run, not a fast
-            // one — log it and keep ranking the rest instead of letting a
-            // NaN abort the whole sweep in the comparison below.
-            if !out.sim.total_seconds.is_finite() {
-                eprintln!(
-                    "skipping {} on {}: non-finite simulated time {}",
-                    strategy.abbrev(),
-                    cluster.name,
-                    out.sim.total_seconds
-                );
-                continue;
+    // Per configuration, the fastest and slowest of the six finite runs.
+    // One workspace per cluster: the cluster fixes the bill, the cuts are
+    // built once for all six cells.
+    let results: Vec<Option<((&'static str, SimReport), f64)>> = configs
+        .iter()
+        .map(|cluster| {
+            let mut ws = Workspace::new(graph.clone(), cluster.clone(), args.executor());
+            let mut times: Vec<(&'static str, SimReport)> = Vec::new();
+            for strategy in GraphXStrategy::all() {
+                match ws.run_job_isolated(&algorithm, strategy, np).result {
+                    // A non-finite simulated time means a broken run, not a
+                    // fast one — log it and keep ranking the rest instead of
+                    // letting a NaN abort the whole sweep below.
+                    Ok(sim) if !sim.total_seconds.is_finite() => eprintln!(
+                        "skipping {} on {}: non-finite simulated time {}",
+                        strategy.abbrev(),
+                        cluster.name,
+                        sim.total_seconds
+                    ),
+                    Ok(sim) => times.push((strategy.abbrev(), sim)),
+                    Err(e) => eprintln!("skipping {} on {}: {e}", strategy.abbrev(), cluster.name),
+                }
             }
-            times.push((strategy.abbrev(), out.sim));
-        }
-        let best = times
-            .iter()
-            .min_by(|a, b| a.1.total_seconds.total_cmp(&b.1.total_seconds))
-            .expect("at least one finite strategy time");
-        let worst_t = times
-            .iter()
-            .map(|(_, s)| s.total_seconds)
-            .fold(0.0f64, f64::max);
-        let base = *baseline.get_or_insert(best.1.total_seconds);
+            let worst = times
+                .iter()
+                .map(|(_, s)| s.total_seconds)
+                .fold(0.0f64, f64::max);
+            let best = times
+                .into_iter()
+                .min_by(|a, b| a.1.total_seconds.total_cmp(&b.1.total_seconds))?;
+            Some((best, worst))
+        })
+        .collect();
+
+    // A configuration whose six runs all failed prints `fail` in every cell.
+    let fail = || "fail".to_string();
+    let base = results[0].as_ref().map(|((_, sim), _)| sim.total_seconds);
+    for (cluster, result) in configs.iter().zip(&results) {
+        let Some(((name, best), worst)) = result else {
+            t.row([cluster.name.clone(), fail(), fail(), fail(), fail(), fail()]);
+            spread.row([cluster.name.clone(), fail(), fail(), fail()]);
+            continue;
+        };
+        let vs_base = base.map_or_else(fail, |base| {
+            format!("{:+.1}%", (best.total_seconds - base) / base * 100.0)
+        });
         t.row([
             cluster.name.clone(),
-            best.0.to_string(),
-            human_seconds(best.1.total_seconds),
-            format!("{:+.1}%", (best.1.total_seconds - base) / base * 100.0),
-            human_seconds(best.1.network_seconds),
-            human_seconds(best.1.storage_seconds),
+            name.to_string(),
+            human_seconds(best.total_seconds),
+            vs_base,
+            human_seconds(best.network_seconds),
+            human_seconds(best.storage_seconds),
         ]);
         spread.row([
             cluster.name.clone(),
-            human_seconds(best.1.total_seconds),
-            human_seconds(worst_t),
-            format!("{:.1}%", (worst_t - best.1.total_seconds) / worst_t * 100.0),
+            human_seconds(best.total_seconds),
+            human_seconds(*worst),
+            format!("{:.1}%", (worst - best.total_seconds) / worst * 100.0),
         ]);
     }
     emit(&t, args.csv);

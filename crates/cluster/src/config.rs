@@ -73,10 +73,6 @@ pub struct ComputeCostModel {
     /// recomputation; their in-memory share is index blocks, netty buffers,
     /// and page-cache pressure).
     pub lineage_retention: f64,
-    /// Fraction of the resident state snapshot retained per superstep.
-    /// GraphX's Pregel unpersists superseded vertex RDDs, so the default is
-    /// 0; set it positive to model a missing-unpersist workload.
-    pub state_snapshot_retention: f64,
     /// Fraction of executor heap consumed per superstep by cumulative
     /// bookkeeping that is never reclaimed before job end: shuffle-writer
     /// buffers, block-manager entries, netty pools (sized relative to the
@@ -88,8 +84,6 @@ pub struct ComputeCostModel {
     /// so jobs die at roughly 120 supersteps, scale-invariantly; see
     /// EXPERIMENTS.md E9 for the calibration note.
     pub lineage_heap_fraction_per_superstep: f64,
-    /// Whether shuffle data is written to and re-read from storage.
-    pub shuffle_through_storage: bool,
 }
 
 impl Default for ComputeCostModel {
@@ -108,9 +102,7 @@ impl Default for ComputeCostModel {
             network_compression_ratio: 4.0,
             memory_overhead_factor: 8.0,
             lineage_retention: 0.15,
-            state_snapshot_retention: 0.0,
             lineage_heap_fraction_per_superstep: 0.0045,
-            shuffle_through_storage: true,
         }
     }
 }
@@ -160,14 +152,6 @@ impl ClusterConfig {
             usable_memory_fraction: 0.55,
             cost: ComputeCostModel::default(),
             scenario: ScenarioConfig::default(),
-        }
-    }
-
-    /// Configuration (i): the base cluster, used with 128 partitions.
-    pub fn config_i() -> Self {
-        Self {
-            name: "config-i (1Gbps, HDD, 128 parts)".to_string(),
-            ..Self::paper_cluster()
         }
     }
 
@@ -249,10 +233,6 @@ mod tests {
         assert_eq!(ClusterConfig::config_iii().network_gbps, 40.0);
         assert_eq!(ClusterConfig::config_iii().storage, Storage::Hdd);
         assert_eq!(ClusterConfig::config_iv().storage, Storage::Ssd);
-        assert_eq!(
-            ClusterConfig::config_i().network_gbps,
-            ClusterConfig::config_ii().network_gbps
-        );
     }
 
     #[test]

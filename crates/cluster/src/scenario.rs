@@ -73,6 +73,8 @@ pub struct ScenarioConfig {
     /// Checkpoint every `n` supersteps: state is written to storage (billed)
     /// and shuffle lineage is truncated, bounding both recovery replay and
     /// lineage memory growth. `0` = never checkpoint (replay from job start).
+    /// It bills on a failure-free cluster too: the `checkpointInterval`
+    /// rescue for high-superstep jobs (the paper's SSSP) from lineage OOM.
     pub checkpoint_interval: u64,
     /// Deterministic fault injection for tests and chaos drills: executor
     /// `.1` fails at 0-based superstep `.0`, in addition to any

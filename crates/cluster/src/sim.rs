@@ -192,9 +192,6 @@ pub struct ClusterSim {
     resident_bytes: Vec<u64>,
     /// Bytes of retained shuffle lineage per executor.
     retained_bytes: Vec<f64>,
-    /// Effective checkpoint interval: the scenario's value unless overridden
-    /// per run (the engine's `PregelConfig::checkpoint_interval` hook).
-    checkpoint_interval: u64,
     /// Accumulated per-executor clock offset, simulated seconds (scenario
     /// clock drift). Scrubbed by `reset`.
     clock_offset: Vec<f64>,
@@ -213,7 +210,6 @@ impl ClusterSim {
             resident_bytes: vec![0; executors as usize],
             retained_bytes: vec![0.0; executors as usize],
             report: SimReport::default(),
-            checkpoint_interval: config.scenario.checkpoint_interval,
             clock_offset: vec![0.0; executors as usize],
             since_checkpoint_secs: 0.0,
             num_parts,
@@ -234,34 +230,18 @@ impl ClusterSim {
     /// a previous run may have left behind: half-recorded ledger rows from
     /// a run that never reached `end_superstep` (e.g. an out-of-memory
     /// abort), declared resident bytes, the accumulated report, and all
-    /// scenario state: drifted clocks, the since-checkpoint replay
-    /// accumulator, and any per-run checkpoint-interval override. Scenario
-    /// draws themselves are pure functions of config and seed, so nothing
-    /// else needs scrubbing — a reset sim is bit-identical to a fresh one.
+    /// scenario state: drifted clocks and the since-checkpoint replay
+    /// accumulator. Scenario draws themselves are pure functions of config
+    /// and seed, so nothing else needs scrubbing — a reset sim is
+    /// bit-identical to a fresh one.
     pub fn reset(&mut self) {
         self.ledger.reset();
         self.part_resident.fill(0);
         self.resident_bytes.fill(0);
         self.retained_bytes.fill(0.0);
         self.report = SimReport::default();
-        self.checkpoint_interval = self.config.scenario.checkpoint_interval;
         self.clock_offset.fill(0.0);
         self.since_checkpoint_secs = 0.0;
-    }
-
-    /// Overrides the scenario's checkpoint interval for the current run
-    /// (`0` = never checkpoint). The engine applies this at run start from
-    /// `PregelConfig::checkpoint_interval`; `reset` restores the config's
-    /// value. Checkpointing works on a failure-free cluster too — it bills
-    /// storage writes and truncates retained lineage, which is what rescues
-    /// high-superstep jobs from lineage OOM.
-    pub fn set_checkpoint_interval(&mut self, every: u64) {
-        self.checkpoint_interval = every;
-    }
-
-    /// The effective checkpoint interval for this run (`0` = never).
-    pub fn checkpoint_interval(&self) -> u64 {
-        self.checkpoint_interval
     }
 
     /// Charges a full re-materialization of the graph under a new cut, as
@@ -459,7 +439,7 @@ impl ClusterSim {
 
         // --- Storage: the synchronous share of shuffle spill (write then
         //     read); the rest rides the page cache. ---
-        let mut storage_secs = if cost.shuffle_through_storage && shuffle_bytes > 0 {
+        let mut storage_secs = if shuffle_bytes > 0 {
             let per_exec =
                 shuffle_bytes as f64 * cost.shuffle_storage_fraction / cfg.executors as f64;
             per_exec / (cfg.storage.write_mbps() * 1e6) + per_exec / (cfg.storage.read_mbps() * 1e6)
@@ -489,12 +469,10 @@ impl ClusterSim {
         let lineage_fixed = cfg.executor_memory_gb * 1e9 * cost.lineage_heap_fraction_per_superstep;
         let mut oom: Option<SimError> = None;
         for exec in 0..cfg.executors as usize {
-            // Lineage growth: the in-memory share of retained shuffle data,
-            // optional vertex-RDD snapshots, and the fixed per-superstep
-            // bookkeeping that accumulates until job end.
-            self.retained_bytes[exec] += shuffle_per_exec * cost.lineage_retention
-                + self.resident_bytes[exec] as f64 * cost.state_snapshot_retention
-                + lineage_fixed;
+            // Lineage growth: the in-memory share of retained shuffle data
+            // and the fixed per-superstep bookkeeping that accumulates until
+            // job end.
+            self.retained_bytes[exec] += shuffle_per_exec * cost.lineage_retention + lineage_fixed;
             // JVM object overhead applies to live data structures; retained
             // bookkeeping is counted at face value.
             let demand_gb = (self.resident_bytes[exec] as f64 * cost.memory_overhead_factor
@@ -519,7 +497,7 @@ impl ClusterSim {
         //     completed checkpoint cuts the recomputation chain, releasing
         //     retained lineage and zeroing the replay window. ---
         self.since_checkpoint_secs += superstep_secs;
-        if self.checkpoint_interval > 0 && (step + 1) % self.checkpoint_interval == 0 {
+        if scen.checkpoint_interval > 0 && (step + 1) % scen.checkpoint_interval == 0 {
             let total_resident: u64 = self.resident_bytes.iter().sum();
             let largest = self.resident_bytes.iter().copied().max().unwrap_or(0) as f64;
             let write_secs = largest / (cfg.storage.write_mbps() * 1e6);
@@ -1188,15 +1166,11 @@ mod tests {
         };
         let mut reused = ClusterSim::new(scenario_cluster(scen), 8);
         let first = charge(&mut reused);
-        reused.set_checkpoint_interval(1); // per-run override must not survive reset
         reused.reset();
         let second = charge(&mut reused);
         let fresh = charge(&mut ClusterSim::new(scenario_cluster(scen), 8));
         assert_eq!(first, fresh);
-        assert_eq!(
-            second, fresh,
-            "drifted clocks, replay window, and interval override must reset"
-        );
+        assert_eq!(second, fresh, "drifted clocks and replay window must reset");
     }
 
     #[test]

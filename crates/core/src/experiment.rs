@@ -187,10 +187,11 @@ impl ExperimentResult {
 /// cut is materialized exactly once and reused across the cells that share
 /// it. Cells run with one-shot billing
 /// ([`Workspace::run_job_isolated`](crate::session::Workspace::run_job_isolated)),
-/// so each observation is bit-identical to what a standalone
-/// [`Algorithm::run`] would have measured. Metrics of failed cells come
-/// from the memoized cut — the partitioning *actually executed* (for TR
-/// that is the canonical graph's cut) — with no extra assignment pass.
+/// so each observation is bit-identical to the first dispatch of the same
+/// cell in a fresh workspace: sharing a cut changes no cell. Metrics of
+/// failed cells come from the memoized cut — the partitioning *actually
+/// executed* (for TR that is the canonical graph's cut) — with no extra
+/// assignment pass.
 pub fn run_experiment(algorithm: &Algorithm, config: &ExperimentConfig) -> ExperimentResult {
     let cluster = if config.scale_memory {
         config.cluster.clone().with_memory_scale(config.scale)

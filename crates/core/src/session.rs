@@ -2,10 +2,12 @@
 //! mixed-algorithm workloads.
 //!
 //! The paper's thesis is that *different computations want different cuts*.
-//! A one-shot `Algorithm::run` can prove that, but a deployment serving
-//! heavy traffic needs to *exploit* it: many jobs arrive against the same
-//! loaded graph, and the right unit of caching is the **(graph, cut)
-//! pair**, amortized across every job that shares it.
+//! A deployment serving heavy traffic needs to *exploit* it: many jobs
+//! arrive against the same loaded graph, and the right unit of caching is
+//! the **(graph, cut) pair**, amortized across every job that shares it.
+//! The workspace is also the only way a job runs at all: a one-shot grid
+//! cell ([`Workspace::run_job_isolated`]) and a served job
+//! ([`Workspace::run_job_with`]) take the same path through the cache.
 //!
 //! [`Workspace`] owns one loaded [`Graph`] and memoizes, per
 //! [`CutKey`] (strategy × granularity × canonical-orientation flag):
@@ -34,7 +36,7 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
-use cutfit_algorithms::triangles::{canonicalize, triangle_count_partitioned};
+use cutfit_algorithms::triangles::canonicalize;
 use cutfit_algorithms::Algorithm;
 use cutfit_cluster::{ClusterConfig, ClusterSim, SimError, SimReport};
 use cutfit_engine::{ExecutorMode, PreparedRun};
@@ -324,16 +326,14 @@ impl WorkloadReport {
 struct CutEntry {
     pg: Arc<PartitionedGraph>,
     metrics: PartitionMetrics,
-    /// Built on the first Pregel dispatch against this cut — Triangle
-    /// Count never touches the routing index, so a TR-only cut (the
-    /// common canonical case) skips the build entirely, mirroring the
-    /// one-shot path's special case.
+    /// Built by [`Algorithm::run_on_cut`] on the first Pregel dispatch
+    /// against this cut, so a TR-only cut (the common canonical case) never
+    /// builds one.
     prepared: Option<PreparedRun>,
 }
 
 impl CutEntry {
-    /// Dispatches `algorithm` on this cut, materializing the engine
-    /// handle lazily for the Pregel programs that need it.
+    /// Dispatches `algorithm` on this cut.
     fn dispatch(
         &mut self,
         algorithm: &Algorithm,
@@ -342,19 +342,14 @@ impl CutEntry {
         executor: ExecutorMode,
         charge_load: bool,
     ) -> Result<(SimReport, u64), SimError> {
-        if matches!(algorithm, Algorithm::Triangles) {
-            let r = triangle_count_partitioned(&self.pg, cluster, charge_load)?;
-            return Ok((r.sim, 4));
-        }
-        let prepared = match &mut self.prepared {
-            Some(p) => p,
-            None => self.prepared.insert(PreparedRun::new(
-                self.pg.clone(),
-                cluster,
-                prepared_executor,
-            )),
-        };
-        algorithm.run_prepared(prepared, executor, charge_load)
+        algorithm.run_on_cut(
+            &self.pg,
+            &mut self.prepared,
+            cluster,
+            prepared_executor,
+            executor,
+            charge_load,
+        )
     }
 }
 
@@ -556,25 +551,6 @@ impl Workspace {
         self
     }
 
-    /// Replaces the cluster's degradation scenario (heterogeneity,
-    /// stragglers, drift, contention, failures + checkpointing). Every job
-    /// and every session-level charge from here on is billed under the
-    /// scenario; results stay bit-identical, only costs change.
-    ///
-    /// # Panics
-    /// Construction-time builder: panics if the session has already loaded
-    /// the graph or materialized a cut (their `PreparedRun` sims would keep
-    /// billing under the old scenario).
-    pub fn with_scenario(mut self, scenario: cutfit_cluster::ScenarioConfig) -> Self {
-        assert!(
-            !self.loaded && self.cache.cuts.is_empty(),
-            "with_scenario must be applied before any job is served"
-        );
-        self.cluster.scenario = scenario;
-        self.session = ClusterSim::new(self.cluster.clone(), self.cluster.executors);
-        self
-    }
-
     /// Simulated cost of advisory probes run so far (always 0 under
     /// [`AdviceMode::Measured`]).
     pub fn advice_seconds(&self) -> f64 {
@@ -708,13 +684,13 @@ impl Workspace {
         }
     }
 
-    /// Dispatches one fixed-cut job with **one-shot billing** — the initial
-    /// load is charged to the job and no session-level accounting happens —
-    /// so the outcome is bit-identical (time, metrics, supersteps) to
-    /// [`Algorithm::run`] on a fresh graph, while still sharing the
-    /// session's memoized materializations. The experiment grid
-    /// ([`crate::experiment::run_experiment`]) runs every cell through
-    /// this.
+    /// Dispatches one fixed-cut job with **one-shot billing**: the initial
+    /// load is charged to the job and no session-level accounting happens.
+    /// The outcome (time, metrics, supersteps) is therefore the same
+    /// whether the cut was a cache miss or a hit, and whatever ran on it
+    /// before. This is how a grid cell runs — the experiment grid
+    /// ([`crate::experiment::run_experiment`]) and the ablation binaries
+    /// run every cell through it.
     pub fn run_job_isolated(
         &mut self,
         algorithm: &Algorithm,
@@ -857,34 +833,25 @@ mod tests {
     }
 
     #[test]
-    fn isolated_dispatch_matches_one_shot_run() {
-        let g = small_graph();
-        let cluster = ClusterConfig::paper_cluster();
+    fn isolated_dispatch_bills_every_cell_and_cuts_tr_canonically() {
+        // On a symmetric graph, canonicalization drops the reverse edges.
+        let mut ws = Workspace::new(
+            small_graph().symmetrized(),
+            ClusterConfig::paper_cluster(),
+            ExecutorMode::Sequential,
+        );
+        let mut edges = BTreeMap::new();
         for algo in Algorithm::paper_suite(7) {
-            let fresh = algo
-                .run(
-                    &g,
-                    &GraphXStrategy::EdgePartition2D,
-                    8,
-                    &cluster,
-                    ExecutorMode::Sequential,
-                )
-                .unwrap();
-            let mut ws = ws(ExecutorMode::Sequential);
-            // Dispatch twice: miss, then hit — both must equal the fresh run.
-            for round in 0..2 {
-                let job = ws.run_job_isolated(&algo, GraphXStrategy::EdgePartition2D, 8);
-                assert_eq!(job.cache_hit, round == 1, "{}", algo.abbrev());
-                assert_eq!(
-                    job.result.as_ref().unwrap(),
-                    &fresh.sim,
-                    "{}",
-                    algo.abbrev()
-                );
-                assert_eq!(job.supersteps, fresh.supersteps);
-                assert_eq!(job.metrics, fresh.metrics);
-            }
+            let job = ws.run_job_isolated(&algo, GraphXStrategy::EdgePartition2D, 8);
+            assert!(job.time_s().is_some_and(|t| t > 0.0), "{}", algo.abbrev());
+            assert!(job.supersteps > 0, "{}", algo.abbrev());
+            edges.insert(job.algorithm, job.metrics.edges);
         }
+        assert_eq!(edges["PR"], edges["CC"], "PR and CC share the raw cut");
+        assert!(
+            edges["TR"] < edges["PR"],
+            "TR cuts the canonical orientation"
+        );
     }
 
     #[test]
@@ -1135,8 +1102,12 @@ mod tests {
             Job::fixed(pr.clone(), GraphXStrategy::SourceCut, 8),
             Job::fixed(pr.clone(), GraphXStrategy::DestinationCut, 8),
         ];
+        let messy_ws = || {
+            let cluster = ClusterConfig::paper_cluster().with_scenario(ScenarioConfig::messy(31));
+            Workspace::new(small_graph(), cluster, ExecutorMode::Sequential)
+        };
         let mut clean = ws(ExecutorMode::Sequential);
-        let mut messy = ws(ExecutorMode::Sequential).with_scenario(ScenarioConfig::messy(31));
+        let mut messy = messy_ws();
         let rc = clean.run_workload(&jobs);
         let rm = messy.run_workload(&jobs);
         assert_eq!(rc.failures(), 0);
@@ -1150,7 +1121,7 @@ mod tests {
         }
         assert!(rm.total_seconds() > rc.total_seconds());
         // And the degraded session is itself deterministic.
-        let mut again = ws(ExecutorMode::Sequential).with_scenario(ScenarioConfig::messy(31));
+        let mut again = messy_ws();
         let ra = again.run_workload(&jobs);
         for (a, b) in rm.jobs.iter().zip(&ra.jobs) {
             assert_eq!(a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
@@ -1169,7 +1140,8 @@ mod tests {
             checkpoint_interval: 2,
             ..Default::default()
         };
-        let mut ws = ws(ExecutorMode::Sequential).with_scenario(scen);
+        let cluster = ClusterConfig::paper_cluster().with_scenario(scen);
+        let mut ws = Workspace::new(small_graph(), cluster, ExecutorMode::Sequential);
         let report = ws.run_workload(&[Job::fixed(
             Algorithm::PageRank { iterations: 3 },
             GraphXStrategy::SourceCut,

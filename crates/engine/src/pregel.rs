@@ -137,14 +137,6 @@ pub struct PregelConfig {
     pub executor: ExecutorMode,
     /// Whether to charge the initial dataset load from storage.
     pub charge_initial_load: bool,
-    /// Per-run override of the cluster scenario's checkpoint interval:
-    /// `Some(n)` checkpoints every `n` supersteps (`Some(0)` disables),
-    /// `None` defers to `ClusterConfig::scenario.checkpoint_interval`.
-    /// Checkpoints are billed at superstep boundaries and truncate retained
-    /// shuffle lineage — the `checkpointInterval` knob that keeps
-    /// high-superstep jobs (the paper's SSSP) from lineage OOM, at a
-    /// storage-write cost per checkpoint.
-    pub checkpoint_interval: Option<u64>,
     /// How converging programs scan edges once activity drops; every mode
     /// is bit-identical in states and [`SimReport`] (the frontier walk takes
     /// the same edges, merges in the same per-slot order and meters the
@@ -158,7 +150,6 @@ impl Default for PregelConfig {
             max_iterations: 100,
             executor: ExecutorMode::Sequential,
             charge_initial_load: true,
-            checkpoint_interval: None,
             scan_mode: ScanMode::Auto,
         }
     }
@@ -755,9 +746,6 @@ fn execute<P: VertexProgram>(
     // from its frontier; everything else takes the dense paths throughout.
     let plans_frontier = !all_active && opts.scan_mode != ScanMode::Dense;
 
-    if let Some(every) = opts.checkpoint_interval {
-        sim.set_checkpoint_interval(every);
-    }
     if opts.charge_initial_load {
         sim.charge_load(cutfit_cluster::load_bytes(n, pg.num_edges()));
     }
@@ -1869,9 +1857,6 @@ mod tests {
         let (home, exec_of_part) = (&index.home, &index.exec_of_part);
         let overhead = cluster.cost.message_overhead_bytes;
         let mut sim = ClusterSim::new(cluster.clone(), pg.num_parts());
-        if let Some(every) = opts.checkpoint_interval {
-            sim.set_checkpoint_interval(every);
-        }
         if opts.charge_initial_load {
             sim.charge_load(cutfit_cluster::load_bytes(n, pg.num_edges()));
         }
@@ -2499,47 +2484,5 @@ mod tests {
             assert_eq!(r.states, seq.states, "{mode:?}");
             assert_eq!(r.sim, seq.sim, "fault schedule must be mode-invariant");
         }
-    }
-
-    #[test]
-    fn checkpoint_interval_override_bills_checkpoints_on_any_cluster() {
-        let g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 9);
-        let pg = GraphXStrategy::RandomVertexCut.partition(&g, 8);
-        let plain = run_pregel(&MaxLabel, &pg, &cfg(), &PregelConfig::default()).unwrap();
-        let opts = PregelConfig {
-            checkpoint_interval: Some(2),
-            ..Default::default()
-        };
-        let ckpt = run_pregel(&MaxLabel, &pg, &cfg(), &opts).unwrap();
-        assert_eq!(plain.states, ckpt.states);
-        assert_eq!(plain.sim.checkpoint_bytes, 0);
-        assert!(
-            ckpt.sim.checkpoint_bytes > 0,
-            "resident state is snapshotted"
-        );
-        assert!(ckpt.sim.checkpoint_seconds > 0.0);
-        assert!(ckpt.sim.total_seconds > plain.sim.total_seconds);
-    }
-
-    #[test]
-    fn prepared_run_does_not_leak_checkpoint_override_across_dispatches() {
-        let g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 8);
-        let pg = Arc::new(GraphXStrategy::RandomVertexCut.partition(&g, 8));
-        let plain = run_pregel(&MaxLabel, &pg, &cfg(), &PregelConfig::default()).unwrap();
-        let mut prepared = PreparedRun::new(pg, &cfg(), ExecutorMode::Sequential);
-        let with_ckpt = prepared
-            .run(
-                &MaxLabel,
-                &PregelConfig {
-                    checkpoint_interval: Some(1),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        assert!(with_ckpt.sim.checkpoint_bytes > 0);
-        // The next dispatch without the override is bit-identical to fresh.
-        let after = prepared.run(&MaxLabel, &PregelConfig::default()).unwrap();
-        assert_eq!(after.sim, plain.sim);
-        assert_eq!(after.states, plain.states);
     }
 }

@@ -144,7 +144,7 @@ mod tests {
         let mut edges = Vec::new();
         for a in 0..n {
             for b in 0..n {
-                if a != b && cutfit_util::hash::hash_pair(a, b).is_multiple_of(7) {
+                if a != b && cutfit_util::hash::hash_pair(a, b) % 7 == 0 {
                     edges.push(Edge::new(a, b));
                 }
             }

@@ -35,4 +35,4 @@ pub use metrics::{MetricKind, MetricsAccumulator, PartitionMetrics};
 pub use partitioned::{EdgePartition, PartitionedGraph, RoutingTable, NO_PART};
 pub use strategy::{all_partitioners, Partitioner, Rule};
 pub use streaming::{Dbh, GreedyVertexCut, Hdrf, HybridCut};
-pub use sweep::{assign_all, assign_all_source, sweep_metrics, sweep_metrics_source};
+pub use sweep::{assign_all, sweep_metrics, sweep_metrics_source};

@@ -111,31 +111,6 @@ pub fn sweep_metrics(
     shards.into_iter().flatten().collect()
 }
 
-/// [`assign_all`] over a chunked [`GraphSource`]: every candidate strategy
-/// judges every edge while the chunk is hot, and `sink` receives
-/// `(strategy index, edges, assignments)` per (chunk × strategy) — discard
-/// them and peak edge memory stays O(chunk), never O(E).
-///
-/// For each strategy, the concatenation of its sunk assignment slices is
-/// bit-identical to `assign_all(&materialized, …)[k]` at any chunk size
-/// (the source delivers the same edge order; each decision is a pure
-/// function of the edge).
-pub fn assign_all_source(
-    source: &dyn GraphSource,
-    strategies: &[GraphXStrategy],
-    num_parts: PartId,
-    chunk_edges: usize,
-    sink: &mut dyn FnMut(usize, &[Edge], &[PartId]),
-) -> Result<StreamStats, ParseError> {
-    let mut buf: Vec<PartId> = Vec::new();
-    source.for_each_chunk(chunk_edges, &mut |chunk| {
-        for (k, &strategy) in strategies.iter().enumerate() {
-            assign_chunk(strategy, chunk, num_parts, &mut buf);
-            sink(k, chunk, &buf);
-        }
-    })
-}
-
 /// Refills `buf` with `strategy`'s verdict on every edge of `chunk`.
 fn assign_chunk(
     strategy: GraphXStrategy,
@@ -244,23 +219,6 @@ mod tests {
             assert_eq!(m.part_stdev, 0.0);
         }
         assert!(assign_all(&g, &[], 8, 2).is_empty());
-    }
-
-    #[test]
-    fn assign_all_source_matches_resident_at_any_chunk_size() {
-        let g = graph();
-        let strategies = GraphXStrategy::all();
-        let resident = assign_all(&g, &strategies, 16, 1);
-        for chunk in [1usize, 97, 1024, 1 << 20] {
-            let mut streamed: Vec<Vec<PartId>> = strategies.iter().map(|_| Vec::new()).collect();
-            let stats = assign_all_source(&g, &strategies, 16, chunk, &mut |k, es, ps| {
-                assert_eq!(es.len(), ps.len());
-                streamed[k].extend_from_slice(ps);
-            })
-            .unwrap();
-            assert_eq!(stats.edges, g.num_edges());
-            assert_eq!(streamed, resident, "chunk={chunk}");
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ pub fn thousands(n: u64) -> String {
     let bytes = digits.as_bytes();
     let mut out = String::with_capacity(digits.len() + digits.len() / 3);
     for (i, &b) in bytes.iter().enumerate() {
-        if i > 0 && (bytes.len() - i).is_multiple_of(3) {
+        if i > 0 && (bytes.len() - i) % 3 == 0 {
             out.push(',');
         }
         out.push(b as char);

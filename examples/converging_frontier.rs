@@ -39,9 +39,6 @@ fn race(
         let opts = PregelConfig {
             executor: ExecutorMode::Sequential,
             scan_mode,
-            // Hundred-superstep runs accrue shuffle lineage; periodic
-            // checkpoints truncate it so the simulated cluster doesn't OOM.
-            checkpoint_interval: Some(25),
             ..Default::default()
         };
         let wall = Instant::now();
@@ -91,7 +88,10 @@ fn main() {
         .nth(3)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.05);
-    let cluster = ClusterConfig::paper_cluster();
+    // Hundred-superstep runs accrue shuffle lineage; periodic checkpoints
+    // truncate it so the simulated cluster doesn't OOM.
+    let mut cluster = ClusterConfig::paper_cluster();
+    cluster.scenario.checkpoint_interval = 25;
 
     // ---- Part one: the collapse, traced on a scale-free graph ----------
     let config = cutfit::datagen::RmatConfig {

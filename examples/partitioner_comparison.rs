@@ -60,7 +60,7 @@ fn main() {
         let pr = cutfit::algorithms::pagerank(&pg, &cluster, 10, &Default::default())
             .expect("fits in memory");
         let t = pr.sim.total_seconds;
-        if best.is_none_or(|(_, bt)| t < bt) {
+        if best.map_or(true, |(_, bt)| t < bt) {
             best = Some((strategy, t));
         }
         table.row([

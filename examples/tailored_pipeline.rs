@@ -9,11 +9,10 @@
 use cutfit::prelude::*;
 use cutfit::util::fmt::human_seconds;
 
-fn run(algo: &Algorithm, graph: &Graph, strategy: GraphXStrategy, cluster: &ClusterConfig) -> f64 {
-    algo.run(graph, &strategy, 128, cluster, ExecutorMode::Sequential)
+fn time_s(ws: &mut Workspace, algo: &Algorithm, strategy: GraphXStrategy) -> f64 {
+    ws.run_job_isolated(algo, strategy, 128)
+        .time_s()
         .expect("fits in memory")
-        .sim
-        .total_seconds
 }
 
 fn main() {
@@ -59,9 +58,10 @@ fn main() {
                 .join(", ")
         );
 
-        // Verify against the naive default.
-        let t_default = run(&algo, &graph, GraphXStrategy::RandomVertexCut, &cluster);
-        let t_tailored = run(&algo, &graph, measured.strategy, &cluster);
+        // Verify against the naive default, one-shot billing for both runs.
+        let mut ws = Workspace::new(graph, cluster.clone(), ExecutorMode::Sequential);
+        let t_default = time_s(&mut ws, &algo, GraphXStrategy::RandomVertexCut);
+        let t_tailored = time_s(&mut ws, &algo, measured.strategy);
         println!(
             "runtime: RVC default {}, tailored {} -> {:.1}% {}\n",
             human_seconds(t_default),

@@ -160,7 +160,8 @@ fn sssp_allocates_per_message_never_per_applied_vertex() {
     const SIDE: u64 = 80;
     const PARTS: u32 = 4;
     let pg = Arc::new(GraphXStrategy::EdgePartition2D.partition(&grid(SIDE), PARTS));
-    let cluster = ClusterConfig::paper_cluster();
+    let mut cluster = ClusterConfig::paper_cluster();
+    cluster.scenario.checkpoint_interval = 25;
     // Four corners and the centre: five wavefronts cross every vertex.
     let last = SIDE * SIDE - 1;
     let landmarks = vec![0, SIDE - 1, last - (SIDE - 1), last, last / 2 + SIDE / 2];
@@ -171,7 +172,6 @@ fn sssp_allocates_per_message_never_per_applied_vertex() {
     let opts = |max_iterations| PregelConfig {
         max_iterations,
         executor: ExecutorMode::Sequential,
-        checkpoint_interval: Some(25),
         ..Default::default()
     };
     let mut prepared = PreparedRun::new(pg, &cluster, ExecutorMode::Sequential);

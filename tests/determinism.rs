@@ -37,28 +37,15 @@ fn simulated_bill_is_reproducible() {
 fn parallel_executor_is_bit_identical_for_every_algorithm() {
     let graph = DatasetProfile::pocek().generate(0.002, 3);
     let cluster = ClusterConfig::paper_cluster();
+    let mut seq_ws = Workspace::new(graph.clone(), cluster.clone(), ExecutorMode::Sequential);
+    let mut par_ws = Workspace::new(graph, cluster, ExecutorMode::Parallel { threads: 8 });
     for algo in Algorithm::paper_suite(17) {
-        let seq = algo
-            .run(
-                &graph,
-                &GraphXStrategy::CanonicalRandomVertexCut,
-                32,
-                &cluster,
-                ExecutorMode::Sequential,
-            )
-            .expect("fits");
-        let par = algo
-            .run(
-                &graph,
-                &GraphXStrategy::CanonicalRandomVertexCut,
-                32,
-                &cluster,
-                ExecutorMode::Parallel { threads: 8 },
-            )
-            .expect("fits");
+        let strategy = GraphXStrategy::CanonicalRandomVertexCut;
+        let seq = seq_ws.run_job_isolated(&algo, strategy, 32);
+        let par = par_ws.run_job_isolated(&algo, strategy, 32);
         assert_eq!(
-            seq.sim,
-            par.sim,
+            seq.result.expect("fits"),
+            par.result.expect("fits"),
             "{}: parallel scan must not change the metered bill",
             algo.abbrev()
         );

