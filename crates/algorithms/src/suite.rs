@@ -104,9 +104,11 @@ impl Algorithm {
             Algorithm::ConnectedComponents { .. } => {
                 Algorithm::ConnectedComponents { max_iterations: 3 }
             }
-            // TR's cost is concentrated in its fixed four phases; the probe
-            // is the job itself (callers should prefer the metric mode when
-            // that is too expensive).
+            // TR's four phases are fixed, so there is no shorter run: the
+            // probe is the job, and its simulated bill is the job's. Its wall
+            // time is one full pass over flat arrays (a neighbour CSR build,
+            // one row intersection per edge); the metric mode avoids even
+            // that.
             Algorithm::Triangles => Algorithm::Triangles,
             Algorithm::Sssp {
                 num_landmarks,

@@ -1,11 +1,12 @@
 //! Compressed sparse row adjacency built from an edge list.
 //!
-//! Analyses that walk neighbourhoods (BFS, triangles, SCC) and the
-//! algorithms' sequential oracles need O(1) access to a vertex's
-//! neighbours; [`Csr`] provides that with two flat arrays and is built in
-//! O(V + E) by counting sort: exact per-vertex counts, one prefix sum, one
-//! stable scatter into a single exactly-sized allocation. Neighbour lists
-//! are sorted so that set intersections (triangle counting) can run by
+//! Analyses that walk neighbourhoods (BFS, triangles, SCC), the
+//! algorithms' sequential oracles and Triangle Count's partitioned dataflow
+//! (over a cut's edges, via [`Csr::undirected_of`]) need O(1) access to a
+//! vertex's neighbours; [`Csr`] provides that with two flat arrays and is
+//! built in O(V + E) by counting sort: exact per-vertex counts, one prefix
+//! sum, one stable scatter into a single exactly-sized allocation. Neighbour
+//! lists are sorted so that set intersections (triangle counting) can run by
 //! linear merge.
 
 use crate::graph::Graph;
@@ -24,36 +25,49 @@ pub struct Csr {
 impl Csr {
     /// Builds out-neighbour adjacency (`v -> {w : (v, w) in E}`).
     pub fn out_of(graph: &Graph) -> Self {
-        Self::build(graph, |e| (1, [(e.src, e.dst), (0, 0)]))
+        Self::build(graph.num_vertices(), graph.edges().iter().copied(), |e| {
+            (1, [(e.src, e.dst), (0, 0)])
+        })
     }
 
     /// Builds in-neighbour adjacency (`v -> {u : (u, v) in E}`).
     pub fn in_of(graph: &Graph) -> Self {
-        Self::build(graph, |e| (1, [(e.dst, e.src), (0, 0)]))
+        Self::build(graph.num_vertices(), graph.edges().iter().copied(), |e| {
+            (1, [(e.dst, e.src), (0, 0)])
+        })
     }
 
     /// Builds undirected adjacency over the *simple* version of the graph:
     /// both directions merged, duplicates and self-loops removed.
     pub fn undirected_simple_of(graph: &Graph) -> Self {
-        let mut csr = Self::build(graph, |e| {
-            if e.is_loop() {
-                (0, [(0, 0), (0, 0)])
-            } else {
-                (2, [(e.src, e.dst), (e.dst, e.src)])
-            }
-        });
+        let edges = graph.edges().iter().copied().filter(|e| !e.is_loop());
+        let mut csr = Self::undirected_of(graph.num_vertices(), edges);
         csr.dedup_neighbors();
         csr
     }
 
-    /// Counting-sort construction: `pairs_of` maps an edge to its 0–2
-    /// adjacency entries. Count, prefix-sum, scatter, then sort each
-    /// vertex's block.
-    fn build(graph: &Graph, pairs_of: impl Fn(&Edge) -> Pairs) -> Self {
-        let n = graph.num_vertices() as usize;
+    /// Builds undirected adjacency over `edges` exactly as given: each edge
+    /// enters both endpoints' rows, so a repeated pair repeats a neighbour
+    /// and a self-loop puts its vertex twice in its own row. Over a simple
+    /// edge list every row is strictly increasing.
+    pub fn undirected_of(num_vertices: u64, edges: impl Iterator<Item = Edge> + Clone) -> Self {
+        Self::build(num_vertices, edges, |e| {
+            (2, [(e.src, e.dst), (e.dst, e.src)])
+        })
+    }
+
+    /// Counting-sort construction over `edges` (walked twice): `pairs_of`
+    /// maps an edge to its one or two adjacency entries. Count, prefix-sum,
+    /// scatter, then sort each vertex's block.
+    fn build(
+        num_vertices: u64,
+        edges: impl Iterator<Item = Edge> + Clone,
+        pairs_of: impl Fn(&Edge) -> Pairs,
+    ) -> Self {
+        let n = num_vertices as usize;
         let mut offsets = vec![0u64; n + 1];
-        for e in graph.edges() {
-            let (k, ps) = pairs_of(e);
+        for e in edges.clone() {
+            let (k, ps) = pairs_of(&e);
             for &(s, _) in &ps[..k] {
                 offsets[s as usize + 1] += 1;
             }
@@ -64,8 +78,8 @@ impl Csr {
 
         let mut cursor = offsets.clone();
         let mut targets = vec![0 as VertexId; offsets[n] as usize];
-        for e in graph.edges() {
-            let (k, ps) = pairs_of(e);
+        for e in edges {
+            let (k, ps) = pairs_of(&e);
             for &(s, d) in &ps[..k] {
                 let c = &mut cursor[s as usize];
                 targets[*c as usize] = d;
@@ -208,6 +222,20 @@ mod tests {
         assert_eq!(csr.neighbors(1), &[0, 2]);
         assert_eq!(csr.neighbors(2), &[1]);
         assert_eq!(csr.num_entries(), 4);
+    }
+
+    #[test]
+    fn undirected_keeps_loops_and_repeats() {
+        let edges = [
+            Edge::new(0, 1),
+            Edge::new(1, 0),
+            Edge::new(2, 2),
+            Edge::new(1, 2),
+        ];
+        let csr = Csr::undirected_of(3, edges.iter().copied());
+        assert_eq!(csr.neighbors(0), &[1, 1]);
+        assert_eq!(csr.neighbors(1), &[0, 0, 2]);
+        assert_eq!(csr.neighbors(2), &[1, 2, 2]);
     }
 
     #[test]

@@ -87,15 +87,30 @@ proptest! {
 
     #[test]
     fn csr_roundtrips_the_edge_multiset(graph in arb_graph()) {
-        let csr = Csr::out_of(&graph);
-        let mut original: Vec<(u64, u64)> =
-            graph.edges().iter().map(|e| (e.src, e.dst)).collect();
-        let mut rebuilt: Vec<(u64, u64)> = (0..graph.num_vertices())
-            .flat_map(|v| csr.neighbors(v).iter().map(move |&w| (v, w)))
-            .collect();
-        original.sort_unstable();
-        rebuilt.sort_unstable();
-        prop_assert_eq!(original, rebuilt);
+        // Rows read in vertex order: sorted rows make the pairs sorted too.
+        let rows = |csr: &Csr| -> Vec<(u64, u64)> {
+            (0..graph.num_vertices())
+                .flat_map(|v| csr.neighbors(v).iter().map(move |&w| (v, w)))
+                .collect()
+        };
+        let sorted = |mut pairs: Vec<(u64, u64)>| {
+            pairs.sort_unstable();
+            pairs
+        };
+        let edges = graph.edges();
+        let out = sorted(edges.iter().map(|e| (e.src, e.dst)).collect());
+        let inn = sorted(edges.iter().map(|e| (e.dst, e.src)).collect());
+        let both = sorted(out.iter().chain(&inn).copied().collect());
+        let mut simple = both.clone();
+        simple.retain(|(a, b)| a != b);
+        simple.dedup();
+        prop_assert_eq!(rows(&Csr::out_of(&graph)), out);
+        prop_assert_eq!(rows(&Csr::in_of(&graph)), inn);
+        prop_assert_eq!(
+            rows(&Csr::undirected_of(graph.num_vertices(), edges.iter().copied())),
+            both
+        );
+        prop_assert_eq!(rows(&Csr::undirected_simple_of(&graph)), simple);
     }
 
     #[test]

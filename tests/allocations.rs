@@ -6,7 +6,9 @@
 //! `Vec` — plus a constant per superstep and per partition: nothing per
 //! applied vertex, because `apply` updates a row of the flat state column in
 //! place. An always-active program on a warm [`PreparedRun`] (PageRank)
-//! allocates O(partitions) per superstep, never O(vertices).
+//! allocates O(partitions) per superstep, never O(vertices). Triangle
+//! Count's four-phase dataflow allocates O(partitions) per run: flat
+//! columns and one neighbour CSR, never a set per (partition, vertex).
 //!
 //! The allocator also notes the largest single request, which referees
 //! untrusted input: opening a container whose header lies about its edge
@@ -21,6 +23,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use cutfit::algorithms::triangles::{canonicalize, triangle_count_partitioned};
 use cutfit::algorithms::{PageRank, Sssp};
 use cutfit::engine::InitCtx;
 use cutfit::graph::io::ParseError;
@@ -230,6 +233,30 @@ fn warm_pagerank_allocates_by_partition_not_by_vertex() {
         short <= 10 * floor,
         "{short} allocations in a two-superstep job"
     );
+}
+
+#[test]
+fn triangle_count_allocates_by_partition_not_by_vertex() {
+    let g = canonicalize(&cutfit::datagen::rmat(
+        &cutfit::datagen::RmatConfig::default(),
+        12,
+    ));
+    let cluster = ClusterConfig::paper_cluster();
+    for parts in [8u32, 64] {
+        let pg = GraphXStrategy::EdgePartition2D.partition(&g, parts);
+        let (allocations, r) =
+            allocations_of(|| triangle_count_partitioned(&pg, &cluster, true).expect("fits"));
+        assert!(r.total > 0);
+        let floor = 2 * u64::from(parts) + SLACK;
+        assert!(
+            allocations <= floor,
+            "{allocations} allocations on {parts} partitions (floor {floor})"
+        );
+        // The bound can tell: one set per (partition, local vertex) would
+        // be many floors deep.
+        let replicas = pg.routing().total_replicas();
+        assert!(replicas > 8 * floor, "{replicas} replicas against {floor}");
+    }
 }
 
 /// A container header declaring `num_edges`, with a valid checksum, followed

@@ -2,6 +2,7 @@
 //! execution must compute exactly what the sequential references compute,
 //! for arbitrary graphs and partitionings.
 
+use cutfit::partition::all_partitioners;
 use cutfit::prelude::*;
 use cutfit_algorithms::{reference_components, reference_sssp, sssp, Sssp};
 use cutfit_graph::analysis::count_triangles;
@@ -43,11 +44,13 @@ proptest! {
     #[test]
     fn triangles_equal_oracle(
         graph in arb_graph(),
-        strategy in arb_strategy(),
+        partitioner in 0..all_partitioners().len(),
         num_parts in 1u32..32,
     ) {
-        let r = triangle_count(&graph, &strategy, num_parts, &cluster()).expect("fits");
-        prop_assert_eq!(r.total, count_triangles(&graph));
+        let partitioner = &all_partitioners()[partitioner];
+        let r = triangle_count(&graph, partitioner.as_ref(), num_parts, &cluster())
+            .expect("fits");
+        prop_assert_eq!(r.total, count_triangles(&graph), "{}", partitioner.name());
         let sum: u64 = r.per_vertex.iter().sum();
         prop_assert_eq!(sum, 3 * r.total);
     }
