@@ -40,8 +40,6 @@ pub struct Recommendation {
     pub strategy: GraphXStrategy,
     /// The metric this algorithm class should optimise.
     pub metric: MetricKind,
-    /// Granularity advice.
-    pub granularity: GranularityHint,
     /// Human-readable justification quoting the underlying rule.
     pub rationale: String,
 }
@@ -64,6 +62,12 @@ pub struct MeasuredChoice {
 /// The shared definition lives in [`cutfit_util::num::nan_last_cmp`]; this
 /// alias keeps the advisor's call sites reading as ranking.
 use cutfit_util::num::nan_last_cmp as rank_order;
+
+/// The one ranking rule of every advice mode: ascending by score, stable so
+/// ties keep candidate (paper table) order, NaN (a failed measurement) last.
+pub(crate) fn rank<T>(ranking: &mut [(T, f64)]) {
+    ranking.sort_by(|a, b| rank_order(a.1, b.1));
+}
 
 /// The tailoring advisor.
 ///
@@ -121,7 +125,6 @@ impl Advisor {
                 Recommendation {
                     strategy,
                     metric: MetricKind::CommCost,
-                    granularity: GranularityHint::Fine,
                     rationale: format!(
                         "edge-bound computation: optimise CommCost; {} edges is {} the \
                          large-dataset threshold ({}), so {} ({} partitions requested)",
@@ -140,7 +143,6 @@ impl Advisor {
             AlgorithmClass::VertexStateBound => Recommendation {
                 strategy: GraphXStrategy::CanonicalRandomVertexCut,
                 metric: MetricKind::Cut,
-                granularity: GranularityHint::Fine,
                 rationale: format!(
                     "per-vertex-state-bound computation: compare partitioners by Cut \
                      vertices; CRVC collocates both edge directions and wins most \
@@ -203,7 +205,7 @@ impl Advisor {
             .zip(&measured)
             .map(|(&s, metrics)| (s, metrics.get(metric)))
             .collect();
-        ranking.sort_by(|a, b| rank_order(a.1, b.1));
+        rank(&mut ranking);
         MeasuredChoice {
             strategy: ranking[0].0,
             metric,

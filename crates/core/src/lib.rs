@@ -44,8 +44,7 @@ pub mod prelude {
     };
     pub use cutfit_datagen::{DatasetProfile, ProfileKind};
     pub use cutfit_engine::{
-        run_pregel, ExecutorMode, Messages, PregelConfig, PreparedRun, ScanMode, Triplet,
-        VertexProgram,
+        run_pregel, ExecutorMode, Messages, PregelConfig, PreparedRun, Triplet, VertexProgram,
     };
     pub use cutfit_graph::{Edge, Graph, GraphBuilder, VertexId};
     pub use cutfit_partition::{

@@ -45,7 +45,7 @@ use cutfit_graph::Graph;
 use cutfit_partition::{GraphXStrategy, PartitionMetrics, PartitionedGraph, Partitioner};
 use cutfit_util::table::{Align, AsciiTable};
 
-use crate::advisor::{Advisor, GranularityHint};
+use crate::advisor::{rank, Advisor, GranularityHint};
 
 /// Cache key of one materialized cut: which strategy, how many partitions,
 /// and whether the cut is over the canonical orientation of the graph
@@ -786,35 +786,31 @@ impl Workspace {
     /// Ranks every candidate by the simulated time of the algorithm's own
     /// short probe ([`Algorithm::probe`]) dispatched through the session
     /// cache, so every materialization a probe forces is one the advised
-    /// jobs (and later probes) reuse. Failed probes (e.g. OOM) rank last;
-    /// ties keep candidate (paper table) order.
+    /// jobs (and later probes) reuse. The ranking is the measured mode's
+    /// (`advisor::rank`): a failed probe (e.g. OOM) has no time and ranks
+    /// last, and ties keep candidate (paper table) order.
     fn probed_strategy(&mut self, algorithm: &Algorithm, num_parts: PartId) -> GraphXStrategy {
         let probe = algorithm.probe();
         let canonical = algorithm.needs_canonical();
-        let mut time_of = |strategy| {
+        let mut ranking = GraphXStrategy::all().map(|strategy| {
             let key = CutKey {
                 strategy,
                 num_parts,
                 canonical,
             };
             let (entry, _) = self.cache.ensure_cut(key);
-            match entry.dispatch(&probe, &self.cluster, self.executor, self.executor, false) {
-                Ok((sim, _)) => {
-                    self.advice_seconds += sim.total_seconds;
-                    sim.total_seconds
-                }
-                Err(_) => f64::MAX, // OOM probes rank last
-            }
-        };
-        // Strict `<` with NaN never winning: stable candidate-order
-        // tie-break, a broken probe cannot be crowned.
-        let [first, rest @ ..] = GraphXStrategy::all().map(|s| (s, time_of(s)));
-        rest.into_iter()
-            .fold(
-                first,
-                |best, probed| if probed.1 < best.1 { probed } else { best },
-            )
-            .0
+            let time =
+                match entry.dispatch(&probe, &self.cluster, self.executor, self.executor, false) {
+                    Ok((sim, _)) => {
+                        self.advice_seconds += sim.total_seconds;
+                        sim.total_seconds
+                    }
+                    Err(_) => f64::NAN,
+                };
+            (strategy, time)
+        });
+        rank(&mut ranking);
+        ranking[0].0
     }
 }
 
@@ -974,6 +970,22 @@ mod tests {
         let chosen = times.iter().find(|(s, _)| *s == key.strategy).unwrap().1;
         // PR{2} probes predict PR{2}: the chosen cut's time is the minimum.
         assert_eq!(chosen, fastest);
+    }
+
+    #[test]
+    fn probed_advice_keeps_table_order_when_every_probe_fails() {
+        let tiny = ClusterConfig {
+            executor_memory_gb: 1e-6,
+            ..ClusterConfig::paper_cluster()
+        };
+        let mut ws = Workspace::new(small_graph(), tiny, ExecutorMode::Sequential)
+            .with_advice_mode(AdviceMode::Probed);
+        let key = ws.resolve(
+            &Algorithm::PageRank { iterations: 2 },
+            &CutChoice::AdvisedAt { num_parts: 8 },
+        );
+        assert_eq!(ws.advice_seconds(), 0.0, "every probe ran out of memory");
+        assert_eq!(key.strategy, GraphXStrategy::all()[0]);
     }
 
     #[test]

@@ -171,8 +171,8 @@ pub(crate) const INCIDENCE_BUILD_AFTER: u32 = 4;
 /// Sums the frontier — its size, for telemetry, and its degree under `dir`
 /// — and decides this superstep's scan: true for a frontier walk. `degrees`
 /// are the whole-graph (out, in) tables, `built` says whether the incidence
-/// index exists, and `force_sparse` is
-/// [`ScanMode::Sparse`](crate::ScanMode::Sparse).
+/// index exists, and `force_sparse` walks every frontier (the equivalence
+/// tests' pinned shape).
 pub(crate) fn plan_scan(
     num_edges: u64,
     built: bool,

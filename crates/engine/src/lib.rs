@@ -28,7 +28,7 @@
 //! has shrunk walks only the frontier's incidence rows, sorts the messages
 //! by receiver and folds each receiver's run straight into its state,
 //! making tail supersteps O(frontier degree) instead of O(V + E). Every
-//! executor mode *and* every [`ScanMode`] produces bit-identical results,
+//! executor mode *and* either superstep shape produces bit-identical results,
 //! vertex states and metered [`cutfit_cluster::SimReport`] alike: threads
 //! own disjoint partition/vertex sets, per-vertex merges happen in
 //! deterministic source-partition order (the sort reproduces the dense
@@ -44,7 +44,7 @@ pub mod trace;
 #[cfg(test)]
 mod tests_direction;
 
-pub use pregel::{run_pregel, ExecutorMode, PregelConfig, PregelResult, PreparedRun, ScanMode};
+pub use pregel::{run_pregel, ExecutorMode, PregelConfig, PregelResult, PreparedRun};
 pub use program::{
     ActiveDirection, InitCtx, Messages, OwnedState, Triplet, VertexProgram, VertexState,
 };

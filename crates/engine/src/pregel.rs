@@ -54,6 +54,7 @@
 //! into a [`RunTrace`] beside the result (see the `trace` module).
 
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -101,30 +102,37 @@ impl ExecutorMode {
     }
 }
 
-/// How supersteps visit edges.
+/// Which superstep shapes a run may take. Every shape is bit-identical in
+/// states and [`SimReport`]; only the wall clock differs.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanMode {
-    /// Walk every partition's full edge table each superstep, filtering on
-    /// the activity bitset — GraphX's behaviour, O(V + E) per superstep
-    /// regardless of how few vertices are still active.
+    /// Every superstep scans every partition's edge table.
     Dense,
-    /// Always walk the frontier's incidence rows and fold the messages by
-    /// receiver — O(frontier degree) per superstep, but slower than dense
-    /// when most vertices are active: it reads 16 bytes and two random
-    /// state rows per edge where the dense walk streams 8, and sorts the
-    /// messages it produces. For testing and benchmarking.
+    /// Every superstep after the first walks its frontier and folds.
     Sparse,
-    /// Each superstep walks its frontier when the frontier's degree sum is
-    /// at most a quarter of the graph's edge count (and the run has done so
-    /// often enough to have built the incidence index), and every edge
-    /// table otherwise — one decision per superstep. The default.
+    /// One measured decision per superstep: what every run does.
     Auto,
 }
 
-impl Default for ScanMode {
-    fn default() -> Self {
-        ScanMode::Auto
+thread_local! {
+    static SCAN_MODE: Cell<ScanMode> = const { Cell::new(ScanMode::Auto) };
+}
+
+/// Runs `f` with every run started on this thread inside it planned as
+/// `mode` says, and restores the previous mode on return and on unwind.
+/// The equivalence tests' hook for pinning one superstep shape; the mode
+/// is read once, when a run starts.
+#[doc(hidden)]
+pub fn with_scan_mode<R>(mode: ScanMode, f: impl FnOnce() -> R) -> R {
+    struct Restore(ScanMode);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCAN_MODE.with(|m| m.set(self.0));
+        }
     }
+    let _restore = Restore(SCAN_MODE.with(|m| m.replace(mode)));
+    f()
 }
 
 /// Engine options.
@@ -137,11 +145,6 @@ pub struct PregelConfig {
     pub executor: ExecutorMode,
     /// Whether to charge the initial dataset load from storage.
     pub charge_initial_load: bool,
-    /// How converging programs scan edges once activity drops; every mode
-    /// is bit-identical in states and [`SimReport`] (the frontier walk takes
-    /// the same edges, merges in the same per-slot order and meters the
-    /// same quantities), so this knob only moves wall-clock time.
-    pub scan_mode: ScanMode,
 }
 
 impl Default for PregelConfig {
@@ -150,7 +153,6 @@ impl Default for PregelConfig {
             max_iterations: 100,
             executor: ExecutorMode::Sequential,
             charge_initial_load: true,
-            scan_mode: ScanMode::Auto,
         }
     }
 }
@@ -365,8 +367,8 @@ struct ScanIndex {
     /// every setup superstep and every apply phase bills through it.
     classes: OnceLock<BroadcastClasses>,
     /// What a frontier walk reads, built by the first run whose frontier
-    /// stays small (forced [`ScanMode::Dense`], always-active programs and
-    /// three-superstep probes never do; see `frontier::plan_scan`).
+    /// stays small (always-active programs and three-superstep probes never
+    /// do; see `frontier::plan_scan`).
     incidence: OnceLock<Incidence>,
 }
 
@@ -742,9 +744,11 @@ fn execute<P: VertexProgram>(
         threads: opts.executor.threads().min(deltas.len()),
     };
     let all_active = program.always_active();
-    // Only a converging program under a non-dense scan mode plans scans
-    // from its frontier; everything else takes the dense paths throughout.
-    let plans_frontier = !all_active && opts.scan_mode != ScanMode::Dense;
+    // Only a converging program plans scans from its frontier, unless a
+    // test pinned every superstep dense; everything else takes the dense
+    // paths throughout.
+    let scan_mode = SCAN_MODE.with(Cell::get);
+    let plans_frontier = !all_active && scan_mode != ScanMode::Dense;
 
     if opts.charge_initial_load {
         sim.charge_load(cutfit_cluster::load_bytes(n, pg.num_edges()));
@@ -790,7 +794,7 @@ fn execute<P: VertexProgram>(
                     pg.num_edges(),
                     index.incidence.get().is_some(),
                     program.active_direction(),
-                    opts.scan_mode == ScanMode::Sparse,
+                    scan_mode == ScanMode::Sparse,
                     (&index.out_deg, &index.in_deg),
                     run.fb,
                 )
@@ -2094,13 +2098,13 @@ mod tests {
             ExecutorMode::Parallel { threads: 2 },
             ExecutorMode::Parallel { threads: 3 },
         ] {
+            let opts = PregelConfig {
+                executor,
+                ..Default::default()
+            };
             for scan_mode in [ScanMode::Auto, ScanMode::Dense, ScanMode::Sparse] {
-                let opts = PregelConfig {
-                    executor,
-                    scan_mode,
-                    ..Default::default()
-                };
-                let r = run_pregel(program, pg, cluster, &opts).unwrap();
+                let r =
+                    with_scan_mode(scan_mode, || run_pregel(program, pg, cluster, &opts)).unwrap();
                 let what = format!("{what} {} {executor:?} {scan_mode:?}", program.name());
                 assert_eq!(r.states, oracle.states, "{what}");
                 assert_eq!(r.supersteps, oracle.supersteps, "{what}");

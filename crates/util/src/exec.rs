@@ -38,8 +38,8 @@
 //!   every pool call's shards sequentially in an adversarial, seed-derived
 //!   completion order (same shard boundaries, same shard↔state pairing).
 //!   Any caller whose output is truly order-independent must be
-//!   bit-identical under every seed; `tests/exec_interleaving.rs` pins the
-//!   engine's scan/shuffle/apply phases with it.
+//!   bit-identical under every seed; the shard-order axis of the oracle
+//!   grid (`tests/oracle_grid.rs`) replays engine runs under it.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -65,8 +65,8 @@ thread_local! {
 /// shard↔scratch-state pairing are exactly those of the parallel run — only
 /// completion order moves — so a caller whose results are independent of
 /// worker completion order must produce bit-identical output under every
-/// seed. This is the loom-style replay harness behind
-/// `tests/exec_interleaving.rs`.
+/// seed. This is the loom-style replay harness behind the shard-order axis
+/// of `tests/oracle_grid.rs`.
 ///
 /// Nested pool calls each draw a fresh permutation; the mode is restored
 /// (including on panic) when `f` returns.

@@ -4,90 +4,84 @@
 //! Part one runs single-source shortest paths from the graph's biggest
 //! hubs on an RMAT graph, then prints the active-vertex and scanned-edge
 //! fraction of every superstep from [`SimReport::frontier_trace`]: after a
-//! few wavefront supersteps the frontier collapses to a sliver, and a
-//! dense engine keeps paying O(V + E) per superstep for it. Scale-free
+//! few wavefront supersteps the frontier collapses to a sliver. Scale-free
 //! graphs have tiny diameters, though, so the collapse is quick and the
-//! tail is short — the dense and sparse wall clocks land close together.
+//! tail is short.
 //!
 //! Part two is the paper's own SSSP-hostile shape: a road network, whose
 //! huge diameter makes SSSP run for *hundreds* of supersteps with a thin
 //! wavefront — almost the whole run is tail. That is where frontier-driven
-//! execution changes the game, and the dense-vs-auto wall clocks show it.
+//! execution pays: those supersteps walk only the frontier's edges and fold
+//! the messages by receiver instead of scanning every edge table.
 //!
-//! In both parts the states and the simulated bill are bit-identical by
-//! construction; scan mode only moves the wall clock.
+//! Each run goes through [`PreparedRun::run_traced`] with the host's clock,
+//! and the example prints how many supersteps folded and where the wall
+//! time went, phase by phase. The simulated bill is the same whichever
+//! shape a superstep takes; the trace sits beside it.
 //!
 //! ```text
 //! cargo run --release --example converging_frontier [rmat_scale] [edge_factor] [road_scale]
 //! ```
 
-use std::time::Instant;
+use std::sync::Arc;
 
-use cutfit::engine::PregelResult;
+use cutfit::algorithms::Sssp;
+use cutfit::engine::{Phase, PregelResult};
 use cutfit::prelude::*;
+use cutfit::util::clock::Clock;
 
-type SsspResult = PregelResult<Vec<u32>>;
-
-/// Times one SSSP run per scan mode, asserting states and bills match.
-/// Returns the auto-mode result plus the (dense, auto) wall clocks.
-fn race(
-    pg: &PartitionedGraph,
+/// Runs SSSP to its fixpoint through a traced handle and prints how many
+/// supersteps folded and each phase's share of the wall time.
+fn traced_sssp(
+    pg: PartitionedGraph,
     cluster: &ClusterConfig,
     landmarks: &[VertexId],
-) -> (SsspResult, std::time::Duration, std::time::Duration) {
-    let run = |scan_mode| {
-        let opts = PregelConfig {
-            executor: ExecutorMode::Sequential,
-            scan_mode,
-            ..Default::default()
-        };
-        let wall = Instant::now();
-        let r = sssp(pg, cluster, landmarks.to_vec(), 100_000, &opts).expect("fits in memory");
-        (r, wall.elapsed())
+) -> PregelResult<Vec<u32>> {
+    let mut prepared = PreparedRun::new(Arc::new(pg), cluster, ExecutorMode::Sequential);
+    let opts = PregelConfig {
+        max_iterations: 100_000,
+        ..Default::default()
     };
-    let (dense, dense_wall) = run(ScanMode::Dense);
-    let (auto, auto_wall) = run(ScanMode::Auto);
-    // Same computation, same bill — the scan mode may only move the clock
-    // on *our* wall, never inside the simulation.
-    assert_eq!(dense.states, auto.states);
-    assert_eq!(dense.sim, auto.sim);
-    (auto, dense_wall, auto_wall)
-}
-
-fn print_clocks(dense_wall: std::time::Duration, auto_wall: std::time::Duration, bill: f64) {
-    println!("\ndense scan:  {dense_wall:>10.2?} wall   (simulated bill {bill:.3}s)");
-    println!("auto scan:   {auto_wall:>10.2?} wall   (simulated bill {bill:.3}s — identical)");
+    let (r, trace) = prepared
+        .run_traced(&Sssp::new(landmarks.to_vec()), &opts, &Clock::system())
+        .expect("fits in memory");
     println!(
-        "frontier-driven speedup: {:.1}x",
-        dense_wall.as_secs_f64() / auto_wall.as_secs_f64().max(1e-9)
+        "\n{} of {} supersteps walked their frontier and folded",
+        trace.span(Phase::Fold).calls,
+        r.supersteps
     );
+    for phase in Phase::ALL {
+        let span = trace.span(phase);
+        if span.calls > 0 {
+            println!(
+                "  {:<16}{:>10.2} ms {:>8} calls",
+                phase.name(),
+                span.nanos as f64 / 1e6,
+                span.calls
+            );
+        }
+    }
+    r
 }
 
 fn print_profile(report: &SimReport) {
     let profile = report.frontier_profile();
     println!(
         "frontier profile: peak {:.1}% active, mean {:.1}% active, \
-         {} of {} supersteps below 1% active",
+         {} of {} supersteps below 1% active; simulated bill {:.3}s",
         100.0 * profile.peak_active_fraction,
         100.0 * profile.mean_active_fraction,
         profile.low_active_supersteps,
         profile.supersteps,
+        report.total_seconds,
     );
 }
 
 fn main() {
-    let scale: u32 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(14);
-    let edge_factor: u64 = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
-    let road_scale: f64 = std::env::args()
-        .nth(3)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.05);
+    let mut args = std::env::args().skip(1);
+    let scale: u32 = args.next().and_then(|s| s.parse().ok()).unwrap_or(14);
+    let edge_factor: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(2);
+    let road_scale: f64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0.05);
     // Hundred-superstep runs accrue shuffle lineage; periodic checkpoints
     // truncate it so the simulated cluster doesn't OOM.
     let mut cluster = ClusterConfig::paper_cluster();
@@ -119,14 +113,14 @@ fn main() {
     let landmarks: Vec<VertexId> = by_in_degree.iter().take(3).map(|&(_, v)| v).collect();
     let pg = GraphXStrategy::EdgePartition2D.partition(&graph, 16);
 
-    let (auto, dense_wall, auto_wall) = race(&pg, &cluster, &landmarks);
+    let r = traced_sssp(pg, &cluster, &landmarks);
     println!(
         "\nSSSP from {} hub landmark(s): {} supersteps to convergence",
         landmarks.len(),
-        auto.supersteps
+        r.supersteps
     );
     println!("superstep    active vertices      scanned edges");
-    for (i, s) in auto.sim.frontier_trace.iter().enumerate() {
+    for (i, s) in r.sim.frontier_trace.iter().enumerate() {
         let bar_len = (s.active_fraction() * 40.0).ceil() as usize;
         println!(
             "{i:>9}  {:>10} ({:>5.1}%)  {:>9} ({:>5.1}%)  {}",
@@ -138,8 +132,7 @@ fn main() {
         );
     }
     println!();
-    print_profile(&auto.sim);
-    print_clocks(dense_wall, auto_wall, auto.sim.total_seconds);
+    print_profile(&r.sim);
 
     // ---- Part two: the payoff, on the paper's road-network shape -------
     let profile = cutfit::datagen::DatasetProfile::road_net_pa();
@@ -152,12 +145,11 @@ fn main() {
     );
     let road_pg = GraphXStrategy::EdgePartition2D.partition(&road, 16);
 
-    let (auto, dense_wall, auto_wall) = race(&road_pg, &cluster, &[0]);
+    let r = traced_sssp(road_pg, &cluster, &[0]);
     println!(
         "SSSP from one corner: {} supersteps — a wavefront crawling across \
          the grid, almost all of them tail",
-        auto.supersteps
+        r.supersteps
     );
-    print_profile(&auto.sim);
-    print_clocks(dense_wall, auto_wall, auto.sim.total_seconds);
+    print_profile(&r.sim);
 }

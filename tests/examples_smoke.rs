@@ -175,19 +175,26 @@ fn out_of_core_flow() {
 }
 
 /// `examples/converging_frontier.rs`: SSSP from hub landmarks traced via
-/// `frontier_trace`, then the dense-vs-auto race on a road network — states
-/// and simulated bills bit-identical, only the wall clock moves.
+/// `frontier_trace`, then a road network whose tail folds — each run through
+/// `run_traced` with the host's clock.
 #[test]
 fn converging_frontier_flow() {
+    use cutfit::algorithms::Sssp;
+    use cutfit::engine::Phase;
+    use cutfit::util::clock::Clock;
+
     let mut cluster = ClusterConfig::paper_cluster();
     cluster.scenario.checkpoint_interval = 25;
-    let run = |pg: &PartitionedGraph, landmarks: Vec<VertexId>, scan_mode| {
+    let run = |pg: PartitionedGraph, landmarks: Vec<VertexId>| {
         let opts = PregelConfig {
-            executor: ExecutorMode::Sequential,
-            scan_mode,
+            max_iterations: 100_000,
             ..Default::default()
         };
-        sssp(pg, &cluster, landmarks, 100_000, &opts).expect("fits")
+        let mut prepared = PreparedRun::new(pg.into(), &cluster, ExecutorMode::Sequential);
+        let (r, trace) = prepared
+            .run_traced(&Sssp::new(landmarks), &opts, &Clock::system())
+            .expect("fits");
+        (r, trace.span(Phase::Fold).calls)
     };
 
     // Part one: hub-landmark SSSP on a scale-free graph, frontier traced.
@@ -205,10 +212,7 @@ fn converging_frontier_flow() {
         .map(|(v, _)| v as VertexId)
         .expect("non-empty graph");
     let pg = GraphXStrategy::EdgePartition2D.partition(&graph, 16);
-    let dense = run(&pg, vec![hub], ScanMode::Dense);
-    let auto = run(&pg, vec![hub], ScanMode::Auto);
-    assert_eq!(dense.states, auto.states);
-    assert_eq!(dense.sim, auto.sim);
+    let (auto, _) = run(pg, vec![hub]);
     assert!(auto.supersteps > 1, "hub landmark must actually propagate");
     // One trace sample per message superstep, wavefront collapsing to zero.
     assert_eq!(auto.sim.frontier_trace.len() as u64, auto.supersteps + 1);
@@ -217,13 +221,12 @@ fn converging_frontier_flow() {
     assert_eq!(first.active_vertices, graph.num_vertices());
     assert!(last.active_vertices < first.active_vertices);
 
-    // Part two: the road-network race, where the tail is the whole run.
+    // Part two: the road network, where the tail is the whole run and
+    // folds.
     let road = DatasetProfile::road_net_pa().generate(0.0005, 42);
     let road_pg = GraphXStrategy::EdgePartition2D.partition(&road, 16);
-    let dense = run(&road_pg, vec![0], ScanMode::Dense);
-    let auto = run(&road_pg, vec![0], ScanMode::Auto);
-    assert_eq!(dense.states, auto.states);
-    assert_eq!(dense.sim, auto.sim);
+    let (auto, folds) = run(road_pg, vec![0]);
+    assert!(folds > 0, "a road tail walks its frontier");
     let profile = auto.sim.frontier_profile();
     assert!(
         profile.low_active_supersteps > profile.supersteps / 2,

@@ -1,49 +1,51 @@
-//! Frontier-driven execution equivalence grid.
+//! Referees for the sparse superstep where it can go wrong.
 //!
-//! The engine promises that scan mode is *unobservable* except in wall
-//! clock: for every program, `Sparse` and `Auto` produce bit-identical
-//! vertex states AND a bit-identical metered [`SimReport`] compared to
-//! `Dense` — across every executor mode. This file pins that promise on
-//! the full {algorithm} × {scan mode} × {executor} grid, referees the
-//! sparse superstep's fold where it can go wrong (merge order, grouping,
-//! billing, activity bits, shard cuts, recovery), and sanity-checks the
-//! frontier telemetry and the phase trace.
+//! The oracle grid (`tests/oracle_grid.rs`) pins every algorithm's states
+//! and bill equal across executors, superstep shapes and shard orders on
+//! tiny graphs. This file pins the same promise for four programs on
+//! larger cuts and on arbitrary graphs, and adds what the library's
+//! programs cannot show: a program for every (active direction, answer)
+//! pair whose bits show merge order and whose bill shows grouping, a hub
+//! whose partials merge inside and across partitions, jobs that die
+//! mid-superstep, and the frontier telemetry and phase trace.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cutfit::algorithms::{label_propagation, Sssp};
+use cutfit::engine::pregel::{with_scan_mode, ScanMode};
 use cutfit::engine::{ActiveDirection, InitCtx, Phase, PregelResult, RunTrace};
 use cutfit::prelude::*;
 use cutfit::util::clock::Clock;
 
-fn scan_modes() -> [ScanMode; 3] {
-    [ScanMode::Dense, ScanMode::Sparse, ScanMode::Auto]
-}
+const SCAN_MODES: [ScanMode; 3] = [ScanMode::Dense, ScanMode::Sparse, ScanMode::Auto];
 
-fn executors() -> [ExecutorMode; 6] {
-    [
-        ExecutorMode::Sequential,
-        // Pool entry with one shard covering every partition.
-        ExecutorMode::Parallel { threads: 1 },
-        ExecutorMode::Parallel { threads: 2 },
-        // Uneven shards (16 partitions → 6/6/4): sparse touched lists
-        // straddle shard boundaries.
-        ExecutorMode::Parallel { threads: 3 },
-        ExecutorMode::Parallel { threads: 4 },
-        ExecutorMode::Auto,
-    ]
-}
+const EXECUTORS: [ExecutorMode; 6] = [
+    ExecutorMode::Sequential,
+    // Pool entry with one shard covering every partition.
+    ExecutorMode::Parallel { threads: 1 },
+    ExecutorMode::Parallel { threads: 2 },
+    // Uneven shards (16 partitions → 6/6/4): sparse touched lists
+    // straddle shard boundaries.
+    ExecutorMode::Parallel { threads: 3 },
+    ExecutorMode::Parallel { threads: 4 },
+    ExecutorMode::Auto,
+];
 
-fn opts(scan_mode: ScanMode, executor: ExecutorMode) -> PregelConfig {
-    PregelConfig {
-        scan_mode,
+/// Runs `run` under `executor` with the superstep shape forced.
+fn shaped<R>(
+    scan_mode: ScanMode,
+    executor: ExecutorMode,
+    run: impl FnOnce(&PregelConfig) -> R,
+) -> R {
+    let opts = PregelConfig {
         executor,
         ..Default::default()
-    }
+    };
+    with_scan_mode(scan_mode, || run(&opts))
 }
 
-/// Runs one algorithm over the whole scan-mode × executor grid and asserts
+/// Runs one algorithm over the whole scan-shape × executor grid and asserts
 /// every cell is bit-identical to the Dense/Sequential baseline in states,
 /// metered report, and superstep count.
 fn assert_grid_identical<S, F>(name: &str, run: F)
@@ -51,10 +53,10 @@ where
     S: PartialEq + std::fmt::Debug,
     F: Fn(&PregelConfig) -> PregelResult<S>,
 {
-    let baseline = run(&opts(ScanMode::Dense, ExecutorMode::Sequential));
-    for scan_mode in scan_modes() {
-        for executor in executors() {
-            let r = run(&opts(scan_mode, executor));
+    let baseline = shaped(ScanMode::Dense, ExecutorMode::Sequential, &run);
+    for scan_mode in SCAN_MODES {
+        for executor in EXECUTORS {
+            let r = shaped(scan_mode, executor, &run);
             assert_eq!(
                 baseline.states, r.states,
                 "{name}: states drifted under {scan_mode:?}/{executor:?}"
@@ -135,14 +137,11 @@ fn frontier_profile_reports_the_converging_tail() {
 
     // The profile is derived from mode-invariant integers, so it is itself
     // identical across scan modes.
-    for scan_mode in scan_modes() {
-        let r2 = sssp(
-            &pg,
-            &cluster,
-            Sssp::pick_landmarks(g.num_vertices(), 1, 7),
-            10_000,
-            &opts(scan_mode, ExecutorMode::Sequential),
-        )
+    for scan_mode in SCAN_MODES {
+        let landmarks = Sssp::pick_landmarks(g.num_vertices(), 1, 7);
+        let r2 = with_scan_mode(scan_mode, || {
+            sssp(&pg, &cluster, landmarks, 10_000, &PregelConfig::default())
+        })
         .expect("fits in memory");
         assert_eq!(p, r2.sim.frontier_profile(), "{scan_mode:?}");
     }
@@ -171,8 +170,8 @@ mod properties {
         /// SSSP is the adversarial case for sparse scans — converging,
         /// variable-size state (exercising incremental residency deltas),
         /// and `ToSrc`-only messages — so it anchors the random-graph
-        /// equivalence property, with forced-`Sparse` pinning the sparse
-        /// machinery even where `Auto` would choose dense.
+        /// equivalence property, with the forced sparse shape pinning the
+        /// sparse machinery even where the automatic choice would be dense.
         #[test]
         fn sssp_scan_modes_agree_on_arbitrary_graphs(
             graph in arb_graph(),
@@ -183,16 +182,11 @@ mod properties {
             let landmarks = Sssp::pick_landmarks(graph.num_vertices(), 2, seed);
             let pg = strategy.partition(&graph, num_parts);
             let cluster = ClusterConfig::paper_cluster();
-            let dense = sssp(
-                &pg, &cluster, landmarks.clone(), 100_000,
-                &opts(ScanMode::Dense, ExecutorMode::Sequential),
-            ).expect("fits");
+            let run = |o: &PregelConfig| sssp(&pg, &cluster, landmarks.clone(), 100_000, o);
+            let dense = shaped(ScanMode::Dense, ExecutorMode::Sequential, run).expect("fits");
             for scan_mode in [ScanMode::Sparse, ScanMode::Auto] {
                 for executor in [ExecutorMode::Sequential, ExecutorMode::Parallel { threads: 3 }] {
-                    let r = sssp(
-                        &pg, &cluster, landmarks.clone(), 100_000,
-                        &opts(scan_mode, executor),
-                    ).expect("fits");
+                    let r = shaped(scan_mode, executor, run).expect("fits");
                     prop_assert_eq!(&dense.states, &r.states);
                     prop_assert_eq!(&dense.sim, &r.sim);
                     prop_assert_eq!(dense.supersteps, r.supersteps);
@@ -209,15 +203,11 @@ mod properties {
         ) {
             let pg = strategy.partition(&graph, num_parts);
             let cluster = ClusterConfig::paper_cluster();
-            let dense = connected_components(
-                &pg, &cluster, 100_000,
-                &opts(ScanMode::Dense, ExecutorMode::Sequential),
-            ).expect("fits");
+            let run = |o: &PregelConfig| connected_components(&pg, &cluster, 100_000, o);
+            let dense = shaped(ScanMode::Dense, ExecutorMode::Sequential, run).expect("fits");
             for scan_mode in [ScanMode::Sparse, ScanMode::Auto] {
-                let r = connected_components(
-                    &pg, &cluster, 100_000,
-                    &opts(scan_mode, ExecutorMode::Parallel { threads: 2 }),
-                ).expect("fits");
+                let r = shaped(scan_mode, ExecutorMode::Parallel { threads: 2 }, run)
+                    .expect("fits");
                 prop_assert!(r.converged);
                 prop_assert_eq!(&dense.states, &r.states);
                 prop_assert_eq!(&dense.sim, &r.sim);
@@ -419,8 +409,7 @@ where
     cutfit::engine::OwnedState<P>: PartialEq + std::fmt::Debug,
 {
     let cluster = ClusterConfig::paper_cluster();
-    let opts = |scan_mode, executor| PregelConfig {
-        scan_mode,
+    let opts = |executor| PregelConfig {
         executor,
         max_iterations,
         ..Default::default()
@@ -428,23 +417,21 @@ where
     let mut folded_under_auto = 0;
     for strategy in GraphXStrategy::all() {
         let pg = Arc::new(strategy.partition(g, 7));
-        let dense = run_pregel(
-            program,
-            &pg,
-            &cluster,
-            &opts(ScanMode::Dense, ExecutorMode::Sequential),
-        )
+        let dense = with_scan_mode(ScanMode::Dense, || {
+            run_pregel(program, &pg, &cluster, &opts(ExecutorMode::Sequential))
+        })
         .expect("fits");
         for executor in [
             ExecutorMode::Sequential,
             ExecutorMode::Parallel { threads: 2 },
             ExecutorMode::Parallel { threads: 3 },
         ] {
-            for scan_mode in scan_modes() {
+            for scan_mode in SCAN_MODES {
                 let mut prepared = PreparedRun::new(pg.clone(), &cluster, executor);
-                let (r, trace) = prepared
-                    .run_traced(program, &opts(scan_mode, executor), &Clock::Null)
-                    .expect("fits");
+                let (r, trace) = with_scan_mode(scan_mode, || {
+                    prepared.run_traced(program, &opts(executor), &Clock::Null)
+                })
+                .expect("fits");
                 let what = format!("{what} {strategy} {executor:?} {scan_mode:?}");
                 assert_eq!(r.states, dense.states, "{what}");
                 assert_eq!(r.supersteps, dense.supersteps, "{what}");
@@ -591,68 +578,71 @@ fn a_job_that_dies_mid_superstep_leaves_nothing_to_the_next_one() {
     // before the wavefront reaches its end.
     let long = Arc::new(GraphXStrategy::EdgePartition2D.partition(&knotted(160), 7));
     let cluster = ClusterConfig::paper_cluster();
-    for executor in [
-        ExecutorMode::Sequential,
-        ExecutorMode::Parallel { threads: 2 },
-        ExecutorMode::Parallel { threads: 3 },
-    ] {
-        let opts = PregelConfig {
-            executor,
-            scan_mode: ScanMode::Sparse,
-            ..Default::default()
-        };
-        let fresh = run_pregel(&SEEP, &pg, &cluster, &opts).expect("fits");
-
-        // A panic out of the program halfway through the sparse supersteps:
-        // out of `send` mid-emit, out of `merge` and `apply` mid-fold — with
-        // records half drained, bits half set and meters half filled.
-        for site in [Site::Send, Site::Merge, Site::Apply] {
-            let calls = |max_iterations| {
-                let counting = Snag::new(site, u64::MAX);
-                let capped = PregelConfig {
-                    max_iterations,
-                    ..opts.clone()
-                };
-                run_pregel(&counting, &pg, &cluster, &capped).expect("fits");
-                counting.burnt()
+    // Every superstep after the first folds.
+    with_scan_mode(ScanMode::Sparse, || {
+        for executor in [
+            ExecutorMode::Sequential,
+            ExecutorMode::Parallel { threads: 2 },
+            ExecutorMode::Parallel { threads: 3 },
+        ] {
+            let opts = PregelConfig {
+                executor,
+                ..Default::default()
             };
-            // One superstep in, the job has done its only dense superstep.
-            let (dense, all) = (calls(1), calls(opts.max_iterations));
-            assert!(
-                all > dense + 1,
-                "{site:?}: {dense} of {all} calls are dense"
-            );
-            let mut prepared = PreparedRun::new(pg.clone(), &cluster, executor);
-            let snag = Snag::new(site, dense + (all - dense) / 2);
-            let doomed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                prepared.run(&snag, &opts).map(|r| r.supersteps)
-            }));
-            assert!(doomed.is_err(), "{executor:?} {site:?}: must have panicked");
-            let after = prepared.run(&SEEP, &opts).expect("fits");
-            assert_eq!(after.states, fresh.states, "{executor:?} {site:?}");
-            assert_eq!(after.sim, fresh.sim, "{executor:?} {site:?}: stale state");
-        }
+            let fresh = run_pregel(&SEEP, &pg, &cluster, &opts).expect("fits");
 
-        // Out of memory at the end of a superstep that was folded.
-        let mut prepared = PreparedRun::new(long.clone(), &cluster, executor);
-        let to_the_end = PregelConfig {
-            max_iterations: 1000,
-            ..opts.clone()
-        };
-        let doomed = prepared.run(&SEEP, &to_the_end).map(|r| r.supersteps);
-        let Err(SimError::OutOfMemory { superstep, .. }) = doomed else {
-            panic!("{executor:?}: ran {doomed:?} supersteps within memory");
-        };
-        assert!(superstep > 100, "lineage, not the graph, fills memory");
-        let capped = PregelConfig {
-            max_iterations: 50,
-            ..opts.clone()
-        };
-        let after = prepared.run(&SEEP, &capped).expect("fifty supersteps fit");
-        let fresh = run_pregel(&SEEP, &long, &cluster, &capped).expect("fifty supersteps fit");
-        assert_eq!(after.states, fresh.states, "{executor:?}");
-        assert_eq!(after.sim, fresh.sim, "{executor:?}: the aborted job leaked");
-    }
+            // A panic out of the program halfway through the sparse
+            // supersteps: out of `send` mid-emit, out of `merge` and `apply`
+            // mid-fold — with records half drained, bits half set and meters
+            // half filled.
+            for site in [Site::Send, Site::Merge, Site::Apply] {
+                let calls = |max_iterations| {
+                    let counting = Snag::new(site, u64::MAX);
+                    let capped = PregelConfig {
+                        max_iterations,
+                        ..opts.clone()
+                    };
+                    run_pregel(&counting, &pg, &cluster, &capped).expect("fits");
+                    counting.burnt()
+                };
+                // One superstep in, the job has done its only dense superstep.
+                let (dense, all) = (calls(1), calls(opts.max_iterations));
+                assert!(
+                    all > dense + 1,
+                    "{site:?}: {dense} of {all} calls are dense"
+                );
+                let mut prepared = PreparedRun::new(pg.clone(), &cluster, executor);
+                let snag = Snag::new(site, dense + (all - dense) / 2);
+                let doomed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    prepared.run(&snag, &opts).map(|r| r.supersteps)
+                }));
+                assert!(doomed.is_err(), "{executor:?} {site:?}: must have panicked");
+                let after = prepared.run(&SEEP, &opts).expect("fits");
+                assert_eq!(after.states, fresh.states, "{executor:?} {site:?}");
+                assert_eq!(after.sim, fresh.sim, "{executor:?} {site:?}: stale state");
+            }
+
+            // Out of memory at the end of a superstep that was folded.
+            let mut prepared = PreparedRun::new(long.clone(), &cluster, executor);
+            let to_the_end = PregelConfig {
+                max_iterations: 1000,
+                ..opts.clone()
+            };
+            let doomed = prepared.run(&SEEP, &to_the_end).map(|r| r.supersteps);
+            let Err(SimError::OutOfMemory { superstep, .. }) = doomed else {
+                panic!("{executor:?}: ran {doomed:?} supersteps within memory");
+            };
+            assert!(superstep > 100, "lineage, not the graph, fills memory");
+            let capped = PregelConfig {
+                max_iterations: 50,
+                ..opts.clone()
+            };
+            let after = prepared.run(&SEEP, &capped).expect("fifty supersteps fit");
+            let fresh = run_pregel(&SEEP, &long, &cluster, &capped).expect("fifty supersteps fit");
+            assert_eq!(after.states, fresh.states, "{executor:?}");
+            assert_eq!(after.sim, fresh.sim, "{executor:?}: the aborted job leaked");
+        }
+    });
 }
 
 /// The span of `phase` under a clock that steps `step` per read: two reads
@@ -674,9 +664,10 @@ fn a_simulated_clock_traces_exactly_the_superstep_counts() {
     };
     let pg = Arc::new(GraphXStrategy::EdgePartition2D.partition(&knotted(40), 7));
     let cluster = ClusterConfig::paper_cluster();
-    for scan_mode in scan_modes() {
-        let opts = opts(scan_mode, ExecutorMode::Sequential);
-        let untraced = run_pregel(&program, &pg, &cluster, &opts).expect("fits");
+    for scan_mode in SCAN_MODES {
+        let opts = PregelConfig::default();
+        let untraced =
+            with_scan_mode(scan_mode, || run_pregel(&program, &pg, &cluster, &opts)).expect("fits");
         assert!(untraced.converged);
         // One loop iteration per superstep, and the empty one that proves
         // convergence.
@@ -689,7 +680,9 @@ fn a_simulated_clock_traces_exactly_the_superstep_counts() {
                 ..opts.clone()
             };
             let clock = Clock::simulated(STEP);
-            let (r, trace) = prepared.run_traced(&program, &opts, &clock).expect("fits");
+            let (r, trace) =
+                with_scan_mode(scan_mode, || prepared.run_traced(&program, &opts, &clock))
+                    .expect("fits");
             let calls = |phase| stepped(&trace, phase, STEP);
             let total: u64 = Phase::ALL.iter().map(|&phase| calls(phase)).sum();
             assert_eq!(trace.total_nanos(), total * STEP);

@@ -68,14 +68,15 @@ fn partitioning_of_golden_graph_is_pinned() {
 /// The engine's parallel shuffle/apply AND its frontier-driven sparse scan
 /// path must be *metering-identical* to the sequential dense sweep: not
 /// just the same vertex states but the same [`SimReport`] bit for bit, for
-/// every partitioning strategy × executor mode × scan mode, for both a
+/// every partitioning strategy × executor mode × forced scan shape, for both a
 /// fixed-size-state program (PageRank) and a variable-size-state program
 /// (SSSP, which also exercises the incremental residency deltas and, being
-/// a converging frontier algorithm, actually takes the sparse path under
-/// `ScanMode::Auto`).
+/// a converging frontier algorithm, actually takes the sparse path when
+/// the engine chooses the shape itself).
 #[test]
 fn executors_are_bit_identical_across_modes_on_all_strategies() {
     use cutfit::algorithms::{pagerank, sssp, Sssp};
+    use cutfit::engine::pregel::{with_scan_mode, ScanMode};
 
     let g = DatasetProfile::youtube().generate(0.002, 42);
     let cluster = ClusterConfig::paper_cluster();
@@ -103,10 +104,10 @@ fn executors_are_bit_identical_across_modes_on_all_strategies() {
             .map(|&(executor, scan_mode)| {
                 let opts = PregelConfig {
                     executor,
-                    scan_mode,
                     ..Default::default()
                 };
-                pagerank(&pg, &cluster, 5, &opts).expect("fits in memory")
+                with_scan_mode(scan_mode, || pagerank(&pg, &cluster, 5, &opts))
+                    .expect("fits in memory")
             })
             .collect();
         for r in &pr[1..] {
@@ -120,10 +121,12 @@ fn executors_are_bit_identical_across_modes_on_all_strategies() {
             .map(|&(executor, scan_mode)| {
                 let opts = PregelConfig {
                     executor,
-                    scan_mode,
                     ..Default::default()
                 };
-                sssp(&pg, &cluster, landmarks.clone(), 10_000, &opts).expect("fits in memory")
+                with_scan_mode(scan_mode, || {
+                    sssp(&pg, &cluster, landmarks.clone(), 10_000, &opts)
+                })
+                .expect("fits in memory")
             })
             .collect();
         for r in &sp[1..] {
