@@ -10,6 +10,7 @@ use cutfit_engine::{
 };
 use cutfit_graph::{Csr, Graph, VertexId};
 use cutfit_partition::PartitionedGraph;
+use cutfit_util::num::vid_index;
 
 /// Hub and authority scores of one vertex.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,7 +97,7 @@ pub fn hits(
 
 /// Reference implementation (dense iteration + the same normalisation).
 pub fn reference_hits(graph: &Graph, iterations: u64) -> Vec<HitsScore> {
-    let n = graph.num_vertices() as usize;
+    let n = vid_index(graph.num_vertices());
     let csr_out = Csr::out_of(graph);
     let csr_in = Csr::in_of(graph);
     let mut scores = vec![
@@ -118,12 +119,12 @@ pub fn reference_hits(graph: &Graph, iterations: u64) -> Vec<HitsScore> {
             let authority: f64 = csr_in
                 .neighbors(v as u64)
                 .iter()
-                .map(|&u| scores[u as usize].hub)
+                .map(|&u| scores[vid_index(u)].hub)
                 .sum();
             let hub: f64 = csr_out
                 .neighbors(v as u64)
                 .iter()
-                .map(|&w| scores[w as usize].authority)
+                .map(|&w| scores[vid_index(w)].authority)
                 .sum();
             next[v] = HitsScore { authority, hub };
         }

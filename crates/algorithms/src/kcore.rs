@@ -22,6 +22,7 @@ use cutfit_engine::{
 use cutfit_graph::types::PartId;
 use cutfit_graph::{Csr, Graph, VertexId};
 use cutfit_partition::Partitioner;
+use cutfit_util::num::vid_index;
 
 use crate::triangles::canonicalize;
 
@@ -31,13 +32,13 @@ pub struct KCore;
 
 /// The h-index of a multiset of estimates: the largest `h` with at least
 /// `h` values ≥ `h`.
-pub fn h_index(values: &[u32]) -> u32 {
+pub(crate) fn h_index(values: &[u32]) -> u32 {
     let mut sorted = values.to_vec();
     sorted.sort_unstable_by(|a, b| b.cmp(a));
     let mut h = 0u32;
-    for (i, &v) in sorted.iter().enumerate() {
-        if v as usize > i {
-            h = (i + 1) as u32;
+    for (rank, &v) in (1..).zip(&sorted) {
+        if v >= rank {
+            h = rank;
         } else {
             break;
         }
@@ -57,7 +58,7 @@ impl VertexProgram for KCore {
 
     fn initial_state(&self, v: VertexId, ctx: &InitCtx<'_>) -> u32 {
         // On a canonical graph, undirected degree = out + in.
-        ctx.out_degrees[v as usize] + ctx.in_degrees[v as usize]
+        ctx.out_degrees[vid_index(v)] + ctx.in_degrees[vid_index(v)]
     }
 
     fn initial_msg(&self) -> Vec<u32> {
@@ -129,8 +130,10 @@ pub fn reference_kcore(graph: &Graph) -> Vec<u32> {
 }
 
 /// The peeling oracle on a prebuilt undirected simple adjacency.
-pub fn reference_kcore_adj(und: &Csr) -> Vec<u32> {
-    let n = und.num_vertices() as usize;
+// A simple graph's degree is below its vertex count; coreness is `u32`.
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn reference_kcore_adj(und: &Csr) -> Vec<u32> {
+    let n = vid_index(und.num_vertices());
     let mut degree: Vec<u32> = (0..n as u64).map(|v| und.degree(v) as u32).collect();
     let mut coreness = vec![0u32; n];
     let mut removed = vec![false; n];
@@ -140,8 +143,9 @@ pub fn reference_kcore_adj(und: &Csr) -> Vec<u32> {
         coreness[v] = core_so_far;
         removed[v] = true;
         for &w in und.neighbors(v as u64) {
-            if !removed[w as usize] && degree[w as usize] > 0 {
-                degree[w as usize] -= 1;
+            let w = vid_index(w);
+            if !removed[w] && degree[w] > 0 {
+                degree[w] -= 1;
             }
         }
     }

@@ -14,13 +14,14 @@ use cutfit_engine::{
 };
 use cutfit_graph::{Csr, Graph, VertexId};
 use cutfit_partition::PartitionedGraph;
+use cutfit_util::num::vid_index;
 
 /// The label-propagation vertex program.
 #[derive(Debug, Clone, Copy)]
 pub struct LabelPropagation;
 
 /// A label histogram: sorted `(label, count)` pairs.
-pub type LabelVotes = Vec<(u64, u32)>;
+pub(crate) type LabelVotes = Vec<(u64, u32)>;
 
 fn merge_votes(a: LabelVotes, b: LabelVotes) -> LabelVotes {
     let mut out = Vec::with_capacity(a.len() + b.len());
@@ -122,7 +123,7 @@ pub fn label_propagation(
 
 /// Reference implementation: dense synchronous rounds over CSR adjacency.
 pub fn reference_label_propagation(graph: &Graph, iterations: u64) -> Vec<u64> {
-    let n = graph.num_vertices() as usize;
+    let n = vid_index(graph.num_vertices());
     let out = Csr::out_of(graph);
     let inn = Csr::in_of(graph);
     let mut labels: Vec<u64> = (0..n as u64).collect();
@@ -136,7 +137,7 @@ pub fn reference_label_propagation(graph: &Graph, iterations: u64) -> Vec<u64> {
                 .iter()
                 .chain(inn.neighbors(v as u64))
             {
-                votes = merge_votes(votes, vec![(labels[w as usize], 1)]);
+                votes = merge_votes(votes, vec![(labels[vid_index(w)], 1)]);
             }
             if let Some(l) = winning_label(&votes) {
                 next[v] = l;

@@ -13,9 +13,10 @@ use cutfit_engine::{
 };
 use cutfit_graph::{Csr, Graph, VertexId};
 use cutfit_partition::PartitionedGraph;
+use cutfit_util::num::vid_index;
 
 /// The damping ("reset") probability GraphX uses.
-pub const RESET_PROB: f64 = 0.15;
+pub(crate) const RESET_PROB: f64 = 0.15;
 
 /// The PageRank vertex program.
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +85,7 @@ pub fn pagerank(
 
 /// Reference implementation: dense synchronous iteration, no partitioning.
 pub fn reference_pagerank(graph: &Graph, iterations: u64) -> Vec<f64> {
-    let n = graph.num_vertices() as usize;
+    let n = vid_index(graph.num_vertices());
     let out_deg = graph.out_degrees();
     let csr_in = Csr::in_of(graph);
     let mut ranks = vec![1.0f64; n];
@@ -93,7 +94,7 @@ pub fn reference_pagerank(graph: &Graph, iterations: u64) -> Vec<f64> {
         for v in 0..n {
             let mut sum = f64::NAN;
             for &u in csr_in.neighbors(v as u64) {
-                let contrib = ranks[u as usize] / out_deg[u as usize] as f64;
+                let contrib = ranks[vid_index(u)] / out_deg[vid_index(u)] as f64;
                 sum = if sum.is_nan() { contrib } else { sum + contrib };
             }
             // Mirror the engine exactly: vertices with no inbound mass

@@ -16,9 +16,10 @@ use cutfit_engine::{
 use cutfit_graph::{Csr, Graph, VertexId};
 use cutfit_partition::PartitionedGraph;
 use cutfit_util::hash::hash64;
+use cutfit_util::num::vid_index;
 
 /// Unreachable marker.
-pub const INF: u32 = u32::MAX;
+pub(crate) const INF: u32 = u32::MAX;
 
 /// The shortest-paths vertex program for a fixed landmark set.
 #[derive(Debug, Clone)]
@@ -39,7 +40,7 @@ impl Sssp {
         assert!(n > 0, "cannot pick landmarks from an empty graph");
         let mut out: Vec<VertexId> = Vec::with_capacity(k);
         let mut i = 0u64;
-        while out.len() < k.min(n as usize) {
+        while out.len() < k.min(vid_index(n)) {
             let candidate = hash64(seed.wrapping_add(i)) % n;
             if !out.contains(&candidate) {
                 out.push(candidate);
@@ -127,7 +128,7 @@ pub fn sssp(
 /// distance to that landmark along forward edges.
 pub fn reference_sssp(graph: &Graph, landmarks: &[VertexId]) -> Vec<Vec<u32>> {
     let rev = Csr::in_of(graph);
-    let n = graph.num_vertices() as usize;
+    let n = vid_index(graph.num_vertices());
     let mut result = vec![vec![INF; landmarks.len()]; n];
     for (i, &l) in landmarks.iter().enumerate() {
         let dist = cutfit_graph::analysis::bfs_distances(&rev, l);

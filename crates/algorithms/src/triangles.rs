@@ -23,6 +23,7 @@ use cutfit_cluster::{ClusterConfig, ClusterSim, SimError, SimReport};
 use cutfit_graph::types::PartId;
 use cutfit_graph::{Csr, Edge, Graph, VertexId};
 use cutfit_partition::{PartitionedGraph, Partitioner};
+use cutfit_util::num::{part_index, vid_index};
 
 /// Marker type for naming consistency with the Pregel algorithms.
 #[derive(Debug, Clone, Copy)]
@@ -61,7 +62,7 @@ pub fn triangle_count_partitioned(
     cluster: &ClusterConfig,
     charge_load: bool,
 ) -> Result<TriangleResult, SimError> {
-    let n = pg.num_vertices() as usize;
+    let n = vid_index(pg.num_vertices());
     let np = pg.num_parts();
     let mut sim = ClusterSim::new(cluster.clone(), np);
     let overhead = cluster.cost.message_overhead_bytes;
@@ -77,29 +78,31 @@ pub fn triangle_count_partitioned(
 
     // --- Phase 1: partition-local partial neighbour sets, kept as sizes. ---
     let mut starts = vec![0];
-    let mut local_degree = vec![0u32; pg.routing().total_replicas() as usize];
-    for (p, part) in pg.parts().iter().enumerate() {
-        starts.push(starts[p] + part.vertices.len());
-        let degree = &mut local_degree[starts[p]..starts[p + 1]];
+    let mut local_degree = vec![0u32; pg.parts().iter().map(|part| part.vertices.len()).sum()];
+    for (p, part) in (0..).zip(pg.parts()) {
+        let i = part_index(p);
+        starts.push(starts[i] + part.vertices.len());
+        let degree = &mut local_degree[starts[i]..starts[i + 1]];
         for &(ls, ld) in &part.edges {
             degree[ls as usize] += 1;
             degree[ld as usize] += 1;
         }
-        sim.ledger().edge_scans(p as PartId, part.num_edges());
-        sim.ledger().local_bytes(p as PartId, part.num_edges() * 16);
+        sim.ledger().edge_scans(p, part.num_edges());
+        sim.ledger().local_bytes(p, part.num_edges() * 16);
     }
     sim.end_superstep()?;
 
     // --- Phase 2: reduce partial sets to each vertex's master (union). ---
     // Every local vertex has an edge in its partition, hence a master.
     let ledger = sim.ledger();
-    for (p, part) in pg.parts().iter().enumerate() {
-        let degree = &local_degree[starts[p]..starts[p + 1]];
+    for (p, part) in (0..).zip(pg.parts()) {
+        let i = part_index(p);
+        let degree = &local_degree[starts[i]..starts[i + 1]];
         for (&v, &d) in part.vertices.iter().zip(degree) {
-            let master = masters[v as usize];
+            let master = masters[vid_index(v)];
             let bytes = u64::from(d) * 8;
-            if p as PartId != master {
-                ledger.send_exec(exec_of(p as PartId), exec_of(master), 1, bytes + overhead);
+            if p != master {
+                ledger.send_exec(exec_of(p), exec_of(master), 1, bytes + overhead);
             }
             ledger.vertex_ops(master, 1);
             ledger.local_bytes(master, bytes);
@@ -109,15 +112,15 @@ pub fn triangle_count_partitioned(
         (part.edges.iter()).map(|&(ls, ld)| Edge::new(part.global(ls), part.global(ld)))
     });
     let full = Csr::undirected_of(pg.num_vertices(), edges);
-    let simple = (0..n as VertexId).all(|v| full.neighbors(v).windows(2).all(|w| w[0] < w[1]));
+    let simple = (0..pg.num_vertices()).all(|v| full.neighbors(v).windows(2).all(|w| w[0] < w[1]));
     assert!(simple, "not a canonical cut: a loop or a repeated pair");
     charge_set_residency(&mut sim, pg, &full);
     sim.end_superstep()?;
 
     // --- Phase 3: broadcast complete sets to every mirror. ---
     let ledger = sim.ledger();
-    for v in 0..n as VertexId {
-        let master = masters[v as usize];
+    for v in 0..pg.num_vertices() {
+        let master = masters[vid_index(v)];
         let bytes = full.degree(v) * 8 + overhead;
         for &p in pg.routing().parts_of(v) {
             if p != master {
@@ -136,7 +139,7 @@ pub fn triangle_count_partitioned(
     let mut stamp = vec![false; n];
     let mut stamped: Option<VertexId> = None;
     let ledger = sim.ledger();
-    for (p, part) in pg.parts().iter().enumerate() {
+    for (p, part) in (0..).zip(pg.parts()) {
         let mut local_counts = vec![0u64; part.vertices.len()];
         let mut set_bytes = 0;
         for &(ls, ld) in &part.edges {
@@ -151,31 +154,31 @@ pub fn triangle_count_partitioned(
             } else {
                 if stamped != Some(u) {
                     for &x in stamped.map_or(&[][..], |s| full.neighbors(s)) {
-                        stamp[x as usize] = false;
+                        stamp[vid_index(x)] = false;
                     }
-                    nu.iter().for_each(|&x| stamp[x as usize] = true);
+                    nu.iter().for_each(|&x| stamp[vid_index(x)] = true);
                     stamped = Some(u);
                 }
-                nw.iter().filter(|&&x| stamp[x as usize]).count()
+                nw.iter().filter(|&&x| stamp[vid_index(x)]).count()
             } as u64;
             local_counts[ls as usize] += cnt;
             local_counts[ld as usize] += cnt;
             edge_count_sum += cnt;
             set_bytes += (nu.len() + nw.len()) as u64 * 8;
         }
-        ledger.local_bytes(p as PartId, set_bytes);
-        ledger.edge_scans(p as PartId, part.num_edges());
+        ledger.local_bytes(p, set_bytes);
+        ledger.edge_scans(p, part.num_edges());
         // Ship non-zero per-vertex partial counts to masters.
         for (&v, &cnt) in part.vertices.iter().zip(&local_counts) {
             if cnt == 0 {
                 continue;
             }
-            let master = masters[v as usize];
-            if p as PartId != master {
-                ledger.send_exec(exec_of(p as PartId), exec_of(master), 1, 8 + overhead);
+            let master = masters[vid_index(v)];
+            if p != master {
+                ledger.send_exec(exec_of(p), exec_of(master), 1, 8 + overhead);
             }
             ledger.vertex_ops(master, 1);
-            per_vertex[v as usize] += cnt;
+            per_vertex[vid_index(v)] += cnt;
         }
     }
     sim.end_superstep()?;
@@ -209,9 +212,9 @@ pub fn triangle_count(
 /// Memory accounting for the set-carrying phases: neighbour sets dominate.
 fn charge_set_residency(sim: &mut ClusterSim, pg: &PartitionedGraph, full: &Csr) {
     sim.clear_resident();
-    for (p, part) in pg.parts().iter().enumerate() {
+    for (p, part) in (0..).zip(pg.parts()) {
         let set_bytes: u64 = part.vertices.iter().map(|&v| full.degree(v) * 8).sum();
-        sim.set_resident(p as PartId, part.structure_bytes() + set_bytes);
+        sim.set_resident(p, part.structure_bytes() + set_bytes);
     }
 }
 

@@ -33,7 +33,7 @@ impl BenchArgs {
     }
 
     /// Parses an explicit argument iterator (testable core of [`BenchArgs::parse`]).
-    pub fn parse_from<I: IntoIterator<Item = String>>(
+    pub(crate) fn parse_from<I: IntoIterator<Item = String>>(
         args: I,
         bin: &str,
         purpose: &str,

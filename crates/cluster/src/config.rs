@@ -14,7 +14,7 @@ pub enum Storage {
 
 impl Storage {
     /// Sustained sequential read bandwidth in MB/s.
-    pub fn read_mbps(&self) -> f64 {
+    pub(crate) fn read_mbps(&self) -> f64 {
         match self {
             Storage::Hdd => 160.0,
             Storage::Ssd => 2_000.0,
@@ -22,7 +22,7 @@ impl Storage {
     }
 
     /// Sustained sequential write bandwidth in MB/s.
-    pub fn write_mbps(&self) -> f64 {
+    pub(crate) fn write_mbps(&self) -> f64 {
         match self {
             Storage::Hdd => 120.0,
             Storage::Ssd => 1_500.0,
@@ -81,8 +81,9 @@ pub struct ComputeCostModel {
     /// high-diameter jobs (the paper's SSSP on the road networks, which
     /// need hundreds of supersteps) while short convergent jobs on much
     /// larger graphs survive. The default (0.45 %/superstep) is calibrated
-    /// so jobs die at roughly 120 supersteps, scale-invariantly; see
-    /// EXPERIMENTS.md E9 for the calibration note.
+    /// so jobs die at roughly 120 supersteps, scale-invariantly;
+    /// `tests/memory_model.rs::sssp_on_road_networks_runs_out_of_memory`
+    /// pins the death to supersteps 110–135 at two scales.
     pub lineage_heap_fraction_per_superstep: f64,
 }
 
@@ -208,7 +209,7 @@ impl ClusterConfig {
     }
 
     /// Network bandwidth in bytes/second.
-    pub fn network_bytes_per_sec(&self) -> f64 {
+    pub(crate) fn network_bytes_per_sec(&self) -> f64 {
         self.network_gbps * 1e9 / 8.0
     }
 }

@@ -10,7 +10,7 @@ use cutfit_util::num::part_index;
 
 /// Work performed inside a single partition during one superstep.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PartWork {
+pub(crate) struct PartWork {
     /// Edge triplets scanned (message generation).
     pub edge_scans: u64,
     /// Vertex-program applications / per-vertex reductions.
@@ -104,7 +104,7 @@ impl SuperstepLedger {
     }
 
     /// The frontier telemetry recorded this superstep, if any.
-    pub fn frontier_sample(&self) -> Option<(u64, u64, u64, u64)> {
+    pub(crate) fn frontier_sample(&self) -> Option<(u64, u64, u64, u64)> {
         self.frontier
     }
 
@@ -123,12 +123,12 @@ impl SuperstepLedger {
     }
 
     /// Per-partition work records.
-    pub fn part_work(&self) -> &[PartWork] {
+    pub(crate) fn part_work(&self) -> &[PartWork] {
         &self.parts
     }
 
     /// Total message records this superstep.
-    pub fn total_messages(&self) -> u64 {
+    pub(crate) fn total_messages(&self) -> u64 {
         self.exec_msgs.iter().sum()
     }
 
@@ -150,7 +150,7 @@ impl SuperstepLedger {
     }
 
     /// Total bytes staying within an executor.
-    pub fn local_shuffle_bytes(&self) -> u64 {
+    pub(crate) fn local_shuffle_bytes(&self) -> u64 {
         if self.exec_bytes.is_empty() {
             return 0;
         }
@@ -160,7 +160,7 @@ impl SuperstepLedger {
     }
 
     /// Outgoing remote bytes per executor.
-    pub fn out_bytes_per_exec(&self) -> Vec<u64> {
+    pub(crate) fn out_bytes_per_exec(&self) -> Vec<u64> {
         let e = self.executors;
         if self.exec_bytes.is_empty() {
             return vec![0; e as usize];
@@ -176,7 +176,7 @@ impl SuperstepLedger {
     }
 
     /// Incoming remote bytes per executor.
-    pub fn in_bytes_per_exec(&self) -> Vec<u64> {
+    pub(crate) fn in_bytes_per_exec(&self) -> Vec<u64> {
         let e = self.executors;
         if self.exec_bytes.is_empty() {
             return vec![0; e as usize];
@@ -193,7 +193,9 @@ impl SuperstepLedger {
 
     /// Number of executors with outgoing remote traffic this superstep —
     /// the simultaneous-sender count a contention model scales with.
-    pub fn busy_executors(&self) -> u32 {
+    // At most `executors`, a `u32`.
+    #[allow(clippy::cast_possible_truncation)]
+    pub(crate) fn busy_executors(&self) -> u32 {
         if self.exec_bytes.is_empty() {
             return 0;
         }

@@ -190,13 +190,13 @@ impl ScenarioConfig {
 
     /// Fixed compute slowdown of `exec`, in `[1, 1 + heterogeneity)`.
     #[inline]
-    pub fn speed_factor(&self, exec: u32) -> f64 {
+    pub(crate) fn speed_factor(&self, exec: u32) -> f64 {
         1.0 + self.heterogeneity.max(0.0) * self.unit(STREAM_SPEED, 0, exec)
     }
 
     /// Fixed clock drift rate of `exec`, in `(-clock_drift, +clock_drift)`.
     #[inline]
-    pub fn drift_rate(&self, exec: u32) -> f64 {
+    pub(crate) fn drift_rate(&self, exec: u32) -> f64 {
         self.clock_drift * (2.0 * self.unit(STREAM_DRIFT, 0, exec) - 1.0)
     }
 
@@ -217,7 +217,7 @@ impl ScenarioConfig {
 
     /// Cluster-wide contention level during `step`, in `[0, 1)`.
     #[inline]
-    pub fn contention_level(&self, step: u64) -> f64 {
+    pub(crate) fn contention_level(&self, step: u64) -> f64 {
         self.unit(STREAM_CONTEND, step, 0)
     }
 }

@@ -268,8 +268,8 @@ impl ClusterSim {
         let cells = execs * execs;
         let cell_bytes = total_bytes / cells;
         let cell_msgs = num_edges / cells;
-        for from in 0..execs {
-            for to in 0..execs {
+        for from in 0..self.config.executors {
+            for to in 0..self.config.executors {
                 let mut bytes = cell_bytes;
                 let mut msgs = cell_msgs;
                 if from == 0 && to == 0 {
@@ -278,18 +278,18 @@ impl ClusterSim {
                     msgs += num_edges % cells;
                 }
                 if bytes > 0 || msgs > 0 {
-                    self.ledger.send_exec(from as u32, to as u32, msgs, bytes);
+                    self.ledger.send_exec(from, to, msgs, bytes);
                 }
             }
         }
         let scans = num_edges * 2;
-        for p in 0..parts {
+        for p in 0..self.num_parts {
             let mut n = scans / parts;
             if p == 0 {
                 n += scans % parts;
             }
             if n > 0 {
-                self.ledger.edge_scans(p as u32, n);
+                self.ledger.edge_scans(p, n);
             }
         }
         self.end_superstep()
@@ -372,28 +372,29 @@ impl ClusterSim {
         // --- Compute: per-partition task times, LPT-style per executor. ---
         let mut exec_work = vec![0.0f64; cfg.executors as usize];
         let mut exec_max_task = vec![0.0f64; cfg.executors as usize];
-        for (p, w) in self.ledger.part_work().iter().enumerate() {
+        for (p, w) in (0..).zip(self.ledger.part_work()) {
             let task_ns = w.edge_scans as f64 * cost.per_edge_ns
                 + w.vertex_ops as f64 * cost.per_vertex_ns
                 + w.local_bytes as f64 * cost.per_byte_ns;
-            let exec = cfg.executor_of(p as u32) as usize;
+            let exec = cfg.executor_of(p) as usize;
             exec_work[exec] += task_ns;
             exec_max_task[exec] = exec_max_task[exec].max(task_ns);
         }
         let mut compute_secs = 0.0f64;
         let mut clean_critical_path = 0.0f64;
-        for exec in 0..cfg.executors as usize {
+        for exec_id in 0..cfg.executors {
+            let exec = exec_id as usize;
             // Tasks parallelise across cores but a superstep cannot end
             // before its longest task.
             let base =
                 (exec_work[exec] / cfg.cores_per_executor as f64).max(exec_max_task[exec]) * 1e-9;
             let paced = if scen.heterogeneity > 0.0 {
-                base * scen.speed_factor(exec as u32)
+                base * scen.speed_factor(exec_id)
             } else {
                 base
             };
             clean_critical_path = clean_critical_path.max(paced);
-            let with_straggle = if scen.straggles(step, exec as u32) {
+            let with_straggle = if scen.straggles(step, exec_id) {
                 paced * scen.straggler_slowdown.max(1.0)
             } else {
                 paced
@@ -453,8 +454,9 @@ impl ClusterSim {
             // time; the barrier cannot release until the slowest clock
             // agrees the superstep is over, so it pays the spread.
             let pre_barrier = compute_secs + network_secs + storage_secs + overhead_secs;
-            for exec in 0..cfg.executors as usize {
-                self.clock_offset[exec] += scen.drift_rate(exec as u32) * pre_barrier;
+            for exec_id in 0..cfg.executors {
+                let exec = exec_id as usize;
+                self.clock_offset[exec] += scen.drift_rate(exec_id) * pre_barrier;
             }
             let fastest = self.clock_offset.iter().cloned().fold(f64::MIN, f64::max);
             let slowest = self.clock_offset.iter().cloned().fold(f64::MAX, f64::min);
@@ -468,7 +470,8 @@ impl ClusterSim {
         let capacity_gb = cfg.executor_memory_gb * cfg.usable_memory_fraction;
         let lineage_fixed = cfg.executor_memory_gb * 1e9 * cost.lineage_heap_fraction_per_superstep;
         let mut oom: Option<SimError> = None;
-        for exec in 0..cfg.executors as usize {
+        for exec_id in 0..cfg.executors {
+            let exec = exec_id as usize;
             // Lineage growth: the in-memory share of retained shuffle data
             // and the fixed per-superstep bookkeeping that accumulates until
             // job end.
@@ -483,7 +486,7 @@ impl ClusterSim {
                 self.report.peak_executor_memory_gb.max(demand_gb);
             if demand_gb > capacity_gb && oom.is_none() {
                 oom = Some(SimError::OutOfMemory {
-                    executor: exec as u32,
+                    executor: exec_id,
                     superstep: self.report.supersteps,
                     required_gb: demand_gb,
                     capacity_gb,

@@ -100,6 +100,8 @@ impl Advisor {
     /// An advisor whose size threshold is scaled by the same factor as a
     /// generated dataset (so profile-generated graphs classify the same way
     /// their full-size originals would).
+    // A float threshold: `as` saturates.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn scaled(scale: f64) -> Self {
         Self {
             large_edges_threshold: (100_000_000.0 * scale) as u64,

@@ -28,13 +28,14 @@
 //! locality — the property the paper's SC/DC partitioners exploit.
 
 use cutfit_graph::{Edge, Graph};
+use cutfit_util::num::vid_index;
 use cutfit_util::rng::ZipfSampler;
 use cutfit_util::Xoshiro256pp;
 
 use crate::powerlaw::degree_sequence;
 use crate::relabel::first_touch_relabel;
 
-/// Parameters for [`crawl_graph`].
+/// Parameters for the crawl generator (`crawl_graph`).
 #[derive(Debug, Clone, Copy)]
 pub struct CrawlConfig {
     /// Number of crawled users (the "core": users whose edge lists were
@@ -103,8 +104,16 @@ impl CrawlConfig {
 /// Generates a crawl-shaped follow graph. Returns a compacted graph whose
 /// vertex IDs are first-touch order; the crawled core occupies the
 /// early/interleaved IDs just as in a real breadth-wise crawl dump.
-pub fn crawl_graph(config: &CrawlConfig, seed: u64) -> Graph {
+// Float sizes are samples (`as` saturates), `spread` reduces modulo a `u64`
+// pool, and peer ids are below `na`, which the `u32` peer adjacency caps at
+// 2^32 (asserted here).
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn crawl_graph(config: &CrawlConfig, seed: u64) -> Graph {
     assert!(config.crawled_users > 1, "need at least two crawled users");
+    assert!(
+        config.crawled_users <= 1 << 32,
+        "u32 peer adjacency: at most 2^32 crawled users"
+    );
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let na = config.crawled_users;
     let celeb_pool = na + config.celebrity_zone;
@@ -113,7 +122,7 @@ pub fn crawl_graph(config: &CrawlConfig, seed: u64) -> Graph {
 
     let friend_deg = degree_sequence(
         &mut rng,
-        na as usize,
+        vid_index(na),
         config.degree_alpha,
         0.0,
         (na as f64 * config.friends_mean) as u64,
@@ -121,7 +130,7 @@ pub fn crawl_graph(config: &CrawlConfig, seed: u64) -> Graph {
     );
     let follower_deg = degree_sequence(
         &mut rng,
-        na as usize,
+        vid_index(na),
         config.degree_alpha,
         0.0,
         (na as f64 * config.followers_mean) as u64,
@@ -137,23 +146,26 @@ pub fn crawl_graph(config: &CrawlConfig, seed: u64) -> Graph {
         const PRIME: u128 = 1_125_899_906_842_597;
         ((rank as u128 * PRIME) % pool as u128) as u64
     };
-    let peers = ZipfSampler::new(na as usize, config.peer_alpha);
-    let celebrity = ZipfSampler::new(celeb_pool as usize, config.celebrity_alpha);
-    let audience = ZipfSampler::new(config.audience_zone.max(1) as usize, config.follower_alpha);
+    let peers = ZipfSampler::new(vid_index(na), config.peer_alpha);
+    let celebrity = ZipfSampler::new(vid_index(celeb_pool), config.celebrity_alpha);
+    let audience = ZipfSampler::new(
+        vid_index(config.audience_zone.max(1)),
+        config.follower_alpha,
+    );
 
     let mut edges: Vec<Edge> = Vec::with_capacity(
         ((config.friends_mean + config.followers_mean) * na as f64 * 1.4) as usize,
     );
     // Peer adjacency, used by the triadic-closure step below.
-    let mut peer_adj: Vec<Vec<u32>> = vec![Vec::new(); na as usize];
+    let mut peer_adj: Vec<Vec<u32>> = vec![Vec::new(); vid_index(na)];
     for a in 0..na {
-        for _ in 0..friend_deg[a as usize] {
+        for _ in 0..friend_deg[vid_index(a)] {
             let (t, back_p) = if rng.bernoulli(config.peer_fraction) {
                 // Triadic closure: with probability `peer_triad_p`, follow a
                 // friend of an existing friend instead of a fresh sample.
                 let target =
-                    if rng.bernoulli(config.peer_triad_p) && !peer_adj[a as usize].is_empty() {
-                        let via = *rng.choose(&peer_adj[a as usize]);
+                    if rng.bernoulli(config.peer_triad_p) && !peer_adj[vid_index(a)].is_empty() {
+                        let via = *rng.choose(&peer_adj[vid_index(a)]);
                         if peer_adj[via as usize].is_empty() {
                             peers.sample(&mut rng) as u64
                         } else {
@@ -163,7 +175,7 @@ pub fn crawl_graph(config: &CrawlConfig, seed: u64) -> Graph {
                         peers.sample(&mut rng) as u64
                     };
                 if target < na && target != a {
-                    peer_adj[a as usize].push(target as u32);
+                    peer_adj[vid_index(a)].push(target as u32);
                 }
                 (target, config.mutual_p)
             } else {
@@ -179,14 +191,14 @@ pub fn crawl_graph(config: &CrawlConfig, seed: u64) -> Graph {
             if rng.bernoulli(back_p) {
                 edges.push(Edge::new(t, a));
                 if t < na {
-                    peer_adj[t as usize].push(a as u32);
+                    peer_adj[vid_index(t)].push(a as u32);
                 }
             }
         }
         if config.audience_zone == 0 {
             continue;
         }
-        for _ in 0..follower_deg[a as usize] {
+        for _ in 0..follower_deg[vid_index(a)] {
             let s = audience_base + spread(audience.sample(&mut rng) as u64, config.audience_zone);
             edges.push(Edge::new(s, a));
             if rng.bernoulli(config.stranger_p) {

@@ -9,16 +9,17 @@
 //! skew, clustering, component structure, ID↔locality correlation — and a
 //! seeded generator reproduces them at a configurable scale.
 //!
-//! Four generator families cover the nine datasets:
+//! Four generator families cover the nine datasets, and
+//! [`DatasetProfile::generate`] picks one per profile:
 //!
-//! * [`road::road_network`] — perturbed grids (RoadNet-PA/TX/CA): symmetric,
+//! * `road_network` — perturbed grids (RoadNet-PA/TX/CA): symmetric,
 //!   bounded degree, near-planar, huge diameter, many small components,
 //!   row-major (spatial) vertex IDs.
 //! * [`social::undirected_social`] — Holme–Kim preferential attachment
 //!   (YouTube, Orkut): symmetric power-law graphs with tunable clustering.
-//! * [`social::directed_social`] — activity/popularity model with triadic
+//! * `directed_social` — activity/popularity model with triadic
 //!   closure and tunable reciprocity (Pocek, socLiveJournal).
-//! * [`crawl::crawl_graph`] — a forest-fire-style API crawl (follow-jul,
+//! * `crawl_graph` — a forest-fire-style API crawl (follow-jul,
 //!   follow-dec): crawled core plus a large periphery of users that were
 //!   only *seen*, yielding the paper's large ZeroIn/ZeroOut fractions and
 //!   "superstar" skew; IDs are assigned in first-touch (crawl) order.
@@ -33,10 +34,8 @@ pub mod rmat;
 pub mod road;
 pub mod social;
 
-pub use crawl::{crawl_graph, CrawlConfig};
+pub use crawl::CrawlConfig;
 pub use profiles::{DatasetProfile, ProfileKind};
 pub use rmat::{rmat, RmatConfig};
-pub use road::{road_network, RoadNetworkConfig};
-pub use social::{
-    directed_social, undirected_social, DirectedSocialConfig, UndirectedSocialConfig,
-};
+pub use road::RoadNetworkConfig;
+pub use social::{undirected_social, DirectedSocialConfig, UndirectedSocialConfig};

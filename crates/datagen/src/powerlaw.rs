@@ -10,7 +10,9 @@ use cutfit_util::Xoshiro256pp;
 /// Draws one discrete Pareto sample: `floor(xmin * U^(-1/(alpha-1)))`,
 /// capped at `cap`. `alpha` is the *density* exponent (P(k) ~ k^-alpha),
 /// so `alpha > 1` is required for a finite mean region.
-pub fn pareto_sample(rng: &mut Xoshiro256pp, xmin: u64, alpha: f64, cap: u64) -> u64 {
+// A float sample: `as` saturates, and the clamp bounds the result.
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn pareto_sample(rng: &mut Xoshiro256pp, xmin: u64, alpha: f64, cap: u64) -> u64 {
     debug_assert!(alpha > 1.0, "pareto requires alpha > 1");
     let u = rng.next_f64().max(f64::MIN_POSITIVE);
     let x = xmin as f64 * u.powf(-1.0 / (alpha - 1.0));
@@ -20,7 +22,9 @@ pub fn pareto_sample(rng: &mut Xoshiro256pp, xmin: u64, alpha: f64, cap: u64) ->
 /// Draws `n` power-law degrees and rescales them to sum to ~`target_sum`
 /// (exact up to rounding). Zero entries (selected by `zero_fraction`) stay
 /// zero — these become the paper's "leaf"/silent vertices.
-pub fn degree_sequence(
+// Rescaled degrees are float samples: `as` saturates.
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn degree_sequence(
     rng: &mut Xoshiro256pp,
     n: usize,
     alpha: f64,

@@ -7,8 +7,8 @@
 //! with the `scale` argument of [`DatasetProfile::generate`] (1.0 = the
 //! paper's real size; experiments default to ~0.01).
 //!
-//! Calibration against the paper's Table 1 is recorded per dataset in
-//! `EXPERIMENTS.md` (experiment E1).
+//! Calibration against the paper's Table 1 is pinned per dataset by
+//! `crates/datagen/tests/profile_bands.rs`.
 
 use cutfit_graph::Graph;
 
@@ -288,6 +288,8 @@ impl DatasetProfile {
     }
 
     /// Vertex count at the given scale (minimum 64 to keep generators sane).
+    // A float size: `as` saturates, and the floor is 64.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn scaled_vertices(&self, scale: f64) -> u64 {
         ((self.base_vertices as f64 * scale).round() as u64).max(64)
     }
@@ -302,6 +304,8 @@ impl DatasetProfile {
 
     /// Generates the dataset at `scale` (1.0 = the paper's real size)
     /// deterministically from `seed`.
+    // Grid sides and zone sizes are float fractions of `n`: `as` saturates.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn generate(&self, scale: f64, seed: u64) -> Graph {
         let n = self.scaled_vertices(scale);
         match self.kind {

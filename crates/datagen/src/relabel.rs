@@ -3,7 +3,7 @@
 //! The SC/DC partitioners proposed by the paper bet that vertex IDs encode
 //! locality ("assuming that vertex IDs may capture a metric of locality",
 //! §3). These helpers create or destroy that correlation on purpose:
-//! [`first_touch_relabel`] assigns IDs in discovery order (what a crawler
+//! `first_touch_relabel` assigns IDs in discovery order (what a crawler
 //! produces) and [`shuffle_ids`] randomly (no locality); the advisor
 //! ablation compares partitioner behaviour across the two.
 
@@ -14,7 +14,7 @@ use cutfit_util::Xoshiro256pp;
 /// Result of [`first_touch_relabel`]: the compacted edges plus the
 /// permutation needed to map per-vertex results back to the original IDs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FirstTouchRelabel {
+pub(crate) struct FirstTouchRelabel {
     /// Edges with endpoints renumbered in first-occurrence order.
     pub edges: Vec<Edge>,
     /// Number of distinct vertices touched (new IDs are `0..num_vertices`).
@@ -32,16 +32,16 @@ pub struct FirstTouchRelabel {
 /// of a hash map: generated IDs are bounded by the largest endpoint, so
 /// one O(max_id) allocation buys O(1) per-endpoint interning with no
 /// hashing on the hot path.
-pub fn first_touch_relabel(edges: &[Edge]) -> FirstTouchRelabel {
+pub(crate) fn first_touch_relabel(edges: &[Edge]) -> FirstTouchRelabel {
     let max_id = edges
         .iter()
         .map(|e| e.src.max(e.dst))
         .max()
-        .map_or(0, |m| m as usize + 1);
+        .map_or(0, |m| vid_index(m) + 1);
     let mut old_to_new = vec![VertexId::MAX; max_id];
     let mut new_to_old: Vec<VertexId> = Vec::new();
     let mut intern = |v: VertexId| -> VertexId {
-        let slot = &mut old_to_new[v as usize];
+        let slot = &mut old_to_new[vid_index(v)];
         if *slot == VertexId::MAX {
             *slot = new_to_old.len() as VertexId;
             new_to_old.push(v);

@@ -42,6 +42,8 @@ impl Default for RmatConfig {
 /// Samples an R-MAT graph. Duplicate edges are kept (multigraph), matching
 /// the raw output of the reference generator; pass through
 /// [`cutfit_graph::GraphBuilder`] with dedup for a simple graph.
+// The edge count only sizes a capacity hint.
+#[allow(clippy::cast_possible_truncation)]
 pub fn rmat(config: &RmatConfig, seed: u64) -> Graph {
     let sum = config.a + config.b + config.c + config.d;
     assert!(

@@ -17,7 +17,7 @@ use cutfit_graph::{Graph, GraphBuilder};
 use cutfit_util::num::vid_index;
 use cutfit_util::Xoshiro256pp;
 
-/// Parameters for [`road_network`].
+/// Parameters for the road generator (`road_network`).
 #[derive(Debug, Clone, Copy)]
 pub struct RoadNetworkConfig {
     /// Grid width (columns).
@@ -41,26 +41,12 @@ impl Default for RoadNetworkConfig {
     }
 }
 
-impl RoadNetworkConfig {
-    /// A config with `n` vertices (rounded to a near-square grid) and the
-    /// default road-like perturbation parameters.
-    pub fn with_vertices(n: u64) -> Self {
-        let width = (n as f64).sqrt().round().max(1.0) as u64;
-        let height = n.div_ceil(width).max(1);
-        Self {
-            width,
-            height,
-            ..Self::default()
-        }
-    }
-}
-
 /// Generates a symmetric road-like graph. Vertex IDs are row-major grid
 /// coordinates (compacted), so nearby IDs are nearby on the map. Junctions
 /// isolated by the percolation are removed — real road-network dumps list
 /// only junctions that carry road segments, which is why Table 1 reports
 /// 0 % zero-degree vertices for them.
-pub fn road_network(config: &RoadNetworkConfig, seed: u64) -> Graph {
+pub(crate) fn road_network(config: &RoadNetworkConfig, seed: u64) -> Graph {
     let RoadNetworkConfig {
         width,
         height,
@@ -69,7 +55,7 @@ pub fn road_network(config: &RoadNetworkConfig, seed: u64) -> Graph {
     } = *config;
     let n = width * height;
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let mut builder = GraphBuilder::with_capacity((n as usize) * 2);
+    let mut builder = GraphBuilder::with_capacity(vid_index(n) * 2);
     builder.reserve_vertices(n);
     builder.symmetrize(true);
     let id = |r: u64, c: u64| r * width + c;
@@ -90,12 +76,12 @@ pub fn road_network(config: &RoadNetworkConfig, seed: u64) -> Graph {
     let grid = builder.build();
 
     // Drop isolated junctions, preserving row-major (spatial) ID order.
-    let mut touched = vec![false; n as usize];
+    let mut touched = vec![false; vid_index(n)];
     for e in grid.edges() {
         touched[vid_index(e.src)] = true;
         touched[vid_index(e.dst)] = true;
     }
-    let mut remap = vec![0u64; n as usize];
+    let mut remap = vec![0u64; vid_index(n)];
     let mut next = 0u64;
     for (v, &t) in touched.iter().enumerate() {
         if t {
@@ -117,7 +103,7 @@ mod tests {
     use cutfit_graph::analysis::{count_triangles, reciprocity, weakly_connected_components};
 
     fn sample() -> Graph {
-        road_network(&RoadNetworkConfig::with_vertices(10_000), 42)
+        road_network(&RoadNetworkConfig::default(), 42)
     }
 
     #[test]
@@ -175,12 +161,5 @@ mod tests {
         let a = road_network(&RoadNetworkConfig::default(), 7);
         let b = road_network(&RoadNetworkConfig::default(), 8);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn with_vertices_near_target() {
-        let cfg = RoadNetworkConfig::with_vertices(5000);
-        let n = cfg.width * cfg.height;
-        assert!((4800..=5300).contains(&n), "grid size {n}");
     }
 }

@@ -8,6 +8,7 @@
 //! ZeroIn % and the Figure 1 degree tails, `triad_probability` → triangles.
 
 use cutfit_graph::{Graph, GraphBuilder};
+use cutfit_util::num::vid_index;
 use cutfit_util::rng::ZipfSampler;
 use cutfit_util::Xoshiro256pp;
 
@@ -39,8 +40,12 @@ impl Default for UndirectedSocialConfig {
 /// Generates a symmetric power-law social graph by preferential attachment
 /// with triadic closure. Vertex IDs are join order: early vertices are the
 /// oldest and best-connected accounts, as in real networks.
+// Float sizes are samples (`as` saturates). Vertex ids and counts are below
+// `n`, which the `u32` adjacency caps at 2^32 (asserted here).
+#[allow(clippy::cast_possible_truncation)]
 pub fn undirected_social(config: &UndirectedSocialConfig, seed: u64) -> Graph {
     let n = config.vertices;
+    assert!(n <= 1 << 32, "u32 adjacency: at most 2^32 vertices");
     let m = config.edges_per_vertex.max(0.1);
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let m_int = m.floor() as u64;
@@ -55,7 +60,7 @@ pub fn undirected_social(config: &UndirectedSocialConfig, seed: u64) -> Graph {
     // is degree-proportional (classic BA trick). `adj` supports the triad
     // step and per-vertex duplicate avoidance.
     let mut endpoints: Vec<u32> = Vec::with_capacity((n as f64 * m * 2.2) as usize);
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); vid_index(n)];
     let connect = |a: u32,
                    b: u32,
                    builder: &mut GraphBuilder,
@@ -109,7 +114,7 @@ pub fn undirected_social(config: &UndirectedSocialConfig, seed: u64) -> Graph {
     builder.build()
 }
 
-/// Parameters for [`directed_social`].
+/// Parameters for the directed social generator (`directed_social`).
 #[derive(Debug, Clone, Copy)]
 pub struct DirectedSocialConfig {
     /// Number of vertices.
@@ -155,8 +160,12 @@ impl Default for DirectedSocialConfig {
 /// ID: old accounts are popular, giving IDs the locality the SC/DC
 /// partitioners look for), and each edge is reciprocated with the
 /// probability that achieves the configured edge-level reciprocity.
-pub fn directed_social(config: &DirectedSocialConfig, seed: u64) -> Graph {
+// Float sizes are samples (`as` saturates). Vertex ids are below `n`, which
+// the `u32` adjacency caps at 2^32 (asserted here).
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn directed_social(config: &DirectedSocialConfig, seed: u64) -> Graph {
     let n = config.vertices;
+    assert!(n <= 1 << 32, "u32 adjacency: at most 2^32 vertices");
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     // If each base edge is independently reciprocated with probability q,
     // the fraction of reciprocated directed edges is 2q/(1+q); invert.
@@ -166,26 +175,27 @@ pub fn directed_social(config: &DirectedSocialConfig, seed: u64) -> Graph {
     let cap = (n / 4).max(8);
     let degrees = degree_sequence(
         &mut rng,
-        n as usize,
+        vid_index(n),
         config.activity_alpha,
         config.silent_fraction,
         base_total,
         cap,
     );
     let silent: Vec<bool> = degrees.iter().map(|&d| d == 0).collect();
-    let zipf = ZipfSampler::new(n as usize, config.popularity_alpha);
+    let zipf = ZipfSampler::new(vid_index(n), config.popularity_alpha);
 
     let mut builder = GraphBuilder::with_capacity((base_total as f64 * (1.0 + q)) as usize);
     builder.reserve_vertices(n);
     builder.dedup(true);
     builder.drop_loops(true);
-    let mut out_adj: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
-    let mut targeted = vec![false; n as usize];
+    let mut out_adj: Vec<Vec<u32>> = vec![Vec::new(); vid_index(n)];
+    let mut targeted = vec![false; vid_index(n)];
 
     for v in 0..n {
-        for _ in 0..degrees[v as usize] {
-            let t = if rng.bernoulli(config.triad_probability) && !out_adj[v as usize].is_empty() {
-                let w = *rng.choose(&out_adj[v as usize]);
+        for _ in 0..degrees[vid_index(v)] {
+            let t = if rng.bernoulli(config.triad_probability) && !out_adj[vid_index(v)].is_empty()
+            {
+                let w = *rng.choose(&out_adj[vid_index(v)]);
                 if out_adj[w as usize].is_empty() {
                     zipf.sample(&mut rng) as u64
                 } else {
@@ -198,14 +208,14 @@ pub fn directed_social(config: &DirectedSocialConfig, seed: u64) -> Graph {
                 continue;
             }
             builder.add_edge(v, t);
-            out_adj[v as usize].push(t as u32);
-            targeted[t as usize] = true;
+            out_adj[vid_index(v)].push(t as u32);
+            targeted[vid_index(t)] = true;
             // Reciprocation: silent vertices never follow back (they have no
             // out-activity by construction).
-            if !silent[t as usize] && rng.bernoulli(q) {
+            if !silent[vid_index(t)] && rng.bernoulli(q) {
                 builder.add_edge(t, v);
-                out_adj[t as usize].push(v as u32);
-                targeted[v as usize] = true;
+                out_adj[vid_index(t)].push(v as u32);
+                targeted[vid_index(v)] = true;
             }
         }
     }
@@ -214,7 +224,7 @@ pub fn directed_social(config: &DirectedSocialConfig, seed: u64) -> Graph {
         // Attach untouched vertices to the most popular vertex so the graph
         // forms a single weak component without disturbing ZeroOut.
         for v in 0..n {
-            if degrees[v as usize] == 0 && !targeted[v as usize] && n > 1 {
+            if degrees[vid_index(v)] == 0 && !targeted[vid_index(v)] && n > 1 {
                 let hub = if v == 0 { 1 } else { 0 };
                 builder.add_edge(hub, v);
             }

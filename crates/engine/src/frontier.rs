@@ -51,7 +51,7 @@ pub(crate) struct Occurrence {
 pub(crate) struct Incidence {
     /// `2·V + 1` offsets into `occurrences`: vertex `v`'s source group
     /// starts at `[2v]`, its destination group at `[2v + 1]`.
-    offsets: Vec<u64>,
+    offsets: Vec<usize>,
     occurrences: Vec<Occurrence>,
 }
 
@@ -61,7 +61,7 @@ impl Incidence {
     /// group fills in ascending (partition, edge) order.
     pub(crate) fn build(pg: &PartitionedGraph) -> Self {
         let n = vid_index(pg.num_vertices());
-        let mut offsets = vec![0u64; 2 * n + 1];
+        let mut offsets = vec![0usize; 2 * n + 1];
         for part in pg.parts() {
             for &(ls, ld) in &part.edges {
                 offsets[2 * vid_index(part.vertices[ls as usize]) + 1] += 1;
@@ -77,12 +77,12 @@ impl Incidence {
             edge: 0,
             other: 0,
         };
-        let mut occurrences = vec![nowhere; offsets[2 * n] as usize];
+        let mut occurrences = vec![nowhere; offsets[2 * n]];
         for (part, table) in (0..).zip(pg.parts()) {
             for (edge, &(ls, ld)) in (0..).zip(&table.edges) {
                 let (src, dst) = (table.vertices[ls as usize], table.vertices[ld as usize]);
                 for (group, other) in [(2 * vid_index(src), dst), (2 * vid_index(dst) + 1, src)] {
-                    occurrences[cursor[group] as usize] = Occurrence { part, edge, other };
+                    occurrences[cursor[group]] = Occurrence { part, edge, other };
                     cursor[group] += 1;
                 }
             }
@@ -98,7 +98,7 @@ impl Incidence {
     #[inline]
     pub(crate) fn of(&self, v: VertexId) -> (&[Occurrence], &[Occurrence]) {
         let group = 2 * vid_index(v);
-        let at = |i: usize| self.offsets[i] as usize;
+        let at = |i: usize| self.offsets[i];
         (
             &self.occurrences[at(group)..at(group + 1)],
             &self.occurrences[at(group + 1)..at(group + 2)],

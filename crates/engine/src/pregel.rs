@@ -198,9 +198,9 @@ fn group_indices<T>(num_keys: usize, items: &[T], key: impl Fn(&T) -> u32) -> (V
     }
     let mut cursor = offsets.clone();
     let mut grouped = vec![0u32; items.len()];
-    for (i, item) in items.iter().enumerate() {
+    for (i, item) in (0u32..).zip(items) {
         let k = key(item) as usize;
-        grouped[cursor[k] as usize] = i as u32;
+        grouped[cursor[k] as usize] = i;
         cursor[k] += 1;
     }
     (offsets, grouped)
@@ -274,10 +274,10 @@ impl BroadcastClasses {
             home_counts: vec![0; np],
             isolated_counts: vec![0; np],
         };
-        // BTreeMap, not a hash map: lookups only, but unordered containers
-        // in the engine are what the analyzer's D1 rule keeps out. The key
-        // is `[master_exec, exec, count, exec, count, …]`, empty for a
-        // vertex without mirrors.
+        // BTreeMap, not a hash map: lookups only, but clippy.toml's
+        // `disallowed-types` keeps unordered containers out of library code.
+        // The key is `[master_exec, exec, count, exec, count, …]`, empty for
+        // a vertex without mirrors.
         let mut ids: std::collections::BTreeMap<Vec<u32>, u32> = std::collections::BTreeMap::new();
         let (mut execs, mut key) = (Vec::new(), Vec::new());
         for (v, (&h, &master)) in home.iter().zip(pg.masters()).enumerate() {
@@ -307,14 +307,17 @@ impl BroadcastClasses {
             let class = match ids.get(key.as_slice()) {
                 Some(&class) => class,
                 None => {
-                    let class = classes.population.len() as u32;
+                    let class = u32::try_from(classes.population.len())
+                        .unwrap_or_else(|_| panic!("more than 2^32 broadcast classes"));
                     classes.population.push(0);
                     classes.master_exec.push(key.first().copied().unwrap_or(0));
                     let pairs = key.get(1..).unwrap_or(&[]).chunks_exact(2);
                     classes
                         .mirrors
                         .extend(pairs.map(|pair| (pair[0], u64::from(pair[1]))));
-                    classes.offsets.push(classes.mirrors.len() as u32);
+                    let end = u32::try_from(classes.mirrors.len())
+                        .unwrap_or_else(|_| panic!("more than 2^32 broadcast mirrors"));
+                    classes.offsets.push(end);
                     ids.insert(key.clone(), class);
                     class
                 }
@@ -377,6 +380,8 @@ impl ScanIndex {
     /// shuffle split into several home shards — the one-shard shuffle
     /// sweeps each partial buffer whole — so they are built only when
     /// `shards` is set.
+    // A hash modulo the `u32` part count is below it.
+    #[allow(clippy::cast_possible_truncation)]
     fn build(pg: &PartitionedGraph, cluster: &ClusterConfig, shards: bool) -> Self {
         let np = pg.num_parts() as usize;
         let home: Vec<PartId> = pg
@@ -397,8 +402,8 @@ impl ScanIndex {
         } else {
             Vec::new()
         };
-        let mut out_deg = vec![0u32; pg.num_vertices() as usize];
-        let mut in_deg = vec![0u32; pg.num_vertices() as usize];
+        let mut out_deg = vec![0u32; vid_index(pg.num_vertices())];
+        let mut in_deg = vec![0u32; vid_index(pg.num_vertices())];
         for part in pg.parts() {
             for &(ls, ld) in &part.edges {
                 out_deg[vid_index(part.vertices[ls as usize])] += 1;
@@ -407,7 +412,9 @@ impl ScanIndex {
         }
         Self {
             home,
-            exec_of_part: (0..np as u32).map(|p| cluster.executor_of(p)).collect(),
+            exec_of_part: (0..pg.num_parts())
+                .map(|p| cluster.executor_of(p))
+                .collect(),
             out_deg,
             in_deg,
             parts,
@@ -431,7 +438,7 @@ impl ScanIndex {
 /// ([`MeterDelta::flush_row`]). [`MeterDelta::reset`] clears all of it, so a
 /// run abandoned mid-phase leaves nothing behind for the next one.
 struct MeterDelta {
-    executors: usize,
+    executors: u32,
     /// Row-major `executors × executors` byte/message matrices, allocated
     /// on the first recorded transfer (mirrors [`SuperstepLedger`]'s lazy
     /// hardening: a huge executor grid must not cost `executors²` memory
@@ -458,7 +465,7 @@ struct MeterDelta {
 }
 
 impl MeterDelta {
-    fn new(executors: usize, num_parts: usize) -> Self {
+    fn new(executors: u32, num_parts: usize) -> Self {
         Self {
             executors,
             exec_bytes: Vec::new(),
@@ -511,14 +518,20 @@ impl MeterDelta {
         }
     }
 
+    /// Row-major cell of `(from, to)` in the executor matrices.
+    #[inline]
+    fn exec_index(&self, from: u32, to: u32) -> usize {
+        from as usize * self.executors as usize + to as usize
+    }
+
     #[inline]
     fn send_exec(&mut self, from_exec: u32, to_exec: u32, msgs: u64, bytes: u64) {
         if self.exec_bytes.is_empty() {
-            let cells = self.executors * self.executors;
+            let cells = self.executors as usize * self.executors as usize;
             self.exec_bytes = vec![0; cells];
             self.exec_msgs = vec![0; cells];
         }
-        let idx = from_exec as usize * self.executors + to_exec as usize;
+        let idx = self.exec_index(from_exec, to_exec);
         self.exec_bytes[idx] += bytes;
         self.exec_msgs[idx] += msgs;
     }
@@ -528,14 +541,14 @@ impl MeterDelta {
             let (states, bytes) = self.class_sent[class as usize];
             classes.bill(class as usize, states, bytes, ledger);
         }
-        for (p, &ops) in self.vertex_ops.iter().enumerate() {
+        for (p, &ops) in (0..).zip(&self.vertex_ops) {
             if ops > 0 {
-                ledger.vertex_ops(p as u32, ops);
+                ledger.vertex_ops(p, ops);
             }
         }
-        for (p, &bytes) in self.local_bytes.iter().enumerate() {
+        for (p, &bytes) in (0..).zip(&self.local_bytes) {
             if bytes > 0 {
-                ledger.local_bytes(p as u32, bytes);
+                ledger.local_bytes(p, bytes);
             }
         }
         if self.exec_bytes.is_empty() {
@@ -543,22 +556,17 @@ impl MeterDelta {
         }
         for from in 0..self.executors {
             for to in 0..self.executors {
-                let idx = from * self.executors + to;
+                let idx = self.exec_index(from, to);
                 if self.exec_msgs[idx] > 0 || self.exec_bytes[idx] > 0 {
-                    ledger.send_exec(
-                        from as u32,
-                        to as u32,
-                        self.exec_msgs[idx],
-                        self.exec_bytes[idx],
-                    );
+                    ledger.send_exec(from, to, self.exec_msgs[idx], self.exec_bytes[idx]);
                 }
             }
         }
     }
 
     fn flush_resident(&self, sim: &mut ClusterSim) {
-        for (p, &delta) in self.resident.iter().enumerate() {
-            sim.adjust_resident(p as u32, delta);
+        for (p, &delta) in (0..).zip(&self.resident) {
+            sim.adjust_resident(p, delta);
         }
     }
 }
@@ -583,10 +591,10 @@ impl RunBuffers {
         let np = pg.num_parts() as usize;
         Self {
             sim: ClusterSim::new(cluster.clone(), pg.num_parts()),
-            active: vec![false; pg.num_vertices() as usize],
+            active: vec![false; vid_index(pg.num_vertices())],
             frontier: FrontierBuffers::new(np),
             deltas: (0..executor.threads().min(np.max(1)))
-                .map(|_| MeterDelta::new(cluster.executors as usize, np))
+                .map(|_| MeterDelta::new(cluster.executors, np))
                 .collect(),
         }
     }
@@ -826,8 +834,8 @@ fn execute<P: VertexProgram>(
         // equal across modes, and the frontier is exactly the set of
         // vertices that received messages last superstep.
         probe.time(Phase::Sim, || {
-            for (p, &m) in run.fb.matched.iter().enumerate() {
-                sim.ledger().edge_scans(p as PartId, m);
+            for (p, &m) in (0..).zip(&run.fb.matched) {
+                sim.ledger().edge_scans(p, m);
             }
             let scanned: u64 = run.fb.matched.iter().sum();
             sim.ledger()
@@ -1009,9 +1017,9 @@ impl<P: VertexProgram> Ctx<'_, P> {
         // (vertex, mirror) pair — billed per class. Fixed-size states all
         // bill the same constant, so their classes' totals are populations
         // times that constant; variable-size ones are summed per vertex.
-        for (q, &count) in classes.home_counts.iter().enumerate() {
+        for (q, &count) in (0..).zip(&classes.home_counts) {
             if count > 0 {
-                sim.ledger().vertex_ops(q as PartId, count);
+                sim.ledger().vertex_ops(q, count);
             }
         }
         let fixed_state = program.fixed_state_bytes();
@@ -1060,8 +1068,8 @@ impl<P: VertexProgram> Ctx<'_, P> {
                 }
             }
         }
-        for (p, &bytes) in resident.iter().enumerate() {
-            sim.set_resident(p as PartId, bytes);
+        for (p, &bytes) in (0..).zip(&resident) {
+            sim.set_resident(p, bytes);
         }
         sim.end_superstep()?;
         Ok(states)

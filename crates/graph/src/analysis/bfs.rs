@@ -11,6 +11,7 @@ use crate::analysis::components::weakly_connected_components;
 use crate::csr::Csr;
 use crate::graph::Graph;
 use crate::types::VertexId;
+use cutfit_util::num::vid_index;
 
 /// Diameter as the paper reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,16 +34,17 @@ impl std::fmt::Display for Diameter {
 /// BFS hop distances from `source` over the given adjacency; `u32::MAX`
 /// marks unreachable vertices.
 pub fn bfs_distances(csr: &Csr, source: VertexId) -> Vec<u32> {
-    let n = csr.num_vertices() as usize;
+    let n = vid_index(csr.num_vertices());
     let mut dist = vec![u32::MAX; n];
     let mut queue = std::collections::VecDeque::new();
-    dist[source as usize] = 0;
+    dist[vid_index(source)] = 0;
     queue.push_back(source);
     while let Some(v) = queue.pop_front() {
-        let dv = dist[v as usize];
+        let dv = dist[vid_index(v)];
         for &w in csr.neighbors(v) {
-            if dist[w as usize] == u32::MAX {
-                dist[w as usize] = dv + 1;
+            let w_i = vid_index(w);
+            if dist[w_i] == u32::MAX {
+                dist[w_i] = dv + 1;
                 queue.push_back(w);
             }
         }
@@ -80,7 +82,7 @@ pub fn estimate_diameter(graph: &Graph, sweeps: u32) -> Diameter {
 /// which the caller has already checked to be non-empty and weakly
 /// connected (the Table 1 characterization reuses one CSR across several
 /// analyses).
-pub fn estimate_diameter_csr(und: &Csr, sweeps: u32) -> Diameter {
+pub(crate) fn estimate_diameter_csr(und: &Csr, sweeps: u32) -> Diameter {
     let mut frontier: VertexId = 0;
     let mut best = 0u64;
     for _ in 0..sweeps.max(1) {

@@ -9,7 +9,7 @@
 use crate::csr::Csr;
 use crate::graph::Graph;
 use crate::types::VertexId;
-use cutfit_util::num::vid_u32;
+use cutfit_util::num::{vid_index, vid_u32};
 
 /// Component labelling: `labels[v]` identifies the component of `v`;
 /// labels are the smallest vertex id in the component for WCC, and
@@ -25,7 +25,7 @@ pub struct ComponentLabels {
 impl ComponentLabels {
     /// Size of each component as `(label, size)`, **ascending by label** —
     /// a deterministic order, so downstream reports never depend on hash
-    /// iteration (analyzer rule D1).
+    /// iteration.
     pub fn sizes(&self) -> Vec<(VertexId, u64)> {
         let mut sorted = self.labels.clone();
         sorted.sort_unstable();
@@ -47,7 +47,7 @@ impl ComponentLabels {
 
 /// Union-find with path halving and union by size.
 #[derive(Debug, Clone)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
 }
@@ -56,7 +56,7 @@ impl UnionFind {
     /// Creates `n` singleton sets.
     pub fn new(n: usize) -> Self {
         Self {
-            parent: (0..n as u32).collect(),
+            parent: (0..vid_u32(n as u64)).collect(),
             size: vec![1; n],
         }
     }
@@ -90,20 +90,20 @@ impl UnionFind {
 /// `ConnectedComponents` converges to, so results can be compared directly
 /// with the Pregel implementation in `cutfit-algorithms`.
 pub fn weakly_connected_components(graph: &Graph) -> ComponentLabels {
-    let n = graph.num_vertices() as usize;
+    let n = vid_index(graph.num_vertices());
     let mut uf = UnionFind::new(n);
     for e in graph.edges() {
         uf.union(vid_u32(e.src), vid_u32(e.dst));
     }
     // Map each root to the minimum vertex id in its set.
     let mut min_of_root: Vec<VertexId> = (0..n as u64).collect();
-    for v in 0..n as u32 {
+    for v in 0..vid_u32(n as u64) {
         let r = uf.find(v) as usize;
         min_of_root[r] = min_of_root[r].min(v as u64);
     }
     let mut labels = vec![0 as VertexId; n];
     let mut count = 0u64;
-    for v in 0..n as u32 {
+    for v in 0..vid_u32(n as u64) {
         let r = uf.find(v);
         labels[v as usize] = min_of_root[r as usize];
         // Each set has exactly one self-rooted member: count those instead
@@ -117,7 +117,7 @@ pub fn weakly_connected_components(graph: &Graph) -> ComponentLabels {
 
 /// Strongly connected components via iterative Tarjan.
 pub fn strongly_connected_components(graph: &Graph) -> ComponentLabels {
-    let n = graph.num_vertices() as usize;
+    let n = vid_index(graph.num_vertices());
     let csr = Csr::out_of(graph);
     const UNVISITED: u32 = u32::MAX;
     let mut index = vec![UNVISITED; n];
@@ -130,7 +130,7 @@ pub fn strongly_connected_components(graph: &Graph) -> ComponentLabels {
 
     // Explicit DFS frames: (vertex, next-neighbour cursor).
     let mut frames: Vec<(u32, usize)> = Vec::new();
-    for start in 0..n as u32 {
+    for start in 0..vid_u32(n as u64) {
         if index[start as usize] != UNVISITED {
             continue;
         }
@@ -144,6 +144,8 @@ pub fn strongly_connected_components(graph: &Graph) -> ComponentLabels {
         while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
             let neigh = csr.neighbors(v as u64);
             if *cursor < neigh.len() {
+                // Below `n`, which `vid_u32` bounded above.
+                #[allow(clippy::cast_possible_truncation)]
                 let w = neigh[*cursor] as u32;
                 *cursor += 1;
                 if index[w as usize] == UNVISITED {

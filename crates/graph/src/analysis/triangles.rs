@@ -10,6 +10,7 @@
 use crate::csr::{sorted_intersection_count, Csr};
 use crate::graph::Graph;
 use crate::types::VertexId;
+use cutfit_util::num::vid_index;
 
 /// Counts the triangles of the undirected simple version of `graph`.
 pub fn count_triangles(graph: &Graph) -> u64 {
@@ -19,25 +20,27 @@ pub fn count_triangles(graph: &Graph) -> u64 {
 /// [`count_triangles`] on a prebuilt undirected simple adjacency, for
 /// callers (the Table 1 characterization) that reuse one CSR across
 /// several analyses.
-pub fn count_triangles_csr(und: &Csr) -> u64 {
+// Offsets count entries of the resident `fwd`, so they fit `usize`.
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn count_triangles_csr(und: &Csr) -> u64 {
     let n = und.num_vertices();
 
     // Orientation rank: (degree, id) lexicographic.
     let rank = |v: VertexId| (und.degree(v), v);
 
     // Build the forward adjacency: for each v, neighbours with higher rank.
-    let mut fwd_offsets = vec![0u64; n as usize + 1];
+    let mut fwd_offsets = vec![0u64; vid_index(n) + 1];
     for v in 0..n {
         let higher = und
             .neighbors(v)
             .iter()
             .filter(|&&w| rank(w) > rank(v))
             .count() as u64;
-        fwd_offsets[v as usize + 1] = fwd_offsets[v as usize] + higher;
+        fwd_offsets[vid_index(v) + 1] = fwd_offsets[vid_index(v)] + higher;
     }
-    let mut fwd = vec![0 as VertexId; fwd_offsets[n as usize] as usize];
+    let mut fwd = vec![0 as VertexId; fwd_offsets[vid_index(n)] as usize];
     for v in 0..n {
-        let mut pos = fwd_offsets[v as usize] as usize;
+        let mut pos = fwd_offsets[vid_index(v)] as usize;
         for &w in und.neighbors(v) {
             if rank(w) > rank(v) {
                 fwd[pos] = w;
@@ -46,10 +49,12 @@ pub fn count_triangles_csr(und: &Csr) -> u64 {
         }
         // Neighbour lists are sorted by id; re-sort the forward slice so the
         // merge-intersection below stays valid.
-        fwd[fwd_offsets[v as usize] as usize..pos].sort_unstable();
+        fwd[fwd_offsets[vid_index(v)] as usize..pos].sort_unstable();
     }
-    let fwd_of =
-        |v: VertexId| &fwd[fwd_offsets[v as usize] as usize..fwd_offsets[v as usize + 1] as usize];
+    let fwd_of = |v: VertexId| {
+        let v = vid_index(v);
+        &fwd[fwd_offsets[v] as usize..fwd_offsets[v + 1] as usize]
+    };
 
     let mut triangles = 0u64;
     for v in 0..n {

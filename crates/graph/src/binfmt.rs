@@ -44,15 +44,15 @@
 //!   cheaply**: it reads bytes and validates frame bookkeeping (nonzero
 //!   counts, the running edge total against the header, trailing data)
 //!   but never touches a checksum or a varint.
-//! * [`decode_block`] / [`decode_block_into`] are **pure functions** over
+//! * `decode_block` / `decode_block_into` are **pure functions** over
 //!   one [`RawBlock`]: verify the payload checksum, decode the varints,
 //!   range-check the endpoints. Blocks decode independently (per-block
 //!   delta reset), so this is the unit of parallel work — a
 //!   [`RawBlock`] carries its absolute byte offset, and every error a
 //!   worker thread can produce still names the exact file position.
 //!
-//! [`scan_binary`] composes the two sequentially; the pipelined
-//! `BinaryFileSource` fans [`decode_block`] out across worker threads and
+//! `scan_binary` composes the two sequentially; the pipelined
+//! `BinaryFileSource` fans `decode_block` out across worker threads and
 //! re-serializes the results in frame order.
 
 use std::fs::File;
@@ -64,11 +64,12 @@ use crate::io::ParseError;
 use crate::types::{Edge, VertexId};
 
 /// File magic: 8 bytes at offset 0.
-pub const MAGIC: [u8; 8] = *b"CUTFITB1";
+pub(crate) const MAGIC: [u8; 8] = *b"CUTFITB1";
 /// Current (and only) container version.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 /// Header length in bytes: magic + version + block_edges + V + E + checksum.
-pub const HEADER_LEN: u64 = 40;
+pub(crate) const HEADER_LEN: u64 = HEADER_BYTES as u64;
+const HEADER_BYTES: usize = 40;
 /// Most payload bytes one edge can encode to: two `u64` varints of at most
 /// ten bytes each.
 const MAX_EDGE_BYTES: u64 = 20;
@@ -79,7 +80,7 @@ pub const DEFAULT_BLOCK_EDGES: u32 = 65_536;
 /// Decoded file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinHeader {
-    /// Container version (currently always [`VERSION`]).
+    /// Container version (currently always `VERSION`).
     pub version: u32,
     /// Target edges per block the writer used.
     pub block_edges: u32,
@@ -113,6 +114,9 @@ fn unzigzag(v: u64) -> i64 {
 
 /// Appends `v` as a LEB128 varint (1–10 bytes).
 #[inline]
+// A varint byte: each cast keeps the low seven bits (the last one has no
+// more).
+#[allow(clippy::cast_possible_truncation)]
 pub(crate) fn push_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         buf.push((v as u8) | 0x80);
@@ -158,7 +162,7 @@ pub fn write_binary_with<W: Write>(
     block_edges: u32,
 ) -> std::io::Result<u64> {
     let block_edges = block_edges.max(1);
-    let mut header = [0u8; HEADER_LEN as usize];
+    let mut header = [0u8; HEADER_BYTES];
     header[..8].copy_from_slice(&MAGIC);
     header[8..12].copy_from_slice(&VERSION.to_le_bytes());
     header[12..16].copy_from_slice(&block_edges.to_le_bytes());
@@ -178,8 +182,8 @@ pub fn write_binary_with<W: Write>(
             push_uvarint(&mut payload, zigzag(e.dst.wrapping_sub(e.src) as i64));
             prev_src = e.src;
         }
-        w.write_all(&(block.len() as u32).to_le_bytes())?;
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
+        w.write_all(&len_u32(block.len())?.to_le_bytes())?;
+        w.write_all(&len_u32(payload.len())?.to_le_bytes())?;
         w.write_all(&payload)?;
         w.write_all(&fnv1a64(&payload).to_le_bytes())?;
         written += 8 + payload.len() as u64 + 8;
@@ -192,6 +196,16 @@ pub fn write_binary_with<W: Write>(
 /// Returns the file size in bytes.
 pub fn write_binary_file<P: AsRef<Path>>(graph: &Graph, path: P) -> std::io::Result<u64> {
     write_binary(graph, BufWriter::new(File::create(path)?))
+}
+
+/// A block's length field: a `u32`, refused rather than wrapped past that.
+fn len_u32(n: usize) -> std::io::Result<u32> {
+    u32::try_from(n).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("block length {n} exceeds the u32 length field"),
+        )
+    })
 }
 
 /// Little-endian `u32` at a fixed offset of a buffer the caller already
@@ -237,8 +251,8 @@ fn read_exact_at<R: Read>(r: &mut R, buf: &mut [u8], offset: u64) -> Result<(), 
 }
 
 /// Reads and validates the 40-byte header (magic, version, checksum).
-pub fn read_header<R: Read>(r: &mut R) -> Result<BinHeader, ParseError> {
-    let mut header = [0u8; HEADER_LEN as usize];
+pub(crate) fn read_header<R: Read>(r: &mut R) -> Result<BinHeader, ParseError> {
+    let mut header = [0u8; HEADER_BYTES];
     read_exact_at(r, &mut header, 0)?;
     if header[..8] != MAGIC {
         let mut found = [0u8; 8];
@@ -299,7 +313,7 @@ pub struct RawBlock {
 /// [`RawBlock`] per call — frame-level bookkeeping only (nonzero counts,
 /// the running edge total against the header's `num_edges`, truncation,
 /// trailing data), no checksums, no varints. Feed the blocks through
-/// [`decode_block`] on any thread.
+/// `decode_block` on any thread.
 pub struct RawBlockReader<R> {
     r: R,
     header: BinHeader,
@@ -408,7 +422,7 @@ impl<R: Read> RawBlockReader<R> {
 /// Verifies and decodes one raw block into a fresh vector — the pure,
 /// thread-safe unit of parallel decode work. See [`decode_block_into`] for
 /// the buffer-reusing variant the sequential path drives.
-pub fn decode_block(header: &BinHeader, block: &RawBlock) -> Result<Vec<Edge>, ParseError> {
+pub(crate) fn decode_block(header: &BinHeader, block: &RawBlock) -> Result<Vec<Edge>, ParseError> {
     let mut edges = Vec::with_capacity(block.edge_count as usize);
     decode_block_into(header, block, &mut edges)?;
     Ok(edges)
@@ -420,7 +434,7 @@ pub fn decode_block(header: &BinHeader, block: &RawBlock) -> Result<Vec<Edge>, P
 /// shared state — and every error carries the absolute byte offset derived
 /// from `block.offset`, so a failure inside a worker thread reads exactly
 /// like one from the sequential path.
-pub fn decode_block_into(
+pub(crate) fn decode_block_into(
     header: &BinHeader,
     block: &RawBlock,
     edges: &mut Vec<Edge>,
@@ -480,7 +494,10 @@ pub fn decode_block_into(
 /// resident edge memory is one block, not the whole graph. Returns the
 /// validated header. This is the bounded-memory core that
 /// [`read_binary`] and `BinaryFileSource` both drive.
-pub fn scan_binary<R: Read>(r: R, sink: &mut dyn FnMut(&[Edge])) -> Result<BinHeader, ParseError> {
+pub(crate) fn scan_binary<R: Read>(
+    r: R,
+    sink: &mut dyn FnMut(&[Edge]),
+) -> Result<BinHeader, ParseError> {
     let mut reader = RawBlockReader::new(r)?;
     let header = reader.header();
     let mut edges: Vec<Edge> = Vec::new();

@@ -11,6 +11,7 @@
 
 use crate::graph::Graph;
 use crate::types::{Edge, VertexId};
+use cutfit_util::num::vid_index;
 
 /// Up to two (source, target) adjacency entries contributed by one edge.
 type Pairs = (usize, [(VertexId, VertexId); 2]);
@@ -59,17 +60,19 @@ impl Csr {
     /// Counting-sort construction over `edges` (walked twice): `pairs_of`
     /// maps an edge to its one or two adjacency entries. Count, prefix-sum,
     /// scatter, then sort each vertex's block.
+    // Offsets count entries of the resident `targets`, so they fit `usize`.
+    #[allow(clippy::cast_possible_truncation)]
     fn build(
         num_vertices: u64,
         edges: impl Iterator<Item = Edge> + Clone,
         pairs_of: impl Fn(&Edge) -> Pairs,
     ) -> Self {
-        let n = num_vertices as usize;
+        let n = vid_index(num_vertices);
         let mut offsets = vec![0u64; n + 1];
         for e in edges.clone() {
             let (k, ps) = pairs_of(&e);
             for &(s, _) in &ps[..k] {
-                offsets[s as usize + 1] += 1;
+                offsets[vid_index(s) + 1] += 1;
             }
         }
         for v in 0..n {
@@ -81,7 +84,7 @@ impl Csr {
         for e in edges {
             let (k, ps) = pairs_of(&e);
             for &(s, d) in &ps[..k] {
-                let c = &mut cursor[s as usize];
+                let c = &mut cursor[vid_index(s)];
                 targets[*c as usize] = d;
                 *c += 1;
             }
@@ -95,6 +98,8 @@ impl Csr {
     /// Removes duplicate neighbours (blocks must already be sorted): exact
     /// unique counts per vertex, then a compaction into a single
     /// exactly-sized allocation.
+    // Offsets count entries of the resident `targets`, so they fit `usize`.
+    #[allow(clippy::cast_possible_truncation)]
     fn dedup_neighbors(&mut self) {
         /// The distinct values of a sorted block, in order.
         fn distinct(block: &[VertexId]) -> impl Iterator<Item = VertexId> + '_ {
@@ -118,23 +123,17 @@ impl Csr {
     }
 
     #[inline]
+    // Offsets count entries of the resident `targets`, so they fit `usize`.
+    #[allow(clippy::cast_possible_truncation)]
     fn bounds(&self, v: VertexId) -> (usize, usize) {
-        (
-            self.offsets[v as usize] as usize,
-            self.offsets[v as usize + 1] as usize,
-        )
+        let v = vid_index(v);
+        (self.offsets[v] as usize, self.offsets[v + 1] as usize)
     }
 
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> u64 {
         (self.offsets.len() - 1) as u64
-    }
-
-    /// Total number of stored adjacency entries.
-    #[inline]
-    pub fn num_entries(&self) -> u64 {
-        self.targets.len() as u64
     }
 
     /// Sorted neighbours of `v`.
@@ -221,7 +220,6 @@ mod tests {
         assert_eq!(csr.neighbors(0), &[1]);
         assert_eq!(csr.neighbors(1), &[0, 2]);
         assert_eq!(csr.neighbors(2), &[1]);
-        assert_eq!(csr.num_entries(), 4);
     }
 
     #[test]
@@ -243,7 +241,6 @@ mod tests {
         let g = Graph::new(3, vec![]);
         let csr = Csr::out_of(&g);
         assert_eq!(csr.num_vertices(), 3);
-        assert_eq!(csr.num_entries(), 0);
         assert_eq!(csr.neighbors(1), &[] as &[VertexId]);
     }
 

@@ -71,7 +71,7 @@ impl Graph {
 
     /// Out-degree of every vertex.
     pub fn out_degrees(&self) -> Vec<u32> {
-        let mut deg = vec![0u32; self.num_vertices as usize];
+        let mut deg = vec![0u32; vid_index(self.num_vertices)];
         for e in &self.edges {
             deg[vid_index(e.src)] += 1;
         }
@@ -80,7 +80,7 @@ impl Graph {
 
     /// In-degree of every vertex.
     pub fn in_degrees(&self) -> Vec<u32> {
-        let mut deg = vec![0u32; self.num_vertices as usize];
+        let mut deg = vec![0u32; vid_index(self.num_vertices)];
         for e in &self.edges {
             deg[vid_index(e.dst)] += 1;
         }
@@ -89,7 +89,7 @@ impl Graph {
 
     /// Estimated on-disk size of the graph as a whitespace-separated edge
     /// list (the format the paper's Table 1 "Size" column refers to).
-    pub fn text_size_bytes(&self) -> u64 {
+    pub(crate) fn text_size_bytes(&self) -> u64 {
         fn digits(mut x: u64) -> u64 {
             let mut d = 1;
             while x >= 10 {

@@ -110,7 +110,7 @@ impl From<std::io::Error> for ParseError {
 /// size buffers and reconstruct the vertex universe without materializing a
 /// single edge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EdgeListScan {
+pub(crate) struct EdgeListScan {
     /// Number of data lines (= edges, multiplicities included).
     pub edges: u64,
     /// Largest endpoint ID seen, if any edge was present.
@@ -159,7 +159,7 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ParseError> {
 /// [`crate::source::TextFileSource`]. Returns the scan facts (edge count,
 /// max endpoint ID, any declared vertex count) so a first pass can size
 /// everything a second pass needs.
-pub fn scan_edge_list<R: BufRead>(
+pub(crate) fn scan_edge_list<R: BufRead>(
     mut reader: R,
     sink: &mut dyn FnMut(VertexId, VertexId),
 ) -> Result<EdgeListScan, ParseError> {

@@ -75,6 +75,8 @@ impl GraphXStrategy {
     /// Partition of a single edge — a pure function of the endpoints, as in
     /// GraphX's `PartitionStrategy.getPartition`.
     #[inline]
+    // Every arm is reduced modulo `n`, the `u32` part count.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn partition_edge(&self, src: VertexId, dst: VertexId, num_parts: PartId) -> PartId {
         debug_assert!(num_parts > 0);
         let n = num_parts as u64;

@@ -136,8 +136,8 @@ impl PartitionMetrics {
     /// is out of range.
     pub fn of_assignment(graph: &Graph, assignment: &[PartId], num_parts: PartId) -> Self {
         assert_eq!(
-            assignment.len(),
-            graph.num_edges() as usize,
+            assignment.len() as u64,
+            graph.num_edges(),
             "one assignment per edge"
         );
         let mut acc = MetricsAccumulator::new(graph.num_vertices(), num_parts);
@@ -253,7 +253,7 @@ impl MetricsAccumulator {
     /// # Panics
     /// Panics if `p >= num_parts`.
     #[inline]
-    pub fn observe(&mut self, e: &Edge, p: PartId) {
+    pub(crate) fn observe(&mut self, e: &Edge, p: PartId) {
         assert!(p < self.num_parts, "partition id {p} out of range");
         self.counts[p as usize] += 1;
         self.replicas.insert(e.src, p);
@@ -264,7 +264,7 @@ impl MetricsAccumulator {
     ///
     /// # Panics
     /// Panics if the slices differ in length or any id is out of range.
-    pub fn observe_chunk(&mut self, edges: &[Edge], assignment: &[PartId]) {
+    pub(crate) fn observe_chunk(&mut self, edges: &[Edge], assignment: &[PartId]) {
         assert_eq!(edges.len(), assignment.len(), "one assignment per edge");
         for (e, &p) in edges.iter().zip(assignment) {
             self.observe(e, p);

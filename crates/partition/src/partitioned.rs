@@ -19,6 +19,7 @@ use cutfit_graph::types::PartId;
 use cutfit_graph::{Graph, VertexId};
 use cutfit_util::exec::{run_ranges, DisjointSlice};
 use cutfit_util::hash::hash64;
+use cutfit_util::num::vid_index;
 
 /// Sentinel for "vertex has no replica anywhere" (isolated vertices).
 pub const NO_PART: PartId = PartId::MAX;
@@ -52,7 +53,10 @@ impl EdgePartition {
     /// Local index of a global vertex ID, if replicated here.
     #[inline]
     pub fn local(&self, global: VertexId) -> Option<u32> {
-        self.vertices.binary_search(&global).ok().map(|i| i as u32)
+        self.vertices
+            .binary_search(&global)
+            .ok()
+            .and_then(|i| u32::try_from(i).ok())
     }
 
     /// Bytes of partition structure resident on its executor: 8 per edge
@@ -73,14 +77,20 @@ pub struct RoutingTable {
 impl RoutingTable {
     /// Partitions holding a replica of `v`, sorted ascending.
     #[inline]
+    // Offsets count entries of the resident `parts`, so they fit `usize`.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn parts_of(&self, v: VertexId) -> &[PartId] {
-        &self.parts[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
+        let v = vid_index(v);
+        &self.parts[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// Number of replicas of `v` (0 for isolated vertices).
     #[inline]
+    // A replica count is at most the partition count, a `u32`.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn replication(&self, v: VertexId) -> u32 {
-        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as u32
+        let v = vid_index(v);
+        (self.offsets[v + 1] - self.offsets[v]) as u32
     }
 
     /// Total number of (vertex, partition) replica pairs.
@@ -120,6 +130,9 @@ impl PartitionedGraph {
     /// **bit-identical** to the sequential build at any thread count: the
     /// edge scatter is stable, each partition is processed by exactly one
     /// worker, and the routing transpose is order-independent.
+    // Offsets count entries of resident `Vec`s, `p` is below `num_parts` (a
+    // `u32`), and a hash modulo a replica count is below that count.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn build_threaded(
         graph: &Graph,
         assignment: &[PartId],
@@ -128,13 +141,13 @@ impl PartitionedGraph {
     ) -> Self {
         let threads = crate::sweep::resolve_threads(threads);
         assert_eq!(
-            assignment.len(),
-            graph.num_edges() as usize,
+            assignment.len() as u64,
+            graph.num_edges(),
             "one assignment per edge"
         );
         assert!(num_parts > 0, "need at least one partition");
         let np = num_parts as usize;
-        let n = graph.num_vertices() as usize;
+        let n = vid_index(graph.num_vertices());
 
         // Pass 1: exact per-partition edge counts -> prefix-sum offsets.
         // Also the only place assignments are validated, so the panic
@@ -176,12 +189,12 @@ impl PartitionedGraph {
                     let stamp = p as PartId;
                     let mut verts = Vec::with_capacity((block.len() * 2).min(n));
                     for &(s, d) in block {
-                        if seen[s as usize] != stamp {
-                            seen[s as usize] = stamp;
+                        if seen[vid_index(s)] != stamp {
+                            seen[vid_index(s)] = stamp;
                             verts.push(s);
                         }
-                        if seen[d as usize] != stamp {
-                            seen[d as usize] = stamp;
+                        if seen[vid_index(d)] != stamp {
+                            seen[vid_index(d)] = stamp;
                             verts.push(d);
                         }
                     }
@@ -199,7 +212,7 @@ impl PartitionedGraph {
         let mut offsets = vec![0u64; n + 1];
         for verts in &replica_lists {
             for &v in verts {
-                offsets[v as usize + 1] += 1;
+                offsets[vid_index(v) + 1] += 1;
             }
         }
         for i in 0..n {
@@ -209,7 +222,7 @@ impl PartitionedGraph {
         let mut routing_parts = vec![0 as PartId; offsets[n] as usize];
         for (p, verts) in replica_lists.iter().enumerate() {
             for &v in verts {
-                let c = &mut rcursor[v as usize];
+                let c = &mut rcursor[vid_index(v)];
                 routing_parts[*c as usize] = p as PartId;
                 *c += 1;
             }
@@ -228,7 +241,7 @@ impl PartitionedGraph {
         for v in 0..n as u64 {
             let replicas = routing.parts_of(v);
             if !replicas.is_empty() {
-                masters[v as usize] = replicas[(hash64(v) % replicas.len() as u64) as usize];
+                masters[vid_index(v)] = replicas[(hash64(v) % replicas.len() as u64) as usize];
             }
             for &p in replicas {
                 vertex_tables[p as usize].push(v);
@@ -251,13 +264,13 @@ impl PartitionedGraph {
                 for p in range {
                     // SAFETY: partition ranges are disjoint across workers.
                     let vertices = unsafe { std::mem::take(table_cells.get_mut(p)) };
-                    for (i, &v) in vertices.iter().enumerate() {
-                        local[v as usize] = i as u32;
+                    for (i, &v) in (0u32..).zip(&vertices) {
+                        local[vid_index(v)] = i;
                     }
                     let block = &flat[edge_offsets[p]..edge_offsets[p + 1]];
                     let edges = block
                         .iter()
-                        .map(|&(s, d)| (local[s as usize], local[d as usize]))
+                        .map(|&(s, d)| (local[vid_index(s)], local[vid_index(d)]))
                         .collect();
                     // SAFETY: as above.
                     unsafe { *part_cells.get_mut(p) = EdgePartition { edges, vertices } };
@@ -281,15 +294,19 @@ impl PartitionedGraph {
     /// Property tests pin [`PartitionedGraph::build`] and
     /// [`PartitionedGraph::build_threaded`] equal to this field-for-field.
     /// Not intended for production callers.
+    // Offsets count entries of resident `Vec`s, `p` is below `num_parts` (a
+    // `u32`), a local index is below a partition's vertex count, and a hash
+    // modulo a replica count is below that count.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn build_reference(graph: &Graph, assignment: &[PartId], num_parts: PartId) -> Self {
         assert_eq!(
-            assignment.len(),
-            graph.num_edges() as usize,
+            assignment.len() as u64,
+            graph.num_edges(),
             "one assignment per edge"
         );
         assert!(num_parts > 0, "need at least one partition");
         let np = num_parts as usize;
-        let n = graph.num_vertices() as usize;
+        let n = vid_index(graph.num_vertices());
 
         // Pass 1: count edges per partition.
         let mut counts = vec![0usize; np];
@@ -326,7 +343,7 @@ impl PartitionedGraph {
         let mut offsets = vec![0u64; n + 1];
         for part in &parts {
             for &v in &part.vertices {
-                offsets[v as usize + 1] += 1;
+                offsets[vid_index(v) + 1] += 1;
             }
         }
         for i in 0..n {
@@ -336,8 +353,9 @@ impl PartitionedGraph {
         let mut routing_parts = vec![0 as PartId; offsets[n] as usize];
         for (p, part) in parts.iter().enumerate() {
             for &v in &part.vertices {
-                routing_parts[cursor[v as usize] as usize] = p as PartId;
-                cursor[v as usize] += 1;
+                let c = &mut cursor[vid_index(v)];
+                routing_parts[*c as usize] = p as PartId;
+                *c += 1;
             }
         }
         // Partition lists are visited in ascending p, so each vertex's slice
@@ -396,7 +414,7 @@ impl PartitionedGraph {
 
     /// Master partition of `v`, or `None` for isolated vertices.
     pub fn master_of(&self, v: VertexId) -> Option<PartId> {
-        match self.masters[v as usize] {
+        match self.masters[vid_index(v)] {
             NO_PART => None,
             p => Some(p),
         }

@@ -80,6 +80,8 @@ pub trait Partitioner {
     /// `threads` disjoint ranges of the edge list at once (`0` means
     /// auto-size from the host); a [`Rule::Ordered`] runs on the caller's
     /// thread whatever `threads` says.
+    // A resident graph is a source whose passes cannot fail.
+    #[allow(clippy::expect_used)]
     fn assign_edges_threaded(
         &self,
         graph: &Graph,
@@ -88,7 +90,6 @@ pub trait Partitioner {
     ) -> Vec<PartId> {
         let edges = graph.edges();
         let mut out = vec![0 as PartId; edges.len()];
-        // analyzer: allow(D5): a resident graph is a source whose passes cannot fail
         match self.rule(graph, num_parts).expect("resident source") {
             Rule::Pure(f) => fill_chunks(&mut out, resolve_threads(threads), |offset, chunk| {
                 f(&edges[offset..offset + chunk.len()], chunk)

@@ -18,7 +18,7 @@ use crate::strategy::{Partitioner, Rule};
 /// One O(V)-memory counting pass over a source: per-vertex out- and
 /// in-degrees, the tables DBH's and Hybrid's rules are functions of.
 fn degree_tables(source: &dyn GraphSource) -> Result<(Vec<u32>, Vec<u32>), ParseError> {
-    let n = source.num_vertices() as usize;
+    let n = vid_index(source.num_vertices());
     let mut out = vec![0u32; n];
     let mut inn = vec![0u32; n];
     // Bounded chunks: the counting pass must not re-materialize the edges.
@@ -42,6 +42,8 @@ impl Partitioner for Dbh {
         "DBH"
     }
 
+    // A hash modulo the `u32` part count is below it.
+    #[allow(clippy::cast_possible_truncation)]
     fn rule(&self, source: &dyn GraphSource, num_parts: PartId) -> Result<Rule<'_>, ParseError> {
         let (out, inn) = degree_tables(source)?;
         let degree = move |v: VertexId| u64::from(out[vid_index(v)]) + u64::from(inn[vid_index(v)]);
@@ -110,6 +112,8 @@ impl GreedyState {
         let np = self.num_parts as usize;
         // Load cap: affinity candidates above it are skipped, letting
         // the decision fall through to less loaded rules.
+        // A float load cap: `as` saturates, and a cap past `u64::MAX` is no cap.
+        #[allow(clippy::cast_possible_truncation)]
         let cap = ((self.seen as f64 / np as f64) * self.balance_slack).ceil() as u64 + 1;
         self.seen += 1;
         let loads = &self.loads;
@@ -190,7 +194,7 @@ impl HdrfState {
             min_load: 0,
             at_min_load: num_parts as usize,
             replicas: ReplicaBitmap::new(num_vertices, num_parts),
-            partial_degree: vec![0u64; num_vertices as usize],
+            partial_degree: vec![0u64; vid_index(num_vertices)],
         }
     }
 
@@ -282,6 +286,8 @@ impl Partitioner for HybridCut {
         "Hybrid"
     }
 
+    // A hash modulo the `u32` part count is below it.
+    #[allow(clippy::cast_possible_truncation)]
     fn rule(&self, source: &dyn GraphSource, num_parts: PartId) -> Result<Rule<'_>, ParseError> {
         let (_, in_deg) = degree_tables(source)?;
         let threshold = self.threshold;

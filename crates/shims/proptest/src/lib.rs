@@ -13,6 +13,11 @@
 //! standard panic message. Swapping the `proptest` entry in the root
 //! `Cargo.toml` back to the real crate requires no source changes.
 
+// Of the determinism lints, only the float-order one (no
+// `partial_cmp().unwrap()`) ever applied to this test-harness shim: its
+// range strategies narrow sampled `u64`s on purpose.
+#![allow(clippy::cast_possible_truncation)]
+
 use std::ops::Range;
 
 /// Deterministic RNG driving all generation; a thin wrapper so test files
@@ -24,7 +29,7 @@ impl TestRng {
     /// run of the suite exercise an identical input sequence.
     pub fn deterministic(case: u64) -> Self {
         Self(cutfit_util::Xoshiro256pp::seed_from_u64(
-            0xC07F_17u64 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            0x00C0_7F17_u64 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         ))
     }
 

@@ -14,7 +14,7 @@ impl Cdf {
     pub fn new(mut values: Vec<f64>) -> Self {
         values.retain(|v| !v.is_nan());
         // NaNs are gone, but the shared NaN-last total order keeps this
-        // sort panic-free by construction (analyzer rule D2).
+        // sort panic-free by construction.
         values.sort_by(|a, b| cutfit_util::num::nan_last_cmp(*a, *b));
         Self { sorted: values }
     }
@@ -39,7 +39,9 @@ impl Cdf {
     }
 
     /// Inverse CDF: the smallest observation `x` with `at(x) >= p`.
-    pub fn inverse(&self, p: f64) -> Option<f64> {
+    // `p` is clamped to [0, 1], so the rank is at most `sorted.len()`.
+    #[allow(clippy::cast_possible_truncation)]
+    pub(crate) fn inverse(&self, p: f64) -> Option<f64> {
         if self.sorted.is_empty() {
             return None;
         }

@@ -31,6 +31,8 @@ impl LogHistogram {
     }
 
     /// Adds one observation.
+    // The bucket index is a logarithm of a `u64`: small for any base > 1.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn add(&mut self, value: u64) {
         if value == 0 {
             self.zero_count += 1;
@@ -64,6 +66,9 @@ impl LogHistogram {
     /// Yields `(bucket_low, bucket_high_exclusive, count)` triples for all
     /// non-empty buckets, in increasing order; the zero bucket appears first
     /// as `(0, 1, count)` when non-empty.
+    // `k` indexes a bucket (a logarithm of a `u64`), and `base^k` is at
+    // most about the largest value added.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn series(&self) -> Vec<(u64, u64, u64)> {
         let mut out = Vec::new();
         if self.zero_count > 0 {

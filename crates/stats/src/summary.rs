@@ -55,24 +55,6 @@ impl Summary {
     }
 }
 
-/// Returns the `q`-quantile (0 ≤ q ≤ 1) of a sample using linear
-/// interpolation between order statistics. Returns `None` for empty input.
-/// NaN inputs sort last ([`cutfit_util::num::nan_last_cmp`]) instead of
-/// panicking, so only upper quantiles can ever surface them.
-pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| cutfit_util::num::nan_last_cmp(*a, *b));
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,30 +92,5 @@ mod tests {
         let a = Summary::of_counts([1u64, 2, 3]);
         let b = Summary::of(&[1.0, 2.0, 3.0]);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn quantile_interpolates() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&v, 0.0), Some(1.0));
-        assert_eq!(quantile(&v, 1.0), Some(4.0));
-        assert_eq!(quantile(&v, 0.5), Some(2.5));
-        assert_eq!(quantile(&[], 0.5), None);
-    }
-
-    #[test]
-    fn quantile_unsorted_input() {
-        let v = [9.0, 1.0, 5.0];
-        assert_eq!(quantile(&v, 0.5), Some(5.0));
-    }
-
-    #[test]
-    fn quantile_with_nan_does_not_panic_and_sorts_nan_last() {
-        // Regression: this used to abort on partial_cmp().expect(). NaN now
-        // sorts last, so every quantile below the NaN tail is still exact.
-        let v = [f64::NAN, 2.0, 1.0, 3.0];
-        assert_eq!(quantile(&v, 0.0), Some(1.0));
-        assert!((quantile(&v, 1.0 / 3.0).unwrap() - 2.0).abs() < 1e-12);
-        assert!(quantile(&v, 1.0).unwrap().is_nan());
     }
 }

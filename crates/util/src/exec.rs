@@ -13,7 +13,7 @@
 //!   (the engine's metering deltas);
 //! * [`fill_chunks`] — the ranges' sub-slices of an output slice, carved
 //!   off by `split_at_mut` (the partitioners' per-edge assignments);
-//! * [`run_cut_slices`] / [`drain_cut_slices`] — pieces carved at caller-
+//! * `run_cut_slices` / [`drain_cut_slices`] — pieces carved at caller-
 //!   chosen cuts, checked once up front to be a monotone cover of the
 //!   slice; the draining form hands each piece's items over by value.
 //!
@@ -59,7 +59,7 @@ thread_local! {
 
 /// Runs `f` in **permutation mode**: every pool primitive called from this
 /// thread inside `f` ([`run_ranges`], [`run_chunked`], [`fill_chunks`],
-/// [`run_cut_slices`], [`drain_cut_slices`]) executes its shards
+/// `run_cut_slices`, [`drain_cut_slices`]) executes its shards
 /// *sequentially on the calling thread* in an adversarial order derived from
 /// `seed`, instead of spawning workers. Shard boundaries and the
 /// shard↔scratch-state pairing are exactly those of the parallel run — only
@@ -96,7 +96,7 @@ fn permuted_order(pieces: usize) -> Option<Vec<usize>> {
         let mut order: Vec<usize> = (0..pieces).collect();
         // Fisher–Yates from the seeded stream: uniform over all orders.
         for i in (1..pieces).rev() {
-            let j = rng.range_u64(i as u64 + 1) as usize;
+            let j = rng.range_usize(i + 1);
             order.swap(i, j);
         }
         Some(order)
@@ -105,6 +105,9 @@ fn permuted_order(pieces: usize) -> Option<Vec<usize>> {
 
 /// Number of workers implied by the host (≥ 1) — the resolution behind
 /// "auto" thread counts across the workspace.
+// The one sanctioned read of host parallelism: results never depend on
+// it, because chunk boundaries and merges are thread-count-invariant.
+#[allow(clippy::disallowed_methods)]
 pub fn auto_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -226,7 +229,7 @@ where
 ///
 /// # Panics
 /// Panics if `cuts` is not a monotone cover of `slice` as described.
-pub fn run_cut_slices<T, F>(slice: &mut [T], cuts: &[usize], work: F)
+pub(crate) fn run_cut_slices<T, F>(slice: &mut [T], cuts: &[usize], work: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -244,7 +247,7 @@ where
     run_shards(pieces, work);
 }
 
-/// [`run_cut_slices`] for pieces that are consumed: `items` is emptied
+/// `run_cut_slices` for pieces that are consumed: `items` is emptied
 /// (its capacity stays) and `work` receives `(k, piece k's items by value,
 /// in order, states[k])` — for a sorted buffer whose runs are folded away
 /// by owner, each shard with its own scratch state.
@@ -343,6 +346,13 @@ enum PipeSlot<T, U, E> {
     Taken,
     /// Transformed (or failed), waiting for in-order delivery.
     Done(Result<U, E>),
+}
+
+/// The ring slot of frame `seq`.
+// The remainder is below `window`, which came from a `usize`.
+#[allow(clippy::cast_possible_truncation)]
+fn ring_slot(seq: u64, window: u64) -> usize {
+    (seq % window) as usize
 }
 
 /// Shared state of one [`run_pipeline`] run: a bounded ring of sequence-
@@ -498,7 +508,7 @@ where
                         if s.stop {
                             return;
                         }
-                        let idx = (s.next_in % window) as usize;
+                        let idx = ring_slot(s.next_in, window);
                         s.slots[idx] = PipeSlot::Ready(frame);
                         s.next_in += 1;
                         drop(s);
@@ -521,7 +531,7 @@ where
                     }
                     if s.next_work < s.next_in {
                         let seq = s.next_work;
-                        let idx = (seq % window) as usize;
+                        let idx = ring_slot(seq, window);
                         match std::mem::replace(&mut s.slots[idx], PipeSlot::Taken) {
                             PipeSlot::Ready(frame) => {
                                 s.next_work = seq + 1;
@@ -569,7 +579,7 @@ where
                         break Step::Stopped;
                     }
                     if s.next_out < s.next_in {
-                        let idx = (s.next_out % window) as usize;
+                        let idx = ring_slot(s.next_out, window);
                         match std::mem::replace(&mut s.slots[idx], PipeSlot::Empty) {
                             PipeSlot::Done(res) => {
                                 s.next_out += 1;
@@ -683,7 +693,7 @@ impl<'a, T> DisjointSlice<'a, T> {
 
     /// # Safety
     /// No two threads may access the same index during one phase.
-    #[allow(clippy::mut_from_ref)]
+    #[allow(clippy::mut_from_ref)] // exclusivity is the caller's `# Safety` contract
     #[inline]
     pub unsafe fn get_mut(&self, i: usize) -> &mut T {
         #[cfg(debug_assertions)]
@@ -696,7 +706,7 @@ impl<'a, T> DisjointSlice<'a, T> {
     ///
     /// # Safety
     /// No two threads may access the same row during one phase.
-    #[allow(clippy::mut_from_ref)]
+    #[allow(clippy::mut_from_ref)] // exclusivity is the caller's `# Safety` contract
     #[inline]
     pub unsafe fn row_mut(&self, row: usize, stride: usize) -> &mut [T] {
         let cells = &self.cells[row * stride..(row + 1) * stride];
@@ -713,7 +723,7 @@ impl<'a, T> DisjointSlice<'a, T> {
     ///
     /// # Safety
     /// No other thread may access any index during this phase.
-    #[allow(clippy::mut_from_ref)]
+    #[allow(clippy::mut_from_ref)] // exclusivity is the caller's `# Safety` contract
     #[inline]
     pub unsafe fn as_mut_slice(&self) -> &mut [T] {
         #[cfg(debug_assertions)]
@@ -1145,7 +1155,7 @@ mod tests {
                 next += 1;
                 Some(Ok::<u64, String>(next - 1))
             },
-            |frame| Ok(frame),
+            Ok,
             |_out| {
                 delivered += 1;
                 if delivered == 10 {

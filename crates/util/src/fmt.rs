@@ -17,29 +17,29 @@ pub fn thousands(n: u64) -> String {
 /// Formats a count compactly: `1_100_000` → `"1.1M"`, `3_000` → `"3.0K"`,
 /// `7_600_000_000` → `"7.6B"`. Mirrors the style of Table 1 in the paper.
 pub fn human_count(n: u64) -> String {
-    let n = n as f64;
-    if n >= 1e9 {
-        format!("{:.1}B", n / 1e9)
-    } else if n >= 1e6 {
-        format!("{:.1}M", n / 1e6)
-    } else if n >= 1e3 {
-        format!("{:.1}K", n / 1e3)
+    let x = n as f64;
+    if x >= 1e9 {
+        format!("{:.1}B", x / 1e9)
+    } else if x >= 1e6 {
+        format!("{:.1}M", x / 1e6)
+    } else if x >= 1e3 {
+        format!("{:.1}K", x / 1e3)
     } else {
-        format!("{}", n as u64)
+        format!("{n}")
     }
 }
 
 /// Formats a byte count: `404_000_000` → `"404.0MB"`.
 pub fn human_bytes(n: u64) -> String {
-    let n = n as f64;
-    if n >= 1e9 {
-        format!("{:.1}GB", n / 1e9)
-    } else if n >= 1e6 {
-        format!("{:.1}MB", n / 1e6)
-    } else if n >= 1e3 {
-        format!("{:.1}KB", n / 1e3)
+    let x = n as f64;
+    if x >= 1e9 {
+        format!("{:.1}GB", x / 1e9)
+    } else if x >= 1e6 {
+        format!("{:.1}MB", x / 1e6)
+    } else if x >= 1e3 {
+        format!("{:.1}KB", x / 1e3)
     } else {
-        format!("{}B", n as u64)
+        format!("{n}B")
     }
 }
 

@@ -11,7 +11,7 @@
 use crate::rng::mix64;
 
 /// The multiplicative mixing prime used by GraphX's `EdgePartition1D`/`2D`.
-pub const GRAPHX_MIXING_PRIME: u64 = 1_125_899_906_842_597;
+pub(crate) const GRAPHX_MIXING_PRIME: u64 = 1_125_899_906_842_597;
 
 /// Hashes a single 64-bit value with full avalanche.
 #[inline]

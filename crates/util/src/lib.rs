@@ -13,10 +13,11 @@
 //! worker, so the engine's supersteps and the partitioners' edge scans are
 //! bit-identical at any thread count. [`num`] holds exact integer arithmetic
 //! (ceiling square root), the checked id-narrowing helpers, and the NaN-last
-//! total float order — the conventions `cutfit-analyzer` enforces statically
-//! for the places where an `f64` round-trip or a bare `as` cast would be
-//! lossy. [`clock`] is the injected time source through which those crates
-//! may time themselves without reading the wall clock.
+//! total float order — the conventions the library's clippy policy
+//! (`clippy.toml` and CI's clippy step) enforces statically for the places
+//! where an `f64` round-trip or a bare `as` cast would be lossy. [`clock`]
+//! is the injected time source through which those crates may time
+//! themselves without reading the wall clock.
 
 pub mod clock;
 pub mod exec;

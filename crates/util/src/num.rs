@@ -6,19 +6,20 @@
 //! code had with float extrema. These helpers stay in integers end to end.
 //!
 //! This module is also the home of the two determinism conventions that
-//! `cutfit-analyzer` enforces statically:
+//! the library's clippy policy enforces statically:
 //!
 //! * **Id narrowing** ([`vid_u32`], [`vid_index`], [`part_index`]): vertex
-//!   and partition ids must not be narrowed with bare `as` casts (rule D4)
-//!   — a graph with more than `u32::MAX` vertices would silently wrap and
-//!   corrupt results instead of failing loudly. These helpers panic with
-//!   context on overflow and compile to a compare-and-branch that the
-//!   bounds checks of the adjacent slice indexing already pay for.
+//!   and partition ids must not be narrowed with bare `as` casts
+//!   (`clippy::cast_possible_truncation`) — a graph with more than
+//!   `u32::MAX` vertices would silently wrap and corrupt results instead of
+//!   failing loudly. These helpers panic with context on overflow;
+//!   `vid_index` compiles to nothing on 64-bit hosts, and `vid_u32` to a
+//!   compare-and-branch.
 //! * **Float ordering** ([`nan_last_cmp`]): every sort or extremum over
-//!   measured `f64`s routes through one NaN-last total order (rule D2), so
-//!   a broken measurement can neither panic a `partial_cmp().unwrap()`
-//!   sort nor — as `f64::total_cmp` alone would allow for `-NaN` — be
-//!   crowned the minimum.
+//!   measured `f64`s routes through one NaN-last total order
+//!   (`clippy::unwrap_used` rejects `partial_cmp().unwrap()`), so a broken
+//!   measurement can neither panic a sort nor — as `f64::total_cmp` alone
+//!   would allow for `-NaN` — be crowned the minimum.
 
 /// Total ascending order for `f64` with NaN (either sign) **last**.
 ///
@@ -55,10 +56,10 @@ pub fn vid_index(v: u64) -> usize {
 
 /// Converts a partition id (`u32`) to a slice index. Infallible on every
 /// supported host (`usize` is at least 32 bits), but spelled as a helper so
-/// id-indexing reads uniformly and stays analyzer-clean.
+/// id-indexing reads uniformly.
 #[inline]
 pub fn part_index(p: u32) -> usize {
-    p as usize // analyzer: allow(D4): the one checked widening helper — u32 -> usize is lossless here
+    p as usize
 }
 
 /// Smallest `s` with `s * s >= n` (the exact integer ceiling square root).
@@ -66,6 +67,8 @@ pub fn part_index(p: u32) -> usize {
 /// Pure integer arithmetic: the `f64` seed is only a starting guess and is
 /// corrected by exact comparisons, so the result is right for every `u64`,
 /// including values a `sqrt().ceil()` round-trip would misround.
+// The float seed is at most 2^32, and the loops below correct it exactly.
+#[allow(clippy::cast_possible_truncation)]
 pub fn ceil_sqrt(n: u64) -> u64 {
     if n == 0 {
         return 0;

@@ -1,6 +1,6 @@
 //! Deterministic pseudo-random number generation.
 //!
-//! [`SplitMix64`] is used for seeding and as a one-shot mixer;
+//! `SplitMix64` is used for seeding and as a one-shot mixer;
 //! [`Xoshiro256pp`] (xoshiro256++ by Blackman & Vigna) is the workhorse
 //! generator used by all synthetic graph generators. Both are tiny, fast, and
 //! their output is fixed by the published reference algorithms, so seeds
@@ -10,7 +10,7 @@
 /// 64-bit seed into the larger state of [`Xoshiro256pp`], and as a standalone
 /// mixer for hashing.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
@@ -22,7 +22,7 @@ impl SplitMix64 {
 
     /// Returns the next 64-bit value.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         mix64(self.state)
     }
@@ -57,7 +57,7 @@ impl Xoshiro256pp {
 
     /// Returns the next 64 random bits.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -84,6 +84,9 @@ impl Xoshiro256pp {
     /// # Panics
     /// Panics if `bound == 0`.
     #[inline]
+    // u128 multiply-high: `m as u64` and `(m >> 64) as u64` take the low and
+    // high halves of a 64 × 64-bit product.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn range_u64(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "range_u64 bound must be positive");
         // Lemire (2019): unbiased bounded integers without division in the
@@ -104,7 +107,9 @@ impl Xoshiro256pp {
 
     /// Returns a uniform `usize` in `[0, bound)`.
     #[inline]
-    pub fn range_usize(&mut self, bound: usize) -> usize {
+    // The draw is below `bound`, a `usize`.
+    #[allow(clippy::cast_possible_truncation)]
+    pub(crate) fn range_usize(&mut self, bound: usize) -> usize {
         self.range_u64(bound as u64) as usize
     }
 
@@ -129,18 +134,14 @@ impl Xoshiro256pp {
 
     /// Samples from a geometric-ish distribution: number of failures before
     /// the first success of a Bernoulli(`p`) trial, computed in closed form.
+    // A float sample: `as` saturates a huge draw at `u64::MAX`.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn geometric(&mut self, p: f64) -> u64 {
         if p >= 1.0 {
             return 0;
         }
         let u = self.next_f64().max(f64::MIN_POSITIVE);
         (u.ln() / (1.0 - p).ln()).floor() as u64
-    }
-
-    /// Forks an independent child generator; the child's stream is decorrelated
-    /// from the parent's by re-seeding through SplitMix64.
-    pub fn fork(&mut self) -> Self {
-        Self::seed_from_u64(self.next_u64())
     }
 }
 
@@ -187,7 +188,7 @@ impl ZipfSampler {
         let u = rng.next_f64() * self.total;
         // Cumulative weights are sums of positive terms: never NaN, never
         // -0.0, so the NaN-last total order agrees with the numeric order
-        // while keeping the search panic-free (analyzer rule D2).
+        // while keeping the search panic-free.
         match self
             .cumulative
             .binary_search_by(|c| crate::num::nan_last_cmp(*c, u))
@@ -319,15 +320,5 @@ mod tests {
         let mean: f64 = (0..10_000).map(|_| rng.geometric(0.1) as f64).sum::<f64>() / 10_000.0;
         // E[failures before success] = (1-p)/p = 9.
         assert!((mean - 9.0).abs() < 0.7, "mean {mean}");
-    }
-
-    #[test]
-    fn fork_decorrelates() {
-        let mut parent = Xoshiro256pp::seed_from_u64(99);
-        let mut child = parent.fork();
-        let same = (0..64)
-            .filter(|_| parent.next_u64() == child.next_u64())
-            .count();
-        assert!(same < 2);
     }
 }
