@@ -5,8 +5,8 @@
 
 use cutfit_cluster::{ClusterConfig, SimError};
 use cutfit_engine::{
-    run_pregel, ActiveDirection, InitCtx, Messages, PregelConfig, PregelResult, Triplet,
-    VertexProgram,
+    run_pregel, ActiveDirection, InitCtx, Messages, PregelConfig, PregelResult, Receivers,
+    SteadyShape, Triplet, VertexProgram,
 };
 use cutfit_graph::{Csr, Graph, VertexId};
 use cutfit_partition::PartitionedGraph;
@@ -76,6 +76,15 @@ impl VertexProgram for HitsProgram {
     fn fixed_state_bytes(&self) -> Option<u64> {
         // A score pair is always two f64 records.
         Some(std::mem::size_of::<HitsScore>() as u64)
+    }
+
+    fn steady_shape(&self) -> Option<SteadyShape> {
+        // Every edge sends one partial-sum pair to each endpoint.
+        Some(SteadyShape {
+            receivers: Receivers::Both,
+            msg_bytes: std::mem::size_of::<(f64, f64)>() as u64,
+            state_bytes: std::mem::size_of::<HitsScore>() as u64,
+        })
     }
 }
 

@@ -8,8 +8,8 @@
 
 use cutfit_cluster::{ClusterConfig, SimError};
 use cutfit_engine::{
-    run_pregel, ActiveDirection, InitCtx, Messages, PregelConfig, PregelResult, Triplet,
-    VertexProgram,
+    run_pregel, ActiveDirection, InitCtx, Messages, PregelConfig, PregelResult, Receivers,
+    SteadyShape, Triplet, VertexProgram,
 };
 use cutfit_graph::{Csr, Graph, VertexId};
 use cutfit_partition::PartitionedGraph;
@@ -66,6 +66,15 @@ impl VertexProgram for PageRank {
     fn fixed_state_bytes(&self) -> Option<u64> {
         // A rank is always one f64 record.
         Some(std::mem::size_of::<f64>() as u64)
+    }
+
+    fn steady_shape(&self) -> Option<SteadyShape> {
+        // Every edge sends its source's share to its destination.
+        Some(SteadyShape {
+            receivers: Receivers::Dst,
+            msg_bytes: std::mem::size_of::<f64>() as u64,
+            state_bytes: std::mem::size_of::<f64>() as u64,
+        })
     }
 }
 

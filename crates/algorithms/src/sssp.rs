@@ -35,9 +35,9 @@ impl Sssp {
     }
 
     /// Deterministically picks `k` distinct landmarks for a graph of `n`
-    /// vertices from `seed` (the paper samples 5 random sources per run).
+    /// vertices from `seed` (the paper samples 5 random sources per run);
+    /// all `n` when `k` exceeds it, so none from an empty graph.
     pub fn pick_landmarks(n: u64, k: usize, seed: u64) -> Vec<VertexId> {
-        assert!(n > 0, "cannot pick landmarks from an empty graph");
         let mut out: Vec<VertexId> = Vec::with_capacity(k);
         let mut i = 0u64;
         while out.len() < k.min(vid_index(n)) {

@@ -13,11 +13,16 @@
 //! GraphX requires the input in canonical orientation (src < dst, deduped);
 //! [`canonicalize`] performs it, and the kernel rests on it: with no loops
 //! and each pair once, a partial set's size is a local degree and a full set
-//! is a row of one undirected [`Csr`], the same under any cut. So phases 1–2
-//! keep local degrees in one `u32` column (partition `p` at `starts[p]..`),
-//! and phase 4 stamps a source's row once per run of its edges (partitions
-//! keep (src, dst) order), or binary-searches when one row is ≥ 16× the
-//! other. A non-canonical cut shows as a repeated row entry, and panics.
+//! is a row of one undirected [`Csr`], the same under any cut. So is each
+//! edge's triangle count. A [`TriangleIndex`] holds both, built once per
+//! graph — a session keeps one for all its canonical cuts — and the kernel
+//! ([`triangle_count_indexed`]) only aggregates them per partition: phases
+//! 1–2 keep local degrees in one `u32` column (partition `p` at
+//! `starts[p]..`), and phase 4 looks each edge up in its source's row, in
+//! step with the partition's (src, dst)-ordered run of that source's edges,
+//! with no intersection. An index refuses a graph with a loop or a repeated
+//! pair, and the kernel a cut whose edge the index does not hold: both
+//! panic.
 
 use cutfit_cluster::{ClusterConfig, ClusterSim, SimError, SimReport};
 use cutfit_graph::types::PartId;
@@ -54,14 +59,92 @@ pub fn canonicalize(graph: &Graph) -> Graph {
     Graph::new_unchecked(graph.num_vertices(), edges)
 }
 
+/// What Triangle Count reads of a canonical graph and no cut changes: the
+/// undirected neighbour [`Csr`], and per CSR entry — neighbour `w` in the
+/// row of `u` — the edge's *support* `|N(u) ∩ N(w)|`, the triangles through
+/// the edge `{u, w}`.
+#[derive(Debug)]
+pub struct TriangleIndex {
+    full: Csr,
+    support: Vec<u32>,
+}
+
+impl TriangleIndex {
+    /// Indexes the graph `pg` was cut from, which every cut of that graph
+    /// shares. Panics on a cut holding a self-loop or a repeated pair:
+    /// partition [`canonicalize`]'s output.
+    pub fn of_cut(pg: &PartitionedGraph) -> Self {
+        let edges = pg.parts().iter().flat_map(|part| {
+            (part.edges.iter()).map(|&(ls, ld)| Edge::new(part.global(ls), part.global(ld)))
+        });
+        Self::build(pg.num_vertices(), edges)
+    }
+
+    /// The index of `edges` over `num_vertices` vertices: the rows, then one
+    /// stamping pass over the edges in row order (each row's entries above
+    /// its own vertex: the canonical edge list) that counts each edge's
+    /// support once and writes it to both of the edge's entries.
+    // Supports are bounded by degrees, which fit `u32` like the cut's
+    // local vertex ids.
+    #[allow(clippy::cast_possible_truncation)]
+    fn build(num_vertices: u64, edges: impl Iterator<Item = Edge> + Clone) -> Self {
+        let full = Csr::undirected_of(num_vertices, edges);
+        let simple = (0..num_vertices).all(|v| full.neighbors(v).windows(2).all(|w| w[0] < w[1]));
+        assert!(simple, "not a canonical cut: a loop or a repeated pair");
+        let mut support = vec![0u32; full.num_entries()];
+        // `back[w]`: the next of w's entries below w. Rows are visited in
+        // ascending order, so they fill in row order.
+        let mut back: Vec<usize> = (0..num_vertices).map(|w| full.entries(w).start).collect();
+        let mut stamp = vec![false; vid_index(num_vertices)];
+        for u in 0..num_vertices {
+            let nu = full.neighbors(u);
+            nu.iter().for_each(|&x| stamp[vid_index(x)] = true);
+            let above = nu.partition_point(|&w| w < u);
+            for (entry, &w) in full.entries(u).zip(nu).skip(above) {
+                let nw = full.neighbors(w);
+                let count = if nw.len() >= 16 * nu.len() {
+                    let found = |x: &&VertexId| nw.binary_search(x).is_ok();
+                    nu.iter().filter(found).count()
+                } else {
+                    nw.iter().filter(|&&x| stamp[vid_index(x)]).count()
+                } as u32;
+                support[entry] = count;
+                support[back[vid_index(w)]] = count;
+                back[vid_index(w)] += 1;
+            }
+            nu.iter().for_each(|&x| stamp[vid_index(x)] = false);
+        }
+        Self { full, support }
+    }
+}
+
 /// Counts triangles over an already-partitioned *canonical* graph. Panics on
 /// a cut holding a self-loop or a repeated pair: partition [`canonicalize`]'s
-/// output.
+/// output. Builds the cut's [`TriangleIndex`]; a caller counting several
+/// cuts of one graph builds it once and calls [`triangle_count_indexed`].
 pub fn triangle_count_partitioned(
     pg: &PartitionedGraph,
     cluster: &ClusterConfig,
     charge_load: bool,
 ) -> Result<TriangleResult, SimError> {
+    triangle_count_indexed(pg, &TriangleIndex::of_cut(pg), cluster, charge_load)
+}
+
+/// Counts triangles over `pg`, a cut of the canonical graph `index` was
+/// built from, billing the four phases of GraphX's dataflow. Panics when
+/// the cut holds an edge the index does not: it was cut from another graph.
+pub fn triangle_count_indexed(
+    pg: &PartitionedGraph,
+    index: &TriangleIndex,
+    cluster: &ClusterConfig,
+    charge_load: bool,
+) -> Result<TriangleResult, SimError> {
+    let full = &index.full;
+    assert_eq!(
+        (pg.num_vertices(), pg.num_edges() * 2),
+        (full.num_vertices(), full.num_entries() as u64),
+        "the cut is not of the indexed graph"
+    );
     let n = vid_index(pg.num_vertices());
     let np = pg.num_parts();
     let mut sim = ClusterSim::new(cluster.clone(), np);
@@ -77,8 +160,14 @@ pub fn triangle_count_partitioned(
     let exec_of = |p: PartId| exec_of_part[p as usize];
 
     // --- Phase 1: partition-local partial neighbour sets, kept as sizes. ---
-    let mut starts = vec![0];
+    // Per partition, also what the full sets will weigh there (`set_bytes`)
+    // and what phase 4 reads of them: both endpoint sets of every edge, so
+    // each local vertex's set once per local edge (`read_bytes`).
+    let mut starts = Vec::with_capacity(part_index(np) + 1);
+    starts.push(0);
     let mut local_degree = vec![0u32; pg.parts().iter().map(|part| part.vertices.len()).sum()];
+    let mut set_bytes = Vec::with_capacity(part_index(np));
+    let mut read_bytes = Vec::with_capacity(part_index(np));
     for (p, part) in (0..).zip(pg.parts()) {
         let i = part_index(p);
         starts.push(starts[i] + part.vertices.len());
@@ -87,6 +176,13 @@ pub fn triangle_count_partitioned(
             degree[ls as usize] += 1;
             degree[ld as usize] += 1;
         }
+        let (mut set, mut read) = (0, 0);
+        for (&v, &d) in part.vertices.iter().zip(&*degree) {
+            set += full.degree(v) * 8;
+            read += u64::from(d) * full.degree(v) * 8;
+        }
+        set_bytes.push(set);
+        read_bytes.push(read);
         sim.ledger().edge_scans(p, part.num_edges());
         sim.ledger().local_bytes(p, part.num_edges() * 16);
     }
@@ -108,13 +204,7 @@ pub fn triangle_count_partitioned(
             ledger.local_bytes(master, bytes);
         }
     }
-    let edges = pg.parts().iter().flat_map(|part| {
-        (part.edges.iter()).map(|&(ls, ld)| Edge::new(part.global(ls), part.global(ld)))
-    });
-    let full = Csr::undirected_of(pg.num_vertices(), edges);
-    let simple = (0..pg.num_vertices()).all(|v| full.neighbors(v).windows(2).all(|w| w[0] < w[1]));
-    assert!(simple, "not a canonical cut: a loop or a repeated pair");
-    charge_set_residency(&mut sim, pg, &full);
+    charge_set_residency(&mut sim, pg, &set_bytes);
     sim.end_superstep()?;
 
     // --- Phase 3: broadcast complete sets to every mirror. ---
@@ -128,45 +218,39 @@ pub fn triangle_count_partitioned(
             }
         }
     }
-    charge_set_residency(&mut sim, pg, &full);
+    charge_set_residency(&mut sim, pg, &set_bytes);
     sim.end_superstep()?;
 
-    // --- Phase 4: per-edge intersections, counts shipped to masters. ---
-    // `stamp` marks the row of `stamped`. Rows do not depend on the cut, so
-    // the marks stay valid across partitions until another source needs it.
+    // --- Phase 4: per-edge intersection counts, shipped to masters. ---
+    // Each edge's count is its support in the index. `at` is where the
+    // previous edge's destination sat in its source's row: a run of one
+    // source's edges in (src, dst) order searches only what is left of the
+    // row.
     let mut per_vertex = vec![0u64; n];
     let mut edge_count_sum = 0u64;
-    let mut stamp = vec![false; n];
-    let mut stamped: Option<VertexId> = None;
     let ledger = sim.ledger();
-    for (p, part) in (0..).zip(pg.parts()) {
+    for ((p, part), &read) in (0..).zip(pg.parts()).zip(&read_bytes) {
         let mut local_counts = vec![0u64; part.vertices.len()];
-        let mut set_bytes = 0;
+        let mut at: Option<(VertexId, VertexId, usize)> = None;
         for &(ls, ld) in &part.edges {
             let (u, w) = (part.global(ls), part.global(ld));
-            let (nu, nw) = (full.neighbors(u), full.neighbors(w));
-            let mut rows = [nu, nw];
-            rows.sort_by_key(|row| row.len());
-            let [short, long] = rows;
-            let cnt = if long.len() >= 16 * short.len() {
-                let found = |x: &&VertexId| long.binary_search(x).is_ok();
-                short.iter().filter(found).count()
-            } else {
-                if stamped != Some(u) {
-                    for &x in stamped.map_or(&[][..], |s| full.neighbors(s)) {
-                        stamp[vid_index(x)] = false;
-                    }
-                    nu.iter().for_each(|&x| stamp[vid_index(x)] = true);
-                    stamped = Some(u);
-                }
-                nw.iter().filter(|&&x| stamp[vid_index(x)]).count()
-            } as u64;
+            let row = full.neighbors(u);
+            let from = match at {
+                Some((src, dst, k)) if src == u && dst < w => k + 1,
+                _ => 0,
+            };
+            let k = from + row[from..].partition_point(|&x| x < w);
+            assert!(
+                row.get(k) == Some(&w),
+                "edge ({u}, {w}) is not in the indexed graph"
+            );
+            at = Some((u, w, k));
+            let cnt = u64::from(index.support[full.entries(u).start + k]);
             local_counts[ls as usize] += cnt;
             local_counts[ld as usize] += cnt;
             edge_count_sum += cnt;
-            set_bytes += (nu.len() + nw.len()) as u64 * 8;
         }
-        ledger.local_bytes(p, set_bytes);
+        ledger.local_bytes(p, read);
         ledger.edge_scans(p, part.num_edges());
         // Ship non-zero per-vertex partial counts to masters.
         for (&v, &cnt) in part.vertices.iter().zip(&local_counts) {
@@ -210,11 +294,10 @@ pub fn triangle_count(
 }
 
 /// Memory accounting for the set-carrying phases: neighbour sets dominate.
-fn charge_set_residency(sim: &mut ClusterSim, pg: &PartitionedGraph, full: &Csr) {
+fn charge_set_residency(sim: &mut ClusterSim, pg: &PartitionedGraph, set_bytes: &[u64]) {
     sim.clear_resident();
-    for (p, part) in (0..).zip(pg.parts()) {
-        let set_bytes: u64 = part.vertices.iter().map(|&v| full.degree(v) * 8).sum();
-        sim.set_resident(p, part.structure_bytes() + set_bytes);
+    for ((p, part), &sets) in (0..).zip(pg.parts()).zip(set_bytes) {
+        sim.set_resident(p, part.structure_bytes() + sets);
     }
 }
 
@@ -445,6 +528,73 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn one_index_counts_every_cut_like_a_per_call_index() {
+        for index in 0..6 {
+            let canon = canonicalize(&family(index, 11));
+            // Indexed from a cut none of the counted ones equals.
+            let shared =
+                TriangleIndex::of_cut(&GraphXStrategy::RandomVertexCut.partition(&canon, 3));
+            for strategy in GraphXStrategy::all() {
+                for parts in [1, 7, 64] {
+                    let pg = strategy.partition(&canon, parts);
+                    let cell = format!("family {index}, {strategy}, {parts} parts");
+                    let indexed = triangle_count_indexed(&pg, &shared, &cluster(), false).unwrap();
+                    let per_call = triangle_count_partitioned(&pg, &cluster(), false).unwrap();
+                    assert_eq!(indexed.sim, per_call.sim, "{cell}");
+                    assert_eq!(indexed.total, per_call.total, "{cell}");
+                    assert_eq!(indexed.per_vertex, per_call.per_vertex, "{cell}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cut_of_another_graph_is_refused() {
+        let canon = canonicalize(&family(1, 5));
+        let index = TriangleIndex::of_cut(&GraphXStrategy::SourceCut.partition(&canon, 2));
+        let mut edges = canon.edges().to_vec();
+        // Same vertices and edge count, one edge moved: the index misses it.
+        let last = edges.pop().unwrap();
+        let moved = (0..canon.num_vertices())
+            .flat_map(|a| (a + 1..canon.num_vertices()).map(move |b| Edge::new(a, b)))
+            .find(|e| !canon.edges().contains(e))
+            .unwrap();
+        assert_ne!(moved, last);
+        edges.push(moved);
+        let other = canonicalize(&Graph::new(canon.num_vertices(), edges));
+        for strategy in GraphXStrategy::all() {
+            let pg = strategy.partition(&other, 4);
+            let run =
+                std::panic::catch_unwind(|| triangle_count_indexed(&pg, &index, &cluster(), false));
+            assert!(run.is_err(), "{strategy} counted a cut of another graph");
+        }
+        let fewer = GraphXStrategy::SourceCut.partition(&family(1, 6), 4);
+        let run =
+            std::panic::catch_unwind(|| triangle_count_indexed(&fewer, &index, &cluster(), false));
+        assert!(run.is_err(), "a cut with another edge count was counted");
+    }
+
+    #[test]
+    fn every_edge_reversed_counts_like_canonical() {
+        // Supports sit on both of an edge's entries, so a simple cut in any
+        // orientation and edge order counts what its canonical twin counts.
+        let canon = canonicalize(&family(1, 3));
+        let mut reversed: Vec<Edge> = canon.edges().iter().map(|e| e.reversed()).collect();
+        reversed.reverse();
+        let reversed = Graph::new(canon.num_vertices(), reversed);
+        for strategy in GraphXStrategy::all() {
+            let a = triangle_count_partitioned(&strategy.partition(&canon, 7), &cluster(), true);
+            let b = triangle_count_partitioned(&strategy.partition(&reversed, 7), &cluster(), true);
+            let (a, b) = (a.unwrap(), b.unwrap());
+            assert_eq!(
+                (a.total, a.per_vertex),
+                (b.total, b.per_vertex),
+                "{strategy}"
+            );
         }
     }
 

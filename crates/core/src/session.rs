@@ -36,7 +36,8 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
-use cutfit_algorithms::triangles::canonicalize;
+use cutfit_algorithms::suite::Reused;
+use cutfit_algorithms::triangles::{canonicalize, TriangleIndex};
 use cutfit_algorithms::Algorithm;
 use cutfit_cluster::{ClusterConfig, ClusterSim, SimError, SimReport};
 use cutfit_engine::{ExecutorMode, PreparedRun};
@@ -333,23 +334,17 @@ struct CutEntry {
 }
 
 impl CutEntry {
-    /// Dispatches `algorithm` on this cut.
-    fn dispatch(
-        &mut self,
-        algorithm: &Algorithm,
-        cluster: &ClusterConfig,
-        prepared_executor: ExecutorMode,
-        executor: ExecutorMode,
-        charge_load: bool,
-    ) -> Result<(SimReport, u64), SimError> {
-        algorithm.run_on_cut(
-            &self.pg,
-            &mut self.prepared,
-            cluster,
-            prepared_executor,
-            executor,
-            charge_load,
-        )
+    /// What a dispatch on this cut reuses: its engine handle, and the
+    /// session's triangle index.
+    fn reused<'a>(
+        &'a mut self,
+        triangles: &'a mut Option<TriangleIndex>,
+    ) -> (&'a Arc<PartitionedGraph>, Reused<'a>) {
+        let reused = Reused {
+            prepared: &mut self.prepared,
+            triangles,
+        };
+        (&self.pg, reused)
     }
 }
 
@@ -409,6 +404,10 @@ struct CutCache {
     canon: Option<Arc<Graph>>,
     /// Worker threads of a materialization.
     threads: usize,
+    /// Triangle Count's index of `canon`, built by the first TR dispatch
+    /// and read by every TR probe and job after it: every canonical cut
+    /// holds `canon`'s edges.
+    triangles: Option<TriangleIndex>,
     /// `BTreeMap`, not `HashMap`: lookups are keyed today, but the serving
     /// layer is a deterministic crate — if iteration over cached cuts ever
     /// lands (eviction, reporting), its order must already be fixed.
@@ -418,13 +417,14 @@ struct CutCache {
 }
 
 impl CutCache {
-    /// The entry for `key`, materialized if absent, and whether it was a
-    /// cache hit.
-    fn ensure_cut(&mut self, key: CutKey) -> (&mut CutEntry, bool) {
+    /// The entry for `key`, materialized if absent, the triangle index slot
+    /// a dispatch on it reuses, and whether it was a cache hit.
+    fn ensure_cut(&mut self, key: CutKey) -> (&mut CutEntry, &mut Option<TriangleIndex>, bool) {
+        let triangles = &mut self.triangles;
         match self.cuts.entry(key) {
             Entry::Occupied(e) => {
                 self.hits += 1;
-                (e.into_mut(), true)
+                (e.into_mut(), triangles, true)
             }
             Entry::Vacant(v) => {
                 self.misses += 1;
@@ -444,7 +444,7 @@ impl CutCache {
                     metrics,
                     prepared: None,
                 };
-                (v.insert(entry), false)
+                (v.insert(entry), triangles, false)
             }
         }
     }
@@ -476,6 +476,7 @@ impl Workspace {
             cache: CutCache {
                 graph: Arc::new(graph),
                 canon: None,
+                triangles: None,
                 threads: executor.threads(),
                 cuts: BTreeMap::new(),
                 hits: 0,
@@ -648,7 +649,7 @@ impl Workspace {
             self.session.charge_load(self.load_source_bytes);
             self.loaded = true;
         }
-        let (entry, cache_hit) = self.cache.ensure_cut(key);
+        let (entry, triangles, cache_hit) = self.cache.ensure_cut(key);
         // A repartition that fails leaves the active cut where it was, so
         // it is neither counted nor reported as a switch.
         let repartition = if self.active == Some(key) {
@@ -664,8 +665,12 @@ impl Workspace {
             self.cut_switches += 1;
         }
         let provisioning_seconds = self.session.report().total_seconds - session_before;
-        let outcome = repartition
-            .and_then(|_| entry.dispatch(algorithm, &self.cluster, self.executor, executor, false));
+        let metrics = entry.metrics.clone();
+        let (pg, reused) = entry.reused(triangles);
+        let (cluster, prepared_executor) = (&self.cluster, self.executor);
+        let outcome = repartition.and_then(|_| {
+            algorithm.run_on_cut(pg, reused, cluster, prepared_executor, executor, false)
+        });
         let (supersteps, result) = match outcome {
             Ok((sim, supersteps)) => (supersteps, Ok(sim)),
             Err(e) => (0, Err(e)),
@@ -678,7 +683,7 @@ impl Workspace {
             cache_hit,
             switched_cut,
             provisioning_seconds,
-            metrics: entry.metrics.clone(),
+            metrics,
             supersteps,
             result,
         }
@@ -702,9 +707,12 @@ impl Workspace {
             num_parts,
             canonical: algorithm.needs_canonical(),
         };
-        let (entry, cache_hit) = self.cache.ensure_cut(key);
+        let (entry, triangles, cache_hit) = self.cache.ensure_cut(key);
+        let metrics = entry.metrics.clone();
+        let (pg, reused) = entry.reused(triangles);
+        let executor = self.executor;
         let (supersteps, result) =
-            match entry.dispatch(algorithm, &self.cluster, self.executor, self.executor, true) {
+            match algorithm.run_on_cut(pg, reused, &self.cluster, executor, executor, true) {
                 Ok((sim, supersteps)) => (supersteps, Ok(sim)),
                 Err(e) => (0, Err(e)),
             };
@@ -716,7 +724,7 @@ impl Workspace {
             cache_hit,
             switched_cut: false,
             provisioning_seconds: 0.0,
-            metrics: entry.metrics.clone(),
+            metrics,
             supersteps,
             result,
         }
@@ -784,13 +792,15 @@ impl Workspace {
     }
 
     /// Ranks every candidate by the simulated time of the algorithm's own
-    /// short probe ([`Algorithm::probe`]) dispatched through the session
-    /// cache, so every materialization a probe forces is one the advised
-    /// jobs (and later probes) reuse. The ranking is the measured mode's
+    /// short probe ([`Algorithm::probe_on_cut`]) dispatched through the
+    /// session cache, so every materialization a probe forces is one the
+    /// advised jobs (and later probes) reuse. A probe pays only for what
+    /// differs between the candidates: PageRank and HITS are billed in
+    /// closed form from each cut's tables, and Triangle Count reads the
+    /// session's one index. The ranking is the measured mode's
     /// (`advisor::rank`): a failed probe (e.g. OOM) has no time and ranks
     /// last, and ties keep candidate (paper table) order.
     fn probed_strategy(&mut self, algorithm: &Algorithm, num_parts: PartId) -> GraphXStrategy {
-        let probe = algorithm.probe();
         let canonical = algorithm.needs_canonical();
         let mut ranking = GraphXStrategy::all().map(|strategy| {
             let key = CutKey {
@@ -798,15 +808,16 @@ impl Workspace {
                 num_parts,
                 canonical,
             };
-            let (entry, _) = self.cache.ensure_cut(key);
-            let time =
-                match entry.dispatch(&probe, &self.cluster, self.executor, self.executor, false) {
-                    Ok((sim, _)) => {
-                        self.advice_seconds += sim.total_seconds;
-                        sim.total_seconds
-                    }
-                    Err(_) => f64::NAN,
-                };
+            let (entry, triangles, _) = self.cache.ensure_cut(key);
+            let (pg, reused) = entry.reused(triangles);
+            let executor = self.executor;
+            let time = match algorithm.probe_on_cut(pg, reused, &self.cluster, executor, executor) {
+                Ok((sim, _)) => {
+                    self.advice_seconds += sim.total_seconds;
+                    sim.total_seconds
+                }
+                Err(_) => f64::NAN,
+            };
             (strategy, time)
         });
         rank(&mut ranking);

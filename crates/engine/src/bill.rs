@@ -1,0 +1,442 @@
+//! How the engine's work reaches the simulated cluster's ledger.
+//!
+//! A superstep is billed by table, not by replica. A delivered partial is
+//! counted on the (source partition's executor → home's executor) cell —
+//! the shuffle through a scratch row billed once per source partition, the
+//! fold directly. An applied vertex counts its new state on its *broadcast
+//! class* — vertices whose master executor and mirror-executor multiset
+//! agree cost the same to broadcast — and each touched class is billed once
+//! per superstep, multiplied by its mirror counts. Every ledger quantity is
+//! an integer counter accumulated in per-thread deltas, so this is bit for
+//! bit the bill of one ledger call per message and per (vertex, mirror)
+//! pair; the engine's tests keep that walk as a reference.
+//!
+//! Beside the tables sits the **closed form**. An always-active program
+//! whose every edge messages the same endpoints with fixed-size messages
+//! and states — a [`SteadyShape`] — bills the same superstep every time,
+//! and what it bills depends only on the cut: one partial per (partition,
+//! local receiver), one vertex op and one class broadcast per vertex that
+//! receives one. [`steady_superstep`] writes that superstep into a
+//! [`MeterDelta`] from the cut's tables alone, so
+//! [`crate::PreparedRun::bill_steady`] bills such a run without running it.
+
+use std::ops::Range;
+
+use cutfit_cluster::{ClusterSim, SimError, SuperstepLedger};
+use cutfit_graph::types::PartId;
+use cutfit_graph::VertexId;
+use cutfit_partition::{PartitionedGraph, NO_PART};
+use cutfit_util::num::{part_index, vid_index};
+
+/// The broadcast-class table: the one way a state broadcast is billed.
+///
+/// A vertex's new state travels from its master to every mirror, and the
+/// ledger only sees executor pairs — so two vertices whose master sits on
+/// the same executor and whose mirrors spread over the executors in the same
+/// multiset cost the same per broadcast. Such vertices share a *class*; a
+/// phase counts states and bytes per class and the flush multiplies by each
+/// mirror count: `Σ_v count·bytes_v = count·Σ_v bytes_v`, and ledger
+/// accumulation is commutative integer addition, so the bill is bit for bit
+/// the one a walk over every (vertex, mirror) pair would produce. The classes
+/// are a property of the cut and the partition→executor map, not of the
+/// program, and are kept as sparse `(executor, count)` lists: nothing here
+/// is sized by `executors²`.
+pub(crate) struct BroadcastClasses {
+    /// Class of each vertex (isolated and unreplicated vertices share the
+    /// mirrorless class).
+    pub(crate) class_of: Vec<u32>,
+    /// Vertices in each class.
+    pub(crate) population: Vec<u64>,
+    /// Executor of the class's master partition.
+    pub(crate) master_exec: Vec<u32>,
+    /// CSR offsets into `mirrors`, one group per class.
+    pub(crate) offsets: Vec<u32>,
+    /// `(mirror_exec, mirrors there)`, ascending by executor within a class.
+    pub(crate) mirrors: Vec<(u32, u64)>,
+    /// Vertices mastered (hash fallback included) at each partition.
+    pub(crate) home_counts: Vec<u64>,
+    /// Isolated (`NO_PART`) vertices per hash-fallback home.
+    pub(crate) isolated_counts: Vec<u64>,
+}
+
+impl BroadcastClasses {
+    /// Interns every vertex's `(master_exec, mirror-executor multiset)` key
+    /// in one pass over the routing table; class ids are handed out in
+    /// first-seen (ascending vertex) order.
+    pub(crate) fn build(pg: &PartitionedGraph, home: &[PartId], exec_of_part: &[u32]) -> Self {
+        let np = pg.num_parts() as usize;
+        let mut classes = Self {
+            class_of: Vec::with_capacity(home.len()),
+            population: Vec::new(),
+            master_exec: Vec::new(),
+            offsets: vec![0],
+            mirrors: Vec::new(),
+            home_counts: vec![0; np],
+            isolated_counts: vec![0; np],
+        };
+        // BTreeMap, not a hash map: lookups only, but clippy.toml's
+        // `disallowed-types` keeps unordered containers out of library code.
+        // The key is `[master_exec, exec, count, exec, count, …]`, empty for
+        // a vertex without mirrors.
+        let mut ids: std::collections::BTreeMap<Vec<u32>, u32> = std::collections::BTreeMap::new();
+        let (mut execs, mut key) = (Vec::new(), Vec::new());
+        for (v, (&h, &master)) in home.iter().zip(pg.masters()).enumerate() {
+            classes.home_counts[part_index(h)] += 1;
+            if master == NO_PART {
+                classes.isolated_counts[part_index(h)] += 1;
+            }
+            execs.clear();
+            let replicas = pg.routing().parts_of(v as VertexId);
+            execs.extend(
+                replicas
+                    .iter()
+                    .filter(|&&p| p != h)
+                    .map(|&p| exec_of_part[part_index(p)]),
+            );
+            execs.sort_unstable();
+            key.clear();
+            if !execs.is_empty() {
+                key.push(exec_of_part[part_index(h)]);
+            }
+            for &exec in &execs {
+                match key.len() {
+                    n if n > 1 && key[n - 2] == exec => key[n - 1] += 1,
+                    _ => key.extend([exec, 1]),
+                }
+            }
+            let class = match ids.get(key.as_slice()) {
+                Some(&class) => class,
+                None => {
+                    let class = u32::try_from(classes.population.len())
+                        .unwrap_or_else(|_| panic!("more than 2^32 broadcast classes"));
+                    classes.population.push(0);
+                    classes.master_exec.push(key.first().copied().unwrap_or(0));
+                    let pairs = key.get(1..).unwrap_or(&[]).chunks_exact(2);
+                    classes
+                        .mirrors
+                        .extend(pairs.map(|pair| (pair[0], u64::from(pair[1]))));
+                    let end = u32::try_from(classes.mirrors.len())
+                        .unwrap_or_else(|_| panic!("more than 2^32 broadcast mirrors"));
+                    classes.offsets.push(end);
+                    ids.insert(key.clone(), class);
+                    class
+                }
+            };
+            classes.population[class as usize] += 1;
+            classes.class_of.push(class);
+        }
+        classes
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.population.len()
+    }
+
+    /// The class's `(mirror_exec, mirrors there)` list.
+    pub(crate) fn mirrors_of(&self, class: usize) -> &[(u32, u64)] {
+        &self.mirrors[self.offsets[class] as usize..self.offsets[class + 1] as usize]
+    }
+
+    /// Bills `states` broadcasts of `bytes` in total, summed over the
+    /// class's vertices that sent one: each mirror receives every state.
+    pub(crate) fn bill(&self, class: usize, states: u64, bytes: u64, ledger: &mut SuperstepLedger) {
+        let master = self.master_exec[class];
+        for &(to, count) in self.mirrors_of(class) {
+            ledger.send_exec(master, to, states * count, bytes * count);
+        }
+    }
+}
+
+impl BroadcastClasses {
+    /// Bills the setup superstep: one vertex op per mastered vertex, one
+    /// broadcast message per (vertex, mirror) pair — billed per class — and
+    /// the residency declaration (structure + replica states, declared once
+    /// here and updated incrementally by the apply phase). `state_bytes`
+    /// sizes vertex `v`'s initial state; with `fixed` set it is that
+    /// constant, and the classes' totals are populations times it.
+    pub(crate) fn bill_setup(
+        &self,
+        pg: &PartitionedGraph,
+        home: &[PartId],
+        sim: &mut ClusterSim,
+        msg_overhead: u64,
+        fixed: Option<u64>,
+        state_bytes: impl Fn(usize) -> u64,
+    ) -> Result<(), SimError> {
+        for (q, &count) in (0..).zip(&self.home_counts) {
+            if count > 0 {
+                sim.ledger().vertex_ops(q, count);
+            }
+        }
+        let sent: Vec<(u64, u64)> = match fixed {
+            Some(size) => {
+                let bytes = size + msg_overhead;
+                self.population.iter().map(|&n| (n, n * bytes)).collect()
+            }
+            None => {
+                let mut sent = vec![(0, 0); self.len()];
+                for (v, &class) in self.class_of.iter().enumerate() {
+                    let cell = &mut sent[class as usize];
+                    cell.0 += 1;
+                    cell.1 += state_bytes(v) + msg_overhead;
+                }
+                sent
+            }
+        };
+        for (class, &(n, bytes)) in sent.iter().enumerate() {
+            self.bill(class, n, bytes, sim.ledger());
+        }
+
+        let mut resident: Vec<u64> = pg.parts().iter().map(|p| p.structure_bytes()).collect();
+        for (p, part) in pg.parts().iter().enumerate() {
+            resident[p] += match fixed {
+                Some(size) => part.num_vertices() * size,
+                None => part
+                    .vertices
+                    .iter()
+                    .map(|&v| state_bytes(vid_index(v)))
+                    .sum(),
+            };
+        }
+        // Isolated vertices have no replica, but their state still occupies
+        // the hash-fallback home (the vertex RDD is hash-partitioned
+        // regardless of edges) — and since messages only travel along
+        // edges, those states never change after setup: charge them once.
+        if let Some(size) = fixed {
+            for (q, &count) in self.isolated_counts.iter().enumerate() {
+                resident[q] += count * size;
+            }
+        } else {
+            for (v, &master) in pg.masters().iter().enumerate() {
+                if master == NO_PART {
+                    resident[part_index(home[v])] += state_bytes(v);
+                }
+            }
+        }
+        for (p, &bytes) in (0..).zip(&resident) {
+            sim.set_resident(p, bytes);
+        }
+        sim.end_superstep().map(drop)
+    }
+}
+
+/// Per-thread metering accumulator. Every field is an exact integer
+/// counter, so merging thread deltas in any order reproduces the sequential
+/// ledger bit for bit. The two hot loops never touch the executor matrices:
+/// the apply counts each broadcast state on its vertex's class
+/// ([`MeterDelta::broadcast`]) and the shuffle counts each message on its
+/// home's cell of a scratch row, flushed once per source partition
+/// ([`MeterDelta::flush_row`]). [`MeterDelta::reset`] clears all of it, so a
+/// run abandoned mid-phase leaves nothing behind for the next one.
+pub(crate) struct MeterDelta {
+    pub(crate) executors: u32,
+    /// Row-major `executors × executors` byte/message matrices, allocated
+    /// on the first recorded transfer (mirrors [`SuperstepLedger`]'s lazy
+    /// hardening: a huge executor grid must not cost `executors²` memory
+    /// per worker thread).
+    pub(crate) exec_bytes: Vec<u64>,
+    pub(crate) exec_msgs: Vec<u64>,
+    /// Per-partition counters.
+    pub(crate) vertex_ops: Vec<u64>,
+    pub(crate) local_bytes: Vec<u64>,
+    /// Per-partition resident-state deltas (signed bytes).
+    pub(crate) resident: Vec<i64>,
+    /// Messages shuffled by this thread.
+    pub(crate) msgs: u64,
+    /// `(states, bytes)` broadcast per class this phase; sized to the
+    /// index's class table when a run starts.
+    pub(crate) class_sent: Vec<(u64, u64)>,
+    /// Classes with a non-zero `class_sent` cell, in first-hit order: the
+    /// flush and the reset visit these only, so a sparse superstep costs
+    /// O(applied), never O(classes).
+    pub(crate) touched_classes: Vec<u32>,
+    /// `(messages, bytes)` per home partition from the source partition
+    /// being delivered; all zero between source partitions.
+    pub(crate) row: Vec<(u64, u64)>,
+}
+
+impl MeterDelta {
+    pub(crate) fn new(executors: u32, num_parts: usize) -> Self {
+        Self {
+            executors,
+            exec_bytes: Vec::new(),
+            exec_msgs: Vec::new(),
+            vertex_ops: vec![0; num_parts],
+            local_bytes: vec![0; num_parts],
+            resident: vec![0; num_parts],
+            msgs: 0,
+            class_sent: Vec::new(),
+            touched_classes: Vec::new(),
+            row: vec![(0, 0); num_parts],
+        }
+    }
+
+    pub(crate) fn reset(&mut self) {
+        self.exec_bytes.fill(0);
+        self.exec_msgs.fill(0);
+        self.vertex_ops.fill(0);
+        self.local_bytes.fill(0);
+        self.resident.fill(0);
+        self.msgs = 0;
+        for class in self.touched_classes.drain(..) {
+            self.class_sent[class as usize] = (0, 0);
+        }
+        self.row.fill((0, 0));
+    }
+
+    /// Counts one state of `bytes` (framing included) broadcast by a vertex
+    /// of `class` to all its mirrors.
+    #[inline]
+    pub(crate) fn broadcast(&mut self, class: u32, bytes: u64) {
+        let sent = &mut self.class_sent[class as usize];
+        if sent.0 == 0 {
+            self.touched_classes.push(class);
+        }
+        sent.0 += 1;
+        sent.1 += bytes;
+    }
+
+    /// Bills the scratch row — what source partition `from_exec` hosts
+    /// delivered to the homes in `homes` — and zeroes it.
+    pub(crate) fn flush_row(&mut self, from_exec: u32, exec_of_part: &[u32], homes: Range<usize>) {
+        for q in homes {
+            let (msgs, bytes) = std::mem::take(&mut self.row[q]);
+            if msgs > 0 {
+                self.send_exec(from_exec, exec_of_part[q], msgs, bytes);
+                self.local_bytes[q] += bytes;
+                self.msgs += msgs;
+            }
+        }
+    }
+
+    /// Row-major cell of `(from, to)` in the executor matrices.
+    #[inline]
+    fn exec_index(&self, from: u32, to: u32) -> usize {
+        from as usize * self.executors as usize + to as usize
+    }
+
+    #[inline]
+    pub(crate) fn send_exec(&mut self, from_exec: u32, to_exec: u32, msgs: u64, bytes: u64) {
+        if self.exec_bytes.is_empty() {
+            let cells = self.executors as usize * self.executors as usize;
+            self.exec_bytes = vec![0; cells];
+            self.exec_msgs = vec![0; cells];
+        }
+        let idx = self.exec_index(from_exec, to_exec);
+        self.exec_bytes[idx] += bytes;
+        self.exec_msgs[idx] += msgs;
+    }
+
+    pub(crate) fn flush_ledger(&self, classes: &BroadcastClasses, ledger: &mut SuperstepLedger) {
+        for &class in &self.touched_classes {
+            let (states, bytes) = self.class_sent[class as usize];
+            classes.bill(class as usize, states, bytes, ledger);
+        }
+        for (p, &ops) in (0..).zip(&self.vertex_ops) {
+            if ops > 0 {
+                ledger.vertex_ops(p, ops);
+            }
+        }
+        for (p, &bytes) in (0..).zip(&self.local_bytes) {
+            if bytes > 0 {
+                ledger.local_bytes(p, bytes);
+            }
+        }
+        if self.exec_bytes.is_empty() {
+            return;
+        }
+        for from in 0..self.executors {
+            for to in 0..self.executors {
+                let idx = self.exec_index(from, to);
+                if self.exec_msgs[idx] > 0 || self.exec_bytes[idx] > 0 {
+                    ledger.send_exec(from, to, self.exec_msgs[idx], self.exec_bytes[idx]);
+                }
+            }
+        }
+    }
+
+    pub(crate) fn flush_resident(&self, sim: &mut ClusterSim) {
+        for (p, &delta) in (0..).zip(&self.resident) {
+            sim.adjust_resident(p, delta);
+        }
+    }
+}
+
+/// Which endpoints of every edge a steady program messages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Receivers {
+    /// The source ([`crate::Messages::ToSrc`] on every edge).
+    Src,
+    /// The destination ([`crate::Messages::ToDst`] on every edge).
+    Dst,
+    /// Both endpoints ([`crate::Messages::Both`] on every edge).
+    Both,
+}
+
+/// What the bill of an always-active program depends on besides the cut,
+/// when every superstep is the same: which endpoints every edge messages,
+/// and the fixed sizes of a message and a state. A program declares it with
+/// [`crate::VertexProgram::steady_shape`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SteadyShape {
+    /// The endpoints every edge messages, every superstep.
+    pub receivers: Receivers,
+    /// [`crate::VertexProgram::msg_bytes`] of every message.
+    pub msg_bytes: u64,
+    /// [`crate::VertexProgram::state_bytes`] of every state.
+    pub state_bytes: u64,
+}
+
+/// Writes one message superstep of a `shape` program into `delta`, exactly
+/// as the engine's dense superstep leaves it there: per (partition, local
+/// vertex that some edge messages) one partial, counted on its home's cell
+/// of the scratch row and billed once per source partition; per vertex that
+/// received a partial, one vertex op, its state's bytes and one broadcast
+/// on its class. The states' sizes never change, so residency moves by
+/// nothing. Returns the partials delivered: the superstep's message count.
+pub(crate) fn steady_superstep(
+    pg: &PartitionedGraph,
+    classes: &BroadcastClasses,
+    home: &[PartId],
+    exec_of_part: &[u32],
+    shape: &SteadyShape,
+    msg_overhead: u64,
+    delta: &mut MeterDelta,
+) -> u64 {
+    let msg_bytes = shape.msg_bytes + msg_overhead;
+    let mut received = vec![false; home.len()];
+    let mut messaged = Vec::new();
+    for (part, &from_exec) in pg.parts().iter().zip(exec_of_part) {
+        messaged.clear();
+        messaged.resize(part.vertices.len(), false);
+        for &(ls, ld) in &part.edges {
+            match shape.receivers {
+                Receivers::Src => messaged[ls as usize] = true,
+                Receivers::Dst => messaged[ld as usize] = true,
+                Receivers::Both => {
+                    messaged[ls as usize] = true;
+                    messaged[ld as usize] = true;
+                }
+            }
+        }
+        let mut delivered = false;
+        for (&v, _) in part.vertices.iter().zip(&messaged).filter(|(_, &m)| m) {
+            let cell = &mut delta.row[part_index(home[vid_index(v)])];
+            cell.0 += 1;
+            cell.1 += msg_bytes;
+            received[vid_index(v)] = true;
+            delivered = true;
+        }
+        if delivered {
+            delta.flush_row(from_exec, exec_of_part, 0..exec_of_part.len());
+        }
+    }
+    let state_bytes = shape.state_bytes;
+    for (v, _) in received.iter().enumerate().filter(|(_, &r)| r) {
+        let q = part_index(home[v]);
+        delta.vertex_ops[q] += 1;
+        delta.local_bytes[q] += state_bytes;
+        delta.broadcast(classes.class_of[v], state_bytes + msg_overhead);
+    }
+    delta.msgs
+}

@@ -36,6 +36,7 @@
 //! time goes is reported beside the result, never inside it (see
 //! [`trace`]).
 
+mod bill;
 mod frontier;
 pub mod pregel;
 pub mod program;
@@ -44,6 +45,7 @@ pub mod trace;
 #[cfg(test)]
 mod tests_direction;
 
+pub use bill::{Receivers, SteadyShape};
 pub use pregel::{run_pregel, ExecutorMode, PregelConfig, PregelResult, PreparedRun};
 pub use program::{
     ActiveDirection, InitCtx, Messages, OwnedState, Triplet, VertexProgram, VertexState,

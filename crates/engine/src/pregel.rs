@@ -38,19 +38,11 @@
 //! inbox entries are *taken*, records *drained* — so supersteps allocate no
 //! O(vertices + replicas) buffer.
 //!
-//! A superstep is billed by table, not by replica. A delivered partial is
-//! counted on the (source partition's executor → home's executor) cell —
-//! the shuffle through a scratch row billed once per source partition, the
-//! fold directly. An applied vertex counts its new state on its *broadcast
-//! class* — vertices whose master executor and mirror-executor multiset
-//! agree cost the same to broadcast — and each touched class is billed once
-//! per superstep, multiplied by its mirror counts. Every ledger quantity is
-//! an integer counter accumulated in per-thread deltas, so this is bit for
-//! bit the bill of one ledger call per message and per (vertex, mirror)
-//! pair — the tests keep that walk as a reference — and every vertex merges
-//! its messages in ascending source-partition order under any sharding:
-//! every thread count and scan mode is bit-identical in vertex states and
-//! the metered [`SimReport`]. Where the wall time went is summed per phase
+//! A superstep is billed by table, not by replica (see the `bill` module),
+//! in integer counters accumulated per thread, and every vertex merges its
+//! messages in ascending source-partition order under any sharding: every
+//! thread count and scan mode is bit-identical in vertex states and the
+//! metered [`SimReport`]. Where the wall time went is summed per phase
 //! into a [`RunTrace`] beside the result (see the `trace` module).
 
 use std::borrow::Borrow;
@@ -58,7 +50,7 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use cutfit_cluster::{ClusterConfig, ClusterSim, SimError, SimReport, SuperstepLedger};
+use cutfit_cluster::{ClusterConfig, ClusterSim, SimError, SimReport};
 use cutfit_graph::types::PartId;
 use cutfit_graph::VertexId;
 use cutfit_partition::{EdgePartition, PartitionedGraph, NO_PART};
@@ -67,6 +59,7 @@ use cutfit_util::exec::{drain_cut_slices, run_chunked, run_ranges, DisjointSlice
 use cutfit_util::hash::hash64;
 use cutfit_util::num::{part_index, vid_index};
 
+use crate::bill::{steady_superstep, BroadcastClasses, MeterDelta, SteadyShape};
 use crate::frontier::{plan_scan, FrontierBuffers, Incidence, Occurrence};
 use crate::program::{
     ActiveDirection, InitCtx, Messages, OwnedState, Triplet, VertexProgram, VertexState,
@@ -228,125 +221,6 @@ impl PartIndex {
     }
 }
 
-/// The broadcast-class table: the one way a state broadcast is billed.
-///
-/// A vertex's new state travels from its master to every mirror, and the
-/// ledger only sees executor pairs — so two vertices whose master sits on
-/// the same executor and whose mirrors spread over the executors in the same
-/// multiset cost the same per broadcast. Such vertices share a *class*; a
-/// phase counts states and bytes per class and the flush multiplies by each
-/// mirror count: `Σ_v count·bytes_v = count·Σ_v bytes_v`, and ledger
-/// accumulation is commutative integer addition, so the bill is bit for bit
-/// the one a walk over every (vertex, mirror) pair would produce. The classes
-/// are a property of the cut and the partition→executor map, not of the
-/// program, and are kept as sparse `(executor, count)` lists: nothing here
-/// is sized by `executors²`.
-struct BroadcastClasses {
-    /// Class of each vertex (isolated and unreplicated vertices share the
-    /// mirrorless class).
-    class_of: Vec<u32>,
-    /// Vertices in each class.
-    population: Vec<u64>,
-    /// Executor of the class's master partition.
-    master_exec: Vec<u32>,
-    /// CSR offsets into `mirrors`, one group per class.
-    offsets: Vec<u32>,
-    /// `(mirror_exec, mirrors there)`, ascending by executor within a class.
-    mirrors: Vec<(u32, u64)>,
-    /// Vertices mastered (hash fallback included) at each partition.
-    home_counts: Vec<u64>,
-    /// Isolated (`NO_PART`) vertices per hash-fallback home.
-    isolated_counts: Vec<u64>,
-}
-
-impl BroadcastClasses {
-    /// Interns every vertex's `(master_exec, mirror-executor multiset)` key
-    /// in one pass over the routing table; class ids are handed out in
-    /// first-seen (ascending vertex) order.
-    fn build(pg: &PartitionedGraph, home: &[PartId], exec_of_part: &[u32]) -> Self {
-        let np = pg.num_parts() as usize;
-        let mut classes = Self {
-            class_of: Vec::with_capacity(home.len()),
-            population: Vec::new(),
-            master_exec: Vec::new(),
-            offsets: vec![0],
-            mirrors: Vec::new(),
-            home_counts: vec![0; np],
-            isolated_counts: vec![0; np],
-        };
-        // BTreeMap, not a hash map: lookups only, but clippy.toml's
-        // `disallowed-types` keeps unordered containers out of library code.
-        // The key is `[master_exec, exec, count, exec, count, …]`, empty for
-        // a vertex without mirrors.
-        let mut ids: std::collections::BTreeMap<Vec<u32>, u32> = std::collections::BTreeMap::new();
-        let (mut execs, mut key) = (Vec::new(), Vec::new());
-        for (v, (&h, &master)) in home.iter().zip(pg.masters()).enumerate() {
-            classes.home_counts[part_index(h)] += 1;
-            if master == NO_PART {
-                classes.isolated_counts[part_index(h)] += 1;
-            }
-            execs.clear();
-            let replicas = pg.routing().parts_of(v as VertexId);
-            execs.extend(
-                replicas
-                    .iter()
-                    .filter(|&&p| p != h)
-                    .map(|&p| exec_of_part[part_index(p)]),
-            );
-            execs.sort_unstable();
-            key.clear();
-            if !execs.is_empty() {
-                key.push(exec_of_part[part_index(h)]);
-            }
-            for &exec in &execs {
-                match key.len() {
-                    n if n > 1 && key[n - 2] == exec => key[n - 1] += 1,
-                    _ => key.extend([exec, 1]),
-                }
-            }
-            let class = match ids.get(key.as_slice()) {
-                Some(&class) => class,
-                None => {
-                    let class = u32::try_from(classes.population.len())
-                        .unwrap_or_else(|_| panic!("more than 2^32 broadcast classes"));
-                    classes.population.push(0);
-                    classes.master_exec.push(key.first().copied().unwrap_or(0));
-                    let pairs = key.get(1..).unwrap_or(&[]).chunks_exact(2);
-                    classes
-                        .mirrors
-                        .extend(pairs.map(|pair| (pair[0], u64::from(pair[1]))));
-                    let end = u32::try_from(classes.mirrors.len())
-                        .unwrap_or_else(|_| panic!("more than 2^32 broadcast mirrors"));
-                    classes.offsets.push(end);
-                    ids.insert(key.clone(), class);
-                    class
-                }
-            };
-            classes.population[class as usize] += 1;
-            classes.class_of.push(class);
-        }
-        classes
-    }
-
-    fn len(&self) -> usize {
-        self.population.len()
-    }
-
-    /// The class's `(mirror_exec, mirrors there)` list.
-    fn mirrors_of(&self, class: usize) -> &[(u32, u64)] {
-        &self.mirrors[self.offsets[class] as usize..self.offsets[class + 1] as usize]
-    }
-
-    /// Bills `states` broadcasts of `bytes` in total, summed over the
-    /// class's vertices that sent one: each mirror receives every state.
-    fn bill(&self, class: usize, states: u64, bytes: u64, ledger: &mut SuperstepLedger) {
-        let master = self.master_exec[class];
-        for &(to, count) in self.mirrors_of(class) {
-            ledger.send_exec(master, to, states * count, bytes * count);
-        }
-    }
-}
-
 /// Immutable run-scoped index precomputed from the [`PartitionedGraph`] so
 /// the superstep loop does no routing lookups, hashing, or binary searches.
 /// The parts every superstep reads are built eagerly; the broadcast classes
@@ -429,148 +303,6 @@ impl ScanIndex {
     }
 }
 
-/// Per-thread metering accumulator. Every field is an exact integer
-/// counter, so merging thread deltas in any order reproduces the sequential
-/// ledger bit for bit. The two hot loops never touch the executor matrices:
-/// the apply counts each broadcast state on its vertex's class
-/// ([`MeterDelta::broadcast`]) and the shuffle counts each message on its
-/// home's cell of a scratch row, flushed once per source partition
-/// ([`MeterDelta::flush_row`]). [`MeterDelta::reset`] clears all of it, so a
-/// run abandoned mid-phase leaves nothing behind for the next one.
-struct MeterDelta {
-    executors: u32,
-    /// Row-major `executors × executors` byte/message matrices, allocated
-    /// on the first recorded transfer (mirrors [`SuperstepLedger`]'s lazy
-    /// hardening: a huge executor grid must not cost `executors²` memory
-    /// per worker thread).
-    exec_bytes: Vec<u64>,
-    exec_msgs: Vec<u64>,
-    /// Per-partition counters.
-    vertex_ops: Vec<u64>,
-    local_bytes: Vec<u64>,
-    /// Per-partition resident-state deltas (signed bytes).
-    resident: Vec<i64>,
-    /// Messages shuffled by this thread.
-    msgs: u64,
-    /// `(states, bytes)` broadcast per class this phase; sized to the
-    /// index's class table when a run starts.
-    class_sent: Vec<(u64, u64)>,
-    /// Classes with a non-zero `class_sent` cell, in first-hit order: the
-    /// flush and the reset visit these only, so a sparse superstep costs
-    /// O(applied), never O(classes).
-    touched_classes: Vec<u32>,
-    /// `(messages, bytes)` per home partition from the source partition
-    /// being delivered; all zero between source partitions.
-    row: Vec<(u64, u64)>,
-}
-
-impl MeterDelta {
-    fn new(executors: u32, num_parts: usize) -> Self {
-        Self {
-            executors,
-            exec_bytes: Vec::new(),
-            exec_msgs: Vec::new(),
-            vertex_ops: vec![0; num_parts],
-            local_bytes: vec![0; num_parts],
-            resident: vec![0; num_parts],
-            msgs: 0,
-            class_sent: Vec::new(),
-            touched_classes: Vec::new(),
-            row: vec![(0, 0); num_parts],
-        }
-    }
-
-    fn reset(&mut self) {
-        self.exec_bytes.fill(0);
-        self.exec_msgs.fill(0);
-        self.vertex_ops.fill(0);
-        self.local_bytes.fill(0);
-        self.resident.fill(0);
-        self.msgs = 0;
-        for class in self.touched_classes.drain(..) {
-            self.class_sent[class as usize] = (0, 0);
-        }
-        self.row.fill((0, 0));
-    }
-
-    /// Counts one state of `bytes` (framing included) broadcast by a vertex
-    /// of `class` to all its mirrors.
-    #[inline]
-    fn broadcast(&mut self, class: u32, bytes: u64) {
-        let sent = &mut self.class_sent[class as usize];
-        if sent.0 == 0 {
-            self.touched_classes.push(class);
-        }
-        sent.0 += 1;
-        sent.1 += bytes;
-    }
-
-    /// Bills the scratch row — what source partition `from_exec` hosts
-    /// delivered to the homes in `homes` — and zeroes it.
-    fn flush_row(&mut self, from_exec: u32, exec_of_part: &[u32], homes: Range<usize>) {
-        for q in homes {
-            let (msgs, bytes) = std::mem::take(&mut self.row[q]);
-            if msgs > 0 {
-                self.send_exec(from_exec, exec_of_part[q], msgs, bytes);
-                self.local_bytes[q] += bytes;
-                self.msgs += msgs;
-            }
-        }
-    }
-
-    /// Row-major cell of `(from, to)` in the executor matrices.
-    #[inline]
-    fn exec_index(&self, from: u32, to: u32) -> usize {
-        from as usize * self.executors as usize + to as usize
-    }
-
-    #[inline]
-    fn send_exec(&mut self, from_exec: u32, to_exec: u32, msgs: u64, bytes: u64) {
-        if self.exec_bytes.is_empty() {
-            let cells = self.executors as usize * self.executors as usize;
-            self.exec_bytes = vec![0; cells];
-            self.exec_msgs = vec![0; cells];
-        }
-        let idx = self.exec_index(from_exec, to_exec);
-        self.exec_bytes[idx] += bytes;
-        self.exec_msgs[idx] += msgs;
-    }
-
-    fn flush_ledger(&self, classes: &BroadcastClasses, ledger: &mut SuperstepLedger) {
-        for &class in &self.touched_classes {
-            let (states, bytes) = self.class_sent[class as usize];
-            classes.bill(class as usize, states, bytes, ledger);
-        }
-        for (p, &ops) in (0..).zip(&self.vertex_ops) {
-            if ops > 0 {
-                ledger.vertex_ops(p, ops);
-            }
-        }
-        for (p, &bytes) in (0..).zip(&self.local_bytes) {
-            if bytes > 0 {
-                ledger.local_bytes(p, bytes);
-            }
-        }
-        if self.exec_bytes.is_empty() {
-            return;
-        }
-        for from in 0..self.executors {
-            for to in 0..self.executors {
-                let idx = self.exec_index(from, to);
-                if self.exec_msgs[idx] > 0 || self.exec_bytes[idx] > 0 {
-                    ledger.send_exec(from, to, self.exec_msgs[idx], self.exec_bytes[idx]);
-                }
-            }
-        }
-    }
-
-    fn flush_resident(&self, sim: &mut ClusterSim) {
-        for (p, &delta) in (0..).zip(&self.resident) {
-            sim.adjust_resident(p, delta);
-        }
-    }
-}
-
 /// Program-independent run scratch: the metering sim, the activity bitset,
 /// frontier bookkeeping, and per-thread metering deltas — one delta per
 /// worker the run may use, so their count *is* the thread budget. A
@@ -621,7 +353,7 @@ pub fn run_pregel<P: VertexProgram>(
     let (states, supersteps, converged) =
         execute(program, pg, &index, &mut buffers, opts, &mut probe)?;
     Ok(PregelResult {
-        states,
+        states: states.into_rows(vid_index(pg.num_vertices())),
         supersteps,
         converged,
         sim: buffers.sim.into_report(),
@@ -706,12 +438,78 @@ impl PreparedRun {
         let (states, supersteps, converged) =
             execute(program, pg, index, buffers, opts, &mut probe)?;
         let result = PregelResult {
-            states,
+            states: states.into_rows(vid_index(pg.num_vertices())),
             supersteps,
             converged,
             sim: buffers.sim.report().clone(),
         };
         Ok((result, probe.into_trace()))
+    }
+
+    /// [`PreparedRun::run`] for a caller that keeps only the bill: the same
+    /// [`SimReport`] and superstep count, and no owned state rows are made
+    /// from the state column.
+    pub fn bill<P: VertexProgram>(
+        &mut self,
+        program: &P,
+        opts: &PregelConfig,
+    ) -> Result<(SimReport, u64), SimError> {
+        let Self { pg, index, buffers } = self;
+        buffers.sim.reset();
+        let mut probe = Probe::new(&Clock::Null);
+        let (_, supersteps, _) = execute(program, pg, index, buffers, opts, &mut probe)?;
+        Ok((buffers.sim.report().clone(), supersteps))
+    }
+
+    /// The bill and superstep count [`PreparedRun::bill`] returns for a
+    /// program of steady `shape` (see [`VertexProgram::steady_shape`]),
+    /// computed in closed form from the cut's tables, with no engine run.
+    /// The ledger is fed what the run would feed it: the load if `opts`
+    /// charges it, the setup superstep without building a state column,
+    /// then per message superstep, up to `opts.max_iterations` of them,
+    /// every edge scanned, the frontier sample of an all-active superstep
+    /// and the one superstep the closed form writes. An out-of-memory
+    /// error comes back as the run's would. `opts.executor` is not read.
+    pub fn bill_steady(
+        &mut self,
+        shape: &SteadyShape,
+        opts: &PregelConfig,
+    ) -> Result<(SimReport, u64), SimError> {
+        let Self { pg, index, buffers } = self;
+        let sim = &mut buffers.sim;
+        sim.reset();
+        let (n, edges) = (pg.num_vertices(), pg.num_edges());
+        let classes = index.classes(pg);
+        let msg_overhead = sim.config().cost.message_overhead_bytes;
+        if opts.charge_initial_load {
+            sim.charge_load(cutfit_cluster::load_bytes(n, edges));
+        }
+        let size = shape.state_bytes;
+        classes.bill_setup(pg, &index.home, sim, msg_overhead, Some(size), |_| size)?;
+        let mut supersteps = 0u64;
+        if opts.max_iterations == 0 {
+            return Ok((sim.report().clone(), supersteps));
+        }
+        let delta = &mut buffers.deltas[0];
+        delta.class_sent.resize(classes.len(), (0, 0));
+        delta.reset();
+        let (home, exec_of_part) = (&index.home, &index.exec_of_part);
+        let msg_count =
+            steady_superstep(pg, classes, home, exec_of_part, shape, msg_overhead, delta);
+        while supersteps < opts.max_iterations {
+            for (p, part) in (0..).zip(pg.parts()) {
+                sim.ledger().edge_scans(p, part.num_edges());
+            }
+            sim.ledger().record_frontier(n, n, edges, edges);
+            delta.flush_ledger(classes, sim.ledger());
+            delta.flush_resident(sim);
+            sim.end_superstep()?;
+            if msg_count == 0 {
+                break;
+            }
+            supersteps += 1;
+        }
+        Ok((sim.report().clone(), supersteps))
     }
 }
 
@@ -727,7 +525,7 @@ fn execute<P: VertexProgram>(
     buffers: &mut RunBuffers,
     opts: &PregelConfig,
     probe: &mut Probe<'_>,
-) -> Result<(Vec<OwnedState<P>>, u64, bool), SimError> {
+) -> Result<(Column<P::State>, u64, bool), SimError> {
     // Message-typed inbox/partials are allocated per run (the message type
     // changes with the program); everything program-independent comes from
     // the reusable `RunBuffers` and is re-initialized in place.
@@ -864,10 +662,10 @@ fn execute<P: VertexProgram>(
         supersteps += 1;
     }
 
-    // The message buffers go before the owned rows come: a `[T]` column's
-    // rows are as many allocations again as it has vertices.
+    // The message buffers go before a caller makes owned rows: a `[T]`
+    // column's rows are as many allocations again as it has vertices.
     drop((run.partials, run.inbox, run.walk_shards));
-    Ok((run.states.into_rows(vid_index(n)), supersteps, converged))
+    Ok((run.states, supersteps, converged))
 }
 
 /// What every phase of one run reads and none writes.
@@ -997,10 +795,8 @@ fn deposit<P: VertexProgram>(program: &P, slot: &mut Option<P::Msg>, msg: P::Msg
 }
 
 impl<P: VertexProgram> Ctx<'_, P> {
-    /// The setup superstep: initial apply on every vertex, the state
-    /// broadcast to mirrors, and the residency declaration (structure +
-    /// replica states, declared once here and updated incrementally by the
-    /// apply phase). Returns the initial states.
+    /// The setup superstep: initial apply on every vertex, billed by
+    /// [`BroadcastClasses::bill_setup`]. Returns the initial states.
     fn setup(
         &self,
         classes: &BroadcastClasses,
@@ -1013,65 +809,9 @@ impl<P: VertexProgram> Ctx<'_, P> {
             num_vertices: pg.num_vertices(),
         };
         let states = Column::build(program, &ctx);
-        // One vertex op per mastered vertex, one broadcast message per
-        // (vertex, mirror) pair — billed per class. Fixed-size states all
-        // bill the same constant, so their classes' totals are populations
-        // times that constant; variable-size ones are summed per vertex.
-        for (q, &count) in (0..).zip(&classes.home_counts) {
-            if count > 0 {
-                sim.ledger().vertex_ops(q, count);
-            }
-        }
-        let fixed_state = program.fixed_state_bytes();
-        let sent: Vec<(u64, u64)> = match fixed_state {
-            Some(size) => {
-                let bytes = size + self.msg_overhead;
-                classes.population.iter().map(|&n| (n, n * bytes)).collect()
-            }
-            None => {
-                let mut sent = vec![(0, 0); classes.len()];
-                for (v, &class) in classes.class_of.iter().enumerate() {
-                    let cell = &mut sent[class as usize];
-                    cell.0 += 1;
-                    cell.1 += program.state_bytes(states.row(v)) + self.msg_overhead;
-                }
-                sent
-            }
-        };
-        for (class, &(n, bytes)) in sent.iter().enumerate() {
-            classes.bill(class, n, bytes, sim.ledger());
-        }
-
-        let mut resident: Vec<u64> = pg.parts().iter().map(|p| p.structure_bytes()).collect();
-        for (p, part) in pg.parts().iter().enumerate() {
-            resident[p] += match fixed_state {
-                Some(size) => part.num_vertices() * size,
-                None => part
-                    .vertices
-                    .iter()
-                    .map(|&v| program.state_bytes(states.row(vid_index(v))))
-                    .sum(),
-            };
-        }
-        // Isolated vertices have no replica, but their state still occupies
-        // the hash-fallback home (the vertex RDD is hash-partitioned
-        // regardless of edges) — and since messages only travel along
-        // edges, those states never change after setup: charge them once.
-        if let Some(size) = fixed_state {
-            for (q, &count) in classes.isolated_counts.iter().enumerate() {
-                resident[q] += count * size;
-            }
-        } else {
-            for (v, &master) in pg.masters().iter().enumerate() {
-                if master == NO_PART {
-                    resident[part_index(index.home[v])] += program.state_bytes(states.row(v));
-                }
-            }
-        }
-        for (p, &bytes) in (0..).zip(&resident) {
-            sim.set_resident(p, bytes);
-        }
-        sim.end_superstep()?;
+        let fixed = program.fixed_state_bytes();
+        let state_bytes = |v: usize| program.state_bytes(states.row(v));
+        classes.bill_setup(pg, &index.home, sim, self.msg_overhead, fixed, state_bytes)?;
         Ok(states)
     }
 
@@ -1524,6 +1264,7 @@ impl<P: VertexProgram> Run<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bill::Receivers;
     use cutfit_graph::{Edge, Graph};
     use cutfit_partition::{GraphXStrategy, Partitioner};
     use std::borrow::BorrowMut;
@@ -2162,6 +1903,79 @@ mod tests {
             let oracle = reference_run(&hops, pg, &cfg(), &setup_only).unwrap();
             let r = run_pregel(&hops, pg, &cfg(), &setup_only).unwrap();
             assert_eq!(r.sim, oracle.sim, "{cut}: mixed-size setup drifted");
+        }
+    }
+
+    /// An always-active sum of neighbour ids sent to the endpoints its
+    /// shape names: every superstep bills the same.
+    struct Steady(Receivers);
+    impl VertexProgram for Steady {
+        type State = u64;
+        type Msg = u64;
+        fn name(&self) -> &'static str {
+            "steady"
+        }
+        fn initial_state(&self, v: VertexId, _ctx: &InitCtx<'_>) -> u64 {
+            v
+        }
+        fn initial_msg(&self) -> u64 {
+            0
+        }
+        fn apply(&self, _v: VertexId, state: &mut u64, msg: &u64) {
+            *state = state.wrapping_add(*msg);
+        }
+        fn send(&self, t: &Triplet<'_, u64>) -> Messages<u64> {
+            match self.0 {
+                Receivers::Src => Messages::ToSrc(t.dst),
+                Receivers::Dst => Messages::ToDst(t.src),
+                Receivers::Both => Messages::Both(t.dst, t.src),
+            }
+        }
+        fn merge(&self, a: u64, b: u64) -> u64 {
+            a.wrapping_add(b)
+        }
+        fn always_active(&self) -> bool {
+            true
+        }
+        fn fixed_state_bytes(&self) -> Option<u64> {
+            Some(8)
+        }
+        fn steady_shape(&self) -> Option<SteadyShape> {
+            Some(SteadyShape {
+                receivers: self.0,
+                msg_bytes: 8,
+                state_bytes: 8,
+            })
+        }
+    }
+
+    #[test]
+    fn closed_form_bills_every_receiver_shape_like_a_run() {
+        // Each shape through a handle whose classes the closed form builds,
+        // then one whose classes a run built, at a thread budget of three.
+        let cuts = oracle_cuts(7, 10);
+        for executors in [1, 4, 64] {
+            let cluster = on_executors(executors);
+            for (cut, pg) in &cuts {
+                let pg = Arc::new(pg.clone());
+                let mode = ExecutorMode::Parallel { threads: 3 };
+                for receivers in [Receivers::Src, Receivers::Dst, Receivers::Both] {
+                    let program = Steady(receivers);
+                    let shape = program.steady_shape().unwrap();
+                    let opts = PregelConfig {
+                        max_iterations: 3,
+                        executor: mode,
+                        ..Default::default()
+                    };
+                    let mut fresh = PreparedRun::new(pg.clone(), &cluster, mode);
+                    let closed = fresh.bill_steady(&shape, &opts).unwrap();
+                    let ran = fresh.run(&program, &opts).unwrap();
+                    let what = format!("{cut}, {executors} executors, {receivers:?}");
+                    assert_eq!(closed, (ran.sim.clone(), ran.supersteps), "{what}");
+                    assert_eq!(fresh.bill_steady(&shape, &opts).unwrap(), closed, "{what}");
+                    assert_eq!(fresh.bill(&program, &opts).unwrap(), closed, "{what}");
+                }
+            }
         }
     }
 

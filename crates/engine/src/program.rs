@@ -2,6 +2,8 @@
 
 use cutfit_graph::VertexId;
 
+use crate::bill::SteadyShape;
+
 /// A vertex state the engine can store one of per vertex, named by its
 /// *borrowed* form: the engine hands programs `&State` and `&mut State`, and
 /// owned values ([`OwnedState`]) only cross its boundary — in from
@@ -219,6 +221,16 @@ pub trait VertexProgram: Sync {
     /// Serialized size of a message, used for shuffle billing.
     fn msg_bytes(&self, _msg: &Self::Msg) -> u64 {
         std::mem::size_of::<Self::Msg>() as u64
+    }
+
+    /// `Some(shape)` when every superstep bills the same, whatever the
+    /// states hold: the program is [`VertexProgram::always_active`], `send`
+    /// messages the same endpoints of every edge ([`SteadyShape::receivers`])
+    /// and message and state sizes are the constants the shape names. Then
+    /// [`crate::PreparedRun::bill_steady`] bills a run of it in closed form.
+    /// The declaration is a promise the engine does not check.
+    fn steady_shape(&self) -> Option<SteadyShape> {
+        None
     }
 }
 

@@ -149,6 +149,20 @@ impl Csr {
         let (lo, hi) = self.bounds(v);
         (hi - lo) as u64
     }
+
+    /// Where `v`'s neighbours sit among all rows' entries, in row order: a
+    /// side table of [`Csr::num_entries`] values, one per entry, is read
+    /// at these positions.
+    #[inline]
+    pub fn entries(&self, v: VertexId) -> std::ops::Range<usize> {
+        let (lo, hi) = self.bounds(v);
+        lo..hi
+    }
+
+    /// Entries over all rows.
+    pub fn num_entries(&self) -> usize {
+        self.targets.len()
+    }
 }
 
 /// Counts common elements of two sorted slices by linear merge.

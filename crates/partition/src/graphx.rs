@@ -181,7 +181,7 @@ mod tests {
         let n: u32 = 128;
         let side = (n as f64).sqrt().ceil() as u64; // 12
         for v in 0..50u64 {
-            let mut parts = std::collections::HashSet::new();
+            let mut parts = std::collections::BTreeSet::new();
             for other in 0..2000u64 {
                 parts.insert(s.partition_edge(v, other, n));
                 parts.insert(s.partition_edge(other, v, n));

@@ -39,7 +39,7 @@ mod tests {
 
     #[test]
     fn hash64_is_injective_on_small_domain() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for x in 0..10_000u64 {
             assert!(seen.insert(hash64(x)), "collision at {x}");
         }

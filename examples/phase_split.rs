@@ -39,6 +39,9 @@ fn print_trace(job: &str, supersteps: u64, wall_ms: f64, trace: &RunTrace) {
     println!("  {:<16}{:>10.1} ms", "untraced", wall_ms - traced_ms);
 }
 
+// Wall time is what this example reports: each job's total beside the
+// engine's own per-phase split of it.
+#[allow(clippy::disallowed_methods)]
 fn main() {
     let mut args = std::env::args().skip(1);
     let scale: f64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0.25);

@@ -58,7 +58,7 @@ fn measured_pick_avoids_the_worst_on_ordinary_social_graphs() {
     let cluster = ClusterConfig::paper_cluster();
     let graph = DatasetProfile::pocek().generate(SCALE, 42);
     let choice = advisor.recommend_measured(AlgorithmClass::EdgeBound, &graph, 32, &[]);
-    let mut times = std::collections::HashMap::new();
+    let mut times = std::collections::BTreeMap::new();
     for strategy in GraphXStrategy::all() {
         let pg = strategy.partition(&graph, 32);
         let r = cutfit::algorithms::pagerank(&pg, &cluster, 10, &Default::default()).expect("fits");
@@ -94,7 +94,7 @@ fn the_1d_trap_on_crawl_graphs_is_real() {
         metric_pick.strategy
     );
 
-    let mut times = std::collections::HashMap::new();
+    let mut times = std::collections::BTreeMap::new();
     for strategy in GraphXStrategy::all() {
         let pg = strategy.partition(&graph, 32);
         let r = cutfit::algorithms::pagerank(&pg, &cluster, 10, &Default::default()).expect("fits");
@@ -122,7 +122,7 @@ fn simulated_pick_lands_near_the_oracle_for_pagerank() {
     for profile in [DatasetProfile::pocek(), DatasetProfile::follow_jul()] {
         let graph = profile.generate(SCALE, 42);
         let choice = probed_pick(&graph, &algorithm);
-        let mut times = std::collections::HashMap::new();
+        let mut times = std::collections::BTreeMap::new();
         for strategy in GraphXStrategy::all() {
             let pg = strategy.partition(&graph, 32);
             let r =

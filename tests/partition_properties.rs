@@ -100,7 +100,7 @@ proptest! {
         // Every vertex's out-edges land in a single partition under 1D/SC.
         for strategy in [GraphXStrategy::EdgePartition1D, GraphXStrategy::SourceCut] {
             let assignment = strategy.assign_edges(&graph, num_parts);
-            let mut seen: std::collections::HashMap<u64, u32> = Default::default();
+            let mut seen: std::collections::BTreeMap<u64, u32> = Default::default();
             for (e, &p) in graph.edges().iter().zip(&assignment) {
                 if let Some(&prev) = seen.get(&e.src) {
                     prop_assert_eq!(prev, p, "{} split vertex {}", strategy, e.src);

@@ -254,3 +254,109 @@ fn experiment_grid_equals_standalone_runs() {
         }
     }
 }
+
+/// What one probe bills when run in full: the probe's own program through
+/// `PreparedRun::run`, or Triangle Count's per-call dataflow, on a fresh
+/// cut. `None` when it fails.
+fn probe_time(probe: &Algorithm, pg: PartitionedGraph, cluster: &ClusterConfig) -> Option<f64> {
+    use cutfit::algorithms::triangles::triangle_count_partitioned;
+    use cutfit::algorithms::{ConnectedComponents, HitsProgram, Sssp};
+    fn run<P: VertexProgram>(
+        pg: PartitionedGraph,
+        c: &ClusterConfig,
+        p: &P,
+        cap: u64,
+    ) -> Option<f64> {
+        let opts = PregelConfig {
+            max_iterations: cap,
+            charge_initial_load: false,
+            ..Default::default()
+        };
+        let mut prepared = PreparedRun::new(std::sync::Arc::new(pg), c, ExecutorMode::Sequential);
+        prepared.run(p, &opts).ok().map(|r| r.sim.total_seconds)
+    }
+    match *probe {
+        Algorithm::PageRank { iterations } => run(pg, cluster, &PageRank, iterations),
+        Algorithm::Hits { iterations } => run(pg, cluster, &HitsProgram, iterations),
+        Algorithm::ConnectedComponents { max_iterations } => {
+            run(pg, cluster, &ConnectedComponents, max_iterations)
+        }
+        Algorithm::Sssp {
+            num_landmarks,
+            seed,
+            max_iterations,
+        } => {
+            let landmarks = Sssp::pick_landmarks(pg.num_vertices(), num_landmarks, seed);
+            run(pg, cluster, &Sssp::new(landmarks), max_iterations)
+        }
+        Algorithm::Triangles => triangle_count_partitioned(&pg, cluster, false)
+            .ok()
+            .map(|r| r.sim.total_seconds),
+        _ => unreachable!("not probed here"),
+    }
+}
+
+/// The session's probed advice, refereed by probes run in full: every
+/// candidate cut partitioned afresh, every probe through the engine (TR
+/// through its per-call dataflow). The session must pick the same cuts,
+/// bill the same advice bit for bit, and count one cache miss per distinct
+/// cut and a hit for every other lookup.
+#[test]
+fn probed_advice_equals_probes_run_in_full() {
+    let cluster = ClusterConfig::paper_cluster();
+    let graphs = [
+        cutfit::datagen::rmat(&cutfit::datagen::RmatConfig::default(), 9),
+        DatasetProfile::youtube().generate(0.002, 42),
+    ];
+    let algorithms = [
+        Algorithm::PageRank { iterations: 10 },
+        Algorithm::Hits { iterations: 10 },
+        Algorithm::ConnectedComponents { max_iterations: 10 },
+        Algorithm::Triangles,
+        Algorithm::paper_suite(7).remove(3),
+    ];
+    for graph in graphs {
+        let canon = cutfit::algorithms::triangles::canonicalize(&graph);
+        let mut ws = Workspace::new(graph.clone(), cluster.clone(), ExecutorMode::Sequential)
+            .with_advice_mode(AdviceMode::Probed);
+        let (mut advice, mut seen, mut hits) = (0.0, std::collections::BTreeSet::new(), 0);
+        for num_parts in [8, 16] {
+            for algorithm in &algorithms {
+                let key = ws.resolve(algorithm, &CutChoice::AdvisedAt { num_parts });
+                let target = if algorithm.needs_canonical() {
+                    &canon
+                } else {
+                    &graph
+                };
+                let mut best: Option<(GraphXStrategy, f64)> = None;
+                for strategy in GraphXStrategy::all() {
+                    let pg = strategy.partition(target, num_parts);
+                    let time = probe_time(&algorithm.probe(), pg, &cluster);
+                    if let Some(t) = time {
+                        advice += t;
+                        if best.map_or(true, |(_, b)| t < b) {
+                            best = Some((strategy, t));
+                        }
+                    }
+                    if !seen.insert((strategy, num_parts, algorithm.needs_canonical())) {
+                        hits += 1;
+                    }
+                }
+                let expected = best.map_or(GraphXStrategy::all()[0], |(s, _)| s);
+                let what = format!("{} at {num_parts} parts", algorithm.abbrev());
+                assert_eq!(key.strategy, expected, "{what}");
+                assert_eq!(
+                    ws.advice_seconds(),
+                    advice,
+                    "{what}: the advice bill drifted"
+                );
+                let stats = CacheStats {
+                    cache_hits: hits,
+                    cache_misses: seen.len() as u64,
+                    cut_switches: 0,
+                };
+                assert_eq!(ws.stats(), stats, "{what}");
+            }
+        }
+    }
+}
