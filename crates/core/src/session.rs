@@ -1236,6 +1236,29 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_graph_serves_every_paper_algorithm() {
+        for mode in [AdviceMode::Measured, AdviceMode::Probed] {
+            let mut ws = Workspace::new(
+                Graph::new(0, vec![]),
+                ClusterConfig::paper_cluster(),
+                ExecutorMode::Sequential,
+            )
+            .with_advice_mode(mode);
+            for algo in Algorithm::paper_suite(7) {
+                let isolated = ws.run_job_isolated(&algo, GraphXStrategy::EdgePartition2D, 8);
+                let advised = ws.run_job_with(
+                    &algo,
+                    &CutChoice::AdvisedAt { num_parts: 8 },
+                    ExecutorMode::Sequential,
+                );
+                for job in [isolated, advised] {
+                    assert!(job.result.is_ok(), "{} {mode:?}", algo.abbrev());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn materialized_cuts_are_shared() {
         let mut ws = ws(ExecutorMode::Sequential);
         let a = ws.materialized(GraphXStrategy::EdgePartition2D, 8);
