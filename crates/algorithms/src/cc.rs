@@ -9,7 +9,8 @@
 
 use cutfit_cluster::{ClusterConfig, SimError};
 use cutfit_engine::{
-    run_pregel, InitCtx, Messages, PregelConfig, PregelResult, Triplet, VertexProgram,
+    run_pregel, InitCtx, MessageSizing, Messages, PregelConfig, PregelResult, Triplet,
+    VertexProgram,
 };
 use cutfit_graph::analysis::weakly_connected_components;
 use cutfit_graph::{Graph, VertexId};
@@ -57,6 +58,11 @@ impl VertexProgram for ConnectedComponents {
     fn fixed_state_bytes(&self) -> Option<u64> {
         // A component label is always one u64 record.
         Some(std::mem::size_of::<u64>() as u64)
+    }
+
+    fn message_sizing(&self) -> Option<MessageSizing<u64>> {
+        // A label message is one u64, merged or not: the default msg_bytes.
+        Some(MessageSizing::Fixed(std::mem::size_of::<u64>() as u64))
     }
 }
 

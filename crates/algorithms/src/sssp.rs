@@ -11,7 +11,8 @@
 
 use cutfit_cluster::{ClusterConfig, SimError};
 use cutfit_engine::{
-    run_pregel, InitCtx, Messages, PregelConfig, PregelResult, Triplet, VertexProgram,
+    run_pregel, InitCtx, MessageSizing, Messages, PregelConfig, PregelResult, Triplet,
+    VertexProgram,
 };
 use cutfit_graph::{Csr, Graph, VertexId};
 use cutfit_partition::PartitionedGraph;
@@ -106,6 +107,23 @@ impl VertexProgram for Sssp {
 
     fn msg_bytes(&self, msg: &Vec<u32>) -> u64 {
         8 + 12 * msg.iter().filter(|&&d| d != INF).count() as u64
+    }
+
+    fn message_sizing(&self) -> Option<MessageSizing<Vec<u32>>> {
+        // `msg_bytes` counts the finite distances, and a merge — the
+        // element-wise minimum — is finite wherever either operand is: a
+        // partial's finite set is the union of its messages'. One mask bit
+        // per landmark.
+        let finite = |msg: &Vec<u32>| {
+            (0..)
+                .zip(msg)
+                .fold(0u64, |mask, (i, &d)| mask | u64::from(d != INF) << i)
+        };
+        (self.landmarks.len() <= 64).then_some(MessageSizing::Masked {
+            mask: finite,
+            base: 8,
+            per_entry: 12,
+        })
     }
 }
 

@@ -4,7 +4,8 @@
 use std::sync::Arc;
 
 use cutfit_cluster::{ClusterConfig, SimError, SimReport};
-use cutfit_engine::{ExecutorMode, PregelConfig, PreparedRun, VertexProgram};
+use cutfit_engine::{ExecutorMode, MessageTrace, PregelConfig, PreparedRun, VertexProgram};
+use cutfit_graph::types::PartId;
 use cutfit_partition::PartitionedGraph;
 
 use crate::sssp::Sssp;
@@ -96,8 +97,9 @@ impl Algorithm {
 
     /// A cheap probe variant of this algorithm: a couple of supersteps,
     /// enough to expose the per-superstep cost profile of a partitioning
-    /// without paying for the full run. Used by the advisor's simulated
-    /// mode to rank candidate partitioners by *predicted time*.
+    /// without paying for the full run. A session under
+    /// `AdviceMode::Probed` bills it on every candidate cut
+    /// ([`Algorithm::probe_on_cut`]) to rank them by *predicted time*.
     pub fn probe(&self) -> Algorithm {
         match self {
             Algorithm::PageRank { .. } => Algorithm::PageRank { iterations: 2 },
@@ -205,20 +207,32 @@ impl Algorithm {
             charge_initial_load: charge_load,
             ..Default::default()
         };
-        self.dispatch(pg, reused, cluster, prepared_executor, opts, false)
+        self.dispatch(pg, reused, cluster, prepared_executor, opts, None)
     }
 
     /// Bills this algorithm's [`Algorithm::probe`] on `pg` as
-    /// [`Algorithm::run_on_cut`] would without the load, except that a probe
-    /// whose program declares a [`VertexProgram::steady_shape`] — PageRank,
-    /// HITS — is billed in closed form from the cut's tables
-    /// ([`PreparedRun::bill_steady`]), bit for bit the engine run's bill,
-    /// without running it. A probe's answer is never read; a job's is the
-    /// product, so jobs always run.
+    /// [`Algorithm::run_on_cut`] would without the load, bit for bit, and
+    /// runs the engine only where the bill needs it. By the probe's program:
+    /// - **closed form** (PageRank, HITS: a [`VertexProgram::steady_shape`])
+    ///   — billed from the cut's tables ([`PreparedRun::bill_steady`]);
+    /// - **traced** (CC, SSSP: a [`VertexProgram::message_sizing`]) — the
+    ///   first such probe on `traced`'s empty slot runs once, recording the
+    ///   run ([`PreparedRun::record`]); every probe after it bills its cut
+    ///   from that trace and the cut's assignment
+    ///   ([`PreparedRun::bill_traced`]). A probe that fails records
+    ///   nothing, so the next one records;
+    /// - **index-read** (Triangle Count) — its four phases read the
+    ///   session's triangle index;
+    /// - **engine-run** (label propagation, k-core) — a partial is a merge
+    ///   of variable-length messages, whose size only the merge knows.
+    ///
+    /// A probe's answer is never read; a job's is the product, so jobs
+    /// always run.
     pub fn probe_on_cut(
         &self,
         pg: &Arc<PartitionedGraph>,
         reused: Reused<'_>,
+        traced: TraceSlot<'_>,
         cluster: &ClusterConfig,
         prepared_executor: ExecutorMode,
         executor: ExecutorMode,
@@ -229,13 +243,13 @@ impl Algorithm {
             ..Default::default()
         };
         self.probe()
-            .dispatch(pg, reused, cluster, prepared_executor, opts, true)
+            .dispatch(pg, reused, cluster, prepared_executor, opts, Some(traced))
     }
 
     /// What [`Algorithm::run_on_cut`] and [`Algorithm::probe_on_cut`] share:
     /// the run of this algorithm on `pg`, the engine handle built on
-    /// `cluster` with `prepared_executor`'s thread budget, and with
-    /// `closed_form` a steady program billed without running.
+    /// `cluster` with `prepared_executor`'s thread budget, and with `probe`
+    /// a program billed as [`Algorithm::probe_on_cut`] says.
     fn dispatch(
         &self,
         pg: &Arc<PartitionedGraph>,
@@ -243,7 +257,7 @@ impl Algorithm {
         cluster: &ClusterConfig,
         prepared_executor: ExecutorMode,
         opts: PregelConfig,
-        closed_form: bool,
+        probe: Option<TraceSlot<'_>>,
     ) -> Result<(SimReport, u64), SimError> {
         let Reused {
             prepared,
@@ -267,11 +281,11 @@ impl Algorithm {
             }
             Algorithm::PageRank { iterations } => {
                 let program = &crate::pagerank::PageRank;
-                bill(handle(), program, &capped(*iterations), closed_form)
+                bill(handle(), program, &capped(*iterations), probe)
             }
             Algorithm::ConnectedComponents { max_iterations } => {
                 let program = &crate::cc::ConnectedComponents;
-                bill(handle(), program, &capped(*max_iterations), closed_form)
+                bill(handle(), program, &capped(*max_iterations), probe)
             }
             Algorithm::Sssp {
                 num_landmarks,
@@ -280,39 +294,64 @@ impl Algorithm {
             } => {
                 let landmarks = Sssp::pick_landmarks(pg.num_vertices(), *num_landmarks, *seed);
                 let program = &Sssp::new(landmarks);
-                bill(handle(), program, &capped(*max_iterations), closed_form)
+                bill(handle(), program, &capped(*max_iterations), probe)
             }
             // Score normalisation only post-processes states; the bill and
             // superstep count are those of the Pregel run.
             Algorithm::Hits { iterations } => {
                 let program = &crate::hits::HitsProgram;
-                bill(handle(), program, &capped(*iterations), closed_form)
+                bill(handle(), program, &capped(*iterations), probe)
             }
             Algorithm::LabelPropagation { iterations } => {
                 let program = &crate::label_propagation::LabelPropagation;
-                bill(handle(), program, &capped(*iterations), closed_form)
+                bill(handle(), program, &capped(*iterations), probe)
             }
             Algorithm::KCore { iterations } => {
                 let program = &crate::kcore::KCore;
-                bill(handle(), program, &capped(*iterations), closed_form)
+                bill(handle(), program, &capped(*iterations), probe)
             }
         }
     }
 }
 
 /// Bills `program` on `prepared` under `opts`, keeping the bill and the
-/// superstep count and no state rows; with `closed_form`, a program of
-/// steady shape without running it.
+/// superstep count and no state rows. A `probe` of a steady program is
+/// billed in closed form, and one of a program with a message sizing from
+/// the probe's trace, which the first such probe records.
 fn bill<P: VertexProgram>(
     prepared: &mut PreparedRun,
     program: &P,
     opts: &PregelConfig,
-    closed_form: bool,
+    probe: Option<TraceSlot<'_>>,
 ) -> Result<(SimReport, u64), SimError> {
-    match program.steady_shape().filter(|_| closed_form) {
-        Some(shape) => prepared.bill_steady(&shape, opts),
-        None => prepared.bill(program, opts),
+    let Some(TraceSlot { trace, assignment }) = probe else {
+        return prepared.bill(program, opts);
+    };
+    if let Some(shape) = program.steady_shape() {
+        return prepared.bill_steady(&shape, opts);
     }
+    if program.message_sizing().is_none() {
+        return prepared.bill(program, opts);
+    }
+    let assignment = assignment();
+    if let Some(trace) = trace.as_ref() {
+        return prepared.bill_traced(trace, &assignment, opts);
+    }
+    let (sim, supersteps, recorded) = prepared.record(program, opts, &assignment)?;
+    *trace = Some(recorded);
+    Ok((sim, supersteps))
+}
+
+/// What the probes of one algorithm on the candidate cuts of one graph
+/// share (see [`Algorithm::probe_on_cut`]).
+pub struct TraceSlot<'a> {
+    /// The probe's trace: recorded by the first traced probe that
+    /// completes, billed by every probe after it. Its owner keeps it for
+    /// one round of candidates, never longer.
+    pub trace: &'a mut Option<MessageTrace>,
+    /// The candidate cut's edge assignment, aligned with the graph's edge
+    /// list; only a traced probe calls it.
+    pub assignment: &'a dyn Fn() -> Vec<PartId>,
 }
 
 /// The state dispatches reuse, borrowed from whoever keeps it; each slot is
@@ -453,8 +492,9 @@ mod tests {
         }
     }
     /// RMAT with isolated vertices appended, cut by the six GraphX
-    /// strategies and HDRF into 10 partitions: the engine's billing grid.
-    fn billing_cuts() -> Vec<(String, Arc<PartitionedGraph>)> {
+    /// strategies and HDRF into `parts` partitions, each cut beside its
+    /// edge assignment.
+    fn billing_cuts_at(parts: PartId) -> Vec<(String, Arc<PartitionedGraph>, Vec<PartId>)> {
         let config = cutfit_datagen::RmatConfig {
             scale: 7,
             edges: 8 << 7,
@@ -462,13 +502,25 @@ mod tests {
         };
         let g = cutfit_datagen::rmat(&config, 7);
         let g = Graph::new(g.num_vertices() + 7, g.edges().to_vec());
-        let hdrf = cutfit_partition::Hdrf::default();
-        let mut cuts: Vec<(String, Arc<PartitionedGraph>)> = GraphXStrategy::all()
-            .iter()
-            .map(|s| (s.to_string(), Arc::new(s.partition(&g, 10))))
+        let mut partitioners: Vec<Box<dyn Partitioner>> = GraphXStrategy::all()
+            .into_iter()
+            .map(|s| Box::new(s) as Box<dyn Partitioner>)
             .collect();
-        cuts.push((hdrf.name().to_string(), Arc::new(hdrf.partition(&g, 10))));
-        cuts
+        partitioners.push(Box::new(cutfit_partition::Hdrf::default()));
+        partitioners
+            .iter()
+            .map(|p| {
+                let assignment = p.assign_edges(&g, parts);
+                let pg = PartitionedGraph::build(&g, &assignment, parts);
+                (p.name().to_string(), Arc::new(pg), assignment)
+            })
+            .collect()
+    }
+
+    /// The engine's billing grid: [`billing_cuts_at`] 10 partitions.
+    fn billing_cuts() -> Vec<(String, Arc<PartitionedGraph>)> {
+        let cuts = billing_cuts_at(10).into_iter();
+        cuts.map(|(name, pg, _)| (name, pg)).collect()
     }
 
     /// `program`'s closed-form bill on `prepared` equals its engine run's:
@@ -550,6 +602,221 @@ mod tests {
                         Ok(()) => panic!("{what} fits"),
                     }
                 }
+            }
+        }
+    }
+
+    /// The SSSP program the traced tests run: five landmarks of the
+    /// billing graph.
+    fn five_landmarks(pg: &PartitionedGraph) -> Sssp {
+        Sssp::new(Sssp::pick_landmarks(pg.num_vertices(), 5, 7))
+    }
+
+    fn run_bill<P: VertexProgram>(
+        prepared: &mut PreparedRun,
+        program: &P,
+        opts: &PregelConfig,
+    ) -> Result<(SimReport, u64), SimError> {
+        prepared.run(program, opts).map(|r| (r.sim, r.supersteps))
+    }
+
+    #[test]
+    fn traced_probes_bill_like_the_engine() {
+        // One recording per program and cap, on the first cut under the
+        // paper cluster; every cell bills its cut from it. The lineage of
+        // the leaky cluster outgrows the heap on the fourth superstep.
+        let cuts = billing_cuts_at(10);
+        let cc = crate::cc::ConnectedComponents;
+        let sssp = five_landmarks(&cuts[0].1);
+        let mut leaky = ClusterConfig::paper_cluster();
+        leaky.usable_memory_fraction = 1.0;
+        leaky.cost.lineage_heap_fraction_per_superstep = 0.3;
+        let mut clusters = vec![("leaky".to_string(), leaky)];
+        for executors in [1, 3, 7, 64] {
+            for (preset, scenario) in cutfit_cluster::ScenarioConfig::presets(5) {
+                let cluster = ClusterConfig {
+                    executors,
+                    ..ClusterConfig::paper_cluster()
+                }
+                .with_scenario(scenario);
+                clusters.push((format!("{executors} executors, {preset}"), cluster));
+            }
+        }
+        let mode = ExecutorMode::Sequential;
+        let mut out_of_memory = 0;
+        for iterations in [0, 1, 3, 10] {
+            let opts = PregelConfig {
+                max_iterations: iterations,
+                charge_initial_load: iterations % 2 == 1,
+                ..Default::default()
+            };
+            let (_, first, assignment) = &cuts[0];
+            let mut recording =
+                PreparedRun::new(first.clone(), &ClusterConfig::paper_cluster(), mode);
+            let (sim, steps, cc_trace) = recording.record(&cc, &opts, assignment).unwrap();
+            assert_eq!(Ok((sim, steps)), run_bill(&mut recording, &cc, &opts));
+            let (sim, steps, sssp_trace) = recording.record(&sssp, &opts, assignment).unwrap();
+            assert_eq!(Ok((sim, steps)), run_bill(&mut recording, &sssp, &opts));
+            for (setting, cluster) in &clusters {
+                for (cut, pg, assignment) in &cuts {
+                    let mut prepared = PreparedRun::new(pg.clone(), cluster, mode);
+                    let what = format!("{cut}, {setting}, {iterations} iterations");
+                    for (trace, ran) in [
+                        (&cc_trace, run_bill(&mut prepared, &cc, &opts)),
+                        (&sssp_trace, run_bill(&mut prepared, &sssp, &opts)),
+                    ] {
+                        let billed = prepared.bill_traced(trace, assignment, &opts);
+                        assert_eq!(billed, ran, "{what}");
+                        if let Err(SimError::OutOfMemory { .. }) = ran {
+                            out_of_memory += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(out_of_memory > 0, "no cell ran out of memory");
+    }
+
+    #[test]
+    fn a_trace_is_the_same_on_every_cut_thread_count_and_scan_mode() {
+        use cutfit_engine::pregel::{with_scan_mode, ScanMode};
+        let cluster = ClusterConfig::paper_cluster();
+        let cc = crate::cc::ConnectedComponents;
+        let mut first = None;
+        for parts in [1, 10, 64] {
+            for (cut, pg, assignment) in billing_cuts_at(parts) {
+                let sssp = five_landmarks(&pg);
+                for threads in [1, 3] {
+                    let mode = ExecutorMode::Parallel { threads };
+                    let mut prepared = PreparedRun::new(pg.clone(), &cluster, mode);
+                    let opts = PregelConfig {
+                        max_iterations: 10,
+                        executor: mode,
+                        ..Default::default()
+                    };
+                    for scan_mode in [ScanMode::Dense, ScanMode::Sparse, ScanMode::Auto] {
+                        let traces = with_scan_mode(scan_mode, || {
+                            let (_, _, cc) = prepared.record(&cc, &opts, &assignment).unwrap();
+                            let (_, _, sssp) = prepared.record(&sssp, &opts, &assignment).unwrap();
+                            (cc, sssp)
+                        });
+                        let what =
+                            format!("{cut} at {parts} parts, {threads} threads, {scan_mode:?}");
+                        assert_eq!(
+                            &traces,
+                            first.get_or_insert_with(|| traces.clone()),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn label_propagation_and_kcore_probes_run_the_engine() {
+        // A partial of either program is a merge of variable-length
+        // messages — label histograms, degree-sized estimate vectors — so
+        // its size is known only to the merge, and no trace can bill it:
+        // neither program declares a message sizing, and their probes are
+        // the engine's bill of the probe.
+        assert!(crate::label_propagation::LabelPropagation
+            .message_sizing()
+            .is_none());
+        assert!(crate::kcore::KCore.message_sizing().is_none());
+        let g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 8);
+        let cluster = ClusterConfig::paper_cluster();
+        let mode = ExecutorMode::Sequential;
+        for algo in Algorithm::extension_suite().into_iter().skip(1) {
+            let target = if algo.needs_canonical() {
+                canonicalize(&g)
+            } else {
+                g.clone()
+            };
+            let pg = Arc::new(GraphXStrategy::EdgePartition2D.partition(&target, 8));
+            let mut trace = None;
+            let traced = TraceSlot {
+                trace: &mut trace,
+                assignment: &|| -> Vec<PartId> {
+                    unreachable!("an engine-run probe reads no assignment")
+                },
+            };
+            let reused = Reused {
+                prepared: &mut None,
+                triangles: &mut None,
+            };
+            let probed = algo.probe_on_cut(&pg, reused, traced, &cluster, mode, mode);
+            let mut prepared = PreparedRun::new(pg.clone(), &cluster, mode);
+            let opts = |max_iterations| PregelConfig {
+                max_iterations,
+                charge_initial_load: false,
+                ..Default::default()
+            };
+            let billed = match algo.probe() {
+                Algorithm::LabelPropagation { iterations } => {
+                    let program = &crate::label_propagation::LabelPropagation;
+                    prepared.bill(program, &opts(iterations))
+                }
+                Algorithm::KCore { iterations } => {
+                    prepared.bill(&crate::kcore::KCore, &opts(iterations))
+                }
+                other => panic!("{} is not engine-run", other.abbrev()),
+            };
+            assert_eq!(probed, billed, "{}", algo.abbrev());
+            assert!(trace.is_none(), "{}", algo.abbrev());
+        }
+    }
+
+    #[test]
+    fn the_first_probe_that_completes_records_the_trace() {
+        // The first candidate runs out of memory at setup and records
+        // nothing; the second records; the third is billed from the trace,
+        // as the engine bills it.
+        let tiny = ClusterConfig {
+            executor_memory_gb: 1e-6,
+            ..ClusterConfig::paper_cluster()
+        };
+        let cluster = ClusterConfig::paper_cluster();
+        let cuts = billing_cuts_at(10);
+        let mode = ExecutorMode::Sequential;
+        for algo in [
+            Algorithm::ConnectedComponents { max_iterations: 10 },
+            Algorithm::paper_suite(7).remove(3),
+        ] {
+            let mut trace = None;
+            let probe = |k: usize, cluster: &ClusterConfig, trace: &mut Option<_>| {
+                let (_, pg, assignment) = &cuts[k];
+                let traced = TraceSlot {
+                    trace,
+                    assignment: &|| assignment.clone(),
+                };
+                let reused = Reused {
+                    prepared: &mut None,
+                    triangles: &mut None,
+                };
+                algo.probe_on_cut(pg, reused, traced, cluster, mode, mode)
+            };
+            let what = algo.abbrev();
+            assert!(probe(0, &tiny, &mut trace).is_err(), "{what}");
+            assert!(trace.is_none(), "{what}");
+            let recorded = probe(1, &cluster, &mut trace);
+            assert!(trace.is_some(), "{what}");
+            let billed = probe(2, &cluster, &mut trace);
+            let opts = PregelConfig {
+                max_iterations: 3,
+                charge_initial_load: false,
+                ..Default::default()
+            };
+            let sssp = five_landmarks(&cuts[0].1);
+            for (k, probed) in [(1, recorded), (2, billed)] {
+                let mut prepared = PreparedRun::new(cuts[k].1.clone(), &cluster, mode);
+                let ran = match algo {
+                    Algorithm::ConnectedComponents { .. } => {
+                        prepared.bill(&crate::cc::ConnectedComponents, &opts)
+                    }
+                    _ => prepared.bill(&sssp, &opts),
+                };
+                assert_eq!(probed, ran, "{what} on {}", cuts[k].0);
             }
         }
     }

@@ -36,7 +36,7 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
-use cutfit_algorithms::suite::Reused;
+use cutfit_algorithms::suite::{Reused, TraceSlot};
 use cutfit_algorithms::triangles::{canonicalize, TriangleIndex};
 use cutfit_algorithms::Algorithm;
 use cutfit_cluster::{ClusterConfig, ClusterSim, SimError, SimReport};
@@ -77,13 +77,17 @@ pub enum AdviceMode {
     /// every candidate, ranked by **simulated time**, which captures
     /// effects no single metric does (on the crawl datasets 1D minimises
     /// CommCost yet loses at runtime). Probing is what a session makes
-    /// affordable: the
-    /// dispatch runs through the workspace's own cut cache (every
-    /// materialization a probe forces is one the advised jobs reuse), the
-    /// ranking is memoized per (algorithm, granularity), and the probes'
-    /// simulated cost — tracked separately in
+    /// affordable: the dispatch runs through the workspace's own cut cache
+    /// (every materialization a probe forces is one the advised jobs
+    /// reuse), the ranking is memoized per (algorithm, granularity), and
+    /// the probes' simulated cost — tracked separately in
     /// [`Workspace::advice_seconds`] — amortizes over the session's
-    /// lifetime like the paper's preprocessing pass.
+    /// lifetime like the paper's preprocessing pass. Each bill is the
+    /// engine run's, bit for bit, but only some probes run the engine
+    /// ([`Algorithm::probe_on_cut`]): PageRank and HITS are billed in
+    /// closed form, CC and SSSP run on one candidate and are billed from
+    /// its trace on the rest, Triangle Count reads the session's index, and
+    /// label propagation and k-core run on every candidate.
     Probed,
 }
 
@@ -796,22 +800,39 @@ impl Workspace {
     /// session cache, so every materialization a probe forces is one the
     /// advised jobs (and later probes) reuse. A probe pays only for what
     /// differs between the candidates: PageRank and HITS are billed in
-    /// closed form from each cut's tables, and Triangle Count reads the
-    /// session's one index. The ranking is the measured mode's
-    /// (`advisor::rank`): a failed probe (e.g. OOM) has no time and ranks
-    /// last, and ties keep candidate (paper table) order.
+    /// closed form from each cut's tables; CC and SSSP run once, on the
+    /// first candidate whose probe completes, and every other candidate is
+    /// billed from that run's trace and its own edge assignment; Triangle
+    /// Count reads the session's one index; label propagation and k-core
+    /// run the engine on every candidate. The trace lives for this call
+    /// only. The ranking is the measured mode's (`advisor::rank`): a
+    /// failed probe (e.g. OOM) has no time and ranks last, and ties keep
+    /// candidate (paper table) order.
     fn probed_strategy(&mut self, algorithm: &Algorithm, num_parts: PartId) -> GraphXStrategy {
         let canonical = algorithm.needs_canonical();
+        let graph = if canonical {
+            self.cache.canonical_graph()
+        } else {
+            self.cache.graph.clone()
+        };
+        let mut trace = None;
         let mut ranking = GraphXStrategy::all().map(|strategy| {
             let key = CutKey {
                 strategy,
                 num_parts,
                 canonical,
             };
+            let threads = self.cache.threads;
             let (entry, triangles, _) = self.cache.ensure_cut(key);
             let (pg, reused) = entry.reused(triangles);
+            let traced = TraceSlot {
+                trace: &mut trace,
+                assignment: &|| strategy.assign_edges_threaded(&graph, num_parts, threads),
+            };
             let executor = self.executor;
-            let time = match algorithm.probe_on_cut(pg, reused, &self.cluster, executor, executor) {
+            let cluster = &self.cluster;
+            let time = match algorithm.probe_on_cut(pg, reused, traced, cluster, executor, executor)
+            {
                 Ok((sim, _)) => {
                     self.advice_seconds += sim.total_seconds;
                     sim.total_seconds

@@ -11,14 +11,19 @@
 //! bit the bill of one ledger call per message and per (vertex, mirror)
 //! pair; the engine's tests keep that walk as a reference.
 //!
-//! Beside the tables sits the **closed form**. An always-active program
-//! whose every edge messages the same endpoints with fixed-size messages
-//! and states — a [`SteadyShape`] — bills the same superstep every time,
-//! and what it bills depends only on the cut: one partial per (partition,
-//! local receiver), one vertex op and one class broadcast per vertex that
-//! receives one. [`steady_superstep`] writes that superstep into a
-//! [`MeterDelta`] from the cut's tables alone, so
-//! [`crate::PreparedRun::bill_steady`] bills such a run without running it.
+//! Beside the tables sits the **bill without a run**. What a message
+//! superstep bills depends on the cut only through its tables, once it is
+//! known which edges were scanned, which endpoints each edge messaged, how
+//! big the merged partials are and how the applied states changed size.
+//! [`bill_superstep`] writes such a superstep into a [`MeterDelta`]: one
+//! partial per (partition, local receiver), one vertex op and one class
+//! broadcast per vertex that receives one. It has two sources. An
+//! always-active program whose every edge messages the same endpoints
+//! with fixed-size messages and states — a [`SteadyShape`] — bills the
+//! same superstep every time ([`crate::PreparedRun::bill_steady`]); any
+//! other program with a [`MessageSizing`] is recorded once into a
+//! [`crate::MessageTrace`] and billed from it on every cut of the graph
+//! ([`crate::PreparedRun::bill_traced`]).
 
 use std::ops::Range;
 
@@ -27,6 +32,8 @@ use cutfit_graph::types::PartId;
 use cutfit_graph::VertexId;
 use cutfit_partition::{PartitionedGraph, NO_PART};
 use cutfit_util::num::{part_index, vid_index};
+
+use crate::message_trace::TracedSuperstep;
 
 /// The broadcast-class table: the one way a state broadcast is billed.
 ///
@@ -387,56 +394,250 @@ pub struct SteadyShape {
     pub state_bytes: u64,
 }
 
-/// Writes one message superstep of a `shape` program into `delta`, exactly
-/// as the engine's dense superstep leaves it there: per (partition, local
-/// vertex that some edge messages) one partial, counted on its home's cell
-/// of the scratch row and billed once per source partition; per vertex that
-/// received a partial, one vertex op, its state's bytes and one broadcast
-/// on its class. The states' sizes never change, so residency moves by
-/// nothing. Returns the partials delivered: the superstep's message count.
-pub(crate) fn steady_superstep(
-    pg: &PartitionedGraph,
-    classes: &BroadcastClasses,
-    home: &[PartId],
-    exec_of_part: &[u32],
-    shape: &SteadyShape,
-    msg_overhead: u64,
-    delta: &mut MeterDelta,
-) -> u64 {
-    let msg_bytes = shape.msg_bytes + msg_overhead;
-    let mut received = vec![false; home.len()];
-    let mut messaged = Vec::new();
-    for (part, &from_exec) in pg.parts().iter().zip(exec_of_part) {
-        messaged.clear();
-        messaged.resize(part.vertices.len(), false);
-        for &(ls, ld) in &part.edges {
-            match shape.receivers {
-                Receivers::Src => messaged[ls as usize] = true,
-                Receivers::Dst => messaged[ld as usize] = true,
-                Receivers::Both => {
-                    messaged[ls as usize] = true;
-                    messaged[ld as usize] = true;
-                }
-            }
-        }
-        let mut delivered = false;
-        for (&v, _) in part.vertices.iter().zip(&messaged).filter(|(_, &m)| m) {
-            let cell = &mut delta.row[part_index(home[vid_index(v)])];
-            cell.0 += 1;
-            cell.1 += msg_bytes;
-            received[vid_index(v)] = true;
-            delivered = true;
-        }
-        if delivered {
-            delta.flush_row(from_exec, exec_of_part, 0..exec_of_part.len());
+/// How the size of a merged message follows from the messages merged into
+/// it, declared by [`crate::VertexProgram::message_sizing`]: what a traced
+/// bill needs to size the one partial a partition ships per receiver
+/// without running the merge.
+#[derive(Debug)]
+pub enum MessageSizing<M> {
+    /// Every message, merged or not, is this many bytes.
+    Fixed(u64),
+    /// A message is `base + per_entry · popcount(mask(msg))` bytes, and a
+    /// merged message's mask is the OR of its operands' masks: the set of
+    /// finite entries of an element-wise minimum, say.
+    Masked {
+        /// The message's mask of sized entries.
+        mask: fn(&M) -> u64,
+        /// Bytes of a message with no entry set.
+        base: u64,
+        /// Bytes of each set entry.
+        per_entry: u64,
+    },
+}
+
+/// [`MessageSizing`] without the mask function: how a bill sizes a partial
+/// from the OR of its messages' masks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PartialBytes {
+    Fixed(u64),
+    Masked { base: u64, per_entry: u64 },
+}
+
+impl PartialBytes {
+    pub(crate) fn of<M>(sizing: &MessageSizing<M>) -> Self {
+        match *sizing {
+            MessageSizing::Fixed(bytes) => PartialBytes::Fixed(bytes),
+            MessageSizing::Masked {
+                base, per_entry, ..
+            } => PartialBytes::Masked { base, per_entry },
         }
     }
-    let state_bytes = shape.state_bytes;
-    for (v, _) in received.iter().enumerate().filter(|(_, &r)| r) {
-        let q = part_index(home[v]);
+
+    /// Payload bytes of a partial whose messages' masks OR to `mask`.
+    fn bytes(self, mask: u64) -> u64 {
+        match self {
+            PartialBytes::Fixed(bytes) => bytes,
+            PartialBytes::Masked { base, per_entry } => {
+                base + per_entry * u64::from(mask.count_ones())
+            }
+        }
+    }
+}
+
+/// The tables of one cut that a superstep's bill reads.
+pub(crate) struct CutTables<'a> {
+    pub(crate) pg: &'a PartitionedGraph,
+    pub(crate) classes: &'a BroadcastClasses,
+    pub(crate) home: &'a [PartId],
+    pub(crate) exec_of_part: &'a [u32],
+    /// Framing bytes billed per message on top of its payload.
+    pub(crate) msg_overhead: u64,
+}
+
+/// Which edges one superstep scanned and which endpoints they messaged.
+pub(crate) enum StepEdges<'a> {
+    /// Every edge, messaging the same endpoints: a steady program.
+    Every(Receivers),
+    /// A recorded superstep, in global edge order: the cut's edge `k` of
+    /// partition `p` is global edge `global_of[e]`, where `e` counts the
+    /// edges of partitions before `p`, plus `k`.
+    Traced {
+        step: &'a TracedSuperstep,
+        global_of: &'a [u32],
+    },
+}
+
+/// `(new, old)` state bytes of the vertices a superstep applied.
+pub(crate) enum AppliedBytes<'a> {
+    /// Every state is this many bytes, before and after.
+    Fixed(u64),
+    /// One pair per applied vertex, ascending by vertex.
+    Each(&'a [(u64, u64)]),
+}
+
+/// One message superstep as its bill sees it.
+pub(crate) struct SuperstepBill<'a> {
+    pub(crate) edges: StepEdges<'a>,
+    pub(crate) partials: PartialBytes,
+    pub(crate) applied: AppliedBytes<'a>,
+}
+
+/// Buffers of [`bill_superstep`] over one cut, allocated once per bill and
+/// all-clear between supersteps.
+pub(crate) struct BillScratch {
+    /// Edges scanned per partition, the last superstep billed.
+    pub(crate) matched: Vec<u64>,
+    /// Per local vertex of the partition being walked: some message
+    /// reached it.
+    hit: Vec<bool>,
+    /// Per local vertex of the partition being walked: the OR of its
+    /// messages' masks; empty unless partials are masked.
+    masks: Vec<u64>,
+    /// Messages of a traced superstep before each 64-edge word of it (see
+    /// [`TracedSuperstep::count_messages`]); empty unless partials are
+    /// masked.
+    messages_before: Vec<usize>,
+    /// Per vertex: some partial reached it.
+    received: Vec<bool>,
+}
+
+impl BillScratch {
+    pub(crate) fn new(pg: &PartitionedGraph, partials: PartialBytes) -> Self {
+        let widest = pg.parts().iter().map(|p| p.vertices.len()).max();
+        let widest = widest.unwrap_or(0);
+        let masked = matches!(partials, PartialBytes::Masked { .. });
+        Self {
+            matched: vec![0; pg.parts().len()],
+            hit: vec![false; widest],
+            masks: if masked { vec![0; widest] } else { Vec::new() },
+            messages_before: Vec::new(),
+            received: vec![false; vid_index(pg.num_vertices())],
+        }
+    }
+}
+
+/// Writes one message superstep into `delta` and its per-partition edge
+/// scans into `scratch.matched`, exactly as the engine's superstep leaves
+/// them there: per (partition, local vertex that some message reached) one
+/// partial of [`SuperstepBill::partials`]' size, counted on its home's cell
+/// of the scratch row and billed once per source partition; per vertex that
+/// received a partial, one vertex op, its new state's bytes and one
+/// broadcast on its class, and — where the state changed size — residency
+/// moved on every partition holding a replica. A steady program's
+/// superstep is the case of every edge scanned, the same receivers and
+/// fixed sizes. Returns the partials delivered: the superstep's message
+/// count.
+pub(crate) fn bill_superstep(
+    cut: &CutTables<'_>,
+    bill: &SuperstepBill<'_>,
+    scratch: &mut BillScratch,
+    delta: &mut MeterDelta,
+) -> u64 {
+    let BillScratch {
+        matched,
+        hit,
+        masks,
+        messages_before,
+        received,
+    } = scratch;
+    if let (StepEdges::Traced { step, .. }, false) = (&bill.edges, masks.is_empty()) {
+        step.count_messages(messages_before);
+    }
+    let msg_bytes = |mask| bill.partials.bytes(mask) + cut.msg_overhead;
+    let mut first_edge = 0;
+    for (p, (part, &from_exec)) in cut.pg.parts().iter().zip(cut.exec_of_part).enumerate() {
+        let locals = part.vertices.len();
+        let (hit, masks) = (
+            &mut hit[..locals],
+            masks.get_mut(..locals).unwrap_or_default(),
+        );
+        // Which endpoint a messaging edge messages is written without a
+        // branch, as is the partial sweep below unless few locals were
+        // reached: in a dense superstep about half the edges message each
+        // endpoint, at random.
+        let mut reached = 0;
+        let mut mark = |local: u32, sent: bool, mask: u64| {
+            reached += usize::from(sent);
+            hit[local as usize] |= sent;
+            if let Some(acc) = masks.get_mut(local as usize) {
+                *acc |= if sent { mask } else { 0 };
+            }
+        };
+        let edges = first_edge..first_edge + part.edges.len();
+        first_edge = edges.end;
+        matched[p] = match &bill.edges {
+            StepEdges::Every(receivers) => {
+                let (src, dst) = (*receivers != Receivers::Dst, *receivers != Receivers::Src);
+                for &(ls, ld) in &part.edges {
+                    mark(ls, src, 0);
+                    mark(ld, dst, 0);
+                }
+                part.num_edges()
+            }
+            StepEdges::Traced { step, global_of } => {
+                let mut scanned = 0;
+                for (&(ls, ld), &g) in part.edges.iter().zip(&global_of[edges]) {
+                    let (word, bit) = (&step.words[g as usize / 64], g % 64);
+                    scanned += word.scanned >> bit & 1;
+                    let (to_src, to_dst) = (word.to_src >> bit & 1, word.to_dst >> bit & 1);
+                    if to_src | to_dst == 0 {
+                        continue;
+                    }
+                    // Masks are listed in global edge order, an edge's
+                    // message to its source first; none when unmasked.
+                    let first = (!messages_before.is_empty())
+                        .then(|| step.first_message(messages_before, g as usize));
+                    let mask = |behind: bool| {
+                        let at = first.map(|i| i + usize::from(behind));
+                        at.and_then(|i| step.masks.get(i)).copied().unwrap_or(0)
+                    };
+                    mark(ls, to_src == 1, mask(false));
+                    mark(ld, to_dst == 1, mask(to_src == 1));
+                }
+                scanned
+            }
+        };
+
+        if reached == 0 {
+            continue;
+        }
+        let sparse = reached * 4 < locals;
+        for (local, (&v, got)) in part.vertices.iter().zip(hit.iter_mut()).enumerate() {
+            let got = std::mem::take(got);
+            if sparse && !got {
+                continue;
+            }
+            let mask = masks.get_mut(local).map_or(0, std::mem::take);
+            let cell = &mut delta.row[part_index(cut.home[vid_index(v)])];
+            cell.0 += u64::from(got);
+            cell.1 += if got { msg_bytes(mask) } else { 0 };
+            received[vid_index(v)] |= got;
+        }
+        delta.flush_row(from_exec, cut.exec_of_part, 0..cut.exec_of_part.len());
+    }
+
+    let mut each = match bill.applied {
+        AppliedBytes::Fixed(_) => [].iter(),
+        AppliedBytes::Each(sizes) => sizes.iter(),
+    };
+    for (v, got) in received.iter_mut().enumerate() {
+        if !std::mem::take(got) {
+            continue;
+        }
+        let (new, old) = match bill.applied {
+            AppliedBytes::Fixed(bytes) => (bytes, bytes),
+            AppliedBytes::Each(_) => each.next().copied().unwrap_or((0, 0)),
+        };
+        let q = part_index(cut.home[v]);
         delta.vertex_ops[q] += 1;
-        delta.local_bytes[q] += state_bytes;
-        delta.broadcast(classes.class_of[v], state_bytes + msg_overhead);
+        delta.local_bytes[q] += new;
+        delta.broadcast(cut.classes.class_of[v], new + cut.msg_overhead);
+        let grew = new as i64 - old as i64;
+        if grew != 0 {
+            for &p in cut.pg.routing().parts_of(v as VertexId) {
+                delta.resident[part_index(p)] += grew;
+            }
+        }
     }
     delta.msgs
 }

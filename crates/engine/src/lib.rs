@@ -38,6 +38,7 @@
 
 mod bill;
 mod frontier;
+mod message_trace;
 pub mod pregel;
 pub mod program;
 pub mod trace;
@@ -45,7 +46,8 @@ pub mod trace;
 #[cfg(test)]
 mod tests_direction;
 
-pub use bill::{Receivers, SteadyShape};
+pub use bill::{MessageSizing, Receivers, SteadyShape};
+pub use message_trace::MessageTrace;
 pub use pregel::{run_pregel, ExecutorMode, PregelConfig, PregelResult, PreparedRun};
 pub use program::{
     ActiveDirection, InitCtx, Messages, OwnedState, Triplet, VertexProgram, VertexState,

@@ -59,8 +59,12 @@ use cutfit_util::exec::{drain_cut_slices, run_chunked, run_ranges, DisjointSlice
 use cutfit_util::hash::hash64;
 use cutfit_util::num::{part_index, vid_index};
 
-use crate::bill::{steady_superstep, BroadcastClasses, MeterDelta, SteadyShape};
+use crate::bill::{
+    bill_superstep, AppliedBytes, BillScratch, BroadcastClasses, CutTables, MeterDelta,
+    PartialBytes, SteadyShape, StepEdges, SuperstepBill,
+};
 use crate::frontier::{plan_scan, FrontierBuffers, Incidence, Occurrence};
+use crate::message_trace::{global_order, Capture, MessageTrace, PartCapture, Recorder};
 use crate::program::{
     ActiveDirection, InitCtx, Messages, OwnedState, Triplet, VertexProgram, VertexState,
 };
@@ -351,7 +355,7 @@ pub fn run_pregel<P: VertexProgram>(
     let index = ScanIndex::build(pg, cluster, buffers.deltas.len() > 1);
     let mut probe = Probe::new(&Clock::Null);
     let (states, supersteps, converged) =
-        execute(program, pg, &index, &mut buffers, opts, &mut probe)?;
+        execute(program, pg, &index, &mut buffers, opts, &mut probe, None)?;
     Ok(PregelResult {
         states: states.into_rows(vid_index(pg.num_vertices())),
         supersteps,
@@ -436,7 +440,7 @@ impl PreparedRun {
         buffers.sim.reset();
         let mut probe = Probe::new(clock);
         let (states, supersteps, converged) =
-            execute(program, pg, index, buffers, opts, &mut probe)?;
+            execute(program, pg, index, buffers, opts, &mut probe, None)?;
         let result = PregelResult {
             states: states.into_rows(vid_index(pg.num_vertices())),
             supersteps,
@@ -457,8 +461,91 @@ impl PreparedRun {
         let Self { pg, index, buffers } = self;
         buffers.sim.reset();
         let mut probe = Probe::new(&Clock::Null);
-        let (_, supersteps, _) = execute(program, pg, index, buffers, opts, &mut probe)?;
+        let (_, supersteps, _) = execute(program, pg, index, buffers, opts, &mut probe, None)?;
         Ok((buffers.sim.report().clone(), supersteps))
+    }
+
+    /// [`PreparedRun::bill`], recording the run's [`MessageTrace`] beside
+    /// the bill: what [`PreparedRun::bill_traced`] needs to bill the same
+    /// run on any other cut of the graph. `assignment` is this cut's edge
+    /// assignment, aligned with the graph's edge list. The bill and the
+    /// superstep count are the unrecorded run's; a run that fails records
+    /// nothing.
+    ///
+    /// # Panics
+    /// Panics if `program` declares no
+    /// [`VertexProgram::message_sizing`], or if `assignment` is not this
+    /// cut's.
+    pub fn record<P: VertexProgram>(
+        &mut self,
+        program: &P,
+        opts: &PregelConfig,
+        assignment: &[PartId],
+    ) -> Result<(SimReport, u64, MessageTrace), SimError> {
+        let Some(sizing) = program.message_sizing() else {
+            panic!(
+                "{}: a program without a message sizing cannot be traced",
+                program.name()
+            );
+        };
+        let Self { pg, index, buffers } = self;
+        let fixed_state = program.fixed_state_bytes();
+        let mut recorder = Recorder::new(pg, assignment, &sizing, fixed_state);
+        buffers.sim.reset();
+        let mut probe = Probe::new(&Clock::Null);
+        let recording = Some(&mut recorder);
+        let (_, supersteps, converged) =
+            execute(program, pg, index, buffers, opts, &mut probe, recording)?;
+        let report = buffers.sim.report().clone();
+        Ok((report, supersteps, recorder.finish(converged)))
+    }
+
+    /// The bill and superstep count [`PreparedRun::bill`] returns for the
+    /// program `trace` was recorded from (see [`PreparedRun::record`]),
+    /// computed from the trace and this cut's tables, with no engine run.
+    /// `assignment` is this cut's edge assignment, aligned with the
+    /// graph's edge list. The ledger is fed what the run would feed it (see
+    /// [`PreparedRun::bill_steady`]), each message superstep from its
+    /// record: the scanned edges per partition, the frontier sample, one
+    /// partial per distinct (partition, receiver) and the applied
+    /// vertices' state sizes. An out-of-memory error comes back as the
+    /// run's would. `opts.executor` is not read.
+    ///
+    /// # Panics
+    /// Panics if `trace` was recorded on another graph, if `assignment` is
+    /// not this cut's, or if `opts` asks for supersteps past a cap the
+    /// recorded run stopped at.
+    pub fn bill_traced(
+        &mut self,
+        trace: &MessageTrace,
+        assignment: &[PartId],
+        opts: &PregelConfig,
+    ) -> Result<(SimReport, u64), SimError> {
+        trace.check(&self.pg, assignment, opts.max_iterations);
+        let global_of = global_order(&self.pg, assignment);
+        let fixed = trace.fixed_state;
+        let setup = |v: usize| fixed.unwrap_or_else(|| trace.setup_bytes[v]);
+        self.bill_without_running(
+            opts,
+            (fixed, &setup),
+            trace.partials,
+            |i, cut, scratch, delta| {
+                let step = trace.supersteps.get(usize::try_from(i).ok()?)?;
+                let bill = SuperstepBill {
+                    edges: StepEdges::Traced {
+                        step,
+                        global_of: &global_of,
+                    },
+                    partials: trace.partials,
+                    applied: match fixed {
+                        Some(bytes) => AppliedBytes::Fixed(bytes),
+                        None => AppliedBytes::Each(&step.applied),
+                    },
+                };
+                delta.reset();
+                Some((step.active, bill_superstep(cut, &bill, scratch, delta)))
+            },
+        )
     }
 
     /// The bill and superstep count [`PreparedRun::bill`] returns for a
@@ -467,13 +554,59 @@ impl PreparedRun {
     /// The ledger is fed what the run would feed it: the load if `opts`
     /// charges it, the setup superstep without building a state column,
     /// then per message superstep, up to `opts.max_iterations` of them,
-    /// every edge scanned, the frontier sample of an all-active superstep
-    /// and the one superstep the closed form writes. An out-of-memory
-    /// error comes back as the run's would. `opts.executor` is not read.
+    /// the edges scanned per partition, the frontier sample and the
+    /// superstep's partials and applied states — here every edge scanned,
+    /// all vertices active, and every superstep the same: a traced
+    /// superstep whose every edge messages the shape's receivers. An
+    /// out-of-memory error comes back as the run's would. `opts.executor`
+    /// is not read.
     pub fn bill_steady(
         &mut self,
         shape: &SteadyShape,
         opts: &PregelConfig,
+    ) -> Result<(SimReport, u64), SimError> {
+        let n = self.pg.num_vertices();
+        let bill = SuperstepBill {
+            edges: StepEdges::Every(shape.receivers),
+            partials: PartialBytes::Fixed(shape.msg_bytes),
+            applied: AppliedBytes::Fixed(shape.state_bytes),
+        };
+        let size = shape.state_bytes;
+        let mut msg_count = None;
+        self.bill_without_running(
+            opts,
+            (Some(size), &|_| size),
+            bill.partials,
+            |_, cut, scratch, delta| {
+                // Every superstep leaves the delta as the first did.
+                let count = *msg_count.get_or_insert_with(|| {
+                    delta.reset();
+                    bill_superstep(cut, &bill, scratch, delta)
+                });
+                Some((n, count))
+            },
+        )
+    }
+
+    /// What [`PreparedRun::bill_traced`] and [`PreparedRun::bill_steady`]
+    /// share: the sim fed as a run under `opts` would feed it — the load if
+    /// charged, the setup superstep with `setup`'s state sizes (the fixed
+    /// size, else vertex `v`'s bytes), then per message superstep `i`, up
+    /// to `opts.max_iterations` of them, what `superstep(i, ..)` leaves in
+    /// the delta and the scratch's scan counts, with the active count and
+    /// the message count it returns; until a superstep moves no message,
+    /// or `superstep` knows no superstep `i`.
+    fn bill_without_running(
+        &mut self,
+        opts: &PregelConfig,
+        setup: (Option<u64>, &dyn Fn(usize) -> u64),
+        partials: PartialBytes,
+        mut superstep: impl FnMut(
+            u64,
+            &CutTables<'_>,
+            &mut BillScratch,
+            &mut MeterDelta,
+        ) -> Option<(u64, u64)>,
     ) -> Result<(SimReport, u64), SimError> {
         let Self { pg, index, buffers } = self;
         let sim = &mut buffers.sim;
@@ -484,23 +617,31 @@ impl PreparedRun {
         if opts.charge_initial_load {
             sim.charge_load(cutfit_cluster::load_bytes(n, edges));
         }
-        let size = shape.state_bytes;
-        classes.bill_setup(pg, &index.home, sim, msg_overhead, Some(size), |_| size)?;
+        let (fixed, state_bytes) = setup;
+        classes.bill_setup(pg, &index.home, sim, msg_overhead, fixed, state_bytes)?;
         let mut supersteps = 0u64;
         if opts.max_iterations == 0 {
             return Ok((sim.report().clone(), supersteps));
         }
         let delta = &mut buffers.deltas[0];
         delta.class_sent.resize(classes.len(), (0, 0));
-        delta.reset();
-        let (home, exec_of_part) = (&index.home, &index.exec_of_part);
-        let msg_count =
-            steady_superstep(pg, classes, home, exec_of_part, shape, msg_overhead, delta);
+        let cut = CutTables {
+            pg,
+            classes,
+            home: &index.home,
+            exec_of_part: &index.exec_of_part,
+            msg_overhead,
+        };
+        let mut scratch = BillScratch::new(pg, partials);
         while supersteps < opts.max_iterations {
-            for (p, part) in (0..).zip(pg.parts()) {
-                sim.ledger().edge_scans(p, part.num_edges());
+            let Some((active, msg_count)) = superstep(supersteps, &cut, &mut scratch, delta) else {
+                break;
+            };
+            for (p, &m) in (0..).zip(&scratch.matched) {
+                sim.ledger().edge_scans(p, m);
             }
-            sim.ledger().record_frontier(n, n, edges, edges);
+            let scanned = scratch.matched.iter().sum();
+            sim.ledger().record_frontier(active, n, scanned, edges);
             delta.flush_ledger(classes, sim.ledger());
             delta.flush_resident(sim);
             sim.end_superstep()?;
@@ -517,7 +658,11 @@ impl PreparedRun {
 /// and [`PreparedRun::run`] (cached index, reused buffers): setup, then
 /// plan → (scan → shuffle → apply | emit → sort → fold) until no message
 /// flows or `opts` caps the iterations. The worker count is
-/// `opts.executor`'s, clamped to the buffers' thread budget.
+/// `opts.executor`'s, clamped to the buffers' thread budget. With a
+/// `recorder` (only [`PreparedRun::record`] passes one) the scan and the
+/// walk note what they did and every billed superstep is recorded; the
+/// kernels take the recording path per partition or per superstep, never
+/// per edge.
 fn execute<P: VertexProgram>(
     program: &P,
     pg: &PartitionedGraph,
@@ -525,6 +670,7 @@ fn execute<P: VertexProgram>(
     buffers: &mut RunBuffers,
     opts: &PregelConfig,
     probe: &mut Probe<'_>,
+    mut recorder: Option<&mut Recorder<P::Msg>>,
 ) -> Result<(Column<P::State>, u64, bool), SimError> {
     // Message-typed inbox/partials are allocated per run (the message type
     // changes with the program); everything program-independent comes from
@@ -560,6 +706,9 @@ fn execute<P: VertexProgram>(
         sim.charge_load(cutfit_cluster::load_bytes(n, pg.num_edges()));
     }
     let states = cx.setup(classes, sim)?;
+    if let Some(recorder) = recorder.as_deref_mut() {
+        recorder.setup(|v| program.state_bytes(states.row(v)));
+    }
 
     fb.reset();
     if !all_active {
@@ -615,11 +764,18 @@ fn execute<P: VertexProgram>(
             let unbuilt = index.incidence.get().is_none();
             let build = || index.incidence.get_or_init(|| Incidence::build(pg));
             let incidence = probe.time_if(unbuilt, Phase::BuildIncidence, build);
-            probe.time(Phase::Emit, || run.emit(incidence));
+            match recorder.as_deref_mut() {
+                Some(recorder) => {
+                    probe.time(Phase::Emit, || run.emit::<true>(incidence));
+                    run.note_walk(&mut recorder.capture);
+                }
+                None => probe.time(Phase::Emit, || run.emit::<false>(incidence)),
+            }
             probe.time(Phase::Sort, || run.sort());
             probe.time(Phase::Fold, || run.fold())
         } else {
-            probe.time(Phase::DenseScan, || run.scan_tables(!frontier_all));
+            let capture = recorder.as_deref_mut().map(|r| &mut r.capture);
+            probe.time(Phase::DenseScan, || run.scan_tables(!frontier_all, capture));
             let msg_count = probe.time(Phase::Shuffle, || run.shuffle());
             if msg_count > 0 {
                 probe.time(Phase::Apply, || run.apply(!all_active && !frontier_all));
@@ -644,6 +800,10 @@ fn execute<P: VertexProgram>(
             }
             sim.end_superstep()
         })?;
+        if let Some(recorder) = recorder.as_deref_mut() {
+            let states = &run.states;
+            recorder.end_superstep(pg, active_count, |v| program.state_bytes(states.row(v)));
+        }
         if msg_count == 0 {
             converged = true;
             break;
@@ -776,10 +936,12 @@ struct Record<M> {
 }
 
 /// What one emission shard writes: its messages and its share of each
-/// partition's edge-scan count. Owned by the run, not the reusable buffers.
+/// partition's edge-scan count — and, in a recording run, the edges it
+/// took. Owned by the run, not the reusable buffers.
 struct WalkShard<M> {
     records: Vec<Record<M>>,
     matched: Vec<u64>,
+    taken: Vec<(PartId, u32)>,
 }
 
 /// Folds `msg` into `slot` with the program's combiner; true when the slot
@@ -847,7 +1009,8 @@ impl<P: VertexProgram> Ctx<'_, P> {
     /// The dense walk's edge loop over one partition's edge table,
     /// monomorphised by its activity predicate over the endpoints' global
     /// indices. Returns the edges that passed the predicate — the metered
-    /// edge-scan count.
+    /// edge-scan count. `note` sees each such edge's index and messages
+    /// (a recording run's capture; a no-op otherwise).
     ///
     /// `out` is a parameter of its own and the tables are sliced once up
     /// front so the compiler can see that the loop's stores never move
@@ -860,6 +1023,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
         states: &Column<P::State>,
         wanted: impl Fn(usize, usize) -> bool,
         out: &mut [Option<P::Msg>],
+        mut note: impl FnMut(u32, &Messages<P::Msg>),
     ) -> u64 {
         let program = self.program;
         let (out_deg, in_deg) = (self.index.out_deg.as_slice(), self.index.in_deg.as_slice());
@@ -867,7 +1031,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
             deposit(program, &mut out[local as usize], msg);
         };
         let mut matched = 0u64;
-        for &(ls, ld) in &part.edges {
+        for (edge, &(ls, ld)) in (0u32..).zip(&part.edges) {
             let src = part.vertices[ls as usize];
             let dst = part.vertices[ld as usize];
             let (s, d) = (vid_index(src), vid_index(dst));
@@ -883,7 +1047,9 @@ impl<P: VertexProgram> Ctx<'_, P> {
                 src_out_degree: out_deg[s],
                 dst_in_degree: in_deg[d],
             };
-            match program.send(&triplet) {
+            let msgs = program.send(&triplet);
+            note(edge, &msgs);
+            match msgs {
                 Messages::None => {}
                 Messages::ToSrc(m) => emit(ls, m),
                 Messages::ToDst(m) => emit(ld, m),
@@ -903,8 +1069,9 @@ impl<P: VertexProgram> Run<'_, P> {
     /// combine), testing the activity bitset per edge when `filtered` and
     /// taking every edge otherwise (the first message superstep and every
     /// superstep of an always-active program: provably a dense walk over an
-    /// all-true bitset).
-    fn scan_tables(&mut self, filtered: bool) {
+    /// all-true bitset). With a `capture` every partition also notes what
+    /// its scan did.
+    fn scan_tables(&mut self, filtered: bool, capture: Option<&mut Capture<P::Msg>>) {
         let Self {
             cx,
             states,
@@ -924,18 +1091,38 @@ impl<P: VertexProgram> Run<'_, P> {
         let num_parts = partials.len();
         let partial_cells = DisjointSlice::new(partials.as_mut_slice());
         let matched_cells = DisjointSlice::new(fb.matched.as_mut_slice());
+        let (recording, mask) = (capture.is_some(), capture.as_ref().and_then(|c| c.mask));
+        let mut no_capture: [PartCapture; 0] = [];
+        let capture_cells = DisjointSlice::new(match capture {
+            Some(capture) => capture.parts.as_mut_slice(),
+            None => &mut no_capture,
+        });
         run_ranges(num_parts, cx.threads, |parts| {
             for p in parts {
                 let part = &cx.pg.parts()[p];
                 // SAFETY: partition ranges are disjoint across shards, so
-                // partition p's partial buffer and matched count are this
-                // shard's alone.
-                let (out, matched) =
-                    unsafe { (partial_cells.get_mut(p), matched_cells.get_mut(p)) };
-                *matched = if filtered {
-                    cx.scan_edges(part, states, wanted, out)
-                } else {
-                    cx.scan_edges(part, states, |_, _| true, out)
+                // partition p's partial buffer, matched count and capture
+                // are this shard's alone (a capture is read only when
+                // recording, when there is one per partition).
+                let (out, matched, capture) = unsafe {
+                    let capture = if recording {
+                        Some(capture_cells.get_mut(p))
+                    } else {
+                        None
+                    };
+                    (partial_cells.get_mut(p), matched_cells.get_mut(p), capture)
+                };
+                *matched = match (filtered, capture) {
+                    (true, None) => cx.scan_edges(part, states, wanted, out, |_, _| {}),
+                    (false, None) => cx.scan_edges(part, states, |_, _| true, out, |_, _| {}),
+                    (true, Some(cap)) => {
+                        let note = |edge, msgs: &_| cap.scanned(edge, msgs, mask);
+                        cx.scan_edges(part, states, wanted, out, note)
+                    }
+                    (false, Some(cap)) => {
+                        let note = |edge, msgs: &_| cap.scanned(edge, msgs, mask);
+                        cx.scan_edges(part, states, |_, _| true, out, note)
+                    }
                 };
             }
         });
@@ -947,8 +1134,10 @@ impl<P: VertexProgram> Run<'_, P> {
     /// active — a self-loop included) is taken from its source's side only,
     /// so each edge the dense predicate matches is taken exactly once. A
     /// taken edge counts on its partition's cell of `matched`; what `send`
-    /// returns becomes records, all collected in shard 0's buffer.
-    fn emit(&mut self, incidence: &Incidence) {
+    /// returns becomes records, all collected in shard 0's buffer. With
+    /// `RECORD` each shard also lists the edges it took, for
+    /// [`Run::note_walk`].
+    fn emit<const RECORD: bool>(&mut self, incidence: &Incidence) {
         let Self {
             cx,
             states,
@@ -964,16 +1153,24 @@ impl<P: VertexProgram> Run<'_, P> {
             walk_shards.resize_with(cx.threads, || WalkShard {
                 records: Vec::new(),
                 matched: vec![0; num_parts],
+                taken: Vec::new(),
             });
         }
         run_chunked(num_parts, cx.threads, walk_shards, |homes, shard| {
             let program = cx.program;
             let home = cx.index.home.as_slice();
             let (out_deg, in_deg) = (cx.index.out_deg.as_slice(), cx.index.in_deg.as_slice());
-            let WalkShard { records, matched } = shard;
+            let WalkShard {
+                records,
+                matched,
+                taken,
+            } = shard;
             let mut take = |src: VertexId, dst: VertexId, at: &Occurrence| {
                 let (s, d) = (vid_index(src), vid_index(dst));
                 matched[part_index(at.part)] += 1;
+                if RECORD {
+                    taken.push((at.part, at.edge));
+                }
                 let triplet = Triplet {
                     src,
                     dst,
@@ -1034,6 +1231,20 @@ impl<P: VertexProgram> Run<'_, P> {
             }
         }
         walk_shards[0].records = all;
+    }
+
+    /// Notes what [`Run::emit`] did into a recording run's `capture`: the
+    /// edges the shards took, and the messages in shard 0's records.
+    fn note_walk(&mut self, capture: &mut Capture<P::Msg>) {
+        let Capture { parts, mask } = capture;
+        for shard in self.walk_shards.iter_mut() {
+            for (part, edge) in shard.taken.drain(..) {
+                parts[part_index(part)].taken(edge);
+            }
+        }
+        for r in &self.walk_shards[0].records {
+            parts[part_index(r.part)].messaged(r.edge, r.to_dst, &r.msg, *mask);
+        }
     }
 
     /// Sparse phase 2 — sort the records into receiver runs (see [`Record`]).
@@ -1264,7 +1475,7 @@ impl<P: VertexProgram> Run<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bill::Receivers;
+    use crate::bill::{MessageSizing, Receivers};
     use cutfit_graph::{Edge, Graph};
     use cutfit_partition::{GraphXStrategy, Partitioner};
     use std::borrow::BorrowMut;
@@ -1803,11 +2014,26 @@ mod tests {
         fn msg_bytes(&self, msg: &Vec<u32>) -> u64 {
             Self::map_bytes(msg)
         }
+        fn message_sizing(&self) -> Option<MessageSizing<Vec<u32>>> {
+            Some(MessageSizing::Masked {
+                mask: |msg| {
+                    (0..)
+                        .zip(msg)
+                        .fold(0, |m, (i, &d)| m | u64::from(d != u32::MAX) << i)
+                },
+                base: 8,
+                per_entry: 12,
+            })
+        }
     }
 
-    /// RMAT with isolated vertices appended, cut seven ways: the six GraphX
-    /// strategies and one stateful vertex-cut streamer.
-    fn oracle_cuts(scale: u32, num_parts: PartId) -> Vec<(String, PartitionedGraph)> {
+    /// RMAT with isolated vertices appended, cut seven ways — the six
+    /// GraphX strategies and one stateful vertex-cut streamer — each cut
+    /// beside its edge assignment.
+    fn oracle_assigned(
+        scale: u32,
+        num_parts: PartId,
+    ) -> Vec<(String, PartitionedGraph, Vec<PartId>)> {
         let config = cutfit_datagen::RmatConfig {
             scale,
             edges: 8 << scale,
@@ -1815,13 +2041,24 @@ mod tests {
         };
         let g = cutfit_datagen::rmat(&config, 7);
         let g = Graph::new(g.num_vertices() + 7, g.edges().to_vec());
-        let mut cuts: Vec<(String, PartitionedGraph)> = GraphXStrategy::all()
-            .iter()
-            .map(|s| (s.to_string(), s.partition(&g, num_parts)))
+        let mut partitioners: Vec<Box<dyn Partitioner>> = GraphXStrategy::all()
+            .into_iter()
+            .map(|s| Box::new(s) as Box<dyn Partitioner>)
             .collect();
-        let hdrf = cutfit_partition::Hdrf::default();
-        cuts.push((hdrf.name().to_string(), hdrf.partition(&g, num_parts)));
-        cuts
+        partitioners.push(Box::new(cutfit_partition::Hdrf::default()));
+        partitioners
+            .iter()
+            .map(|p| {
+                let assignment = p.assign_edges(&g, num_parts);
+                let pg = PartitionedGraph::build(&g, &assignment, num_parts);
+                (p.name().to_string(), pg, assignment)
+            })
+            .collect()
+    }
+
+    fn oracle_cuts(scale: u32, num_parts: PartId) -> Vec<(String, PartitionedGraph)> {
+        let cuts = oracle_assigned(scale, num_parts).into_iter();
+        cuts.map(|(name, pg, _)| (name, pg)).collect()
     }
 
     fn on_executors(executors: u32) -> ClusterConfig {
@@ -1947,6 +2184,9 @@ mod tests {
                 state_bytes: 8,
             })
         }
+        fn message_sizing(&self) -> Option<MessageSizing<u64>> {
+            Some(MessageSizing::Fixed(8))
+        }
     }
 
     #[test]
@@ -1975,6 +2215,49 @@ mod tests {
                     assert_eq!(fresh.bill_steady(&shape, &opts).unwrap(), closed, "{what}");
                     assert_eq!(fresh.bill(&program, &opts).unwrap(), closed, "{what}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn traced_bills_equal_the_run_and_the_closed_form() {
+        // Recorded once per program on the first cut, at a thread budget of
+        // three, and billed on every cut: Steady's receiver shapes (`Both`
+        // sends two messages per edge, a self-loop's both to one vertex),
+        // whose closed form is the every-edge case of the same bill, and
+        // Hops' masked partials and growing states.
+        let cuts = oracle_assigned(7, 10);
+        let mode = ExecutorMode::Parallel { threads: 3 };
+        let opts = PregelConfig {
+            max_iterations: 3,
+            executor: mode,
+            ..Default::default()
+        };
+        let record = |program: &dyn Fn(&mut PreparedRun) -> MessageTrace| {
+            let (_, pg, _) = &cuts[0];
+            program(&mut PreparedRun::new(Arc::new(pg.clone()), &cfg(), mode))
+        };
+        let hops = Hops(vec![0, 5, 17]);
+        let hops_trace = record(&|r| r.record(&hops, &opts, &cuts[0].2).unwrap().2);
+        for executors in [1, 4, 64] {
+            let cluster = on_executors(executors);
+            for (cut, pg, assignment) in &cuts {
+                let mut prepared = PreparedRun::new(Arc::new(pg.clone()), &cluster, mode);
+                let what = format!("{cut}, {executors} executors");
+                for receivers in [Receivers::Src, Receivers::Dst, Receivers::Both] {
+                    let program = Steady(receivers);
+                    let trace = record(&|r| r.record(&program, &opts, &cuts[0].2).unwrap().2);
+                    let traced = prepared.bill_traced(&trace, assignment, &opts).unwrap();
+                    let shape = program.steady_shape().unwrap();
+                    assert_eq!(
+                        traced,
+                        prepared.bill_steady(&shape, &opts).unwrap(),
+                        "{what}"
+                    );
+                    assert_eq!(traced, prepared.bill(&program, &opts).unwrap(), "{what}");
+                }
+                let traced = prepared.bill_traced(&hops_trace, assignment, &opts);
+                assert_eq!(traced, prepared.bill(&hops, &opts), "{what} hops");
             }
         }
     }

@@ -2,7 +2,7 @@
 
 use cutfit_graph::VertexId;
 
-use crate::bill::SteadyShape;
+use crate::bill::{MessageSizing, SteadyShape};
 
 /// A vertex state the engine can store one of per vertex, named by its
 /// *borrowed* form: the engine hands programs `&State` and `&mut State`, and
@@ -230,6 +230,19 @@ pub trait VertexProgram: Sync {
     /// [`crate::PreparedRun::bill_steady`] bills a run of it in closed form.
     /// The declaration is a promise the engine does not check.
     fn steady_shape(&self) -> Option<SteadyShape> {
+        None
+    }
+
+    /// `Some(sizing)` when the size of a merged message — the partial a
+    /// partition ships per receiver — follows from its messages as `sizing`
+    /// says. Then [`crate::PreparedRun::record`] records a run of the
+    /// program into a [`crate::MessageTrace`], and
+    /// [`crate::PreparedRun::bill_traced`] bills the same run on any other
+    /// cut of the graph without running it. A program whose partial is a
+    /// merge of variable-length messages (label histograms, estimate
+    /// vectors) has no such sizing and leaves the default `None`. The
+    /// declaration is a promise the engine does not check.
+    fn message_sizing(&self) -> Option<MessageSizing<Self::Msg>> {
         None
     }
 }

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cutfit::algorithms::triangles::{canonicalize, triangle_count_partitioned};
-use cutfit::algorithms::{PageRank, Sssp};
+use cutfit::algorithms::{ConnectedComponents, PageRank, Sssp};
 use cutfit::engine::InitCtx;
 use cutfit::graph::io::ParseError;
 use cutfit::graph::{binfmt, source::materialize, BinaryFileSource};
@@ -233,6 +233,50 @@ fn warm_pagerank_allocates_by_partition_not_by_vertex() {
         short <= 10 * floor,
         "{short} allocations in a two-superstep job"
     );
+}
+
+#[test]
+fn a_warm_traced_bill_allocates_by_partition_not_by_edge() {
+    const PARTS: u32 = 8;
+    let g = cutfit::datagen::rmat(&cutfit::datagen::RmatConfig::default(), 12);
+    let assignment = GraphXStrategy::EdgePartition2D.assign_edges(&g, PARTS);
+    let pg = Arc::new(PartitionedGraph::build(&g, &assignment, PARTS));
+    let cluster = ClusterConfig::paper_cluster();
+    let opts = PregelConfig {
+        max_iterations: 10,
+        executor: ExecutorMode::Sequential,
+        ..Default::default()
+    };
+    let sssp = Sssp::new(Sssp::pick_landmarks(g.num_vertices(), 5, 7));
+    let mut prepared = PreparedRun::new(pg, &cluster, ExecutorMode::Sequential);
+    let (_, cc_steps, cc) = prepared
+        .record(&ConnectedComponents, &opts, &assignment)
+        .expect("fits");
+    let (_, sssp_steps, sssp) = prepared.record(&sssp, &opts, &assignment).expect("fits");
+    for (name, trace, supersteps) in [("CC", cc, cc_steps), ("SSSP", sssp, sssp_steps)] {
+        // Warm: the class table is the handle's, built by the recordings.
+        let (allocations, billed) = allocations_of(|| {
+            prepared
+                .bill_traced(&trace, &assignment, &opts)
+                .expect("fits")
+        });
+        assert_eq!(billed.1, supersteps, "{name}");
+        if name == "CC" {
+            // Fixed-size messages and states: three bits per edge for each
+            // recorded superstep (the last may be the one that moved no
+            // message), nothing per vertex or per message.
+            let per_superstep = 24 * g.num_edges().div_ceil(64);
+            assert!(trace.heap_bytes() <= per_superstep * (supersteps + 1));
+        }
+        let floor = SLACK * (supersteps + u64::from(PARTS));
+        assert!(
+            allocations <= floor,
+            "{name}: {allocations} allocations over {supersteps} supersteps (floor {floor})"
+        );
+        // The bound can tell: one allocation per vertex or per edge would
+        // be many floors deep.
+        assert!(g.num_vertices() > 8 * floor, "{name}: floor {floor}");
+    }
 }
 
 #[test]
