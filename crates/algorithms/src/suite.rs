@@ -9,7 +9,7 @@ use cutfit_graph::types::PartId;
 use cutfit_partition::PartitionedGraph;
 
 use crate::sssp::Sssp;
-use crate::triangles::{triangle_count_indexed, TriangleIndex};
+use crate::triangles::{triangle_bill_supported, triangle_count_indexed, TriangleIndex};
 
 /// The paper's two-way algorithm taxonomy (§4, final paragraph): complexity
 /// dominated by edges/messages vs by per-vertex state. It drives the
@@ -107,10 +107,10 @@ impl Algorithm {
                 Algorithm::ConnectedComponents { max_iterations: 3 }
             }
             // TR's four phases are fixed, so there is no shorter run: the
-            // probe is the job, and its simulated bill is the job's. Its wall
-            // time is one pass over the cut's flat arrays, reading the
-            // session's triangle index (built by the first TR dispatch); the
-            // metric mode avoids even that.
+            // probe is the job, and its simulated bill is the job's. The
+            // probe bills it without counting, reading one supported bit
+            // per edge of the session's triangle index (see
+            // `probe_on_cut`); the metric mode avoids even that.
             Algorithm::Triangles => Algorithm::Triangles,
             Algorithm::Sssp {
                 num_landmarks,
@@ -221,13 +221,16 @@ impl Algorithm {
     ///   from that trace and the cut's assignment
     ///   ([`PreparedRun::bill_traced`]). A probe that fails records
     ///   nothing, so the next one records;
-    /// - **index-read** (Triangle Count) — its four phases read the
-    ///   session's triangle index;
+    /// - **traced from the index** (Triangle Count) — its four phases are
+    ///   billed from the cut's assignment and the triangle index's
+    ///   supported bits, one per edge of the edge list, which the first TR
+    ///   probe builds ([`triangle_bill_supported`]); no edge is looked up
+    ///   and no triangle counted;
     /// - **engine-run** (label propagation, k-core) — a partial is a merge
     ///   of variable-length messages, whose size only the merge knows.
     ///
     /// A probe's answer is never read; a job's is the product, so jobs
-    /// always run.
+    /// always run (a TR job looks each edge up and counts).
     pub fn probe_on_cut(
         &self,
         pg: &Arc<PartitionedGraph>,
@@ -276,8 +279,14 @@ impl Algorithm {
         match self {
             Algorithm::Triangles => {
                 let index = triangles.get_or_insert_with(|| TriangleIndex::of_cut(pg));
-                let r = triangle_count_indexed(pg, index, cluster, opts.charge_initial_load)?;
-                Ok((r.sim, 4))
+                let load = opts.charge_initial_load;
+                let sim = match probe {
+                    None => triangle_count_indexed(pg, index, cluster, load)?.sim,
+                    Some(TraceSlot { assignment, .. }) => {
+                        triangle_bill_supported(pg, index, &assignment(), cluster, load)?
+                    }
+                };
+                Ok((sim, 4))
             }
             Algorithm::PageRank { iterations } => {
                 let program = &crate::pagerank::PageRank;
@@ -350,8 +359,8 @@ pub struct TraceSlot<'a> {
     /// one round of candidates, never longer.
     pub trace: &'a mut Option<MessageTrace>,
     /// The candidate cut's edge assignment, aligned with the graph's edge
-    /// list; only a traced probe calls it.
-    pub assignment: &'a dyn Fn() -> Vec<PartId>,
+    /// list; only a traced or a Triangle Count probe calls it, once.
+    pub assignment: &'a mut dyn FnMut() -> Vec<PartId>,
 }
 
 /// The state dispatches reuse, borrowed from whoever keeps it; each slot is
@@ -369,8 +378,10 @@ pub struct Reused<'a> {
 mod tests {
     use super::*;
     use crate::triangles::canonicalize;
-    use cutfit_graph::Graph;
+    use cutfit_graph::analysis::count_triangles;
+    use cutfit_graph::{Edge, Graph};
     use cutfit_partition::{GraphXStrategy, Partitioner};
+    use cutfit_util::num::vid_index;
 
     #[test]
     fn paper_suite_has_four() {
@@ -491,17 +502,29 @@ mod tests {
             assert_eq!(billed.unwrap(), full, "{}", algo.abbrev());
         }
     }
-    /// RMAT with isolated vertices appended, cut by the six GraphX
-    /// strategies and HDRF into `parts` partitions, each cut beside its
-    /// edge assignment.
-    fn billing_cuts_at(parts: PartId) -> Vec<(String, Arc<PartitionedGraph>, Vec<PartId>)> {
+    /// A cut of the billing grid: its name, the cut and its edge
+    /// assignment.
+    type AssignedCut = (String, Arc<PartitionedGraph>, Vec<PartId>);
+
+    /// RMAT with isolated vertices appended: the billing grid's graph.
+    fn billing_graph() -> Graph {
         let config = cutfit_datagen::RmatConfig {
             scale: 7,
             edges: 8 << 7,
             ..Default::default()
         };
         let g = cutfit_datagen::rmat(&config, 7);
-        let g = Graph::new(g.num_vertices() + 7, g.edges().to_vec());
+        Graph::new(g.num_vertices() + 7, g.edges().to_vec())
+    }
+
+    /// [`billing_graph`] cut by the six GraphX strategies and HDRF into
+    /// `parts` partitions, each cut beside its edge assignment.
+    fn billing_cuts_at(parts: PartId) -> Vec<AssignedCut> {
+        cuts_of(&billing_graph(), parts)
+    }
+
+    /// `g` cut as [`billing_cuts_at`] cuts the billing graph.
+    fn cuts_of(g: &Graph, parts: PartId) -> Vec<AssignedCut> {
         let mut partitioners: Vec<Box<dyn Partitioner>> = GraphXStrategy::all()
             .into_iter()
             .map(|s| Box::new(s) as Box<dyn Partitioner>)
@@ -510,8 +533,8 @@ mod tests {
         partitioners
             .iter()
             .map(|p| {
-                let assignment = p.assign_edges(&g, parts);
-                let pg = PartitionedGraph::build(&g, &assignment, parts);
+                let assignment = p.assign_edges(g, parts);
+                let pg = PartitionedGraph::build(g, &assignment, parts);
                 (p.name().to_string(), Arc::new(pg), assignment)
             })
             .collect()
@@ -737,7 +760,7 @@ mod tests {
             let mut trace = None;
             let traced = TraceSlot {
                 trace: &mut trace,
-                assignment: &|| -> Vec<PartId> {
+                assignment: &mut || -> Vec<PartId> {
                     unreachable!("an engine-run probe reads no assignment")
                 },
             };
@@ -788,7 +811,7 @@ mod tests {
                 let (_, pg, assignment) = &cuts[k];
                 let traced = TraceSlot {
                     trace,
-                    assignment: &|| assignment.clone(),
+                    assignment: &mut || assignment.clone(),
                 };
                 let reused = Reused {
                     prepared: &mut None,
@@ -819,5 +842,150 @@ mod tests {
                 assert_eq!(probed, ran, "{what} on {}", cuts[k].0);
             }
         }
+    }
+
+    /// The paper cluster under each of the six scenario presets on 1, 7 and
+    /// 64 executors, and a leaky cluster whose lineage outgrows the heap.
+    fn tr_clusters() -> Vec<(String, ClusterConfig)> {
+        let mut leaky = ClusterConfig::paper_cluster();
+        leaky.usable_memory_fraction = 1.0;
+        leaky.cost.lineage_heap_fraction_per_superstep = 0.3;
+        let mut clusters = vec![("leaky".to_string(), leaky)];
+        for executors in [1, 7, 64] {
+            for (preset, scenario) in cutfit_cluster::ScenarioConfig::presets(5) {
+                let cluster = ClusterConfig {
+                    executors,
+                    ..ClusterConfig::paper_cluster()
+                }
+                .with_scenario(scenario);
+                clusters.push((format!("{executors} executors, {preset}"), cluster));
+            }
+        }
+        clusters
+    }
+
+    /// Every TR probe of `cuts` under every cluster of [`tr_clusters`],
+    /// against the count [`triangle_count_indexed`] bills on the same
+    /// index (the slot's, built from the first cut if empty): the first
+    /// cell that differs, if any, and the cells that ran out of memory.
+    fn tr_probe_mismatch(
+        triangles: &mut Option<TriangleIndex>,
+        cuts: &[AssignedCut],
+    ) -> (Option<String>, usize) {
+        let mode = ExecutorMode::Sequential;
+        let mut out_of_memory = 0;
+        for (setting, cluster) in &tr_clusters() {
+            for (cut, pg, assignment) in cuts {
+                let what = format!("{cut}, {setting}");
+                let index = triangles.get_or_insert_with(|| TriangleIndex::of_cut(pg));
+                let counted = |load| triangle_count_indexed(pg, index, cluster, load);
+                let (counted, loaded) = (counted(false), counted(true).map(|r| r.sim));
+                let billed = triangle_bill_supported(pg, index, assignment, cluster, true);
+                if billed != loaded {
+                    return (Some(format!("{what}, load charged")), out_of_memory);
+                }
+                let mut prepared = None;
+                let reused = Reused {
+                    prepared: &mut prepared,
+                    triangles,
+                };
+                let traced = TraceSlot {
+                    trace: &mut None,
+                    assignment: &mut || assignment.clone(),
+                };
+                let algo = Algorithm::Triangles;
+                let probed = algo.probe_on_cut(pg, reused, traced, cluster, mode, mode);
+                assert!(
+                    prepared.is_none(),
+                    "{what}: a TR probe built an engine handle"
+                );
+                if probed != counted.map(|r| (r.sim, 4)) {
+                    return (Some(what), out_of_memory);
+                }
+                if let Err(SimError::OutOfMemory { .. }) = probed {
+                    out_of_memory += 1;
+                }
+            }
+        }
+        (None, out_of_memory)
+    }
+
+    /// The TR grid's cuts of `g`: the billing grid's, and the same
+    /// strategies at 256 partitions, where a partition holds a few edges
+    /// and a vertex's partial hangs on one or two of them.
+    fn tr_cuts(g: &Graph) -> Vec<AssignedCut> {
+        let mut cuts = cuts_of(g, 10);
+        cuts.extend(cuts_of(g, 256));
+        cuts
+    }
+
+    /// A `side × side` lattice in canonical orientation: bipartite, so
+    /// no edge closes a triangle.
+    fn lattice(side: u64) -> Graph {
+        let at = |x: u64, y: u64| y * side + x;
+        let edges = (0..side).flat_map(|y| {
+            (0..side).flat_map(move |x| {
+                let right = (x + 1 < side).then(|| Edge::new(at(x, y), at(x + 1, y)));
+                let down = (y + 1 < side).then(|| Edge::new(at(x, y), at(x, y + 1)));
+                right.into_iter().chain(down)
+            })
+        });
+        canonicalize(&Graph::new(side * side, edges.collect()))
+    }
+
+    #[test]
+    fn triangle_probes_bill_like_the_indexed_count() {
+        let canon = canonicalize(&billing_graph());
+        let free = lattice(12);
+        for (family, g) in [("RMAT", &canon), ("lattice", &free)] {
+            let mut triangles = None;
+            let (mismatch, out_of_memory) = tr_probe_mismatch(&mut triangles, &tr_cuts(g));
+            assert_eq!(mismatch, None, "{family}");
+            assert!(out_of_memory > 0, "{family}: no cell ran out of memory");
+        }
+        assert!(count_triangles(&free) == 0 && count_triangles(&canon) > 0);
+        let empty = Graph::new(0, Vec::new());
+        let (mismatch, _) = tr_probe_mismatch(&mut None, &tr_cuts(&empty));
+        assert_eq!(mismatch, None, "the empty graph");
+    }
+
+    #[test]
+    fn a_flipped_supported_bit_fails_the_triangle_probe_grid() {
+        let canon = canonicalize(&billing_graph());
+        let cuts = tr_cuts(&canon);
+        let mut triangles = None;
+        assert_eq!(tr_probe_mismatch(&mut triangles, &cuts).0, None);
+        let mut rng = cutfit_util::Xoshiro256pp::seed_from_u64(36);
+        for _ in 0..3 {
+            let edge = vid_index(rng.range_u64(canon.num_edges()));
+            let index = triangles.as_mut().expect("built by the grid");
+            index.flip_supported(edge);
+            let (mismatch, _) = tr_probe_mismatch(&mut triangles, &cuts);
+            assert!(mismatch.is_some(), "edge {edge}'s flipped bit went unseen");
+            triangles.as_mut().expect("built").flip_supported(edge);
+        }
+    }
+
+    #[test]
+    fn an_sssp_trace_keeps_setup_sizes_per_landmark_not_per_vertex() {
+        // With no message superstep the trace is its setup: the vertices
+        // whose initial state differs from the common one, the landmarks.
+        let (_, pg, assignment) = &billing_cuts_at(10)[0];
+        let cluster = ClusterConfig::paper_cluster();
+        let opts = PregelConfig {
+            max_iterations: 0,
+            ..Default::default()
+        };
+        for landmarks in [1, 5, 20] {
+            let sssp = Sssp::new(Sssp::pick_landmarks(pg.num_vertices(), landmarks, 7));
+            let mut prepared = PreparedRun::new(pg.clone(), &cluster, ExecutorMode::Sequential);
+            let (sim, supersteps, trace) = prepared.record(&sssp, &opts, assignment).unwrap();
+            assert_eq!(supersteps, 0);
+            assert_eq!(trace.heap_bytes(), 16 * landmarks as u64, "{landmarks}");
+            let billed = prepared.bill_traced(&trace, assignment, &opts).unwrap();
+            assert_eq!(billed, (sim, 0), "{landmarks}");
+        }
+        // The bound can tell: eight bytes per vertex would be well above it.
+        assert!(8 * pg.num_vertices() > 3 * 16 * 20);
     }
 }

@@ -20,9 +20,13 @@
 //! 1–2 keep local degrees in one `u32` column (partition `p` at
 //! `starts[p]..`), and phase 4 looks each edge up in its source's row, in
 //! step with the partition's (src, dst)-ordered run of that source's edges,
-//! with no intersection. An index refuses a graph with a loop or a repeated
-//! pair, and the kernel a cut whose edge the index does not hold: both
-//! panic.
+//! with no intersection. A probe bills the same run without the counts
+//! ([`triangle_bill_supported`]): phase 4 ships a partial wherever a local
+//! edge closes a triangle, so it reads one bit per edge of the edge list,
+//! kept by the index beside the supports, instead of looking the edge up.
+//! One function bills the four phases for both. An index refuses a graph
+//! with a loop or a repeated pair, and the kernel a cut whose edge the
+//! index does not hold: both panic.
 
 use cutfit_cluster::{ClusterConfig, ClusterSim, SimError, SimReport};
 use cutfit_graph::types::PartId;
@@ -62,11 +66,16 @@ pub fn canonicalize(graph: &Graph) -> Graph {
 /// What Triangle Count reads of a canonical graph and no cut changes: the
 /// undirected neighbour [`Csr`], and per CSR entry — neighbour `w` in the
 /// row of `u` — the edge's *support* `|N(u) ∩ N(w)|`, the triangles through
-/// the edge `{u, w}`.
+/// the edge `{u, w}`. Beside them, for probes, one *supported* bit per edge
+/// of the graph's edge list: whether its support is non-zero.
 #[derive(Debug)]
 pub struct TriangleIndex {
     full: Csr,
     support: Vec<u32>,
+    /// Bit `g % 64` of word `g / 64`: edge `g` of the edge list has a
+    /// non-zero support. Built by the first probe
+    /// ([`triangle_bill_supported`]); empty until then.
+    supported: Vec<u64>,
 }
 
 impl TriangleIndex {
@@ -114,7 +123,65 @@ impl TriangleIndex {
             }
             nu.iter().for_each(|&x| stamp[vid_index(x)] = false);
         }
-        Self { full, support }
+        Self {
+            full,
+            support,
+            supported: Vec::new(),
+        }
+    }
+
+    /// The support of each of `edges`, looked up in its source's row.
+    /// `at` is where the previous edge's destination sat in its source's
+    /// row: a run of one source's edges in (src, dst) order searches only
+    /// what is left of the row. Panics on an edge the index does not hold.
+    fn supports<'a>(
+        &'a self,
+        edges: impl Iterator<Item = (VertexId, VertexId)> + 'a,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let mut at: Option<(VertexId, VertexId, usize)> = None;
+        edges.map(move |(u, w)| {
+            let row = self.full.neighbors(u);
+            let from = match at {
+                Some((src, dst, k)) if src == u && dst < w => k + 1,
+                _ => 0,
+            };
+            let k = from + row[from..].partition_point(|&x| x < w);
+            assert!(
+                row.get(k) == Some(&w),
+                "edge ({u}, {w}) is not in the indexed graph"
+            );
+            at = Some((u, w, k));
+            self.support[self.full.entries(u).start + k]
+        })
+    }
+
+    /// Builds the supported bits, unless built: one per edge of the edge
+    /// list `pg` was cut from by `assignment`, in the list's own order —
+    /// each edge read off the cut where the assignment placed it — with
+    /// every edge looked up in the index. Every later probe bills a cut of
+    /// the same edge list, so the bits are built once. Panics if the cut
+    /// holds an edge the index does not or `assignment` is not the cut's.
+    fn ensure_supported(&mut self, pg: &PartitionedGraph, assignment: &[PartId]) {
+        if self.supported.is_empty() && !assignment.is_empty() {
+            let mut next = vec![0; pg.parts().len()];
+            let edge_list = assignment.iter().map(|&p| {
+                let (part, k) = (&pg.parts()[part_index(p)], &mut next[part_index(p)]);
+                let (ls, ld) = part.edges[*k];
+                *k += 1;
+                (part.global(ls), part.global(ld))
+            });
+            let mut bits = vec![0u64; assignment.len().div_ceil(64)];
+            for (g, support) in self.supports(edge_list).enumerate() {
+                bits[g / 64] |= u64::from(support > 0) << (g % 64);
+            }
+            self.supported = bits;
+        }
+    }
+
+    /// Flips edge `g`'s supported bit: a seeded fault for the tests.
+    #[cfg(test)]
+    pub(crate) fn flip_supported(&mut self, g: usize) {
+        self.supported[g / 64] ^= 1 << (g % 64);
     }
 }
 
@@ -139,13 +206,74 @@ pub fn triangle_count_indexed(
     cluster: &ClusterConfig,
     charge_load: bool,
 ) -> Result<TriangleResult, SimError> {
+    let (sim, edge_count_sum, mut per_vertex) =
+        four_phases(pg, index, cluster, charge_load, EdgeSupports::Counted)?;
+    // Each triangle is seen once per its three edges; per vertex, once per
+    // its two incident triangle edges.
+    debug_assert_eq!(edge_count_sum % 3, 0);
+    for c in &mut per_vertex {
+        debug_assert_eq!(*c % 2, 0);
+        *c /= 2;
+    }
+    Ok(TriangleResult {
+        total: edge_count_sum / 3,
+        per_vertex,
+        sim,
+    })
+}
+
+/// Bills [`triangle_count_indexed`]'s run on `pg` without counting: the
+/// same [`SimReport`], or the same error, bit for bit. `assignment` is the
+/// cut's edge assignment, aligned with the edge list of the canonical graph
+/// `index` was built from. Phase 4 ships a partial from a (partition, local
+/// vertex) pair iff some local edge of the vertex closes a triangle, so it
+/// reads the index's supported bit of each edge, at the edge's place in the
+/// edge list, instead of looking the edge up. The first call on `index`
+/// builds the bits from this cut, looking every edge up once.
+///
+/// # Panics
+/// Panics if `assignment` is not the cut's, or — on the call that builds
+/// the bits — if the cut holds an edge the index does not.
+pub fn triangle_bill_supported(
+    pg: &PartitionedGraph,
+    index: &mut TriangleIndex,
+    assignment: &[PartId],
+    cluster: &ClusterConfig,
+    charge_load: bool,
+) -> Result<SimReport, SimError> {
+    let global_of = pg.global_order(assignment);
+    index.ensure_supported(pg, assignment);
+    let supports = EdgeSupports::Supported(&global_of);
+    four_phases(pg, index, cluster, charge_load, supports).map(|(sim, ..)| sim)
+}
+
+/// How phase 4 learns which edges close triangles.
+enum EdgeSupports<'a> {
+    /// Each edge's support, looked up in the index and summed into the
+    /// counts: a job.
+    Counted,
+    /// Each edge's supported bit, read at its place in the edge list — the
+    /// cut's edge `e`, partition-major, is edge `global_of[e]` — and no
+    /// count: a probe.
+    Supported(&'a [u32]),
+}
+
+/// The four phases of GraphX's dataflow on `pg`, billed: the report, and,
+/// when `supports` counts, the sum of every edge's support and each
+/// vertex's sum over its edges (empty otherwise).
+fn four_phases(
+    pg: &PartitionedGraph,
+    index: &TriangleIndex,
+    cluster: &ClusterConfig,
+    charge_load: bool,
+    supports: EdgeSupports<'_>,
+) -> Result<(SimReport, u64, Vec<u64>), SimError> {
     let full = &index.full;
     assert_eq!(
         (pg.num_vertices(), pg.num_edges() * 2),
         (full.num_vertices(), full.num_entries() as u64),
         "the cut is not of the indexed graph"
     );
-    let n = vid_index(pg.num_vertices());
     let np = pg.num_parts();
     let mut sim = ClusterSim::new(cluster.clone(), np);
     let overhead = cluster.cost.message_overhead_bytes;
@@ -222,38 +350,48 @@ pub fn triangle_count_indexed(
     sim.end_superstep()?;
 
     // --- Phase 4: per-edge intersection counts, shipped to masters. ---
-    // Each edge's count is its support in the index. `at` is where the
-    // previous edge's destination sat in its source's row: a run of one
-    // source's edges in (src, dst) order searches only what is left of the
-    // row.
-    let mut per_vertex = vec![0u64; n];
+    // Each edge's count is its support in the index; a probe knows only
+    // whether it is non-zero, which is all the bill reads.
+    let counted_vertices = match supports {
+        EdgeSupports::Counted => vid_index(pg.num_vertices()),
+        EdgeSupports::Supported(_) => 0,
+    };
+    let mut per_vertex = vec![0u64; counted_vertices];
     let mut edge_count_sum = 0u64;
+    let widest = pg.parts().iter().map(|part| part.vertices.len()).max();
+    let mut local_counts = vec![0u64; widest.unwrap_or(0)];
+    let mut first_edge = 0;
     let ledger = sim.ledger();
     for ((p, part), &read) in (0..).zip(pg.parts()).zip(&read_bytes) {
-        let mut local_counts = vec![0u64; part.vertices.len()];
-        let mut at: Option<(VertexId, VertexId, usize)> = None;
-        for &(ls, ld) in &part.edges {
-            let (u, w) = (part.global(ls), part.global(ld));
-            let row = full.neighbors(u);
-            let from = match at {
-                Some((src, dst, k)) if src == u && dst < w => k + 1,
-                _ => 0,
-            };
-            let k = from + row[from..].partition_point(|&x| x < w);
-            assert!(
-                row.get(k) == Some(&w),
-                "edge ({u}, {w}) is not in the indexed graph"
-            );
-            at = Some((u, w, k));
-            let cnt = u64::from(index.support[full.entries(u).start + k]);
-            local_counts[ls as usize] += cnt;
-            local_counts[ld as usize] += cnt;
-            edge_count_sum += cnt;
+        let counts = &mut local_counts[..part.vertices.len()];
+        let edges = first_edge..first_edge + part.edges.len();
+        first_edge = edges.end;
+        match supports {
+            EdgeSupports::Counted => {
+                let ends = part
+                    .edges
+                    .iter()
+                    .map(|&(ls, ld)| (part.global(ls), part.global(ld)));
+                for (&(ls, ld), cnt) in part.edges.iter().zip(index.supports(ends)) {
+                    let cnt = u64::from(cnt);
+                    counts[ls as usize] += cnt;
+                    counts[ld as usize] += cnt;
+                    edge_count_sum += cnt;
+                }
+            }
+            EdgeSupports::Supported(global_of) => {
+                for (&(ls, ld), &g) in part.edges.iter().zip(&global_of[edges]) {
+                    let bit = index.supported[g as usize / 64] >> (g % 64) & 1;
+                    counts[ls as usize] |= bit;
+                    counts[ld as usize] |= bit;
+                }
+            }
         }
         ledger.local_bytes(p, read);
         ledger.edge_scans(p, part.num_edges());
         // Ship non-zero per-vertex partial counts to masters.
-        for (&v, &cnt) in part.vertices.iter().zip(&local_counts) {
+        for (&v, cnt) in part.vertices.iter().zip(counts.iter_mut()) {
+            let cnt = std::mem::take(cnt);
             if cnt == 0 {
                 continue;
             }
@@ -262,23 +400,13 @@ pub fn triangle_count_indexed(
                 ledger.send_exec(exec_of(p), exec_of(master), 1, 8 + overhead);
             }
             ledger.vertex_ops(master, 1);
-            per_vertex[vid_index(v)] += cnt;
+            if let Some(total) = per_vertex.get_mut(vid_index(v)) {
+                *total += cnt;
+            }
         }
     }
     sim.end_superstep()?;
-
-    // Each triangle is seen once per its three edges; per vertex, once per
-    // its two incident triangle edges.
-    debug_assert_eq!(edge_count_sum % 3, 0);
-    for c in &mut per_vertex {
-        debug_assert_eq!(*c % 2, 0);
-        *c /= 2;
-    }
-    Ok(TriangleResult {
-        total: edge_count_sum / 3,
-        per_vertex,
-        sim: sim.into_report(),
-    })
+    Ok((sim.into_report(), edge_count_sum, per_vertex))
 }
 
 /// Convenience: canonicalize, partition with `partitioner`, count.

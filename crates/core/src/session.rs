@@ -86,8 +86,10 @@ pub enum AdviceMode {
     /// engine run's, bit for bit, but only some probes run the engine
     /// ([`Algorithm::probe_on_cut`]): PageRank and HITS are billed in
     /// closed form, CC and SSSP run on one candidate and are billed from
-    /// its trace on the rest, Triangle Count reads the session's index, and
-    /// label propagation and k-core run on every candidate.
+    /// its trace on the rest, Triangle Count is billed from each
+    /// candidate's assignment and the supported bit of each edge in the
+    /// session's triangle index, with no edge looked up, and label
+    /// propagation and k-core run on every candidate.
     Probed,
 }
 
@@ -331,9 +333,10 @@ impl WorkloadReport {
 struct CutEntry {
     pg: Arc<PartitionedGraph>,
     metrics: PartitionMetrics,
-    /// Built by [`Algorithm::run_on_cut`] on the first Pregel dispatch
-    /// against this cut, so a TR-only cut (the common canonical case) never
-    /// builds one.
+    /// Built by the first Pregel dispatch against this cut, a job's
+    /// ([`Algorithm::run_on_cut`]) or a probe's
+    /// ([`Algorithm::probe_on_cut`]). Triangle Count, job or probe, never
+    /// builds one, so a TR-only cut (the common canonical case) has none.
     prepared: Option<PreparedRun>,
 }
 
@@ -410,7 +413,8 @@ struct CutCache {
     threads: usize,
     /// Triangle Count's index of `canon`, built by the first TR dispatch
     /// and read by every TR probe and job after it: every canonical cut
-    /// holds `canon`'s edges.
+    /// holds `canon`'s edges. Its supported bits, one per edge of `canon`,
+    /// are built by the first TR probe.
     triangles: Option<TriangleIndex>,
     /// `BTreeMap`, not `HashMap`: lookups are keyed today, but the serving
     /// layer is a deterministic crate — if iteration over cached cuts ever
@@ -420,15 +424,35 @@ struct CutCache {
     misses: u64,
 }
 
+/// What [`CutCache::ensure_cut`] found: the entry, the triangle index slot
+/// a dispatch on it reuses, and — on a miss — the edge assignment the cut
+/// was just built from, aligned with the edge list of its orientation.
+struct Ensured<'a> {
+    entry: &'a mut CutEntry,
+    triangles: &'a mut Option<TriangleIndex>,
+    /// `None` on a cache hit: a cached cut keeps no assignment.
+    built_from: Option<Vec<PartId>>,
+}
+
+impl Ensured<'_> {
+    fn cache_hit(&self) -> bool {
+        self.built_from.is_none()
+    }
+}
+
 impl CutCache {
-    /// The entry for `key`, materialized if absent, the triangle index slot
-    /// a dispatch on it reuses, and whether it was a cache hit.
-    fn ensure_cut(&mut self, key: CutKey) -> (&mut CutEntry, &mut Option<TriangleIndex>, bool) {
+    /// The entry for `key`, materialized if absent (see [`Ensured`]).
+    fn ensure_cut(&mut self, key: CutKey) -> Ensured<'_> {
         let triangles = &mut self.triangles;
         match self.cuts.entry(key) {
             Entry::Occupied(e) => {
                 self.hits += 1;
-                (e.into_mut(), triangles, true)
+                let entry = e.into_mut();
+                Ensured {
+                    entry,
+                    triangles,
+                    built_from: None,
+                }
             }
             Entry::Vacant(v) => {
                 self.misses += 1;
@@ -437,18 +461,21 @@ impl CutCache {
                 } else {
                     &self.graph
                 };
-                let pg = Arc::new(key.strategy.partition_threaded(
-                    graph,
-                    key.num_parts,
-                    self.threads,
-                ));
+                let (strategy, parts, threads) = (key.strategy, key.num_parts, self.threads);
+                let assignment = strategy.assign_edges_threaded(graph, parts, threads);
+                let pg = PartitionedGraph::build_threaded(graph, &assignment, parts, threads);
+                let pg = Arc::new(pg);
                 let metrics = PartitionMetrics::of(&pg);
                 let entry = CutEntry {
                     pg,
                     metrics,
                     prepared: None,
                 };
-                (v.insert(entry), triangles, false)
+                Ensured {
+                    entry: v.insert(entry),
+                    triangles,
+                    built_from: Some(assignment),
+                }
             }
         }
     }
@@ -634,7 +661,7 @@ impl Workspace {
             num_parts,
             canonical: false,
         };
-        self.cache.ensure_cut(key).0.pg.clone()
+        self.cache.ensure_cut(key).entry.pg.clone()
     }
 
     /// Dispatches one job under a cut policy (serving semantics: the graph
@@ -653,7 +680,8 @@ impl Workspace {
             self.session.charge_load(self.load_source_bytes);
             self.loaded = true;
         }
-        let (entry, triangles, cache_hit) = self.cache.ensure_cut(key);
+        let ensured = self.cache.ensure_cut(key);
+        let (cache_hit, entry) = (ensured.cache_hit(), ensured.entry);
         // A repartition that fails leaves the active cut where it was, so
         // it is neither counted nor reported as a switch.
         let repartition = if self.active == Some(key) {
@@ -670,7 +698,7 @@ impl Workspace {
         }
         let provisioning_seconds = self.session.report().total_seconds - session_before;
         let metrics = entry.metrics.clone();
-        let (pg, reused) = entry.reused(triangles);
+        let (pg, reused) = entry.reused(ensured.triangles);
         let (cluster, prepared_executor) = (&self.cluster, self.executor);
         let outcome = repartition.and_then(|_| {
             algorithm.run_on_cut(pg, reused, cluster, prepared_executor, executor, false)
@@ -711,9 +739,10 @@ impl Workspace {
             num_parts,
             canonical: algorithm.needs_canonical(),
         };
-        let (entry, triangles, cache_hit) = self.cache.ensure_cut(key);
-        let metrics = entry.metrics.clone();
-        let (pg, reused) = entry.reused(triangles);
+        let ensured = self.cache.ensure_cut(key);
+        let cache_hit = ensured.cache_hit();
+        let metrics = ensured.entry.metrics.clone();
+        let (pg, reused) = ensured.entry.reused(ensured.triangles);
         let executor = self.executor;
         let (supersteps, result) =
             match algorithm.run_on_cut(pg, reused, &self.cluster, executor, executor, true) {
@@ -803,11 +832,14 @@ impl Workspace {
     /// closed form from each cut's tables; CC and SSSP run once, on the
     /// first candidate whose probe completes, and every other candidate is
     /// billed from that run's trace and its own edge assignment; Triangle
-    /// Count reads the session's one index; label propagation and k-core
+    /// Count is billed from the candidate's assignment and the session's
+    /// one index, one supported bit per edge; label propagation and k-core
     /// run the engine on every candidate. The trace lives for this call
-    /// only. The ranking is the measured mode's (`advisor::rank`): a
-    /// failed probe (e.g. OOM) has no time and ranks last, and ties keep
-    /// candidate (paper table) order.
+    /// only. A candidate's assignment is the one its cut was just built
+    /// from on a cache miss; on a hit it is hashed again, and only when the
+    /// probe reads it. The ranking is the measured mode's
+    /// (`advisor::rank`): a failed probe (e.g. OOM) has no time and ranks
+    /// last, and ties keep candidate (paper table) order.
     fn probed_strategy(&mut self, algorithm: &Algorithm, num_parts: PartId) -> GraphXStrategy {
         let canonical = algorithm.needs_canonical();
         let graph = if canonical {
@@ -823,11 +855,21 @@ impl Workspace {
                 canonical,
             };
             let threads = self.cache.threads;
-            let (entry, triangles, _) = self.cache.ensure_cut(key);
+            let Ensured {
+                entry,
+                triangles,
+                mut built_from,
+            } = self.cache.ensure_cut(key);
             let (pg, reused) = entry.reused(triangles);
+            // A cut just built hands its assignment over; a cached one
+            // hashes it again.
+            let mut assignment = || {
+                (built_from.take())
+                    .unwrap_or_else(|| strategy.assign_edges_threaded(&graph, num_parts, threads))
+            };
             let traced = TraceSlot {
                 trace: &mut trace,
-                assignment: &|| strategy.assign_edges_threaded(&graph, num_parts, threads),
+                assignment: &mut assignment,
             };
             let executor = self.executor;
             let cluster = &self.cluster;

@@ -31,6 +31,7 @@ use cutfit_cluster::{ClusterSim, SimError, SuperstepLedger};
 use cutfit_graph::types::PartId;
 use cutfit_graph::VertexId;
 use cutfit_partition::{PartitionedGraph, NO_PART};
+use cutfit_util::hash::hash64;
 use cutfit_util::num::{part_index, vid_index};
 
 use crate::message_trace::TracedSuperstep;
@@ -48,6 +49,7 @@ use crate::message_trace::TracedSuperstep;
 /// are a property of the cut and the partition→executor map, not of the
 /// program, and are kept as sparse `(executor, count)` lists: nothing here
 /// is sized by `executors²`.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct BroadcastClasses {
     /// Class of each vertex (isolated and unreplicated vertices share the
     /// mirrorless class).
@@ -71,6 +73,17 @@ impl BroadcastClasses {
     /// in one pass over the routing table; class ids are handed out in
     /// first-seen (ascending vertex) order.
     pub(crate) fn build(pg: &PartitionedGraph, home: &[PartId], exec_of_part: &[u32]) -> Self {
+        Self::build_hashed(pg, home, exec_of_part, key_hash)
+    }
+
+    /// [`BroadcastClasses::build`], finding keys by `hash`: any hash gives
+    /// the same classes, a good one only gives them sooner.
+    fn build_hashed(
+        pg: &PartitionedGraph,
+        home: &[PartId],
+        exec_of_part: &[u32],
+        hash: fn(&[u32]) -> u64,
+    ) -> Self {
         let np = pg.num_parts() as usize;
         let mut classes = Self {
             class_of: Vec::with_capacity(home.len()),
@@ -81,11 +94,9 @@ impl BroadcastClasses {
             home_counts: vec![0; np],
             isolated_counts: vec![0; np],
         };
-        // BTreeMap, not a hash map: lookups only, but clippy.toml's
-        // `disallowed-types` keeps unordered containers out of library code.
         // The key is `[master_exec, exec, count, exec, count, …]`, empty for
         // a vertex without mirrors.
-        let mut ids: std::collections::BTreeMap<Vec<u32>, u32> = std::collections::BTreeMap::new();
+        let mut ids = KeyTable::new(hash);
         let (mut execs, mut key) = (Vec::new(), Vec::new());
         for (v, (&h, &master)) in home.iter().zip(pg.masters()).enumerate() {
             classes.home_counts[part_index(h)] += 1;
@@ -111,24 +122,18 @@ impl BroadcastClasses {
                     _ => key.extend([exec, 1]),
                 }
             }
-            let class = match ids.get(key.as_slice()) {
-                Some(&class) => class,
-                None => {
-                    let class = u32::try_from(classes.population.len())
-                        .unwrap_or_else(|_| panic!("more than 2^32 broadcast classes"));
-                    classes.population.push(0);
-                    classes.master_exec.push(key.first().copied().unwrap_or(0));
-                    let pairs = key.get(1..).unwrap_or(&[]).chunks_exact(2);
-                    classes
-                        .mirrors
-                        .extend(pairs.map(|pair| (pair[0], u64::from(pair[1]))));
-                    let end = u32::try_from(classes.mirrors.len())
-                        .unwrap_or_else(|_| panic!("more than 2^32 broadcast mirrors"));
-                    classes.offsets.push(end);
-                    ids.insert(key.clone(), class);
-                    class
-                }
-            };
+            let (class, fresh) = ids.intern(&key);
+            if fresh {
+                classes.population.push(0);
+                classes.master_exec.push(key.first().copied().unwrap_or(0));
+                let pairs = key.get(1..).unwrap_or(&[]).chunks_exact(2);
+                classes
+                    .mirrors
+                    .extend(pairs.map(|pair| (pair[0], u64::from(pair[1]))));
+                let end = u32::try_from(classes.mirrors.len())
+                    .unwrap_or_else(|_| panic!("more than 2^32 broadcast mirrors"));
+                classes.offsets.push(end);
+            }
             classes.population[class as usize] += 1;
             classes.class_of.push(class);
         }
@@ -150,6 +155,94 @@ impl BroadcastClasses {
         let master = self.master_exec[class];
         for &(to, count) in self.mirrors_of(class) {
             ledger.send_exec(master, to, states * count, bytes * count);
+        }
+    }
+}
+
+/// The fixed hash of a broadcast-class key: a multiply-xor fold of its
+/// words, finished by a full-avalanche mix so that the low bits a table
+/// slot reads depend on every word.
+fn key_hash(key: &[u32]) -> u64 {
+    let folded = key.iter().fold(key.len() as u64, |h, &word| {
+        (h.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    });
+    hash64(folded)
+}
+
+/// Class ids by key: every interned key end to end in one `u32` arena, and
+/// an open-addressing table (linear probing, at most half full) of the
+/// ids, each slot's key read back from the arena. Ids count up from zero
+/// in first-interned order.
+struct KeyTable {
+    hash: fn(&[u32]) -> u64,
+    /// The keys, id after id.
+    arena: Vec<u32>,
+    /// Arena offsets: key `id` is `arena[starts[id]..starts[id + 1]]`.
+    starts: Vec<usize>,
+    /// An id or [`KeyTable::EMPTY`] per slot; the length is a power of two.
+    slots: Vec<u32>,
+}
+
+impl KeyTable {
+    const EMPTY: u32 = u32::MAX;
+    /// Slots before the first growth.
+    const INITIAL_SLOTS: usize = 64;
+
+    fn new(hash: fn(&[u32]) -> u64) -> Self {
+        Self {
+            hash,
+            arena: Vec::new(),
+            starts: vec![0],
+            slots: vec![Self::EMPTY; Self::INITIAL_SLOTS],
+        }
+    }
+
+    fn key(&self, id: u32) -> &[u32] {
+        &self.arena[self.starts[id as usize]..self.starts[id as usize + 1]]
+    }
+
+    /// The first slot to probe for a key of hash `hash`.
+    // Masked below the slot count, the hash fits `usize`.
+    #[allow(clippy::cast_possible_truncation)]
+    fn home_slot(&self, hash: u64) -> usize {
+        (hash & (self.slots.len() as u64 - 1)) as usize
+    }
+
+    /// `key`'s id, and whether this call handed it out.
+    fn intern(&mut self, key: &[u32]) -> (u32, bool) {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home_slot((self.hash)(key));
+        while self.slots[at] != Self::EMPTY {
+            let id = self.slots[at];
+            if self.key(id) == key {
+                return (id, false);
+            }
+            at = (at + 1) & mask;
+        }
+        let id = u32::try_from(self.starts.len() - 1)
+            .ok()
+            .filter(|&id| id != Self::EMPTY)
+            .unwrap_or_else(|| panic!("more than 2^32 - 1 broadcast classes"));
+        self.arena.extend_from_slice(key);
+        self.starts.push(self.arena.len());
+        self.slots[at] = id;
+        if 2 * self.starts.len() > self.slots.len() {
+            self.grow();
+        }
+        (id, true)
+    }
+
+    /// Doubles the slots and re-seats every id from its arena key.
+    fn grow(&mut self) {
+        let ids = self.starts.len() - 1;
+        self.slots = vec![Self::EMPTY; 2 * self.slots.len()];
+        let mask = self.slots.len() - 1;
+        for id in (0u32..).take(ids) {
+            let mut at = self.home_slot((self.hash)(self.key(id)));
+            while self.slots[at] != Self::EMPTY {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = id;
         }
     }
 }
@@ -640,4 +733,107 @@ pub(crate) fn bill_superstep(
         }
     }
     delta.msgs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cutfit_cluster::ClusterConfig;
+    use cutfit_graph::Graph;
+    use cutfit_partition::{GraphXStrategy, Partitioner};
+
+    /// The interning the key table replaced, kept as its reference: one
+    /// `Vec` key per class in a `BTreeMap`.
+    fn reference_classes(
+        pg: &PartitionedGraph,
+        home: &[PartId],
+        exec_of_part: &[u32],
+    ) -> BroadcastClasses {
+        let np = pg.num_parts() as usize;
+        let mut classes = BroadcastClasses {
+            class_of: Vec::new(),
+            population: Vec::new(),
+            master_exec: Vec::new(),
+            offsets: vec![0],
+            mirrors: Vec::new(),
+            home_counts: vec![0; np],
+            isolated_counts: vec![0; np],
+        };
+        let mut ids: std::collections::BTreeMap<Vec<u32>, u32> = Default::default();
+        for (v, (&h, &master)) in home.iter().zip(pg.masters()).enumerate() {
+            classes.home_counts[h as usize] += 1;
+            if master == NO_PART {
+                classes.isolated_counts[h as usize] += 1;
+            }
+            let mut execs: Vec<u32> = (pg.routing().parts_of(v as VertexId).iter())
+                .filter(|&&p| p != h)
+                .map(|&p| exec_of_part[p as usize])
+                .collect();
+            execs.sort_unstable();
+            let mut key = Vec::new();
+            if !execs.is_empty() {
+                key.push(exec_of_part[h as usize]);
+            }
+            for exec in execs {
+                match key.len() {
+                    n if n > 1 && key[n - 2] == exec => key[n - 1] += 1,
+                    _ => key.extend([exec, 1]),
+                }
+            }
+            let fresh = classes.population.len() as u32;
+            let class = *ids.entry(key.clone()).or_insert(fresh);
+            if class == fresh {
+                classes.population.push(0);
+                classes.master_exec.push(key.first().copied().unwrap_or(0));
+                let pairs = key.get(1..).unwrap_or(&[]).chunks_exact(2);
+                classes
+                    .mirrors
+                    .extend(pairs.map(|pair| (pair[0], u64::from(pair[1]))));
+                classes.offsets.push(classes.mirrors.len() as u32);
+            }
+            classes.population[class as usize] += 1;
+            classes.class_of.push(class);
+        }
+        classes
+    }
+
+    #[test]
+    fn interning_equals_the_tree_reference() {
+        // RMAT with isolated vertices appended, so the hash-fallback homes
+        // are exercised, cut by the six GraphX strategies.
+        let config = cutfit_datagen::RmatConfig {
+            scale: 9,
+            edges: 8 << 9,
+            ..Default::default()
+        };
+        let g = cutfit_datagen::rmat(&config, 7);
+        let g = Graph::new(g.num_vertices() + 7, g.edges().to_vec());
+        let mut grew = false;
+        for parts in [1, 10, 64] {
+            for strategy in GraphXStrategy::all() {
+                let pg = strategy.partition(&g, parts);
+                let home_of = |(v, &m): (u64, &PartId)| match m {
+                    NO_PART => (hash64(v) % u64::from(parts)) as PartId,
+                    m => m,
+                };
+                let home: Vec<PartId> = (0u64..).zip(pg.masters()).map(home_of).collect();
+                for executors in [1, 4, 7, 100] {
+                    let cluster = ClusterConfig {
+                        executors,
+                        ..ClusterConfig::paper_cluster()
+                    };
+                    let exec_of_part: Vec<u32> =
+                        (0..parts).map(|p| cluster.executor_of(p)).collect();
+                    let what = format!("{strategy} at {parts} parts on {executors} executors");
+                    let reference = reference_classes(&pg, &home, &exec_of_part);
+                    let interned = BroadcastClasses::build(&pg, &home, &exec_of_part);
+                    assert_eq!(interned, reference, "{what}");
+                    let collided = BroadcastClasses::build_hashed(&pg, &home, &exec_of_part, |_| 7);
+                    assert_eq!(collided, reference, "{what}, constant hash");
+                    grew |= 2 * reference.len() > KeyTable::INITIAL_SLOTS;
+                }
+            }
+        }
+        assert!(grew, "no cut had classes enough to grow the table");
+    }
 }

@@ -19,7 +19,7 @@
 
 use cutfit_graph::types::PartId;
 use cutfit_partition::PartitionedGraph;
-use cutfit_util::num::{part_index, vid_index};
+use cutfit_util::num::vid_index;
 
 use crate::bill::{MessageSizing, PartialBytes};
 use crate::program::Messages;
@@ -94,7 +94,7 @@ pub struct MessageTrace {
     /// Every state's bytes, when the program declares them fixed.
     pub(crate) fixed_state: Option<u64>,
     /// Each vertex's initial state bytes; empty under fixed-size states.
-    pub(crate) setup_bytes: Vec<u64>,
+    pub(crate) setup_bytes: SetupBytes,
     pub(crate) supersteps: Vec<TracedSuperstep>,
     /// True when the run stopped because no message flowed: any superstep
     /// cap at least as long bills the same run.
@@ -108,7 +108,7 @@ impl MessageTrace {
             .supersteps
             .iter()
             .map(|s| 24 * s.words.len() + 8 * s.masks.len() + 16 * s.applied.len());
-        (8 * self.setup_bytes.len() + steps.sum::<usize>()) as u64
+        (16 * self.setup_bytes.exceptions.len() + steps.sum::<usize>()) as u64
     }
 
     /// Panics unless the trace can bill a run of at most `max_iterations`
@@ -132,36 +132,43 @@ impl MessageTrace {
     }
 }
 
-/// The global index of each of `pg`'s edges, partition after partition
-/// and in each partition's edge order: partition `p`'s edges are the
-/// global edges `assignment` puts there, in edge-list order.
-///
-/// # Panics
-/// Panics if `assignment` does not fill `pg`'s partitions edge for edge,
-/// or if the graph has 2^32 edges or more.
-pub(crate) fn global_order(pg: &PartitionedGraph, assignment: &[PartId]) -> Vec<u32> {
-    let mut next = Vec::with_capacity(pg.parts().len());
-    let mut start = 0;
-    for part in pg.parts() {
-        next.push(start);
-        start += part.edges.len();
+/// Each vertex's initial state bytes, as one size most vertices share and
+/// the vertices whose size differs: a program's setup gives all but a few
+/// vertices (SSSP's landmarks, say) the same state.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct SetupBytes {
+    common: u64,
+    /// `(vertex, bytes)` of each vertex whose size is not `common`,
+    /// ascending by vertex.
+    exceptions: Vec<(u64, u64)>,
+}
+
+impl SetupBytes {
+    /// `bytes[v]` for every vertex `v`. The common size is the majority
+    /// size when one exists (found in one pass, Boyer–Moore), so a vertex
+    /// costs nothing here unless its size is in the minority.
+    fn of(bytes: &[u64]) -> Self {
+        let (mut common, mut lead) = (0, 0u64);
+        for &b in bytes {
+            if lead == 0 {
+                common = b;
+            }
+            lead = if b == common { lead + 1 } else { lead - 1 };
+        }
+        let exceptions = (0u64..).zip(bytes).filter(|&(_, &b)| b != common);
+        Self {
+            common,
+            exceptions: exceptions.map(|(v, &b)| (v, b)).collect(),
+        }
     }
-    assert_eq!(start, assignment.len(), "one assignment per edge");
-    let mut global_of = vec![0u32; assignment.len()];
-    for (g, &p) in (0u32..).zip(assignment) {
-        let at = &mut next[part_index(p)];
-        global_of[*at] = g;
-        *at += 1;
+
+    /// Vertex `v`'s initial state bytes.
+    pub(crate) fn get(&self, v: usize) -> u64 {
+        let at = self
+            .exceptions
+            .binary_search_by_key(&(v as u64), |&(u, _)| u);
+        at.map_or(self.common, |i| self.exceptions[i].1)
     }
-    let ends = pg.parts().iter().scan(0, |end, part| {
-        *end += part.edges.len();
-        Some(*end)
-    });
-    assert!(
-        next.iter().copied().eq(ends),
-        "the assignment is not the cut's"
-    );
-    global_of
 }
 
 const SCANNED: u8 = 1;
@@ -241,7 +248,8 @@ pub(crate) struct Capture<M> {
 /// one [`TracedSuperstep`] in global edge order.
 pub(crate) struct Recorder<M> {
     pub(crate) capture: Capture<M>,
-    /// Global index of each edge, partition-major (see [`global_order`]).
+    /// Global index of each edge, partition-major (see
+    /// [`PartitionedGraph::global_order`]).
     global_of: Vec<u32>,
     /// Each vertex's state bytes as of the superstep being recorded; empty
     /// under fixed-size states.
@@ -271,14 +279,14 @@ impl<M> Recorder<M> {
         };
         Self {
             capture: Capture { parts, mask },
-            global_of: global_order(pg, assignment),
+            global_of: pg.global_order(assignment),
             bytes_now: Vec::new(),
             trace: MessageTrace {
                 vertices: pg.num_vertices(),
                 edges: pg.num_edges(),
                 partials: PartialBytes::of(sizing),
                 fixed_state,
-                setup_bytes: Vec::new(),
+                setup_bytes: SetupBytes::default(),
                 supersteps: Vec::new(),
                 converged: false,
             },
@@ -290,7 +298,7 @@ impl<M> Recorder<M> {
         if self.trace.fixed_state.is_none() {
             let n = vid_index(self.trace.vertices);
             self.bytes_now = (0..n).map(state_bytes).collect();
-            self.trace.setup_bytes = self.bytes_now.clone();
+            self.trace.setup_bytes = SetupBytes::of(&self.bytes_now);
         }
     }
 

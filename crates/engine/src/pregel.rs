@@ -64,7 +64,7 @@ use crate::bill::{
     PartialBytes, SteadyShape, StepEdges, SuperstepBill,
 };
 use crate::frontier::{plan_scan, FrontierBuffers, Incidence, Occurrence};
-use crate::message_trace::{global_order, Capture, MessageTrace, PartCapture, Recorder};
+use crate::message_trace::{Capture, MessageTrace, PartCapture, Recorder};
 use crate::program::{
     ActiveDirection, InitCtx, Messages, OwnedState, Triplet, VertexProgram, VertexState,
 };
@@ -522,9 +522,9 @@ impl PreparedRun {
         opts: &PregelConfig,
     ) -> Result<(SimReport, u64), SimError> {
         trace.check(&self.pg, assignment, opts.max_iterations);
-        let global_of = global_order(&self.pg, assignment);
+        let global_of = self.pg.global_order(assignment);
         let fixed = trace.fixed_state;
-        let setup = |v: usize| fixed.unwrap_or_else(|| trace.setup_bytes[v]);
+        let setup = |v: usize| fixed.unwrap_or_else(|| trace.setup_bytes.get(v));
         self.bill_without_running(
             opts,
             (fixed, &setup),

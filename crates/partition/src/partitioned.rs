@@ -19,7 +19,7 @@ use cutfit_graph::types::PartId;
 use cutfit_graph::{Graph, VertexId};
 use cutfit_util::exec::{run_ranges, DisjointSlice};
 use cutfit_util::hash::hash64;
-use cutfit_util::num::vid_index;
+use cutfit_util::num::{part_index, vid_index};
 
 /// Sentinel for "vertex has no replica anywhere" (isolated vertices).
 pub const NO_PART: PartId = PartId::MAX;
@@ -430,6 +430,39 @@ impl PartitionedGraph {
     /// Per-partition edge counts (length `num_parts`).
     pub fn edge_counts(&self) -> Vec<u64> {
         self.parts.iter().map(|p| p.num_edges()).collect()
+    }
+
+    /// The global index of each of this cut's edges, partition after
+    /// partition and in each partition's edge order: partition `p`'s edges
+    /// are the edges of the graph's edge list that `assignment` puts there,
+    /// in edge-list order, because the build's scatter is stable.
+    ///
+    /// # Panics
+    /// Panics if `assignment` does not fill the partitions edge for edge,
+    /// or if the graph has 2^32 edges or more.
+    pub fn global_order(&self, assignment: &[PartId]) -> Vec<u32> {
+        let mut next = Vec::with_capacity(self.parts.len());
+        let mut start = 0;
+        for part in &self.parts {
+            next.push(start);
+            start += part.edges.len();
+        }
+        assert_eq!(start, assignment.len(), "one assignment per edge");
+        let mut global_of = vec![0u32; assignment.len()];
+        for (g, &p) in (0u32..).zip(assignment) {
+            let at = &mut next[part_index(p)];
+            global_of[*at] = g;
+            *at += 1;
+        }
+        let ends = self.parts.iter().scan(0, |end, part| {
+            *end += part.edges.len();
+            Some(*end)
+        });
+        assert!(
+            next.iter().copied().eq(ends),
+            "the assignment is not the cut's"
+        );
+        global_of
     }
 }
 

@@ -8,7 +8,9 @@
 //! place. An always-active program on a warm [`PreparedRun`] (PageRank)
 //! allocates O(partitions) per superstep, never O(vertices). Triangle
 //! Count's four-phase dataflow allocates O(partitions) per run: flat
-//! columns and one neighbour CSR, never a set per (partition, vertex).
+//! columns and one neighbour CSR, never a set per (partition, vertex); a
+//! warm TR probe, billed from the index's supported bits, allocates
+//! O(partitions) too, never one per edge.
 //!
 //! The allocator also notes the largest single request, which referees
 //! untrusted input: opening a container whose header lies about its edge
@@ -23,6 +25,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use cutfit::algorithms::suite::{Reused, TraceSlot};
 use cutfit::algorithms::triangles::{canonicalize, triangle_count_partitioned};
 use cutfit::algorithms::{ConnectedComponents, PageRank, Sssp};
 use cutfit::engine::InitCtx;
@@ -277,6 +280,46 @@ fn a_warm_traced_bill_allocates_by_partition_not_by_edge() {
         // be many floors deep.
         assert!(g.num_vertices() > 8 * floor, "{name}: floor {floor}");
     }
+}
+
+#[test]
+fn a_warm_triangle_probe_allocates_by_partition_not_by_edge() {
+    const PARTS: u32 = 8;
+    let g = canonicalize(&cutfit::datagen::rmat(
+        &cutfit::datagen::RmatConfig::default(),
+        12,
+    ));
+    let assignment = GraphXStrategy::EdgePartition2D.assign_edges(&g, PARTS);
+    let pg = Arc::new(PartitionedGraph::build(&g, &assignment, PARTS));
+    let cluster = ClusterConfig::paper_cluster();
+    let mode = ExecutorMode::Sequential;
+    let mut triangles = None;
+    let mut probe = || {
+        let reused = Reused {
+            prepared: &mut None,
+            triangles: &mut triangles,
+        };
+        let traced = TraceSlot {
+            trace: &mut None,
+            assignment: &mut || assignment.clone(),
+        };
+        Algorithm::Triangles
+            .probe_on_cut(&pg, reused, traced, &cluster, mode, mode)
+            .expect("fits")
+    };
+    // Warm: the index and its supported bits are the session's, built by
+    // the first probe.
+    probe();
+    let (allocations, (_, supersteps)) = allocations_of(&mut probe);
+    assert_eq!(supersteps, 4);
+    let floor = 2 * u64::from(PARTS) + SLACK;
+    assert!(
+        allocations <= floor,
+        "{allocations} allocations on {PARTS} partitions (floor {floor})"
+    );
+    // The bound can tell: one allocation per vertex or per edge would be
+    // many floors deep.
+    assert!(g.num_vertices() > 8 * floor, "floor {floor}");
 }
 
 #[test]
