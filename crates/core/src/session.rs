@@ -537,11 +537,11 @@ impl Workspace {
         cluster: ClusterConfig,
         executor: ExecutorMode,
     ) -> Result<Self, cutfit_graph::io::ParseError> {
-        // The executor sizes the decode pool like every other pool of the
-        // session: one thread keeps the sequential read-decode loop, more
-        // get a modest read-ahead window. The chunk stream is bit-identical
-        // either way, so the only effect is overlapping container I/O with
-        // checksum+varint work.
+        // The executor sizes the decode shards like every other pool of the
+        // session: one thread decodes one block per batch on the calling
+        // thread, more decode batches of eight blocks across the threads.
+        // The chunk stream is bit-identical either way, so the only effect
+        // is spreading the checksum+varint work.
         let threads = executor.threads();
         let source = cutfit_graph::BinaryFileSource::open(path)?
             .with_decode_threads(threads)
@@ -550,7 +550,7 @@ impl Workspace {
     }
 
     /// Creates a session over an already-opened (and possibly
-    /// pipeline-configured) [`cutfit_graph::BinaryFileSource`]. The load is
+    /// decode-configured) [`cutfit_graph::BinaryFileSource`]. The load is
     /// billed from the container's bytes on disk, exactly like
     /// [`Workspace::from_binary_file`].
     pub fn from_binary_source(

@@ -44,16 +44,17 @@
 //!   cheaply**: it reads bytes and validates frame bookkeeping (nonzero
 //!   counts, the running edge total against the header, trailing data)
 //!   but never touches a checksum or a varint.
-//! * `decode_block` / `decode_block_into` are **pure functions** over
-//!   one [`RawBlock`]: verify the payload checksum, decode the varints,
-//!   range-check the endpoints. Blocks decode independently (per-block
-//!   delta reset), so this is the unit of parallel work — a
-//!   [`RawBlock`] carries its absolute byte offset, and every error a
-//!   worker thread can produce still names the exact file position.
+//! * `decode_block_into` is a **pure function** over one [`RawBlock`]:
+//!   verify the payload checksum, decode the varints, range-check the
+//!   endpoints. Blocks decode independently (per-block delta reset), so
+//!   this is the unit of parallel work — a [`RawBlock`] carries its
+//!   absolute byte offset, and every error a worker thread can produce
+//!   still names the exact file position.
 //!
-//! `scan_binary` composes the two sequentially; the pipelined
-//! `BinaryFileSource` fans `decode_block` out across worker threads and
-//! re-serializes the results in frame order.
+//! `scan_binary` composes the two one block at a time;
+//! `BinaryFileSource` reads a batch of frames, decodes the batch's blocks
+//! on `cutfit_util::exec::fill_chunks` shards, and delivers them in frame
+//! order.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -313,7 +314,7 @@ pub struct RawBlock {
 /// [`RawBlock`] per call — frame-level bookkeeping only (nonzero counts,
 /// the running edge total against the header's `num_edges`, truncation,
 /// trailing data), no checksums, no varints. Feed the blocks through
-/// `decode_block` on any thread.
+/// `decode_block_into` on any thread.
 pub struct RawBlockReader<R> {
     r: R,
     header: BinHeader,
@@ -419,21 +420,13 @@ impl<R: Read> RawBlockReader<R> {
     }
 }
 
-/// Verifies and decodes one raw block into a fresh vector — the pure,
-/// thread-safe unit of parallel decode work. See [`decode_block_into`] for
-/// the buffer-reusing variant the sequential path drives.
-pub(crate) fn decode_block(header: &BinHeader, block: &RawBlock) -> Result<Vec<Edge>, ParseError> {
-    let mut edges = Vec::with_capacity(block.edge_count as usize);
-    decode_block_into(header, block, &mut edges)?;
-    Ok(edges)
-}
-
-/// [`decode_block`] into a caller-owned buffer (cleared first): verifies
-/// the payload checksum, decodes the zigzag-varint deltas, and range-checks
-/// every endpoint against the header's vertex count. Pure — no I/O, no
-/// shared state — and every error carries the absolute byte offset derived
-/// from `block.offset`, so a failure inside a worker thread reads exactly
-/// like one from the sequential path.
+/// Verifies and decodes one raw block into a caller-owned buffer (cleared
+/// first): checks the payload checksum, decodes the zigzag-varint deltas,
+/// and range-checks every endpoint against the header's vertex count. Pure
+/// — no I/O, no shared state — so it is the unit of parallel decode work,
+/// and every error carries the absolute byte offset derived from
+/// `block.offset`, so a failure on a worker thread reads exactly like one
+/// on the calling thread.
 pub(crate) fn decode_block_into(
     header: &BinHeader,
     block: &RawBlock,
@@ -741,9 +734,11 @@ mod tests {
         let mut reader = RawBlockReader::new(&bytes[..]).unwrap();
         let header = reader.header();
         let mut decoded: Vec<Edge> = Vec::new();
+        let mut edges: Vec<Edge> = Vec::new();
         while let Some(block) = reader.next_block().unwrap() {
             assert!(block.edge_count > 0);
-            decoded.extend(decode_block(&header, &block).unwrap());
+            decode_block_into(&header, &block, &mut edges).unwrap();
+            decoded.extend_from_slice(&edges);
         }
         assert_eq!(decoded, g.edges());
     }
@@ -768,9 +763,10 @@ mod tests {
         let expected_offset = blocks[1].offset + 8 + blocks[1].payload.len() as u64;
         blocks.reverse(); // order must not matter for a pure decoder
         let mut failures = 0;
+        let mut edges: Vec<Edge> = Vec::new();
         for block in &blocks {
-            match decode_block(&header, block) {
-                Ok(edges) => assert!(!edges.is_empty()),
+            match decode_block_into(&header, block, &mut edges) {
+                Ok(()) => assert!(!edges.is_empty()),
                 Err(ParseError::ChecksumMismatch { offset, .. }) => {
                     assert_eq!(offset, expected_offset);
                     failures += 1;

@@ -31,7 +31,7 @@ use crate::binfmt::{self, BinHeader};
 use crate::graph::Graph;
 use crate::io::{scan_edge_list, ParseError};
 use crate::types::Edge;
-use cutfit_util::exec::{resolve_threads, run_pipeline};
+use cutfit_util::exec::{fill_chunks, resolve_threads};
 
 /// Facts from one streaming pass over a source.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -240,14 +240,14 @@ impl GraphSource for TextFileSource {
 /// re-sliced to the caller's chunk size. Header is validated at `open`;
 /// block checksums are validated on every pass.
 ///
-/// Decoding can be pipelined: [`with_read_ahead`](Self::with_read_ahead)
-/// bounds how many raw blocks may be in flight ahead of the consumer, and
-/// [`with_decode_threads`](Self::with_decode_threads) fans the
-/// checksum+varint work out to worker threads. Chunk sequences and
-/// [`StreamStats`] are **bit-identical across thread counts**: results are
-/// delivered in frame order, and peak residency is accounted analytically
-/// from the declared window capacity (`read_ahead.max(1)` blocks), never
-/// from observed timing.
+/// Each pass is one loop over batches: read up to
+/// [`read_ahead`](Self::with_read_ahead) raw blocks (at least one, at most
+/// the file's block count), decode them on
+/// [`decode_threads`](Self::with_decode_threads) `fill_chunks` shards, and
+/// deliver them in frame order. Chunk sequences and [`StreamStats`] are
+/// **bit-identical across thread counts**: delivery is in frame order, and
+/// peak residency is accounted from the declared batch capacity
+/// (`read_ahead.max(1)` blocks), never from observed timing.
 #[derive(Debug, Clone)]
 pub struct BinaryFileSource {
     path: PathBuf,
@@ -259,7 +259,8 @@ pub struct BinaryFileSource {
 
 impl BinaryFileSource {
     /// Opens `path` and validates the container header. Decoding defaults
-    /// to the sequential path (`decode_threads = 1`, `read_ahead = 0`).
+    /// to one block per batch on the calling thread (`decode_threads = 1`,
+    /// `read_ahead = 0`).
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, ParseError> {
         let path = path.as_ref().to_path_buf();
         let file = File::open(&path).map_err(ParseError::Io)?;
@@ -289,16 +290,16 @@ impl BinaryFileSource {
     }
 
     /// Sets the decode worker count (`0` = auto via
-    /// [`resolve_threads`]). Workers are capped at the reorder window, so
-    /// extra threads never widen the residency bound.
+    /// [`resolve_threads`]): the shards each batch's blocks are decoded on.
+    /// Workers are capped at the batch size, so extra threads never widen
+    /// the residency bound.
     pub fn with_decode_threads(mut self, decode_threads: usize) -> Self {
         self.decode_threads = decode_threads;
         self
     }
 
-    /// Sets the read-ahead depth: how many raw blocks may be in flight
-    /// (read but not yet consumed) at once. `0` keeps the fully
-    /// sequential read-decode-consume loop.
+    /// Sets the read-ahead depth: the blocks read and decoded per batch.
+    /// `0` and `1` both mean one block per batch.
     pub fn with_read_ahead(mut self, read_ahead: usize) -> Self {
         self.read_ahead = read_ahead;
         self
@@ -343,49 +344,82 @@ impl GraphSource for BinaryFileSource {
         let mut reader = binfmt::RawBlockReader::new(file)?;
         let header = reader.header();
         let mut chunker = Chunker::new(chunk_edges, sink);
-        // The reorder window is the declared in-flight capacity: at least
-        // one block is always resident while decoding. Residency is charged
-        // per delivered block from this *capacity* — `window` blocks of at
-        // most `block_edges` edges, clamped to the file's total — so the
-        // reported peak is a pure function of (data, chunk_edges,
-        // read_ahead) and cannot vary with thread scheduling. At
-        // `window == 1` this equals the old sequential accounting (one
-        // full block resident beside the chunk buffer).
-        let window = self.read_ahead.max(1);
+        // A batch is at most `window` blocks, and never more than the file
+        // declares. Residency is charged per delivered block from this
+        // *capacity* — `window` blocks of at most `block_edges` edges,
+        // clamped to the file's total — so the reported peak is a pure
+        // function of (data, chunk_edges, read_ahead) and cannot vary with
+        // the worker count. The clamp leaves that figure alone: a window of
+        // every block already covers `num_edges`.
+        let blocks = header.num_edges.div_ceil(u64::from(header.block_edges));
+        let window = self
+            .read_ahead
+            .min(usize::try_from(blocks).unwrap_or(usize::MAX))
+            .max(1);
         let window_bytes = (window as u64)
             .saturating_mul(header.block_edges as u64)
             .min(header.num_edges)
             .saturating_mul(EDGE_BYTES);
-        let resolved = resolve_threads(self.decode_threads);
-        let workers = resolved.min(window).max(1);
-        if resolved <= 1 && self.read_ahead == 0 {
-            // Sequential path: read, decode, and consume one block at a
-            // time on the calling thread, reusing one decode buffer.
-            let mut edges: Vec<Edge> = Vec::new();
-            while let Some(block) = reader.next_block()? {
-                binfmt::decode_block_into(&header, &block, &mut edges)?;
-                chunker.note_resident(window_bytes);
-                chunker.push_run(&edges);
+        let workers = resolve_threads(self.decode_threads).min(window).max(1);
+        let mut slots: Vec<DecodeSlot> = Vec::new();
+        loop {
+            // Read up to `window` frames; the reader is sequential (frames
+            // are length-prefixed). Its error waits until every frame read
+            // before it is delivered.
+            let mut read = 0;
+            let mut tail = None;
+            while read < window {
+                match reader.next_block() {
+                    Ok(Some(block)) => {
+                        if read == slots.len() {
+                            slots.push(DecodeSlot::default());
+                        }
+                        slots[read].raw = Some(block);
+                        read += 1;
+                    }
+                    Ok(None) => break,
+                    Err(e) => {
+                        tail = Some(e);
+                        break;
+                    }
+                }
             }
-        } else {
-            // Pipelined path: the raw reader stays sequential (frames are
-            // length-prefixed), decode fans out, and in-order delivery
-            // makes the chunk stream — and any error — bit-identical to
-            // the sequential path.
-            run_pipeline(
-                workers,
-                window,
-                || reader.next_block().transpose(),
-                |block| binfmt::decode_block(&header, &block),
-                |edges: Vec<Edge>| {
-                    chunker.note_resident(window_bytes);
-                    chunker.push_run(&edges);
-                    Ok(())
-                },
-            )?;
+            // Blocks decode independently into their slot's reused buffer,
+            // each raw frame dropped once decoded; delivery is in frame
+            // order, so the chunk stream and the first error are those of
+            // a one-block-at-a-time loop.
+            fill_chunks(&mut slots[..read], workers, |_, batch| {
+                for slot in batch {
+                    if let Some(block) = slot.raw.take() {
+                        slot.error =
+                            binfmt::decode_block_into(&header, &block, &mut slot.edges).err();
+                    }
+                }
+            });
+            for slot in &mut slots[..read] {
+                if let Some(e) = slot.error.take() {
+                    return Err(e);
+                }
+                chunker.note_resident(window_bytes);
+                chunker.push_run(&slot.edges);
+            }
+            if let Some(e) = tail {
+                return Err(e);
+            }
+            if read < window {
+                return Ok(chunker.finish());
+            }
         }
-        Ok(chunker.finish())
     }
+}
+
+/// One block's place in a decode batch: its raw frame until decoded, then
+/// its decode error if any, and an edge buffer kept from batch to batch.
+#[derive(Default)]
+struct DecodeSlot {
+    raw: Option<binfmt::RawBlock>,
+    error: Option<ParseError>,
+    edges: Vec<Edge>,
 }
 
 /// Materializes any source into a resident [`Graph`] (edge order and
@@ -583,6 +617,29 @@ mod tests {
             // Window capacity: 4 blocks × 3 edges beside the chunk buffer.
             let bound = (chunk as u64 + 12) * EDGE_BYTES;
             assert!(wide.unwrap().peak_resident_edge_bytes <= bound);
+        }
+        std::fs::remove_file(&bin).unwrap();
+    }
+
+    #[test]
+    fn an_empty_container_streams_nothing_at_every_geometry() {
+        let g = Graph::new_unchecked(5, vec![]);
+        let dir = std::env::temp_dir().join("cutfit-source-empty");
+        std::fs::create_dir_all(&dir).unwrap();
+        let bin = dir.join("g.bin");
+        binfmt::write_binary_file(&g, &bin).unwrap();
+        let base = BinaryFileSource::open(&bin).unwrap();
+        for (threads, read_ahead) in [(1usize, 0usize), (0, 0), (2, 3), (4, 64)] {
+            let src = base
+                .clone()
+                .with_decode_threads(threads)
+                .with_read_ahead(read_ahead);
+            let (chunks, stats) = collect_chunks(&src, 7);
+            assert!(
+                chunks.is_empty(),
+                "threads={threads} read_ahead={read_ahead}"
+            );
+            assert_eq!(stats, StreamStats::default());
         }
         std::fs::remove_file(&bin).unwrap();
     }

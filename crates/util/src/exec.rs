@@ -12,19 +12,19 @@
 //! * [`run_chunked`] — those ranges, each zipped with its own scratch state
 //!   (the engine's metering deltas);
 //! * [`fill_chunks`] — the ranges' sub-slices of an output slice, carved
-//!   off by `split_at_mut` (the partitioners' per-edge assignments);
+//!   off by `split_at_mut` (the partitioners' per-edge assignments, the
+//!   container decode's per-block slots);
 //! * `run_cut_slices` / [`drain_cut_slices`] — pieces carved at caller-
 //!   chosen cuts, checked once up front to be a monotone cover of the
 //!   slice; the draining form hands each piece's items over by value.
 //!
 //! Beside them: [`DisjointSlice`], a shared-slice cell wrapper for phases
 //! whose write indices are provably disjoint but not contiguous (the
-//! engine's home-partition shards, the fused multi-strategy sweep), and
-//! [`run_pipeline`], a bounded, in-order producer/workers/consumer pipeline
-//! over a condvar ring buffer: frames fan out to N transform threads and
-//! re-serialize through a fixed reorder window, so the consumer sees the
-//! exact sequential sequence at any worker count (the out-of-core
-//! container's block-parallel decode rides this).
+//! engine's home-partition shards, the fused multi-strategy sweep).
+//!
+//! `run_shards` is the library's one place that starts threads, so every
+//! parallel phase — the container decode's batches of blocks included —
+//! runs through it and replays under [`with_shard_permutation`].
 //!
 //! Shard boundaries depend only on the lengths, cuts and thread count
 //! passed in, and each output index is written by exactly one thread, so
@@ -43,7 +43,6 @@
 
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Active adversarial shard order for the calling thread: `(seed, calls so
 /// far)`. Each pool invocation draws a fresh permutation so different
@@ -316,315 +315,6 @@ impl<T> Drop for CutDrain<'_, T> {
             unsafe { slot.assume_init_drop() };
         }
     }
-}
-
-/// Locks a pipeline mutex, recovering the inner state if a sibling thread
-/// panicked while holding it — the scope will re-raise that panic at join,
-/// so shutdown bookkeeping may safely continue on the poisoned state.
-fn pipe_lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// [`Condvar::wait`] with the same poison recovery as [`pipe_lock`].
-fn pipe_wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    match cv.wait(g) {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// One ring-buffer slot of an in-flight pipeline window.
-enum PipeSlot<T, U, E> {
-    /// No frame occupies this slot.
-    Empty,
-    /// Produced, waiting for a worker.
-    Ready(T),
-    /// A worker is transforming the frame off-lock.
-    Taken,
-    /// Transformed (or failed), waiting for in-order delivery.
-    Done(Result<U, E>),
-}
-
-/// The ring slot of frame `seq`.
-// The remainder is below `window`, which came from a `usize`.
-#[allow(clippy::cast_possible_truncation)]
-fn ring_slot(seq: u64, window: u64) -> usize {
-    (seq % window) as usize
-}
-
-/// Shared state of one [`run_pipeline`] run: a bounded ring of sequence-
-/// numbered slots plus the three cursors that define every thread's view.
-/// Invariant: `next_out <= next_work <= next_in <= next_out + window`.
-struct PipeState<T, U, E> {
-    slots: Vec<PipeSlot<T, U, E>>,
-    /// Sequence number the producer will assign next.
-    next_in: u64,
-    /// Lowest sequence number no worker has claimed yet.
-    next_work: u64,
-    /// Sequence number the consumer delivers next (frames are delivered
-    /// strictly in this order — the reorder window).
-    next_out: u64,
-    /// Producer finished (end of stream or producer-side error).
-    produced_all: bool,
-    /// A producer-side error, delivered after every earlier frame.
-    tail_error: Option<E>,
-    /// Abort flag: an error or panic anywhere tells every thread to stop.
-    stop: bool,
-}
-
-struct PipeShared<T, U, E> {
-    state: Mutex<PipeState<T, U, E>>,
-    can_produce: Condvar,
-    can_work: Condvar,
-    can_consume: Condvar,
-}
-
-impl<T, U, E> PipeShared<T, U, E> {
-    fn wake_all(&self) {
-        self.can_produce.notify_all();
-        self.can_work.notify_all();
-        self.can_consume.notify_all();
-    }
-}
-
-/// Sets the stop flag and wakes every pipeline thread if the owning thread
-/// unwinds — a panicking producer, worker, or consumer must not leave its
-/// peers parked on a condvar forever (the scope can only re-raise the panic
-/// after every thread exits).
-struct PipeStopOnPanic<'a, T, U, E> {
-    shared: &'a PipeShared<T, U, E>,
-}
-
-impl<T, U, E> Drop for PipeStopOnPanic<'_, T, U, E> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            pipe_lock(&self.shared.state).stop = true;
-            self.shared.wake_all();
-        }
-    }
-}
-
-/// Runs a bounded, **in-order** three-stage pipeline: one producer (a
-/// dedicated thread, so it reads ahead while downstream stages work), `workers`
-/// transform threads, and the calling thread as the consumer. Frames are
-/// delivered to `consume` in exactly the order `produce` emitted them,
-/// re-serialized through a reorder window of `window` slots — so for any
-/// pure `work`, the consumer observes the same sequence a sequential
-/// `produce → work → consume` loop would, regardless of worker count or
-/// completion order.
-///
-/// * `produce` returns `Some(Ok(frame))` per frame, `None` at end of
-///   stream, or `Some(Err(e))` to end the stream with an error that is
-///   delivered **after** every frame before it (exactly where a
-///   sequential loop would have failed).
-/// * `work` transforms one frame; an `Err` is delivered at the frame's
-///   position in the output order, and everything after it is discarded.
-/// * `consume` may abort the run by returning `Err` — producer and
-///   workers wind down promptly (in-flight frames are discarded).
-///
-/// At most `window` frames exist between production and delivery, which
-/// bounds peak memory to `window` frames plus whatever the stages hold —
-/// an *analytic* bound: it depends only on the window configuration, never
-/// on scheduling, so callers can account residency deterministically.
-/// `workers` and `window` are clamped to ≥ 1; `workers` beyond `window`
-/// cannot help (there are only `window` slots to claim) but is safe.
-///
-/// The run returns the first error in **frame order** (not discovery
-/// order), making error surfacing bit-identical to the sequential loop.
-/// Panics in any stage propagate after all threads unwind — no deadlock,
-/// no orphaned threads (everything lives in one [`std::thread::scope`]).
-pub fn run_pipeline<T, U, E, P, W, C>(
-    workers: usize,
-    window: usize,
-    produce: P,
-    work: W,
-    consume: C,
-) -> Result<(), E>
-where
-    T: Send,
-    U: Send,
-    E: Send,
-    P: FnMut() -> Option<Result<T, E>> + Send,
-    W: Fn(T) -> Result<U, E> + Sync,
-    C: FnMut(U) -> Result<(), E>,
-{
-    let workers = workers.max(1);
-    let window = window.max(1) as u64;
-    let shared: PipeShared<T, U, E> = PipeShared {
-        state: Mutex::new(PipeState {
-            slots: (0..window).map(|_| PipeSlot::Empty).collect(),
-            next_in: 0,
-            next_work: 0,
-            next_out: 0,
-            produced_all: false,
-            tail_error: None,
-            stop: false,
-        }),
-        can_produce: Condvar::new(),
-        can_work: Condvar::new(),
-        can_consume: Condvar::new(),
-    };
-    let mut produce = produce;
-    let mut consume = consume;
-
-    std::thread::scope(|scope| {
-        let sh = &shared;
-        // Producer: reserve a window slot, then read the next frame with
-        // the lock released — the read-ahead overlaps with decode and
-        // consumption, and at most `window` frames are ever in flight.
-        scope.spawn(move || {
-            let _stop_on_panic = PipeStopOnPanic { shared: sh };
-            loop {
-                {
-                    let mut s = pipe_lock(&sh.state);
-                    while !s.stop && s.next_in - s.next_out >= window {
-                        s = pipe_wait(&sh.can_produce, s);
-                    }
-                    if s.stop {
-                        return;
-                    }
-                }
-                match produce() {
-                    None => {
-                        pipe_lock(&sh.state).produced_all = true;
-                        sh.can_work.notify_all();
-                        sh.can_consume.notify_all();
-                        return;
-                    }
-                    Some(Err(e)) => {
-                        let mut s = pipe_lock(&sh.state);
-                        s.tail_error = Some(e);
-                        s.produced_all = true;
-                        drop(s);
-                        sh.can_work.notify_all();
-                        sh.can_consume.notify_all();
-                        return;
-                    }
-                    Some(Ok(frame)) => {
-                        let mut s = pipe_lock(&sh.state);
-                        if s.stop {
-                            return;
-                        }
-                        let idx = ring_slot(s.next_in, window);
-                        s.slots[idx] = PipeSlot::Ready(frame);
-                        s.next_in += 1;
-                        drop(s);
-                        sh.can_work.notify_one();
-                    }
-                }
-            }
-        });
-
-        // Workers: claim the lowest unclaimed frame, transform it off-lock,
-        // park the result in its slot for in-order pickup.
-        for _ in 0..workers {
-            let work = &work;
-            scope.spawn(move || {
-                let _stop_on_panic = PipeStopOnPanic { shared: sh };
-                let mut s = pipe_lock(&sh.state);
-                loop {
-                    if s.stop {
-                        return;
-                    }
-                    if s.next_work < s.next_in {
-                        let seq = s.next_work;
-                        let idx = ring_slot(seq, window);
-                        match std::mem::replace(&mut s.slots[idx], PipeSlot::Taken) {
-                            PipeSlot::Ready(frame) => {
-                                s.next_work = seq + 1;
-                                drop(s);
-                                let out = work(frame);
-                                s = pipe_lock(&sh.state);
-                                if s.stop {
-                                    return;
-                                }
-                                s.slots[idx] = PipeSlot::Done(out);
-                                sh.can_consume.notify_one();
-                                continue;
-                            }
-                            other => {
-                                // Unreachable by the cursor invariant; put
-                                // the slot back and re-check rather than
-                                // panicking with the lock held.
-                                s.slots[idx] = other;
-                            }
-                        }
-                    }
-                    if s.produced_all && s.next_work >= s.next_in {
-                        return;
-                    }
-                    s = pipe_wait(&sh.can_work, s);
-                }
-            });
-        }
-
-        // Consumer (calling thread): deliver frame `next_out` as soon as it
-        // is Done — strictly in order, which is what makes the whole
-        // pipeline's observable behavior deterministic.
-        enum Step<U, E> {
-            Deliver(Result<U, E>),
-            Finished(Option<E>),
-            Stopped,
-        }
-        let _stop_on_panic = PipeStopOnPanic { shared: sh };
-        let mut result: Result<(), E> = Ok(());
-        loop {
-            let step = {
-                let mut s = pipe_lock(&sh.state);
-                loop {
-                    if s.stop {
-                        break Step::Stopped;
-                    }
-                    if s.next_out < s.next_in {
-                        let idx = ring_slot(s.next_out, window);
-                        match std::mem::replace(&mut s.slots[idx], PipeSlot::Empty) {
-                            PipeSlot::Done(res) => {
-                                s.next_out += 1;
-                                break Step::Deliver(res);
-                            }
-                            other => s.slots[idx] = other,
-                        }
-                    } else if s.produced_all {
-                        break Step::Finished(s.tail_error.take());
-                    }
-                    s = pipe_wait(&sh.can_consume, s);
-                }
-            };
-            match step {
-                Step::Deliver(res) => {
-                    sh.can_produce.notify_one();
-                    match res {
-                        Ok(out) => {
-                            if let Err(e) = consume(out) {
-                                result = Err(e);
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
-                Step::Finished(tail) => {
-                    if let Some(e) = tail {
-                        result = Err(e);
-                    }
-                    break;
-                }
-                Step::Stopped => break,
-            }
-        }
-        // Wind down producer and workers (normal completion included —
-        // they may be parked waiting for window space that will never
-        // free).
-        pipe_lock(&sh.state).stop = true;
-        sh.wake_all();
-        result
-    })
 }
 
 /// A slice shared by the worker threads of one phase, written at provably
@@ -1036,162 +726,6 @@ mod tests {
             });
         }));
         assert!(caught.is_err(), "overlap went undetected");
-    }
-
-    /// Drives [`run_pipeline`] over `0..n` with a pure transform and
-    /// collects what the consumer sees.
-    fn pipeline_collect(n: u64, workers: usize, window: usize) -> (Vec<u64>, Result<(), String>) {
-        let mut next = 0u64;
-        let mut seen = Vec::new();
-        let result = run_pipeline(
-            workers,
-            window,
-            || {
-                if next < n {
-                    next += 1;
-                    Some(Ok::<u64, String>(next - 1))
-                } else {
-                    None
-                }
-            },
-            |frame| Ok(frame * frame),
-            |out| {
-                seen.push(out);
-                Ok(())
-            },
-        );
-        (seen, result)
-    }
-
-    #[test]
-    fn pipeline_delivers_in_order_at_every_geometry() {
-        let expected: Vec<u64> = (0..257).map(|i| i * i).collect();
-        for workers in [1usize, 2, 4, 9] {
-            for window in [1usize, 2, 3, 8, 64] {
-                let (seen, result) = pipeline_collect(257, workers, window);
-                assert!(result.is_ok());
-                assert_eq!(seen, expected, "workers={workers} window={window}");
-            }
-        }
-        // Degenerate inputs: empty stream, zero-clamped geometry.
-        let (seen, result) = pipeline_collect(0, 0, 0);
-        assert!(result.is_ok());
-        assert!(seen.is_empty());
-    }
-
-    #[test]
-    fn pipeline_worker_error_surfaces_in_frame_order() {
-        // Frame 5 fails; every frame before it must be delivered, nothing
-        // after it — exactly what a sequential loop would do, even though
-        // later frames may already have been transformed by other workers.
-        for workers in [1usize, 4] {
-            let mut next = 0u64;
-            let mut seen = Vec::new();
-            let result = run_pipeline(
-                workers,
-                4,
-                || {
-                    (next < 100).then(|| {
-                        next += 1;
-                        Ok::<u64, String>(next - 1)
-                    })
-                },
-                |frame| {
-                    if frame == 5 {
-                        Err(format!("boom at {frame}"))
-                    } else {
-                        Ok(frame)
-                    }
-                },
-                |out| {
-                    seen.push(out);
-                    Ok(())
-                },
-            );
-            assert_eq!(result, Err("boom at 5".to_string()), "workers={workers}");
-            assert_eq!(seen, vec![0, 1, 2, 3, 4], "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn pipeline_producer_error_arrives_after_all_frames() {
-        let mut next = 0u64;
-        let mut seen = Vec::new();
-        let result = run_pipeline(
-            3,
-            4,
-            || {
-                if next < 7 {
-                    next += 1;
-                    Some(Ok(next - 1))
-                } else {
-                    Some(Err("read failed".to_string()))
-                }
-            },
-            |frame: u64| Ok(frame),
-            |out| {
-                seen.push(out);
-                Ok(())
-            },
-        );
-        assert_eq!(result, Err("read failed".to_string()));
-        assert_eq!(
-            seen,
-            (0..7).collect::<Vec<_>>(),
-            "all complete frames first"
-        );
-    }
-
-    #[test]
-    fn pipeline_consumer_abort_stops_an_infinite_producer() {
-        // The producer never ends on its own; the consumer aborting must
-        // wind the whole pipeline down instead of hanging.
-        let mut next = 0u64;
-        let mut delivered = 0u64;
-        let result = run_pipeline(
-            2,
-            4,
-            || {
-                next += 1;
-                Some(Ok::<u64, String>(next - 1))
-            },
-            Ok,
-            |_out| {
-                delivered += 1;
-                if delivered == 10 {
-                    Err("enough".to_string())
-                } else {
-                    Ok(())
-                }
-            },
-        );
-        assert_eq!(result, Err("enough".to_string()));
-        assert_eq!(delivered, 10);
-    }
-
-    #[test]
-    fn pipeline_worker_panic_propagates_without_deadlock() {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut next = 0u64;
-            let _ = run_pipeline(
-                2,
-                4,
-                || {
-                    (next < 50).then(|| {
-                        next += 1;
-                        Ok::<u64, String>(next - 1)
-                    })
-                },
-                |frame| {
-                    if frame == 3 {
-                        panic!("worker died");
-                    }
-                    Ok(frame)
-                },
-                |_out| Ok(()),
-            );
-        }));
-        assert!(caught.is_err(), "panic must propagate, not deadlock");
     }
 
     #[test]

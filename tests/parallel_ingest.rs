@@ -1,9 +1,10 @@
-//! Bit-identity and failure-path tests for the parallel container decode
-//! pipeline: `BinaryFileSource` with `decode_threads`/`read_ahead` must
-//! produce the **same chunk sequence and the same `StreamStats`** as the
-//! sequential path at every thread count × block size × chunk size, drive
-//! streaming partitioners to identical assignments, and surface a corrupt
-//! block from a worker thread as a typed `ParseError` with the correct
+//! Bit-identity and failure-path tests for the batched container decode:
+//! `BinaryFileSource` with `decode_threads`/`read_ahead` must produce the
+//! **same chunk sequence and the same `StreamStats`** as the sequential
+//! configuration at every thread count × read-ahead × block size × chunk
+//! size, drive streaming partitioners to identical assignments, and fail a
+//! corrupt, truncated or over-long container after delivering exactly the
+//! sequential pass's edges, with the same typed `ParseError` at the same
 //! absolute byte offset — no panic, no deadlock.
 
 use cutfit::graph::io::ParseError;
@@ -12,6 +13,7 @@ use cutfit::graph::types::PartId;
 use cutfit::graph::{binfmt, BinaryFileSource};
 use cutfit::partition::all_partitioners;
 use cutfit::prelude::*;
+use cutfit::util::exec::with_shard_permutation;
 use proptest::prelude::*;
 
 /// Small random multigraphs with self-loops, duplicate edges, and trailing
@@ -46,11 +48,14 @@ fn collect_chunks(src: &dyn GraphSource, chunk: usize) -> (Vec<Vec<Edge>>, Strea
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The acceptance grid: thread counts {1, 2, 4} × block sizes
-    /// {3, 64, default} × chunk sizes {1, 7, 64 Ki}. Chunk sequences are
-    /// bit-identical to the sequential path everywhere; `StreamStats` is a
-    /// pure function of (data, chunk, read_ahead) — identical across
-    /// thread counts, and equal to the sequential stats at window 1.
+    /// The acceptance grid: thread counts {1, 2, 4, 4 replayed under
+    /// `with_shard_permutation`} × read-ahead {0, 1, 3, 4, 64} × block sizes
+    /// {3, 64, default} × chunk sizes {1, 7, 64 Ki} — a batch of one block,
+    /// a batch that does not divide the block count, and one wider than the
+    /// file. Chunk sequences are bit-identical to the sequential path
+    /// everywhere; `StreamStats` is a pure function of (data, chunk,
+    /// read_ahead) — identical across thread counts, and equal to the
+    /// sequential stats at a batch of one.
     #[test]
     fn parallel_decode_grid_is_bit_identical(graph in arb_graph()) {
         let dir = scratch_dir("grid");
@@ -60,49 +65,58 @@ proptest! {
             let base = BinaryFileSource::open(&path).unwrap();
             for chunk in [1usize, 7, 1 << 16] {
                 let (seq_chunks, seq_stats) = collect_chunks(&base, chunk);
-                let mut wide: Option<StreamStats> = None;
-                for threads in [1usize, 2, 4] {
-                    // Window 1: pipelined stats must equal sequential
-                    // stats exactly (residency peak included).
-                    let (c, s) = collect_chunks(
-                        &base.clone().with_decode_threads(threads),
-                        chunk,
-                    );
-                    if threads > 1 {
-                        prop_assert_eq!(&c, &seq_chunks);
-                        prop_assert_eq!(s, seq_stats);
+                for read_ahead in [0usize, 1, 3, 4, 64] {
+                    let mut wide: Option<StreamStats> = None;
+                    for threads in [1usize, 2, 4] {
+                        let (c, s) = collect_chunks(
+                            &base.clone().with_decode_threads(threads).with_read_ahead(read_ahead),
+                            chunk,
+                        );
+                        prop_assert_eq!(
+                            &c, &seq_chunks,
+                            "block={} chunk={} read_ahead={} threads={}", block, chunk, read_ahead, threads
+                        );
+                        // A batch of one: stats equal the sequential stats
+                        // exactly (residency peak included).
+                        if read_ahead <= 1 {
+                            prop_assert_eq!(s, seq_stats);
+                        }
+                        match wide {
+                            None => wide = Some(s),
+                            Some(first) => prop_assert_eq!(
+                                s, first,
+                                "stats vary with thread count at block={} chunk={} read_ahead={}",
+                                block, chunk, read_ahead
+                            ),
+                        }
                     }
-                    // Window 4: same chunks, stats invariant across
-                    // thread counts.
-                    let (c, s) = collect_chunks(
-                        &base.clone().with_decode_threads(threads).with_read_ahead(4),
-                        chunk,
+                    // The four-thread cell once more, its decode shards
+                    // replayed on this thread in a seeded order.
+                    let (c, s) = with_shard_permutation(read_ahead as u64, || {
+                        collect_chunks(
+                            &base.clone().with_decode_threads(4).with_read_ahead(read_ahead),
+                            chunk,
+                        )
+                    });
+                    prop_assert_eq!(&c, &seq_chunks, "permuted at read_ahead={}", read_ahead);
+                    prop_assert_eq!(Some(s), wide);
+                    // Peak residency is bounded by the declared batch, never
+                    // O(E): read_ahead × block beside the chunk buffer.
+                    let declared = (read_ahead.max(1) as u64 * block as u64).min(graph.num_edges());
+                    let bound = (chunk as u64 + declared) * std::mem::size_of::<Edge>() as u64;
+                    let peak = wide.unwrap().peak_resident_edge_bytes;
+                    prop_assert!(
+                        peak <= bound,
+                        "peak {} exceeds window bound {} at block={} chunk={} read_ahead={}",
+                        peak, bound, block, chunk, read_ahead
                     );
-                    prop_assert_eq!(&c, &seq_chunks, "block={} chunk={} threads={}", block, chunk, threads);
-                    match wide {
-                        None => wide = Some(s),
-                        Some(first) => prop_assert_eq!(
-                            s, first,
-                            "stats vary with thread count at block={} chunk={}", block, chunk
-                        ),
-                    }
                 }
-                // Peak residency is bounded by the declared window, never
-                // O(E): window × block beside the chunk buffer.
-                let declared = (4 * block as u64).min(graph.num_edges());
-                let bound = (chunk as u64 + declared) * std::mem::size_of::<Edge>() as u64;
-                let peak = wide.unwrap().peak_resident_edge_bytes;
-                prop_assert!(
-                    peak <= bound,
-                    "peak {} exceeds window bound {} at block={} chunk={}",
-                    peak, bound, block, chunk
-                );
             }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Streaming partitioners consuming the pipelined source produce the
+    /// Streaming partitioners consuming the multi-threaded source produce the
     /// same assignments as the resident path — decode parallelism is
     /// invisible downstream.
     #[test]
@@ -140,6 +154,40 @@ fn block_frames(bytes: &[u8]) -> Vec<binfmt::RawBlock> {
         frames.push(b);
     }
     frames
+}
+
+/// Fails the pass over `path` in the sequential configuration and at every
+/// read-ahead {1, 2, 3, 64} × decode threads {1, 2, 4}: each configuration
+/// must deliver exactly the edges the sequential one delivers, and fail
+/// with the same error at the same offset. Returns the sequential outcome.
+fn fails_like_sequential(path: &std::path::Path, chunk: usize) -> (Vec<Edge>, ParseError) {
+    let open = || BinaryFileSource::open(path).unwrap();
+    let failed_pass = |source: BinaryFileSource| {
+        let mut delivered: Vec<Edge> = Vec::new();
+        let err = source
+            .for_each_chunk(chunk, &mut |c| delivered.extend_from_slice(c))
+            .expect_err("the container must fail the pass");
+        (delivered, err)
+    };
+    let (seq_edges, seq_err) = failed_pass(open());
+    for read_ahead in [1usize, 2, 3, 64] {
+        for threads in [1usize, 2, 4] {
+            let source = open()
+                .with_decode_threads(threads)
+                .with_read_ahead(read_ahead);
+            let (edges, err) = failed_pass(source);
+            assert_eq!(
+                edges, seq_edges,
+                "read_ahead={read_ahead} threads={threads}"
+            );
+            assert_eq!(
+                format!("{err:?}"),
+                format!("{seq_err:?}"),
+                "read_ahead={read_ahead} threads={threads}"
+            );
+        }
+    }
+    (seq_edges, seq_err)
 }
 
 /// A corrupt checksum in a *middle* block must propagate out of a decode
@@ -193,12 +241,19 @@ fn corrupt_middle_block_error_escapes_the_worker_with_its_offset() {
     let healthy_prefix = (frames.len() / 2) * 16;
     assert!(delivered.len() <= healthy_prefix);
     assert_eq!(delivered.as_slice(), &graph.edges()[..delivered.len()]);
+    // Every configuration delivers the sequential pass's edges, which are
+    // the whole 13-edge chunks of the blocks before the corrupt one.
+    let (delivered, _) = fails_like_sequential(&path, 13);
+    assert_eq!(
+        delivered.as_slice(),
+        &graph.edges()[..healthy_prefix - healthy_prefix % 13]
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Satellite 1 negative tests through the source layer: a truncated last
-/// block and an extra trailing block both fail the pipelined pass with a
-/// typed error instead of silently succeeding.
+/// Negative tests through the source layer: a truncated last block and an
+/// extra trailing block both fail the multi-threaded pass with a typed
+/// error instead of silently succeeding.
 #[test]
 fn truncated_and_trailing_containers_fail_typed_through_the_pipeline() {
     let graph = Graph::new_unchecked(
@@ -227,6 +282,10 @@ fn truncated_and_trailing_containers_fail_typed_through_the_pipeline() {
         matches!(err, ParseError::Truncated { .. }),
         "expected Truncated, got {err:?}"
     );
+    // The 56 edges of the seven whole blocks, in eight whole chunks, arrive
+    // before the cut last frame fails the read.
+    let (delivered, _) = fails_like_sequential(&path, 7);
+    assert_eq!(delivered.as_slice(), &graph.edges()[..56]);
 
     // Extra trailing block: append a copy of the last frame, so the block
     // edge_count sum exceeds the header's num_edges.
@@ -246,9 +305,12 @@ fn truncated_and_trailing_containers_fail_typed_through_the_pipeline() {
         matches!(err, ParseError::Corrupt { .. }),
         "expected Corrupt, got {err:?}"
     );
+    // Every block is decoded; the short last chunk is never flushed.
+    let (delivered, _) = fails_like_sequential(&path, 7);
+    assert_eq!(delivered.as_slice(), &graph.edges()[..56]);
 
     // The healthy file still materializes bit-identically through the
-    // pipelined configuration.
+    // multi-threaded configuration.
     let path = dir.join("ok.cfb");
     std::fs::write(&path, &bytes).unwrap();
     let source = BinaryFileSource::open(&path)
@@ -262,7 +324,7 @@ fn truncated_and_trailing_containers_fail_typed_through_the_pipeline() {
 /// A frame header declaring 1 edge and `u32::MAX` payload bytes is refused
 /// from its eight bytes — `Corrupt` at the frame's offset, before the
 /// payload buffer is allocated — by the sequential reader and by the
-/// pipelined source alike.
+/// multi-threaded source alike.
 #[test]
 fn oversized_payload_declaration_fails_typed_on_both_paths() {
     let graph = Graph::new_unchecked(
@@ -302,6 +364,41 @@ fn oversized_payload_declaration_fails_typed_on_both_paths() {
             .expect_err("the lying frame must fail the pass");
         refused(err);
         assert_eq!(delivered.as_slice(), &graph.edges()[..delivered.len()]);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A read-ahead beyond the file's block count is clamped to it, so the pass
+/// sizes no batch from the request: a one-block container streams with the
+/// sequential stats, and a many-block one exactly as at a read-ahead of its
+/// block count.
+#[test]
+fn an_oversized_read_ahead_streams_every_edge() {
+    let graph = Graph::new_unchecked(
+        20,
+        (0..60u64)
+            .map(|i| Edge::new(i % 20, (i * 3) % 20))
+            .collect::<Vec<_>>(),
+    );
+    let dir = scratch_dir("oversized-read-ahead");
+    let path = dir.join("g.cfb");
+    for (block, blocks) in [(binfmt::DEFAULT_BLOCK_EDGES, 1usize), (8, 8)] {
+        write_container(&graph, &path, block);
+        let open = || BinaryFileSource::open(&path).unwrap();
+        for chunk in [7usize, 1 << 16] {
+            let (seq_chunks, seq_stats) = collect_chunks(&open(), chunk);
+            let (chunks, stats) = collect_chunks(
+                &open().with_decode_threads(1).with_read_ahead(usize::MAX),
+                chunk,
+            );
+            assert_eq!(chunks, seq_chunks, "block={block} chunk={chunk}");
+            assert_eq!(chunks.concat(), graph.edges());
+            let every_block = open().with_decode_threads(1).with_read_ahead(blocks);
+            assert_eq!(stats, collect_chunks(&every_block, chunk).1);
+            if blocks == 1 {
+                assert_eq!(stats, seq_stats, "chunk={chunk}");
+            }
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
