@@ -9,7 +9,7 @@ use cutfit_graph::types::PartId;
 use cutfit_partition::PartitionedGraph;
 
 use crate::sssp::Sssp;
-use crate::triangles::{triangle_bill_supported, triangle_count_indexed, TriangleIndex};
+use crate::triangles::{triangle_bill_supported, TriangleIndex};
 
 /// The paper's two-way algorithm taxonomy (§4, final paragraph): complexity
 /// dominated by edges/messages vs by per-vertex state. It drives the
@@ -107,10 +107,10 @@ impl Algorithm {
                 Algorithm::ConnectedComponents { max_iterations: 3 }
             }
             // TR's four phases are fixed, so there is no shorter run: the
-            // probe is the job, and its simulated bill is the job's. The
-            // probe bills it without counting, reading one supported bit
-            // per edge of the session's triangle index (see
-            // `probe_on_cut`); the metric mode avoids even that.
+            // probe is the job, and its simulated bill is the job's. Both
+            // read one supported bit per edge of the triangle index, which
+            // also holds the count (see `probe_on_cut`); the metric mode
+            // avoids even that.
             Algorithm::Triangles => Algorithm::Triangles,
             Algorithm::Sssp {
                 num_landmarks,
@@ -222,15 +222,16 @@ impl Algorithm {
     ///   ([`PreparedRun::bill_traced`]). A probe that fails records
     ///   nothing, so the next one records;
     /// - **traced from the index** (Triangle Count) — its four phases are
-    ///   billed from the cut's assignment and the triangle index's
-    ///   supported bits, one per edge of the edge list, which the first TR
-    ///   probe builds ([`triangle_bill_supported`]); no edge is looked up
-    ///   and no triangle counted;
+    ///   billed from the triangle index's supported bits, one per edge,
+    ///   each read at its edge's place in the cut's assignment
+    ///   ([`triangle_bill_supported`]); no edge is looked up. The index in
+    ///   `reused` must come from [`TriangleIndex::of_canonical`]: a probe
+    ///   on an empty slot panics and leaves it empty;
     /// - **engine-run** (label propagation, k-core) — a partial is a merge
     ///   of variable-length messages, whose size only the merge knows.
     ///
     /// A probe's answer is never read; a job's is the product, so jobs
-    /// always run (a TR job looks each edge up and counts).
+    /// always run (a TR job looks each edge up; its count is the index's).
     pub fn probe_on_cut(
         &self,
         pg: &Arc<PartitionedGraph>,
@@ -278,14 +279,17 @@ impl Algorithm {
         };
         match self {
             Algorithm::Triangles => {
-                let index = triangles.get_or_insert_with(|| TriangleIndex::of_cut(pg));
-                let load = opts.charge_initial_load;
-                let sim = match probe {
-                    None => triangle_count_indexed(pg, index, cluster, load)?.sim,
-                    Some(TraceSlot { assignment, .. }) => {
-                        triangle_bill_supported(pg, index, &assignment(), cluster, load)?
-                    }
+                let assignment = probe.map(|TraceSlot { assignment, .. }| assignment());
+                // A job may index its own cut; a probe reads bits by
+                // edge-list place, so only the caller's index of the
+                // canonical edge list will do, and none is put in its slot.
+                let index = match (&assignment, triangles) {
+                    (None, slot) => &*slot.get_or_insert_with(|| TriangleIndex::of_cut(pg)),
+                    (Some(_), Some(index)) => &*index,
+                    (Some(_), None) => panic!("a TR probe needs TriangleIndex::of_canonical"),
                 };
+                let load = opts.charge_initial_load;
+                let sim = triangle_bill_supported(pg, index, assignment.as_deref(), cluster, load)?;
                 Ok((sim, 4))
             }
             Algorithm::PageRank { iterations } => {
@@ -368,16 +372,19 @@ pub struct TraceSlot<'a> {
 pub struct Reused<'a> {
     /// The cut's engine handle, built by the first Pregel dispatch on it.
     pub prepared: &'a mut Option<PreparedRun>,
-    /// Triangle Count's index of the graph the cut was cut from, built by
-    /// the first TR dispatch from that cut's edges. Every canonical cut of
-    /// one graph holds the same edges, so one slot serves all of them.
+    /// Triangle Count's index of the graph the cut was cut from, which
+    /// every canonical cut of that graph shares. A TR probe needs it built
+    /// by [`TriangleIndex::of_canonical`] and panics on an empty slot,
+    /// putting nothing in it; a TR job on an empty slot fills it from the
+    /// cut ([`TriangleIndex::of_cut`]).
     pub triangles: &'a mut Option<TriangleIndex>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::triangles::canonicalize;
+    use crate::triangles::tests::reference_triangle_count_partitioned;
+    use crate::triangles::{canonicalize, triangle_count_indexed, TriangleResult};
     use cutfit_graph::analysis::count_triangles;
     use cutfit_graph::{Edge, Graph};
     use cutfit_partition::{GraphXStrategy, Partitioner};
@@ -864,10 +871,12 @@ mod tests {
         clusters
     }
 
-    /// Every TR probe of `cuts` under every cluster of [`tr_clusters`],
-    /// against the count [`triangle_count_indexed`] bills on the same
-    /// index (the slot's, built from the first cut if empty): the first
-    /// cell that differs, if any, and the cells that ran out of memory.
+    /// Every TR job and probe of `cuts` under every cluster of
+    /// [`tr_clusters`], on `triangles`' index of the canonical graph the
+    /// cuts were cut from, against the per-vertex-set reference on the same
+    /// cut: the first cell whose bill or count differs, if any, and the
+    /// cells that ran out of memory. Jobs and probes read the same
+    /// supported bits, so the reference referees both.
     fn tr_probe_mismatch(
         triangles: &mut Option<TriangleIndex>,
         cuts: &[AssignedCut],
@@ -877,11 +886,13 @@ mod tests {
         for (setting, cluster) in &tr_clusters() {
             for (cut, pg, assignment) in cuts {
                 let what = format!("{cut}, {setting}");
-                let index = triangles.get_or_insert_with(|| TriangleIndex::of_cut(pg));
-                let counted = |load| triangle_count_indexed(pg, index, cluster, load);
-                let (counted, loaded) = (counted(false), counted(true).map(|r| r.sim));
-                let billed = triangle_bill_supported(pg, index, assignment, cluster, true);
-                if billed != loaded {
+                let reference = |load| reference_triangle_count_partitioned(pg, cluster, load);
+                let index = triangles.as_ref().expect("the canonical graph's index");
+                let counted = triangle_count_indexed(pg, index, cluster, true);
+                let billed = triangle_bill_supported(pg, index, Some(assignment), cluster, true);
+                let answer = |r: TriangleResult| (r.sim, r.total, r.per_vertex);
+                let loaded = reference(true).map(answer);
+                if counted.map(answer) != loaded || billed != loaded.map(|(sim, ..)| sim) {
                     return (Some(format!("{what}, load charged")), out_of_memory);
                 }
                 let mut prepared = None;
@@ -899,7 +910,7 @@ mod tests {
                     prepared.is_none(),
                     "{what}: a TR probe built an engine handle"
                 );
-                if probed != counted.map(|r| (r.sim, 4)) {
+                if probed != reference(false).map(|r| (r.sim, 4)) {
                     return (Some(what), out_of_memory);
                 }
                 if let Err(SimError::OutOfMemory { .. }) = probed {
@@ -938,14 +949,15 @@ mod tests {
         let canon = canonicalize(&billing_graph());
         let free = lattice(12);
         for (family, g) in [("RMAT", &canon), ("lattice", &free)] {
-            let mut triangles = None;
+            let mut triangles = Some(TriangleIndex::of_canonical(g));
             let (mismatch, out_of_memory) = tr_probe_mismatch(&mut triangles, &tr_cuts(g));
             assert_eq!(mismatch, None, "{family}");
             assert!(out_of_memory > 0, "{family}: no cell ran out of memory");
         }
         assert!(count_triangles(&free) == 0 && count_triangles(&canon) > 0);
         let empty = Graph::new(0, Vec::new());
-        let (mismatch, _) = tr_probe_mismatch(&mut None, &tr_cuts(&empty));
+        let mut triangles = Some(TriangleIndex::of_canonical(&empty));
+        let (mismatch, _) = tr_probe_mismatch(&mut triangles, &tr_cuts(&empty));
         assert_eq!(mismatch, None, "the empty graph");
     }
 
@@ -953,17 +965,36 @@ mod tests {
     fn a_flipped_supported_bit_fails_the_triangle_probe_grid() {
         let canon = canonicalize(&billing_graph());
         let cuts = tr_cuts(&canon);
-        let mut triangles = None;
+        let mut triangles = Some(TriangleIndex::of_canonical(&canon));
         assert_eq!(tr_probe_mismatch(&mut triangles, &cuts).0, None);
         let mut rng = cutfit_util::Xoshiro256pp::seed_from_u64(36);
         for _ in 0..3 {
             let edge = vid_index(rng.range_u64(canon.num_edges()));
-            let index = triangles.as_mut().expect("built by the grid");
-            index.flip_supported(edge);
+            triangles.as_mut().expect("built").flip_supported(edge);
             let (mismatch, _) = tr_probe_mismatch(&mut triangles, &cuts);
             assert!(mismatch.is_some(), "edge {edge}'s flipped bit went unseen");
             triangles.as_mut().expect("built").flip_supported(edge);
         }
+    }
+
+    #[test]
+    fn a_triangle_probe_without_an_index_is_refused_and_fills_nothing() {
+        let (_, pg, assignment) = &tr_cuts(&canonicalize(&billing_graph()))[0];
+        let (cluster, mode) = (ClusterConfig::paper_cluster(), ExecutorMode::Sequential);
+        let mut triangles = None;
+        let probe = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let reused = Reused {
+                prepared: &mut None,
+                triangles: &mut triangles,
+            };
+            let traced = TraceSlot {
+                trace: &mut None,
+                assignment: &mut || assignment.clone(),
+            };
+            Algorithm::Triangles.probe_on_cut(pg, reused, traced, &cluster, mode, mode)
+        }));
+        assert!(probe.is_err(), "a TR probe ran on an empty slot");
+        assert!(triangles.is_none(), "a refused TR probe filled its slot");
     }
 
     #[test]

@@ -13,25 +13,25 @@
 //! GraphX requires the input in canonical orientation (src < dst, deduped);
 //! [`canonicalize`] performs it, and the kernel rests on it: with no loops
 //! and each pair once, a partial set's size is a local degree and a full set
-//! is a row of one undirected [`Csr`], the same under any cut. So is each
-//! edge's triangle count. A [`TriangleIndex`] holds both, built once per
-//! graph — a session keeps one for all its canonical cuts — and the kernel
-//! ([`triangle_count_indexed`]) only aggregates them per partition: phases
-//! 1–2 keep local degrees in one `u32` column (partition `p` at
-//! `starts[p]..`), and phase 4 looks each edge up in its source's row, in
-//! step with the partition's (src, dst)-ordered run of that source's edges,
-//! with no intersection. A probe bills the same run without the counts
-//! ([`triangle_bill_supported`]): phase 4 ships a partial wherever a local
-//! edge closes a triangle, so it reads one bit per edge of the edge list,
-//! kept by the index beside the supports, instead of looking the edge up.
-//! One function bills the four phases for both. An index refuses a graph
-//! with a loop or a repeated pair, and the kernel a cut whose edge the
-//! index does not hold: both panic.
+//! is a row of one undirected [`Csr`], the same under any cut. So is the
+//! count, and so is whether an edge closes a triangle: a cut changes only
+//! the bill. A [`TriangleIndex`], built once per graph from the rows — a
+//! session keeps one for all its canonical cuts — holds the degrees, the
+//! count and one *supported* bit per edge. One function
+//! ([`triangle_bill_supported`]) bills the four phases from it, for jobs and
+//! probes alike: phases 1–2 keep local degrees in one `u32` column
+//! (partition `p` at `starts[p]..`), and phase 4 ships a partial from a
+//! (partition, local vertex) pair iff one of its local edges is supported.
+//! A job finds an edge's bit by looking the edge up among its lower end's
+//! higher neighbours, a probe by the edge's place in the edge list.
+//! [`triangle_count_indexed`] adds the index's count to a job's bill. An
+//! index refuses a graph with a loop or a repeated pair, and a job a cut
+//! whose edge the index does not hold: both panic.
 
 use cutfit_cluster::{ClusterConfig, ClusterSim, SimError, SimReport};
 use cutfit_graph::types::PartId;
 use cutfit_graph::{Csr, Edge, Graph, VertexId};
-use cutfit_partition::{PartitionedGraph, Partitioner};
+use cutfit_partition::{EdgePartition, PartitionedGraph, Partitioner};
 use cutfit_util::num::{part_index, vid_index};
 
 /// Marker type for naming consistency with the Pregel algorithms.
@@ -63,25 +63,36 @@ pub fn canonicalize(graph: &Graph) -> Graph {
     Graph::new_unchecked(graph.num_vertices(), edges)
 }
 
-/// What Triangle Count reads of a canonical graph and no cut changes: the
-/// undirected neighbour [`Csr`], and per CSR entry — neighbour `w` in the
-/// row of `u` — the edge's *support* `|N(u) ∩ N(w)|`, the triangles through
-/// the edge `{u, w}`. Beside them, for probes, one *supported* bit per edge
-/// of the graph's edge list: whether its support is non-zero.
+/// What Triangle Count reads of a canonical graph and no cut changes: each
+/// vertex's degree, the count — in total and through each vertex — and one
+/// *supported* bit per edge, set when the edge `{u, w}` closes a triangle:
+/// its support `|N(u) ∩ N(w)|` is non-zero. Edges are kept in canonical
+/// order, `(min, max)` pairs ascending, as each vertex's higher neighbours:
+/// an edge's place in them is its bit's.
 #[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct TriangleIndex {
-    full: Csr,
-    support: Vec<u32>,
-    /// Bit `g % 64` of word `g / 64`: edge `g` of the edge list has a
-    /// non-zero support. Built by the first probe
-    /// ([`triangle_bill_supported`]); empty until then.
+    degree: Vec<u64>,
+    /// `above[first_above[u]..first_above[u + 1]]`: `u`'s higher
+    /// neighbours, ascending.
+    first_above: Vec<usize>,
+    above: Vec<VertexId>,
+    /// Bit `g % 64` of word `g / 64`: edge `g` in canonical order closes a
+    /// triangle.
     supported: Vec<u64>,
+    total: u64,
+    per_vertex: Vec<u64>,
+    /// Built from an edge list in canonical order
+    /// ([`TriangleIndex::of_canonical`]): edge `g` of that list is bit `g`,
+    /// so probes may read bits by edge-list place.
+    edge_list_order: bool,
 }
 
 impl TriangleIndex {
     /// Indexes the graph `pg` was cut from, which every cut of that graph
     /// shares. Panics on a cut holding a self-loop or a repeated pair:
-    /// partition [`canonicalize`]'s output.
+    /// partition [`canonicalize`]'s output. Only jobs read it: a probe
+    /// needs [`TriangleIndex::of_canonical`].
     pub fn of_cut(pg: &PartitionedGraph) -> Self {
         let edges = pg.parts().iter().flat_map(|part| {
             (part.edges.iter()).map(|&(ls, ld)| Edge::new(part.global(ls), part.global(ld)))
@@ -89,93 +100,95 @@ impl TriangleIndex {
         Self::build(pg.num_vertices(), edges)
     }
 
-    /// The index of `edges` over `num_vertices` vertices: the rows, then one
-    /// stamping pass over the edges in row order (each row's entries above
-    /// its own vertex: the canonical edge list) that counts each edge's
-    /// support once and writes it to both of the edge's entries.
-    // Supports are bounded by degrees, which fit `u32` like the cut's
-    // local vertex ids.
-    #[allow(clippy::cast_possible_truncation)]
+    /// Indexes `graph`, whose edge list is in [`canonicalize`]'s order:
+    /// strictly increasing `(min, max)` pairs. Jobs and probes of every cut
+    /// of `graph` read it. Panics on any other edge list, after one pass.
+    pub fn of_canonical(graph: &Graph) -> Self {
+        let edges = graph.edges();
+        let ordered = (edges.windows(2)).all(|w| w[0].canonical() < w[1].canonical());
+        assert!(ordered, "not a canonical edge list: a pair out of order");
+        Self {
+            edge_list_order: true,
+            ..Self::build(graph.num_vertices(), edges.iter().copied())
+        }
+    }
+
+    /// The index of `edges` over `num_vertices` vertices: the neighbour
+    /// rows, then one stamping pass over the edges in canonical order (each
+    /// row's entries above its own vertex) that counts each edge's support
+    /// once, adds it to the total and to both ends' counts, and sets the
+    /// edge's bit. Each triangle is seen once per its three edges, and at
+    /// each of its vertices once per its two edges there.
     fn build(num_vertices: u64, edges: impl Iterator<Item = Edge> + Clone) -> Self {
         let full = Csr::undirected_of(num_vertices, edges);
         let simple = (0..num_vertices).all(|v| full.neighbors(v).windows(2).all(|w| w[0] < w[1]));
         assert!(simple, "not a canonical cut: a loop or a repeated pair");
-        let mut support = vec![0u32; full.num_entries()];
-        // `back[w]`: the next of w's entries below w. Rows are visited in
-        // ascending order, so they fill in row order.
-        let mut back: Vec<usize> = (0..num_vertices).map(|w| full.entries(w).start).collect();
-        let mut stamp = vec![false; vid_index(num_vertices)];
+        let (n, num_edges) = (vid_index(num_vertices), full.num_entries() / 2);
+        let mut index = Self {
+            degree: Vec::with_capacity(n),
+            first_above: Vec::with_capacity(n + 1),
+            above: Vec::with_capacity(num_edges),
+            supported: vec![0; num_edges.div_ceil(64)],
+            total: 0,
+            per_vertex: vec![0; n],
+            edge_list_order: false,
+        };
+        let mut stamp = vec![false; n];
         for u in 0..num_vertices {
             let nu = full.neighbors(u);
+            index.degree.push(full.degree(u));
+            index.first_above.push(index.above.len());
             nu.iter().for_each(|&x| stamp[vid_index(x)] = true);
-            let above = nu.partition_point(|&w| w < u);
-            for (entry, &w) in full.entries(u).zip(nu).skip(above) {
+            for &w in &nu[nu.partition_point(|&w| w < u)..] {
                 let nw = full.neighbors(w);
-                let count = if nw.len() >= 16 * nu.len() {
-                    let found = |x: &&VertexId| nw.binary_search(x).is_ok();
-                    nu.iter().filter(found).count()
+                let support = if nw.len() >= 16 * nu.len() {
+                    nu.iter().filter(|x| nw.binary_search(x).is_ok()).count()
                 } else {
                     nw.iter().filter(|&&x| stamp[vid_index(x)]).count()
-                } as u32;
-                support[entry] = count;
-                support[back[vid_index(w)]] = count;
-                back[vid_index(w)] += 1;
+                } as u64;
+                index.total += support;
+                index.per_vertex[vid_index(u)] += support;
+                index.per_vertex[vid_index(w)] += support;
+                let g = index.above.len();
+                index.supported[g / 64] |= u64::from(support > 0) << (g % 64);
+                index.above.push(w);
             }
             nu.iter().for_each(|&x| stamp[vid_index(x)] = false);
         }
-        Self {
-            full,
-            support,
-            supported: Vec::new(),
-        }
+        index.first_above.push(index.above.len());
+        index.total /= 3;
+        index.per_vertex.iter_mut().for_each(|c| *c /= 2);
+        index
     }
 
-    /// The support of each of `edges`, looked up in its source's row.
-    /// `at` is where the previous edge's destination sat in its source's
-    /// row: a run of one source's edges in (src, dst) order searches only
-    /// what is left of the row. Panics on an edge the index does not hold.
-    fn supports<'a>(
-        &'a self,
-        edges: impl Iterator<Item = (VertexId, VertexId)> + 'a,
-    ) -> impl Iterator<Item = u32> + 'a {
-        let mut at: Option<(VertexId, VertexId, usize)> = None;
-        edges.map(move |(u, w)| {
-            let row = self.full.neighbors(u);
+    /// Whether edge `g` in canonical order closes a triangle.
+    fn is_supported(&self, g: usize) -> bool {
+        self.supported[g / 64] >> (g % 64) & 1 == 1
+    }
+
+    /// Whether each of `part`'s edges closes a triangle, each edge looked
+    /// up among its lower end's higher neighbours. `at` is where the
+    /// previous edge sat: a run of one vertex's edges in ascending order
+    /// searches only what is left of its row. Panics on an edge the index
+    /// does not hold.
+    fn looked_up<'a>(&'a self, part: &'a EdgePartition) -> impl Iterator<Item = bool> + 'a {
+        let mut at: Option<(VertexId, usize)> = None;
+        part.edges.iter().map(move |&(ls, ld)| {
+            let (s, d) = (part.global(ls), part.global(ld));
+            let (u, w) = (s.min(d), s.max(d));
             let from = match at {
-                Some((src, dst, k)) if src == u && dst < w => k + 1,
-                _ => 0,
+                Some((v, g)) if v == u && self.above[g] < w => g + 1,
+                _ => self.first_above[vid_index(u)],
             };
-            let k = from + row[from..].partition_point(|&x| x < w);
+            let end = self.first_above[vid_index(u) + 1];
+            let g = from + self.above[from..end].partition_point(|&x| x < w);
             assert!(
-                row.get(k) == Some(&w),
-                "edge ({u}, {w}) is not in the indexed graph"
+                g < end && self.above[g] == w,
+                "edge ({s}, {d}) is not in the indexed graph"
             );
-            at = Some((u, w, k));
-            self.support[self.full.entries(u).start + k]
+            at = Some((u, g));
+            self.is_supported(g)
         })
-    }
-
-    /// Builds the supported bits, unless built: one per edge of the edge
-    /// list `pg` was cut from by `assignment`, in the list's own order —
-    /// each edge read off the cut where the assignment placed it — with
-    /// every edge looked up in the index. Every later probe bills a cut of
-    /// the same edge list, so the bits are built once. Panics if the cut
-    /// holds an edge the index does not or `assignment` is not the cut's.
-    fn ensure_supported(&mut self, pg: &PartitionedGraph, assignment: &[PartId]) {
-        if self.supported.is_empty() && !assignment.is_empty() {
-            let mut next = vec![0; pg.parts().len()];
-            let edge_list = assignment.iter().map(|&p| {
-                let (part, k) = (&pg.parts()[part_index(p)], &mut next[part_index(p)]);
-                let (ls, ld) = part.edges[*k];
-                *k += 1;
-                (part.global(ls), part.global(ld))
-            });
-            let mut bits = vec![0u64; assignment.len().div_ceil(64)];
-            for (g, support) in self.supports(edge_list).enumerate() {
-                bits[g / 64] |= u64::from(support > 0) << (g % 64);
-            }
-            self.supported = bits;
-        }
     }
 
     /// Flips edge `g`'s supported bit: a seeded fault for the tests.
@@ -198,82 +211,56 @@ pub fn triangle_count_partitioned(
 }
 
 /// Counts triangles over `pg`, a cut of the canonical graph `index` was
-/// built from, billing the four phases of GraphX's dataflow. Panics when
-/// the cut holds an edge the index does not: it was cut from another graph.
+/// built from: the index's count, and the job's bill
+/// ([`triangle_bill_supported`] without an assignment). Panics when the cut
+/// holds an edge the index does not: it was cut from another graph.
 pub fn triangle_count_indexed(
     pg: &PartitionedGraph,
     index: &TriangleIndex,
     cluster: &ClusterConfig,
     charge_load: bool,
 ) -> Result<TriangleResult, SimError> {
-    let (sim, edge_count_sum, mut per_vertex) =
-        four_phases(pg, index, cluster, charge_load, EdgeSupports::Counted)?;
-    // Each triangle is seen once per its three edges; per vertex, once per
-    // its two incident triangle edges.
-    debug_assert_eq!(edge_count_sum % 3, 0);
-    for c in &mut per_vertex {
-        debug_assert_eq!(*c % 2, 0);
-        *c /= 2;
-    }
     Ok(TriangleResult {
-        total: edge_count_sum / 3,
-        per_vertex,
-        sim,
+        sim: triangle_bill_supported(pg, index, None, cluster, charge_load)?,
+        total: index.total,
+        per_vertex: index.per_vertex.clone(),
     })
 }
 
-/// Bills [`triangle_count_indexed`]'s run on `pg` without counting: the
-/// same [`SimReport`], or the same error, bit for bit. `assignment` is the
-/// cut's edge assignment, aligned with the edge list of the canonical graph
-/// `index` was built from. Phase 4 ships a partial from a (partition, local
-/// vertex) pair iff some local edge of the vertex closes a triangle, so it
-/// reads the index's supported bit of each edge, at the edge's place in the
-/// edge list, instead of looking the edge up. The first call on `index`
-/// builds the bits from this cut, looking every edge up once.
+/// Bills GraphX's four phases on `pg`, a cut of the canonical graph `index`
+/// was built from. Phase 4 ships a partial from a (partition, local vertex)
+/// pair iff one of its local edges closes a triangle, so it reads each cut
+/// edge's supported bit. Without an `assignment` (a job) it finds the bit
+/// by looking the edge up, and panics on an edge the index does not hold.
+/// With the cut's edge `assignment` (a probe), aligned with the graph's
+/// edge list, it reads bit `g` for edge `g` of the list. That place is the
+/// bit's only when the list is in [`canonicalize`]'s order, strictly
+/// increasing `(min, max)` pairs: the index must be built by
+/// [`TriangleIndex::of_canonical`].
 ///
 /// # Panics
-/// Panics if `assignment` is not the cut's, or — on the call that builds
-/// the bits — if the cut holds an edge the index does not.
+/// Panics, given an `assignment`, if it is not the cut's or `index` was not
+/// built from a canonical edge list.
 pub fn triangle_bill_supported(
     pg: &PartitionedGraph,
-    index: &mut TriangleIndex,
-    assignment: &[PartId],
+    index: &TriangleIndex,
+    assignment: Option<&[PartId]>,
     cluster: &ClusterConfig,
     charge_load: bool,
 ) -> Result<SimReport, SimError> {
-    let global_of = pg.global_order(assignment);
-    index.ensure_supported(pg, assignment);
-    let supports = EdgeSupports::Supported(&global_of);
-    four_phases(pg, index, cluster, charge_load, supports).map(|(sim, ..)| sim)
-}
-
-/// How phase 4 learns which edges close triangles.
-enum EdgeSupports<'a> {
-    /// Each edge's support, looked up in the index and summed into the
-    /// counts: a job.
-    Counted,
-    /// Each edge's supported bit, read at its place in the edge list — the
-    /// cut's edge `e`, partition-major, is edge `global_of[e]` — and no
-    /// count: a probe.
-    Supported(&'a [u32]),
-}
-
-/// The four phases of GraphX's dataflow on `pg`, billed: the report, and,
-/// when `supports` counts, the sum of every edge's support and each
-/// vertex's sum over its edges (empty otherwise).
-fn four_phases(
-    pg: &PartitionedGraph,
-    index: &TriangleIndex,
-    cluster: &ClusterConfig,
-    charge_load: bool,
-    supports: EdgeSupports<'_>,
-) -> Result<(SimReport, u64, Vec<u64>), SimError> {
-    let full = &index.full;
     assert_eq!(
-        (pg.num_vertices(), pg.num_edges() * 2),
-        (full.num_vertices(), full.num_entries() as u64),
+        (pg.num_vertices(), pg.num_edges()),
+        (index.degree.len() as u64, index.above.len() as u64),
         "the cut is not of the indexed graph"
     );
+    let full_degree = |v: VertexId| index.degree[vid_index(v)];
+    let global_of = assignment.map(|assignment| {
+        assert!(
+            index.edge_list_order,
+            "a probe reads an index built from a canonical edge list"
+        );
+        pg.global_order(assignment)
+    });
     let np = pg.num_parts();
     let mut sim = ClusterSim::new(cluster.clone(), np);
     let overhead = cluster.cost.message_overhead_bytes;
@@ -306,8 +293,8 @@ fn four_phases(
         }
         let (mut set, mut read) = (0, 0);
         for (&v, &d) in part.vertices.iter().zip(&*degree) {
-            set += full.degree(v) * 8;
-            read += u64::from(d) * full.degree(v) * 8;
+            set += full_degree(v) * 8;
+            read += u64::from(d) * full_degree(v) * 8;
         }
         set_bytes.push(set);
         read_bytes.push(read);
@@ -339,7 +326,7 @@ fn four_phases(
     let ledger = sim.ledger();
     for v in 0..pg.num_vertices() {
         let master = masters[vid_index(v)];
-        let bytes = full.degree(v) * 8 + overhead;
+        let bytes = full_degree(v) * 8 + overhead;
         for &p in pg.routing().parts_of(v) {
             if p != master {
                 ledger.send_exec(exec_of(master), exec_of(p), 1, bytes);
@@ -350,63 +337,40 @@ fn four_phases(
     sim.end_superstep()?;
 
     // --- Phase 4: per-edge intersection counts, shipped to masters. ---
-    // Each edge's count is its support in the index; a probe knows only
-    // whether it is non-zero, which is all the bill reads.
-    let counted_vertices = match supports {
-        EdgeSupports::Counted => vid_index(pg.num_vertices()),
-        EdgeSupports::Supported(_) => 0,
-    };
-    let mut per_vertex = vec![0u64; counted_vertices];
-    let mut edge_count_sum = 0u64;
+    // A local vertex's partial count is non-zero, and shipped, iff one of
+    // its local edges is supported.
     let widest = pg.parts().iter().map(|part| part.vertices.len()).max();
-    let mut local_counts = vec![0u64; widest.unwrap_or(0)];
+    let mut local_ships = vec![false; widest.unwrap_or(0)];
     let mut first_edge = 0;
     let ledger = sim.ledger();
     for ((p, part), &read) in (0..).zip(pg.parts()).zip(&read_bytes) {
-        let counts = &mut local_counts[..part.vertices.len()];
+        let ships = &mut local_ships[..part.vertices.len()];
         let edges = first_edge..first_edge + part.edges.len();
         first_edge = edges.end;
-        match supports {
-            EdgeSupports::Counted => {
-                let ends = part
-                    .edges
-                    .iter()
-                    .map(|&(ls, ld)| (part.global(ls), part.global(ld)));
-                for (&(ls, ld), cnt) in part.edges.iter().zip(index.supports(ends)) {
-                    let cnt = u64::from(cnt);
-                    counts[ls as usize] += cnt;
-                    counts[ld as usize] += cnt;
-                    edge_count_sum += cnt;
-                }
-            }
-            EdgeSupports::Supported(global_of) => {
-                for (&(ls, ld), &g) in part.edges.iter().zip(&global_of[edges]) {
-                    let bit = index.supported[g as usize / 64] >> (g % 64) & 1;
-                    counts[ls as usize] |= bit;
-                    counts[ld as usize] |= bit;
-                }
-            }
+        let mut mark = |&(ls, ld): &(u32, u32), supported: bool| {
+            ships[ls as usize] |= supported;
+            ships[ld as usize] |= supported;
+        };
+        match &global_of {
+            Some(global_of) => (part.edges.iter().zip(&global_of[edges]))
+                .for_each(|(edge, &g)| mark(edge, index.is_supported(g as usize))),
+            None => (part.edges.iter().zip(index.looked_up(part)))
+                .for_each(|(edge, supported)| mark(edge, supported)),
         }
         ledger.local_bytes(p, read);
         ledger.edge_scans(p, part.num_edges());
-        // Ship non-zero per-vertex partial counts to masters.
-        for (&v, cnt) in part.vertices.iter().zip(counts.iter_mut()) {
-            let cnt = std::mem::take(cnt);
-            if cnt == 0 {
-                continue;
-            }
-            let master = masters[vid_index(v)];
-            if p != master {
-                ledger.send_exec(exec_of(p), exec_of(master), 1, 8 + overhead);
-            }
-            ledger.vertex_ops(master, 1);
-            if let Some(total) = per_vertex.get_mut(vid_index(v)) {
-                *total += cnt;
+        for (&v, ship) in part.vertices.iter().zip(ships.iter_mut()) {
+            if std::mem::take(ship) {
+                let master = masters[vid_index(v)];
+                if p != master {
+                    ledger.send_exec(exec_of(p), exec_of(master), 1, 8 + overhead);
+                }
+                ledger.vertex_ops(master, 1);
             }
         }
     }
     sim.end_superstep()?;
-    Ok((sim.into_report(), edge_count_sum, per_vertex))
+    Ok(sim.into_report())
 }
 
 /// Convenience: canonicalize, partition with `partitioner`, count.
@@ -430,7 +394,7 @@ fn charge_set_residency(sim: &mut ClusterSim, pg: &PartitionedGraph, set_bytes: 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cutfit_graph::analysis::count_triangles;
     use cutfit_graph::csr::sorted_intersection_count;
@@ -441,10 +405,10 @@ mod tests {
         ClusterConfig::paper_cluster()
     }
 
-    /// The per-vertex-`Vec` dataflow the kernel replaced, kept as the
-    /// equivalence grid's reference: partial sets per (partition, local
-    /// vertex) and full sets per vertex, each sorted and deduplicated.
-    fn reference_triangle_count_partitioned(
+    /// GraphX's dataflow on per-vertex `Vec` sets, the TR grids' reference:
+    /// partial sets per (partition, local vertex) and full sets per vertex,
+    /// each sorted and deduplicated.
+    pub(crate) fn reference_triangle_count_partitioned(
         pg: &PartitionedGraph,
         cluster: &ClusterConfig,
         charge_load: bool,
@@ -706,14 +670,75 @@ mod tests {
         assert!(run.is_err(), "a cut with another edge count was counted");
     }
 
-    #[test]
-    fn every_edge_reversed_counts_like_canonical() {
-        // Supports sit on both of an edge's entries, so a simple cut in any
-        // orientation and edge order counts what its canonical twin counts.
-        let canon = canonicalize(&family(1, 3));
+    /// `canon` with every edge reversed, in reverse order.
+    fn reversed(canon: &Graph) -> Graph {
         let mut reversed: Vec<Edge> = canon.edges().iter().map(|e| e.reversed()).collect();
         reversed.reverse();
-        let reversed = Graph::new(canon.num_vertices(), reversed);
+        Graph::new(canon.num_vertices(), reversed)
+    }
+
+    #[test]
+    fn every_index_counts_what_the_oracle_and_the_reference_count() {
+        for index in 0..6 {
+            let canon = canonicalize(&family(index, 17));
+            let expected = count_triangles(&canon);
+            // One index of the canonical list, shared by both orientations.
+            let whole = TriangleIndex::of_canonical(&canon);
+            assert_eq!(whole.total, expected, "family {index}");
+            for (orientation, g) in [("canonical", canon.clone()), ("reversed", reversed(&canon))] {
+                for strategy in GraphXStrategy::all() {
+                    for parts in [1, 7, 64] {
+                        let pg = strategy.partition(&g, parts);
+                        let cell = format!("family {index}, {orientation}, {strategy}, {parts}");
+                        let slow = reference_triangle_count_partitioned(&pg, &cluster(), false);
+                        let slow = slow.unwrap();
+                        let counted = (slow.total, &slow.per_vertex);
+                        assert_eq!(counted, (expected, &whole.per_vertex), "{cell}");
+                        let mut cut = TriangleIndex::of_cut(&pg);
+                        cut.edge_list_order = true;
+                        assert_eq!(cut, whole, "{cell}");
+                        let job = triangle_count_indexed(&pg, &whole, &cluster(), false).unwrap();
+                        assert_eq!(job.sim, slow.sim, "{cell}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_probe_reads_only_an_index_of_a_canonical_edge_list() {
+        let canon = canonicalize(&family(1, 8));
+        // Orientation aside, the pairs keep canonical order: bit `g` is
+        // still edge `g` of the list.
+        let flipped = canon.edges().iter().map(|e| e.reversed()).collect();
+        let flipped = Graph::new(canon.num_vertices(), flipped);
+        let index = TriangleIndex::of_canonical(&flipped);
+        for strategy in GraphXStrategy::all() {
+            let assignment = strategy.assign_edges(&flipped, 7);
+            let pg = PartitionedGraph::build(&flipped, &assignment, 7);
+            let probed = triangle_bill_supported(&pg, &index, Some(&assignment), &cluster(), true);
+            let slow = reference_triangle_count_partitioned(&pg, &cluster(), true);
+            assert_eq!(probed, slow.map(|r| r.sim), "{strategy}");
+        }
+        let out_of_order =
+            std::panic::catch_unwind(|| TriangleIndex::of_canonical(&reversed(&canon)));
+        assert!(out_of_order.is_err(), "an edge list out of order");
+        // An index built from a cut does not know the edge list's order.
+        let assignment = GraphXStrategy::SourceCut.assign_edges(&canon, 4);
+        let pg = PartitionedGraph::build(&canon, &assignment, 4);
+        let index = TriangleIndex::of_cut(&pg);
+        let probe = || triangle_bill_supported(&pg, &index, Some(&assignment), &cluster(), true);
+        assert!(std::panic::catch_unwind(probe).is_err(), "a cut's index");
+        assert!(triangle_bill_supported(&pg, &index, None, &cluster(), true).is_ok());
+    }
+
+    #[test]
+    fn every_edge_reversed_counts_like_canonical() {
+        // The index counts each unordered pair once, in canonical order, so
+        // a simple cut in any orientation and edge order counts what its
+        // canonical twin counts.
+        let canon = canonicalize(&family(1, 3));
+        let reversed = reversed(&canon);
         for strategy in GraphXStrategy::all() {
             let a = triangle_count_partitioned(&strategy.partition(&canon, 7), &cluster(), true);
             let b = triangle_count_partitioned(&strategy.partition(&reversed, 7), &cluster(), true);

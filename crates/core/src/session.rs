@@ -87,9 +87,9 @@ pub enum AdviceMode {
     /// ([`Algorithm::probe_on_cut`]): PageRank and HITS are billed in
     /// closed form, CC and SSSP run on one candidate and are billed from
     /// its trace on the rest, Triangle Count is billed from each
-    /// candidate's assignment and the supported bit of each edge in the
-    /// session's triangle index, with no edge looked up, and label
-    /// propagation and k-core run on every candidate.
+    /// candidate's assignment and the session's triangle index, which holds
+    /// the count and one supported bit per edge, with no edge looked up,
+    /// and label propagation and k-core run on every candidate.
     Probed,
 }
 
@@ -411,10 +411,10 @@ struct CutCache {
     canon: Option<Arc<Graph>>,
     /// Worker threads of a materialization.
     threads: usize,
-    /// Triangle Count's index of `canon`, built by the first TR dispatch
-    /// and read by every TR probe and job after it: every canonical cut
-    /// holds `canon`'s edges. Its supported bits, one per edge of `canon`,
-    /// are built by the first TR probe.
+    /// Triangle Count's index of `canon`, its bits in `canon`'s edge-list
+    /// order, built by the first TR dispatch ([`CutCache::ensure_for`]) and
+    /// read by every TR job and probe: every canonical cut holds `canon`'s
+    /// edges.
     triangles: Option<TriangleIndex>,
     /// `BTreeMap`, not `HashMap`: lookups are keyed today, but the serving
     /// layer is a deterministic crate — if iteration over cached cuts ever
@@ -480,6 +480,15 @@ impl CutCache {
         }
     }
 
+    /// [`CutCache::ensure_cut`], and for Triangle Count `canon`'s index.
+    fn ensure_for(&mut self, key: CutKey, algorithm: &Algorithm) -> Ensured<'_> {
+        if matches!(algorithm, Algorithm::Triangles) && self.triangles.is_none() {
+            let canon = canonical_of(&mut self.canon, &self.graph);
+            self.triangles = Some(TriangleIndex::of_canonical(canon));
+        }
+        self.ensure_cut(key)
+    }
+
     /// The canonical orientation, computed once per session.
     fn canonical_graph(&mut self) -> Arc<Graph> {
         canonical_of(&mut self.canon, &self.graph).clone()
@@ -532,20 +541,15 @@ impl Workspace {
     /// billed from the container's **bytes on disk** rather than the
     /// in-memory dataset model — the serving-layer payoff of the compressed
     /// format: every job the session dispatches starts from a cheaper load.
+    /// It decodes one block at a time on the calling thread, the source's
+    /// default; [`Workspace::from_binary_source`] takes a source set up to
+    /// decode on more threads.
     pub fn from_binary_file(
         path: impl AsRef<std::path::Path>,
         cluster: ClusterConfig,
         executor: ExecutorMode,
     ) -> Result<Self, cutfit_graph::io::ParseError> {
-        // The executor sizes the decode shards like every other pool of the
-        // session: one thread decodes one block per batch on the calling
-        // thread, more decode batches of eight blocks across the threads.
-        // The chunk stream is bit-identical either way, so the only effect
-        // is spreading the checksum+varint work.
-        let threads = executor.threads();
-        let source = cutfit_graph::BinaryFileSource::open(path)?
-            .with_decode_threads(threads)
-            .with_read_ahead(if threads > 1 { 8 } else { 0 });
+        let source = cutfit_graph::BinaryFileSource::open(path)?;
         Self::from_binary_source(source, cluster, executor)
     }
 
@@ -680,7 +684,7 @@ impl Workspace {
             self.session.charge_load(self.load_source_bytes);
             self.loaded = true;
         }
-        let ensured = self.cache.ensure_cut(key);
+        let ensured = self.cache.ensure_for(key, algorithm);
         let (cache_hit, entry) = (ensured.cache_hit(), ensured.entry);
         // A repartition that fails leaves the active cut where it was, so
         // it is neither counted nor reported as a switch.
@@ -739,7 +743,7 @@ impl Workspace {
             num_parts,
             canonical: algorithm.needs_canonical(),
         };
-        let ensured = self.cache.ensure_cut(key);
+        let ensured = self.cache.ensure_for(key, algorithm);
         let cache_hit = ensured.cache_hit();
         let metrics = ensured.entry.metrics.clone();
         let (pg, reused) = ensured.entry.reused(ensured.triangles);
@@ -859,7 +863,7 @@ impl Workspace {
                 entry,
                 triangles,
                 mut built_from,
-            } = self.cache.ensure_cut(key);
+            } = self.cache.ensure_for(key, algorithm);
             let (pg, reused) = entry.reused(triangles);
             // A cut just built hands its assignment over; a cached one
             // hashes it again.

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cutfit::algorithms::suite::{Reused, TraceSlot};
-use cutfit::algorithms::triangles::{canonicalize, triangle_count_partitioned};
+use cutfit::algorithms::triangles::{canonicalize, triangle_count_partitioned, TriangleIndex};
 use cutfit::algorithms::{ConnectedComponents, PageRank, Sssp};
 use cutfit::engine::InitCtx;
 use cutfit::graph::io::ParseError;
@@ -293,7 +293,7 @@ fn a_warm_triangle_probe_allocates_by_partition_not_by_edge() {
     let pg = Arc::new(PartitionedGraph::build(&g, &assignment, PARTS));
     let cluster = ClusterConfig::paper_cluster();
     let mode = ExecutorMode::Sequential;
-    let mut triangles = None;
+    let mut triangles = Some(TriangleIndex::of_canonical(&g));
     let mut probe = || {
         let reused = Reused {
             prepared: &mut None,
@@ -307,8 +307,7 @@ fn a_warm_triangle_probe_allocates_by_partition_not_by_edge() {
             .probe_on_cut(&pg, reused, traced, &cluster, mode, mode)
             .expect("fits")
     };
-    // Warm: the index and its supported bits are the session's, built by
-    // the first probe.
+    // Warm: the index is the session's, built before any probe.
     probe();
     let (allocations, (_, supersteps)) = allocations_of(&mut probe);
     assert_eq!(supersteps, 4);
